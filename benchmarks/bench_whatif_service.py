@@ -4,13 +4,12 @@ Times the same recommendation run twice — the plain serial loop
 (``REPRO_WHATIF_CACHE=0`` semantics) and the full cost service (atomic
 memoization, incremental environments, parallel candidate search,
 upper-bound pruning) — each in a fresh context, and asserts the two
-recommend byte-identical configurations.  ``scripts/bench_perf.py`` is
-the scripted version that exports ``BENCH_whatif.json``; this file keeps
-the comparison inside the pytest-benchmark harness.
+recommend byte-identical configurations, inside the pytest-benchmark
+harness (wall-clock numbers come from ``perfbench/``).
 
 Part of the benchmark harness; run with::
 
-    pytest benchmarks/bench_perf_whatif.py --benchmark-only -s
+    pytest benchmarks/bench_whatif_service.py --benchmark-only -s
 
 Scale knobs: ``REPRO_SCALE`` / ``REPRO_WORKLOAD_SIZE`` / ``REPRO_JOBS``
 (defaults here are deliberately smaller than the figure benches' — the

@@ -38,7 +38,6 @@ from ..engine.systems import by_name as system_by_name
 from ..recommender.whatif import WhatIfRecommender
 from ..runtime.artifacts import ArtifactCache, StageTimings, artifact_key
 from ..runtime.session import MeasurementSession, resolve_jobs
-from ..storage.sharding import shard_count
 from ..workload.nref_families import generate_nref2j, generate_nref3j
 from ..workload.sampling import sample_benchmark_workload
 from ..workload.tpch_families import (
@@ -103,10 +102,6 @@ class BenchContext:
         # this context run on it instead of private pools (the tuning
         # server shares one executor across every tenant's context).
         self.executor = executor
-        # Horizontal partitioning (REPRO_SHARDS; 0 = off).  Results are
-        # byte-identical either way, but a *database* artifact holds
-        # sharded (or unsharded) storage, so its key carries the count.
-        self.shards = shard_count()
         # Databases are mutable (configurations get applied in place),
         # so the live instances are process-local; the artifact store
         # keeps the expensive *loaded + P-built* snapshot.
@@ -122,10 +117,7 @@ class BenchContext:
         """A loaded database for ``(system, dataset)`` with P applied."""
         live_key = (system_name, dataset)
         if live_key not in self._live_databases:
-            parts = ["database", system_name, dataset]
-            if self.shards:
-                parts += ["shards", self.shards]
-            key = self._key(*parts)
+            key = self._key("database", system_name, dataset)
 
             def build():
                 with self.timings.stage("build_database"), obs.span(
@@ -351,9 +343,9 @@ class BenchContext:
 
     def _apply(self, db, system_name, family, config):
         del system_name, family
-        current = db.configuration
-        if (current.name != config.name
-                or current.fingerprint != config.fingerprint):
+        # The fingerprint excludes the display name: "R" and
+        # "<family>_R" are one physical configuration, built once.
+        if db.configuration.fingerprint != config.fingerprint:
             with self.timings.stage("build_configuration"), obs.span(
                 "bench.build_configuration", configuration=config.name,
             ):

@@ -2,7 +2,7 @@
 environment enters the system.
 
 Every behavioural environment variable of the reproduction (cache
-switches, pool widths, shard layout, server limits, bench scale) is
+switches, pool widths, server limits, bench scale) is
 *declared* here with its type, default, and one-line contract, and every
 read of one goes through :func:`text` / :func:`flag` — never through a
 bare ``os.environ`` lookup.  The lint rule ``KNB001`` machine-checks the
@@ -13,14 +13,14 @@ The registry is what makes "which knobs exist and what do they do"
 answerable from one file instead of a grep.
 
 Knob *semantics* (clamping, error messages, on/off vocabularies) stay
-with their owning modules — ``repro.storage.sharding`` still decides
-that a shard count below zero clamps to zero — so registering a knob
+with their owning modules — ``repro.runtime.session`` still decides
+that a jobs count below one clamps to one — so registering a knob
 changes no behaviour; it only centralizes the environment access and
 the declaration.  See "Registering a knob" in ``docs/static-analysis.md``.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Values that turn a boolean knob off (case-insensitive); anything
 #: else, including the empty string and absence, leaves it at its
@@ -37,7 +37,6 @@ class Knob:
     kind: str           #: ``flag`` | ``int`` | ``float`` | ``str``
     default: object     #: value used when the variable is unset
     description: str    #: one-line contract (mirrored in docs/cli.md)
-    choices: tuple = field(default=())
 
     def to_json(self):
         return {
@@ -45,14 +44,13 @@ class Knob:
             "kind": self.kind,
             "default": self.default,
             "description": self.description,
-            **({"choices": list(self.choices)} if self.choices else {}),
         }
 
 
 _REGISTRY = {}
 
 
-def register(name, kind="str", default=None, description="", choices=()):
+def register(name, kind="str", default=None, description=""):
     """Declare a knob; returns the :class:`Knob`.
 
     Registration is idempotent for identical declarations (module
@@ -64,7 +62,7 @@ def register(name, kind="str", default=None, description="", choices=()):
     """
     if not name.startswith("REPRO_") or name != name.upper():
         raise ValueError(f"knob name {name!r} must be upper-case REPRO_*")
-    knob = Knob(name, kind, default, description, tuple(choices))
+    knob = Knob(name, kind, default, description)
     existing = _REGISTRY.get(name)
     if existing is not None:
         if existing != knob:
@@ -185,31 +183,6 @@ register(
     "REPRO_SUBPLAN_CACHE", "flag", True,
     "cross-query subplan cache: semijoin pairs, filter masks, join "
     "domains (off = recompute per query)",
-)
-
-# Storage layout and intra-query execution
-register(
-    "REPRO_SHARDS", "int", 0,
-    "horizontal shard count per table (0 = contiguous storage)",
-)
-register(
-    "REPRO_SHARD_SCHEME", "str", "hash",
-    "shard partitioning scheme", choices=("hash", "range"),
-)
-register(
-    "REPRO_SHARD_JOBS", "int", 1,
-    "shard worker processes (1 = serial in-process)",
-)
-register(
-    "REPRO_MORSEL_ROWS", "int", 0,
-    "morsel size in rows for morsel-parallel kernels (0 = off; "
-    "positive values clamp up to the 1024-row minimum)",
-)
-register(
-    "REPRO_LATE_MAT", "flag", True,
-    "late-materialization executor: selection-vector batches, plan-time "
-    "column pruning, and fused predicate kernels (figures are "
-    "byte-identical either way)",
 )
 
 # Tuning server (python -m repro.server flag fallbacks)

@@ -50,18 +50,11 @@ def view_content_key(view):
 
 @dataclass(frozen=True)
 class Configuration:
-    """An immutable set of indexes and materialized views.
-
-    ``shards`` records the horizontal partitioning the configuration
-    was built for (0 = unsharded).  It participates in the fingerprint
-    only when nonzero, so every pre-sharding fingerprint — and every
-    cache artifact keyed by one — is unchanged.
-    """
+    """An immutable set of indexes and materialized views."""
 
     name: str
     indexes: tuple = ()
     views: tuple = ()
-    shards: int = 0
 
     def __post_init__(self):
         names = [ix.name for ix in self.indexes]
@@ -86,15 +79,12 @@ class Configuration:
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
-            parts = [
+            cached = content_fingerprint(
                 tuple(sorted(index_content_key(ix) for ix in self.indexes)),
                 tuple(sorted(
                     repr(view_content_key(v)) for v in self.views
                 )),
-            ]
-            if self.shards:
-                parts.append(("shards", self.shards))
-            cached = content_fingerprint(*parts)
+            )
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
@@ -108,7 +98,6 @@ class Configuration:
             name=name or self.name,
             indexes=self.indexes + added,
             views=self.views,
-            shards=self.shards,
         )
 
     def with_views(self, new_views, name=None):
@@ -118,17 +107,11 @@ class Configuration:
             name=name or self.name,
             indexes=self.indexes,
             views=self.views + added,
-            shards=self.shards,
         )
-
-    def with_shards(self, shards):
-        """The same configuration tagged with a shard count."""
-        return Configuration(name=self.name, indexes=self.indexes,
-                             views=self.views, shards=int(shards))
 
     def renamed(self, name):
         return Configuration(name=name, indexes=self.indexes,
-                             views=self.views, shards=self.shards)
+                             views=self.views)
 
     def has_index(self, definition):
         return any(ix.name == definition.name for ix in self.indexes)

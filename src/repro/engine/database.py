@@ -51,8 +51,7 @@ from ..runtime.cache import BoundedCache, CacheStats
 
 from ..common.errors import CatalogError, QueryTimeout
 from ..executor.engine import Executor
-from ..executor.morsels import MorselPool
-from ..executor.kernels import KernelCache, late_mat_enabled
+from ..executor.kernels import KernelCache
 from ..executor.subplan import SubplanCache, subplan_cache_enabled
 from ..index.data import IndexData
 from ..index.definition import estimate_index_size
@@ -75,17 +74,10 @@ from ..storage.encoding import (
     DictionaryCache,
     dict_cache_enabled,
 )
-from ..storage.sharding import (
-    ShardedTable,
-    ShardRuntime,
-    shard_count,
-    shard_scheme,
-)
 from ..storage.table import Table
 from ..views.matview import build_view
 from .configuration import (
     Configuration,
-    content_fingerprint,
     index_content_key,
     primary_configuration,
     view_content_key,
@@ -164,28 +156,18 @@ class Database:
         self._dict_cache = DictionaryCache()
         self._bind_stats = CacheStats("bind_cache")
         # Cross-query optimization state (REPRO_PLAN_TEMPLATES /
-        # REPRO_SUBPLAN_CACHE / REPRO_MORSEL_ROWS): plan templates keyed
-        # by (environment token, structural template key), bind templates
-        # keyed by SQL skeleton, shared subplan results handed to every
-        # executor, and the lazily-started morsel thread pool.
+        # REPRO_SUBPLAN_CACHE): plan templates keyed by (environment
+        # token, structural template key), bind templates keyed by SQL
+        # skeleton, and shared subplan results handed to every executor.
         self._template_cache = BoundedCache(
             "template_cache", self.TEMPLATE_CACHE_SIZE
         )
         self._bind_templates = BindTemplates(self.catalog)
         self._subplan_cache = SubplanCache()
-        # Fused-predicate kernels (REPRO_LATE_MAT): compiled conjunctive
-        # filter callables shared by every executor of this database.
+        # Fused-predicate kernels: compiled conjunctive filter
+        # callables shared by every executor of this database.
         self._kernel_cache = KernelCache()
-        self._morsels = MorselPool.from_env()
         self._current_fingerprint = None
-        # Horizontal partitioning (REPRO_SHARDS; 0 = off).  The shard
-        # runtime owns the worker pool and shared-memory segments; the
-        # dictionary cache builds sharded tables' dictionaries from
-        # per-shard sketches through it.
-        self._shards = shard_count()
-        self._shard_runtime = ShardRuntime() if self._shards else None
-        if self._shard_runtime is not None:
-            self._dict_cache.attach_sharding(self._shard_runtime)
 
     # ------------------------------------------------------------------
     # Pickling (the artifact store persists built databases to disk):
@@ -196,9 +178,8 @@ class Database:
         for transient in ("_plan_cache", "_env_cache", "_whatif_cache",
                           "_dict_cache", "_bind_stats",
                           "_template_cache", "_bind_templates",
-                          "_subplan_cache", "_kernel_cache", "_morsels",
-                          "_current_fingerprint", "_bound_cache",
-                          "_shards", "_shard_runtime"):
+                          "_subplan_cache", "_kernel_cache",
+                          "_current_fingerprint", "_bound_cache"):
             state.pop(transient, None)
         return state
 
@@ -225,8 +206,6 @@ class Database:
         self._template_cache.invalidate()
         self._subplan_cache.invalidate()
         self._kernel_cache.invalidate()
-        if self._shard_runtime is not None:
-            self._shard_runtime.invalidate()
         self._current_fingerprint = None
 
     @property
@@ -277,12 +256,7 @@ class Database:
 
     def load_table(self, name, columns):
         schema = self.catalog.table(name)
-        if self._shards:
-            self.tables[name] = ShardedTable(
-                schema, columns, shards=self._shards, scheme=shard_scheme()
-            )
-        else:
-            self.tables[name] = Table(schema, columns)
+        self.tables[name] = Table(schema, columns)
         self._bound_cache.clear()
         self._bind_templates.clear()
         self._view_size_cache.clear()
@@ -295,28 +269,16 @@ class Database:
             raise CatalogError(f"table {name!r} is not loaded") from None
 
     def collect_statistics(self):
-        """Collect full statistics for every loaded table (and built view).
-
-        Sharded tables are collected per shard and merged — exact
-        sketch merging keeps the result byte-identical to unsharded
-        collection (views are plain tables and collect directly).
-        """
+        """Collect full statistics for every loaded table (and built view)."""
         encodings = self._dict_encodings()
         for table in self.tables.values():
-            self.statistics.put(self._collect_table_stats(table, encodings))
+            self.statistics.put(TableStats.collect(table, encodings))
         if self._built is not None:
             for view_table in self._built.view_tables.values():
                 self._view_stats.put(
                     TableStats.collect(view_table, encodings)
                 )
         self.invalidate_caches()
-
-    def _collect_table_stats(self, table, encodings):
-        if isinstance(table, ShardedTable) and table.shards > 1:
-            return TableStats.collect_sharded(
-                table, runtime=self._shard_runtime
-            )
-        return TableStats.collect(table, encodings)
 
     # ------------------------------------------------------------------
     # Configurations
@@ -329,20 +291,9 @@ class Database:
 
     @property
     def configuration_fingerprint(self):
-        """Content fingerprint of the currently-built configuration.
-
-        With sharding on, the shard count is mixed in: plans, what-if
-        environments, and cost-service entries keyed by this value can
-        never be shared between sharded and unsharded instances of the
-        same logical configuration.
-        """
+        """Content fingerprint of the currently-built configuration."""
         if self._current_fingerprint is None:
-            fingerprint = self.configuration.fingerprint
-            if self._shards and not self.configuration.shards:
-                fingerprint = content_fingerprint(
-                    fingerprint, ("shards", self._shards)
-                )
-            self._current_fingerprint = fingerprint
+            self._current_fingerprint = self.configuration.fingerprint
         return self._current_fingerprint
 
     def apply_configuration(self, config):
@@ -890,13 +841,9 @@ class Database:
             executor = Executor(
                 self._exec_tables(), self.system.hardware, timeout,
                 encodings=self._dict_encodings(),
-                sharding=self._shard_runtime,
                 subplans=(self._subplan_cache
                           if subplan_cache_enabled() else None),
-                morsels=self._morsels,
-                kernels=(self._kernel_cache
-                         if late_mat_enabled() else None),
-                late=late_mat_enabled(),
+                kernels=self._kernel_cache,
             )
             try:
                 outcome = executor.run(plan)

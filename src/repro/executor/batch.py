@@ -1,5 +1,5 @@
-"""Execution batches: the (optionally late-materialized) output of a
-physical operator.
+"""Execution batches: the late-materialized output of a physical
+operator.
 
 Batches optionally carry per-column *encodings* — lazy references to
 the owning database's cached :class:`~repro.storage.encoding.ColumnDictionary`
@@ -9,14 +9,12 @@ sorted dictionary instead (``searchsorted`` + a presence scan), with
 byte-identical results.  Columns without an encoding (aggregate
 outputs, derived labels) always take the legacy sort path.
 
-Under ``REPRO_LATE_MAT`` batches are *views*: a lazy batch carries base
-arrays plus per-key ``sels`` selection vectors (int64 row ids into the
-stored array), and ``mask``/``take`` compose selection vectors
-(``sel = sel[positions]``) without touching payload columns.  Values
-are gathered only when an operator actually reads them
-(:meth:`Batch.column`), with dictionary ``codes`` subset lazily in
-lockstep.  With the knob off every batch is eager (``lazy=False``) and
-``mask``/``take`` copy as before.
+Batches are *views*: a batch carries arrays plus per-key ``sels``
+selection vectors (int64 row ids into the attached array), and
+``mask``/``take`` compose selection vectors (``sel = sel[positions]``)
+without touching payload columns.  Values are gathered only when an
+operator actually reads them (:meth:`Batch.column`), with dictionary
+``codes`` subset lazily in lockstep.
 """
 
 import threading
@@ -64,9 +62,11 @@ class Batch:
     """Columnar intermediate result.
 
     ``columns`` maps batch keys (``"alias.column"`` or output labels) to
-    arrays; in an eager batch they all have ``rows`` entries, in a lazy
-    batch a key listed in ``sels`` maps to its *base* array and
-    ``sels[key]`` holds the row ids selecting from it.  ``weights``
+    arrays: a key listed in ``sels`` maps to its *base* array and
+    ``sels[key]`` holds the ``rows`` row ids selecting from it; a key
+    without a ``sels`` entry is an already-gathered column of ``rows``
+    entries.  ``length`` states ``rows`` outright for batches whose
+    columns were all pruned.  ``weights``
     (optional) carries the row multiplicity introduced by
     pre-aggregated view rewrites; ``widths`` tracks per-key byte widths
     for spill accounting (and stays complete even when column pruning
@@ -91,7 +91,6 @@ class Batch:
     encodings: dict = field(default_factory=dict)
     codes: dict = field(default_factory=dict)
     sels: dict = field(default_factory=dict)
-    lazy: bool = False
     length: int = None
 
     @property
@@ -100,7 +99,8 @@ class Batch:
             return self.length
         if not self.columns:
             return 0
-        return len(next(iter(self.columns.values())))
+        key, values = next(iter(self.columns.items()))
+        return len(self.sels.get(key, values))
 
     @property
     def row_width(self):
@@ -108,33 +108,15 @@ class Batch:
 
     def mask(self, keep):
         """A new batch with rows where ``keep`` is True."""
-        if not self.lazy:
-            return Batch(
-                columns={k: v[keep] for k, v in self.columns.items()},
-                widths=dict(self.widths),
-                weights=None if self.weights is None else self.weights[keep],
-                encodings=dict(self.encodings),
-                codes={k: v[keep] for k, v in self.codes.items()},
-            )
         return self._select(np.flatnonzero(keep), keep=keep)
 
     def take(self, positions):
         """A new batch gathered at integer positions (with repetition)."""
-        if not self.lazy:
-            return Batch(
-                columns={k: v[positions] for k, v in self.columns.items()},
-                widths=dict(self.widths),
-                weights=(
-                    None if self.weights is None else self.weights[positions]
-                ),
-                encodings=dict(self.encodings),
-                codes={k: v[positions] for k, v in self.codes.items()},
-            )
         return self._select(np.asarray(positions, dtype=np.int64))
 
     def _select(self, positions, keep=None):
         """Compose ``positions`` into every selection vector, copying
-        nothing but the vectors themselves (and eager weights)."""
+        nothing but the vectors themselves (and the weights)."""
         composed = {}
         sels = {}
         deferred = 0
@@ -168,7 +150,6 @@ class Batch:
             encodings=dict(self.encodings),
             codes=dict(self.codes),
             sels=sels,
-            lazy=True,
             length=out_rows,
         )
 
@@ -213,11 +194,10 @@ class Batch:
         return carried[sel]
 
     def materialize(self):
-        """Gather every pending column in place; the result has plain
-        equal-length arrays like an eager batch."""
+        """Gather every pending column in place; ``columns`` then holds
+        plain equal-length arrays."""
         for key in list(self.sels):
             self.column(key)
-        self.lazy = False
         return self
 
     def weight_array(self):

@@ -14,14 +14,12 @@ the observability layer (rows scanned, pages read, index probes, join
 output rows); with no recorder installed those calls are no-ops and the
 virtual clock is untouched either way.
 
-With a :class:`~repro.storage.sharding.ShardRuntime` attached, scans of
-sharded tables evaluate filter predicates and semijoin membership per
-shard — optionally on the runtime's process pool over shared-memory
-arrays — and scatter the per-shard masks back in deterministic shard
-order.  The cost charge comes from
-:func:`~repro.optimizer.cost_model.sharded_seq_scan`, which conserves
-table totals, so both the result batch and the virtual clock are
-byte-identical with sharding on or off.
+Execution is late-materializing: batches are selection-vector views
+over the stored arrays (:mod:`repro.executor.batch`), scans attach only
+the columns some operator consumes, conjunctive filters run as one
+fused kernel (:mod:`repro.executor.kernels`), and operator temporaries
+come from a per-executor scratch arena.  The clock charges by logical
+row counts and full row widths, so none of that can move a figure.
 """
 
 from dataclasses import dataclass
@@ -41,7 +39,6 @@ from ..optimizer.plans import (
     SeqScan,
     ViewScan,
 )
-from ..storage.sharding import ShardedTable, ValueCountSketch
 from ..views.matview import COUNT_COLUMN
 from .batch import (
     Batch,
@@ -50,7 +47,7 @@ from .batch import (
     factorize,
     join_codes,
 )
-from .kernels import ScratchArena
+from .kernels import KernelCache, ScratchArena
 
 MAX_MATERIALIZED_ROWS = 8_000_000
 
@@ -81,8 +78,7 @@ class Executor:
     """Executes plans over built tables, indexes, and views."""
 
     def __init__(self, tables, hardware, timeout=None, encodings=None,
-                 sharding=None, subplans=None, morsels=None,
-                 kernels=None, late=False):
+                 subplans=None, kernels=None):
         self._tables = tables
         self._hw = hardware
         self._timeout = timeout
@@ -90,27 +86,17 @@ class Executor:
         # dictionary handles to their batches so factorize/join_codes
         # can take the sort-free paths.  None = legacy behaviour.
         self._encodings = encodings
-        # Optional ShardRuntime: scans of sharded tables evaluate
-        # filters/semijoins per shard (process pool when configured).
-        self._sharding = sharding
         # Optional SubplanCache: semijoin value/count pairs and base
         # filter masks are reused across queries, and scans carry
         # dictionary codes through the operators (sort- and
         # search-free join/group factorization).  None = legacy.
         self._subplans = subplans
-        # Optional MorselPool: filter/membership/probe kernels split
-        # into fixed-size row ranges on a thread pool.  None = inline.
-        self._morsels = morsels
-        # Optional KernelCache: conjunctive filter lists compile into
-        # one cached callable reused across templated queries.
-        self._kernels = kernels
-        # Late materialization (REPRO_LATE_MAT): batches are selection-
-        # vector views, scans prune unconsumed columns, and operator
-        # temporaries come from a per-executor scratch arena.  The
-        # virtual clock charges by logical row counts and full widths,
-        # so figures are byte-identical with the knob on or off.
-        self._late = bool(late)
-        self._arena = ScratchArena() if self._late else None
+        # KernelCache: conjunctive filter lists compile into one cached
+        # callable reused across templated queries.  A database shares
+        # one across its executors; a bare executor owns a private one.
+        self._kernels = kernels if kernels is not None else KernelCache()
+        self._arena = ScratchArena()
+        # Batch keys the running plan consumes (None = attach all).
         self._required = None
         # Carrying codes needs both the dictionaries and the subplan
         # layer (the knob that gates cross-operator reuse).
@@ -125,7 +111,7 @@ class Executor:
         """
         if self._carry:
             self._code_keys = _code_keys_of(plan)
-        self._required = _required_keys(plan) if self._late else None
+        self._required = _required_keys(plan)
         clock = VirtualClock(self._timeout)
         batch = self._exec(plan, clock)
         # Consumers (QueryResult.rows, figure code, tests) read
@@ -169,8 +155,7 @@ class Executor:
                     k: child.sels[k]
                     for k in node.keys if k in child.sels
                 },
-                lazy=child.lazy,
-                length=child.rows if child.lazy else None,
+                length=child.rows,
             )
         raise ExecutionError(f"no executor for node {type(node).__name__}")
 
@@ -211,45 +196,35 @@ class Executor:
             widths=widths,
             encodings=self._column_handles(alias, table, attach),
             codes=self._carried_codes(alias, table, attach),
-            lazy=self._late,
-            length=table.row_count if self._late else None,
+            length=table.row_count,
         )
 
     def _probe_batch(self, alias, table, columns, row_ids):
         """A batch of the heap rows an index probe matched.
 
-        Eager mode gathers copies (``table.take``); late mode attaches
-        the base arrays behind one shared ``row_ids`` selection vector,
-        with carried dictionary codes left ungathered in lockstep.
+        The base arrays attach behind one shared ``row_ids`` selection
+        vector, with carried dictionary codes left ungathered in
+        lockstep.
         """
         widths = {
             f"{alias}.{c}": table.schema.column(c).width for c in columns
         }
         attach = self._attached(alias, columns)
-        if self._late:
-            sel = np.asarray(row_ids, dtype=np.int64)
-            cols = {f"{alias}.{c}": table.column(c) for c in attach}
-            if cols:
-                obs.counter_add("executor.gathers_deferred", len(cols))
-                obs.counter_add(
-                    "executor.gather_bytes_avoided",
-                    len(sel) * sum(widths[k] for k in cols),
-                )
-            return Batch(
-                columns=cols,
-                widths=widths,
-                encodings=self._column_handles(alias, table, attach),
-                codes=self._carried_codes(alias, table, attach),
-                sels={key: sel for key in cols},
-                lazy=True,
-                length=len(sel),
+        sel = np.asarray(row_ids, dtype=np.int64)
+        cols = {f"{alias}.{c}": table.column(c) for c in attach}
+        if cols:
+            obs.counter_add("executor.gathers_deferred", len(cols))
+            obs.counter_add(
+                "executor.gather_bytes_avoided",
+                len(sel) * sum(widths[k] for k in cols),
             )
-        gathered = table.take(row_ids, attach)
         return Batch(
-            columns={f"{alias}.{c}": gathered[c] for c in attach},
+            columns=cols,
             widths=widths,
             encodings=self._column_handles(alias, table, attach),
-            codes=self._carried_codes(alias, table, attach, row_ids),
+            codes=self._carried_codes(alias, table, attach),
+            sels={key: sel for key in cols},
+            length=len(sel),
         )
 
     def _column_handles(self, alias, table, columns):
@@ -261,14 +236,14 @@ class Executor:
             for c in columns
         }
 
-    def _carried_codes(self, alias, table, columns, row_ids=None):
+    def _carried_codes(self, alias, table, columns):
         """Dictionary codes to carry alongside the scanned columns.
 
         Only columns the plan later uses as a join, group, or distinct
         key (collected by :func:`_code_keys_of` before execution) get a
-        codes array — the base column's cached dense codes, gathered at
-        ``row_ids`` for probe-style scans — so scans never pay for
-        codes no downstream operator consumes.
+        codes array — the base column's cached dense codes, selected
+        through the same ``sels`` entry as the values — so scans never
+        pay for codes no downstream operator consumes.
         """
         if not self._carry:
             return {}
@@ -277,9 +252,7 @@ class Executor:
             key = f"{alias}.{column}"
             if key not in self._code_keys:
                 continue
-            base_codes = self._encodings.dictionary(table, column).codes
-            codes[key] = base_codes if row_ids is None \
-                else base_codes[row_ids]
+            codes[key] = self._encodings.dictionary(table, column).codes
             obs.counter_add("subplan.codes_carried")
         return codes
 
@@ -288,9 +261,6 @@ class Executor:
             return batch
         clock.charge(cm.filter_rows(self._hw, batch.rows, len(filters)))
         specs = self._identity_specs(batch, filters, table, alias)
-        if specs is not None and self._sharding is not None \
-                and isinstance(table, ShardedTable) and table.shards > 1:
-            return batch.mask(self._sharding.filter_mask(table, specs))
         if specs is not None and self._subplans is not None:
             keep = self._subplans.filter_mask(
                 (table.name, tuple(specs)),
@@ -304,51 +274,27 @@ class Executor:
     def _filter_keep(self, batch, filters, table=None):
         """The conjunctive keep-mask of ``filters`` over ``batch``.
 
-        With a :class:`~repro.executor.kernels.KernelCache` attached,
-        the filter list compiles into one fused callable (cached by
-        table and filter structure, literals bound per call); otherwise
-        the per-filter ``_compare`` chain runs as before — the masks
-        are identical.  With a morsel pool and a batch over the morsel
-        size, each fixed-size row range evaluates on the pool and the
-        per-morsel masks concatenate in morsel order — byte-identical
-        to the single-shot evaluation.
+        The filter list compiles into one fused callable, cached by
+        table and filter structure with the literals bound per call.
         """
-        rows = batch.rows
-        arrays = [batch.column(flt.key) for flt in filters]
-        if self._kernels is not None:
-            fused = self._kernels.fused_filter(
-                table.name if table is not None else None, filters
-            )
-            values = [flt.value for flt in filters]
-            if self._morsels is not None and rows > self._morsels.rows:
-                return self._morsels.map_concat(
-                    lambda lo, hi: fused(arrays, values, lo, hi), rows
-                )
-            return fused(arrays, values, 0, rows)
-        if self._morsels is not None and rows > self._morsels.rows:
-            def kernel(lo, hi):
-                keep = np.ones(hi - lo, dtype=bool)
-                for values, flt in zip(arrays, filters):
-                    keep &= _compare(values[lo:hi], flt.op, flt.value)
-                return keep
-
-            return self._morsels.map_concat(kernel, rows)
-        keep = np.ones(rows, dtype=bool)
-        for values, flt in zip(arrays, filters):
-            keep &= _compare(values, flt.op, flt.value)
-        return keep
+        fused = self._kernels.fused_filter(
+            table.name if table is not None else None, filters
+        )
+        return fused(
+            [batch.column(flt.key) for flt in filters],
+            [flt.value for flt in filters],
+        )
 
     def _identity_specs(self, batch, filters, table, alias):
         """``(column, op, value)`` specs for an unfiltered base batch.
 
-        Both the per-shard mask and the cross-query mask cache are only
-        equivalent to the elementwise mask when the batch columns *are*
-        the table's full storage arrays.  Identity is checked per
-        filter key; any already-masked batch, view column, or computed
-        column routes back to the elementwise path.  A lazy batch with
-        a pending selection vector on the key fails the same way: the
-        base array is still attached, but it no longer stands for the
-        full table.
+        The cross-query mask cache is only equivalent to the
+        elementwise mask when the batch columns *are* the table's full
+        storage arrays.  Identity is checked per filter key; a view
+        column or computed column routes back to the elementwise path,
+        and so does a key with a pending selection vector: the base
+        array is still attached, but it no longer stands for the full
+        table.
         """
         if table is None or not filters:
             return None
@@ -365,39 +311,12 @@ class Executor:
             specs.append((name, flt.op, flt.value))
         return specs
 
-    def _apply_semis(self, batch, semi_filters, clock, table=None,
-                     alias=None):
-        sharded = (
-            self._sharding is not None
-            and isinstance(table, ShardedTable) and table.shards > 1
-        )
-        prefix = f"{alias}."
+    def _apply_semis(self, batch, semi_filters, clock):
         for semi in semi_filters:
             allowed = self._semi_allowed(semi.source, clock)
             clock.charge(cm.filter_rows(self._hw, batch.rows))
-            name = semi.key[len(prefix):] if semi.key.startswith(prefix) \
-                else None
-            if (sharded and name is not None
-                    and not batch.selected(semi.key)
-                    and batch.columns.get(semi.key) is table.column(name)):
-                # The identity check only passes for an unfiltered base
-                # batch; after a mask the columns are subset copies (or
-                # sit behind a selection vector) and later semis take
-                # the elementwise path.
-                keep = self._sharding.isin_mask(table, name, allowed)
-            else:
-                keep = self._isin(batch.column(semi.key), allowed)
-            batch = batch.mask(keep)
+            batch = batch.mask(np.isin(batch.column(semi.key), allowed))
         return batch
-
-    def _isin(self, values, allowed):
-        """``np.isin``, morselized over row ranges when a pool is set."""
-        if self._morsels is not None and len(values) > self._morsels.rows:
-            return self._morsels.map_concat(
-                lambda lo, hi: np.isin(values[lo:hi], allowed),
-                len(values),
-            )
-        return np.isin(values, allowed)
 
     def _semi_allowed(self, source, clock):
         """Values passing a semijoin's HAVING filter.
@@ -439,22 +358,10 @@ class Executor:
 
             def aggregate():
                 if self._encodings is not None:
-                    # Shard-aware already: a DictionaryCache attached
-                    # to a ShardRuntime assembles sharded tables'
-                    # dictionaries from per-shard sketches.
                     dictionary = self._encodings.dictionary(
                         table, semi.sub_column
                     )
                     return dictionary.values, dictionary.counts
-                if (self._sharding is not None
-                        and isinstance(table, ShardedTable)
-                        and table.shards > 1):
-                    sketch = ValueCountSketch.merge(
-                        self._sharding.column_sketches(
-                            table, semi.sub_column
-                        )
-                    )
-                    return sketch.values, sketch.counts
                 column = table.column(semi.sub_column)
                 return np.unique(column, return_counts=True)
 
@@ -483,24 +390,15 @@ class Executor:
 
     def _seq_scan(self, node, clock):
         table = self._table(node.table)
-        if isinstance(table, ShardedTable) and table.shards > 1:
-            clock.charge(
-                cm.sharded_seq_scan(
-                    self._hw, table.page_count(), table.row_count,
-                    table.shard_lengths(),
-                )
-            )
-        else:
-            clock.charge(
-                cm.seq_scan(self._hw, table.page_count(), table.row_count)
-            )
+        clock.charge(
+            cm.seq_scan(self._hw, table.page_count(), table.row_count)
+        )
         obs.counter_add("engine.rows_scanned", table.row_count)
         obs.counter_add("engine.pages_read", table.page_count())
         batch = self._base_batch(node.alias, table, node.columns)
         batch = self._apply_filters(batch, node.filters, clock,
                                     table=table, alias=node.alias)
-        batch = self._apply_semis(batch, node.semi_filters, clock,
-                                  table=table, alias=node.alias)
+        batch = self._apply_semis(batch, node.semi_filters, clock)
         return batch
 
     def _index_scan(self, node, clock):
@@ -547,12 +445,11 @@ class Executor:
             obs.counter_add("engine.pages_read", info.leaf_pages)
             batch = self._base_batch(node.alias, table, node.columns)
         # A covering scan's batch columns are the table's own arrays,
-        # so the shard path applies; the probe branch built subset
-        # copies and the identity checks route it elementwise.
+        # so the mask cache applies; the probe branch sits behind a
+        # selection vector and the identity checks route it elementwise.
         batch = self._apply_filters(batch, node.residual_filters, clock,
                                     table=table, alias=node.alias)
-        batch = self._apply_semis(batch, node.semi_filters, clock,
-                                  table=table, alias=node.alias)
+        batch = self._apply_semis(batch, node.semi_filters, clock)
         return batch
 
     def _semi_index_scan(self, node, clock):
@@ -620,16 +517,13 @@ class Executor:
         batch = Batch(
             columns=columns, widths=widths, weights=weights,
             encodings=encodings, codes=codes,
-            lazy=self._late, length=view.rows if self._late else None,
+            length=view.rows,
         )
         if node.filters:
             clock.charge(
                 cm.filter_rows(self._hw, batch.rows, len(node.filters))
             )
-            if self._arena is not None:
-                keep = self._arena.bools(batch.rows, fill=True)
-            else:
-                keep = np.ones(batch.rows, dtype=bool)
+            keep = self._arena.bools(batch.rows, fill=True)
             for flt in node.filters:
                 values = table.column(flt.column)
                 keep &= _compare(values, flt.op, flt.value)
@@ -658,7 +552,7 @@ class Executor:
                 and _resolve_encoding(lencs[pos]) is not None
                 and _resolve_encoding(rencs[pos]) is not None
             )
-            if paired and self._late:
+            if paired:
                 # The merged-dictionary path never touches values when
                 # both sides carry codes — skip gathering them at all.
                 larrs.append(None)
@@ -684,19 +578,16 @@ class Executor:
             # pair below; the prefix table is bounded by the total row
             # count because the codes are dense.
             domain = int(max(int(lcodes.max()), int(rcodes.max()))) + 1
-            if self._arena is not None:
-                starts_table = self._arena.ints(domain + 1, fill=0)
-            else:
-                starts_table = np.zeros(domain + 1, dtype=np.int64)
+            starts_table = self._arena.ints(domain + 1, fill=0)
             np.cumsum(
                 np.bincount(rcodes, minlength=domain), out=starts_table[1:]
             )
-            lows = self._gather(starts_table, lcodes)
-            highs = self._gather(starts_table, lcodes + 1)
+            lows = starts_table[lcodes]
+            highs = starts_table[lcodes + 1]
         else:
             sorted_codes = rcodes[order]
-            lows = self._searchsorted(sorted_codes, lcodes, "left")
-            highs = self._searchsorted(sorted_codes, lcodes, "right")
+            lows = np.searchsorted(sorted_codes, lcodes, side="left")
+            highs = np.searchsorted(sorted_codes, lcodes, side="right")
         counts = highs - lows
         out_rows = int(counts.sum())
 
@@ -735,32 +626,11 @@ class Executor:
         # against its own side's base arrays.
         sels = dict(lbatch.sels)
         sels.update(rbatch.sels)
-        lazy = lbatch.lazy or rbatch.lazy
         return Batch(
             columns=columns, widths=widths, weights=weights,
             encodings=encodings, codes=codes,
-            sels=sels, lazy=lazy,
-            length=lbatch.rows if lazy else None,
+            sels=sels, length=lbatch.rows,
         )
-
-    def _gather(self, source, indices):
-        """``source[indices]``, morselized over probe ranges."""
-        if self._morsels is not None and len(indices) > self._morsels.rows:
-            return self._morsels.map_concat(
-                lambda lo, hi: source[indices[lo:hi]], len(indices)
-            )
-        return source[indices]
-
-    def _searchsorted(self, haystack, needles, side):
-        """``np.searchsorted``, morselized over probe ranges."""
-        if self._morsels is not None and len(needles) > self._morsels.rows:
-            return self._morsels.map_concat(
-                lambda lo, hi: np.searchsorted(
-                    haystack, needles[lo:hi], side=side
-                ),
-                len(needles),
-            )
-        return np.searchsorted(haystack, needles, side=side)
 
     def _inl_join(self, node, clock):
         outer = self._exec(node.outer, clock)
@@ -809,47 +679,36 @@ class Executor:
         codes = dict(obatch.codes)
         for col in node.columns:
             widths[f"{node.alias}.{col}"] = table.schema.column(col).width
-        if self._late:
-            # Inner columns attach as base arrays behind the probe's
-            # row_ids selection vector; carried codes stay ungathered
-            # under the same vector.
-            sel = np.asarray(row_ids, dtype=np.int64)
-            sels = dict(obatch.sels)
-            codes.update(self._carried_codes(node.alias, table, attach))
-            for col in attach:
-                key = f"{node.alias}.{col}"
-                columns[key] = table.column(col)
-                sels[key] = sel
-            if attach:
-                obs.counter_add("executor.gathers_deferred", len(attach))
-                obs.counter_add(
-                    "executor.gather_bytes_avoided",
-                    len(sel) * sum(
-                        widths[f"{node.alias}.{c}"] for c in attach
-                    ),
-                )
-            batch = Batch(
-                columns=columns, widths=widths, weights=obatch.weights,
-                encodings=encodings, codes=codes,
-                sels=sels, lazy=True, length=obatch.rows,
+        # Inner columns attach as base arrays behind the probe's
+        # row_ids selection vector; carried codes stay ungathered
+        # under the same vector.
+        sel = np.asarray(row_ids, dtype=np.int64)
+        sels = dict(obatch.sels)
+        codes.update(self._carried_codes(node.alias, table, attach))
+        for col in attach:
+            key = f"{node.alias}.{col}"
+            columns[key] = table.column(col)
+            sels[key] = sel
+        if attach:
+            obs.counter_add("executor.gathers_deferred", len(attach))
+            obs.counter_add(
+                "executor.gather_bytes_avoided",
+                len(sel) * sum(
+                    widths[f"{node.alias}.{c}"] for c in attach
+                ),
             )
-        else:
-            inner_cols = table.take(row_ids, attach)
-            codes.update(
-                self._carried_codes(node.alias, table, attach, row_ids)
-            )
-            for col in attach:
-                columns[f"{node.alias}.{col}"] = inner_cols[col]
-            batch = Batch(
-                columns=columns, widths=widths, weights=obatch.weights,
-                encodings=encodings, codes=codes,
-            )
+        batch = Batch(
+            columns=columns, widths=widths, weights=obatch.weights,
+            encodings=encodings, codes=codes,
+            sels=sels, length=obatch.rows,
+        )
 
-        extra = getattr(node, "extra_preds", [])
-        if extra:
-            clock.charge(cm.filter_rows(self._hw, batch.rows, len(extra)))
+        if node.extra_preds:
+            clock.charge(
+                cm.filter_rows(self._hw, batch.rows, len(node.extra_preds))
+            )
             keep = np.ones(batch.rows, dtype=bool)
-            for outer_key, inner_col in extra:
+            for outer_key, inner_col in node.extra_preds:
                 keep &= (
                     batch.column(outer_key)
                     == batch.column(f"{node.alias}.{inner_col}")
@@ -953,9 +812,9 @@ class Executor:
         """``(values, encoding, carried)`` for :func:`factorize`.
 
         When carried dictionary codes and a dictionary are both
-        available, factorization never touches the values, so a lazy
-        column can stay ungathered (``values=None``); a key without
-        that fast path gathers through :meth:`Batch.column` as usual.
+        available, factorization never touches the values, so a column
+        behind a selection vector stays ungathered (``values=None``); a
+        key without that fast path gathers through :meth:`Batch.column`.
         """
         encoding = batch.encodings.get(key)
         carried = batch.carried_codes(key)
@@ -1064,7 +923,7 @@ def _required_keys(plan):
             keys.add(node.outer_key)
             keys.update(f.key for f in node.residual_filters)
             keys.update(s.key for s in node.semi_filters)
-            for outer_key, inner_col in getattr(node, "extra_preds", []):
+            for outer_key, inner_col in node.extra_preds:
                 keys.add(outer_key)
                 keys.add(f"{node.alias}.{inner_col}")
             stack.append(node.outer)

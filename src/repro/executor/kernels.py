@@ -1,25 +1,16 @@
 """Fused predicate kernels and scratch buffers for the executor.
 
-Late materialization (``REPRO_LATE_MAT``) has three legs; this module
-holds two of them:
-
 - :class:`KernelCache` compiles a conjunctive filter list into a single
   callable keyed by ``(table, filter structure)``.  The compiled kernel
   resolves each comparison operator once, lets the first comparison
   allocate the keep mask, and ANDs the remaining predicates into it in
-  place — collapsing the per-filter ``_compare`` dispatch and the
-  ``np.ones`` + AND chain of the elementwise path.  Literal values are
-  passed at call time, so the kernel is reused across a workload's
-  templated queries (same structure, different constants) and can be
-  dispatched per-morsel through :class:`~repro.executor.morsels.MorselPool`.
+  place.  Literal values are passed at call time, so the kernel is
+  reused across a workload's templated queries (same structure,
+  different constants).
 - :class:`ScratchArena` is a per-executor pool of boolean/int64
   temporaries, so operator-local masks and offset tables stop
-  allocating on every call.
-
-Both are pure accelerations: kernels compute exactly what the
-elementwise ``_compare`` chain computes, and arena buffers never escape
-the operator that borrowed them, so figures stay byte-identical with
-the knob on or off.
+  allocating on every call.  Arena buffers never escape the operator
+  that borrowed them.
 """
 
 import operator
@@ -28,9 +19,6 @@ import threading
 import numpy as np
 
 from .. import obs
-from ..common import knobs
-
-LATEMAT_ENV = "REPRO_LATE_MAT"
 
 # FIFO bound on compiled kernels; structures are few (one per filter
 # shape per table), so this is a safety valve, not a working limit.
@@ -46,32 +34,24 @@ _OPERATORS = {
 }
 
 
-def late_mat_enabled(flag=None):
-    """Is the late-materialization executor on (default: yes)?"""
-    return knobs.flag(LATEMAT_ENV, flag)
-
-
 def _compile_conjunction(ops):
     """Build one callable evaluating the conjunction of ``ops``.
 
-    The callable takes the gathered filter arrays, the literal values,
-    and a ``[lo, hi)`` morsel window, and returns the boolean keep mask
-    for that window.
+    The callable takes the gathered filter arrays and the literal
+    values, and returns the boolean keep mask.
     """
     resolved = [_OPERATORS[op] for op in ops]
     first = resolved[0]
     rest = list(enumerate(resolved))[1:]
 
-    def kernel(arrays, values, lo, hi):
-        keep = first(arrays[0][lo:hi], values[0])
+    def kernel(arrays, values):
+        keep = first(arrays[0], values[0])
         if not isinstance(keep, np.ndarray):
-            # Incomparable dtypes collapse to a scalar; broadcast it so
-            # the mask matches the elementwise path's shape.
-            keep = np.full(hi - lo, bool(keep))
+            # Incomparable dtypes collapse to a scalar; broadcast it to
+            # one entry per row.
+            keep = np.full(len(arrays[0]), bool(keep))
         for i, compare in rest:
-            np.logical_and(
-                keep, compare(arrays[i][lo:hi], values[i]), out=keep
-            )
+            np.logical_and(keep, compare(arrays[i], values[i]), out=keep)
         return keep
 
     return kernel
@@ -127,7 +107,7 @@ class ScratchArena:
     """Reusable boolean/int64 temporaries owned by one executor.
 
     Not thread-safe by design: each executor instance owns its own
-    arena and never hands a buffer to a morsel kernel or to a cache
+    arena and never hands a buffer to another thread or to a cache
     that outlives the borrowing operator.  Buffers grow geometrically
     and are returned as views, so repeated operators at similar widths
     stop hitting the allocator.

@@ -49,31 +49,16 @@ from .report import (
     write_report,
 )
 from .schemas import (
-    BENCH_ENCODING_SCHEMA,
-    BENCH_LATEMAT_SCHEMA,
-    BENCH_MULTIQUERY_SCHEMA,
-    BENCH_SHARDING_SCHEMA,
-    BENCH_WHATIF_SCHEMA,
     EVENT_RECORD_SCHEMA,
     RUN_REPORT_SCHEMA,
     SPAN_RECORD_SCHEMA,
     SchemaError,
-    validate_bench_encoding,
-    validate_bench_latemat,
-    validate_bench_multiquery,
-    validate_bench_sharding,
-    validate_bench_whatif,
     validate_run_report,
     validate_trace_record,
 )
 from .spans import Span
 
 __all__ = [
-    "BENCH_ENCODING_SCHEMA",
-    "BENCH_LATEMAT_SCHEMA",
-    "BENCH_MULTIQUERY_SCHEMA",
-    "BENCH_SHARDING_SCHEMA",
-    "BENCH_WHATIF_SCHEMA",
     "EVENT_RECORD_SCHEMA",
     "MetricsRegistry",
     "NullRecorder",
@@ -97,11 +82,6 @@ __all__ = [
     "render_metrics",
     "render_text",
     "span",
-    "validate_bench_encoding",
-    "validate_bench_latemat",
-    "validate_bench_multiquery",
-    "validate_bench_sharding",
-    "validate_bench_whatif",
     "validate_run_report",
     "validate_trace_record",
     "wall_time",

@@ -73,7 +73,6 @@ def build_run_report(context, recorder=None, experiments=None):
             "workload_size": settings.workload_size,
             "timeout": settings.timeout,
             "jobs": context.jobs,
-            "shards": getattr(context, "shards", 0),
             "experiments": list(experiments or ()),
         },
         "fingerprints": fingerprints,
@@ -191,18 +190,6 @@ def render_text(report):
         kernels = caches.get("kernel_cache")
         if kernels and kernels["hits"] + kernels["misses"]:
             line += f", kernel cache rate {kernels['hit_rate']:.2f}"
-        lines.append(line)
-    shards = report["run"].get("shards", 0)
-    if shards:
-        counters = report.get("metrics", {}).get("counters", {})
-        line = f"sharding: {shards} shards"
-        scanned = counters.get("sharding.shards_scanned", 0)
-        if scanned:
-            line += (
-                f", {scanned} shard scans, "
-                f"{counters.get('sharding.pool_tasks', 0)} pool tasks, "
-                f"{counters.get('sharding.bytes_shared', 0)} bytes shared"
-            )
         lines.append(line)
     return "\n".join(lines)
 

@@ -178,14 +178,13 @@ RUN_REPORT_SCHEMA = {
         "run": {
             "type": "object",
             "required": ["seed", "scale", "workload_size", "timeout",
-                         "jobs", "shards", "experiments"],
+                         "jobs", "experiments"],
             "properties": {
                 "seed": {"type": "integer"},
                 "scale": {"type": "number"},
                 "workload_size": {"type": "integer"},
                 "timeout": {"type": "number"},
                 "jobs": {"type": "integer", "minimum": 1},
-                "shards": {"type": "integer", "minimum": 0},
                 "experiments": {
                     "type": "array", "items": {"type": "string"},
                 },
@@ -225,379 +224,3 @@ RUN_REPORT_SCHEMA = {
 def validate_run_report(report, path="$"):
     """Validate a decoded run report against :data:`RUN_REPORT_SCHEMA`."""
     return validate_instance(report, RUN_REPORT_SCHEMA, path)
-
-
-# ----------------------------------------------------------------------
-# What-if perf benchmark (BENCH_whatif.json, written by
-# scripts/bench_perf.py; prose version in docs/performance.md).
-
-_WHATIF_MODE_SCHEMA = {
-    "type": "object",
-    "required": ["wall_seconds", "what_if_calls", "plans_enumerated",
-                 "whatif_cache_hits", "whatif_cache_misses",
-                 "whatif_cache_hit_rate"],
-    "properties": {
-        "wall_seconds": {"type": "number", "minimum": 0},
-        # Present when the bench ran with --repeat N (N > 1):
-        # wall_seconds is then the median of N runs.
-        "wall_seconds_min": {"type": "number", "minimum": 0},
-        "wall_seconds_max": {"type": "number", "minimum": 0},
-        "what_if_calls": {"type": "integer", "minimum": 0},
-        "plans_enumerated": {"type": "integer", "minimum": 0},
-        "env_builds": {"type": "integer", "minimum": 0},
-        "env_delta_builds": {"type": "integer", "minimum": 0},
-        "candidates_pruned": {"type": "integer", "minimum": 0},
-        "whatif_cache_hits": {"type": "integer", "minimum": 0},
-        "whatif_cache_misses": {"type": "integer", "minimum": 0},
-        "whatif_cache_hit_rate": {"type": "number", "minimum": 0},
-        "fingerprint": {"type": ["string", "null"]},
-    },
-    "additionalProperties": False,
-}
-
-BENCH_WHATIF_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "run", "targets"],
-    "properties": {
-        "schema": {"enum": ["repro.bench_whatif/v1"]},
-        "run": {
-            "type": "object",
-            "required": ["id", "smoke", "scale", "workload_size", "seed",
-                         "jobs"],
-            "properties": {
-                "id": {"type": "string"},
-                "smoke": {"type": "boolean"},
-                "scale": {"type": "number"},
-                "workload_size": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "jobs": {"type": "integer", "minimum": 1},
-                # Optional: wall times are the median of this many runs.
-                "repeat": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "targets": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["target", "system", "family", "identical",
-                             "speedup", "plans_ratio", "cached",
-                             "uncached"],
-                "properties": {
-                    "target": {"type": "string"},
-                    "system": {"type": "string"},
-                    "family": {"type": "string"},
-                    "identical": {"type": "boolean"},
-                    "speedup": {"type": "number", "minimum": 0},
-                    "plans_ratio": {"type": "number", "minimum": 0},
-                    "cached": _WHATIF_MODE_SCHEMA,
-                    "uncached": _WHATIF_MODE_SCHEMA,
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
-
-
-def validate_bench_whatif(document, path="$"):
-    """Validate a decoded ``BENCH_whatif.json`` document."""
-    return validate_instance(document, BENCH_WHATIF_SCHEMA, path)
-
-
-# ----------------------------------------------------------------------
-# Column-dictionary perf benchmark (BENCH_encoding.json, written by
-# benchmarks/bench_perf_encoding.py; prose version in
-# docs/performance.md).
-
-_ENCODING_MODE_SCHEMA = {
-    "type": "object",
-    "required": ["wall_seconds", "unique_calls", "dict_builds",
-                 "dict_hits", "codes_reused", "figure_fingerprint",
-                 "costs_fingerprint"],
-    "properties": {
-        "wall_seconds": {"type": "number", "minimum": 0},
-        "unique_calls": {"type": "integer", "minimum": 0},
-        "dict_builds": {"type": "integer", "minimum": 0},
-        "dict_hits": {"type": "integer", "minimum": 0},
-        "codes_reused": {"type": "integer", "minimum": 0},
-        "figure_fingerprint": {"type": "string"},
-        "costs_fingerprint": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-BENCH_ENCODING_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "run", "targets"],
-    "properties": {
-        "schema": {"enum": ["repro.bench_encoding/v1"]},
-        "run": {
-            "type": "object",
-            "required": ["id", "smoke", "scale", "workload_size", "seed",
-                         "jobs"],
-            "properties": {
-                "id": {"type": "string"},
-                "smoke": {"type": "boolean"},
-                "scale": {"type": "number"},
-                "workload_size": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "jobs": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "targets": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["target", "system", "family", "identical",
-                             "speedup", "unique_calls_ratio", "cached",
-                             "uncached"],
-                "properties": {
-                    "target": {"type": "string"},
-                    "system": {"type": "string"},
-                    "family": {"type": "string"},
-                    "identical": {"type": "boolean"},
-                    "speedup": {"type": "number", "minimum": 0},
-                    "unique_calls_ratio": {"type": "number", "minimum": 0},
-                    "cached": _ENCODING_MODE_SCHEMA,
-                    "uncached": _ENCODING_MODE_SCHEMA,
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
-
-
-def validate_bench_encoding(document, path="$"):
-    """Validate a decoded ``BENCH_encoding.json`` document."""
-    return validate_instance(document, BENCH_ENCODING_SCHEMA, path)
-
-
-# ----------------------------------------------------------------------
-# Sharded-execution perf benchmark (BENCH_sharding.json, written by
-# benchmarks/bench_perf_sharding.py; prose version in
-# docs/performance.md).
-
-_SHARDING_MODE_SCHEMA = {
-    "type": "object",
-    "required": ["wall_seconds", "shards", "shard_jobs", "shards_scanned",
-                 "pool_tasks", "bytes_shared", "figure_fingerprint",
-                 "costs_fingerprint"],
-    "properties": {
-        "wall_seconds": {"type": "number", "minimum": 0},
-        "shards": {"type": "integer", "minimum": 0},
-        "shard_jobs": {"type": "integer", "minimum": 1},
-        "shards_scanned": {"type": "integer", "minimum": 0},
-        "pool_tasks": {"type": "integer", "minimum": 0},
-        "bytes_shared": {"type": "integer", "minimum": 0},
-        "figure_fingerprint": {"type": "string"},
-        "costs_fingerprint": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-BENCH_SHARDING_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "run", "targets"],
-    "properties": {
-        "schema": {"enum": ["repro.bench_sharding/v1"]},
-        "run": {
-            "type": "object",
-            "required": ["id", "smoke", "scale", "workload_size", "seed",
-                         "jobs", "cpus"],
-            "properties": {
-                "id": {"type": "string"},
-                "smoke": {"type": "boolean"},
-                "scale": {"type": "number"},
-                "workload_size": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "jobs": {"type": "integer", "minimum": 1},
-                "cpus": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "targets": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["target", "system", "family", "identical",
-                             "speedup", "sharded", "unsharded"],
-                "properties": {
-                    "target": {"type": "string"},
-                    "system": {"type": "string"},
-                    "family": {"type": "string"},
-                    "identical": {"type": "boolean"},
-                    "speedup": {"type": "number", "minimum": 0},
-                    "sharded": _SHARDING_MODE_SCHEMA,
-                    "unsharded": _SHARDING_MODE_SCHEMA,
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
-
-
-def validate_bench_sharding(document, path="$"):
-    """Validate a decoded ``BENCH_sharding.json`` document."""
-    return validate_instance(document, BENCH_SHARDING_SCHEMA, path)
-
-
-# ----------------------------------------------------------------------
-# Cross-query optimization perf benchmark (BENCH_multiquery.json,
-# written by benchmarks/bench_perf_multiquery.py; prose version in
-# docs/performance.md#cross-query-optimization).
-
-_MULTIQUERY_MODE_SCHEMA = {
-    "type": "object",
-    "required": ["wall_seconds", "plans_enumerated", "plan_builds",
-                 "plan_replays", "bind_builds", "bind_replays",
-                 "fallbacks", "subplan_hits", "subplan_builds",
-                 "morsel_batches", "figure_fingerprint",
-                 "costs_fingerprint"],
-    "properties": {
-        "wall_seconds": {"type": "number", "minimum": 0},
-        "plans_enumerated": {"type": "integer", "minimum": 0},
-        "plan_builds": {"type": "integer", "minimum": 0},
-        "plan_replays": {"type": "integer", "minimum": 0},
-        "bind_builds": {"type": "integer", "minimum": 0},
-        "bind_replays": {"type": "integer", "minimum": 0},
-        "fallbacks": {"type": "integer", "minimum": 0},
-        "subplan_hits": {"type": "integer", "minimum": 0},
-        "subplan_builds": {"type": "integer", "minimum": 0},
-        "morsel_batches": {"type": "integer", "minimum": 0},
-        "figure_fingerprint": {"type": "string"},
-        "costs_fingerprint": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-BENCH_MULTIQUERY_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "run", "targets"],
-    "properties": {
-        "schema": {"enum": ["repro.bench_multiquery/v1"]},
-        "run": {
-            "type": "object",
-            "required": ["id", "smoke", "scale", "workload_size", "seed",
-                         "jobs"],
-            "properties": {
-                "id": {"type": "string"},
-                "smoke": {"type": "boolean"},
-                "scale": {"type": "number"},
-                "workload_size": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "jobs": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "targets": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["target", "system", "family", "identical",
-                             "speedup", "plans_ratio", "optimized",
-                             "baseline"],
-                "properties": {
-                    "target": {"type": "string"},
-                    "system": {"type": "string"},
-                    "family": {"type": "string"},
-                    "identical": {"type": "boolean"},
-                    "speedup": {"type": "number", "minimum": 0},
-                    "plans_ratio": {"type": "number", "minimum": 0},
-                    "optimized": _MULTIQUERY_MODE_SCHEMA,
-                    "baseline": _MULTIQUERY_MODE_SCHEMA,
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
-
-
-def validate_bench_multiquery(document, path="$"):
-    """Validate a decoded ``BENCH_multiquery.json`` document."""
-    return validate_instance(document, BENCH_MULTIQUERY_SCHEMA, path)
-
-
-# ----------------------------------------------------------------------
-# Late-materialization perf benchmark (BENCH_latemat.json, written by
-# benchmarks/bench_perf_latemat.py; prose version in
-# docs/performance.md#late-materialization).
-
-_LATEMAT_MODE_SCHEMA = {
-    "type": "object",
-    "required": ["wall_seconds", "gathers_deferred",
-                 "gather_bytes_avoided", "columns_pruned",
-                 "kernel_builds", "kernel_hits", "figure_fingerprint",
-                 "costs_fingerprint"],
-    "properties": {
-        "wall_seconds": {"type": "number", "minimum": 0},
-        # Present when the bench ran with --repeat N (N > 1):
-        # wall_seconds is then the median of N runs.
-        "wall_seconds_min": {"type": "number", "minimum": 0},
-        "wall_seconds_max": {"type": "number", "minimum": 0},
-        "gathers_deferred": {"type": "integer", "minimum": 0},
-        "gather_bytes_avoided": {"type": "integer", "minimum": 0},
-        "columns_pruned": {"type": "integer", "minimum": 0},
-        "kernel_builds": {"type": "integer", "minimum": 0},
-        "kernel_hits": {"type": "integer", "minimum": 0},
-        "figure_fingerprint": {"type": "string"},
-        "costs_fingerprint": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-BENCH_LATEMAT_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "run", "targets"],
-    "properties": {
-        "schema": {"enum": ["repro.bench_latemat/v1"]},
-        "run": {
-            "type": "object",
-            "required": ["id", "smoke", "scale", "workload_size", "seed",
-                         "jobs"],
-            "properties": {
-                "id": {"type": "string"},
-                "smoke": {"type": "boolean"},
-                "scale": {"type": "number"},
-                "workload_size": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "jobs": {"type": "integer", "minimum": 1},
-                # Optional: wall times are the median of this many runs.
-                "repeat": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "targets": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["target", "system", "family", "identical",
-                             "speedup", "optimized", "baseline"],
-                "properties": {
-                    "target": {"type": "string"},
-                    "system": {"type": "string"},
-                    "family": {"type": "string"},
-                    "identical": {"type": "boolean"},
-                    "speedup": {"type": "number", "minimum": 0},
-                    "optimized": _LATEMAT_MODE_SCHEMA,
-                    "baseline": _LATEMAT_MODE_SCHEMA,
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
-
-
-def validate_bench_latemat(document, path="$"):
-    """Validate a decoded ``BENCH_latemat.json`` document."""
-    return validate_instance(document, BENCH_LATEMAT_SCHEMA, path)

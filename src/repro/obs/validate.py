@@ -20,11 +20,6 @@ import sys
 
 from .schemas import (
     SchemaError,
-    validate_bench_encoding,
-    validate_bench_latemat,
-    validate_bench_multiquery,
-    validate_bench_sharding,
-    validate_bench_whatif,
     validate_run_report,
     validate_trace_record,
 )
@@ -84,115 +79,6 @@ def validate_report_file(path):
     return report
 
 
-def validate_bench_file(path):
-    """Validate a ``BENCH_whatif.json`` perf-trajectory file.
-
-    Args:
-        path: benchmark file written by ``scripts/bench_perf.py``.
-
-    Returns:
-        The decoded (and valid) benchmark dict.
-
-    Raises:
-        SchemaError: when the document violates the benchmark schema.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}: not valid JSON ({err})") from None
-    validate_bench_whatif(document, path=path)
-    return document
-
-
-def validate_bench_encoding_file(path):
-    """Validate a ``BENCH_encoding.json`` perf-trajectory file.
-
-    Args:
-        path: benchmark file written by
-            ``benchmarks/bench_perf_encoding.py``.
-
-    Returns:
-        The decoded (and valid) benchmark dict.
-
-    Raises:
-        SchemaError: when the document violates the benchmark schema.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}: not valid JSON ({err})") from None
-    validate_bench_encoding(document, path=path)
-    return document
-
-
-def validate_bench_sharding_file(path):
-    """Validate a ``BENCH_sharding.json`` perf-trajectory file.
-
-    Args:
-        path: benchmark file written by
-            ``benchmarks/bench_perf_sharding.py``.
-
-    Returns:
-        The decoded (and valid) benchmark dict.
-
-    Raises:
-        SchemaError: when the document violates the benchmark schema.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}: not valid JSON ({err})") from None
-    validate_bench_sharding(document, path=path)
-    return document
-
-
-def validate_bench_multiquery_file(path):
-    """Validate a ``BENCH_multiquery.json`` perf-trajectory file.
-
-    Args:
-        path: benchmark file written by
-            ``benchmarks/bench_perf_multiquery.py``.
-
-    Returns:
-        The decoded (and valid) benchmark dict.
-
-    Raises:
-        SchemaError: when the document violates the benchmark schema.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}: not valid JSON ({err})") from None
-    validate_bench_multiquery(document, path=path)
-    return document
-
-
-def validate_bench_latemat_file(path):
-    """Validate a ``BENCH_latemat.json`` perf-trajectory file.
-
-    Args:
-        path: benchmark file written by
-            ``benchmarks/bench_perf_latemat.py``.
-
-    Returns:
-        The decoded (and valid) benchmark dict.
-
-    Raises:
-        SchemaError: when the document violates the benchmark schema.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}: not valid JSON ({err})") from None
-    validate_bench_latemat(document, path=path)
-    return document
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.validate",
@@ -202,29 +88,9 @@ def main(argv=None):
                         help="JSONL trace file to validate")
     parser.add_argument("--report", default=None, metavar="FILE",
                         help="run report JSON file to validate")
-    parser.add_argument("--bench-whatif", default=None, metavar="FILE",
-                        help="BENCH_whatif.json perf benchmark to validate")
-    parser.add_argument("--bench-encoding", default=None, metavar="FILE",
-                        help="BENCH_encoding.json perf benchmark to "
-                             "validate")
-    parser.add_argument("--bench-sharding", default=None, metavar="FILE",
-                        help="BENCH_sharding.json perf benchmark to "
-                             "validate")
-    parser.add_argument("--bench-multiquery", default=None, metavar="FILE",
-                        help="BENCH_multiquery.json perf benchmark to "
-                             "validate")
-    parser.add_argument("--bench-latemat", default=None, metavar="FILE",
-                        help="BENCH_latemat.json perf benchmark to "
-                             "validate")
     args = parser.parse_args(argv)
-    if args.trace is None and args.report is None \
-            and args.bench_whatif is None and args.bench_encoding is None \
-            and args.bench_sharding is None \
-            and args.bench_multiquery is None \
-            and args.bench_latemat is None:
-        parser.error("nothing to validate: pass --trace, --report, "
-                     "--bench-whatif, --bench-encoding, --bench-sharding, "
-                     "--bench-multiquery and/or --bench-latemat")
+    if args.trace is None and args.report is None:
+        parser.error("nothing to validate: pass --trace and/or --report")
     try:
         if args.trace is not None:
             spans, events = validate_trace_file(args.trace)
@@ -235,26 +101,6 @@ def main(argv=None):
             print(f"report OK: {len(report['measurements'])} measurements, "
                   f"{len(report['fingerprints'])} fingerprints "
                   f"({args.report})")
-        if args.bench_whatif is not None:
-            document = validate_bench_file(args.bench_whatif)
-            print(f"bench OK: {len(document['targets'])} targets "
-                  f"({args.bench_whatif})")
-        if args.bench_encoding is not None:
-            document = validate_bench_encoding_file(args.bench_encoding)
-            print(f"bench OK: {len(document['targets'])} targets "
-                  f"({args.bench_encoding})")
-        if args.bench_sharding is not None:
-            document = validate_bench_sharding_file(args.bench_sharding)
-            print(f"bench OK: {len(document['targets'])} targets "
-                  f"({args.bench_sharding})")
-        if args.bench_multiquery is not None:
-            document = validate_bench_multiquery_file(args.bench_multiquery)
-            print(f"bench OK: {len(document['targets'])} targets "
-                  f"({args.bench_multiquery})")
-        if args.bench_latemat is not None:
-            document = validate_bench_latemat_file(args.bench_latemat)
-            print(f"bench OK: {len(document['targets'])} targets "
-                  f"({args.bench_latemat})")
     except SchemaError as err:
         print(f"validation FAILED: {err}", file=sys.stderr)
         return 1

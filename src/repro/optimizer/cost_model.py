@@ -157,56 +157,6 @@ def insert_rows(hw, rows, row_width, index_heights):
     return cost
 
 
-def shard_counts(total, weights):
-    """Apportion an integer ``total`` across shards proportionally.
-
-    Largest-remainder apportionment over the shard ``weights`` (row
-    counts): every shard gets the floor of its proportional share, and
-    the leftover units go to the largest fractional remainders
-    (ties broken by shard index).  The parts always sum to ``total``
-    exactly, which is what keeps shard-aware size and cost accounting
-    conserved — plans and CFC values cannot drift when a table is
-    viewed through its shards.
-    """
-    weights = [max(0, int(w)) for w in weights]
-    total = int(total)
-    if not weights:
-        return []
-    denominator = sum(weights)
-    if denominator == 0:
-        parts = [0] * len(weights)
-        parts[0] = total
-        return parts
-    shares = [total * w / denominator for w in weights]
-    parts = [math.floor(s) for s in shares]
-    remainder = total - sum(parts)
-    order = sorted(
-        range(len(weights)),
-        key=lambda i: (parts[i] - shares[i], i),
-    )
-    for i in order[:remainder]:
-        parts[i] += 1
-    return parts
-
-
-def sharded_seq_scan(hw, pages, rows, shard_rows):
-    """Full scan of a sharded heap: per-shard scans, charged over totals.
-
-    Floating-point addition is not associative, so summing per-shard
-    ``seq_scan`` charges would differ from the unsharded charge in the
-    last bits and break byte-identical figures.  The model therefore
-    validates that the shard row counts conserve the table total and
-    charges the *total* formula — the per-shard decomposition changes
-    where the work runs, never what it costs.
-    """
-    shard_total = sum(int(r) for r in shard_rows)
-    if shard_total != int(rows):
-        raise ValueError(
-            f"shard rows {shard_total} do not conserve table rows {rows}"
-        )
-    return seq_scan(hw, pages, rows)
-
-
 def bytes_to_pages(n_bytes):
     """Convenience re-export for callers sizing intermediates."""
     return pages_for_bytes(n_bytes)

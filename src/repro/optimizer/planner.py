@@ -467,13 +467,13 @@ class Planner:
                     residual_filters=residual,
                     semi_filters=[],
                     index_only=index_only,
+                    extra_preds=[
+                        (f"{oa}.{oc}", ic)
+                        for (oa, oc), (ic,) in (
+                            _orient(p, alias) for p in extra
+                        )
+                    ],
                 )
-                node.extra_preds = [
-                    (
-                        f"{oa}.{oc}", ic
-                    )
-                    for (oa, oc), (ic,) in (_orient(p, alias) for p in extra)
-                ]
                 node.est = PlanEstimate(
                     rows=out_rows, width=width, cost=cost
                 )

@@ -180,6 +180,8 @@ class IndexNLJoin(PlanNode):
 
     The outer side streams probe values from ``outer_key``; matched inner
     rows are fetched and filtered by the residual predicates.
+    ``extra_preds`` holds the join's remaining equality predicates as
+    ``(outer batch key, inner column)`` pairs, checked on the matches.
     """
 
     outer: PlanNode
@@ -192,6 +194,7 @@ class IndexNLJoin(PlanNode):
     residual_filters: list = field(default_factory=list)
     semi_filters: list = field(default_factory=list)
     index_only: bool = False
+    extra_preds: list = field(default_factory=list)
 
     def children(self):
         return [self.outer]

@@ -2,7 +2,7 @@
 
 A long-lived, multi-tenant tuning service over the same engine the
 one-shot CLI drives — the point is *warmth*: ``Database`` instances,
-dictionary caches, shard runtimes, and what-if cost state survive across
+dictionary caches, and what-if cost state survive across
 requests instead of being rebuilt per invocation, while tenant-scoped
 artifact keys keep tenants fully isolated from each other.
 

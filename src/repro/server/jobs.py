@@ -50,8 +50,8 @@ FAILED = "failed"
 CONFIG_NAMES = ("P", "1C", "R")
 
 # Cross-query engine counters surfaced by ``GET /v1/metrics``: the
-# template plan cache, the shared-subplan cache, and morsel execution.
-ENGINE_COUNTER_PREFIXES = ("template.", "subplan.", "morsel.")
+# template plan cache and the shared-subplan cache.
+ENGINE_COUNTER_PREFIXES = ("template.", "subplan.")
 
 
 class JobQueueFull(RuntimeError):
@@ -358,8 +358,8 @@ class JobQueue:
     def engine_counters(self):
         """Queue-lifetime cross-query engine counters (a plain dict).
 
-        The cumulative ``template.*`` / ``subplan.*`` / ``morsel.*``
-        counters of every finished job, folded together for
+        The cumulative ``template.*`` / ``subplan.*`` counters of
+        every finished job, folded together for
         ``GET /v1/metrics``.  Read-only aggregation after each job's
         recorder is closed, so nothing here can leak into a report.
         """

@@ -2,7 +2,7 @@
 
 A *session* is one tenant's long-lived tuning context: the loaded
 :class:`~repro.engine.database.Database` instances (with their plan,
-dictionary, what-if, and shard-runtime caches), the sampled workloads,
+dictionary, and what-if caches), the sampled workloads,
 and the recommendations — everything the one-shot CLI rebuilds from
 scratch on every invocation stays warm here across requests.
 

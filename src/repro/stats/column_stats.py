@@ -8,20 +8,11 @@ estimation is restricted to the coarse fields — ``row_count``,
 ``n_distinct`` — reproducing the fidelity gap between estimates taken in a
 real configuration and hypothetical estimates that Section 5 of the paper
 measures (Figure 10).
-
-Sharded collection builds the same statistics from per-shard
-:class:`~repro.storage.sharding.ValueCountSketch` objects: every
-derived field is a function of the column's ``(values, counts)`` pair,
-the sketches merge to exactly that pair, so :meth:`ColumnStats.merge`
-over per-shard stats equals :meth:`ColumnStats.collect` over the whole
-column bit for bit.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from ..storage.sharding import ValueCountSketch
 
 MCV_LIST_SIZE = 20
 
@@ -39,7 +30,6 @@ class ColumnStats:
     freq_row_cumfrac: np.ndarray = None   # P[row's value freq <= freq_values[i]]
     vmin: object = None                   # smallest column value (None if empty)
     vmax: object = None                   # largest column value (None if empty)
-    sketch: ValueCountSketch = field(default=None, repr=False)
 
     @classmethod
     def collect(cls, column_name, values, dictionary=None):
@@ -65,45 +55,6 @@ class ColumnStats:
         )
 
     @classmethod
-    def from_sketch(cls, column_name, sketch, keep_sketch=False):
-        """Statistics from a (possibly shard-merged) value/count sketch.
-
-        The sketch of a full column *is* its ``np.unique(...,
-        return_counts=True)`` pair, so this equals :meth:`collect` over
-        the raw values.  ``keep_sketch`` retains the sketch on the
-        result so per-shard stats stay mergeable.
-        """
-        if sketch.row_count == 0:
-            # An empty shard still needs its (empty) sketch retained,
-            # or merging a partition with one empty shard would fail.
-            empty = cls._empty(column_name)
-            empty.sketch = sketch if keep_sketch else None
-            return empty
-        return cls._from_value_counts(
-            column_name, sketch.values, sketch.counts, int(sketch.row_count),
-            sketch=sketch if keep_sketch else None,
-        )
-
-    @classmethod
-    def merge(cls, parts):
-        """Merge per-shard statistics into the whole column's statistics.
-
-        Every part must retain its sketch (``keep_sketch=True``).  The
-        merged sketch equals the full column's value/count pair, so all
-        derived fields — counts, min/max, MCVs, the frequency profile —
-        are byte-identical to unsharded collection.
-        """
-        parts = list(parts)
-        sketches = [part.sketch for part in parts]
-        if any(sketch is None for sketch in sketches):
-            raise ValueError(
-                "cannot merge ColumnStats without retained sketches"
-            )
-        return cls.from_sketch(
-            parts[0].column, ValueCountSketch.merge(sketches)
-        )
-
-    @classmethod
     def _empty(cls, column_name):
         return cls(column_name, 0, 0,
                    freq_values=np.array([], dtype=np.int64),
@@ -111,8 +62,8 @@ class ColumnStats:
 
     @classmethod
     def _from_value_counts(cls, column_name, uniques, counts, row_count,
-                           sketch=None, histogram=None):
-        """The shared builder: every field from the value/count pair."""
+                           histogram=None):
+        """Every field from the column's value/count pair."""
         if histogram is not None:
             freq_values, freq_of_freq = histogram
         else:
@@ -136,7 +87,6 @@ class ColumnStats:
             freq_row_cumfrac=freq_row_cumfrac,
             vmin=uniques[0],
             vmax=uniques[-1],
-            sketch=sketch,
         )
 
     # ------------------------------------------------------------------

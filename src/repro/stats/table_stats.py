@@ -1,12 +1,4 @@
-"""Table-level statistics: row/page counts plus per-column stats.
-
-Sharded collection (:meth:`TableStats.collect_shard` /
-:meth:`TableStats.merge`) computes statistics per shard and merges
-them.  Row and page counts are conserved integer totals (page counts
-are apportioned with :func:`repro.optimizer.cost_model.shard_counts`),
-and per-column statistics merge through exact value/count sketches, so
-merged sharded statistics are byte-identical to unsharded collection.
-"""
+"""Table-level statistics: row/page counts plus per-column stats."""
 
 from dataclasses import dataclass, field
 
@@ -46,91 +38,6 @@ class TableStats:
             row_count=table.row_count,
             page_count=table.page_count(),
             row_width=table.schema.row_width(),
-            columns=columns,
-        )
-
-    @classmethod
-    def collect_shard(cls, table, shard, page_count, sketches=None):
-        """Statistics of one shard of a :class:`ShardedTable`.
-
-        Args:
-            table: the owning
-                :class:`~repro.storage.sharding.ShardedTable`.
-            shard: shard index.
-            page_count: this shard's apportioned page count (from
-                :func:`repro.optimizer.cost_model.shard_counts` so the
-                shard totals conserve the table's page count).
-            sketches: optional ``{column: ValueCountSketch}`` computed
-                elsewhere (e.g. on the shard runtime's process pool);
-                missing columns are sketched in-process.
-
-        Per-column statistics retain their sketches so shard parts stay
-        mergeable through :meth:`merge`.
-        """
-        columns = {}
-        for name in table.column_names():
-            sketch = None if sketches is None else sketches.get(name)
-            if sketch is None:
-                sketch = table.column_sketch(name, shard)
-            columns[name] = ColumnStats.from_sketch(
-                name, sketch, keep_sketch=True
-            )
-        lo, hi = table.shard_bounds(shard)
-        return cls(
-            table=table.name,
-            row_count=hi - lo,
-            page_count=int(page_count),
-            row_width=table.schema.row_width(),
-            columns=columns,
-        )
-
-    @classmethod
-    def collect_sharded(cls, table, runtime=None):
-        """Per-shard collection merged back into table-level statistics.
-
-        Byte-identical to :meth:`collect`: sketches merge exactly and
-        the shard row/page counts conserve the table totals.  With a
-        :class:`~repro.storage.sharding.ShardRuntime`, per-shard
-        sketches of memory-shareable columns are computed on the worker
-        pool.
-        """
-        from ..optimizer.cost_model import shard_counts
-
-        shard_pages = shard_counts(table.page_count(), table.shard_lengths())
-        per_shard_sketches = [{} for _ in range(table.shards)]
-        if runtime is not None:
-            for name in table.column_names():
-                for shard, sketch in enumerate(
-                    runtime.column_sketches(table, name)
-                ):
-                    per_shard_sketches[shard][name] = sketch
-        parts = [
-            cls.collect_shard(table, shard, shard_pages[shard],
-                              sketches=per_shard_sketches[shard])
-            for shard in range(table.shards)
-        ]
-        return cls.merge(parts)
-
-    @classmethod
-    def merge(cls, parts):
-        """Merge per-shard statistics into whole-table statistics."""
-        parts = list(parts)
-        if not parts:
-            raise CatalogError("cannot merge zero statistics parts")
-        names = {part.table for part in parts}
-        if len(names) != 1:
-            raise CatalogError(
-                f"cannot merge statistics across tables {sorted(names)}"
-            )
-        columns = {
-            name: ColumnStats.merge([part.columns[name] for part in parts])
-            for name in parts[0].columns
-        }
-        return cls(
-            table=parts[0].table,
-            row_count=sum(part.row_count for part in parts),
-            page_count=sum(part.page_count for part in parts),
-            row_width=parts[0].row_width,
             columns=columns,
         )
 

@@ -1,20 +1,10 @@
-"""Columnar table storage, SQL types, dictionaries, and sharding."""
+"""Columnar table storage, SQL types, and column dictionaries."""
 
 from .encoding import (
     ColumnDictionary,
     ColumnHandle,
     DictionaryCache,
     dict_cache_enabled,
-)
-from .sharding import (
-    ShardedTable,
-    ShardRuntime,
-    ValueCountSketch,
-    hash_assignment,
-    range_assignment,
-    shard_count,
-    shard_jobs,
-    shard_scheme,
 )
 from .table import Table
 from .types import SQLType, date, float_, integer, varchar
@@ -24,18 +14,10 @@ __all__ = [
     "ColumnHandle",
     "DictionaryCache",
     "SQLType",
-    "ShardRuntime",
-    "ShardedTable",
     "Table",
-    "ValueCountSketch",
     "date",
     "dict_cache_enabled",
     "float_",
-    "hash_assignment",
     "integer",
-    "range_assignment",
-    "shard_count",
-    "shard_jobs",
-    "shard_scheme",
     "varchar",
 ]

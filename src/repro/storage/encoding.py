@@ -98,27 +98,6 @@ class ColumnDictionary:
         self._freq_counts_f64 = None
         self._freq_histogram = None
 
-    @classmethod
-    def from_value_counts(cls, base, values, counts):
-        """A dictionary from a precomputed (shard-merged) value/count pair.
-
-        ``values``/``counts`` must equal ``np.unique(base,
-        return_counts=True)`` — which a merged per-shard
-        :class:`~repro.storage.sharding.ValueCountSketch` does exactly —
-        so the result is byte-identical to ``ColumnDictionary(base)``
-        without re-sorting the full column.
-        """
-        dictionary = cls.__new__(cls)
-        dictionary.base = np.asarray(base)
-        dictionary.values = values
-        dictionary.counts = counts
-        dictionary._codes = None
-        dictionary._argsort = None
-        dictionary._freq_order = None
-        dictionary._freq_counts_f64 = None
-        dictionary._freq_histogram = None
-        return dictionary
-
     @property
     def n_distinct(self):
         """Number of distinct values in the column."""
@@ -256,19 +235,6 @@ class DictionaryCache:
         self._entries = {}
         # (table name, columns tuple) -> (Table, key arrays tuple, order)
         self._orders = {}
-        # Optional ShardRuntime: dictionaries of sharded tables are
-        # assembled from per-shard sketches instead of one full sort.
-        self._sharding = None
-
-    def attach_sharding(self, runtime):
-        """Build dictionaries of sharded tables through ``runtime``.
-
-        The runtime merges per-shard value/count sketches — computed on
-        its worker pool when one is configured — into the same
-        ``(values, counts)`` pair ``np.unique`` yields, so cached
-        dictionaries stay byte-identical with sharding on or off.
-        """
-        self._sharding = runtime
 
     def dictionary(self, table, column):
         """The dictionary of ``table.column(column)`` (built lazily once).
@@ -293,11 +259,7 @@ class DictionaryCache:
             return entry[1]
         with self._lock:
             self.stats.misses += 1
-        runtime = self._sharding
-        if runtime is not None and getattr(table, "shards", 1) > 1:
-            dictionary = runtime.build_dictionary(table, column)
-        else:
-            dictionary = ColumnDictionary(values)
+        dictionary = ColumnDictionary(values)
         obs.counter_add("encoding.dict_builds")
         with self._lock:
             self._entries[key] = (table, dictionary)

@@ -37,7 +37,7 @@ class ShardedDatabase:
 
     def __init__(self):
         self.tables = {}
-        self._shard_runtime = ShardRuntime()
+        self._shard_runtime = PartitionRuntime()
 
     def invalidate_caches(self):
         self._plan_cache = {}
@@ -83,7 +83,7 @@ class KernelDatabase:
         self._kernel_cache.invalidate()
 
 
-class ShardRuntime:
+class PartitionRuntime:
     def invalidate(self):
         pass
 

@@ -49,7 +49,7 @@ class ShardedDatabase:
 
     def __init__(self):
         self.tables = {}
-        self._shard_runtime = ShardRuntime()
+        self._shard_runtime = PartitionRuntime()
 
     def invalidate_caches(self):
         self._plan_cache = {}
@@ -60,7 +60,7 @@ class ShardedDatabase:
         self.invalidate_caches()
 
 
-class ShardRuntime:
+class PartitionRuntime:
     def invalidate(self):
         pass
 

@@ -53,7 +53,7 @@ class JobRunner:
         return job
 
 
-class MorselPool:
+class SlicePool:
     """Morsel workers racing on shared slice accounting."""
 
     def __init__(self, executor):

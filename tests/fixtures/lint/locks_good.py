@@ -82,7 +82,7 @@ class KernelCache:
         return [self._pool.submit(compile_shape, s) for s in shapes]
 
 
-class MorselPool:
+class SlicePool:
     """Morsel workers: accounting lock-guarded, results local."""
 
     def __init__(self, executor):

@@ -34,12 +34,15 @@ def test_mask_and_take():
     batch = make_batch(6, weights=np.arange(6, dtype=np.float64))
     masked = batch.mask(np.array([True, False] * 3))
     assert masked.rows == 3
-    assert masked.columns["t.a"].tolist() == [0, 2, 4]
+    assert masked.column("t.a").tolist() == [0, 2, 4]
     assert masked.weights.tolist() == [0.0, 2.0, 4.0]
 
     taken = batch.take(np.array([5, 5, 0]))
-    assert taken.columns["t.a"].tolist() == [5, 5, 0]
+    assert taken.rows == 3
+    assert taken.column("t.a").tolist() == [5, 5, 0]
     assert taken.weights.tolist() == [5.0, 5.0, 0.0]
+    # The source batch is untouched by either selection.
+    assert batch.rows == 6 and not batch.sels
 
 
 def test_weight_array_defaults_to_ones():
@@ -221,8 +224,8 @@ def test_batch_mask_take_preserve_encodings():
     assert taken.encodings["t.b"] is d
     # The propagated encoding still factorizes the subset correctly.
     assert factorize(
-        masked.columns["t.b"], masked.encodings["t.b"]
-    ).tolist() == factorize(masked.columns["t.b"]).tolist()
+        masked.column("t.b"), masked.encodings["t.b"]
+    ).tolist() == factorize(masked.column("t.b")).tolist()
 
 
 def test_weighted_count_through_hash_join(city_db_p):

@@ -78,6 +78,25 @@ def test_context_measure_caches_and_reapplies():
     assert len(m1c) == len(m1)
 
 
+def test_context_builds_recommended_configuration_once(monkeypatch):
+    """``build_report("R")`` applies the recommendation renamed to "R";
+    ``measure("R")`` resolves it as "<family>_R".  Same fingerprint, so
+    the second must find it built instead of rebuilding it."""
+    ctx = BenchContext(BenchSettings(scale=0.03, workload_size=5))
+    db = ctx.database("B", "nref")
+    applied = []
+    apply_configuration = db.apply_configuration
+
+    def counting(config):
+        applied.append(config.name)
+        return apply_configuration(config)
+
+    monkeypatch.setattr(db, "apply_configuration", counting)
+    assert ctx.build_report("B", "nref", "R", family="NREF2J") is not None
+    assert ctx.measure("B", "NREF2J", "R") is not None
+    assert applied == ["R"]
+
+
 def test_results_dir_artifacts_exist_after_bench(tmp_path):
     # The bench fixture writes results/<id>.txt; emulate it here.
     from repro.bench.experiments import ExperimentResult

@@ -2,8 +2,10 @@
 
 Hypothesis generates queries from the benchmark SQL subset over the small
 city schema; each is evaluated by a dictionary-based reference
-implementation and by the engine under both the P and 1C configurations.
-All three answers must agree exactly.
+implementation and by the engine under the P and 1C configurations and
+under 1C plus two materialized views (so view scans, batch weights and
+selection vectors over view tables are checked too).  All four answers
+must agree exactly.
 """
 
 import collections
@@ -16,12 +18,35 @@ from repro.engine.configuration import (
     one_column_configuration,
     primary_configuration,
 )
+from repro.optimizer.plans import ViewScan, walk
+from repro.views.matview import MatViewDefinition, ViewColumn
 
 from conftest import load_city_database
 
 DB = load_city_database(n_users=120, n_orders=700, seed=21)
 P_CONFIG = primary_configuration(DB.catalog)
 ONE_C = one_column_configuration(DB.catalog)
+ONE_C_VIEWS = ONE_C.with_views(
+    (
+        MatViewDefinition(
+            tables=("orders",),
+            group_columns=(
+                ViewColumn("orders", "city"),
+                ViewColumn("orders", "amount"),
+            ),
+        ),
+        MatViewDefinition(
+            tables=("users", "orders"),
+            join_pred=(("users", "uid"), ("orders", "uid")),
+            group_columns=(
+                ViewColumn("users", "city"),
+                ViewColumn("users", "age"),
+                ViewColumn("orders", "city"),
+            ),
+        ),
+    ),
+    name="1C+MV",
+)
 
 TABLES = {
     "users": ["uid", "city", "age"],
@@ -187,6 +212,28 @@ def test_property_engine_matches_reference(spec):
     DB.apply_configuration(ONE_C)
     c_result = DB.execute(sql)
     assert sorted(c_result.rows()) == expected, sql
+
+    DB.apply_configuration(ONE_C_VIEWS)
+    v_result = DB.execute(sql)
+    assert sorted(v_result.rows()) == expected, sql
+
+
+def test_view_configuration_reaches_both_views():
+    """The third configuration is only worth its time if the planner
+    actually rewrites generated shapes onto each of its views."""
+    DB.apply_configuration(ONE_C_VIEWS)
+    scanned = set()
+    for sql in (
+        "SELECT t0.city, COUNT(*) FROM orders t0 WHERE t0.amount > 40 "
+        "GROUP BY t0.city",
+        "SELECT t0.city, COUNT(*) FROM users t0, orders t1 "
+        "WHERE t0.uid = t1.uid AND t0.age > 40 GROUP BY t0.city",
+    ):
+        scanned.update(
+            node.view.definition.name
+            for node in walk(DB.plan(sql)) if isinstance(node, ViewScan)
+        )
+    assert scanned == {v.name for v in ONE_C_VIEWS.views}
 
 
 def test_reference_sanity():

@@ -1,0 +1,49 @@
+"""Pinned figure fingerprints.
+
+The executor has one path, so "identical to the other path" is no longer
+a check; these digests (recorded where CI still proved every on/off pair
+of the since-removed knobs agreed) pin the rendered figure and the
+underlying CFC data instead.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.bench.context import BenchContext, BenchSettings
+from repro.bench.experiments import figure_cfc
+
+# Regenerate after an intended figure change: run this test, copy the two
+# digests from the assertion message.
+GOLDEN = {
+    "fig3": (
+        "701a10b3e1f7cf7f5076f5235e79a7c9b5259a59ca64efb94d2219e9b355a595",
+        "df19b8cd458e5d88a01d9bbab96560bc4beef3e8adef352549b69ba06fe29a64",
+    ),
+    "fig4": (
+        "99935f067c8712c639de28960f9d849d480c0afc166df81780eb0e8afeeb6fb8",
+        "31fe710bc3a30cf1ddc5b457e80975035a3640e9b7368713715c4dc2b6c69329",
+    ),
+    "fig7": (
+        "07e4bdf8f2a2839be612dd01e68e1fe9ffdbe8c6e01efc579d72198145afe28b",
+        "50c30659f9c099d8d2bb5b212b4c1a56de0afce9dbdd2a65ca8bf9815a8628e3",
+    ),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("figure", sorted(GOLDEN))
+def test_figure_matches_golden_fingerprints(figure):
+    context = BenchContext(
+        BenchSettings(scale=0.05, workload_size=10, seed=405)
+    )
+    result = figure_cfc(figure, context)
+    digests = (
+        _sha256(str(result)),
+        _sha256(json.dumps(result.data, sort_keys=True, default=repr)),
+    )
+    assert digests == GOLDEN[figure]

@@ -28,12 +28,6 @@ EXPECTED_KNOBS = {
     "REPRO_DICT_CACHE": "flag",
     "REPRO_PLAN_TEMPLATES": "flag",
     "REPRO_SUBPLAN_CACHE": "flag",
-    # storage / execution
-    "REPRO_SHARDS": "int",
-    "REPRO_SHARD_SCHEME": "str",
-    "REPRO_SHARD_JOBS": "int",
-    "REPRO_MORSEL_ROWS": "int",
-    "REPRO_LATE_MAT": "flag",
     # tuning server
     "REPRO_SERVER_HOST": "str",
     "REPRO_SERVER_PORT": "int",
@@ -67,7 +61,7 @@ def test_register_is_idempotent_for_identical_declarations():
     knob = knobs.get("REPRO_JOBS")
     again = knobs.register(
         "REPRO_JOBS", kind=knob.kind, default=knob.default,
-        description=knob.description, choices=knob.choices,
+        description=knob.description,
     )
     assert again is knobs.get("REPRO_JOBS")
 
@@ -107,19 +101,10 @@ def test_flag_parsing(monkeypatch):
     assert knobs.flag("REPRO_WHATIF_CACHE", True) is True
 
 
-def test_choices_are_recorded_for_shard_scheme():
-    knob = knobs.get("REPRO_SHARD_SCHEME")
-    assert knob.choices == ("hash", "range")
-
-
 def test_is_registered():
-    assert knobs.is_registered("REPRO_MORSEL_ROWS")
-    assert knobs.is_registered("REPRO_SHARDS")
     assert knobs.is_registered("REPRO_DICT_CACHE")
     assert knobs.is_registered("REPRO_PLAN_TEMPLATES")
     assert knobs.is_registered("REPRO_SUBPLAN_CACHE")
-    assert knobs.is_registered("REPRO_SHARD_JOBS")
-    assert knobs.is_registered("REPRO_LATE_MAT")
     assert not knobs.is_registered("REPRO_UNHEARD_OF")
 
 

@@ -1,20 +1,13 @@
 """Late-materialization executor: selection-vector batches, plan-time
-column pruning, fused predicate kernels, and the ``REPRO_LATE_MAT``
-byte-identity contract (same results, same virtual costs, either way)."""
+column pruning, fused predicate kernels, and scratch arenas."""
 
 import numpy as np
 
 from repro import obs
-from repro.common import knobs
 from repro.engine.configuration import primary_configuration
 from repro.executor.batch import Batch
 from repro.executor.engine import Executor
-from repro.executor.kernels import (
-    KernelCache,
-    LATEMAT_ENV,
-    ScratchArena,
-    late_mat_enabled,
-)
+from repro.executor.kernels import KernelCache, ScratchArena
 from repro.optimizer.plans import ScanFilter
 
 
@@ -25,17 +18,7 @@ def make_lazy_batch(n=10):
             "t.b": np.arange(n, dtype=np.int64) * 10,
         },
         widths={"t.a": 8, "t.b": 8},
-        lazy=True,
-        length=n,
     )
-
-
-def test_knob_registered_and_default_on(monkeypatch):
-    assert knobs.is_registered(LATEMAT_ENV)
-    monkeypatch.delenv(LATEMAT_ENV, raising=False)
-    assert late_mat_enabled()
-    monkeypatch.setenv(LATEMAT_ENV, "0")
-    assert not late_mat_enabled()
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +79,7 @@ def test_gather_counters_emitted():
 def test_materialize_gathers_everything():
     batch = make_lazy_batch(6).mask(np.arange(6) < 3)
     out = batch.materialize()
-    assert out is batch and not out.lazy and not out.sels
+    assert out is batch and not out.sels
     assert out.columns["t.a"].tolist() == [0, 1, 2]
 
 
@@ -106,8 +89,6 @@ def test_row_width_counts_all_plan_columns():
     batch = Batch(
         columns={"t.a": np.arange(4, dtype=np.int64)},
         widths={"t.a": 8, "t.unattached": 24},
-        lazy=True,
-        length=4,
     )
     assert batch.row_width == 8 + 24 + 8  # + weight slot
 
@@ -155,9 +136,9 @@ def test_fused_kernel_reused_across_literals():
 
     a = np.arange(10, dtype=np.int64)
     b = a * 10
-    keep = k1([a, b], [2, 60], 0, 10)
+    keep = k1([a, b], [2, 60])
     assert keep.tolist() == ((a > 2) & (b <= 60)).tolist()
-    keep = k1([a, b], [5, 90], 3, 10)
+    keep = k1([a[3:], b[3:]], [5, 90])
     assert keep.tolist() == ((a[3:] > 5) & (b[3:] <= 90)).tolist()
 
 
@@ -198,15 +179,13 @@ def test_scratch_arena_reuses_buffers():
 # Identity fast-path routing (_identity_specs edge cases)
 
 def make_executor(db):
-    return Executor(db.tables, db.system.hardware, late=True)
+    return Executor(db.tables, db.system.hardware)
 
 
-def base_batch(table, alias, columns, lazy=False):
+def base_batch(table, alias, columns):
     return Batch(
         columns={f"{alias}.{c}": table.column(c) for c in columns},
         widths={f"{alias}.{c}": 8 for c in columns},
-        lazy=lazy,
-        length=table.row_count if lazy else None,
     )
 
 
@@ -224,7 +203,9 @@ def test_identity_specs_rejects_masked_batch(city_db):
     users = city_db.table("users")
     batch = base_batch(users, "u", ["age"])
     masked = batch.mask(np.zeros(batch.rows, dtype=bool) | True)
-    # Even an all-true eager mask copies the arrays: identity is gone.
+    masked.column("u.age")
+    # Even an all-true mask, once read, gathers a copy: identity is gone.
+    assert not masked.selected("u.age")
     filters = [ScanFilter("u.age", "age", "=", 30)]
     assert executor._identity_specs(masked, filters, users, "u") is None
 
@@ -232,7 +213,7 @@ def test_identity_specs_rejects_masked_batch(city_db):
 def test_identity_specs_rejects_pending_selection(city_db):
     executor = make_executor(city_db)
     users = city_db.table("users")
-    batch = base_batch(users, "u", ["age"], lazy=True)
+    batch = base_batch(users, "u", ["age"])
     masked = batch.mask(np.ones(batch.rows, dtype=bool))
     # The base array is still attached, but a sel is pending: the
     # batch no longer stands for the full table.
@@ -246,7 +227,7 @@ def test_identity_specs_rejects_computed_column(city_db):
     users = city_db.table("users")
     batch = base_batch(users, "u", ["age"])
     # A renamed/computed/view-backed column: equal values, different
-    # array — never the table's storage, so no shard/subplan shortcut.
+    # array — never the table's storage, so no mask-cache shortcut.
     batch.columns["u.age"] = users.column("age").copy()
     filters = [ScanFilter("u.age", "age", "=", 30)]
     assert executor._identity_specs(batch, filters, users, "u") is None
@@ -265,41 +246,15 @@ def test_identity_specs_rejects_foreign_alias(city_db):
 
 
 # ----------------------------------------------------------------------
-# End-to-end: the knob changes the representation, never the answer
+# End-to-end counters
 
-IDENTITY_SQLS = (
-    "SELECT u.city, COUNT(*) FROM users u WHERE u.age = 30 GROUP BY u.city",
-    "SELECT u.city, COUNT(*) FROM users u, orders o "
-    "WHERE u.uid = o.uid AND u.age = 30 GROUP BY u.city",
-    "SELECT o.amount, COUNT(*) FROM orders o WHERE o.oid = 5 "
-    "GROUP BY o.amount",
-    "SELECT u.city, COUNT(DISTINCT u.age) FROM users u GROUP BY u.city",
+FILTER_SQL = (
+    "SELECT u.city, COUNT(*) FROM users u WHERE u.age = 30 GROUP BY u.city"
 )
 
 
-def run_all(db):
-    out = []
-    for sql in IDENTITY_SQLS:
-        result = db.execute(sql)
-        out.append((sorted(result.rows()), result.elapsed))
-    return out
-
-
-def test_database_identical_with_knob_off(city_db, monkeypatch):
+def test_columns_pruned_on_index_scan(city_db):
     city_db.apply_configuration(primary_configuration(city_db.catalog))
-    monkeypatch.delenv(LATEMAT_ENV, raising=False)
-    late = run_all(city_db)
-    city_db.invalidate_caches()
-    monkeypatch.setenv(LATEMAT_ENV, "0")
-    eager = run_all(city_db)
-    # Same rows AND the same virtual-clock costs: the knob swaps the
-    # physical representation only.
-    assert late == eager
-
-
-def test_columns_pruned_on_index_scan(city_db, monkeypatch):
-    city_db.apply_configuration(primary_configuration(city_db.catalog))
-    monkeypatch.delenv(LATEMAT_ENV, raising=False)
     sql = (
         "SELECT o.amount, COUNT(*) FROM orders o WHERE o.oid = 5 "
         "GROUP BY o.amount"
@@ -320,11 +275,10 @@ def test_columns_pruned_on_index_scan(city_db, monkeypatch):
     ]
 
 
-def test_deferred_gathers_on_filter_query(city_db, monkeypatch):
+def test_deferred_gathers_on_filter_query(city_db):
     city_db.apply_configuration(primary_configuration(city_db.catalog))
-    monkeypatch.delenv(LATEMAT_ENV, raising=False)
     with obs.recording() as recorder:
-        city_db.execute(IDENTITY_SQLS[0])
+        city_db.execute(FILTER_SQL)
     counters = recorder.metrics.snapshot().get("counters", {})
     assert counters.get("executor.gathers_deferred", 0) > 0
     assert counters.get("executor.gather_bytes_avoided", 0) > 0

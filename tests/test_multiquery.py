@@ -1,10 +1,10 @@
 """Cross-query optimization: template identity, plan replay, bind
-templates, the subplan cache, and morsel execution.
+templates, and the subplan cache.
 
 The contract under test everywhere: the caches may only change *when*
-work happens, never *what* it produces — replayed plans, rebound
-queries and morsel-evaluated batches must be indistinguishable from
-their from-scratch counterparts.
+work happens, never *what* it produces — replayed plans and rebound
+queries must be indistinguishable from their from-scratch
+counterparts.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.executor.morsels import MIN_MORSEL_ROWS, MorselPool, morsel_rows
 from repro.executor.subplan import SubplanCache, subplan_cache_enabled
 from repro.optimizer.planner import Planner
 from repro.optimizer.plans import explain
@@ -301,43 +300,3 @@ def test_subplan_knob_parsing(monkeypatch):
         monkeypatch.setenv("REPRO_SUBPLAN_CACHE", off)
         assert not subplan_cache_enabled()
     assert subplan_cache_enabled(flag=True)
-
-
-# ----------------------------------------------------------------------
-# Morsels
-
-
-def test_morsel_rows_clamps_and_disables(monkeypatch):
-    monkeypatch.delenv("REPRO_MORSEL_ROWS", raising=False)
-    assert morsel_rows() == 0
-    assert morsel_rows(10) == MIN_MORSEL_ROWS
-    assert morsel_rows(0) == 0
-    monkeypatch.setenv("REPRO_MORSEL_ROWS", "not-a-number")
-    assert morsel_rows() == 0
-    monkeypatch.setenv("REPRO_MORSEL_ROWS", "65536")
-    assert morsel_rows() == 65536
-
-
-def test_morsel_map_concat_preserves_order():
-    pool = MorselPool(MIN_MORSEL_ROWS)
-    try:
-        length = 10 * MIN_MORSEL_ROWS + 7
-        out = pool.map_concat(
-            lambda lo, hi: np.arange(lo, hi), length
-        )
-        np.testing.assert_array_equal(out, np.arange(length))
-        parts = pool.map_slices(lambda lo, hi: hi - lo, length)
-        assert sum(parts) == length
-        assert parts[:-1] == [MIN_MORSEL_ROWS] * 10
-    finally:
-        pool.shutdown()
-
-
-def test_morsel_execution_is_byte_identical(monkeypatch):
-    results = {}
-    for rows in ("0", str(MIN_MORSEL_ROWS)):
-        monkeypatch.setenv("REPRO_MORSEL_ROWS", rows)
-        db = load_city_database()
-        result = db.execute(_join_sql(20, "tor"))
-        results[rows] = (result.elapsed, result.rows())
-    assert results["0"] == results[str(MIN_MORSEL_ROWS)]

@@ -241,7 +241,7 @@ def test_http_workload_job_runs_and_reports(server):
     # queue-lifetime "engine" block (template replays require at least
     # two structurally identical queries, so only builds are certain).
     engine = metrics["engine"]
-    assert all(name.startswith(("template.", "subplan.", "morsel."))
+    assert all(name.startswith(("template.", "subplan."))
                for name in engine)
     assert engine.get("template.bind_builds", 0) >= 1
     assert engine.get("template.plan_builds", 0) >= 1
