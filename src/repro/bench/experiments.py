@@ -16,7 +16,11 @@ from ..analysis.goals import example2_goal, improvement_ratio
 from ..analysis.measurements import estimate_workload
 from ..analysis.ratios import air, eir, hir, ratio_summary
 from ..common.units import GIB, minutes
+from ..workload.updates import nref_neighboring_batch
 from .context import FAMILY_DATASET, global_context
+
+# Rows of the Section 4.4 insert probe.
+PROBE_ROWS = 1000
 
 
 @dataclass
@@ -423,7 +427,7 @@ def section_4_4(context=None, batches=(10_000, 40_000, 100_000)):
     inserts relative to R.
     """
     ctx = context or global_context()
-    system, family = "A", "NREF2J"
+    system, family, table = "A", "NREF2J", "neighboring_seq"
     db = ctx.database(system, FAMILY_DATASET[family])
     workload_cost = {}
     insert_rate = {}
@@ -437,9 +441,17 @@ def section_4_4(context=None, batches=(10_000, 40_000, 100_000)):
         # maintained by the insert.
         config = ctx._resolve_config(db, system, family, config_name)
         ctx._apply(db, system, family, config)
-        probe = _insert_probe(db)
-        seconds = db.insert_rows("neighboring_seq", probe)
-        insert_rate[config_name] = seconds / _probe_size(probe)
+        heap = db.table(table)
+        found = {name: heap.column(name) for name in heap.column_names()}
+        seconds = db.insert_rows(
+            table, nref_neighboring_batch(db, PROBE_ROWS)
+        )
+        insert_rate[config_name] = seconds / PROBE_ROWS
+        # The context's database is shared with every other experiment:
+        # take the probe rows out again and rebuild the configuration
+        # over the rows that were there.
+        db.load_table(table, found)
+        db.apply_configuration(config)
     rows = []
     for config in ("P", "R", "1C"):
         if config not in insert_rate:
@@ -474,22 +486,6 @@ def section_4_4(context=None, batches=(10_000, 40_000, 100_000)):
         text=text,
         data=data,
     )
-
-
-def _insert_probe(db, size=1000):
-    import numpy as np
-
-    table = db.table("neighboring_seq")
-    n = table.row_count
-    idx = np.arange(size) % n
-    return {
-        name: table.column(name)[idx]
-        for name in table.column_names()
-    }
-
-
-def _probe_size(probe):
-    return len(next(iter(probe.values())))
 
 
 ALL_EXPERIMENTS = {

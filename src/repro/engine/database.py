@@ -876,11 +876,21 @@ class Database:
         """Append rows; returns the virtual seconds the insert cost.
 
         The charge covers the heap append plus maintenance of every index
-        on the table in the current configuration; built index data and
-        dependent views are refreshed so later queries stay correct.
+        on the table in the current configuration.  The wall-clock work
+        is sized by the batch as well: the table's dictionaries and
+        index entries are carried across the append (the new rows are
+        merged in), while plans, environments, what-if costs,
+        templates, subplans and kernels are dropped.  Dependent views
+        are rebuilt.
         """
         table = self.table(table_name)
-        appended = table.append_rows(columns)
+        encodings = self._dict_encodings()
+        if encodings is None:
+            appended = table.append_rows(columns)
+        else:
+            # Through the dictionary cache, which extends the table's
+            # dictionaries instead of letting the append orphan them.
+            appended = encodings.append_rows(table, columns)
         obs.counter_add("engine.rows_inserted", appended)
         self._view_size_cache.clear()
         self.invalidate_caches()
@@ -888,15 +898,12 @@ class Database:
         if self._built is not None:
             for ix in self._built.configuration.indexes:
                 if ix.table == table_name:
-                    heights.append(
-                        self._built.index_data[ix.name].size.height
-                    )
-            for ix in self._built.configuration.indexes:
-                if ix.table == table_name:
-                    self._built.index_data[ix.name] = IndexData(
-                        ix, table, self.system.index_overhead,
-                        encodings=self._dict_encodings(),
-                    )
+                    data = self._built.index_data[ix.name]
+                    heights.append(data.size.height)
+                    self._built.index_data[ix.name] = data.append(table)
+            obs.counter_add(
+                "engine.index_entries_merged", appended * len(heights)
+            )
             for view_def in self._built.configuration.views:
                 if table_name in view_def.tables:
                     view_table, _ = build_view(

@@ -193,6 +193,19 @@ class Batch:
             return carried
         return carried[sel]
 
+    def dictionary_codes(self, key, dictionary):
+        """Codes of ``key``'s rows in ``dictionary``, the dictionary
+        its encoding resolves to: the carried codes, else the base
+        column's cached codes through the selection vector, else an
+        encode of the gathered values."""
+        carried = self.carried_codes(key)
+        if carried is not None:
+            return carried
+        if self.columns[key] is dictionary.base:
+            sel = self.sels.get(key)
+            return dictionary.codes if sel is None else dictionary.codes[sel]
+        return dictionary.encode(self.column(key))
+
     def materialize(self):
         """Gather every pending column in place; ``columns`` then holds
         plain equal-length arrays."""

@@ -313,13 +313,23 @@ class Executor:
 
     def _apply_semis(self, batch, semi_filters, clock):
         for semi in semi_filters:
-            allowed = self._semi_allowed(semi.source, clock)
+            values, keep = self._semi_source(semi.source, clock)
             clock.charge(cm.filter_rows(self._hw, batch.rows))
-            batch = batch.mask(np.isin(batch.column(semi.key), allowed))
+            dictionary = _resolve_encoding(batch.encodings.get(semi.key))
+            if dictionary is None:
+                # No dictionary behind the column (a view column, or
+                # the dictionary cache is off): compare the values.
+                member = np.isin(batch.column(semi.key), values[keep])
+            else:
+                member = _member_flags(dictionary, values, keep)[
+                    batch.dictionary_codes(semi.key, dictionary)
+                ]
+            batch = batch.mask(member)
         return batch
 
-    def _semi_allowed(self, source, clock):
-        """Values passing a semijoin's HAVING filter.
+    def _semi_source(self, source, clock):
+        """``(values, keep)`` of a semijoin source: its sorted distinct
+        values and the mask of those passing the HAVING filter.
 
         The virtual-clock charge always models the full evaluation; the
         value/count aggregation itself is served from the cross-query
@@ -346,29 +356,23 @@ class Executor:
                 + info.leaf_pages * self._hw.seq_page_read_s
                 + info.entries * self._hw.cpu_row_s * 2
             )
+            # The leading keys are the table column, sorted: their
+            # values and counts are the column's dictionary.
             keys = info.data.leading_keys
             values, counts = self._semi_values(
                 ("index_only", info.definition.name, semi.sub_table,
                  semi.sub_column),
                 (keys,),
-                lambda: np.unique(keys, return_counts=True),
+                lambda: self._value_counts(
+                    self._table(semi.sub_table), semi.sub_column
+                ),
             )
         else:
             table = self._table(semi.sub_table)
-
-            def aggregate():
-                if self._encodings is not None:
-                    dictionary = self._encodings.dictionary(
-                        table, semi.sub_column
-                    )
-                    return dictionary.values, dictionary.counts
-                column = table.column(semi.sub_column)
-                return np.unique(column, return_counts=True)
-
             values, counts = self._semi_values(
                 ("scan", semi.sub_table, semi.sub_column),
                 (table.column(semi.sub_column),),
-                aggregate,
+                lambda: self._value_counts(table, semi.sub_column),
             )
             clock.charge(
                 cm.seq_scan(self._hw, table.page_count(), table.row_count)
@@ -379,8 +383,14 @@ class Executor:
                     table.schema.column(semi.sub_column).width,
                 )
             )
-        keep = _compare(counts, semi.having_op, semi.having_value)
-        return values[keep]
+        return values, _compare(counts, semi.having_op, semi.having_value)
+
+    def _value_counts(self, table, column):
+        """Sorted distinct values of a table column and their counts."""
+        if self._encodings is not None:
+            dictionary = self._encodings.dictionary(table, column)
+            return dictionary.values, dictionary.counts
+        return np.unique(table.column(column), return_counts=True)
 
     def _semi_values(self, key, backing, build):
         """A semijoin source's ``(values, counts)``, cached when possible."""
@@ -459,7 +469,8 @@ class Executor:
             raise ExecutionError(
                 f"index {info.definition.name} is hypothetical; cannot run"
             )
-        allowed = self._semi_allowed(node.driving.source, clock)
+        values, keep = self._semi_source(node.driving.source, clock)
+        allowed = values[keep]
         counts = info.data.count_many(allowed)
         matched = int(counts.sum())
         obs.counter_add("engine.index_probes", len(allowed))
@@ -939,6 +950,21 @@ def _required_keys(plan):
         else:
             return None
     return frozenset(keys)
+
+
+def _member_flags(dictionary, values, keep):
+    """Per entry of ``dictionary``: is it one of ``values[keep]``?
+
+    When the semijoin source is the filtered column's own dictionary
+    the HAVING mask already is that flag array; any other source is
+    looked up in the sorted dictionary, one search per allowed value.
+    """
+    if values is dictionary.values:
+        return keep
+    slots, found = dictionary.find(values[keep])
+    flags = np.zeros(dictionary.n_distinct, dtype=bool)
+    flags[slots[found]] = True
+    return flags
 
 
 def _compare(values, op, literal):

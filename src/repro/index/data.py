@@ -14,6 +14,8 @@ from a hypothetical one: what-if optimization has to assume the worst
 exposes.
 """
 
+import copy
+
 import numpy as np
 
 from ..common.hardware import PAGE_SIZE
@@ -45,14 +47,52 @@ def gather_ranges(values, lows, highs):
     return values[positions], range_ids
 
 
+def _bisect(column, values, lows, highs, right):
+    """Per-element ``searchsorted`` of ``values[i]`` in the sorted run
+    ``column[lows[i]:highs[i]]``; returns absolute positions."""
+    lows, highs = lows.copy(), highs.copy()
+    while True:
+        active = np.flatnonzero(lows < highs)
+        if not len(active):
+            return lows
+        middle = (lows[active] + highs[active]) // 2
+        probe = column[middle]
+        wanted = values[active]
+        descend = probe <= wanted if right else probe < wanted
+        lows[active[descend]] = middle[descend] + 1
+        highs[active[~descend]] = middle[~descend]
+
+
+def _upper_bounds(sorted_columns, keys):
+    """For each key tuple, how many entries of the lexicographically
+    sorted ``sorted_columns`` are not greater (``side="right"``).
+
+    The leading column narrows every key to its run of equal leading
+    values with two C ``searchsorted`` calls; each further column is
+    sorted inside that run and bisected there.
+    """
+    highs = np.searchsorted(sorted_columns[0], keys[0], side="right")
+    if len(sorted_columns) > 1:
+        lows = np.searchsorted(sorted_columns[0], keys[0], side="left")
+        for column, values in zip(sorted_columns[1:], keys[1:]):
+            lows, highs = (
+                _bisect(column, values, lows, highs, right=False),
+                _bisect(column, values, lows, highs, right=True),
+            )
+    return highs
+
+
 class IndexData:
-    """A built secondary index over a table's columns."""
+    """A built secondary index over a table's columns.
+
+    Instances are immutable once built: :meth:`append` returns a new
+    index, so a reader holding the old one keeps a consistent snapshot.
+    """
 
     def __init__(self, definition, table, overhead_factor=1.0,
                  encodings=None):
         self.definition = definition
         self._overhead_factor = overhead_factor
-        self._tree = None
         self._build(table, encodings)
 
     def _build(self, table, encodings=None):
@@ -67,9 +107,15 @@ class IndexData:
             )
         else:
             order = np.lexsort(tuple(reversed(key_arrays)))
-        self.row_ids = order.astype(np.int64)
-        self.key_columns = [arr[order] for arr in key_arrays]
-        self.entry_count = len(order)
+        self._set_entries(
+            table, order.astype(np.int64), [arr[order] for arr in key_arrays]
+        )
+
+    def _set_entries(self, table, row_ids, key_columns):
+        self._tree = None
+        self.row_ids = row_ids
+        self.key_columns = key_columns
+        self.entry_count = len(row_ids)
         key_width = sum(
             table.schema.column(c).width for c in self.definition.columns
         )
@@ -77,6 +123,45 @@ class IndexData:
             self.entry_count, key_width, self._overhead_factor
         )
         self.cluster_factor = self._measure_cluster_factor(table)
+
+    def append(self, table):
+        """The index after rows were appended to ``table``.
+
+        ``table`` already holds the new rows, at row ids
+        ``entry_count`` and up.  Only their keys are sorted; each then
+        takes the slot after every existing entry that is not greater
+        (a lexicographic ``side="right"`` binary search).  New row ids
+        exceed all old ones, so that is where the stable ``lexsort`` of
+        a from-scratch build puts them: the result equals
+        ``IndexData(definition, table)`` array for array.  Keys must be
+        NaN-free, as ``<=`` orders a NaN differently from a sort.
+        """
+        first = self.entry_count
+        tails = [table.column(c)[first:] for c in self.definition.columns]
+        order = np.lexsort(tuple(reversed(tails)))
+        tails = [tail[order] for tail in tails]
+        slots = _upper_bounds(self.key_columns, tails)
+        # Sorted entry j lands behind the slots[j] old entries before
+        # it and the j new ones.
+        positions = slots + np.arange(len(order))
+        total = first + len(order)
+        kept = np.ones(total, dtype=bool)
+        kept[positions] = False
+
+        def splice(old, new):
+            out = np.empty(total, dtype=old.dtype)
+            out[kept] = old
+            out[positions] = new
+            return out
+
+        merged = copy.copy(self)
+        merged._set_entries(
+            table,
+            splice(self.row_ids, first + order.astype(np.int64)),
+            [splice(old, new)
+             for old, new in zip(self.key_columns, tails)],
+        )
+        return merged
 
     def _measure_cluster_factor(self, table):
         """Fraction of a random page I/O charged per row fetched via this index."""

@@ -36,11 +36,15 @@ both modes).
 Consistency: a dictionary is valid exactly as long as its base storage
 array is.  :meth:`DictionaryCache.dictionary` verifies *array
 identity* on every lookup — an entry whose base array is no longer the
-table's current storage array (``append_rows`` concatenates into a new
-array; a rebuilt view is a new ``Table``) is rebuilt, never served.
+table's current storage array (a reloaded table; a rebuilt view is a
+new ``Table``) is rebuilt, never served.  ``append_rows`` concatenates
+into new arrays too, but ``Database.insert_rows`` appends through
+:meth:`DictionaryCache.append_rows`, which *extends* the table's live
+dictionaries by the appended rows (:meth:`ColumnDictionary.extended`)
+instead of letting them go stale.
 :meth:`DictionaryCache.invalidate`, called from
 ``Database.invalidate_caches`` on every state transition, sweeps out
-entries that fail that identity check; entries for untouched base
+entries that fail the identity check; entries for untouched base
 tables survive, which is what lets one dictionary serve workload
 generation, every query, and every index build across configuration
 changes.
@@ -90,13 +94,58 @@ class ColumnDictionary:
     )
 
     def __init__(self, values):
-        self.base = np.asarray(values)
-        self.values, self.counts = np.unique(self.base, return_counts=True)
-        self._codes = None
+        base = np.asarray(values)
+        self._set(base, *np.unique(base, return_counts=True))
+
+    def _set(self, base, values, counts, codes=None):
+        self.base = base
+        self.values = values
+        self.counts = counts
+        self._codes = codes
         self._argsort = None
         self._freq_order = None
         self._freq_counts_f64 = None
         self._freq_histogram = None
+
+    def extended(self, base):
+        """The dictionary of ``base``, an array that continues this
+        dictionary's base column with appended rows.
+
+        Only the tail is sorted (``np.unique`` of the new rows); its
+        unseen values are spliced into ``values``, its counts added,
+        and the dense codes — when this dictionary has them — remapped
+        through a monotone shift table and continued with the tail's.
+        Equal to ``ColumnDictionary(base)`` in ``values``, ``counts``
+        and ``codes``; the column must be NaN-free (``np.unique``
+        merges NaNs, ``==`` does not find them again).
+        """
+        tail_values, tail_codes, tail_counts = np.unique(
+            base[len(self.base):], return_inverse=True, return_counts=True
+        )
+        known = len(self.values)
+        slots, seen = self.find(tail_values)
+        unseen = ~seen
+        values = np.insert(self.values, slots[unseen], tail_values[unseen])
+        # Old entry i moves up by the number of unseen values spliced
+        # in at or before it.
+        moved = np.arange(known) + np.cumsum(
+            np.bincount(slots[unseen], minlength=known + 1)
+        )[:known]
+        # np.insert puts the j-th unseen value at slots + j.
+        tail_slots = np.empty(len(tail_values), dtype=np.int64)
+        tail_slots[unseen] = slots[unseen] + np.arange(unseen.sum())
+        tail_slots[seen] = moved[slots[seen]]
+        counts = np.zeros(len(values), dtype=self.counts.dtype)
+        counts[moved] = self.counts
+        counts[tail_slots] += tail_counts
+        codes = None
+        if self._codes is not None:
+            codes = np.empty(len(base), dtype=np.int64)
+            np.take(moved, self._codes, out=codes[:len(self.base)])
+            codes[len(self.base):] = tail_slots[tail_codes]
+        grown = ColumnDictionary.__new__(ColumnDictionary)
+        grown._set(base, values, counts, codes)
+        return grown
 
     @property
     def n_distinct(self):
@@ -135,6 +184,16 @@ class ColumnDictionary:
                 self.codes, kind="stable"
             ).astype(np.int64)
         return self._argsort
+
+    def find(self, values):
+        """``(slots, found)``: where each of ``values`` sorts into the
+        dictionary (``searchsorted``), and whether it is the entry
+        there.  Unlike :meth:`encode`, ``values`` may hold anything."""
+        slots = np.searchsorted(self.values, values)
+        found = np.zeros(len(values), dtype=bool)
+        inside = slots < len(self.values)
+        found[inside] = self.values[slots[inside]] == values[inside]
+        return slots, found
 
     def encode(self, values):
         """Dictionary codes of ``values`` (must be drawn from the base column).
@@ -214,8 +273,8 @@ class DictionaryCache:
 
     Entries are keyed by ``(table name, column name)`` and validated by
     base-array identity on every access, so a stale entry (the table
-    was reloaded, rows were appended, a view was rebuilt under the same
-    name) can never be served.  Owned by
+    was reloaded, rows were appended behind the cache's back, a
+    view was rebuilt under the same name) can never be served.  Owned by
     :class:`~repro.engine.database.Database`;
     :meth:`invalidate` is wired into ``Database.invalidate_caches`` so
     the INV001 lint contract (every mutator reaches the invalidator)
@@ -264,6 +323,35 @@ class DictionaryCache:
         with self._lock:
             self._entries[key] = (table, dictionary)
         return dictionary
+
+    def append_rows(self, table, columns):
+        """``table.append_rows(columns)``, carrying the table's
+        dictionaries across; returns the number of rows appended.
+
+        ``Table.append_rows`` concatenates into new arrays, which on
+        its own orphans every entry of the table.  Each entry that is
+        live before the append is instead replaced by its
+        :meth:`ColumnDictionary.extended` over the new array — one
+        column at a time, so that old and new codes of only one column
+        coexist.  Later lookups validate the new entries by identity
+        like any other.
+        """
+        with self._lock:
+            live = [
+                (key, entry[1]) for key, entry in self._entries.items()
+                if key[0] == table.name
+                and entry[1].base is table.column(key[1])
+            ]
+        appended = table.append_rows(columns)
+        while live:
+            # Popped, not iterated: the list must not keep the old
+            # dictionaries (their base arrays and codes) alive.
+            key, dictionary = live.pop()
+            grown = dictionary.extended(table.column(key[1]))
+            obs.counter_add("encoding.dict_extends")
+            with self._lock:
+                self._entries[key] = (table, grown)
+        return appended
 
     def handle(self, table, column):
         """A lazy :class:`ColumnHandle` for a batch column."""
@@ -336,8 +424,9 @@ class DictionaryCache:
         transition.  Unlike the plan/environment caches — whose entries
         depend on configuration state — a dictionary depends only on
         its base array, so entries that still pass the identity check
-        (the table's data did not change) are kept; everything else
-        (reloaded tables, appended rows, rebuilt views) is dropped.
+        (the table's data did not change, or :meth:`append_rows`
+        extended them) are kept; everything else (reloaded tables,
+        rebuilt views, memoized sort orders of a grown table) is dropped.
         Access-time identity validation in :meth:`dictionary` makes
         this sweep a garbage collection, not a correctness requirement.
         """

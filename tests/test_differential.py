@@ -5,12 +5,16 @@ city schema; each is evaluated by a dictionary-based reference
 implementation and by the engine under the P and 1C configurations and
 under 1C plus two materialized views (so view scans, batch weights and
 selection vectors over view tables are checked too).  All four answers
-must agree exactly.
+must agree exactly.  A second database takes a seeded insert batch under
+1C first — its dictionaries and index entries are carried across the
+append, not rebuilt — and must then agree with the reference evaluated
+over the grown tables.
 """
 
 import collections
 import itertools
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -58,8 +62,8 @@ JOINABLE = {
 }
 
 
-def _rows(table):
-    data = DB.table(table)
+def _rows(table, db=None):
+    data = (db or DB).table(table)
     names = data.column_names()
     return [
         dict(zip(names, values))
@@ -70,18 +74,16 @@ def _rows(table):
 REFERENCE_ROWS = {name: _rows(name) for name in TABLES}
 
 
-def reference_eval(spec):
+def reference_eval(spec, rows=REFERENCE_ROWS):
     """Naive nested-loop evaluation of a generated query spec."""
     tables = spec["tables"]              # [(alias, table)]
-    row_sets = [REFERENCE_ROWS[t] for _, t in tables]
+    row_sets = [rows[t] for _, t in tables]
     aliases = [a for a, _ in tables]
 
     allowed = {}
     for alias, column, op, threshold in spec["semis"]:
         table = dict(tables)[alias]
-        freq = collections.Counter(
-            row[column] for row in REFERENCE_ROWS[table]
-        )
+        freq = collections.Counter(row[column] for row in rows[table])
         allowed[(alias, column)] = {
             v for v, f in freq.items() if _cmp(f, op, threshold)
         }
@@ -216,6 +218,55 @@ def test_property_engine_matches_reference(spec):
     DB.apply_configuration(ONE_C_VIEWS)
     v_result = DB.execute(sql)
     assert sorted(v_result.rows()) == expected, sql
+
+
+def _grown_database():
+    """A copy of ``DB`` under 1C that ran queries — so dictionaries,
+    their codes and every cache are warm — and then took an insert
+    batch: new and known values, some sorting before and after every
+    existing one, and uids that change which HAVING thresholds pass."""
+    db = load_city_database(n_users=120, n_orders=700, seed=21)
+    db.apply_configuration(ONE_C)
+    for sql in (
+        "SELECT t0.city, COUNT(*) FROM users t0, orders t1 "
+        "WHERE t0.uid = t1.uid AND t1.uid IN (SELECT uid FROM orders "
+        "GROUP BY uid HAVING COUNT(*) < 6) GROUP BY t0.city",
+        "SELECT t0.amount, COUNT(*) FROM orders t0 WHERE t0.city IN "
+        "(SELECT city FROM orders GROUP BY city HAVING COUNT(*) > 3) "
+        "GROUP BY t0.amount",
+    ):
+        db.execute(sql)
+    rng = np.random.default_rng(44)
+    size = 40
+    cities = np.array(["aaa", "tor", "mtl", "zzz"], dtype=object)
+    db.insert_rows("orders", {
+        "oid": np.arange(10_000, 10_000 + size),
+        "uid": rng.integers(0, 130, size),
+        "city": rng.choice(cities, size),
+        "amount": rng.integers(-5, 160, size),
+    })
+    db.insert_rows("users", {
+        "uid": np.arange(120, 126),
+        "city": rng.choice(cities, 6),
+        "age": rng.integers(1, 99, 6),
+    })
+    return db
+
+
+GROWN = _grown_database()
+GROWN_ROWS = {name: _rows(name, GROWN) for name in TABLES}
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=query_specs())
+def test_property_engine_matches_reference_after_insert(spec):
+    sql = to_sql(spec)
+    result = GROWN.execute(sql)
+    assert sorted(result.rows()) == reference_eval(spec, GROWN_ROWS), sql
 
 
 def test_view_configuration_reaches_both_views():

@@ -6,6 +6,7 @@ from conftest import load_city_database
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.index.data import IndexData
 from repro.index.definition import IndexDefinition
 from repro.storage.encoding import (
@@ -262,3 +263,105 @@ def test_database_invalidation_drops_stale_dictionaries(city_db):
     d2 = city_db.column_dictionary("orders", "amount")
     assert d2 is not d1
     assert d2.row_count == d1.row_count + 1
+
+
+# ----------------------------------------------------------------------
+# Dictionaries carried across append_rows
+
+VALUE_DOMAINS = {
+    "int": ([-(10 ** 6), -1, 0, 1, 2, 3, 10 ** 6], np.int64),
+    "float": ([-1e9, -0.5, 0.0, 0.25, 0.5, 2.0, 1e9], np.float64),
+    "str": (["", "a", "ab", "b", "m", "zz", "zzzz"], object),
+}
+
+
+def assert_same_dictionary(got, want, names=("values", "counts", "codes")):
+    for name in names:
+        have, expected = getattr(got, name), getattr(want, name)
+        assert have.dtype == expected.dtype, name
+        assert have.tolist() == expected.tolist(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(VALUE_DOMAINS)),
+    picks=st.lists(
+        st.lists(st.integers(0, 6), min_size=0, max_size=15),
+        min_size=1, max_size=5,
+    ),
+    with_codes=st.booleans(),
+)
+def test_property_extended_dictionary_equals_rebuild(kind, picks, with_codes):
+    """0-4 successive tails — empty, all-new, all-known, sorting before or
+    after every known value — extend to what np.unique would build."""
+    domain, dtype = VALUE_DOMAINS[kind]
+    domain = np.array(domain, dtype=dtype)
+    base = domain[np.array(picks[0], dtype=np.int64)]
+    dictionary = ColumnDictionary(base)
+    if with_codes:
+        dictionary.codes
+    for tail in picks[1:]:
+        base = np.concatenate([base, domain[np.array(tail, dtype=np.int64)]])
+        grown = dictionary.extended(base)
+        assert grown is not dictionary and grown.base is base
+        # Codes are carried when there are any, and stay lazy otherwise.
+        assert (grown._codes is not None) == with_codes
+        assert_same_dictionary(
+            grown, ColumnDictionary(base),
+            ("values", "counts", "codes") if with_codes
+            else ("values", "counts"),
+        )
+        dictionary = grown
+    assert_same_dictionary(dictionary, ColumnDictionary(base))
+
+
+def test_insert_rows_carries_dictionaries_without_a_miss(city_db):
+    orders = city_db.table("orders")
+    held = {
+        column: city_db.column_dictionary("orders", column)
+        for column in ("uid", "city", "amount")
+    }
+    held["uid"].codes
+    stale_order = city_db._dict_cache.lexsort(orders, ("city", "uid"))
+    misses = city_db.cache_stats()["dict_cache"]["misses"]
+    cached = sum(
+        1 for table, _ in city_db._dict_cache._entries if table == "orders"
+    )
+    assert cached >= len(held)
+    with obs.recording(obs.TraceRecorder()) as recorder:
+        city_db.insert_rows(
+            "orders",
+            {"oid": [90_000, 90_001], "uid": [10 ** 6, 1],
+             "city": ["aaa", "tor"], "amount": [55, 55]},
+        )
+    counters = recorder.metrics.snapshot()["counters"]
+    assert counters["encoding.dict_extends"] == cached
+    assert "encoding.dict_builds" not in counters
+    for column, old in held.items():
+        carried = city_db.column_dictionary("orders", column)
+        assert carried is not old
+        assert carried.base is orders.column(column)
+        assert old.row_count == carried.row_count - 2
+        assert_same_dictionary(
+            carried, ColumnDictionary(orders.column(column))
+        )
+    assert city_db.cache_stats()["dict_cache"]["misses"] == misses
+    # Memoized sort orders are not carried; they rebuild on demand.
+    fresh = city_db._dict_cache.lexsort(orders, ("city", "uid"))
+    assert fresh is not stale_order
+    assert fresh.tolist() == np.lexsort(
+        (orders.column("uid"), orders.column("city"))
+    ).tolist()
+
+
+def test_append_through_the_cache_skips_entries_already_stale(city_db):
+    cache = DictionaryCache()
+    users = city_db.table("users")
+    stale = cache.dictionary(users, "city")
+    row = {"uid": [10_000], "city": ["yyz"], "age": [40]}
+    users.append_rows(row)          # behind the cache's back
+    assert cache.append_rows(users, row) == 1
+    assert cache._entries[("users", "city")][1] is stale
+    rebuilt = cache.dictionary(users, "city")
+    assert rebuilt.row_count == stale.row_count + 2
+    assert cache.stats.misses == 2

@@ -12,8 +12,12 @@ from repro.engine.configuration import (
     one_column_configuration,
     primary_configuration,
 )
-
-
+from repro.executor.batch import Batch
+from repro.executor.engine import Executor, VirtualClock, _member_flags
+from repro.executor.subplan import SubplanCache
+from repro.optimizer.plans import SemiFilter, SemiSource
+from repro.sql.binder import SemiJoin
+from repro.storage.encoding import DictionaryCache
 
 
 def rows_sorted(result):
@@ -121,6 +125,90 @@ def test_semijoin_membership(city_db):
         if freq[u] < 4
     )
     assert rows_sorted(result) == sorted(counter.items())
+
+
+def semi_filter(key, sub_table, sub_column, op, value):
+    semi = SemiJoin(None, sub_table, sub_column, op, value)
+    return SemiFilter(key, SemiSource(semi=semi, via="scan"))
+
+
+def allowed_values(db, sub_table, sub_column, op, value):
+    values, counts = np.unique(
+        db.table(sub_table).column(sub_column), return_counts=True
+    )
+    keep = {"<": counts < value, ">": counts > value}[op]
+    return values[keep]
+
+
+@pytest.mark.parametrize("column, sub_table, sub_column, op, value", [
+    ("uid", "orders", "uid", "<", 4),      # the column's own dictionary
+    ("city", "orders", "city", ">", 0),    # ... every entry allowed
+    ("uid", "users", "uid", "<", 2),       # another column's dictionary
+    ("amount", "users", "age", "<", 9),    # domains that only overlap
+    ("city", "users", "city", ">", 10 ** 6),   # nothing allowed
+])
+def test_semijoin_filters_on_codes_like_isin(
+    city_db, column, sub_table, sub_column, op, value
+):
+    """Membership through dictionary codes keeps the rows np.isin keeps:
+    on the full column, behind a selection vector, after a gather, with
+    and without carried codes, and on a batch without a dictionary."""
+    orders = city_db.table("orders")
+    key = f"o.{column}"
+    semi = semi_filter(key, sub_table, sub_column, op, value)
+    allowed = allowed_values(city_db, sub_table, sub_column, op, value)
+    picked = np.arange(0, orders.row_count, 3)[::-1]
+
+    def surviving(batch):
+        executor = Executor(
+            city_db.tables, city_db.system.hardware,
+            encodings=cache, subplans=SubplanCache(),
+        )
+        out = executor._apply_semis(batch, [semi], VirtualClock())
+        return out.column(key).tolist()
+
+    # The last two batches carry no dictionary for the key (a view
+    # column; the dictionary cache switched off): the np.isin fallback.
+    for cache, encoded in (
+        (DictionaryCache(), True), (DictionaryCache(), False), (None, False)
+    ):
+        encodings = {key: cache.handle(orders, column)} if encoded else {}
+        for carry in (False, True):
+            codes = {}
+            if carry and encoded:
+                codes = {key: cache.dictionary(orders, column).codes}
+            full = Batch(
+                columns={key: orders.column(column)}, widths={key: 8},
+                encodings=encodings, codes=codes,
+            )
+            values = orders.column(column)
+            assert surviving(full) == values[
+                np.isin(values, allowed)
+            ].tolist()
+            values = values[picked]
+            want = values[np.isin(values, allowed)].tolist()
+            assert surviving(full.take(picked)) == want
+            gathered = full.take(picked)
+            gathered.column(key)
+            assert surviving(gathered) == want
+    assert len(allowed) or value == 10 ** 6
+
+
+def test_semijoin_on_value_missing_from_the_dictionary(city_db):
+    """Allowed values the filtered column never holds — sorting before,
+    between and after its entries — select nothing and break nothing."""
+    dictionary = DictionaryCache().dictionary(
+        city_db.table("users"), "city"
+    )
+    values = np.array(["aaa", "mtl", "nnn", "tor", "zzz"], dtype=object)
+    keep = np.array([True, True, True, False, True])
+    flags = _member_flags(dictionary, values, keep)
+    assert dictionary.values[flags].tolist() == ["mtl"]
+    none = _member_flags(dictionary, values, np.zeros(5, dtype=bool))
+    assert not none.any() and len(none) == dictionary.n_distinct
+    # Its own values: the HAVING mask is the flag array.
+    own = dictionary.counts > 0
+    assert _member_flags(dictionary, dictionary.values, own) is own
 
 
 def test_self_join(city_db):

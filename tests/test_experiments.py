@@ -93,6 +93,33 @@ def test_section_4_4(ctx):
     )
 
 
+def test_section_4_4_leaves_the_database_as_it_found_it():
+    """The probe inserts go into the context's shared database; whatever
+    runs next must still measure the database the settings describe."""
+    settings = BenchSettings(scale=0.04, workload_size=8, timeout=1800.0)
+
+    def table_1_rows(context):
+        reports = [
+            context.build_report("A", "nref", "1C"),
+            context.build_report("A", "nref", "R:NREF2J", family="NREF2J"),
+        ]
+        return [(r.total_bytes, r.build_seconds) for r in reports]
+
+    alone = table_1_rows(BenchContext(settings))
+    context = BenchContext(settings)
+    db = context.database("A", "nref")
+    rows = {name: table.row_count for name, table in db.tables.items()}
+    proteins = db.table("neighboring_seq").column("nref_id_1").copy()
+    experiments.section_4_4(context, batches=(1000,))
+    assert {
+        name: table.row_count for name, table in db.tables.items()
+    } == rows
+    assert (db.table("neighboring_seq").column("nref_id_1") == proteins).all()
+    for data in db._built.index_data.values():
+        assert data.entry_count == rows[data.definition.table]
+    assert table_1_rows(context) == alone
+
+
 def test_registry_covers_every_artifact():
     expected = {
         "fig1-2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",

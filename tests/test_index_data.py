@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ColumnDef, TableSchema, float_, integer, obs, varchar
+from repro.engine import database as engine_database
 from repro.index.data import IndexData, gather_ranges
 from repro.index.definition import (
     IndexDefinition,
     estimate_index_size,
     heap_fetch_pages,
 )
+from repro.storage.table import Table
 
 
 def make_index(city_db, table, columns):
@@ -133,3 +136,107 @@ def test_property_gather_ranges(data, probes):
         expected_ranges.extend([i] * (hi - lo))
     assert got_values.tolist() == expected_values
     assert got_ranges.tolist() == expected_ranges
+
+
+# ----------------------------------------------------------------------
+# IndexData.append: merging a batch equals rebuilding
+
+KEYED = TableSchema(
+    "keyed",
+    [
+        ColumnDef("i", integer(), "i"),
+        ColumnDef("f", float_(), "f"),
+        ColumnDef("s", varchar(4), "s"),
+    ],
+    primary_key=("i",),
+)
+
+# Small domains force heavy duplicates; the extremes sort before and
+# after everything a batch of mid values holds.
+INTS = st.sampled_from([-(10 ** 6), -1, 0, 1, 2, 3, 10 ** 6])
+FLOATS = st.sampled_from([-1e9, -0.5, 0.0, 0.25, 0.5, 2.0, 1e9])
+STRINGS = st.sampled_from(["", "a", "ab", "b", "m", "zz", "zzzz"])
+ROW = st.tuples(INTS, FLOATS, STRINGS)
+
+
+def keyed_columns(rows):
+    return {
+        "i": [r[0] for r in rows],
+        "f": [r[1] for r in rows],
+        "s": np.array([r[2] for r in rows], dtype=object),
+    }
+
+
+def assert_same_index(got, want):
+    assert got.row_ids.dtype == want.row_ids.dtype
+    assert got.row_ids.tolist() == want.row_ids.tolist()
+    assert len(got.key_columns) == len(want.key_columns)
+    for have, expected in zip(got.key_columns, want.key_columns):
+        assert have.dtype == expected.dtype
+        assert have.tolist() == expected.tolist()
+    assert got.entry_count == want.entry_count
+    assert got.size == want.size
+    assert got.cluster_factor == want.cluster_factor
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    initial=st.lists(ROW, min_size=0, max_size=40),
+    batches=st.lists(st.lists(ROW, min_size=0, max_size=12), max_size=4),
+    key=st.permutations(["i", "f", "s"]).flatmap(
+        lambda names: st.integers(1, 3).map(lambda n: tuple(names[:n]))
+    ),
+)
+def test_property_append_equals_rebuild(initial, batches, key):
+    table = Table(KEYED, keyed_columns(initial))
+    definition = IndexDefinition(table="keyed", columns=key)
+    index = IndexData(definition, table, overhead_factor=1.3)
+    for batch in batches:
+        table.append_rows(keyed_columns(batch))
+        before = index.row_ids
+        merged = index.append(table)
+        # The old index is a snapshot: appending leaves it alone.
+        assert merged is not index and index.row_ids is before
+        index = merged
+        assert_same_index(
+            index, IndexData(definition, table, overhead_factor=1.3)
+        )
+    tree = index.tree()
+    tree.check_invariants()
+    assert len(tree) == index.entry_count
+    for row in initial[:3] + [r for batch in batches for r in batch[:2]]:
+        probe = tuple(row["ifs".index(name)] for name in key)
+        assert sorted(tree.search(probe)) == sorted(
+            index.lookup_eq(probe).tolist()
+        )
+
+
+def test_insert_rows_merges_instead_of_rebuilding(city_db_1c, monkeypatch):
+    """Database.insert_rows swaps in merged entries — IndexData is never
+    constructed — and they equal a from-scratch build."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("insert_rows rebuilt an index")
+
+    held = dict(city_db_1c._built.index_data)
+    monkeypatch.setattr(engine_database, "IndexData", refuse)
+    with obs.recording(obs.TraceRecorder()) as recorder:
+        city_db_1c.insert_rows(
+            "orders",
+            {"oid": [90_000, 90_001], "uid": [3, 499],
+             "city": ["aaa", "tor"], "amount": [1, 1000]},
+        )
+    monkeypatch.undo()
+    orders = city_db_1c.table("orders")
+    on_orders = [
+        ix for ix in city_db_1c.configuration.indexes if ix.table == "orders"
+    ]
+    counters = recorder.metrics.snapshot()["counters"]
+    assert counters["engine.index_entries_merged"] == 2 * len(on_orders)
+    for ix in on_orders:
+        merged = city_db_1c._built.index_data[ix.name]
+        assert merged is not held[ix.name]
+        assert held[ix.name].entry_count == orders.row_count - 2
+        assert_same_index(
+            merged,
+            IndexData(ix, orders, city_db_1c.system.index_overhead),
+        )
