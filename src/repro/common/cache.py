@@ -1,9 +1,18 @@
 """Bounded, thread-safe caches and their hit/miss accounting.
 
-:class:`BoundedCache` is the primitive behind the database's plan and
-environment caches: an LRU dict with a hard entry bound, a lock (so a
+:class:`BoundedCache` is the one cache primitive of a database — plans,
+environments, what-if costs, bound queries, subplan results and fused
+filter kernels all live in instances of it: an LRU dict with a hard
+entry bound, a lock (so a
 :class:`~repro.runtime.session.MeasurementSession` worker pool can share
 one database), and counters that the session's ``stats()`` report reads.
+
+An entry may be tied to the storage arrays it was computed from
+(``backing=``): it is then served only while every one of those arrays
+is — by identity — still the live one.  ``append_rows`` and reloads
+build new arrays and a rebuilt view or index is a new object graph, so
+an entry derived from replaced data can never be served, whether or not
+an invalidation reached the cache first.
 
 Every cache additionally feeds the observability layer
 (:mod:`repro.obs`): each hit/miss/eviction/invalidation increments a
@@ -20,6 +29,21 @@ from dataclasses import dataclass
 from ..obs import counter_add as _obs_count
 
 _MISSING = object()
+
+
+class _Backed:
+    """A cached value plus the arrays it is valid for."""
+
+    __slots__ = ("backing", "value")
+
+    def __init__(self, backing, value):
+        self.backing = tuple(backing)
+        self.value = value
+
+    def live(self, backing):
+        return backing is not None \
+            and len(self.backing) == len(backing) \
+            and all(a is b for a, b in zip(self.backing, backing))
 
 
 @dataclass
@@ -95,12 +119,15 @@ class BoundedCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key, default=None):
+    def get(self, key, default=None, backing=None):
         """Look up ``key``, counting a hit or a miss.
 
         Args:
             key: any hashable key.
             default: value to return on a miss.
+            backing: the live storage arrays of an identity-validated
+                entry (see :meth:`put`); an entry stored for other
+                arrays is a miss.
 
         Returns:
             The cached value (refreshing its LRU position) or
@@ -108,6 +135,8 @@ class BoundedCache:
         """
         with self._lock:
             value = self._entries.get(key, _MISSING)
+            if type(value) is _Backed:
+                value = value.value if value.live(backing) else _MISSING
             if value is _MISSING:
                 self.stats.misses += 1
             else:
@@ -138,13 +167,18 @@ class BoundedCache:
         with self._lock:
             return self._entries.get(key, default)
 
-    def put(self, key, value):
+    def put(self, key, value, backing=None):
         """Insert or refresh ``key``, evicting LRU entries over the bound.
 
         Args:
             key: any hashable key.
             value: the value to cache (stored as-is, never copied).
+            backing: tuple of the storage arrays ``value`` was derived
+                from; the entry is then only served to a :meth:`get`
+                passing the identical (``is``) arrays.
         """
+        if backing is not None:
+            value = _Backed(backing, value)
         evicted = 0
         with self._lock:
             if key in self._entries:
@@ -157,7 +191,7 @@ class BoundedCache:
         if evicted:
             _obs_count(self._metric_evictions, evicted)
 
-    def get_or_build(self, key, builder):
+    def get_or_build(self, key, builder, backing=None):
         """Cached value for ``key``, computing it via ``builder()`` on miss.
 
         The builder runs *outside* the lock: two racing threads may both
@@ -167,14 +201,16 @@ class BoundedCache:
         Args:
             key: any hashable key.
             builder: zero-argument callable producing the value.
+            backing: storage arrays validating the entry by identity
+                (see :meth:`put`).
 
         Returns:
             The cached or freshly built value.
         """
-        value = self.get(key, _MISSING)
+        value = self.get(key, _MISSING, backing)
         if value is _MISSING:
             value = builder()
-            self.put(key, value)
+            self.put(key, value, backing)
         return value
 
     def invalidate(self):

@@ -1,10 +1,10 @@
 """The ``REPRO_*`` environment-knob registry — the one place the
 environment enters the system.
 
-Every behavioural environment variable of the reproduction (cache
-switches, pool widths, server limits, bench scale) is
+Every behavioural environment variable of the reproduction (pool
+widths, server limits, bench scale) is
 *declared* here with its type, default, and one-line contract, and every
-read of one goes through :func:`text` / :func:`flag` — never through a
+read of one goes through :func:`text` — never through a
 bare ``os.environ`` lookup.  The lint rule ``KNB001`` machine-checks the
 contract project-wide: a ``REPRO_*`` read outside this module, a knob
 referenced but not registered, a registered knob without a row in
@@ -12,7 +12,7 @@ referenced but not registered, a registered knob without a row in
 The registry is what makes "which knobs exist and what do they do"
 answerable from one file instead of a grep.
 
-Knob *semantics* (clamping, error messages, on/off vocabularies) stay
+Knob *semantics* (clamping, error messages) stay
 with their owning modules — ``repro.runtime.session`` still decides
 that a jobs count below one clamps to one — so registering a knob
 changes no behaviour; it only centralizes the environment access and
@@ -22,19 +22,12 @@ the declaration.  See "Registering a knob" in ``docs/static-analysis.md``.
 import os
 from dataclasses import dataclass
 
-#: Values that turn a boolean knob off (case-insensitive); anything
-#: else, including the empty string and absence, leaves it at its
-#: declared default.  Shared by every flag knob so the vocabulary
-#: cannot drift between caches.
-FLAG_DISABLED = frozenset({"0", "false", "no", "off"})
-
-
 @dataclass(frozen=True)
 class Knob:
     """One registered environment knob."""
 
     name: str           #: the ``REPRO_*`` environment variable
-    kind: str           #: ``flag`` | ``int`` | ``float`` | ``str``
+    kind: str           #: ``int`` | ``float`` | ``str``
     default: object     #: value used when the variable is unset
     description: str    #: one-line contract (mirrored in docs/cli.md)
 
@@ -113,24 +106,6 @@ def text(name, default=None):
     return default if raw is None else raw
 
 
-def flag(name, override=None):
-    """A boolean knob: ``override`` wins, else the environment decides.
-
-    The off-vocabulary is :data:`FLAG_DISABLED`; unset means the knob's
-    declared default.
-
-    Raises:
-        KeyError: the knob was never registered.
-    """
-    if override is not None:
-        return bool(override)
-    knob = _REGISTRY[name]
-    raw = os.environ.get(knob.name)
-    if raw is None:
-        return bool(knob.default)
-    return raw.strip().lower() not in FLAG_DISABLED
-
-
 # ----------------------------------------------------------------------
 # The declarations.  One block per subsystem, mirroring the environment
 # table in docs/cli.md (KNB001 cross-checks name-for-name).
@@ -162,27 +137,6 @@ register(
 register(
     "REPRO_ABLATION_WORKLOAD", "int", 25,
     "reduced workload size for the ablation studies",
-)
-
-# Caches (all byte-identical on/off — the repo's core contract)
-register(
-    "REPRO_WHATIF_CACHE", "flag", True,
-    "what-if cost service memoization (off = serial per-candidate loop)",
-)
-register(
-    "REPRO_DICT_CACHE", "flag", True,
-    "per-database column-dictionary cache (off = per-consumer "
-    "np.unique/np.lexsort)",
-)
-register(
-    "REPRO_PLAN_TEMPLATES", "flag", True,
-    "cross-query bind/plan template caches (off = per-query "
-    "parse/bind/enumerate)",
-)
-register(
-    "REPRO_SUBPLAN_CACHE", "flag", True,
-    "cross-query subplan cache: semijoin pairs, filter masks, join "
-    "domains (off = recompute per query)",
 )
 
 # Tuning server (python -m repro.server flag fallbacks)

@@ -12,8 +12,8 @@ the paper's framework:
 plus ``apply_configuration`` (the transition whose cost/size Table 1
 reports) and the insert path of Section 4.4.
 
-Planning is memoized through two fingerprint-keyed caches from the
-runtime layer (:mod:`repro.runtime`):
+Planning is memoized through fingerprint-keyed
+:class:`~repro.common.cache.BoundedCache` instances:
 
 * a **plan/estimate cache** keyed by
   ``(sql, config_fingerprint, hypothetical_fingerprint, flags)`` — so
@@ -27,12 +27,14 @@ runtime layer (:mod:`repro.runtime`):
   by the fingerprint of the *relevant subset* of hypothetical
   structures, plus memoized what-if configuration sizes.
 
-All three are explicitly invalidated by every state transition that can
-change a plan or a cost: :meth:`Database.apply_configuration`,
+All three — and the executor's dictionary, subplan and kernel caches —
+sit in one registry (:meth:`Database._init_caches`) that
+:meth:`Database.invalidate_caches` walks on every state transition that
+can change a plan or a cost: :meth:`Database.apply_configuration`,
 :meth:`Database.insert_rows`, :meth:`Database.collect_statistics`, and
-:meth:`Database.load_table`.  Parse+bind results are memoized separately
-(they depend only on the catalog) so front-end work survives those
-invalidations.
+:meth:`Database.load_table`.  Parse+bind results are registered in a
+second group (they depend only on the catalog) so front-end work
+survives those invalidations.
 
 What-if environments additionally support an *incremental* build: when
 a trial configuration extends a configuration whose environment is
@@ -47,33 +49,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..runtime.cache import BoundedCache, CacheStats
-
+from ..common.cache import BoundedCache
 from ..common.errors import CatalogError, QueryTimeout
 from ..executor.engine import Executor
-from ..executor.kernels import KernelCache
-from ..executor.subplan import SubplanCache, subplan_cache_enabled
+from ..executor.kernels import MAX_KERNELS
+from ..executor.subplan import SubplanCache
 from ..index.data import IndexData
 from ..index.definition import estimate_index_size
 from ..optimizer import cost_model as cm
 from ..optimizer.environment import IndexInfo, PlannerEnv, ViewInfo
 from ..optimizer.estimator import Estimator
 from ..optimizer.planner import Planner
-from ..optimizer.templates import (
-    PlanTemplate,
-    TemplatePlanner,
-    template_key,
-    templates_enabled,
-)
 from ..sql.binder import Binder, BoundQuery
 from ..sql.parser import parse
-from ..sql.templates import BindTemplates
 from ..stats.table_stats import StatisticsCatalog, TableStats
-from ..storage.encoding import (
-    ColumnDictionary,
-    DictionaryCache,
-    dict_cache_enabled,
-)
+from ..storage.encoding import DictionaryCache
 from ..storage.table import Table
 from ..views.matview import build_view
 from .configuration import (
@@ -133,7 +123,7 @@ class Database:
     PLAN_CACHE_SIZE = 8192
     ENV_CACHE_SIZE = 128
     WHATIF_CACHE_SIZE = 65536
-    TEMPLATE_CACHE_SIZE = 4096
+    BIND_CACHE_SIZE = 8192
 
     def __init__(self, catalog, system, name="db"):
         self.catalog = catalog
@@ -143,31 +133,43 @@ class Database:
         self.statistics = StatisticsCatalog()
         self._view_stats = StatisticsCatalog()
         self._built = None
-        self._bound_cache = {}
         self._view_size_cache = {}
-        self._init_runtime_caches()
+        self._init_caches()
 
-    def _init_runtime_caches(self):
-        self._plan_cache = BoundedCache("plan_cache", self.PLAN_CACHE_SIZE)
-        self._env_cache = BoundedCache("env_cache", self.ENV_CACHE_SIZE)
-        self._whatif_cache = BoundedCache(
-            "whatif_cache", self.WHATIF_CACHE_SIZE
-        )
-        self._dict_cache = DictionaryCache()
-        self._bind_stats = CacheStats("bind_cache")
-        # Cross-query optimization state (REPRO_PLAN_TEMPLATES /
-        # REPRO_SUBPLAN_CACHE): plan templates keyed by (environment
-        # token, structural template key), bind templates keyed by SQL
-        # skeleton, and shared subplan results handed to every executor.
-        self._template_cache = BoundedCache(
-            "template_cache", self.TEMPLATE_CACHE_SIZE
-        )
-        self._bind_templates = BindTemplates(self.catalog)
-        self._subplan_cache = SubplanCache()
-        # Fused-predicate kernels: compiled conjunctive filter
-        # callables shared by every executor of this database.
-        self._kernel_cache = KernelCache()
+    def _init_caches(self):
+        """The registry of this database's caches, by reported name.
+
+        ``derived`` entries depend on data, statistics or the built
+        configuration and are dropped by :meth:`invalidate_caches`;
+        ``catalog`` entries (bound queries) depend on the catalog only,
+        survive that, and are dropped by :meth:`load_table` alone.
+        """
+        self._caches = {
+            "derived": {
+                "plan_cache": BoundedCache(
+                    "plan_cache", self.PLAN_CACHE_SIZE
+                ),
+                "env_cache": BoundedCache("env_cache", self.ENV_CACHE_SIZE),
+                "whatif_cache": BoundedCache(
+                    "whatif_cache", self.WHATIF_CACHE_SIZE
+                ),
+                # The executor's three, shared by every executor of
+                # this database: column dictionaries, subplan results,
+                # fused filter kernels.
+                "dict_cache": DictionaryCache(),
+                "subplan_cache": SubplanCache(),
+                "kernel_cache": BoundedCache("kernel_cache", MAX_KERNELS),
+            },
+            "catalog": {
+                "bind_cache": BoundedCache(
+                    "bind_cache", self.BIND_CACHE_SIZE
+                ),
+            },
+        }
         self._current_fingerprint = None
+
+    def _cache(self, name):
+        return self._caches["derived"][name]
 
     # ------------------------------------------------------------------
     # Pickling (the artifact store persists built databases to disk):
@@ -175,18 +177,12 @@ class Database:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        for transient in ("_plan_cache", "_env_cache", "_whatif_cache",
-                          "_dict_cache", "_bind_stats",
-                          "_template_cache", "_bind_templates",
-                          "_subplan_cache", "_kernel_cache",
-                          "_current_fingerprint", "_bound_cache"):
-            state.pop(transient, None)
+        del state["_caches"], state["_current_fingerprint"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._bound_cache = {}
-        self._init_runtime_caches()
+        self._init_caches()
 
     # ------------------------------------------------------------------
     # Cache invalidation
@@ -199,13 +195,8 @@ class Database:
         (re)loads, and statistics collection.  Bound queries survive —
         binding depends only on the catalog.
         """
-        self._plan_cache.invalidate()
-        self._env_cache.invalidate()
-        self._whatif_cache.invalidate()
-        self._dict_cache.invalidate()
-        self._template_cache.invalidate()
-        self._subplan_cache.invalidate()
-        self._kernel_cache.invalidate()
+        for cache in self._caches["derived"].values():
+            cache.invalidate()
         self._current_fingerprint = None
 
     @property
@@ -215,41 +206,25 @@ class Database:
         Owned by the database so its entries are dropped by the same
         :meth:`invalidate_caches` path as every other derived result.
         """
-        return self._whatif_cache
+        return self._cache("whatif_cache")
 
     def cache_stats(self):
-        """Hit/miss snapshots of the plan, environment, what-if and bind
-        caches."""
+        """Hit/miss snapshot of every registered cache, by name."""
         return {
-            "plan_cache": self._plan_cache.stats.snapshot(),
-            "env_cache": self._env_cache.stats.snapshot(),
-            "whatif_cache": self._whatif_cache.stats.snapshot(),
-            "dict_cache": self._dict_cache.stats.snapshot(),
-            "bind_cache": self._bind_stats.snapshot(),
-            "template_cache": self._template_cache.stats.snapshot(),
-            "subplan_cache": self._subplan_cache.stats.snapshot(),
-            "kernel_cache": self._kernel_cache.stats.snapshot(),
+            name: cache.stats.snapshot()
+            for group in self._caches.values()
+            for name, cache in group.items()
         }
-
-    def _dict_encodings(self):
-        """The dictionary cache when enabled (``REPRO_DICT_CACHE``), else None.
-
-        Every consumer takes this as its ``encodings`` argument; None
-        routes it to the legacy ``np.unique``/``np.lexsort`` paths.
-        """
-        return self._dict_cache if dict_cache_enabled() else None
 
     def column_dictionary(self, table_name, column):
         """The shared :class:`ColumnDictionary` of a loaded table's column.
 
         This is the entry point the workload generators use for the
-        constant-selection ladders.  With the cache disabled a fresh
-        (uncached) dictionary is built, preserving legacy cost parity.
+        constant-selection ladders.
         """
-        table = self.table(table_name)
-        if dict_cache_enabled():
-            return self._dict_cache.dictionary(table, column)
-        return ColumnDictionary(table.column(column))
+        return self._cache("dict_cache").dictionary(
+            self.table(table_name), column
+        )
 
     # ------------------------------------------------------------------
     # Loading and statistics
@@ -257,8 +232,8 @@ class Database:
     def load_table(self, name, columns):
         schema = self.catalog.table(name)
         self.tables[name] = Table(schema, columns)
-        self._bound_cache.clear()
-        self._bind_templates.clear()
+        for cache in self._caches["catalog"].values():
+            cache.invalidate()
         self._view_size_cache.clear()
         self.invalidate_caches()
 
@@ -270,7 +245,7 @@ class Database:
 
     def collect_statistics(self):
         """Collect full statistics for every loaded table (and built view)."""
-        encodings = self._dict_encodings()
+        encodings = self._cache("dict_cache")
         for table in self.tables.values():
             self.statistics.put(TableStats.collect(table, encodings))
         if self._built is not None:
@@ -332,6 +307,7 @@ class Database:
             heap_bytes += int(table.byte_size() * self.system.heap_overhead)
 
         state = _BuiltState(configuration=config)
+        encodings = self._cache("dict_cache")
         view_bytes = 0
         for view_def in config.views:
             view_table, _input_rows = build_view(
@@ -353,8 +329,7 @@ class Database:
         for ix in config.indexes:
             target = self._index_target(ix, state)
             data = IndexData(
-                ix, target, self.system.index_overhead,
-                encodings=self._dict_encodings(),
+                ix, target, self.system.index_overhead, encodings=encodings
             )
             state.index_data[ix.name] = data
             key_width = sum(
@@ -373,9 +348,7 @@ class Database:
         self._built = state
         self._view_stats = StatisticsCatalog()
         for view_table in state.view_tables.values():
-            self._view_stats.put(
-                TableStats.collect(view_table, self._dict_encodings())
-            )
+            self._view_stats.put(TableStats.collect(view_table, encodings))
         self.invalidate_caches()
         return BuildReport(
             configuration=config.name,
@@ -414,7 +387,7 @@ class Database:
         each round); invalidated with every other derived result.
         """
         key = ("bytes", config.fingerprint)
-        return self._whatif_cache.get_or_build(
+        return self._cache("whatif_cache").get_or_build(
             key, lambda: self._estimated_configuration_bytes(config)
         )
 
@@ -445,23 +418,12 @@ class Database:
     # Planning and execution
 
     def bind(self, sql):
+        """The :class:`BoundQuery` of SQL text (memoized per text)."""
         if isinstance(sql, BoundQuery):
             return sql
-        if sql not in self._bound_cache:
-            self._bind_stats.misses += 1
-            bound = None
-            if templates_enabled():
-                # Skeleton templates: parse+bind one representative per
-                # SQL shape, rebind later members' constants into a
-                # clone.  None means the skeleton is not template-safe;
-                # the ordinary path then surfaces its own errors.
-                bound = self._bind_templates.bind(sql)
-            if bound is None:
-                bound = Binder(self.catalog).bind(parse(sql))
-            self._bound_cache[sql] = bound
-        else:
-            self._bind_stats.hits += 1
-        return self._bound_cache[sql]
+        return self._caches["catalog"]["bind_cache"].get_or_build(
+            sql, lambda: Binder(self.catalog).bind(parse(sql))
+        )
 
     def planner_env(self):
         """Environment describing the *current built* configuration.
@@ -470,7 +432,9 @@ class Database:
         plan cache.
         """
         key = ("real", self.configuration_fingerprint)
-        return self._env_cache.get_or_build(key, self._build_planner_env)
+        return self._cache("env_cache").get_or_build(
+            key, self._build_planner_env
+        )
 
     def _build_planner_env(self):
         estimator = Estimator(self._merged_stats(), self.system.policy)
@@ -549,7 +513,7 @@ class Database:
                 config, force_hypothetical, oracle
             )
 
-        return self._env_cache.get_or_build(key, build)
+        return self._cache("env_cache").get_or_build(key, build)
 
     def _extend_hypothetical_env(self, base, config, force_hypothetical,
                                  oracle):
@@ -577,7 +541,7 @@ class Database:
             True,
             bool(oracle),
         )
-        base_env = self._env_cache.peek(base_key)
+        base_env = self._cache("env_cache").peek(base_key)
         if base_env is None:
             return None
         base_ix = {index_content_key(ix) for ix in base.indexes}
@@ -764,35 +728,9 @@ class Database:
 
         def build():
             obs.counter_add("optimizer.plan_builds")
-            return self._plan_query(bound, self.planner_env())
+            return Planner(self.planner_env()).plan(bound)
 
-        return self._plan_cache.get_or_build(key, build)
-
-    def _plan_query(self, bound, env):
-        """Plan ``bound`` under ``env``, through the template cache.
-
-        With ``REPRO_PLAN_TEMPLATES`` on and the query inside the
-        template-safe subset, the structural key resolves to a shared
-        :class:`PlanTemplate`: its first member runs the full
-        enumeration and records the DP join program, later members
-        replay it — producing a bit-identical plan while skipping the
-        structure discovery.  The recipe is purely structural (replay
-        recomputes every selectivity, semijoin source and cost against
-        ``env``), so one template serves the real environment and every
-        what-if candidate a recommender probes; the cache is dropped
-        with the other derived caches on each state transition.
-        """
-        if templates_enabled():
-            key = template_key(bound, env)
-            if key is not None:
-                template = self._template_cache.get_or_build(
-                    key, PlanTemplate
-                )
-                return TemplatePlanner(env).plan_with_template(
-                    bound, template
-                )
-            obs.counter_add("template.fallbacks")
-        return Planner(env).plan(bound)
+        return self._cache("plan_cache").get_or_build(key, build)
 
     def estimate(self, sql):
         """Estimated cost ``E(q, C)`` in the current configuration."""
@@ -824,9 +762,9 @@ class Database:
             env = self.hypothetical_env(
                 config, force_hypothetical, oracle, base=base
             )
-            return self._plan_query(bound, env).est.cost
+            return Planner(env).plan(bound).est.cost
 
-        return self._plan_cache.get_or_build(key, build)
+        return self._cache("plan_cache").get_or_build(key, build)
 
     def execute(self, sql, timeout=DEFAULT_TIMEOUT):
         """Plan and run a query; returns a :class:`QueryResult`.
@@ -840,10 +778,9 @@ class Database:
             plan = self.plan(bound)
             executor = Executor(
                 self._exec_tables(), self.system.hardware, timeout,
-                encodings=self._dict_encodings(),
-                subplans=(self._subplan_cache
-                          if subplan_cache_enabled() else None),
-                kernels=self._kernel_cache,
+                encodings=self._cache("dict_cache"),
+                subplans=self._cache("subplan_cache"),
+                kernels=self._cache("kernel_cache"),
             )
             try:
                 outcome = executor.run(plan)
@@ -879,18 +816,13 @@ class Database:
         on the table in the current configuration.  The wall-clock work
         is sized by the batch as well: the table's dictionaries and
         index entries are carried across the append (the new rows are
-        merged in), while plans, environments, what-if costs,
-        templates, subplans and kernels are dropped.  Dependent views
-        are rebuilt.
+        merged in), while plans, environments, what-if costs, subplans
+        and kernels are dropped.  Dependent views are rebuilt.
         """
         table = self.table(table_name)
-        encodings = self._dict_encodings()
-        if encodings is None:
-            appended = table.append_rows(columns)
-        else:
-            # Through the dictionary cache, which extends the table's
-            # dictionaries instead of letting the append orphan them.
-            appended = encodings.append_rows(table, columns)
+        # Through the dictionary cache, which extends the table's
+        # dictionaries instead of letting the append orphan them.
+        appended = self._cache("dict_cache").append_rows(table, columns)
         obs.counter_add("engine.rows_inserted", appended)
         self._view_size_cache.clear()
         self.invalidate_caches()
@@ -941,7 +873,7 @@ class Database:
         for name, vinfo in view_infos.items():
             if vinfo.data is not None:
                 merged.put(
-                    TableStats.collect(vinfo.data, self._dict_encodings())
+                    TableStats.collect(vinfo.data, self._cache("dict_cache"))
                 )
         return merged
 
@@ -963,7 +895,7 @@ class Database:
             cached = self._view_size_cache.get(view_def.name)
             if cached is None:
                 table = self.table(view_def.tables[0])
-                encodings = self._dict_encodings()
+                encodings = self._cache("dict_cache")
                 arrays = [
                     table.column(vc.column)
                     for vc in view_def.group_columns
@@ -971,21 +903,14 @@ class Database:
                 if table.row_count == 0:
                     distinct = 0
                 elif len(arrays) == 1:
-                    if encodings is not None:
-                        distinct = encodings.dictionary(
-                            table, view_def.group_columns[0].column
-                        ).n_distinct
-                    else:
-                        distinct = len(np.unique(arrays[0]))
+                    distinct = encodings.dictionary(
+                        table, view_def.group_columns[0].column
+                    ).n_distinct
                 else:
-                    if encodings is not None:
-                        order = encodings.lexsort(
-                            table,
-                            tuple(vc.column
-                                  for vc in view_def.group_columns),
-                        )
-                    else:
-                        order = np.lexsort(tuple(reversed(arrays)))
+                    order = encodings.lexsort(
+                        table,
+                        tuple(vc.column for vc in view_def.group_columns),
+                    )
                     change = np.zeros(table.row_count, dtype=bool)
                     change[0] = True
                     for arr in arrays:

@@ -7,7 +7,7 @@ objects.  When present, :func:`factorize` and :func:`join_codes` skip
 the ``np.unique`` full sort and derive dense codes from the cached
 sorted dictionary instead (``searchsorted`` + a presence scan), with
 byte-identical results.  Columns without an encoding (aggregate
-outputs, derived labels) always take the legacy sort path.
+outputs, derived labels) always take the ``np.unique`` sort path.
 
 Batches are *views*: a batch carries arrays plus per-key ``sels``
 selection vectors (int64 row ids into the attached array), and
@@ -336,8 +336,8 @@ def _join_pair_codes(left, right, left_encoding, right_encoding,
     dictionary for a self-join, otherwise the ``union1d`` of the two
     sorted value sets) define a merged sorted domain; each side maps in
     through its own cached codes, and one presence scan over the merged
-    domain assigns the same dense ranks the legacy concatenate-and-sort
-    path would.  A side whose dictionary codes were carried through the
+    domain assigns the same dense ranks the concatenate-and-sort path
+    would.  A side whose dictionary codes were carried through the
     operators (``Batch.codes``) maps in without re-encoding — the
     carried array equals ``encode()``'s output elementwise.  ``domains``
     (a :class:`~repro.executor.subplan.SubplanCache`) memoizes the

@@ -47,7 +47,10 @@ from .batch import (
     factorize,
     join_codes,
 )
-from .kernels import KernelCache, ScratchArena
+from ..common.cache import BoundedCache
+from ..storage.encoding import DictionaryCache
+from .kernels import MAX_KERNELS, ScratchArena, fused_filter
+from .subplan import SubplanCache
 
 MAX_MATERIALIZED_ROWS = 8_000_000
 
@@ -82,25 +85,25 @@ class Executor:
         self._tables = tables
         self._hw = hardware
         self._timeout = timeout
-        # Optional DictionaryCache: scans attach lazy per-column
-        # dictionary handles to their batches so factorize/join_codes
-        # can take the sort-free paths.  None = legacy behaviour.
-        self._encodings = encodings
-        # Optional SubplanCache: semijoin value/count pairs and base
-        # filter masks are reused across queries, and scans carry
-        # dictionary codes through the operators (sort- and
-        # search-free join/group factorization).  None = legacy.
-        self._subplans = subplans
-        # KernelCache: conjunctive filter lists compile into one cached
-        # callable reused across templated queries.  A database shares
-        # one across its executors; a bare executor owns a private one.
-        self._kernels = kernels if kernels is not None else KernelCache()
+        # A database shares its three caches across its executors; a
+        # bare executor owns private ones.
+        # DictionaryCache: scans attach lazy per-column dictionary
+        # handles to their batches so factorize/join_codes take the
+        # sort-free paths, and carry the codes of join/group keys
+        # through the operators.
+        self._encodings = encodings or DictionaryCache()
+        # SubplanCache: semijoin value/count pairs, base filter masks
+        # and join domains are reused across queries.
+        self._subplans = subplans or SubplanCache()
+        # Fused-kernel cache: conjunctive filter lists compile into one
+        # cached callable reused across templated queries.  (An empty
+        # BoundedCache is falsy, hence the explicit None test.)
+        if kernels is None:
+            kernels = BoundedCache("kernel_cache", MAX_KERNELS)
+        self._kernels = kernels
         self._arena = ScratchArena()
         # Batch keys the running plan consumes (None = attach all).
         self._required = None
-        # Carrying codes needs both the dictionaries and the subplan
-        # layer (the knob that gates cross-operator reuse).
-        self._carry = encodings is not None and subplans is not None
         self._code_keys = frozenset()
 
     def run(self, plan):
@@ -109,8 +112,7 @@ class Executor:
         Raises :class:`QueryTimeout` when the virtual clock exceeds the
         timeout (the charge so far is available on the exception).
         """
-        if self._carry:
-            self._code_keys = _code_keys_of(plan)
+        self._code_keys = _code_keys_of(plan)
         self._required = _required_keys(plan)
         clock = VirtualClock(self._timeout)
         batch = self._exec(plan, clock)
@@ -228,9 +230,7 @@ class Executor:
         )
 
     def _column_handles(self, alias, table, columns):
-        """Lazy dictionary handles for base-table columns (or empty)."""
-        if self._encodings is None:
-            return {}
+        """Lazy dictionary handles for base-table columns."""
         return {
             f"{alias}.{c}": self._encodings.handle(table, c)
             for c in columns
@@ -245,8 +245,6 @@ class Executor:
         through the same ``sels`` entry as the values — so scans never
         pay for codes no downstream operator consumes.
         """
-        if not self._carry:
-            return {}
         codes = {}
         for column in columns:
             key = f"{alias}.{column}"
@@ -261,7 +259,7 @@ class Executor:
             return batch
         clock.charge(cm.filter_rows(self._hw, batch.rows, len(filters)))
         specs = self._identity_specs(batch, filters, table, alias)
-        if specs is not None and self._subplans is not None:
+        if specs is not None:
             keep = self._subplans.filter_mask(
                 (table.name, tuple(specs)),
                 tuple(batch.columns[flt.key] for flt in filters),
@@ -277,8 +275,9 @@ class Executor:
         The filter list compiles into one fused callable, cached by
         table and filter structure with the literals bound per call.
         """
-        fused = self._kernels.fused_filter(
-            table.name if table is not None else None, filters
+        fused = fused_filter(
+            self._kernels, table.name if table is not None else None,
+            filters,
         )
         return fused(
             [batch.column(flt.key) for flt in filters],
@@ -317,8 +316,8 @@ class Executor:
             clock.charge(cm.filter_rows(self._hw, batch.rows))
             dictionary = _resolve_encoding(batch.encodings.get(semi.key))
             if dictionary is None:
-                # No dictionary behind the column (a view column, or
-                # the dictionary cache is off): compare the values.
+                # A batch built without a handle for the column:
+                # compare the values.
                 member = np.isin(batch.column(semi.key), values[keep])
             else:
                 member = _member_flags(dictionary, values, keep)[
@@ -333,10 +332,9 @@ class Executor:
 
         The virtual-clock charge always models the full evaluation; the
         value/count aggregation itself is served from the cross-query
-        :class:`~repro.executor.subplan.SubplanCache` when one is
-        attached and the backing arrays are unchanged — every member of
-        a semijoin family shares the aggregation and applies only its
-        own HAVING comparison.
+        :class:`~repro.executor.subplan.SubplanCache` while the backing
+        arrays are unchanged — every member of a semijoin family shares
+        the aggregation and applies only its own HAVING comparison.
         """
         semi = source.semi
         if source.via == "view":
@@ -359,7 +357,7 @@ class Executor:
             # The leading keys are the table column, sorted: their
             # values and counts are the column's dictionary.
             keys = info.data.leading_keys
-            values, counts = self._semi_values(
+            values, counts = self._subplans.semi_values(
                 ("index_only", info.definition.name, semi.sub_table,
                  semi.sub_column),
                 (keys,),
@@ -369,7 +367,7 @@ class Executor:
             )
         else:
             table = self._table(semi.sub_table)
-            values, counts = self._semi_values(
+            values, counts = self._subplans.semi_values(
                 ("scan", semi.sub_table, semi.sub_column),
                 (table.column(semi.sub_column),),
                 lambda: self._value_counts(table, semi.sub_column),
@@ -387,16 +385,8 @@ class Executor:
 
     def _value_counts(self, table, column):
         """Sorted distinct values of a table column and their counts."""
-        if self._encodings is not None:
-            dictionary = self._encodings.dictionary(table, column)
-            return dictionary.values, dictionary.counts
-        return np.unique(table.column(column), return_counts=True)
-
-    def _semi_values(self, key, backing, build):
-        """A semijoin source's ``(values, counts)``, cached when possible."""
-        if self._subplans is None:
-            return build()
-        return self._subplans.semi_values(key, backing, build)
+        dictionary = self._encodings.dictionary(table, column)
+        return dictionary.values, dictionary.counts
 
     def _seq_scan(self, node, clock):
         table = self._table(node.table)
@@ -513,11 +503,8 @@ class Executor:
                 pruned += 1
                 continue
             columns[batch_key] = table.column(view_col)
-            if self._encodings is not None:
-                encodings[batch_key] = self._encodings.handle(
-                    table, view_col
-                )
-            if self._carry and batch_key in self._code_keys:
+            encodings[batch_key] = self._encodings.handle(table, view_col)
+            if batch_key in self._code_keys:
                 codes[batch_key] = self._encodings.dictionary(
                     table, view_col
                 ).codes
@@ -580,26 +567,23 @@ class Executor:
             domains=self._subplans,
         )
         order = np.argsort(rcodes, kind="stable")
-        if self._subplans is not None and len(lcodes) and len(rcodes):
+        if len(lcodes) and len(rcodes):
             # Dense-domain probe: join codes are dense ranks, so the
             # match range of left code c in the sorted build side is
             # [prefix_count(< c), prefix_count(<= c)) — two gathers
             # into one shared prefix table instead of two binary
-            # searches per probe row.  Identical to the searchsorted
-            # pair below; the prefix table is bounded by the total row
-            # count because the codes are dense.
+            # searches per probe row.  The prefix table is bounded by
+            # the total row count because the codes are dense.
             domain = int(max(int(lcodes.max()), int(rcodes.max()))) + 1
             starts_table = self._arena.ints(domain + 1, fill=0)
             np.cumsum(
                 np.bincount(rcodes, minlength=domain), out=starts_table[1:]
             )
             lows = starts_table[lcodes]
-            highs = starts_table[lcodes + 1]
+            counts = starts_table[lcodes + 1] - lows
         else:
-            sorted_codes = rcodes[order]
-            lows = np.searchsorted(sorted_codes, lcodes, side="left")
-            highs = np.searchsorted(sorted_codes, lcodes, side="right")
-        counts = highs - lows
+            # An empty side: no probe row matches anything.
+            lows = counts = np.zeros(len(lcodes), dtype=np.int64)
         out_rows = int(counts.sum())
 
         out_width = left.row_width + right.row_width
@@ -755,22 +739,12 @@ class Executor:
         )
 
         columns, widths = {}, {}
-        if rows and self._subplans is not None:
-            # Sort-free first-occurrence scatter: group codes are dense
-            # (every value in [0, n_groups) occurs), so writing row
-            # indices in descending order leaves each slot holding its
-            # group's smallest index — exactly the stable-argsort
-            # firsts below.
-            firsts = np.empty(n_groups, dtype=np.int64)
-            firsts[codes[::-1]] = np.arange(rows - 1, -1, -1, dtype=np.int64)
-        elif rows:
-            order = np.argsort(codes, kind="stable")
-            sorted_codes = codes[order]
-            firsts = order[
-                np.searchsorted(sorted_codes, np.arange(n_groups), side="left")
-            ]
-        else:
-            firsts = np.empty(0, dtype=np.int64)
+        # Sort-free first-occurrence scatter: group codes are dense
+        # (every value in [0, n_groups) occurs), so writing row
+        # indices in descending order leaves each slot holding its
+        # group's smallest index.
+        firsts = np.empty(n_groups, dtype=np.int64)
+        firsts[codes[::-1]] = np.arange(rows - 1, -1, -1, dtype=np.int64)
         for key in node.group_keys:
             # One value per group: gather through any pending selection
             # vector instead of materializing the whole column.
@@ -841,9 +815,7 @@ class Executor:
         vcodes = factorize(values, encoding, carried)
         span = int(vcodes.max()) + 1
         keys = codes * span + vcodes
-        if self._subplans is not None and n_groups * span <= max(
-            4 * len(codes), 65536
-        ):
+        if n_groups * span <= max(4 * len(codes), 65536):
             # Sort-free pair dedup: the (group, value) key space is
             # small, so a presence scan counts each group's distinct
             # values — the same counts the unique-sort below derives.

@@ -1,7 +1,7 @@
 """Fused predicate kernels and scratch buffers for the executor.
 
-- :class:`KernelCache` compiles a conjunctive filter list into a single
-  callable keyed by ``(table, filter structure)``.  The compiled kernel
+- :func:`fused_filter` compiles a conjunctive filter list into a single
+  callable cached by ``(table, filter structure)``.  The compiled kernel
   resolves each comparison operator once, lets the first comparison
   allocate the keep mask, and ANDs the remaining predicates into it in
   place.  Literal values are passed at call time, so the kernel is
@@ -14,13 +14,12 @@
 """
 
 import operator
-import threading
 
 import numpy as np
 
 from .. import obs
 
-# FIFO bound on compiled kernels; structures are few (one per filter
+# Bound on compiled kernels; structures are few (one per filter
 # shape per table), so this is a safety valve, not a working limit.
 MAX_KERNELS = 256
 
@@ -57,50 +56,18 @@ def _compile_conjunction(ops):
     return kernel
 
 
-class KernelCache:
-    """Compiled-filter cache shared by every executor of a database.
+def fused_filter(kernels, table_name, filters):
+    """The compiled kernel of a conjunctive filter list.
 
-    Unlike :class:`~repro.executor.subplan.SubplanCache` there is no
-    backing-array identity to validate — kernels close over operator
-    structure only, never over data — but ``invalidate`` is still wired
-    into ``Database.invalidate_caches`` so the cache follows the same
-    lifecycle contract as every other derived structure.
+    ``kernels`` is a ``BoundedCache("kernel_cache", MAX_KERNELS)``.
+    Kernels close over operator structure only, never over data, so
+    its entries have no backing array to validate; a database still
+    drops them with every other derived structure.
     """
-
-    def __init__(self):
-        # Deferred import: repro.runtime pulls in repro.catalog.schema,
-        # which the storage layer (and through it this package) feeds.
-        from ..runtime.cache import CacheStats
-
-        self.stats = CacheStats("kernel_cache")
-        self._lock = threading.Lock()
-        self._kernels = {}
-
-    def fused_filter(self, table_name, filters):
-        """Return the compiled kernel for a conjunctive filter list."""
-        key = (table_name, tuple((flt.key, flt.op) for flt in filters))
-        with self._lock:
-            kernel = self._kernels.get(key)
-            if kernel is not None:
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
-        if kernel is not None:
-            obs.counter_add("executor.kernel_hits")
-            return kernel
-        kernel = _compile_conjunction([flt.op for flt in filters])
-        obs.counter_add("executor.kernel_builds")
-        with self._lock:
-            while len(self._kernels) >= MAX_KERNELS:
-                self._kernels.pop(next(iter(self._kernels)))
-            self._kernels[key] = kernel
-        return kernel
-
-    def invalidate(self):
-        with self._lock:
-            self._kernels.clear()
-            self.stats.invalidations += 1
-        obs.counter_add("cache.kernel_cache.invalidations")
+    return kernels.get_or_build(
+        (table_name, tuple((flt.key, flt.op) for flt in filters)),
+        lambda: _compile_conjunction([flt.op for flt in filters]),
+    )
 
 
 class ScratchArena:

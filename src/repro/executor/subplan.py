@@ -1,4 +1,4 @@
-"""Shared subplan results across queries (``REPRO_SUBPLAN_CACHE``).
+"""Shared subplan results across queries.
 
 Template-generated workloads re-execute the same *subplans* over and
 over: every member of a semijoin family re-aggregates the identical
@@ -15,76 +15,70 @@ intermediates across queries:
   (base-table scan, index-only leading-key pass, or materialized view)
   so each evaluation strategy caches its own result;
 * **filter masks** — the boolean keep-mask of a filter set applied to
-  an unfiltered base batch, keyed by ``(table, (column, op, value)…)``.
+  an unfiltered base batch, keyed by ``(table, (column, op, value)…)``;
+* **join domains** — the merged sorted domain of a dictionary pair.
 
-The cache is a pure optimization: the executor charges the virtual
-clock exactly as if it had recomputed the intermediate, so actual costs
-``A(q, C)`` and every result batch are byte-identical with the cache on
-or off (``REPRO_SUBPLAN_CACHE=0`` disables it; CI asserts fig4/fig7
-byte-identity in both modes).
+The cache never changes a result or a cost: the executor charges the
+virtual clock exactly as if it had recomputed the intermediate, so
+actual costs ``A(q, C)`` and every result batch are the same on a hit
+and on a miss (``tests/test_differential.py`` checks cold ≡ warm ≡
+after invalidation on generated queries).
 
-Consistency follows the :class:`~repro.storage.encoding.DictionaryCache`
-convention: every entry records the storage arrays it was computed
-from, and a lookup only hits when those arrays are — by identity —
-still the live ones.  ``append_rows`` builds new arrays, a rebuilt view
-or index is a new object graph, so stale entries can never be served.
+Every entry records the storage arrays it was computed from
+(``backing=`` of :class:`~repro.common.cache.BoundedCache`), and a
+lookup only hits when those arrays are — by identity — still the live
+ones.  ``append_rows`` builds new arrays, a rebuilt view or index is a
+new object graph, so stale entries can never be served.
 :meth:`invalidate` (wired into ``Database.invalidate_caches``, keeping
 the INV001 lint contract) clears the cache outright; access-time
 identity validation makes that a garbage collection, not a correctness
 requirement.
 """
 
-import threading
-
 from .. import obs
-from ..common import knobs
-
-SUBPLAN_ENV = "REPRO_SUBPLAN_CACHE"
+from ..common.cache import BoundedCache, CacheStats
 
 # Entry bounds: payloads hold real arrays (value sets, row masks,
 # merged join domains), so unlike the key-only plan caches these stay
-# deliberately small; the oldest entry is dropped on overflow.
+# deliberately small.
 MAX_SEMI_ENTRIES = 1024
 MAX_MASK_ENTRIES = 256
 MAX_DOMAIN_ENTRIES = 256
 
-
-def subplan_cache_enabled(flag=None):
-    """Whether the subplan cache is on: argument, else ``REPRO_SUBPLAN_CACHE``.
-
-    Any value other than ``"0"``, ``"false"``, ``"no"`` or ``"off"``
-    (case-insensitive) enables it; the default — no environment
-    variable at all — is enabled.
-    """
-    return knobs.flag(SUBPLAN_ENV, flag)
+_MISSING = object()
 
 
 class SubplanCache:
-    """Cross-query memo of semijoin aggregations and base filter masks.
-
-    Entries are validated by *identity* of the backing storage arrays
-    on every lookup, so a hit is only possible while the data the entry
-    was computed from is still live.  The cache is shared by every
-    executor a database constructs (a
-    :class:`~repro.runtime.session.MeasurementSession` pool runs them
-    concurrently), hence the lock.
-    """
+    """Cross-query memo of semijoin aggregations, base filter masks and
+    join domains: one bounded, identity-validated cache per kind."""
 
     def __init__(self):
-        # Deferred import: repro.catalog.schema imports repro.storage at
-        # interpreter start, and repro.runtime's package init reaches
-        # back through repro.engine — a module-level import here would
-        # close that cycle before catalog.schema finishes loading.
-        from ..runtime.cache import CacheStats
+        # kind -> (cache, hit counter, build counter)
+        self._kinds = {
+            kind: (
+                BoundedCache(f"subplan_{kind}s", bound),
+                f"subplan.{kind}_hits",
+                f"subplan.{kind}_builds",
+            )
+            for kind, bound in (
+                ("semi", MAX_SEMI_ENTRIES),
+                ("mask", MAX_MASK_ENTRIES),
+                ("domain", MAX_DOMAIN_ENTRIES),
+            )
+        }
 
-        self.stats = CacheStats("subplan_cache")
-        self._lock = threading.Lock()
-        # key -> (backing array tuple, payload)
-        self._semis = {}
-        self._masks = {}
-        self._domains = {}
-
-    # ------------------------------------------------------------------
+    @property
+    def stats(self):
+        """The three kinds' traffic as one ``subplan_cache``."""
+        parts = [cache.stats for cache, _, _ in self._kinds.values()]
+        return CacheStats(
+            "subplan_cache",
+            hits=sum(part.hits for part in parts),
+            misses=sum(part.misses for part in parts),
+            evictions=sum(part.evictions for part in parts),
+            # The kinds are only ever invalidated together.
+            invalidations=parts[0].invalidations,
+        )
 
     def semi_values(self, key, backing, build):
         """The ``(values, counts)`` pair of one semijoin source.
@@ -99,10 +93,7 @@ class SubplanCache:
         Returns:
             The cached or freshly built ``(values, counts)``.
         """
-        return self._lookup(
-            self._semis, MAX_SEMI_ENTRIES, key, backing, build,
-            "subplan.semi_hits", "subplan.semi_builds",
-        )
+        return self._lookup("semi", key, backing, build)
 
     def filter_mask(self, key, backing, build):
         """The keep-mask of one filter set over an unfiltered base batch.
@@ -110,10 +101,7 @@ class SubplanCache:
         Same contract as :meth:`semi_values`; ``backing`` holds the
         filtered columns' storage arrays.
         """
-        return self._lookup(
-            self._masks, MAX_MASK_ENTRIES, key, backing, build,
-            "subplan.mask_hits", "subplan.mask_builds",
-        )
+        return self._lookup("mask", key, backing, build)
 
     def join_domain(self, key, backing, build):
         """The merged sorted domain of one dictionary pair.
@@ -125,33 +113,18 @@ class SubplanCache:
         the pair's ``id``s; the identity check over ``backing`` (the
         two sorted value arrays) makes an ``id`` reuse a harmless miss.
         """
-        return self._lookup(
-            self._domains, MAX_DOMAIN_ENTRIES, key, backing, build,
-            "subplan.domain_hits", "subplan.domain_builds",
-        )
+        return self._lookup("domain", key, backing, build)
 
-    def _lookup(self, entries, bound, key, backing, build,
-                hit_metric, build_metric):
-        with self._lock:
-            entry = entries.get(key)
-        if entry is not None and len(entry[0]) == len(backing) and all(
-            cached is live for cached, live in zip(entry[0], backing)
-        ):
-            with self._lock:
-                self.stats.hits += 1
+    def _lookup(self, kind, key, backing, build):
+        cache, hit_metric, build_metric = self._kinds[kind]
+        payload = cache.get(key, _MISSING, backing)
+        if payload is _MISSING:
+            payload = build()
+            cache.put(key, payload, backing)
+            obs.counter_add(build_metric)
+        else:
             obs.counter_add(hit_metric)
-            return entry[1]
-        with self._lock:
-            self.stats.misses += 1
-        payload = build()
-        obs.counter_add(build_metric)
-        with self._lock:
-            while len(entries) >= bound:
-                entries.pop(next(iter(entries)))
-            entries[key] = (tuple(backing), payload)
         return payload
-
-    # ------------------------------------------------------------------
 
     def invalidate(self):
         """Drop every entry (data/configuration/statistics changed).
@@ -161,9 +134,5 @@ class SubplanCache:
         stale serves; the sweep reclaims the arrays the dead entries
         pin.
         """
-        with self._lock:
-            self._semis.clear()
-            self._masks.clear()
-            self._domains.clear()
-            self.stats.invalidations += 1
-        obs.counter_add("cache.subplan_cache.invalidations")
+        for cache, _, _ in self._kinds.values():
+            cache.invalidate()

@@ -6,7 +6,7 @@ it exists; a test that names it is what keeps both honest.  This rule
 cross-references all three, so a knob cannot be added half-way:
 
 * **unregistered** — a ``REPRO_*`` name referenced in source (via
-  ``knobs.text``/``knobs.flag``, an ``os.environ`` read, or any string
+  ``knobs.text``, an ``os.environ`` read, or any string
   constant) that has no ``register("NAME", ...)`` declaration in the
   registry module;
 * **undocumented** — a registered-or-read name missing from
@@ -89,7 +89,7 @@ class KnobRule(Rule):
                             self.name, node,
                             f"{name} is read directly from os.environ; "
                             f"route the read through "
-                            f"repro.common.knobs.text/flag so the "
+                            f"repro.common.knobs.text so the "
                             f"registry stays the single source of "
                             f"truth",
                         ))
@@ -102,7 +102,7 @@ class KnobRule(Rule):
                                 self.name, node,
                                 f"{value} is read directly from "
                                 f"os.environ; route the read through "
-                                f"repro.common.knobs.text/flag so the "
+                                f"repro.common.knobs.text so the "
                                 f"registry stays the single source of "
                                 f"truth",
                             ))

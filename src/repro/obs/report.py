@@ -181,9 +181,6 @@ def render_text(report):
         dictionary = caches.get("dict_cache")
         if dictionary and dictionary["hits"] + dictionary["misses"]:
             line += f", dict cache rate {dictionary['hit_rate']:.2f}"
-        template = caches.get("template_cache")
-        if template and template["hits"] + template["misses"]:
-            line += f", template cache rate {template['hit_rate']:.2f}"
         subplan = caches.get("subplan_cache")
         if subplan and subplan["hits"] + subplan["misses"]:
             line += f", subplan cache rate {subplan['hit_rate']:.2f}"

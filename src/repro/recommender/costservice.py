@@ -30,33 +30,21 @@ by the same ``invalidate_caches`` path as every plan: applying a
 configuration, inserting rows, collecting statistics, or (re)loading a
 table all clear it.
 
-The whole service is an optimization layer: with ``REPRO_WHATIF_CACHE=0``
-the recommenders fall back to the plain serial path, and the recommended
-configurations are byte-identical either way (CI enforces this).
+The service never changes a cost:
+``tests/test_whatif_service.py::test_service_costs_match_direct_estimates``
+checks every cost it returns against
+:meth:`~repro.engine.database.Database.estimate_hypothetical` under the
+full trial configuration.
 """
 
 import threading
 
 from .. import obs
-from ..common import knobs
 from ..engine.configuration import (
     content_fingerprint,
     index_content_key,
     view_content_key,
 )
-
-CACHE_ENV = "REPRO_WHATIF_CACHE"
-
-
-def service_enabled(flag=None):
-    """Whether the cost service is on: argument, else ``REPRO_WHATIF_CACHE``.
-
-    Any value other than ``"0"``, ``"false"``, ``"no"`` or ``"off"``
-    (case-insensitive) enables it; the default — no environment variable
-    at all — is enabled.
-    """
-    return knobs.flag(CACHE_ENV, flag)
-
 
 def query_tables(bound):
     """The set of base tables a bound query touches (incl. semijoins)."""
@@ -192,7 +180,7 @@ class WhatIfCostService:
 
     Thread-safe: the recommenders evaluate whole candidate batches on
     session worker threads, each calling :meth:`costs` concurrently; the
-    memo is a locked :class:`~repro.runtime.cache.BoundedCache`, the
+    memo is a locked :class:`~repro.common.cache.BoundedCache`, the
     database's own planning path is already shareable, and the service's
     local hit/miss counters and profile memo are guarded by their own
     lock (unguarded ``+=`` from workers would silently under-count).

@@ -15,9 +15,7 @@ trials extend the current configuration's what-if environment
 incrementally, whole candidate evaluations fan out over the measurement
 session's worker pool with a deterministic reduction, and candidates
 whose best-possible gain cannot reach the round's improvement threshold
-are pruned without any optimizer call.  All of it is an optimization
-layer: ``REPRO_WHATIF_CACHE=0`` falls back to the plain serial loop and
-the recommended configuration is byte-identical either way.
+are pruned without any optimizer call.
 
 Reproduced failure modes:
 
@@ -41,7 +39,7 @@ from ..engine.configuration import Configuration
 from ..index.definition import IndexDefinition
 from ..runtime.session import MeasurementSession
 from .candidates import index_candidates, view_candidates
-from .costservice import WhatIfCostService, service_enabled
+from .costservice import WhatIfCostService
 
 
 @dataclass
@@ -67,25 +65,17 @@ class RecommendationReport:
 class WhatIfRecommender:
     """Greedy budgeted index/view advisor over what-if optimizer calls."""
 
-    def __init__(self, database, profile=None, oracle=False, session=None,
-                 use_cache=None):
+    def __init__(self, database, profile=None, oracle=False, session=None):
         self._db = database
         self.profile = profile or database.system.recommender
         self.oracle = oracle
-        # What-if costs are memoized inside the database's
-        # fingerprint-keyed plan cache; the session adds the worker pool
-        # (REPRO_JOBS) that candidate evaluations fan out over.
+        # The session provides the worker pool (REPRO_JOBS) that
+        # candidate evaluations fan out over.
         self._session = session or MeasurementSession(database)
         # The what-if cost service adds atomic-configuration
-        # memoization, incremental environments, candidate-level
-        # parallelism, and upper-bound pruning.  ``use_cache=None``
-        # consults REPRO_WHATIF_CACHE (default on); disabling it falls
-        # back to the plain serial per-candidate loop, which produces
-        # byte-identical recommendations.
-        self._service = (
-            WhatIfCostService(database, self._session)
-            if service_enabled(use_cache) else None
-        )
+        # memoization and incremental environments on top of the
+        # database's fingerprint-keyed plan cache.
+        self._service = WhatIfCostService(database, self._session)
 
     def recommend(self, workload, budget_bytes, name=None):
         """Recommend a configuration for ``workload`` under a byte budget.
@@ -194,16 +184,14 @@ class WhatIfRecommender:
         """The round's best ``(score, key, candidate, extra, gain, costs)``.
 
         Phase 1 (serial, cheap) filters candidates: already selected,
-        over budget, or — with the cost service on — pruned because even
-        a best-possible gain (the relevant queries' entire current cost)
-        cannot reach the round's improvement threshold.  Phase 2 prices
-        the survivors: with the service, whole candidate evaluations fan
-        out over the session pool (each worker prices its candidate's
-        relevant queries serially through the atomic memo, extending the
-        current configuration's what-if environment incrementally);
-        without it, the plain serial loop.  Phase 3 reduces in candidate
-        order with the same strict comparison either way — results are
-        byte-identical to the serial path, with ties broken by candidate
+        over budget, or pruned because even a best-possible gain (the
+        relevant queries' entire current cost) cannot reach the round's
+        improvement threshold.  Phase 2 prices the survivors: whole
+        candidate evaluations fan out over the session pool (each
+        worker prices its candidate's relevant queries serially through
+        the atomic memo, extending the current configuration's what-if
+        environment incrementally).  Phase 3 reduces in candidate order
+        with a strict comparison, so ties are broken by candidate
         position, never by completion order.
         """
         eligible = []
@@ -222,11 +210,10 @@ class WhatIfRecommender:
                 idx for idx, query in enumerate(queries)
                 if self._relevant(candidate, query)
             ]
-            if self._service is not None:
-                upper = sum(current_costs[idx] for idx in relevant)
-                if upper < threshold:
-                    pruned += 1
-                    continue
+            upper = sum(current_costs[idx] for idx in relevant)
+            if upper < threshold:
+                pruned += 1
+                continue
             eligible.append((key, candidate, trial, extra, relevant))
         if pruned:
             obs.counter_add("recommender.candidates_pruned", pruned)
@@ -237,10 +224,7 @@ class WhatIfRecommender:
                 [queries[idx] for idx in relevant], trial, base=current
             )
 
-        if self._service is not None:
-            raw_costs = self._session.map_batch(evaluate, eligible)
-        else:
-            raw_costs = [evaluate(item) for item in eligible]
+        raw_costs = self._session.map_batch(evaluate, eligible)
 
         best = None
         for (key, candidate, _trial, extra, relevant), raw in zip(
@@ -261,20 +245,15 @@ class WhatIfRecommender:
         return best
 
     def _what_if_batch(self, queries, config, base=None, parallel=False):
-        """H costs of ``queries`` under ``config`` via the active path.
+        """H costs of ``queries`` under ``config`` from the cost service
+        (atomic memoization, incremental environments).
 
-        The cost service when enabled (atomic memoization, incremental
-        environments); the session's plain what-if loop otherwise.
         ``parallel`` fans misses out over the session pool and must only
         be set from the main thread.
         """
-        if self._service is not None:
-            return self._service.costs(
-                queries, config, base=base, oracle=self.oracle,
-                parallel=parallel,
-            )
-        return self._session.what_if_costs(
-            queries, config, oracle=self.oracle
+        return self._service.costs(
+            queries, config, base=base, oracle=self.oracle,
+            parallel=parallel,
         )
 
     # ------------------------------------------------------------------
@@ -303,19 +282,6 @@ class WhatIfRecommender:
                 [IndexDefinition(table=candidate.name, columns=(leading,))]
             )
         return config.with_indexes([candidate])
-
-    def _what_if(self, bound, config):
-        # Every cost — including the current configuration's — is taken
-        # inside the same what-if session, under the degraded
-        # hypothetical policy, so candidate deltas are comparable.
-        # Memoization lives in the database's fingerprint-keyed plan
-        # cache, shared with every other session on this database.
-        return self._db.estimate_hypothetical(
-            bound.sql,
-            config,
-            force_hypothetical=True,
-            oracle=self.oracle,
-        )
 
     def _relevant(self, candidate, bound):
         """Whether a candidate could possibly affect a query's plan."""

@@ -4,9 +4,6 @@ Sits between the engine (:mod:`repro.engine`) and the analysis/bench
 layers, and owns everything about *how* measurements are taken rather
 than *what* they mean:
 
-* :class:`~repro.runtime.cache.BoundedCache` — the thread-safe LRU
-  primitive behind the database's plan/estimate and environment caches
-  (keyed by configuration content fingerprints);
 * :class:`~repro.runtime.session.MeasurementSession` — fans a workload
   out over a worker pool (``REPRO_JOBS``), with deterministic
   order-preserving results, per-query timeout handling, and per-stage
@@ -18,13 +15,10 @@ than *what* they mean:
 """
 
 from .artifacts import ArtifactCache, StageTimings, artifact_key
-from .cache import BoundedCache, CacheStats
 from .session import JOBS_ENV, MeasurementSession, resolve_jobs
 
 __all__ = [
     "ArtifactCache",
-    "BoundedCache",
-    "CacheStats",
     "JOBS_ENV",
     "MeasurementSession",
     "StageTimings",

@@ -17,9 +17,9 @@ owns that loop:
   :meth:`stats` merges those with the database's plan/bind/env cache
   counters — this is where bench runs get their planner-cache hit rates.
 
-``analysis.measurements.measure_workload`` / ``estimate_workload`` and
-the recommender's what-if evaluation loop are thin wrappers over this
-class.
+``analysis.measurements.measure_workload`` / ``estimate_workload`` are
+thin wrappers over this class, and the what-if recommender fans its
+candidate evaluations out over the same pool (:meth:`map_batch`).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -75,7 +75,7 @@ class MeasurementSession:
             ``jobs=1`` stays serial even with an executor supplied.
 
     Every batch method opens a tracing span (``session.measure`` /
-    ``session.estimate`` / ``session.what_if``) carrying the batch's
+    ``session.estimate``) carrying the batch's
     total *virtual* seconds next to its wall time, and ``measure`` /
     ``estimate`` emit a ``measurement`` event with the per-query A/E/H
     cost breakdown — the raw material of the run report.  All of it is
@@ -96,7 +96,6 @@ class MeasurementSession:
         self._owns_pool = executor is None
         self._queries_measured = 0
         self._queries_estimated = 0
-        self._what_if_calls = 0
 
     # ------------------------------------------------------------------
     # Pool plumbing
@@ -282,32 +281,6 @@ class MeasurementSession:
             weights=np.array([q.weight for q in queries]),
         )
 
-    def what_if_costs(self, queries, config, oracle=False):
-        """H costs of bound/SQL queries under a candidate configuration.
-
-        The recommender's inner loop: every cost is taken inside the same
-        what-if session (``force_hypothetical=True``) so candidate deltas
-        are comparable, and the database's fingerprint-keyed plan cache
-        memoizes repeats across greedy iterations.
-        """
-
-        def cost(query):
-            sql = getattr(query, "sql", query)
-            return self.database.estimate_hypothetical(
-                sql, config, force_hypothetical=True, oracle=oracle
-            )
-
-        queries = list(queries)
-        with self.timings.stage("what_if"), obs.span(
-            "session.what_if",
-            configuration=config.name,
-            queries=len(queries),
-        ) as span:
-            costs = self._map(cost, queries)
-            span.set(virtual_s=float(sum(costs)))
-        self._what_if_calls += len(costs)
-        return costs
-
     # ------------------------------------------------------------------
     # Accounting
 
@@ -324,7 +297,6 @@ class MeasurementSession:
                 "jobs": self.jobs,
                 "queries_measured": self._queries_measured,
                 "queries_estimated": self._queries_estimated,
-                "what_if_calls": self._what_if_calls,
             },
             "timings": self.timings.snapshot(),
         }

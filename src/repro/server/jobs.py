@@ -50,8 +50,8 @@ FAILED = "failed"
 CONFIG_NAMES = ("P", "1C", "R")
 
 # Cross-query engine counters surfaced by ``GET /v1/metrics``: the
-# template plan cache and the shared-subplan cache.
-ENGINE_COUNTER_PREFIXES = ("template.", "subplan.")
+# shared-subplan cache.
+ENGINE_COUNTER_PREFIX = "subplan."
 
 
 class JobQueueFull(RuntimeError):
@@ -358,10 +358,10 @@ class JobQueue:
     def engine_counters(self):
         """Queue-lifetime cross-query engine counters (a plain dict).
 
-        The cumulative ``template.*`` / ``subplan.*`` counters of
-        every finished job, folded together for
-        ``GET /v1/metrics``.  Read-only aggregation after each job's
-        recorder is closed, so nothing here can leak into a report.
+        The cumulative ``subplan.*`` counters of every finished job,
+        folded together for ``GET /v1/metrics``.  Read-only aggregation
+        after each job's recorder is closed, so nothing here can leak
+        into a report.
         """
         with self._lock:
             return dict(self._engine_counters)
@@ -370,7 +370,7 @@ class JobQueue:
         """Fold one finished job's engine counters into the totals."""
         with self._lock:
             for name, value in counters.items():
-                if name.startswith(ENGINE_COUNTER_PREFIXES):
+                if name.startswith(ENGINE_COUNTER_PREFIX):
                     self._engine_counters[name] = (
                         self._engine_counters.get(name, 0) + value
                     )

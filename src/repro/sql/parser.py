@@ -227,33 +227,3 @@ class _Parser:
 def parse(sql):
     """Parse SQL text into a :class:`~repro.sql.ast.Query`."""
     return _Parser(sql).parse_query()
-
-
-def tokenize(sql):
-    """Lex SQL text into the parser's token stream.
-
-    Exposed for the bind-template cache, which needs literal token
-    positions without paying for a full parse.  Each token has ``kind``
-    (``number``/``string``/``ident``/``keyword``/``op``/``punct``/
-    ``eof``), ``text`` and ``pos``.
-    """
-    return _tokenize(sql)
-
-
-def scan_literals(sql):
-    """``(kind, text, pos)`` of every literal token, in one regex sweep.
-
-    A single ``finditer`` pass of the token pattern: the regex engine
-    applies the same alternation order at each position the tokenizer
-    does, so on any string the tokenizer accepts this yields exactly
-    its ``number``/``string`` tokens (an identifier like ``col1``
-    swallows its digits in both).  Characters outside the grammar are
-    skipped instead of raised on — callers needing the
-    :class:`ParseError` must parse for real, which the bind-template
-    probe does anyway.
-    """
-    return [
-        (match.lastgroup, match.group(), match.start())
-        for match in _TOKEN_RE.finditer(sql)
-        if match.lastgroup in ("number", "string")
-    ]

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..storage.encoding import ColumnDictionary
+
 MCV_LIST_SIZE = 20
 
 
@@ -35,23 +37,20 @@ class ColumnStats:
     def collect(cls, column_name, values, dictionary=None):
         """Compute full statistics over a storage array.
 
-        With a cached :class:`~repro.storage.encoding.ColumnDictionary`
-        for this exact array, the distinct values, counts, and
-        frequency histogram are read off the dictionary instead of
-        re-sorting the column — the results are identical.
+        The distinct values, counts and frequency histogram are read
+        off the column's :class:`~repro.storage.encoding.ColumnDictionary`:
+        the cached ``dictionary`` when it was built from this exact
+        array, a fresh one otherwise.
         """
         values = np.asarray(values)
         row_count = len(values)
         if row_count == 0:
             return cls._empty(column_name)
-        if dictionary is not None and dictionary.base is values:
-            uniques, counts = dictionary.values, dictionary.counts
-            histogram = dictionary.frequency_histogram()
-        else:
-            uniques, counts = np.unique(values, return_counts=True)
-            histogram = None
+        if dictionary is None or dictionary.base is not values:
+            dictionary = ColumnDictionary(values)
         return cls._from_value_counts(
-            column_name, uniques, counts, row_count, histogram=histogram
+            column_name, dictionary.values, dictionary.counts, row_count,
+            dictionary.frequency_histogram(),
         )
 
     @classmethod
@@ -62,12 +61,10 @@ class ColumnStats:
 
     @classmethod
     def _from_value_counts(cls, column_name, uniques, counts, row_count,
-                           histogram=None):
-        """Every field from the column's value/count pair."""
-        if histogram is not None:
-            freq_values, freq_of_freq = histogram
-        else:
-            freq_values, freq_of_freq = np.unique(counts, return_counts=True)
+                           histogram):
+        """Every field from the column's value/count pair and the
+        frequency-of-frequency ``histogram`` of the counts."""
+        freq_values, freq_of_freq = histogram
         n_distinct = len(uniques)
 
         top = np.argsort(counts)[::-1][:MCV_LIST_SIZE]

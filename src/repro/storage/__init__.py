@@ -4,7 +4,6 @@ from .encoding import (
     ColumnDictionary,
     ColumnHandle,
     DictionaryCache,
-    dict_cache_enabled,
 )
 from .table import Table
 from .types import SQLType, date, float_, integer, varchar
@@ -16,7 +15,6 @@ __all__ = [
     "SQLType",
     "Table",
     "date",
-    "dict_cache_enabled",
     "float_",
     "integer",
     "varchar",

@@ -28,10 +28,9 @@ column)`` across all four consumers:
   codes and argsorts (shared between indexes keyed on the same
   columns).
 
-The layer is a pure optimization: every consumer produces
-**byte-identical** output with the cache on or off
-(``REPRO_DICT_CACHE=0`` disables it; CI asserts fig4 byte-identity in
-both modes).
+The layer never changes an output: each dictionary product is checked
+against the NumPy call it replaces (``np.unique``, ``np.lexsort``) in
+``tests/test_encoding.py``.
 
 Consistency: a dictionary is valid exactly as long as its base storage
 array is.  :meth:`DictionaryCache.dictionary` verifies *array
@@ -55,19 +54,7 @@ import threading
 import numpy as np
 
 from .. import obs
-from ..common import knobs
-
-CACHE_ENV = "REPRO_DICT_CACHE"
-
-
-def dict_cache_enabled(flag=None):
-    """Whether the dictionary cache is on: argument, else ``REPRO_DICT_CACHE``.
-
-    Any value other than ``"0"``, ``"false"``, ``"no"`` or ``"off"``
-    (case-insensitive) enables it; the default — no environment
-    variable at all — is enabled.
-    """
-    return knobs.flag(CACHE_ENV, flag)
+from ..common.cache import CacheStats
 
 
 class ColumnDictionary:
@@ -84,7 +71,7 @@ class ColumnDictionary:
     lazy attributes are computed from immutable inputs, so a racing
     double-compute in a session worker pool is deterministic and
     harmless (the same last-writer-wins convention as
-    :meth:`~repro.runtime.cache.BoundedCache.get_or_build`).
+    :meth:`~repro.common.cache.BoundedCache.get_or_build`).
     """
 
     __slots__ = (
@@ -282,12 +269,6 @@ class DictionaryCache:
     """
 
     def __init__(self):
-        # Deferred import: repro.catalog.schema imports repro.storage at
-        # interpreter start, and repro.runtime's package init reaches
-        # back through repro.engine — a module-level import here would
-        # close that cycle before catalog.schema finishes loading.
-        from ..runtime.cache import CacheStats
-
         self.stats = CacheStats("dict_cache")
         self._lock = threading.Lock()
         # (table name, column) -> (Table, ColumnDictionary)

@@ -12,19 +12,23 @@ import numpy as np
 from ..storage.encoding import ColumnDictionary
 
 
+def _dictionary(source):
+    """``source`` as a :class:`~repro.storage.encoding.ColumnDictionary`:
+    the cached one ``Database.column_dictionary`` returns as it is, a
+    raw storage array through a fresh one."""
+    if isinstance(source, ColumnDictionary):
+        return source
+    return ColumnDictionary(source)
+
+
 def value_frequencies(source):
     """Sorted-by-frequency ``(value, count)`` pairs of a column.
 
     ``source`` is either a raw storage array or a cached
-    :class:`~repro.storage.encoding.ColumnDictionary` (as returned by
-    ``Database.column_dictionary``); the dictionary serves the
-    identical pairs without re-sorting the column per call.
+    :class:`~repro.storage.encoding.ColumnDictionary`; the dictionary
+    serves the pairs without re-sorting the column per call.
     """
-    if isinstance(source, ColumnDictionary):
-        return source.by_frequency()
-    uniques, counts = np.unique(np.asarray(source), return_counts=True)
-    order = np.argsort(counts, kind="stable")
-    return uniques[order], counts[order]
+    return _dictionary(source).by_frequency()
 
 
 def selectivity_ladder(source, steps=(1, 10, 100), rank=0):
@@ -35,13 +39,11 @@ def selectivity_ladder(source, steps=(1, 10, 100), rank=0):
     ``(value, frequency)`` pairs, shortest when the column's frequency
     spread cannot support the requested ladder.
     """
-    uniques, counts = value_frequencies(source)
+    dictionary = _dictionary(source)
+    uniques, counts = dictionary.by_frequency()
     if len(uniques) == 0:
         return []
-    if isinstance(source, ColumnDictionary):
-        counts_f64 = source.by_frequency_counts_f64()
-    else:
-        counts_f64 = counts.astype(np.float64)
+    counts_f64 = dictionary.by_frequency_counts_f64()
     base_idx = min(rank, len(uniques) - 1)
     f1 = counts[base_idx]
     ladder = [(uniques[base_idx], int(f1))]
@@ -63,13 +65,10 @@ def frequency_ladder(source, steps=(1, 10, 100)):
     total number of rows selected by "values occurring exactly p times"
     spans the requested orders of magnitude.
     """
-    _, counts = value_frequencies(source)
-    if len(counts) == 0:
+    dictionary = _dictionary(source)
+    if dictionary.n_distinct == 0:
         return []
-    if isinstance(source, ColumnDictionary):
-        freq_vals, freq_of_freq = source.frequency_histogram()
-    else:
-        freq_vals, freq_of_freq = np.unique(counts, return_counts=True)
+    freq_vals, freq_of_freq = dictionary.frequency_histogram()
     rows_selected = freq_vals * freq_of_freq
     order = np.argsort(rows_selected, kind="stable")
     base = rows_selected[order[0]]

@@ -26,23 +26,6 @@ class QueryInstance:
     def meta_dict(self):
         return dict(self.meta)
 
-    def template_key(self):
-        """Workload-level identity of the instance's plan template.
-
-        Family plus every binding except the ladder ``constant`` — the
-        one thing the constant-selection ladders vary inside a shape
-        (the ``constant_freq`` bucket stays, making this the "family +
-        ladder bucket" identity).  Instances sharing this key present
-        the optimizer with the same structure, so they collapse onto
-        one :class:`~repro.optimizer.templates.PlanTemplate`; the
-        optimizer-level :func:`~repro.optimizer.templates.template_key`
-        is coarser still (it also ignores the bucket).
-        """
-        return (
-            self.family,
-            tuple((k, v) for k, v in self.meta if k != "constant"),
-        )
-
 
 def make_instance(sql, family, weight=1.0, **meta):
     """Build a :class:`QueryInstance` with normalized metadata."""

@@ -8,11 +8,13 @@ selection vectors over view tables are checked too).  All four answers
 must agree exactly.  A second database takes a seeded insert batch under
 1C first — its dictionaries and index entries are carried across the
 append, not rebuilt — and must then agree with the reference evaluated
-over the grown tables.
+over the grown tables.  A third property is metamorphic: the rows and
+the virtual seconds of a query do not depend on which caches are warm.
 """
 
 import collections
 import itertools
+import pickle
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -267,6 +269,49 @@ def test_property_engine_matches_reference_after_insert(spec):
     sql = to_sql(spec)
     result = GROWN.execute(sql)
     assert sorted(result.rows()) == reference_eval(spec, GROWN_ROWS), sql
+
+
+def _cold_copies():
+    """``DB`` under each configuration, as unpickled copies: their
+    tables are new arrays, so no cache of theirs holds anything."""
+    copies = {}
+    for config in (P_CONFIG, ONE_C, ONE_C_VIEWS):
+        DB.apply_configuration(config)
+        copies[config.name] = pickle.dumps(DB)
+    return copies
+
+
+COLD_COPIES = _cold_copies()
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=query_specs(), config=st.sampled_from(sorted(COLD_COPIES)))
+def test_property_rows_and_cost_ignore_cache_state(spec, config):
+    """``A(q, C)`` cold, warm and after ``invalidate_caches()``: the hit
+    path of every cache must equal its miss path, in the rows and in
+    the virtual clock."""
+    sql = to_sql(spec)
+    db = pickle.loads(COLD_COPIES[config])
+
+    def observe():
+        result = db.execute(sql)
+        return result.rows(), result.elapsed
+
+    cold = observe()
+    before = db.cache_stats()
+    warm = observe()
+    after = db.cache_stats()
+    # The second run found the plan, and whatever else the plan uses.
+    assert after["plan_cache"]["hits"] == before["plan_cache"]["hits"] + 1
+    for name in ("dict_cache", "subplan_cache", "kernel_cache"):
+        assert after[name]["misses"] == before[name]["misses"], name
+    db.invalidate_caches()
+    assert warm == cold, sql
+    assert observe() == cold, sql
 
 
 def test_view_configuration_reaches_both_views():

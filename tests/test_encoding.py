@@ -1,20 +1,13 @@
 """Dictionary-encoded columns: identity caching, equivalence, invalidation."""
 
 import numpy as np
-import pytest
-from conftest import load_city_database
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.index.data import IndexData
 from repro.index.definition import IndexDefinition
-from repro.storage.encoding import (
-    CACHE_ENV,
-    ColumnDictionary,
-    DictionaryCache,
-    dict_cache_enabled,
-)
+from repro.storage.encoding import ColumnDictionary, DictionaryCache
 from repro.workload.constants import (
     frequency_ladder,
     selectivity_ladder,
@@ -77,7 +70,7 @@ def test_ladders_from_dictionary_identical(city_db):
 
 
 def test_repeated_ladder_calls_hit_the_cache(city_db):
-    cache = city_db._dict_cache
+    cache = city_db._cache("dict_cache")
     before = cache.stats.hits
     first = selectivity_ladder(city_db.column_dictionary("orders", "uid"))
     second = selectivity_ladder(city_db.column_dictionary("orders", "uid"))
@@ -196,54 +189,7 @@ def test_property_lexsort_equals_np_lexsort(rows, domain, seed):
 
 
 # ----------------------------------------------------------------------
-# The REPRO_DICT_CACHE kill switch
-
-def test_dict_cache_enabled_env(monkeypatch):
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    assert dict_cache_enabled()
-    for off in ("0", "false", "NO", " Off "):
-        monkeypatch.setenv(CACHE_ENV, off)
-        assert not dict_cache_enabled()
-    monkeypatch.setenv(CACHE_ENV, "1")
-    assert dict_cache_enabled()
-    assert dict_cache_enabled(flag=True)
-    assert not dict_cache_enabled(flag=False)
-
-
-def test_execution_byte_identical_with_cache_off(monkeypatch):
-    sql = (
-        "SELECT u.city, COUNT(*) FROM users u, orders o "
-        "WHERE u.uid = o.uid AND u.city = 'tor' GROUP BY u.city"
-    )
-    results = {}
-    for flag in ("1", "0"):
-        monkeypatch.setenv(CACHE_ENV, flag)
-        db = load_city_database()
-        first = db.execute(sql)
-        again = db.execute(sql)  # warm plan + dictionary caches
-        results[flag] = (
-            sorted(first.rows()), first.elapsed,
-            sorted(again.rows()), again.elapsed,
-        )
-    assert results["1"] == results["0"]
-
-
-def test_statistics_byte_identical_with_cache_off(monkeypatch):
-    reports = {}
-    for flag in ("1", "0"):
-        monkeypatch.setenv(CACHE_ENV, flag)
-        db = load_city_database()
-        stats = db.statistics.table("orders")
-        reports[flag] = {
-            name: (
-                cs.n_distinct,
-                list(cs.mcv_values),
-                list(cs.mcv_fractions),
-            )
-            for name, cs in stats.columns.items()
-        }
-    assert reports["1"] == reports["0"]
-
+# The database's dictionary cache
 
 def test_database_cache_stats_exposes_dict_cache(city_db):
     city_db.column_dictionary("users", "city")
@@ -322,10 +268,11 @@ def test_insert_rows_carries_dictionaries_without_a_miss(city_db):
         for column in ("uid", "city", "amount")
     }
     held["uid"].codes
-    stale_order = city_db._dict_cache.lexsort(orders, ("city", "uid"))
+    dict_cache = city_db._cache("dict_cache")
+    stale_order = dict_cache.lexsort(orders, ("city", "uid"))
     misses = city_db.cache_stats()["dict_cache"]["misses"]
     cached = sum(
-        1 for table, _ in city_db._dict_cache._entries if table == "orders"
+        1 for table, _ in dict_cache._entries if table == "orders"
     )
     assert cached >= len(held)
     with obs.recording(obs.TraceRecorder()) as recorder:
@@ -347,7 +294,7 @@ def test_insert_rows_carries_dictionaries_without_a_miss(city_db):
         )
     assert city_db.cache_stats()["dict_cache"]["misses"] == misses
     # Memoized sort orders are not carried; they rebuild on demand.
-    fresh = city_db._dict_cache.lexsort(orders, ("city", "uid"))
+    fresh = dict_cache.lexsort(orders, ("city", "uid"))
     assert fresh is not stale_order
     assert fresh.tolist() == np.lexsort(
         (orders.column("uid"), orders.column("city"))

@@ -1,9 +1,11 @@
 """Pinned figure fingerprints.
 
-The executor has one path, so "identical to the other path" is no longer
+The engine has one path, so "identical to the other path" is no longer
 a check; these digests (recorded where CI still proved every on/off pair
-of the since-removed knobs agreed) pin the rendered figure and the
-underlying CFC data instead.
+of the since-removed knobs agreed) pin the rendered output and the
+underlying data instead: fig3/fig4/fig7 for the executor and index
+builds, fig8 for the what-if recommender end to end under System C,
+sec44 for the insert path and the dictionaries carried across it.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import json
 import pytest
 
 from repro.bench.context import BenchContext, BenchSettings
-from repro.bench.experiments import figure_cfc
+from repro.bench.experiments import ALL_EXPERIMENTS
 
 # Regenerate after an intended figure change: run this test, copy the two
 # digests from the assertion message.
@@ -29,6 +31,14 @@ GOLDEN = {
         "07e4bdf8f2a2839be612dd01e68e1fe9ffdbe8c6e01efc579d72198145afe28b",
         "50c30659f9c099d8d2bb5b212b4c1a56de0afce9dbdd2a65ca8bf9815a8628e3",
     ),
+    "fig8": (
+        "5808975a2f17450e4dde7d3236f1ba4213a8be0e2bec4a3a8092235abd7a9d22",
+        "83f6638f4633c27771b9538998efc7cd284b715335f376b5fa8930904418ec90",
+    ),
+    "sec44": (
+        "ad2213eae2a12e08de800bd55f300dd73f9e4e0ba1a726113aa2604dbd786bdd",
+        "d334c1c08855bea6ee4498164913c65e5cb988d1f81274dccdf7ee9c76efdaa7",
+    ),
 }
 
 
@@ -41,7 +51,7 @@ def test_figure_matches_golden_fingerprints(figure):
     context = BenchContext(
         BenchSettings(scale=0.05, workload_size=10, seed=405)
     )
-    result = figure_cfc(figure, context)
+    result = ALL_EXPERIMENTS[figure](context)
     digests = (
         _sha256(str(result)),
         _sha256(json.dumps(result.data, sort_keys=True, default=repr)),

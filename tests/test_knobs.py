@@ -3,7 +3,7 @@
 The registry is the single sanctioned accessor for ``REPRO_*``
 environment variables (the ``KNB001`` lint rule enforces that); these
 tests pin its semantics — declaration validation, idempotent
-re-registration, ``text``/``flag`` parsing — and enumerate the full
+re-registration, ``text`` parsing — and enumerate the full
 knob set, so every registered knob is named in at least one test (the
 third leg of the KNB001 contract).
 """
@@ -23,11 +23,6 @@ EXPECTED_KNOBS = {
     "REPRO_TIMEOUT": "float",
     "REPRO_ABLATION_SCALE": "float",
     "REPRO_ABLATION_WORKLOAD": "int",
-    # derived-result caches
-    "REPRO_WHATIF_CACHE": "flag",
-    "REPRO_DICT_CACHE": "flag",
-    "REPRO_PLAN_TEMPLATES": "flag",
-    "REPRO_SUBPLAN_CACHE": "flag",
     # tuning server
     "REPRO_SERVER_HOST": "str",
     "REPRO_SERVER_PORT": "int",
@@ -87,24 +82,8 @@ def test_text_rejects_unregistered_names():
         knobs.text("REPRO_NOT_REGISTERED")
 
 
-def test_flag_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_WHATIF_CACHE", raising=False)
-    assert knobs.flag("REPRO_WHATIF_CACHE") is True     # declared default
-    for raw in ("0", "false", "no", "off", " OFF "):
-        monkeypatch.setenv("REPRO_WHATIF_CACHE", raw)
-        assert knobs.flag("REPRO_WHATIF_CACHE") is False
-    monkeypatch.setenv("REPRO_WHATIF_CACHE", "1")
-    assert knobs.flag("REPRO_WHATIF_CACHE") is True
-    # The explicit override wins over the environment.
-    assert knobs.flag("REPRO_WHATIF_CACHE", False) is False
-    monkeypatch.setenv("REPRO_WHATIF_CACHE", "0")
-    assert knobs.flag("REPRO_WHATIF_CACHE", True) is True
-
-
 def test_is_registered():
-    assert knobs.is_registered("REPRO_DICT_CACHE")
-    assert knobs.is_registered("REPRO_PLAN_TEMPLATES")
-    assert knobs.is_registered("REPRO_SUBPLAN_CACHE")
+    assert knobs.is_registered("REPRO_JOBS")
     assert not knobs.is_registered("REPRO_UNHEARD_OF")
 
 

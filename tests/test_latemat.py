@@ -7,7 +7,8 @@ from repro import obs
 from repro.engine.configuration import primary_configuration
 from repro.executor.batch import Batch
 from repro.executor.engine import Executor
-from repro.executor.kernels import KernelCache, ScratchArena
+from repro.common.cache import BoundedCache
+from repro.executor.kernels import MAX_KERNELS, ScratchArena, fused_filter
 from repro.optimizer.plans import ScanFilter
 
 
@@ -121,18 +122,22 @@ def test_weight_array_copies_explicit_weights():
 # ----------------------------------------------------------------------
 # Fused predicate kernels
 
+def kernel_cache():
+    return BoundedCache("kernel_cache", MAX_KERNELS)
+
+
 def test_fused_kernel_reused_across_literals():
-    cache = KernelCache()
+    cache = kernel_cache()
     shape_a = [ScanFilter("t.a", "a", ">", 2), ScanFilter("t.b", "b", "<=", 60)]
     shape_b = [ScanFilter("t.a", "a", ">", 5), ScanFilter("t.b", "b", "<=", 90)]
     with obs.recording() as recorder:
-        k1 = cache.fused_filter("t", shape_a)
-        k2 = cache.fused_filter("t", shape_b)
+        k1 = fused_filter(cache, "t", shape_a)
+        k2 = fused_filter(cache, "t", shape_b)
     # Same (table, filter-structure) key: literals bind at call time.
     assert k1 is k2
     counters = recorder.metrics.snapshot().get("counters", {})
-    assert counters.get("executor.kernel_builds") == 1
-    assert counters.get("executor.kernel_hits") == 1
+    assert counters.get("cache.kernel_cache.misses") == 1
+    assert counters.get("cache.kernel_cache.hits") == 1
 
     a = np.arange(10, dtype=np.int64)
     b = a * 10
@@ -143,20 +148,20 @@ def test_fused_kernel_reused_across_literals():
 
 
 def test_fused_kernel_distinct_structure_compiles_again():
-    cache = KernelCache()
-    cache.fused_filter("t", [ScanFilter("t.a", "a", "=", 1)])
-    cache.fused_filter("t", [ScanFilter("t.a", "a", "<", 1)])
-    cache.fused_filter("u", [ScanFilter("u.a", "a", "=", 1)])
+    cache = kernel_cache()
+    fused_filter(cache, "t", [ScanFilter("t.a", "a", "=", 1)])
+    fused_filter(cache, "t", [ScanFilter("t.a", "a", "<", 1)])
+    fused_filter(cache, "u", [ScanFilter("u.a", "a", "=", 1)])
     snapshot = cache.stats.snapshot()
     assert snapshot["misses"] == 3 and snapshot["hits"] == 0
 
 
 def test_kernel_cache_invalidate():
-    cache = KernelCache()
+    cache = kernel_cache()
     filters = [ScanFilter("t.a", "a", "=", 1)]
-    cache.fused_filter("t", filters)
+    fused_filter(cache, "t", filters)
     cache.invalidate()
-    cache.fused_filter("t", filters)
+    fused_filter(cache, "t", filters)
     assert cache.stats.snapshot()["misses"] == 2
 
 
@@ -282,5 +287,5 @@ def test_deferred_gathers_on_filter_query(city_db):
     counters = recorder.metrics.snapshot().get("counters", {})
     assert counters.get("executor.gathers_deferred", 0) > 0
     assert counters.get("executor.gather_bytes_avoided", 0) > 0
-    assert counters.get("executor.kernel_builds", 0) \
-        + counters.get("executor.kernel_hits", 0) > 0
+    assert counters.get("cache.kernel_cache.misses", 0) \
+        + counters.get("cache.kernel_cache.hits", 0) > 0

@@ -1,6 +1,8 @@
 """Cache correctness: fingerprints, plan/estimate memoization, invalidation."""
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from repro.engine.configuration import (
     primary_configuration,
 )
 from repro.index.definition import IndexDefinition
-from repro.runtime.cache import BoundedCache
+from repro.common.cache import BoundedCache
 
 from conftest import load_city_database
 
@@ -83,6 +85,108 @@ def test_bounded_cache_lru_eviction_and_stats():
     cache.invalidate()
     assert len(cache) == 0
     assert cache.stats.invalidations == 1
+
+
+def test_bounded_cache_backing_validates_entries_by_identity():
+    cache = BoundedCache("t", maxsize=4)
+    old, new = np.arange(3), np.arange(3)
+    assert cache.get_or_build("k", lambda: "old", backing=(old,)) == "old"
+    assert cache.get_or_build("k", lambda: "x", backing=(old,)) == "old"
+    # An equal but distinct array is other data: a miss that replaces
+    # the entry, which then no longer serves the old array.
+    assert cache.get_or_build("k", lambda: "new", backing=(new,)) == "new"
+    assert cache.get("k", backing=(old,)) is None
+    # Neither does a lookup naming no arrays, or another number of them.
+    assert cache.get("k") is None
+    assert cache.get("k", backing=(new, new)) is None
+    assert cache.get("k", backing=(new,)) == "new"
+    assert len(cache) == 1
+    assert (cache.stats.hits, cache.stats.misses) == (2, 5)
+
+
+# ----------------------------------------------------------------------
+# The bind cache: counted under threads, bounded, catalog-lifetime
+
+def test_concurrent_binds_are_all_counted(city_db_p):
+    """Session workers bind concurrently; an unlocked ``+=`` would lose
+    some of the N x M lookups."""
+    threads, rounds = 8, 300
+    sqls = [
+        f"SELECT o.city, COUNT(*) FROM orders o WHERE o.uid = {u} "
+        "GROUP BY o.city"
+        for u in range(5)
+    ]
+    start = threading.Barrier(threads)
+
+    def work():
+        start.wait(timeout=30)
+        for i in range(rounds):
+            city_db_p.bind(sqls[i % len(sqls)])
+
+    before = city_db_p.cache_stats()["bind_cache"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    after = city_db_p.cache_stats()["bind_cache"]
+    lookups = (after["hits"] + after["misses"]
+               - before["hits"] - before["misses"])
+    assert lookups == threads * rounds
+
+
+def test_bind_cache_is_bounded_and_survives_invalidation(monkeypatch):
+    from repro.engine.database import Database
+
+    monkeypatch.setattr(Database, "BIND_CACHE_SIZE", 4)
+    db = load_city_database()
+    for uid in range(10):
+        db.bind(f"SELECT o.city FROM orders o WHERE o.uid = {uid}")
+    bind = db.cache_stats()["bind_cache"]
+    assert (bind["misses"], bind["evictions"]) == (10, 6)
+    # Binding depends on the catalog only: state transitions keep it.
+    db.invalidate_caches()
+    db.bind("SELECT o.city FROM orders o WHERE o.uid = 9")
+    assert db.cache_stats()["bind_cache"]["hits"] == 1
+    # Reloading a table is the one transition that drops it.
+    users = db.table("users")
+    db.load_table(
+        "users", {name: users.column(name) for name in users.column_names()}
+    )
+    db.bind("SELECT o.city FROM orders o WHERE o.uid = 9")
+    assert db.cache_stats()["bind_cache"]["misses"] == 11
+
+
+def test_every_registered_cache_is_reported_invalidated_and_unpickled(
+        city_db_p):
+    expected = {
+        "plan_cache", "env_cache", "whatif_cache", "dict_cache",
+        "bind_cache", "subplan_cache", "kernel_cache",
+    }
+    before = city_db_p.cache_stats()
+    assert set(before) == expected
+    for stats in before.values():
+        assert set(stats) == {
+            "name", "hits", "misses", "evictions", "invalidations",
+            "hit_rate",
+        }
+    city_db_p.invalidate_caches()
+    after = city_db_p.cache_stats()
+    for name in expected - {"bind_cache"}:
+        assert after[name]["invalidations"] \
+            == before[name]["invalidations"] + 1, name
+    assert after["bind_cache"]["invalidations"] \
+        == before["bind_cache"]["invalidations"]
+    clone = pickle.loads(pickle.dumps(city_db_p))
+    assert all(
+        stats["invalidations"] == 0 for stats in clone.cache_stats().values()
+    )
 
 
 # ----------------------------------------------------------------------

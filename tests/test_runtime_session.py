@@ -76,18 +76,6 @@ def test_parallel_timeouts_bit_identical(tiny_nref):
     assert np.allclose(parallel.elapsed, 1e-5)
 
 
-def test_what_if_costs_parallel_matches_serial(tiny_nref):
-    workload = nref2j_sample(tiny_nref, size=6)
-    one_c = one_column_configuration(tiny_nref.catalog, name="1C")
-    queries = [tiny_nref.bind(q.sql) for q in workload]
-    with MeasurementSession(tiny_nref, jobs=1) as session:
-        serial = session.what_if_costs(queries, one_c)
-    tiny_nref.invalidate_caches()
-    with MeasurementSession(tiny_nref, jobs=4) as session:
-        parallel = session.what_if_costs(queries, one_c)
-    assert serial == parallel
-
-
 # ----------------------------------------------------------------------
 # Worker-pool resolution and the wrapper API
 

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.common.cache import BoundedCache
 from repro.engine.configuration import primary_configuration
 from repro.index.definition import IndexDefinition
 from repro.recommender.costservice import (
     WhatIfCostService,
     query_tables,
     relevant_fingerprint,
-    service_enabled,
 )
 from repro.recommender.profiles import RecommenderProfile
 from repro.recommender.whatif import WhatIfRecommender
-from repro.runtime.cache import BoundedCache
 from repro.workload.workload import Workload, make_instance
 
 from conftest import load_city_database
@@ -44,21 +43,6 @@ def orders_trial(db):
     return db.configuration.with_indexes(
         [IndexDefinition(table="orders", columns=("uid",))]
     )
-
-
-# ----------------------------------------------------------------------
-# Enablement knob
-
-def test_service_enabled_flag_and_env(monkeypatch):
-    assert service_enabled(True) is True
-    assert service_enabled(False) is False
-    monkeypatch.delenv("REPRO_WHATIF_CACHE", raising=False)
-    assert service_enabled() is True
-    for value in ("0", "false", "NO", " off "):
-        monkeypatch.setenv("REPRO_WHATIF_CACHE", value)
-        assert service_enabled() is False
-    monkeypatch.setenv("REPRO_WHATIF_CACHE", "1")
-    assert service_enabled() is True
 
 
 # ----------------------------------------------------------------------
@@ -175,40 +159,13 @@ def test_collect_statistics_invalidates(db):
 
 
 # ----------------------------------------------------------------------
-# Recommender parity and the optimization counters
-
-def test_cached_and_uncached_recommendations_identical(db):
-    sqls = [
-        f"SELECT o.city, COUNT(*) FROM orders o WHERE o.uid = {u} "
-        f"GROUP BY o.city"
-        for u in (3, 17, 99)
-    ] + [USERS_SQL]
-    profile = RecommenderProfile("t", min_improvement=0.001)
-    reports = {}
-    for cached in (False, True):
-        fresh = load_city_database(n_users=2000, n_orders=12000, seed=7)
-        fresh.apply_configuration(
-            primary_configuration(fresh.catalog, name="P")
-        )
-        recommender = WhatIfRecommender(fresh, profile, use_cache=cached)
-        reports[cached] = recommender.recommend(
-            workload_of(sqls), budget_bytes=10**9, name="R"
-        )
-    assert (
-        reports[True].configuration.fingerprint
-        == reports[False].configuration.fingerprint
-    )
-    assert reports[True].estimated_cost == reports[False].estimated_cost
-    assert reports[True].base_cost == reports[False].base_cost
-    assert reports[True].selected == reports[False].selected
-
+# The recommender's optimization counters
 
 def test_recommender_emits_service_counters(db):
     sqls = [ORDERS_SQL, USERS_SQL]
     with obs.recording() as recorder:
         recommender = WhatIfRecommender(
-            db, RecommenderProfile("t", min_improvement=0.001),
-            use_cache=True,
+            db, RecommenderProfile("t", min_improvement=0.001)
         )
         recommender.recommend(workload_of(sqls), budget_bytes=10**9)
     counters = recorder.metrics.snapshot()["counters"]
@@ -228,8 +185,7 @@ def test_upper_bound_pruning_skips_cheap_candidates(db):
     sqls = [ORDERS_SQL] * 6 + [USERS_SQL]
     with obs.recording() as recorder:
         recommender = WhatIfRecommender(
-            db, RecommenderProfile("t", min_improvement=0.2),
-            use_cache=True,
+            db, RecommenderProfile("t", min_improvement=0.2)
         )
         recommender.recommend(workload_of(sqls), budget_bytes=10**9)
     counters = recorder.metrics.snapshot()["counters"]
@@ -253,7 +209,7 @@ def test_parallel_candidate_search_matches_serial(db):
 
         with MeasurementSession(fresh, jobs=jobs) as session:
             recommender = WhatIfRecommender(
-                fresh, profile, session=session, use_cache=True
+                fresh, profile, session=session
             )
             report = recommender.recommend(
                 workload_of(sqls), budget_bytes=10**9, name="R"
