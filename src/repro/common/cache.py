@@ -148,25 +148,6 @@ class BoundedCache:
         _obs_count(self._metric_hits)
         return value
 
-    def peek(self, key, default=None):
-        """Look up ``key`` without touching statistics or LRU order.
-
-        Used for opportunistic probes — e.g. the database checking
-        whether a *base* environment is resident before choosing the
-        incremental what-if build path — where counting a hit/miss would
-        distort the cache's accounting of real lookups.
-
-        Args:
-            key: any hashable key.
-            default: value to return when the key is absent.
-
-        Returns:
-            The cached value or ``default``; the entry's LRU position is
-            left unchanged.
-        """
-        with self._lock:
-            return self._entries.get(key, default)
-
     def put(self, key, value, backing=None):
         """Insert or refresh ``key``, evicting LRU entries over the bound.
 

@@ -541,7 +541,10 @@ class Database:
             True,
             bool(oracle),
         )
-        base_env = self._cache("env_cache").peek(base_key)
+        # A counted, recency-refreshing lookup: a round builds more trial
+        # environments than the cache holds, and every one of them needs
+        # the base to still be there.
+        base_env = self._cache("env_cache").get(base_key)
         if base_env is None:
             return None
         base_ix = {index_content_key(ix) for ix in base.indexes}
@@ -737,14 +740,14 @@ class Database:
         return self.plan(sql).est.cost
 
     def estimate_hypothetical(self, sql, config, force_hypothetical=False,
-                              oracle=False, base=None):
+                              oracle=False):
         """Hypothetical cost ``H(q, config, current)`` (memoized).
 
         Keyed by ``(sql, current fingerprint, candidate fingerprint,
-        flags)``, so a greedy recommender re-probing the same candidate
-        across iterations pays for one optimizer call.  ``base`` is
-        forwarded to :meth:`hypothetical_env` to enable the incremental
-        environment build when ``config`` extends it.
+        flags)`` in the plan cache, so measuring ``H`` for a figure and
+        asking again pays for one optimizer call.  The recommenders do
+        not come through here: their costs are memoized by the what-if
+        cost service, which calls :meth:`price_hypothetical`.
         """
         obs.counter_add("optimizer.what_if_calls")
         bound = self.bind(sql)
@@ -756,15 +759,37 @@ class Database:
             bool(force_hypothetical),
             bool(oracle),
         )
+        return self._cache("plan_cache").get_or_build(
+            key,
+            lambda: self._hypothetical_cost(
+                bound, config, force_hypothetical, oracle
+            ),
+        )
 
-        def build():
-            obs.counter_add("optimizer.what_if_plan_builds")
-            env = self.hypothetical_env(
-                config, force_hypothetical, oracle, base=base
-            )
-            return Planner(env).plan(bound).est.cost
+    def price_hypothetical(self, bound, config, force_hypothetical=False,
+                           oracle=False, base=None):
+        """``H(q, config, current)`` of a bound query, planned every time.
 
-        return self._cache("plan_cache").get_or_build(key, build)
+        The entry point of the what-if cost service, which keeps its own
+        memo (keyed by the structures that can affect the query) above
+        this call: storing the cost a second time under the full trial
+        fingerprint could never hit, and would push the plans of the
+        measured workload out of the plan cache.  ``base`` is forwarded
+        to :meth:`hypothetical_env` to enable the incremental
+        environment build when ``config`` extends it.
+        """
+        obs.counter_add("optimizer.what_if_calls")
+        return self._hypothetical_cost(
+            bound, config, force_hypothetical, oracle, base
+        )
+
+    def _hypothetical_cost(self, bound, config, force_hypothetical, oracle,
+                           base=None):
+        obs.counter_add("optimizer.what_if_plan_builds")
+        env = self.hypothetical_env(
+            config, force_hypothetical, oracle, base=base
+        )
+        return Planner(env).plan(bound).est.cost
 
     def execute(self, sql, timeout=DEFAULT_TIMEOUT):
         """Plan and run a query; returns a :class:`QueryResult`.

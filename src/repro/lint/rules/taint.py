@@ -21,7 +21,7 @@ Two taint kinds ride the may-analysis lattice
 
 Sinks are where determinism is load-bearing: arguments of
 ``*fingerprint*`` / ``*_key`` callees, the key argument of cache
-``put/get/get_or_build/peek`` calls, ``*cost*`` callees, and subscript
+``put/get/get_or_build`` calls, ``*cost*`` callees, and subscript
 stores into ``report``-named dicts.
 
 Propagation is interprocedural: each function gets a summary —
@@ -67,7 +67,7 @@ ORDER_SOURCES = frozenset({"set", "frozenset", "os.listdir"})
 
 SANITIZERS = frozenset({"sorted"})
 
-CACHE_METHODS = frozenset({"put", "get", "get_or_build", "peek"})
+CACHE_METHODS = frozenset({"put", "get", "get_or_build"})
 CACHE_RECEIVER_FRAGMENTS = ("cache", "artifact")
 
 EXEMPT_FRAGMENTS = ("repro/obs/", "repro/common/", "repro/lint/")
@@ -358,8 +358,8 @@ class TaintRule(Rule):
             receiver = (dotted_name(call.func.value) or "").lower()
             if any(f in receiver for f in CACHE_RECEIVER_FRAGMENTS):
                 # Key arguments only: ``put``/``get_or_build`` take
-                # ``(kind, key, ...)``; dict-style ``get``/``peek``
-                # take ``(key, default)`` and the default — often an
+                # ``(kind, key, ...)``; dict-style ``get`` takes
+                # ``(key, default)`` and the default — often an
                 # ``object()`` sentinel — is not part of the key.
                 count = 2 if tail in ("put", "get_or_build") else 1
                 return (f"{receiver}.{tail}() key",

@@ -3,14 +3,15 @@
 The paper's central diagnostic (Section 5) is that recommender quality
 is bounded by the optimizer's hypothetical estimates ``H(q, Ch, Ca)`` —
 and in this reproduction those what-if calls are also the dominant
-runtime cost: every greedy round re-prices every surviving candidate
-against its relevant queries.  The database's plan cache keys ``H`` by
-the *full* trial-configuration fingerprint, which changes every round
-(the current configuration grows), so cross-round repeats always miss.
+runtime cost: every greedy round prices its surviving candidates
+against the queries they can affect.  Keyed by the *full*
+trial-configuration fingerprint, which changes every round (the current
+configuration grows), cross-round repeats would always miss.
 
-This service sits between the recommenders and
-:meth:`~repro.engine.database.Database.estimate_hypothetical` and adds
-**atomic-configuration memoization**: the cost of a query is keyed by
+This service sits between the recommenders and the what-if optimizer
+(:meth:`~repro.engine.database.Database.price_hypothetical`, which plans
+every call and memoizes nothing) and adds **atomic-configuration
+memoization**: the cost of a query is keyed by
 the fingerprint of the *relevant subset* of the trial configuration's
 structures — exactly the indexes and views the planner could put into a
 plan for that query.  The usability rules are read off the planner
@@ -23,6 +24,13 @@ the same cost, however much they differ elsewhere.  Concretely: once candidate
 ``X`` has been priced against query ``q`` in round 1, selecting an
 unrelated structure ``Y`` does not force ``q`` to be re-planned against
 ``current + Y + X`` in round 2 — the round-1 cost is reused.
+
+The same rule says which queries a candidate can affect at all
+(:meth:`WhatIfCostService.affects`): a structure the planner could not
+use for ``q`` leaves ``q``'s key, and so its cost, unchanged.  The
+recommenders price a candidate against those queries only, one
+:meth:`WhatIfCostService.cost` call at a time, so that a greedy round
+can stop pricing a candidate the moment it is ruled out.
 
 The memo lives in the owning database's
 :attr:`~repro.engine.database.Database.whatif_cache`, so it is dropped
@@ -205,6 +213,50 @@ class WhatIfCostService:
                 profile = self._profiles.setdefault(bound.sql, profile)
         return profile
 
+    def affects(self, structure, bound):
+        """Whether adding ``structure`` can change the cost of ``bound``.
+
+        The one relevance rule of both recommenders, and the rule of the
+        memo key: a candidate index or view the planner could not use
+        for the query leaves :func:`relevant_fingerprint` — hence the
+        memoized cost — as it is, so its gain on that query is exactly
+        zero and pricing it would be a wasted lookup.  (A view
+        candidate's own index never counts: the planner does not consult
+        indexes on views.)
+        """
+        profile = self._profile(bound)
+        if hasattr(structure, "group_columns"):        # a view
+            return profile.view_relevant(structure)
+        return profile.index_usable(structure)
+
+    def cost(self, bound, config, base=None, oracle=False):
+        """Atomic-memoized ``H`` cost of one bound query under ``config``.
+
+        The unit the greedy round prices by: no span, no bind and no
+        list per call, because a candidate may be abandoned after any
+        single query.  Arguments as for :meth:`costs`.
+        """
+        key = (
+            "H", bound.sql, self._db.configuration_fingerprint,
+            relevant_fingerprint(bound, config, profile=self._profile(bound)),
+            bool(oracle),
+        )
+        cache = self._db.whatif_cache
+        cost = cache.get(key)
+        if cost is not None:
+            with self._lock:
+                self.hits += 1
+            obs.counter_add("recommender.whatif_cache.hits")
+            return cost
+        with self._lock:
+            self.misses += 1
+        obs.counter_add("recommender.whatif_cache.misses")
+        cost = self._db.price_hypothetical(
+            bound, config, force_hypothetical=True, oracle=oracle, base=base
+        )
+        cache.put(key, cost)
+        return cost
+
     def costs(self, queries, config, base=None, oracle=False,
               parallel=False):
         """Atomic-memoized ``H`` costs of ``queries`` under ``config``.
@@ -221,8 +273,8 @@ class WhatIfCostService:
                 the database so a cache miss can build its what-if
                 environment incrementally from the base's.
             oracle: full-fidelity what-if statistics (ablation knob).
-            parallel: fan the per-query misses out over the session's
-                worker pool.  Only safe from the main thread (never from
+            parallel: fan the queries out over the session's worker
+                pool.  Only safe from the main thread (never from
                 inside a worker — the pool is not reentrant); candidate
                 batches parallelize at candidate granularity instead.
 
@@ -230,46 +282,17 @@ class WhatIfCostService:
             A list of costs, index-aligned with ``queries``.
         """
         bound = [self._db.bind(q) for q in queries]
-        current_fp = self._db.configuration_fingerprint
-        keys = [
-            ("H", b.sql, current_fp,
-             relevant_fingerprint(b, config, profile=self._profile(b)),
-             bool(oracle))
-            for b in bound
-        ]
-        cache = self._db.whatif_cache
+
+        def one(query):
+            return self.cost(query, config, base=base, oracle=oracle)
+
         with obs.span(
             "service.what_if", configuration=config.name, queries=len(bound)
         ) as span:
-            missing = object()
-            costs = [cache.get(key, missing) for key in keys]
-            todo = [i for i, c in enumerate(costs) if c is missing]
-            with self._lock:
-                self.hits += len(bound) - len(todo)
-                self.misses += len(todo)
-            if len(bound) > len(todo):
-                obs.counter_add(
-                    "recommender.whatif_cache.hits", len(bound) - len(todo)
-                )
-            if todo:
-                obs.counter_add("recommender.whatif_cache.misses", len(todo))
-
-                def compute(index):
-                    return self._db.estimate_hypothetical(
-                        bound[index],
-                        config,
-                        force_hypothetical=True,
-                        oracle=oracle,
-                        base=base,
-                    )
-
-                if parallel and self._session is not None:
-                    computed = self._session.map_batch(compute, todo)
-                else:
-                    computed = [compute(index) for index in todo]
-                for index, cost in zip(todo, computed):
-                    costs[index] = cost
-                    cache.put(keys[index], cost)
+            if parallel and self._session is not None:
+                costs = self._session.map_batch(one, bound)
+            else:
+                costs = [one(query) for query in bound]
             span.set(virtual_s=float(sum(costs)))
         return costs
 

@@ -120,12 +120,12 @@ class GoalDrivenRecommender(WhatIfRecommender):
                     continue
                 relevant = [
                     idx for idx, query in enumerate(queries)
-                    if self._relevant(candidate, query)
+                    if self._service.affects(candidate, query)
                 ]
                 # Goal margins are not additive over queries, so the
-                # what-if upper-bound pruning of the total-cost advisor
-                # does not apply — but the cost service's atomic memo
-                # and incremental environments do.
+                # gain bounds of the total-cost advisor do not apply and
+                # every affected query is priced — but the cost
+                # service's atomic memo and incremental environments do.
                 trial_costs = current_costs.copy()
                 trial_costs[relevant] = self._what_if_batch(
                     [queries[idx] for idx in relevant], trial, base=current
@@ -141,7 +141,7 @@ class GoalDrivenRecommender(WhatIfRecommender):
             if best is None:
                 break
             _, key, candidate, extra, trial_costs, margin = best
-            current = self._extend(current, candidate)
+            current = self._select(current, candidate)
             current_costs = trial_costs
             used += max(0, extra)
             selected.append((key, candidate))

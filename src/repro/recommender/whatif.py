@@ -12,10 +12,13 @@ The candidate search runs on top of the **what-if cost service**
 (:mod:`repro.recommender.costservice`): per-query ``H`` costs are
 memoized by the relevant subset of the trial configuration, candidate
 trials extend the current configuration's what-if environment
-incrementally, whole candidate evaluations fan out over the measurement
-session's worker pool with a deterministic reduction, and candidates
-whose best-possible gain cannot reach the round's improvement threshold
-are pruned without any optimizer call.
+incrementally, and whole candidate evaluations fan out over the
+measurement session's worker pool with a deterministic reduction.  A
+round never prices more of a candidate than it takes to rule it out:
+its best-possible gain is bounded before any optimizer call and again
+after every priced query (:func:`price_bounded`), and the candidate is
+dropped the moment the bound falls below the round's improvement
+threshold.
 
 Reproduced failure modes:
 
@@ -62,6 +65,56 @@ class RecommendationReport:
         return self.base_cost / self.estimated_cost
 
 
+def gain_of(current, trial):
+    """Summed cost reduction ``current - trial``, in query order.
+
+    The one expression behind both the bound of :func:`price_bounded`
+    and the gain a candidate is selected by — they must round alike.
+    """
+    gain = 0.0
+    for before, after in zip(current, trial):
+        gain += before - after
+    return gain
+
+
+def price_bounded(current, threshold, price):
+    """Price one candidate until it is known to miss ``threshold``.
+
+    Queries are priced dearest first, and before each one the candidate's
+    *optimistic* gain is taken: priced queries at their trial cost,
+    every unpriced query at trial cost 0.  Costs are non-negative and
+    floating-point subtraction and addition are monotone, so the
+    optimistic gain — the same sum, in the same order, with some trial
+    costs lowered to 0 — is never below the final one: once it is under
+    ``threshold`` the final gain is too, and the candidate can be
+    dropped without pricing the rest.  The last check is the final
+    gain itself, so a fully priced candidate that misses the threshold
+    is dropped by the same test.
+
+    Args:
+        current: current weighted cost of each relevant query, in query
+            order.
+        threshold: the gain a candidate must reach this round.
+        price: ``price(position)`` → weighted trial cost (``>= 0``) of
+            the query at ``position`` of ``current``.
+
+    Returns:
+        ``(trial, priced)``: the trial costs aligned with ``current``
+        (``None`` when the candidate was dropped) and how many queries
+        were priced.
+    """
+    trial = [0.0] * len(current)
+    dearest_first = sorted(range(len(current)), key=lambda i: -current[i])
+    priced = 0
+    while not gain_of(current, trial) < threshold:
+        if priced == len(current):
+            return trial, priced
+        position = dearest_first[priced]
+        trial[position] = price(position)
+        priced += 1
+    return None, priced
+
+
 class WhatIfRecommender:
     """Greedy budgeted index/view advisor over what-if optimizer calls."""
 
@@ -72,9 +125,8 @@ class WhatIfRecommender:
         # The session provides the worker pool (REPRO_JOBS) that
         # candidate evaluations fan out over.
         self._session = session or MeasurementSession(database)
-        # The what-if cost service adds atomic-configuration
-        # memoization and incremental environments on top of the
-        # database's fingerprint-keyed plan cache.
+        # The what-if cost service: atomic-configuration memoization
+        # and incremental environments over the what-if optimizer.
         self._service = WhatIfCostService(database, self._session)
 
     def recommend(self, workload, budget_bytes, name=None):
@@ -147,7 +199,7 @@ class WhatIfRecommender:
             if best is None:
                 break
             _, key, candidate, extra, gain, trial_costs = best
-            current = self._extend(current, candidate)
+            current = self._select(current, candidate)
             used += max(0, extra)
             selected.append((key, candidate))
             for idx, cost in trial_costs.items():
@@ -185,14 +237,18 @@ class WhatIfRecommender:
 
         Phase 1 (serial, cheap) filters candidates: already selected,
         over budget, or pruned because even a best-possible gain (the
-        relevant queries' entire current cost) cannot reach the round's
-        improvement threshold.  Phase 2 prices the survivors: whole
-        candidate evaluations fan out over the session pool (each
-        worker prices its candidate's relevant queries serially through
-        the atomic memo, extending the current configuration's what-if
-        environment incrementally).  Phase 3 reduces in candidate order
-        with a strict comparison, so ties are broken by candidate
-        position, never by completion order.
+        entire current cost of the queries the candidate can affect)
+        cannot reach the round's improvement threshold.  Phase 2 prices
+        the survivors: whole candidate evaluations fan out over the
+        session pool, and each worker prices its candidate's queries
+        one at a time through the atomic memo (extending the current
+        configuration's what-if environment incrementally), stopping
+        as soon as :func:`price_bounded` rules the candidate out.  The
+        bound looks at nothing but the candidate itself, so which
+        pricings are skipped does not depend on the pool width.
+        Phase 3 reduces in candidate order with a strict comparison, so
+        ties are broken by candidate position, never by completion
+        order.
         """
         eligible = []
         pruned = 0
@@ -208,40 +264,48 @@ class WhatIfRecommender:
                 continue
             relevant = [
                 idx for idx, query in enumerate(queries)
-                if self._relevant(candidate, query)
+                if self._service.affects(candidate, query)
             ]
-            upper = sum(current_costs[idx] for idx in relevant)
-            if upper < threshold:
+            before = [current_costs[idx] for idx in relevant]
+            if sum(before) < threshold:
                 pruned += 1
                 continue
-            eligible.append((key, candidate, trial, extra, relevant))
+            eligible.append((key, candidate, trial, extra, relevant, before))
         if pruned:
             obs.counter_add("recommender.candidates_pruned", pruned)
 
         def evaluate(item):
-            _key, _candidate, trial, _extra, relevant = item
-            return self._what_if_batch(
-                [queries[idx] for idx in relevant], trial, base=current
-            )
+            _key, _candidate, trial, _extra, relevant, before = item
 
-        raw_costs = self._session.map_batch(evaluate, eligible)
+            def price(position):
+                idx = relevant[position]
+                return weights[idx] * self._service.cost(
+                    queries[idx], trial, base=current, oracle=self.oracle
+                )
+
+            return price_bounded(before, threshold, price)
+
+        priced = self._session.map_batch(evaluate, eligible)
 
         best = None
-        for (key, candidate, _trial, extra, relevant), raw in zip(
-                eligible, raw_costs):
-            gain = 0.0
-            trial_costs = {}
-            for idx, cost in zip(relevant, raw):
-                cost *= weights[idx]
-                trial_costs[idx] = cost
-                gain += current_costs[idx] - cost
-            if gain < threshold:
+        abandoned = skipped = 0
+        for (key, candidate, _trial, extra, relevant, before), (
+                after, count) in zip(eligible, priced):
+            if after is None:
                 # Not worth its maintenance/storage footprint: the
                 # candidate is ineligible this round.
+                if count < len(relevant):
+                    abandoned += 1
+                    skipped += len(relevant) - count
                 continue
+            gain = gain_of(before, after)
             score = gain / max(1, extra)
             if best is None or score > best[0]:
-                best = (score, key, candidate, extra, gain, trial_costs)
+                best = (score, key, candidate, extra, gain,
+                        dict(zip(relevant, after)))
+        if abandoned:
+            obs.counter_add("recommender.candidates_abandoned", abandoned)
+            obs.counter_add("recommender.pricings_skipped", skipped)
         return best
 
     def _what_if_batch(self, queries, config, base=None, parallel=False):
@@ -271,6 +335,22 @@ class WhatIfRecommender:
                 pool[("mv", view.name)] = view
         return pool
 
+    def _select(self, current, candidate):
+        """``current`` plus the round's winner, as the next round's base.
+
+        The winner may have been priced from the memo alone, or its
+        trial environment evicted since, and a round whose base has no
+        resident environment builds every trial from scratch — so the
+        new base's environment is derived here, from ``current``'s,
+        while that is certainly still resident.
+        """
+        selected = self._extend(current, candidate)
+        self._db.hypothetical_env(
+            selected, force_hypothetical=True, oracle=self.oracle,
+            base=current,
+        )
+        return selected
+
     def _extend(self, config, candidate):
         if hasattr(candidate, "group_columns"):        # a view
             extended = config.with_views([candidate])
@@ -282,12 +362,3 @@ class WhatIfRecommender:
                 [IndexDefinition(table=candidate.name, columns=(leading,))]
             )
         return config.with_indexes([candidate])
-
-    def _relevant(self, candidate, bound):
-        """Whether a candidate could possibly affect a query's plan."""
-        tables = set(bound.relations.values())
-        for semi in bound.semijoins:
-            tables.add(semi.sub_table)
-        if hasattr(candidate, "group_columns"):
-            return any(t in tables for t in candidate.tables)
-        return candidate.table in tables

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.bench.context import BenchContext, BenchSettings
 from repro.bench.experiments import ALL_EXPERIMENTS
 
@@ -57,3 +58,19 @@ def test_figure_matches_golden_fingerprints(figure):
         _sha256(json.dumps(result.data, sort_keys=True, default=repr)),
     )
     assert digests == GOLDEN[figure]
+
+
+def test_fig8_recommendation_what_if_work_is_pinned():
+    """The System C / SkTH3J recommendation behind fig8 plans exactly
+    this many what-if queries and builds one what-if environment from
+    scratch (every other one extends its base).  The counts repeat
+    exactly, so a change in how much the greedy rounds price — not only
+    in what they recommend — shows here."""
+    context = BenchContext(
+        BenchSettings(scale=0.05, workload_size=10, seed=405)
+    )
+    with obs.recording() as recorder:
+        context.recommendation("C", "SkTH3J")
+    counters = recorder.metrics.snapshot()["counters"]
+    assert counters["optimizer.what_if_plan_builds"] == 3332
+    assert counters["optimizer.hypothetical_env_builds"] == 1

@@ -1,6 +1,10 @@
 """Recommender: candidate generation, greedy selection, failure modes."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import RecommenderGaveUp
 from repro.engine.configuration import primary_configuration
@@ -10,7 +14,11 @@ from repro.recommender.candidates import (
     view_candidates,
 )
 from repro.recommender.profiles import RecommenderProfile
-from repro.recommender.whatif import WhatIfRecommender
+from repro.recommender.whatif import (
+    WhatIfRecommender,
+    gain_of,
+    price_bounded,
+)
 from repro.workload.workload import Workload, make_instance
 
 from conftest import load_city_database
@@ -172,3 +180,81 @@ def test_recommended_configuration_executes(db):
     after = db.execute(sqls[0])
     assert sorted(after.rows()) == sorted(before.rows())
     assert after.elapsed <= before.elapsed
+
+
+# ----------------------------------------------------------------------
+# Bounded candidate pricing: the stop rule against full pricing
+
+# Non-negative magnitudes where float sums misbehave: zero, subnormals,
+# values that round when added (0.1 + 0.2), values that absorb their
+# neighbours (1e16 + 1) and values whose sums or products overflow.
+_EDGES = [0.0, 5e-324, 1e-310, 0.1, 0.2, 0.3, 1.0, 1e16, 1e300]
+_magnitudes = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+)
+
+
+@st.composite
+def pricing_cases(draw):
+    n = draw(st.integers(0, 10))
+    current = draw(st.lists(_magnitudes, min_size=n, max_size=n))
+    costs = draw(st.lists(_magnitudes, min_size=n, max_size=n))
+    weights = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.0, 5e-324]),
+                  st.floats(min_value=0.0, max_value=1e3)),
+        min_size=n, max_size=n,
+    ))
+    full = [w * c for w, c in zip(weights, costs)]
+    gain = gain_of(current, full)
+    threshold = draw(st.one_of(
+        _magnitudes,
+        # The recommender's own threshold ...
+        st.floats(min_value=0.0, max_value=1.0).map(
+            lambda share: share * max(sum(current), 1e-9)
+        ),
+        # ... and thresholds at and next to the gain itself.
+        st.sampled_from([gain, math.nextafter(gain, math.inf),
+                         math.nextafter(gain, -math.inf)])
+        if math.isfinite(gain) else st.just(0.0),
+    ))
+    return current, weights, costs, threshold
+
+
+@settings(max_examples=500, deadline=None)
+@given(pricing_cases())
+def test_price_bounded_agrees_with_full_pricing(case):
+    current, weights, costs, threshold = case
+    asked = []
+
+    def price(position):
+        asked.append(position)
+        return weights[position] * costs[position]
+
+    trial, priced = price_bounded(current, threshold, price)
+
+    full = [w * c for w, c in zip(weights, costs)]
+    assert priced == len(asked) == len(set(asked))
+    assert [current[i] for i in asked] == sorted(
+        (current[i] for i in asked), reverse=True
+    ), "dearest query first"
+    if trial is None:
+        assert gain_of(current, full) < threshold
+    else:
+        assert trial == full
+        assert priced == len(current)
+        assert not gain_of(current, full) < threshold
+
+
+def test_price_bounded_stops_at_the_first_hopeless_query():
+    # Three queries of cost 10/6/4 and a threshold of 12: once the
+    # dearest query turns out to save only 1, at most 1 + 6 + 4 = 11
+    # is left to gain.
+    calls = []
+
+    def price(position):
+        calls.append(position)
+        return [5.0, 9.0, 0.0][position]
+
+    assert price_bounded([6.0, 10.0, 4.0], 12.0, price) == (None, 1)
+    assert calls == [1]

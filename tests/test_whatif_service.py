@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.common.cache import BoundedCache
 from repro.engine.configuration import primary_configuration
 from repro.index.definition import IndexDefinition
 from repro.recommender.costservice import (
@@ -14,6 +13,7 @@ from repro.recommender.costservice import (
 )
 from repro.recommender.profiles import RecommenderProfile
 from repro.recommender.whatif import WhatIfRecommender
+from repro.runtime.session import MeasurementSession
 from repro.workload.workload import Workload, make_instance
 
 from conftest import load_city_database
@@ -192,48 +192,80 @@ def test_upper_bound_pruning_skips_cheap_candidates(db):
     assert counters.get("recommender.candidates_pruned", 0) > 0
 
 
+def test_bounded_pricing_abandons_hopeless_candidates(db, monkeypatch):
+    # An index on orders.uid helps every orders query, but not by the
+    # 90 % the round demands: it passes the upper bound (the orders
+    # queries are nearly the whole workload) and is abandoned once the
+    # dearest queries have been priced.
+    sqls = [
+        f"SELECT o.city, COUNT(*) FROM orders o WHERE o.uid = {u} "
+        f"GROUP BY o.city"
+        for u in (3, 17, 99, 251, 1000, 5)
+    ] + [USERS_SQL]
+    priced = {}
+    cost = WhatIfCostService.cost
+
+    def counting(self, bound, config, **kwargs):
+        priced[config.fingerprint] = priced.get(config.fingerprint, 0) + 1
+        return cost(self, bound, config, **kwargs)
+
+    monkeypatch.setattr(WhatIfCostService, "cost", counting)
+    recommender = WhatIfRecommender(
+        db, RecommenderProfile("t", min_improvement=0.9, max_selected=1)
+    )
+    with obs.recording() as recorder:
+        recommender.recommend(workload_of(sqls), budget_bytes=10**9)
+    counters = recorder.metrics.snapshot()["counters"]
+
+    # It is the one candidate the round abandons: strictly fewer
+    # what-if calls than queries it affects, and the counters say so.
+    candidate = IndexDefinition(table="orders", columns=("uid",))
+    service = WhatIfCostService(db)
+    affected = sum(service.affects(candidate, db.bind(q)) for q in sqls)
+    calls = priced[orders_trial(db).fingerprint]
+    assert affected == 6 and 0 < calls < affected
+    assert counters["recommender.candidates_abandoned"] == 1
+    assert counters["recommender.pricings_skipped"] == affected - calls
+
+
 def test_parallel_candidate_search_matches_serial(db):
     sqls = [
         f"SELECT o.city, COUNT(*) FROM orders o WHERE o.uid = {u} "
         f"GROUP BY o.city"
-        for u in (3, 17, 99)
+        for u in (3, 17, 99, 251)
     ] + [USERS_SQL]
-    profile = RecommenderProfile("t", min_improvement=0.001)
-    fingerprints = {}
-    for jobs in (1, 4):
-        fresh = load_city_database(n_users=2000, n_orders=12000, seed=7)
-        fresh.apply_configuration(
-            primary_configuration(fresh.catalog, name="P")
-        )
-        from repro.runtime.session import MeasurementSession
-
-        with MeasurementSession(fresh, jobs=jobs) as session:
-            recommender = WhatIfRecommender(
-                fresh, profile, session=session
+    # The bound is per candidate, so the pool width changes neither the
+    # recommendation nor which pricings are skipped.
+    skip_counters = (
+        "recommender.candidates_abandoned", "recommender.pricings_skipped"
+    )
+    for min_improvement in (0.001, 0.9):
+        profile = RecommenderProfile("t", min_improvement=min_improvement)
+        outcomes = {}
+        for jobs in (1, 4):
+            fresh = load_city_database(n_users=2000, n_orders=12000, seed=7)
+            fresh.apply_configuration(
+                primary_configuration(fresh.catalog, name="P")
             )
-            report = recommender.recommend(
-                workload_of(sqls), budget_bytes=10**9, name="R"
+            with obs.recording() as recorder, \
+                    MeasurementSession(fresh, jobs=jobs) as session:
+                recommender = WhatIfRecommender(
+                    fresh, profile, session=session
+                )
+                report = recommender.recommend(
+                    workload_of(sqls), budget_bytes=10**9, name="R"
+                )
+            counters = recorder.metrics.snapshot()["counters"]
+            outcomes[jobs] = (
+                report.configuration.fingerprint,
+                [counters.get(name, 0) for name in skip_counters],
             )
-        fingerprints[jobs] = report.configuration.fingerprint
-    assert fingerprints[1] == fingerprints[4]
+        assert outcomes[1] == outcomes[4]
+    assert outcomes[1][1][0] > 0, "the 90 % round abandons a candidate"
 
 
 # ----------------------------------------------------------------------
-# Satellites: BoundedCache.peek, Table.byte_size memo
-
-def test_bounded_cache_peek_does_not_touch_stats_or_lru():
-    cache = BoundedCache("t", maxsize=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.peek("a") == 1
-    assert cache.peek("zzz", "fallback") == "fallback"
-    stats = cache.stats.snapshot()
-    assert stats["hits"] == 0 and stats["misses"] == 0
-    # peek must not refresh recency: "a" is still the eviction victim.
-    cache.put("c", 3)
-    assert cache.peek("a") is None
-    assert cache.peek("b") == 2
-
+# Satellite: Table.byte_size memo
 
 def test_table_byte_size_cached_and_invalidated(db):
     table = db.table("orders")
