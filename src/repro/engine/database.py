@@ -329,7 +329,7 @@ class Database:
         for ix in config.indexes:
             target = self._index_target(ix, state)
             data = IndexData(
-                ix, target, self.system.index_overhead, encodings=encodings
+                ix, target, encodings, self.system.index_overhead
             )
             state.index_data[ix.name] = data
             key_width = sum(
@@ -921,26 +921,24 @@ class Database:
             if cached is None:
                 table = self.table(view_def.tables[0])
                 encodings = self._cache("dict_cache")
-                arrays = [
-                    table.column(vc.column)
-                    for vc in view_def.group_columns
-                ]
+                columns = tuple(vc.column for vc in view_def.group_columns)
                 if table.row_count == 0:
                     distinct = 0
-                elif len(arrays) == 1:
+                elif len(columns) == 1:
                     distinct = encodings.dictionary(
-                        table, view_def.group_columns[0].column
+                        table, columns[0]
                     ).n_distinct
                 else:
-                    order = encodings.lexsort(
-                        table,
-                        tuple(vc.column for vc in view_def.group_columns),
-                    )
+                    # Key changes along the index order, compared on
+                    # dictionary codes: same count, no string compares.
+                    order = encodings.lexsort(table, columns)
                     change = np.zeros(table.row_count, dtype=bool)
                     change[0] = True
-                    for arr in arrays:
-                        sorted_arr = arr[order]
-                        change[1:] |= sorted_arr[1:] != sorted_arr[:-1]
+                    for column in columns:
+                        codes = encodings.dictionary(
+                            table, column
+                        ).codes[order]
+                        change[1:] |= codes[1:] != codes[:-1]
                     distinct = int(change.sum())
                 cached = max(1, distinct)
                 self._view_size_cache[view_def.name] = cached

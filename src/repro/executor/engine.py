@@ -48,7 +48,7 @@ from .batch import (
     join_codes,
 )
 from ..common.cache import BoundedCache
-from ..storage.encoding import DictionaryCache
+from ..storage.encoding import DictionaryCache, stable_order
 from .kernels import MAX_KERNELS, ScratchArena, fused_filter
 from .subplan import SubplanCache
 
@@ -566,7 +566,8 @@ class Executor:
             right_carried=rcarr,
             domains=self._subplans,
         )
-        order = np.argsort(rcodes, kind="stable")
+        rspan = int(rcodes.max()) + 1 if len(rcodes) else 0
+        order = stable_order(rcodes, rspan)
         if len(lcodes) and len(rcodes):
             # Dense-domain probe: join codes are dense ranks, so the
             # match range of left code c in the sorted build side is
@@ -574,7 +575,7 @@ class Executor:
             # into one shared prefix table instead of two binary
             # searches per probe row.  The prefix table is bounded by
             # the total row count because the codes are dense.
-            domain = int(max(int(lcodes.max()), int(rcodes.max()))) + 1
+            domain = max(int(lcodes.max()) + 1, rspan)
             starts_table = self._arena.ints(domain + 1, fill=0)
             np.cumsum(
                 np.bincount(rcodes, minlength=domain), out=starts_table[1:]
@@ -816,17 +817,10 @@ class Executor:
         span = int(vcodes.max()) + 1
         keys = codes * span + vcodes
         if n_groups * span <= max(4 * len(codes), 65536):
-            # Sort-free pair dedup: the (group, value) key space is
-            # small, so a presence scan counts each group's distinct
-            # values — the same counts the unique-sort below derives.
-            present = np.zeros(n_groups * span, dtype=bool)
-            present[keys] = True
-            return present.reshape(n_groups, span).sum(
-                axis=1
-            ).astype(np.int64)
-        pairs = np.unique(keys)
-        group_of_pair = pairs // span
-        return np.bincount(group_of_pair, minlength=n_groups).astype(np.int64)
+            obs.counter_add("executor.distinct_bitmap")
+            return _distinct_by_bitmap(keys, n_groups, span)
+        obs.counter_add("executor.distinct_sorted")
+        return _distinct_by_sort(keys, n_groups, span)
 
     @staticmethod
     def _min_max(codes, values, n_groups, func):
@@ -840,6 +834,31 @@ class Executor:
             return sorted_values[starts]
         ends = np.searchsorted(sorted_codes, np.arange(n_groups), "right")
         return sorted_values[ends - 1]
+
+
+def _distinct_by_bitmap(keys, n_groups, span):
+    """Distinct values per group from ``group * span + value`` keys,
+    for a small key space: mark every key present, sum each group's
+    row of the bitmap."""
+    present = np.zeros(n_groups * span, dtype=bool)
+    present[keys] = True
+    return present.reshape(n_groups, span).sum(axis=1).astype(np.int64)
+
+
+def _distinct_by_sort(keys, n_groups, span):
+    """The same counts for any key space; sorts ``keys`` in place.
+
+    A plain integer sort and one adjacent compare find each distinct
+    key once.  ``np.unique`` returns the same array but hashes on
+    NumPy >= 2.3, which is many times slower on keys this distinct.
+    """
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.bincount(keys[first] // span, minlength=n_groups).astype(
+        np.int64
+    )
 
 
 def _code_keys_of(plan):

@@ -23,6 +23,10 @@ from .btree import BPlusTree
 from .definition import estimate_index_size
 
 
+# Rows per block of the cluster-factor scan: 512 KB of float64 pages.
+_PAGE_BLOCK = 1 << 16
+
+
 def gather_ranges(values, lows, highs):
     """Concatenate ``values[lo:hi]`` for every (lo, hi) pair, vectorized.
 
@@ -87,31 +91,26 @@ class IndexData:
 
     Instances are immutable once built: :meth:`append` returns a new
     index, so a reader holding the old one keeps a consistent snapshot.
+    ``row_ids`` and ``key_columns`` are read-only arrays; ``row_ids``
+    of a fresh build is shared with ``encodings`` (the database's
+    :class:`~repro.storage.encoding.DictionaryCache`) and with every
+    other index on the same columns.
     """
 
-    def __init__(self, definition, table, overhead_factor=1.0,
-                 encodings=None):
+    def __init__(self, definition, table, encodings, overhead_factor=1.0):
         self.definition = definition
         self._overhead_factor = overhead_factor
-        self._build(table, encodings)
-
-    def _build(self, table, encodings=None):
-        key_arrays = [table.column(c) for c in self.definition.columns]
-        if encodings is not None:
-            # Cached-dictionary lexsort: seeds from the cached
-            # single-column argsorts and memoizes suffix orders, so
-            # indexes sharing key columns share the sorts.  The
-            # permutation is identical to np.lexsort's.
-            order = encodings.lexsort(
-                table, tuple(self.definition.columns)
-            )
-        else:
-            order = np.lexsort(tuple(reversed(key_arrays)))
+        # The cache's memoized lexsort *is* the index's row ids — the
+        # same read-only array for every index on these columns, not a
+        # copy per index.
+        order = encodings.lexsort(table, tuple(definition.columns))
         self._set_entries(
-            table, order.astype(np.int64), [arr[order] for arr in key_arrays]
+            table, order, [table.column(c)[order] for c in definition.columns]
         )
 
     def _set_entries(self, table, row_ids, key_columns):
+        for array in (row_ids, *key_columns):
+            array.setflags(write=False)
         self._tree = None
         self.row_ids = row_ids
         self.key_columns = key_columns
@@ -133,8 +132,9 @@ class IndexData:
         (a lexicographic ``side="right"`` binary search).  New row ids
         exceed all old ones, so that is where the stable ``lexsort`` of
         a from-scratch build puts them: the result equals
-        ``IndexData(definition, table)`` array for array.  Keys must be
-        NaN-free, as ``<=`` orders a NaN differently from a sort.
+        ``IndexData(definition, table, encodings)`` array for array.
+        Keys must be NaN-free, as ``<=`` orders a NaN differently from
+        a sort.
         """
         first = self.entry_count
         tails = [table.column(c)[first:] for c in self.definition.columns]
@@ -168,8 +168,19 @@ class IndexData:
         if self.entry_count == 0:
             return 1.0
         rows_per_page = max(1.0, PAGE_SIZE / table.schema.row_width())
-        pages = np.floor(self.row_ids / rows_per_page)
-        transitions = 1 + int(np.count_nonzero(np.diff(pages)))
+        # Page numbers block by block in one small reused buffer (each
+        # block re-reads the row before it): whole-array temporaries
+        # cost more in first-touch page faults than in arithmetic.
+        transitions = 1
+        pages = np.empty(min(self.entry_count, _PAGE_BLOCK + 1))
+        for start in range(0, self.entry_count - 1, _PAGE_BLOCK):
+            block = self.row_ids[start:start + _PAGE_BLOCK + 1]
+            block_pages = pages[:len(block)]
+            np.divide(block, rows_per_page, out=block_pages)
+            np.floor(block_pages, out=block_pages)
+            transitions += int(
+                np.count_nonzero(block_pages[1:] != block_pages[:-1])
+            )
         return min(1.0, transitions / self.entry_count)
 
     # ------------------------------------------------------------------

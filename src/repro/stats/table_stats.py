@@ -17,19 +17,17 @@ class TableStats:
     columns: dict = field(default_factory=dict)
 
     @classmethod
-    def collect(cls, table, encodings=None):
+    def collect(cls, table, encodings):
         """Collect full statistics over a :class:`~repro.storage.table.Table`.
 
-        ``encodings`` (an optional
-        :class:`~repro.storage.encoding.DictionaryCache`) lets each
-        column's statistics be read off the shared column dictionary.
+        Each column's statistics are read off its dictionary in
+        ``encodings`` (a
+        :class:`~repro.storage.encoding.DictionaryCache`), shared with
+        every other consumer of the column.
         """
         columns = {
             name: ColumnStats.collect(
-                name,
-                table.column(name),
-                encodings.dictionary(table, name)
-                if encodings is not None else None,
+                name, table.column(name), encodings.dictionary(table, name)
             )
             for name in table.column_names()
         }

@@ -24,9 +24,12 @@ column)`` across all four consumers:
   instead of re-sorting every intermediate;
 * :mod:`repro.stats.column_stats` reads distinct counts and frequency
   histograms straight off the dictionary;
-* :mod:`repro.index.data` seeds its lexsorts with cached per-column
-  codes and argsorts (shared between indexes keyed on the same
-  columns).
+* :mod:`repro.index.data` takes its row-id permutation from
+  :meth:`DictionaryCache.lexsort` — the memoized order itself, one
+  read-only array shared by every index keyed on the same columns.
+
+Every sort of rows here is a plain integer sort (:func:`stable_order`):
+codes and row positions packed into one int64 per row.
 
 The layer never changes an output: each dictionary product is checked
 against the NumPy call it replaces (``np.unique``, ``np.lexsort``) in
@@ -55,6 +58,43 @@ import numpy as np
 
 from .. import obs
 from ..common.cache import CacheStats
+
+
+# Width of the position grid in :func:`stable_order` (rows per line).
+_GRID = 1 << 12
+
+
+def stable_order(codes, span):
+    """Stable argsort of int64 ``codes``, all in ``[0, span)``.
+
+    Row ``i`` is sorted as the single integer ``codes[i] << bits | i``
+    (``bits`` wide enough for every position), and the low bits of the
+    sorted array are the permutation.  The packed integers are
+    distinct and ordered by (code, position) — the order that defines
+    a stable sort — so any plain integer sort returns exactly
+    ``np.argsort(codes, kind="stable")``, several times faster than
+    the merge/radix sort that has to carry an index array along.
+    Keys too wide to pack beside a position (``bits(span) + bits(n)
+    > 62``) take the ``argsort`` itself.
+    """
+    obs.counter_add("encoding.sorts")
+    n = len(codes)
+    bits = max(n - 1, 0).bit_length()
+    if max(span - 1, 0).bit_length() + bits > 62:
+        return np.argsort(codes, kind="stable")
+    packed = np.left_shift(codes, bits, dtype=np.int64)
+    # Positions are OR-ed in as line start + offset over a 2-D view:
+    # a full-length ``arange`` would be a second array of the column's
+    # size, allocated and first-touched only to be thrown away — which
+    # costs several times the sort itself.
+    full = n - n % _GRID
+    grid = packed[:full].reshape(-1, _GRID)
+    grid |= np.arange(0, full, _GRID, dtype=np.int64)[:, None]
+    grid |= np.arange(_GRID, dtype=np.int64)
+    packed[full:] |= np.arange(full, n, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
 
 
 class ColumnDictionary:
@@ -150,12 +190,27 @@ class ColumnDictionary:
 
         Identical to ``np.unique(base, return_inverse=True)``'s inverse:
         codes are ranks into the sorted dictionary, and every dictionary
-        value occurs in the base column, so the codes are dense.
+        value occurs in the base column, so the codes are dense.  An
+        object column looks its values up in a hash table, any other
+        dtype bisects the dictionary.
         """
         if self._codes is None:
-            self._codes = np.searchsorted(
-                self.values, self.base
-            ).astype(np.int64)
+            if self.base.dtype == object:
+                # One hash lookup per row instead of a bisect of
+                # Python-level compares; a value the dictionary does
+                # not hold raises KeyError rather than taking its
+                # neighbour's slot.
+                slot_of = dict(
+                    zip(self.values.tolist(), range(len(self.values)))
+                )
+                self._codes = np.fromiter(
+                    map(slot_of.__getitem__, self.base),
+                    dtype=np.int64, count=len(self.base),
+                )
+            else:
+                self._codes = np.searchsorted(
+                    self.values, self.base
+                ).astype(np.int64, copy=False)
         return self._codes
 
     def argsort(self):
@@ -164,12 +219,13 @@ class ColumnDictionary:
         Identical to ``np.lexsort((base,))``: codes are
         order-isomorphic to values, and stable sorts are unique, so
         sorting the int64 codes yields the same permutation as sorting
-        the raw (possibly string) array — usually much faster.
+        the raw (possibly string) array — usually much faster.  The
+        array is read-only: indexes hold it as their row ids.
         """
         if self._argsort is None:
-            self._argsort = np.argsort(
-                self.codes, kind="stable"
-            ).astype(np.int64)
+            order = stable_order(self.codes, self.n_distinct)
+            order.setflags(write=False)
+            self._argsort = order
         return self._argsort
 
     def find(self, values):
@@ -203,7 +259,9 @@ class ColumnDictionary:
         column (stable sort by count).
         """
         if self._freq_order is None:
-            self._freq_order = np.argsort(self.counts, kind="stable")
+            self._freq_order = stable_order(
+                self.counts, self.row_count + 1
+            )
         order = self._freq_order
         return self.values[order], self.counts[order]
 
@@ -344,10 +402,12 @@ class DictionaryCache:
         ``columns[0]`` is the most significant (leading) key, matching
         ``np.lexsort(tuple(reversed(arrays)))`` in the index build.
         Implemented as the textbook sequence of stable sorts from the
-        least to the most significant key — over cached int64 *codes*
-        instead of raw arrays — seeded with the least significant
-        column's cached argsort.  Stable sorts are unique, so the
-        result is byte-identical to ``np.lexsort`` on the raw arrays.
+        least to the most significant key — each a
+        :func:`stable_order` over cached int64 *codes* instead of raw
+        arrays — seeded with the least significant column's cached
+        argsort.  Stable sorts are unique, so the result is
+        byte-identical to ``np.lexsort`` on the raw arrays.  The
+        returned array is read-only and shared with later callers.
 
         Every suffix's order is memoized per ``(table, column tuple)``:
         indexes sharing key suffixes (and identical rebuilt indexes)
@@ -370,8 +430,10 @@ class DictionaryCache:
             start = len(columns) - 1
             self._store_order(table, (columns[-1],), order)
         for depth in range(start - 1, -1, -1):
-            codes = self.dictionary(table, columns[depth]).codes
-            order = order[np.argsort(codes[order], kind="stable")]
+            dictionary = self.dictionary(table, columns[depth])
+            order = order[
+                stable_order(dictionary.codes[order], dictionary.n_distinct)
+            ]
             self._store_order(table, tuple(columns[depth:]), order)
         return order
 
@@ -394,6 +456,9 @@ class DictionaryCache:
         return order
 
     def _store_order(self, table, key_columns, order):
+        # Handed out to every index built on these columns as its
+        # ``row_ids``: shared, so nobody may write to it.
+        order.setflags(write=False)
         arrays = tuple(table.column(c) for c in key_columns)
         with self._lock:
             self._orders[(table.name, key_columns)] = (table, arrays, order)

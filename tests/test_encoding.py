@@ -1,13 +1,19 @@
 """Dictionary-encoded columns: identity caching, equivalence, invalidation."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.index.data import IndexData
 from repro.index.definition import IndexDefinition
-from repro.storage.encoding import ColumnDictionary, DictionaryCache
+from repro.storage.encoding import (
+    _GRID,
+    ColumnDictionary,
+    DictionaryCache,
+    stable_order,
+)
 from repro.workload.constants import (
     frequency_ladder,
     selectivity_ladder,
@@ -54,6 +60,92 @@ def test_dictionary_frequency_views():
     fv, ff = d.frequency_histogram()
     ev, ef = np.unique(counts, return_counts=True)
     assert fv.tolist() == ev.tolist() and ff.tolist() == ef.tolist()
+
+
+# ----------------------------------------------------------------------
+# stable_order: one packed integer sort equals the stable argsort
+
+# Row counts around the powers of two where the position field widens,
+# and around the grid the positions are laid out on.
+ROW_COUNTS = st.sampled_from(
+    [0, 1, 2, 3, 4, 5, 63, 64, 65, _GRID - 1, _GRID, _GRID + 1,
+     2 * _GRID, 2 * _GRID + 7]
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=ROW_COUNTS,
+    span_bits=st.integers(0, 40),
+    off_by=st.sampled_from([-1, 0, 1]),
+    all_equal=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_property_stable_order_equals_stable_argsort(
+        rows, span_bits, off_by, all_equal, seed):
+    span = max(1, (1 << span_bits) + off_by)
+    rng = np.random.default_rng(seed)
+    if all_equal:
+        codes = np.full(rows, span - 1, dtype=np.int64)
+    else:
+        # Few distinct codes (long runs of ties) from the whole range.
+        pool = rng.integers(0, span, size=5)
+        pool[0] = span - 1
+        codes = pool[rng.integers(0, len(pool), size=rows)]
+        if rows:
+            codes[-1] = span - 1  # widest code at the widest position
+    order = stable_order(codes, span)
+    assert order.dtype == np.int64
+    assert order.tolist() == np.argsort(codes, kind="stable").tolist()
+
+
+def test_stable_order_packs_up_to_62_bits_and_falls_back_beyond(
+        monkeypatch):
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(
+        np, "argsort",
+        lambda *args, **kwargs: calls.append(kwargs) or argsort(
+            *args, **kwargs
+        ),
+    )
+    # 5 rows need 3 position bits: a 59-bit span still packs ...
+    top = (1 << 59) - 1
+    codes = np.array([top, 0, top, 7, 0], dtype=np.int64)
+    assert stable_order(codes, 1 << 59).tolist() == [1, 4, 3, 0, 2]
+    assert calls == []
+    # ... and one bit more (a forged span: the codes are unchanged)
+    # takes the fallback, with the same answer.
+    with obs.recording() as recorder:
+        assert stable_order(codes, 1 << 60).tolist() == [1, 4, 3, 0, 2]
+    assert calls == [{"kind": "stable"}]
+    counters = recorder.metrics.snapshot()["counters"]
+    assert counters["encoding.sorts"] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.lists(
+        st.sampled_from(["", "a", "ab", "b", "ba", "m", "zz", "zzzz"]),
+        min_size=0, max_size=80,
+    )
+)
+def test_property_object_codes_are_the_unique_inverse(words):
+    base = np.array(words, dtype=object)
+    d = ColumnDictionary(base)
+    expected = np.unique(base, return_inverse=True)[1]
+    assert d.codes.dtype == np.int64
+    assert d.codes.tolist() == expected.tolist()
+    assert d.values[d.codes].tolist() == words
+
+
+def test_object_codes_raise_on_a_value_outside_the_dictionary():
+    base = np.array(["b", "a", "c", "a", "bb"], dtype=object)
+    forged = ColumnDictionary(base[:-1])
+    forged.base = base  # "bb" would bisect into "c"'s slot
+    assert np.searchsorted(forged.values, "bb") == 2
+    with pytest.raises(KeyError):
+        forged.codes
 
 
 # ----------------------------------------------------------------------
@@ -148,14 +240,23 @@ def test_index_build_with_cache_is_identical(city_db):
     cache = DictionaryCache()
     users = city_db.table("users")
     definition = IndexDefinition(table="users", columns=("city", "age"))
-    legacy = IndexData(definition, users)
-    cached = IndexData(definition, users, encodings=cache)
-    assert cached.row_ids.tolist() == legacy.row_ids.tolist()
-    for got, want in zip(cached.key_columns, legacy.key_columns):
-        assert got.tolist() == want.tolist()
-    assert cached.cluster_factor == legacy.cluster_factor
-    # The memoized permutation is not aliased into the index.
-    assert cached.row_ids is not cache.lexsort(users, ("city", "age"))
+    cached = IndexData(definition, users, cache)
+    # np.lexsort on the raw arrays is the reference.
+    arrays = [users.column("city"), users.column("age")]
+    order = np.lexsort(tuple(reversed(arrays)))
+    assert cached.row_ids.dtype == np.int64
+    assert cached.row_ids.tolist() == order.tolist()
+    for got, arr in zip(cached.key_columns, arrays):
+        assert got.tolist() == arr[order].tolist()
+    # The index and the memo hold one read-only permutation.
+    memo = cache.lexsort(users, ("city", "age"))
+    assert cached.row_ids is memo
+    assert not memo.flags.writeable
+    for array in (cached.row_ids, memo, *cached.key_columns):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+    # A second index on the same columns shares it too.
+    assert IndexData(definition, users, cache).row_ids is memo
 
 
 @settings(max_examples=30, deadline=None)

@@ -23,9 +23,10 @@ def test_hypothetical_index_is_conservative():
 def test_from_data_carries_measurements():
     db = load_city_database(n_users=300, n_orders=900)
     from repro.index.data import IndexData
+    from repro.storage.encoding import DictionaryCache
 
     definition = IndexDefinition(table="users", columns=("uid",))
-    data = IndexData(definition, db.table("users"))
+    data = IndexData(definition, db.table("users"), DictionaryCache())
     info = IndexInfo.from_data(data)
     assert not info.hypothetical
     assert info.data is data
@@ -82,3 +83,20 @@ def test_planner_env_queries():
     assert env.indexes_on("orders") == []
     assert len(env.views_on_table("orders")) == 1
     assert len(env.join_views()) == 1
+
+
+def test_hypothetical_view_size_counts_distinct_key_tuples():
+    """A multi-column single-table view is sized by the exact number of
+    distinct key tuples (object and integer columns mixed)."""
+    db = load_city_database(n_users=300, n_orders=900)
+    vdef = MatViewDefinition(
+        tables=("orders",),
+        group_columns=(
+            ViewColumn("orders", "city"), ViewColumn("orders", "uid"),
+        ),
+    )
+    orders = db.table("orders")
+    tuples = set(zip(orders.column("city"), orders.column("uid")))
+    rows, _width = db._hypothetical_view_size(vdef)
+    assert rows == len(tuples)
+    assert 1 < rows < orders.row_count

@@ -6,6 +6,7 @@ from repro.optimizer.estimator import Estimator
 from repro.optimizer.policy import EstimatorPolicy
 from repro.sql.binder import BoundColumn, Filter, SemiJoin
 from repro.stats.table_stats import StatisticsCatalog, TableStats
+from repro.storage.encoding import DictionaryCache
 
 from conftest import load_city_database
 
@@ -15,7 +16,7 @@ def stats():
     db = load_city_database(n_users=1000, n_orders=8000, seed=2)
     catalog = StatisticsCatalog()
     for name in ("users", "orders"):
-        catalog.put(TableStats.collect(db.table(name)))
+        catalog.put(TableStats.collect(db.table(name), DictionaryCache()))
     return catalog
 
 

@@ -6,6 +6,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import QueryTimeout
 from repro.engine.configuration import (
@@ -13,7 +15,13 @@ from repro.engine.configuration import (
     primary_configuration,
 )
 from repro.executor.batch import Batch
-from repro.executor.engine import Executor, VirtualClock, _member_flags
+from repro.executor.engine import (
+    Executor,
+    VirtualClock,
+    _distinct_by_bitmap,
+    _distinct_by_sort,
+    _member_flags,
+)
 from repro.executor.subplan import SubplanCache
 from repro.optimizer.plans import SemiFilter, SemiSource
 from repro.sql.binder import SemiJoin
@@ -78,6 +86,46 @@ def test_count_distinct(city_db):
     assert rows_sorted(result) == sorted(
         (c, len(s)) for c, s in groups.items()
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 400),
+    groups=st.integers(1, 400),
+    domain=st.integers(1, 400),
+    seed=st.integers(0, 10_000),
+)
+@example(rows=400, groups=400, domain=400, seed=0)  # the sorted arm
+@example(rows=400, groups=3, domain=400, seed=0)    # the bitmap arm
+def test_property_count_distinct_arms_agree_with_sets(
+        rows, groups, domain, seed):
+    """Both COUNT(DISTINCT) arms, on the same keys, and the executor's
+    own choice between them all equal a set per group."""
+    from repro import obs
+
+    rng = np.random.default_rng(seed)
+    # Dense group codes, as combine_codes hands them to the aggregate.
+    _, codes = np.unique(rng.integers(0, groups, rows), return_inverse=True)
+    n_groups = int(codes.max()) + 1
+    values = rng.integers(-domain, domain, rows)
+    seen = collections.defaultdict(set)
+    for group, value in zip(codes.tolist(), values.tolist()):
+        seen[group].add(value)
+    expected = [len(seen[g]) for g in range(n_groups)]
+
+    _, vcodes = np.unique(values, return_inverse=True)
+    span = int(vcodes.max()) + 1
+    keys = codes * span + vcodes
+    assert _distinct_by_bitmap(keys, n_groups, span).tolist() == expected
+    assert _distinct_by_sort(keys.copy(), n_groups, span).tolist() == expected
+
+    with obs.recording() as recorder:
+        got = Executor({}, None)._count_distinct(codes, values, n_groups)
+    assert got.tolist() == expected
+    counters = recorder.metrics.snapshot()["counters"]
+    small = n_groups * span <= max(4 * rows, 65536)
+    assert counters.get("executor.distinct_bitmap", 0) == int(small)
+    assert counters.get("executor.distinct_sorted", 0) == int(not small)
 
 
 def test_sum_avg_min_max(city_db):

@@ -74,3 +74,35 @@ def test_fig8_recommendation_what_if_work_is_pinned():
     counters = recorder.metrics.snapshot()["counters"]
     assert counters["optimizer.what_if_plan_builds"] == 3332
     assert counters["optimizer.hypothetical_env_builds"] == 1
+
+
+def test_fig4_configuration_sorts_are_pinned():
+    """Building P → 1C → P → 1C for System A on NREF sorts once per
+    distinct (table, key suffix) of the two configurations — every
+    sort is memoized in the dictionary cache and shared by the indexes
+    that end in it — and the second 1C build sorts nothing."""
+    context = BenchContext(
+        BenchSettings(scale=0.05, workload_size=10, seed=405)
+    )
+
+    def sorts():
+        counters = recorder.metrics.snapshot()["counters"]
+        return counters.get("encoding.sorts", 0)
+
+    with obs.recording() as recorder:
+        database = context.database("A", "nref")  # builds P
+        p = context.p_configuration(database)
+        one_c = context.one_c_configuration(database)
+        database.apply_configuration(one_c)
+        database.apply_configuration(p)
+        before_second = sorts()
+        database.apply_configuration(one_c)
+        total = sorts()
+    suffixes = {
+        (ix.table, ix.columns[depth:])
+        for config in (p, one_c)
+        for ix in config.indexes
+        for depth in range(len(ix.columns))
+    }
+    assert total == len(suffixes) == 39
+    assert total == before_second

@@ -13,12 +13,13 @@ from repro.index.definition import (
     estimate_index_size,
     heap_fetch_pages,
 )
+from repro.storage.encoding import DictionaryCache
 from repro.storage.table import Table
 
 
 def make_index(city_db, table, columns):
     definition = IndexDefinition(table=table, columns=tuple(columns))
-    return IndexData(definition, city_db.table(table))
+    return IndexData(definition, city_db.table(table), DictionaryCache())
 
 
 def test_definition_validation():
@@ -190,17 +191,31 @@ def assert_same_index(got, want):
 def test_property_append_equals_rebuild(initial, batches, key):
     table = Table(KEYED, keyed_columns(initial))
     definition = IndexDefinition(table="keyed", columns=key)
-    index = IndexData(definition, table, overhead_factor=1.3)
+    cache = DictionaryCache()
+    index = IndexData(definition, table, cache, overhead_factor=1.3)
+    # A fresh build shares the cache's memoized order.
+    memo = cache.lexsort(table, key)
+    assert index.row_ids is memo
+    memo_before = memo.tolist()
     for batch in batches:
         table.append_rows(keyed_columns(batch))
-        before = index.row_ids
+        before, before_rows = index.row_ids, index.row_ids.tolist()
         merged = index.append(table)
-        # The old index is a snapshot: appending leaves it alone.
+        # The old index is a snapshot: appending leaves it — and the
+        # order it may share with the cache — alone.
         assert merged is not index and index.row_ids is before
+        assert before.tolist() == before_rows
+        assert memo.tolist() == memo_before
+        assert not merged.row_ids.flags.writeable
         index = merged
-        assert_same_index(
-            index, IndexData(definition, table, overhead_factor=1.3)
+        rebuilt = IndexData(
+            definition, table, DictionaryCache(), overhead_factor=1.3
         )
+        assert_same_index(index, rebuilt)
+        # np.lexsort on the raw columns is the reference for both.
+        assert rebuilt.row_ids.tolist() == np.lexsort(
+            tuple(table.column(c) for c in reversed(key))
+        ).tolist()
     tree = index.tree()
     tree.check_invariants()
     assert len(tree) == index.entry_count
@@ -208,6 +223,24 @@ def test_property_append_equals_rebuild(initial, batches, key):
         probe = tuple(row["ifs".index(name)] for name in key)
         assert sorted(tree.search(probe)) == sorted(
             index.lookup_eq(probe).tolist()
+        )
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
+def test_cluster_factor_by_blocks_equals_the_whole_array_formula(
+        city_db, monkeypatch, block):
+    from repro.common.hardware import PAGE_SIZE
+    from repro.index import data as index_data
+
+    monkeypatch.setattr(index_data, "_PAGE_BLOCK", block)
+    orders = city_db.table("orders")
+    for columns in (("oid",), ("city",), ("uid", "amount")):
+        index = make_index(city_db, "orders", columns)
+        rows_per_page = max(1.0, PAGE_SIZE / orders.schema.row_width())
+        pages = np.floor(index.row_ids / rows_per_page)
+        transitions = 1 + int(np.count_nonzero(np.diff(pages)))
+        assert index.cluster_factor == min(
+            1.0, transitions / index.entry_count
         )
 
 
@@ -238,5 +271,8 @@ def test_insert_rows_merges_instead_of_rebuilding(city_db_1c, monkeypatch):
         assert held[ix.name].entry_count == orders.row_count - 2
         assert_same_index(
             merged,
-            IndexData(ix, orders, city_db_1c.system.index_overhead),
+            IndexData(
+                ix, orders, DictionaryCache(),
+                city_db_1c.system.index_overhead,
+            ),
         )

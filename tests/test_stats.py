@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.stats.column_stats import ColumnStats
 from repro.stats.table_stats import TableStats
+from repro.storage.encoding import DictionaryCache
 
 
 def test_empty_column():
@@ -84,7 +85,7 @@ def test_property_eq_selectivities_sum_to_one(values):
 
 
 def test_table_stats_collection(city_db):
-    stats = TableStats.collect(city_db.table("users"))
+    stats = TableStats.collect(city_db.table("users"), DictionaryCache())
     assert stats.row_count == 500
     assert stats.column("city").n_distinct == 5
     assert stats.column("uid").n_distinct == 500
