@@ -5,12 +5,13 @@ Every behavioural environment variable of the reproduction (pool
 widths, server limits, bench scale) is
 *declared* here with its type, default, and one-line contract, and every
 read of one goes through :func:`text` — never through a
-bare ``os.environ`` lookup.  The lint rule ``KNB001`` machine-checks the
-contract project-wide: a ``REPRO_*`` read outside this module, a knob
-referenced but not registered, a registered knob without a row in
-``docs/cli.md``, or one no test under ``tests/`` names, each fail CI.
-The registry is what makes "which knobs exist and what do they do"
-answerable from one file instead of a grep.
+bare ``os.environ`` lookup.  The lint rule ``KNB001`` machine-checks
+that project-wide: a ``REPRO_*`` read outside this module, or a
+``REPRO_*`` name used but not registered, fails CI;
+``tests/test_knobs.py`` pins the registered set and fails when a
+registered knob has no row in ``docs/cli.md``.  The registry is what
+makes "which knobs exist and what do they do" answerable from one file
+instead of a grep.
 
 Knob *semantics* (clamping, error messages) stay
 with their owning modules — ``repro.runtime.session`` still decides
@@ -121,7 +122,8 @@ register(
     "artifact-store persistence directory (unset = memory only)",
 )
 
-# Bench scale (BenchSettings.from_env and the benchmarks/ drivers)
+# Bench scale (BenchSettings.from_env: a BenchContext built without
+# explicit settings; ``python -m repro.bench run <id>`` takes flags)
 register("REPRO_SCALE", "float", 1.0, "data scale factor")
 register(
     "REPRO_WORKLOAD_SIZE", "int", 100, "queries per sampled workload",

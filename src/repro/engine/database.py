@@ -44,6 +44,7 @@ derived from the cached one plus the delta structures instead of being
 rebuilt from scratch (see :meth:`Database.hypothetical_env`).
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,10 @@ from .configuration import (
 )
 
 DEFAULT_TIMEOUT = 1800.0
+
+#: Guards the view-size memo of every database (a plain dict that is
+#: pickled with it): session workers size candidate views concurrently.
+_VIEW_SIZE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -941,7 +946,8 @@ class Database:
                         change[1:] |= codes[1:] != codes[:-1]
                     distinct = int(change.sum())
                 cached = max(1, distinct)
-                self._view_size_cache[view_def.name] = cached
+                with _VIEW_SIZE_LOCK:
+                    self._view_size_cache[view_def.name] = cached
             return cached, width
 
         estimator = Estimator(self.statistics, self.system.policy)

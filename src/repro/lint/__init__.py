@@ -14,70 +14,44 @@ CLK001    no wall-clock reads outside ``repro.obs`` (the engine clock
           is virtual)
 INV001    every ``Database`` mutator must (transitively) call
           ``invalidate_caches()``
-LCK001    attribute writes in pool-submitted callables must be
-          lock-guarded or thread-local
 SCH001    ``build_run_report`` keys and ``RUN_REPORT_SCHEMA``
           properties must agree (both directions)
 EXC001    no bare ``except`` and no broad except that never re-raises
-LCK002    shared attributes of lock-owning classes reached from
-          executor entries need a class lock held on every path
-          (interprocedural lockset analysis)
+LCK002    state shared with executor workers — ``self`` of a
+          lock-owning or submitting class, free variables of a
+          submitted closure — is written with a lock held on every
+          path (interprocedural lockset analysis)
 TNT001    nondeterministic values (clocks, env, ``id()``, ambient RNG,
           set order) must not flow into fingerprints, cache keys,
           costs, or report fields (interprocedural taint)
-KNB001    ``REPRO_*`` knobs must be registered in
-          ``repro.common.knobs``, documented in ``docs/cli.md``, and
-          named in at least one test
+KNB001    ``REPRO_*`` names must be registered in
+          ``repro.common.knobs`` and read only through it
 ========  ==============================================================
 
-The three project-scope rules share one :class:`~repro.lint.callgraph.
+The project-scope rules share one :class:`~repro.lint.callgraph.
 CallGraph` per run (``Project.call_graph``) and the dataflow fixpoints
 of :mod:`repro.lint.dataflow`.
 
-Run it with ``python -m repro.lint [paths]``; silence a reviewed
-finding with ``# repro-lint: disable=RULE``; grandfather findings with
-``--baseline`` (see :mod:`repro.lint.baseline`).
+Run it with ``python -m repro.lint [paths]`` (``--rule``, ``--format
+text|json``, ``--list-rules``); silence a reviewed finding with
+``# repro-lint: disable=RULE``.
 """
 
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .callgraph import CallGraph, CallSite, FunctionInfo
-from .core import FileUnit, Finding, Project, Rule
-from .dataflow import (
-    CFG,
-    ForwardAnalysis,
-    LocksetAnalysis,
-    build_cfg,
-)
+from .core import Finding, Rule
 from .rules import ALL_RULES
 from .runner import (
     LINT_REPORT_SCHEMA,
     LINT_REPORT_SCHEMA_ID,
     LintResult,
-    collect_files,
     run_lint,
 )
-from .suppress import parse_suppressions
 
 __all__ = [
     "ALL_RULES",
-    "CFG",
-    "CallGraph",
-    "CallSite",
-    "FileUnit",
     "Finding",
-    "ForwardAnalysis",
-    "FunctionInfo",
     "LINT_REPORT_SCHEMA",
     "LINT_REPORT_SCHEMA_ID",
     "LintResult",
-    "LocksetAnalysis",
-    "Project",
     "Rule",
-    "apply_baseline",
-    "build_cfg",
-    "collect_files",
-    "load_baseline",
-    "parse_suppressions",
     "run_lint",
-    "write_baseline",
 ]

@@ -4,23 +4,18 @@ Usage::
 
     python -m repro.lint [paths ...]
     python -m repro.lint src --format json
-    python -m repro.lint src --format sarif > lint.sarif
     python -m repro.lint src --rule RNG001 --rule CLK001
-    python -m repro.lint src --baseline lint-baseline.json
-    python -m repro.lint src --write-baseline lint-baseline.json
-    python -m repro.lint src --jobs 8 --timings
     python -m repro.lint --list-rules
 
-Exit status: **0** no findings, **1** at least one non-baselined
-finding, **2** usage or I/O errors (unknown rule, unreadable baseline).
-CI runs ``python -m repro.lint src --format json`` on every push.
+Exit status: **0** no findings, **1** at least one finding, **2** usage
+errors (unknown rule).  CI runs ``python -m repro.lint src --format
+json`` on every push.
 """
 
 import argparse
 import json
 import sys
 
-from .baseline import write_baseline
 from .rules import ALL_RULES
 from .runner import run_lint
 
@@ -39,19 +34,8 @@ def _build_parser():
     parser.add_argument("--rule", action="append", default=None,
                         metavar="RULE",
                         help="run only this rule (repeatable)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="subtract grandfathered findings in FILE")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="write current findings to FILE and exit 0")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker threads for the per-file phase "
-                             "(default: cpu count); output is "
-                             "identical for every value")
-    parser.add_argument("--timings", action="store_true",
-                        help="report per-phase wall clock (text "
-                             "footer / json 'timings' object)")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     return parser
@@ -67,28 +51,15 @@ def main(argv=None):
 
     paths = args.paths or ["src"]
     try:
-        result = run_lint(
-            paths, rules=args.rule, baseline_path=args.baseline,
-            jobs=args.jobs, timings=args.timings,
-        )
+        result = run_lint(paths, rules=args.rule)
     except KeyError as err:
         known = ", ".join(sorted(ALL_RULES))
         print(f"unknown rule {err.args[0]!r} (known: {known})",
               file=sys.stderr)
         return 2
-    except (OSError, ValueError) as err:
-        print(f"lint failed: {err}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline is not None:
-        count = write_baseline(result.findings, args.write_baseline)
-        print(f"baseline: {count} finding(s) -> {args.write_baseline}")
-        return 0
 
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(json.dumps(result.to_sarif(), indent=2, sort_keys=True))
     else:
         print(result.render_text())
     return 0 if result.ok else 1

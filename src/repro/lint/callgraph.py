@@ -1,17 +1,23 @@
 """The project-wide call graph: who calls whom, and how.
 
-PR 4's rules are per-file and syntactic; the invariants that matter at
+The file-scope rules are syntactic; the invariants that matter at
 server scale (lock discipline across ``SessionStore``/``JobQueue``,
 determinism taint through helper modules) are *inter*procedural.  This
-module builds one :class:`CallGraph` per lint run — every function and
-method of every linted file, plus resolved call edges — which the
-project-scope rules (``LCK002``, ``TNT001``) traverse and run their
-dataflow fixpoints over (:mod:`repro.lint.dataflow`).
+module builds one :class:`CallGraph` per lint run — every function,
+method and nested ``def`` of every linted file, plus resolved call
+edges — which the project-scope rules (``LCK002``, ``TNT001``) traverse
+and run their dataflow fixpoints over (:mod:`repro.lint.dataflow`).
+
+A nested ``def`` belongs to the class of the method it is written in
+and is keyed under it (``module::Class.method.<name>``): the closure a
+method hands to a worker pool captures that method's ``self``, so it is
+checked against that class's locks.
 
 Resolution is deliberately cheap and explicit about its tiers:
 
 * ``direct``       — ``helper(...)`` to a function of the same module,
-                     or an enclosing ``def`` (the nested-worker idiom);
+                     or a ``def`` nested in the caller or in a function
+                     enclosing it (the nested-worker idiom);
 * ``import``       — ``mod.helper(...)`` / ``from mod import helper``
                      across modules, through the per-file alias map;
 * ``self``         — ``self.m(...)`` / ``cls.m(...)`` to a method of
@@ -27,7 +33,9 @@ Resolution is deliberately cheap and explicit about its tiers:
                      (``pool.submit(self._work)``, ``map_batch(fn)``,
                      ``Thread(target=fn)``, ``add_done_callback(fn)``);
                      submit targets are the *entry points* of the
-                     concurrency rules.
+                     concurrency rules.  A submitted ``lambda`` has no
+                     node of its own: the calls in its body are the
+                     entries.
 
 Every edge carries an argument-binding map so analyses can translate
 facts (held locks, taint) between caller and callee frames.
@@ -35,7 +43,7 @@ facts (held locks, taint) between caller and callee frames.
 
 import ast
 
-from .core import dotted_name, import_aliases
+from .core import annotate_parents, dotted_name, enclosing
 
 SUBMIT_ATTRS = frozenset({"map_batch", "submit", "_map"})
 POOLISH_FRAGMENTS = ("pool", "executor")
@@ -45,6 +53,8 @@ THREAD_CALLS = frozenset({"threading.Thread", "Thread"})
 #: Methods the HTTP layer runs on per-request server threads; they are
 #: executor entry points exactly like pool-submitted callables.
 HANDLER_METHOD_PREFIX = "do_"
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Marker type for attributes constructed from a non-project callable
 #: (``self._sessions = OrderedDict()``): their methods are *known* not
@@ -57,22 +67,20 @@ class FunctionInfo:
     """One function or method of the project, with its owner context."""
 
     def __init__(self, qualname, module, node, unit, class_name=None,
-                 class_node=None):
+                 parent=None):
         self.qualname = qualname      #: ``module::Class.method`` key
         self.module = module          #: dotted module guess from path
-        self.node = node              #: the FunctionDef/Lambda node
+        self.node = node              #: the FunctionDef node
         self.unit = unit              #: owning FileUnit
         self.class_name = class_name  #: enclosing class, or None
-        self.class_node = class_node
+        self.parent = parent          #: enclosing FunctionInfo (nested def)
         self.calls = []               #: outgoing CallSite list
         self.is_entry = False         #: submitted to an executor?
-        self.entry_kinds = set()      #: why it is an entry
 
     @property
     def params(self):
         args = self.node.args
-        names = [a.arg for a in (*args.posonlyargs, *args.args)]
-        return names
+        return [a.arg for a in (*args.posonlyargs, *args.args)]
 
     def __repr__(self):
         return f"<FunctionInfo {self.qualname}>"
@@ -121,27 +129,28 @@ def module_name(unit):
     return ".".join(parts)
 
 
-def _annotate_parents(tree):
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            child._lint_parent = node
+def self_assignments(fn):
+    """``(attr, value node)`` of every ``self.<attr> = value`` in ``fn``."""
+    for stmt in ast.walk(fn):
+        if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Attribute) \
+                        and isinstance(target.value, ast.Name) \
+                        and target.value.id == "self":
+                    yield target.attr, stmt.value
 
 
-def _enclosing(node, kinds):
-    node = getattr(node, "_lint_parent", None)
-    while node is not None:
-        if isinstance(node, kinds):
-            return node
-        node = getattr(node, "_lint_parent", None)
-    return None
-
-
-def _call_token(arg):
-    """The binding token of one call argument (None when opaque)."""
-    if isinstance(arg, ast.Name):
-        return arg.id
-    name = dotted_name(arg)
-    return name
+def bound_arguments(call, callee):
+    """``(parameter, argument expression)`` pairs of ``call`` against
+    ``callee``'s signature — positional, then keyword; the ``self``
+    slot of a method is not an argument."""
+    params = callee.params
+    offset = 1 if callee.class_name is not None \
+        and params and params[0] in ("self", "cls") else 0
+    yield from zip(params[offset:], call.args)
+    for keyword in call.keywords:
+        if keyword.arg in params:
+            yield keyword.arg, keyword.value
 
 
 class CallGraph:
@@ -166,8 +175,11 @@ class CallGraph:
 
     def _index(self, units):
         for unit in units:
-            _annotate_parents(unit.tree)
+            annotate_parents(unit.tree)
             module = module_name(unit)
+            by_node = {}
+            # ``ast.walk`` is breadth-first, so an enclosing function is
+            # always indexed before the defs nested in it.
             for node in ast.walk(unit.tree):
                 if isinstance(node, ast.ClassDef):
                     self.classes.setdefault(node.name, []).append(
@@ -179,59 +191,58 @@ class CallGraph:
                     self._class_bases[(module, node.name)] = [
                         b for b in bases if b
                     ]
-                elif isinstance(node, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                    cls = _enclosing(node, ast.ClassDef)
-                    enclosing_fn = _enclosing(
-                        node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    )
-                    if cls is not None and enclosing_fn is None:
-                        qual = f"{module}::{cls.name}.{node.name}"
+                elif isinstance(node, _DEFS):
+                    scope = enclosing(node, (ast.ClassDef, *_DEFS))
+                    if isinstance(scope, ast.ClassDef):
+                        qual = f"{module}::{scope.name}.{node.name}"
                         info = FunctionInfo(
-                            qual, module, node, unit, cls.name, cls
+                            qual, module, node, unit, scope.name
                         )
                         self._class_methods.setdefault(
-                            (module, cls.name), {}
+                            (module, scope.name), {}
                         )[node.name] = qual
                         self.methods_by_name.setdefault(
                             node.name, []
                         ).append(qual)
-                    elif enclosing_fn is None:
+                    elif scope is None:
                         qual = f"{module}::{node.name}"
                         info = FunctionInfo(qual, module, node, unit)
                         self._module_funcs[(module, node.name)] = qual
                     else:
-                        # Nested def: addressed relative to its parent.
-                        qual = (
-                            f"{module}::"
-                            f"{getattr(enclosing_fn, 'name', '<fn>')}"
-                            f".<{node.name}>"
+                        # Nested def: keyed under, and owned by the
+                        # class of, the function it is written in.
+                        parent = by_node[scope]
+                        info = FunctionInfo(
+                            f"{parent.qualname}.<{node.name}>", module,
+                            node, unit, parent.class_name, parent,
                         )
-                        info = FunctionInfo(qual, module, node, unit)
-                    self.functions[qual] = info
+                    by_node[node] = info
+                    self.functions[info.qualname] = info
 
-    def _class_qual(self, module, class_name):
-        return (module, class_name)
+    def lineage(self, module, class_name):
+        """``(module, Class)`` keys of a class and then, depth-first in
+        declaration order, of the project classes it inherits from."""
+        seen = set()
+        stack = [(module, class_name)]
+        while stack:
+            key = stack.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            yield key
+            bases = [
+                (module_name(unit), base.split(".")[-1])
+                for base in self._class_bases.get(key, ())
+                for unit, _ in self.classes.get(base.split(".")[-1], ())
+            ]
+            stack.extend(reversed(bases))
 
-    def _lookup_method(self, module, class_name, method, seen=None):
+    def _lookup_method(self, module, class_name, method):
         """Resolve ``method`` on ``class_name``, following project bases."""
-        seen = seen or set()
-        key = (module, class_name)
-        if key in seen:
-            return None
-        seen.add(key)
-        methods = self._class_methods.get(key)
-        if methods and method in methods:
-            return methods[method]
-        for base in self._class_bases.get(key, ()):  # e.g. BenchContext
-            base_name = base.split(".")[-1]
-            for unit, node in self.classes.get(base_name, ()):
-                base_module = module_name(unit)
-                found = self._lookup_method(
-                    base_module, base_name, method, seen
-                )
-                if found:
-                    return found
+        for key in self.lineage(module, class_name):
+            qual = self._class_methods.get(key, {}).get(method)
+            if qual:
+                return qual
         return None
 
     # ------------------------------------------------------------------
@@ -257,31 +268,17 @@ class CallGraph:
                 continue
             aliases = info.unit.aliases
             params = info.params
-            for stmt in ast.walk(info.node):
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                for target in stmt.targets:
-                    if not (isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"):
-                        continue
-                    cls = self._expr_class(stmt.value, aliases)
-                    if cls is not None:
-                        self._attr_types[
-                            (info.module, info.class_name, target.attr)
-                        ] = cls
-                    elif isinstance(stmt.value, ast.Call):
-                        self._attr_types.setdefault(
-                            (info.module, info.class_name, target.attr),
-                            EXTERNAL,
-                        )
-                    elif isinstance(stmt.value, ast.Name) \
-                            and stmt.value.id in params:
-                        ctor_params.setdefault(
-                            (info.module, info.class_name,
-                             stmt.value.id),
-                            target.attr,
-                        )
+            for attr, value in self_assignments(info.node):
+                key = (info.module, info.class_name, attr)
+                cls = self._expr_class(value, aliases)
+                if cls is not None:
+                    self._attr_types[key] = cls
+                elif isinstance(value, ast.Call):
+                    self._attr_types.setdefault(key, EXTERNAL)
+                elif isinstance(value, ast.Name) and value.id in params:
+                    ctor_params.setdefault(
+                        (info.module, info.class_name, value.id), attr
+                    )
         if not ctor_params:
             return
         # One propagation level: find construction sites of each class
@@ -300,12 +297,8 @@ class CallGraph:
                 init = self._find_init(cls)
                 if init is None:
                     continue
-                params = [p for p in init.params if p != "self"]
-                for position, arg in enumerate(call.args):
-                    if position >= len(params):
-                        break
-                    key = (init.module, cls, params[position])
-                    attr = ctor_params.get(key)
+                for param, arg in bound_arguments(call, init):
+                    attr = ctor_params.get((init.module, cls, param))
                     if attr is None:
                         continue
                     arg_cls = self._expr_class(arg, aliases)
@@ -319,19 +312,6 @@ class CallGraph:
                                 (info.module, info.class_name,
                                  chain.split(".", 2)[1])
                             )
-                    if arg_cls is not None:
-                        seeded[(init.module, cls, attr)] = arg_cls
-                for keyword in call.keywords:
-                    if keyword.arg is None:
-                        continue
-                    key = (init.module, cls, keyword.arg)
-                    attr = ctor_params.get(key)
-                    if attr is None:
-                        continue
-                    arg_cls = self._expr_class(keyword.value, aliases)
-                    if arg_cls is None \
-                            and isinstance(keyword.value, ast.Name):
-                        arg_cls = local_types.get(keyword.value.id)
                     if arg_cls is not None:
                         seeded[(init.module, cls, attr)] = arg_cls
         for key, cls in seeded.items():
@@ -400,20 +380,23 @@ class CallGraph:
                     )
             if callee is None:
                 continue
-            bindings = self._bind_arguments(info, call, callee)
+            target = self.functions[callee]
+            bindings = self._receiver_binding(target, func)
+            for param, arg in bound_arguments(call, target):
+                token = dotted_name(arg)
+                if token:
+                    bindings[param] = token
             info.calls.append(CallSite(
                 info, callee, call, kind, bindings, receiver
             ))
 
     def _nested_callee(self, info, name):
-        for stmt in ast.walk(info.node):
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
-                qual = (
-                    f"{info.module}::{info.node.name}.<{name}>"
-                    if hasattr(info.node, "name") else None
-                )
-                if qual in self.functions:
-                    return qual
+        """A ``def name`` nested in ``info`` or in a function around it."""
+        while info is not None:
+            qual = f"{info.qualname}.<{name}>"
+            if qual in self.functions:
+                return qual
+            info = info.parent
         return None
 
     def _typed_or_unique(self, info, func, receiver, local_types):
@@ -442,31 +425,21 @@ class CallGraph:
             return candidates[0], "unique"
         return None, None
 
-    def _bind_arguments(self, info, call, callee_qual):
-        callee = self.functions.get(callee_qual)
-        if callee is None:
-            return {}
+    def _receiver_binding(self, callee, func):
+        """What ``callee``'s ``self`` is in the caller's frame, as a
+        one-entry binding map: the receiver of a bound method
+        (``func`` is the ``recv.method`` expression called or handed
+        over), or — for a closure — the ``self`` it captured."""
+        if callee.parent is not None:
+            return {"self": "self"} if callee.class_name else {}
         params = callee.params
-        offset = 1 if callee.class_name is not None \
-            and params and params[0] in ("self", "cls") else 0
-        bindings = {}
-        if offset and isinstance(call.func, ast.Attribute):
-            receiver = dotted_name(call.func.value)
+        if callee.class_name is not None and params \
+                and params[0] in ("self", "cls") \
+                and isinstance(func, ast.Attribute):
+            receiver = dotted_name(func.value)
             if receiver:
-                bindings[params[0]] = receiver
-        for position, arg in enumerate(call.args):
-            index = position + offset
-            if index >= len(params):
-                break
-            token = _call_token(arg)
-            if token:
-                bindings[params[index]] = token
-        for keyword in call.keywords:
-            if keyword.arg and keyword.arg in params:
-                token = _call_token(keyword.value)
-                if token:
-                    bindings[keyword.arg] = token
-        return bindings
+                return {params[0]: receiver}
+        return {}
 
     # ------------------------------------------------------------------
     # Executor entries
@@ -476,24 +449,35 @@ class CallGraph:
             if info.class_name and \
                     info.node.name.startswith(HANDLER_METHOD_PREFIX):
                 info.is_entry = True
-                info.entry_kinds.add("handler")
+            submits = []
             for call in ast.walk(info.node):
                 if not isinstance(call, ast.Call):
                     continue
-                target = self._submitted_target(info, call)
-                if target is None:
-                    continue
-                entry = self.functions.get(target)
-                if entry is not None:
-                    entry.is_entry = True
-                    entry.entry_kinds.add("submit")
-                    info.calls.append(CallSite(
-                        info, target, call, "submit",
-                        self._submit_bindings(info, call, entry),
-                    ))
+                arg = self._submitted_callable(info, call)
+                if isinstance(arg, ast.Lambda):
+                    # The body runs on the worker with the submitter's
+                    # locals in scope: every call in it is an entry,
+                    # bound exactly as the submitter resolved it.
+                    body = {id(node) for node in ast.walk(arg)}
+                    submits += [
+                        (call, site.callee, site.bindings)
+                        for site in info.calls if id(site.node) in body
+                    ]
+                elif arg is not None:
+                    target = self._callable_qual(info, arg)
+                    if target is not None:
+                        bindings = self._receiver_binding(
+                            self.functions[target], arg
+                        )
+                        submits.append((call, target, bindings))
+            for call, target, bindings in submits:
+                self.functions[target].is_entry = True
+                info.calls.append(
+                    CallSite(info, target, call, "submit", bindings)
+                )
 
-    def _submitted_target(self, info, call):
-        """The qualname of a callable handed to an executor, if any."""
+    def _submitted_callable(self, info, call):
+        """The expression ``call`` hands to an executor, if it does."""
         func = call.func
         if not isinstance(func, ast.Attribute):
             name = dotted_name(func)
@@ -501,7 +485,7 @@ class CallGraph:
                     info.unit.aliases.get(name, name) in THREAD_CALLS:
                 for keyword in call.keywords:
                     if keyword.arg == "target":
-                        return self._callable_qual(info, keyword.value)
+                        return keyword.value
             return None
         is_submit = func.attr in SUBMIT_ATTRS or \
             func.attr in CALLBACK_ATTRS
@@ -510,15 +494,10 @@ class CallGraph:
             is_submit = any(
                 f in receiver for f in POOLISH_FRAGMENTS
             )
-        if not is_submit or not call.args:
-            return None
-        return self._callable_qual(info, call.args[0])
+        return call.args[0] if is_submit and call.args else None
 
     def _callable_qual(self, info, arg):
-        if isinstance(arg, ast.Lambda):
-            # Lambdas are modelled as part of the submitting function:
-            # their body executes with the caller's locals in scope.
-            return None
+        """The qualname of a named callable handed to an executor."""
         if isinstance(arg, ast.Attribute) \
                 and isinstance(arg.value, ast.Name):
             if arg.value.id in ("self", "cls") and info.class_name:
@@ -542,30 +521,12 @@ class CallGraph:
             return self._nested_callee(info, arg.id)
         return None
 
-    def _submit_bindings(self, info, call, entry):
-        params = entry.params
-        if entry.class_name and params and params[0] in ("self", "cls"):
-            receiver = None
-            if isinstance(call.args[0], ast.Attribute):
-                receiver = dotted_name(call.args[0].value)
-            return {params[0]: receiver or "self"}
-        return {}
-
     # ------------------------------------------------------------------
     # Queries
 
     def entries(self):
         """Every executor entry point (submitted or handler method)."""
         return [f for f in self.functions.values() if f.is_entry]
-
-    def callers_of(self, qualname):
-        """Every CallSite whose callee is ``qualname``."""
-        sites = []
-        for info in self.functions.values():
-            for site in info.calls:
-                if site.callee == qualname:
-                    sites.append(site)
-        return sites
 
     def reachable_from_entries(self):
         """Qualnames reachable from any entry (entries included)."""

@@ -13,8 +13,8 @@ skewing a figure.
 A rule sees either one :class:`FileUnit` (``scope = "file"``) or the
 whole :class:`Project` (``scope = "project"``, for cross-file passes
 such as the report/schema drift check).  Findings are plain value
-objects; suppression comments and the committed baseline are applied by
-the runner, not by rules.
+objects; suppression comments are applied by the runner, not by rules,
+and the runner sorts and de-duplicates what the rules yield.
 """
 
 import ast
@@ -51,7 +51,7 @@ class Rule:
     """Base class for lint rules.
 
     Subclasses set ``name`` (the ``RULE000`` id used in suppression
-    comments, baselines and ``--rule`` filters), ``description`` (one
+    comments and ``--rule`` filters), ``description`` (one
     line for ``--list-rules`` and the docs), and ``scope``:
 
     * ``"file"`` — :meth:`check_file` runs once per parsed file;
@@ -82,8 +82,8 @@ class FileUnit:
         self.posix = rel.replace("\\", "/")
         self.source = source
         self.tree = tree
-        self.lines = source.splitlines()
         self._aliases = None
+        self._constants = None
 
     @property
     def aliases(self):
@@ -91,6 +91,18 @@ class FileUnit:
         if self._aliases is None:
             self._aliases = import_aliases(self.tree)
         return self._aliases
+
+    @property
+    def constants(self):
+        """Module-level ``NAME = <expr>`` assignments as
+        ``{name: value node}`` (lazy; the last assignment wins)."""
+        if self._constants is None:
+            self._constants = {
+                target.id: stmt.value
+                for stmt in self.tree.body if isinstance(stmt, ast.Assign)
+                for target in stmt.targets if isinstance(target, ast.Name)
+            }
+        return self._constants
 
     def finding(self, rule, node, message):
         """A :class:`Finding` of ``rule`` anchored at ``node``."""
@@ -104,16 +116,10 @@ class FileUnit:
 
 
 class Project:
-    """All file units of one lint run, for cross-file passes.
+    """All file units of one lint run, for cross-file passes."""
 
-    ``root`` is the directory lint paths were resolved against; rules
-    that cross-reference non-linted files (``KNB001`` reads
-    ``docs/cli.md`` and ``tests/``) resolve them relative to it.
-    """
-
-    def __init__(self, units, root=None):
+    def __init__(self, units):
         self.units = list(units)
-        self.root = root
         self._call_graph = None
 
     @property
@@ -135,16 +141,45 @@ class Project:
     def units_assigning(self, name):
         """Units with a module-level ``name = ...`` (with the value node)."""
         for unit in self.units:
-            for node in unit.tree.body:
-                if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == name
-                    for t in node.targets
-                ):
-                    yield unit, node
+            if name in unit.constants:
+                yield unit, unit.constants[name]
 
 
 # ----------------------------------------------------------------------
-# AST helpers shared by the rules
+# The one table of nondeterministic sources.  ``CLK001`` and ``RNG001``
+# ban them by location, ``KNB001`` bans raw environment reads of knob
+# names, and ``TNT001`` treats every entry as a taint source.
+
+#: Dotted names whose value is the wall clock.
+WALL_CLOCKS = frozenset({
+    "time.time",
+    "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+})
+
+#: Modules that hand out ambient (unseeded or host-derived) entropy.
+ENTROPY_MODULES = ("random", "uuid", "numpy.random")
+
+#: Calls that read the process environment.
+ENV_READS = frozenset({"os.getenv", "os.environ.get"})
+
+
+def in_module(name, modules):
+    """Whether dotted ``name`` is one of ``modules`` or lives in one."""
+    return any(name == m or name.startswith(m + ".") for m in modules)
+
+
+# ----------------------------------------------------------------------
+# AST helpers shared by the rules and the call graph
 
 
 def dotted_name(node):
@@ -198,23 +233,41 @@ def resolve_dotted(name, aliases):
     return f"{origin}.{rest}" if rest else origin
 
 
-def attribute_chain_root(node):
-    """The base expression of an attribute/subscript chain.
-
-    ``self.tables[name]`` and ``self._built.index_data[k]`` both walk
-    down to the ``self`` Name node; returns ``(root, first_attr)`` where
-    ``first_attr`` is the attribute directly on the root (``"tables"``,
-    ``"_built"``), or ``(None, None)`` for non-chain targets.
-    """
-    first_attr = None
-    while True:
+def chain_name(node):
+    """The dotted name of an attribute/subscript chain, subscripts
+    skipped: ``self._built.index_data[k]`` is ``self._built.index_data``
+    and ``local[k]`` is ``local``.  ``None`` unless the chain is rooted
+    in a plain name."""
+    parts = []
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
         if isinstance(node, ast.Attribute):
-            first_attr = node.attr
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        else:
-            break
-    if isinstance(node, ast.Name):
-        return node, first_attr
-    return None, None
+            parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def write_targets(stmt):
+    """The target expressions a statement stores to or deletes."""
+    if isinstance(stmt, (ast.Assign, ast.Delete)):
+        return stmt.targets
+    if isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        return [stmt.target]
+    return []
+
+
+def annotate_parents(tree):
+    """Give every node of ``tree`` a ``_lint_parent`` back-pointer."""
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            child._lint_parent = node
+
+
+def enclosing(node, kinds):
+    """The nearest ancestor of ``node`` that is one of ``kinds``
+    (needs :func:`annotate_parents`), or ``None``."""
+    node = getattr(node, "_lint_parent", None)
+    while node is not None and not isinstance(node, kinds):
+        node = getattr(node, "_lint_parent", None)
+    return node

@@ -313,10 +313,3 @@ class LocksetAnalysis(ForwardAnalysis):
         """Held lockset before ``op`` (empty for unreached code)."""
         state = self.before.get(op, TOP)
         return frozenset() if state is TOP else state
-
-
-def statement_operations(before):
-    """Iterate ``(stmt-node, entry-state)`` for plain statements."""
-    for op, state in before.items():
-        if op.kind == "stmt":
-            yield op.node, state

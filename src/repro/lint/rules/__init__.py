@@ -10,7 +10,6 @@ from .clock import ClockRule
 from .exceptions import ExceptionRule
 from .invalidation import InvalidationRule
 from .knobs import KnobRule
-from .locks import LockRule
 from .races import RaceRule
 from .rng import RngRule
 from .schema_sync import SchemaSyncRule
@@ -22,7 +21,6 @@ ALL_RULES = {
         RngRule(),
         ClockRule(),
         InvalidationRule(),
-        LockRule(),
         SchemaSyncRule(),
         ExceptionRule(),
         RaceRule(),
@@ -37,7 +35,6 @@ __all__ = [
     "ExceptionRule",
     "InvalidationRule",
     "KnobRule",
-    "LockRule",
     "RaceRule",
     "RngRule",
     "SchemaSyncRule",

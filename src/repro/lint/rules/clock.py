@@ -9,7 +9,8 @@ time); everything else must take timings from the cost model or from
 :func:`repro.obs.wall_time` / :func:`repro.obs.perf_seconds` so the one
 place real time enters the system stays auditable.
 
-Flags resolved references to ``time.time``/``perf_counter``/
+Flags resolved references to the names in
+:data:`repro.lint.core.WALL_CLOCKS` — ``time.time``/``perf_counter``/
 ``monotonic``/``process_time`` (and their ``_ns`` variants),
 ``datetime.datetime.now``/``utcnow``/``today`` and
 ``datetime.date.today`` — as calls, bare references, or ``from``
@@ -18,22 +19,7 @@ imports — in any linted file outside ``repro/obs/``.
 
 import ast
 
-from ..core import Rule, dotted_name, resolve_dotted
-
-_WALL_CLOCK = frozenset({
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-})
+from ..core import WALL_CLOCKS, Rule, dotted_name, resolve_dotted
 
 _EXEMPT_FRAGMENT = "repro/obs/"
 
@@ -54,7 +40,7 @@ class ClockRule(Rule):
                     and node.module:
                 for alias in node.names:
                     origin = f"{node.module}.{alias.name}"
-                    if origin in _WALL_CLOCK:
+                    if origin in WALL_CLOCKS:
                         yield unit.finding(
                             self.name, node,
                             f"imports wall clock {origin!r}; use the "
@@ -66,7 +52,7 @@ class ClockRule(Rule):
                 if name is None:
                     continue
                 resolved = resolve_dotted(name, unit.aliases)
-                if resolved in _WALL_CLOCK:
+                if resolved in WALL_CLOCKS:
                     yield unit.finding(
                         self.name, node,
                         f"wall-clock read {resolved!r}; use the virtual "

@@ -22,7 +22,7 @@ rather than invalidating old ones.
 
 import ast
 
-from ..core import Rule, attribute_chain_root
+from ..core import Rule, chain_name, write_targets
 
 STATE_ATTRS = frozenset({"tables", "statistics", "_view_stats", "_built"})
 MUTATING_METHODS = frozenset({
@@ -37,13 +37,13 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _chain_is_self_state(node):
-    """Whether an attribute/subscript chain is ``self.<state attr>...``."""
-    root, first = attribute_chain_root(node)
-    return (
-        root is not None and root.id == "self"
-        and first in STATE_ATTRS
-    )
+def _self_state(node):
+    """``<state attr>`` when an attribute/subscript chain is
+    ``self.<state attr>...``, else ``None``."""
+    parts = (chain_name(node) or "").split(".")
+    if parts[0] == "self" and len(parts) > 1 and parts[1] in STATE_ATTRS:
+        return parts[1]
+    return None
 
 
 class _MethodFacts(ast.NodeVisitor):
@@ -54,29 +54,12 @@ class _MethodFacts(ast.NodeVisitor):
         self.self_calls = set()      # names of self.X(...) calls
         self.invalidates = False
 
-    def _check_target(self, target):
-        if isinstance(target, (ast.Attribute, ast.Subscript)) \
-                and _chain_is_self_state(target):
-            _, first = attribute_chain_root(target)
-            self.mutations.append((target, f"assigns self.{first}"))
-
-    def visit_Assign(self, node):
-        for target in node.targets:
-            self._check_target(target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node):
-        self._check_target(node.target)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node):
-        self._check_target(node.target)
-        self.generic_visit(node)
-
-    def visit_Delete(self, node):
-        for target in node.targets:
-            self._check_target(target)
-        self.generic_visit(node)
+    def visit(self, node):
+        for target in write_targets(node):
+            attr = _self_state(target)
+            if attr is not None:
+                self.mutations.append((target, f"assigns self.{attr}"))
+        super().visit(node)
 
     def visit_Call(self, node):
         func = node.func
@@ -90,12 +73,12 @@ class _MethodFacts(ast.NodeVisitor):
                 self.mutations.append(
                     (node, f"calls .{func.attr}()")
                 )
-            elif func.attr in MUTATING_METHODS \
-                    and _chain_is_self_state(func.value):
-                _, first = attribute_chain_root(func.value)
-                self.mutations.append(
-                    (node, f"calls {func.attr}() on self.{first}")
-                )
+            elif func.attr in MUTATING_METHODS:
+                attr = _self_state(func.value)
+                if attr is not None:
+                    self.mutations.append(
+                        (node, f"calls {func.attr}() on self.{attr}")
+                    )
         self.generic_visit(node)
 
 

@@ -1,49 +1,56 @@
-"""LCK002 — interprocedural lockset race detection.
+"""LCK002 — state shared with worker threads is written under a lock.
 
-``LCK001`` is syntactic: it looks at the body of a pool-submitted
-callable and wants writes wrapped in ``with <lock>:`` *textually*.
-That misses the two shapes the server code actually uses:
+``MeasurementSession`` fans closures out over a thread pool, and the
+server runs jobs and HTTP handlers on their own threads.  The
+byte-identity guarantee only covers *results* (collected in submission
+order); it says nothing about side effects, so an unguarded write to
+shared state on a worker is a data race.  Racy counters are the classic
+failure: the run "works" but its reported statistics are silently
+wrong, which for a measurement framework is the worst kind of bug.
 
-* **caller holds the lock** — ``_evict_lru`` writes shared maps with no
-  ``with`` in sight, because every caller acquires ``self._lock``
-  first; LCK001 cannot credit that, LCK002 can (the interprocedural
-  fixpoint propagates held locksets across call edges);
-* **helper escape** — a method runs both under the lock (from one call
-  site) and outside it (from a handler thread); the *intersection*
-  over reaching paths is empty, so its shared writes are races even
-  though some executions are guarded.
+One interprocedural lockset analysis answers it.  Per lint run:
 
-Mechanically, per lint run:
-
-1. every class that *owns a lock* (an ``__init__`` attribute built from
-   ``threading.Lock/RLock/Condition``, or any attribute whose name
-   contains ``lock``) opts into lockset discipline — classes without
-   locks are assumed thread-confined and stay out of scope;
-2. the call graph's executor entries (pool-submitted callables,
-   ``Thread(target=...)``, ``add_done_callback`` hooks, ``do_*`` HTTP
-   handler methods) seed a fixpoint that computes, for every reachable
-   function, the set of locks held on **all** paths into it
+1. the call graph's executor entries (pool-submitted callables and the
+   calls inside submitted lambdas, ``Thread(target=...)``,
+   ``add_done_callback`` hooks, ``do_*`` HTTP handler methods) seed a
+   fixpoint that computes, for every reachable function, the set of
+   locks held on **all** paths into it
    (:class:`~repro.lint.dataflow.LocksetAnalysis` per body,
    intersection across call sites, lock tokens translated through each
-   edge's argument bindings);
-3. inside reachable methods of lock-owning classes, every write to
-   shared state — ``self.<attr>``, or a local aliased from ``self``
-   state (``session = self._sessions[sid]; session.hits += 1``) — must
-   have at least one of the owning class's locks in its must-held
-   lockset.
+   edge's argument bindings) — so a helper whose every caller holds the
+   lock is clean, and one unlocked caller is what flips it;
+2. a reachable function's ``self`` counts as *shared* when its class
+   owns a lock (an ``__init__`` attribute built from
+   ``threading.Lock/RLock/Condition``, or any attribute whose name
+   contains ``lock``) — the class has opted into lock discipline — or
+   when a method handed it to the executor with its own ``self`` (a
+   bound method, or a closure capturing it): the submitter and every
+   worker then hold the same object.  Sharing follows the receiver:
+   a method called on something rooted in a shared ``self``
+   (``self.db.bind(...)``) has a shared ``self`` too.  Any other
+   lockless class is assumed thread-confined;
+3. inside reachable functions, every write to shared state —
+   ``self.<attr>`` of a shared ``self``, a local aliased from it
+   (``session = self._sessions[sid]; session.hits += 1``), an attribute
+   of a free variable, or an augmented ``nonlocal``/``global`` — must
+   have a lock in its must-held lockset: one of the owning class's
+   locks where the class has any, otherwise any lock at all.
 
 Lock tokens are class-scoped (``SessionStore._lock``): the server holds
 exactly one store/queue instance, so class identity approximates object
 identity; module-level locks are module-scoped, and parameter locks are
 frame-scoped and renamed across edges via the binding maps.
-``__init__`` is exempt (the instance is not yet shared while it runs).
+``__init__`` is exempt (the instance is not yet shared while it runs),
+and so is a chain that names thread-local storage (a segment containing
+``local``) — both heuristics by design: the rule is meant to force the
+author to *name* the synchronization.
 """
 
 import ast
 
-from ..core import Rule, dotted_name
+from ..callgraph import self_assignments
+from ..core import Rule, chain_name, dotted_name, write_targets
 from ..dataflow import LocksetAnalysis, build_cfg
-from ..callgraph import module_name
 
 #: Constructors whose result is a synchronization object.
 LOCK_FACTORIES = frozenset({
@@ -78,41 +85,81 @@ def _chain_mentions_local(name):
     return "local" in name.lower() and "lock" not in name.lower()
 
 
+def _self_aliases(fn):
+    """Locals aliased from ``self`` state (shared, not private)."""
+    shared = set()
+    for _ in range(2):   # one re-pass catches alias-of-alias
+        for stmt in ast.walk(fn):
+            if not (isinstance(stmt, ast.Assign)
+                    and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)):
+                continue
+            value = stmt.value
+            while isinstance(value, (ast.Subscript, ast.Attribute,
+                                     ast.Call)):
+                value = value.func if isinstance(value, ast.Call) \
+                    else value.value
+            if isinstance(value, ast.Name) and (
+                    value.id == "self" or value.id in shared):
+                shared.add(stmt.targets[0].id)
+    return shared
+
+
+def _scope_names(fn):
+    """``(bound, outer)``: names ``fn`` binds itself, and names it
+    declares ``nonlocal``/``global``."""
+    args = fn.args
+    bound = {a.arg for a in (*args.posonlyargs, *args.args,
+                             *args.kwonlyargs, args.vararg, args.kwarg)
+             if a is not None}
+    outer = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Nonlocal, ast.Global)):
+            outer.update(node.names)
+    return bound - outer, outer
+
+
+def _written_names(stmt, outer):
+    """Dotted names of the possibly-shared state one statement writes:
+    attribute/subscript chains (``self._map[k].hits`` is
+    ``self._map.hits``, ``local[k]`` is ``local``) and augmented
+    assignments to the ``outer`` (``nonlocal``/``global``) names.  Any
+    other plain-name store is a local (re)bind."""
+    for target in write_targets(stmt):
+        name = chain_name(target)
+        if name is not None and (
+                not isinstance(target, ast.Name)
+                or isinstance(stmt, ast.AugAssign) and name in outer):
+            yield name
+
+
 class RaceRule(Rule):
     name = "LCK002"
     description = (
-        "shared attributes of lock-owning classes reached from executor "
-        "entries must be written with a class lock held on every path"
+        "state shared with executor workers (self of lock-owning or "
+        "submitting classes, free variables) must be written with a "
+        "lock held on every path"
     )
     scope = "project"
 
     def check_project(self, project):
         graph = project.call_graph
         lock_attrs = self._lock_attributes(graph)
-        if not lock_attrs:
-            return
-        entry_locks = self._interprocedural_locksets(graph, lock_attrs)
-        reachable = graph.reachable_from_entries()
-        findings = []
-        for qual in sorted(reachable):
-            info = graph.functions.get(qual)
-            if info is None or info.class_name is None:
-                continue
+        entry_locks = self._interprocedural_locksets(graph)
+        submitted = self._shared_selves(graph)
+        for qual in sorted(graph.reachable_from_entries()):
+            info = graph.functions[qual]
             if info.node.name == "__init__":
                 continue
-            class_key = (info.module, info.class_name)
-            tokens = self._class_tokens(graph, info, lock_attrs)
-            if not tokens:
-                continue
-            findings.extend(self._check_function(
-                graph, info, lock_attrs,
-                entry_locks.get(qual, frozenset()), tokens,
-            ))
-        seen = set()
-        for finding in sorted(findings):
-            if finding not in seen:
-                seen.add(finding)
-                yield finding
+            tokens = self._class_tokens(graph, info, lock_attrs) \
+                if info.class_name else frozenset()
+            yield from self._check_function(
+                info, entry_locks.get(qual, frozenset()), tokens,
+                lock_attrs.get((info.module, info.class_name), ()),
+                shared_self=bool(tokens) or qual in submitted,
+            )
 
     # ------------------------------------------------------------------
     # Lock discovery
@@ -123,39 +170,22 @@ class RaceRule(Rule):
         for info in graph.functions.values():
             if info.class_name is None or info.node.name != "__init__":
                 continue
-            aliases = info.unit.aliases
-            attrs = set()
-            for stmt in ast.walk(info.node):
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                for target in stmt.targets:
-                    if isinstance(target, ast.Attribute) \
-                            and isinstance(target.value, ast.Name) \
-                            and target.value.id == "self":
-                        if _is_lock_value(stmt.value, aliases) \
-                                or _lockish_name(target.attr):
-                            attrs.add(target.attr)
+            attrs = {
+                attr for attr, value in self_assignments(info.node)
+                if _is_lock_value(value, info.unit.aliases)
+                or _lockish_name(attr)
+            }
             if attrs:
                 lock_attrs[(info.module, info.class_name)] = attrs
         return lock_attrs
 
     def _class_tokens(self, graph, info, lock_attrs):
         """The lock tokens that guard ``info``'s class (incl. bases)."""
-        tokens = set()
-        frontier = [(info.module, info.class_name)]
-        seen = set()
-        while frontier:
-            key = frontier.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            for attr in lock_attrs.get(key, ()):
-                tokens.add(f"{key[1]}.{attr}")
-            for base in graph._class_bases.get(key, ()):
-                base_name = base.split(".")[-1]
-                for unit, _node in graph.classes.get(base_name, ()):
-                    frontier.append((module_name(unit), base_name))
-        return frozenset(tokens)
+        return frozenset(
+            f"{key[1]}.{attr}"
+            for key in graph.lineage(info.module, info.class_name)
+            for attr in lock_attrs.get(key, ())
+        )
 
     def _lock_token(self, expr, info):
         """The global token of a ``with``-item lock expression."""
@@ -172,13 +202,9 @@ class RaceRule(Rule):
         if len(parts) == 1:
             # A bare name: module-level lock if the module assigns it,
             # otherwise a frame-local (parameter) lock.
-            for stmt in info.unit.tree.body:
-                if isinstance(stmt, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == parts[0]
-                    for t in stmt.targets
-                ):
-                    return f"{info.module}.{parts[0]}"
-            return f"{info.qualname}::{parts[0]}"
+            if name in info.unit.constants:
+                return f"{info.module}.{name}"
+            return f"{info.qualname}::{name}"
         return f"{info.module}.{name}"
 
     # ------------------------------------------------------------------
@@ -210,31 +236,35 @@ class RaceRule(Rule):
                     out.add(f"{callee_info.qualname}::{param}")
         return frozenset(out)
 
-    def _interprocedural_locksets(self, graph, lock_attrs):
+    def _interprocedural_locksets(self, graph):
         """``qualname -> locks held on every path from every entry``."""
-        entry_locks = {}
-        for info in graph.entries():
-            entry_locks[info.qualname] = frozenset()
+        entry_locks = {
+            info.qualname: frozenset() for info in graph.entries()
+        }
         worklist = sorted(entry_locks)
         passes = 0
-        analyses = {}
         while worklist and passes < MAX_PASSES * len(graph.functions):
             passes += 1
-            qual = worklist.pop()
-            info = graph.functions.get(qual)
-            if info is None:
-                continue
-            analysis = self._run_lockset(info, entry_locks[qual])
-            analyses[qual] = analysis
+            info = graph.functions[worklist.pop()]
+            analysis = self._run_lockset(
+                info, entry_locks[info.qualname]
+            )
+            # Must-held lockset at every node under a statement or
+            # test.  ``acquire`` ops are left out on purpose: their
+            # node is the whole ``with`` statement, whose subtree holds
+            # every call of the body — matching it would read the state
+            # from *before* the acquire.
             held_at = {}
-            for op, state in analysis.before.items():
-                held_at[id(op.node)] = state
+            for op in analysis.before:
+                if op.kind in ("stmt", "test"):
+                    held = analysis.locks_at(op)
+                    for node in ast.walk(op.node):
+                        held_at[id(node)] = held
             for site in info.calls:
-                callee = graph.functions.get(site.callee)
-                if callee is None:
-                    continue
-                held = self._locks_at_call(analysis, site)
-                incoming = self._translate(held, site, callee)
+                incoming = self._translate(
+                    held_at.get(id(site.node), frozenset()), site,
+                    graph.functions[site.callee],
+                )
                 current = entry_locks.get(site.callee)
                 merged = incoming if current is None \
                     else current & incoming
@@ -244,104 +274,61 @@ class RaceRule(Rule):
                         worklist.append(site.callee)
         return entry_locks
 
-    def _locks_at_call(self, analysis, site):
-        """Must-held lockset at a call site's statement.
-
-        Only ``stmt``/``test`` operations are candidates: an
-        ``acquire`` op's node is the whole ``with`` statement, whose
-        subtree contains every call of the body — matching it would
-        read the state from *before* the acquire.
-        """
-        target = site.node
-        for op, state in analysis.before.items():
-            if op.kind not in ("stmt", "test"):
+    def _shared_selves(self, graph):
+        """Qualnames whose ``self`` the submitting thread shares with
+        its workers: callables a method hands to an executor with its
+        own ``self``, then every method called on a receiver rooted in
+        such a ``self``."""
+        frontier = [
+            site.callee
+            for info in graph.functions.values() for site in info.calls
+            if site.kind == "submit" and site.bindings.get("self") == "self"
+        ]
+        shared = set()
+        while frontier:
+            qual = frontier.pop()
+            if qual in shared:
                 continue
-            for sub in ast.walk(op.node):
-                if sub is target:
-                    return frozenset() if state is None else state
-        return frozenset()
+            shared.add(qual)
+            info = graph.functions[qual]
+            roots = {"self"} | _self_aliases(info.node)
+            for site in info.calls:
+                receiver = site.bindings.get("self", "")
+                if receiver.split(".")[0] in roots:
+                    frontier.append(site.callee)
+        return shared
 
     # ------------------------------------------------------------------
     # Write checking
 
-    def _shared_aliases(self, fn):
-        """Locals aliased from ``self`` state (shared, not private)."""
-        shared = set()
-        for _ in range(2):   # one re-pass catches alias-of-alias
-            for stmt in ast.walk(fn):
-                if not (isinstance(stmt, ast.Assign)
-                        and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)):
-                    continue
-                value = stmt.value
-                while isinstance(value, (ast.Subscript, ast.Attribute,
-                                         ast.Call)):
-                    value = value.func if isinstance(value, ast.Call) \
-                        else value.value
-                if isinstance(value, ast.Name) and (
-                        value.id == "self" or value.id in shared):
-                    shared.add(stmt.targets[0].id)
-        return shared
-
-    def _check_function(self, graph, info, lock_attrs, entry, tokens):
+    def _check_function(self, info, entry, tokens, own_locks, shared_self):
         analysis = self._run_lockset(info, entry)
-        class_key = (info.module, info.class_name)
-        own_locks = set()
-        for attr in lock_attrs.get(class_key, ()):
-            own_locks.add(attr)
-        shared_locals = self._shared_aliases(info.node)
-        for op, state in analysis.before.items():
+        bound, outer = _scope_names(info.node)
+        self_names = {"self", "cls"} | _self_aliases(info.node)
+        where = info.qualname.split("::", 1)[1]
+        for op in analysis.before:
             if op.kind != "stmt":
                 continue
-            held = frozenset() if state is None else state
-            for target, name in self._write_targets(op.node):
-                base = name.split(".")[0]
-                if base in ("self", "cls"):
-                    attr = name.split(".")[1] if "." in name else ""
-                    if attr in own_locks:
+            held = analysis.locks_at(op)
+            for name in _written_names(op.node, outer):
+                base, _, rest = name.partition(".")
+                if base in self_names:
+                    if not shared_self or rest.split(".")[0] in own_locks:
                         continue
-                elif base not in shared_locals:
+                    needed = tokens
+                elif base in outer or (rest and base not in bound):
+                    needed = frozenset()
+                else:
                     continue
                 if _chain_mentions_local(name):
                     continue
-                if held & tokens:
+                if held & needed if needed else held:
                     continue
-                lock_list = ", ".join(sorted(tokens))
+                locks = ", ".join(sorted(needed)) or "a lock"
                 yield info.unit.finding(
                     self.name, op.node,
-                    f"write to shared attribute {name!r} in "
-                    f"{info.class_name}.{info.node.name} is reachable "
-                    f"from an executor entry without holding "
-                    f"{lock_list} on every path; acquire the lock or "
-                    f"make the caller hold it",
+                    f"write to shared state {name!r} in {where} is "
+                    f"reachable from an executor entry without holding "
+                    f"{locks} on every path; acquire the lock or make "
+                    f"the caller hold it",
                 )
-
-    def _write_targets(self, stmt):
-        """``(target-node, dotted-name)`` attribute writes of one stmt."""
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        else:
-            return
-        for target in targets:
-            if isinstance(target, ast.Tuple):
-                continue
-            node = target
-            parts = []
-            while isinstance(node, (ast.Attribute, ast.Subscript)):
-                if isinstance(node, ast.Attribute):
-                    parts.append(node.attr)
-                node = node.value
-            if not isinstance(node, ast.Name):
-                continue
-            if not parts and not isinstance(target, ast.Subscript):
-                continue   # plain local rebind, not shared state
-            parts.append(node.id)
-            name = ".".join(reversed(parts))
-            if isinstance(target, ast.Subscript) and "." not in name \
-                    and node.id not in ("self", "cls"):
-                # ``local[k] = v`` where local is a shared alias is a
-                # shared write; anything else is local mutation.
-                name = node.id
-            yield target, name

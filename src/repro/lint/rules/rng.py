@@ -3,22 +3,37 @@
 Every experiment in the reproduction is seed-addressed: the same seed
 must produce byte-identical data, workloads and recommendations across
 runs, machines and pool widths.  That only holds if no component reaches
-for an ambient entropy source.  This rule flags
+for an ambient entropy source.  Against the modules in
+:data:`repro.lint.core.ENTROPY_MODULES` this rule flags
 
 * ``import random`` / ``from random import ...`` (the stdlib module is
   seeded per-process and shared across threads),
 * ``import uuid`` / ``from uuid import ...`` (host/time-derived ids),
-* any use of ``numpy.random`` — including ``np.random.default_rng`` —
-  outside :mod:`repro.common.rng`, which is the one sanctioned wrapper
-  (``make_rng`` / ``spawn`` give every consumer its own derived stream).
+* any import or use of ``numpy.random`` — including
+  ``np.random.default_rng`` reached through an innocent
+  ``import numpy`` —
+
+outside :mod:`repro.common.rng`, which is the one sanctioned wrapper
+(``make_rng`` / ``spawn`` give every consumer its own derived stream).
 """
 
 import ast
 
-from ..core import Rule, dotted_name, resolve_dotted
+from ..core import (
+    ENTROPY_MODULES,
+    Rule,
+    dotted_name,
+    in_module,
+    resolve_dotted,
+)
 
-_BANNED_MODULES = ("random", "uuid")
 _EXEMPT_SUFFIX = "repro/common/rng.py"
+_ADVICE = "derive randomness from repro.common.rng (make_rng/spawn) instead"
+
+
+def _ambient(name):
+    """Whether a resolved dotted name reaches an entropy module."""
+    return name is not None and in_module(name, ENTROPY_MODULES)
 
 
 class RngRule(Rule):
@@ -34,48 +49,32 @@ class RngRule(Rule):
         for node in ast.walk(unit.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in _BANNED_MODULES:
+                    if _ambient(alias.name):
                         yield unit.finding(
                             self.name, node,
-                            f"direct import of {alias.name!r}; derive "
-                            f"randomness from repro.common.rng instead",
+                            f"direct import of {alias.name!r}; {_ADVICE}",
                         )
             elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                    and node.module:
-                root = node.module.split(".")[0]
-                if root in _BANNED_MODULES:
-                    yield unit.finding(
-                        self.name, node,
-                        f"direct import from {node.module!r}; derive "
-                        f"randomness from repro.common.rng instead",
-                    )
-                elif node.module == "numpy.random" or \
-                        node.module.startswith("numpy.random."):
-                    yield unit.finding(
-                        self.name, node,
-                        f"direct import from {node.module!r}; use "
-                        f"repro.common.rng.make_rng/spawn instead",
-                    )
+                    and _ambient(node.module):
+                yield unit.finding(
+                    self.name, node,
+                    f"direct import from {node.module!r}; {_ADVICE}",
+                )
             elif isinstance(node, ast.Attribute):
-                name = dotted_name(node)
-                if name is None:
-                    continue
-                resolved = resolve_dotted(name, unit.aliases)
-                if resolved == "numpy.random" or \
-                        resolved.startswith("numpy.random."):
-                    # Report the innermost chain that reaches
-                    # numpy.random, once (parent Attribute nodes of the
-                    # same chain resolve deeper and also match; keep the
-                    # shortest by only firing when the child does not).
-                    child = dotted_name(node.value)
-                    if child is not None:
-                        child = resolve_dotted(child, unit.aliases)
-                        if child == "numpy.random" or \
-                                child.startswith("numpy.random."):
-                            continue
+                resolved = self._resolved(node, unit)
+                # A use is reported only where the import alone was
+                # innocent (``import numpy``), and only at the
+                # innermost chain that reaches the entropy module:
+                # parent Attribute nodes of the same chain resolve
+                # deeper and also match.
+                if _ambient(resolved) \
+                        and not _ambient(resolved.split(".")[0]) \
+                        and not _ambient(self._resolved(node.value, unit)):
                     yield unit.finding(
                         self.name, node,
-                        f"direct use of {resolved!r}; use "
-                        f"repro.common.rng.make_rng/spawn instead",
+                        f"direct use of {resolved!r}; {_ADVICE}",
                     )
+
+    def _resolved(self, node, unit):
+        name = dotted_name(node)
+        return name and resolve_dotted(name, unit.aliases)

@@ -28,17 +28,6 @@ REPORT_FUNCTION = "build_run_report"
 SCHEMA_NAME = "RUN_REPORT_SCHEMA"
 
 
-def _module_constants(tree):
-    """Module-level ``NAME = <dict literal>`` assignments."""
-    constants = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    constants[target.id] = node.value
-    return constants
-
-
 def _resolve_dict(node, constants):
     """A Dict node, following one level of Name indirection."""
     if isinstance(node, ast.Name):
@@ -102,8 +91,8 @@ class SchemaSyncRule(Rule):
         if not emitters or not schemas:
             return
         report_unit, report_fn = emitters[0]
-        schema_unit, schema_assign = schemas[0]
-        if not isinstance(schema_assign.value, ast.Dict):
+        schema_unit, schema = schemas[0]
+        if not isinstance(schema, ast.Dict):
             return
 
         returned = None
@@ -119,10 +108,9 @@ class SchemaSyncRule(Rule):
             )
             return
 
-        constants = _module_constants(schema_unit.tree)
         yield from self._compare(
-            report_unit, schema_unit, returned, schema_assign.value,
-            constants, path="$",
+            report_unit, schema_unit, returned, schema,
+            schema_unit.constants, path="$",
         )
 
     def _compare(self, report_unit, schema_unit, emitted_node, schema_node,

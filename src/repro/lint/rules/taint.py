@@ -11,10 +11,10 @@ later.  This rule tracks that flow.
 Two taint kinds ride the may-analysis lattice
 (:mod:`repro.lint.dataflow`, union joins):
 
-* ``value`` — the value itself differs between runs: wall clocks
-  (``time.time``, ``perf_counter``, ``wall_time``/``perf_seconds``),
-  environment reads, ``id(...)``, ambient RNG (``random.*``,
-  ``uuid``), ``object()`` addresses;
+* ``value`` — the value itself differs between runs: every source in
+  :mod:`repro.lint.core`'s table (wall clocks, environment reads, the
+  ambient-entropy modules) plus the ``repro.obs`` clock API
+  (``wall_time``/``perf_seconds``) and ``id(...)``;
 * ``order`` — the value's *iteration order* is unstable: ``set`` /
   ``frozenset`` construction, ``os.listdir``.  ``sorted(...)``
   sanitizes order taint (and only order taint).
@@ -32,30 +32,26 @@ helpers away from ``artifact_key`` is still caught.
 
 ``repro/obs/`` and ``repro/common/`` are exempt (they *are* the
 sanctioned homes of clocks and env plumbing — the rule polices their
-outputs' use elsewhere, not their bodies), as is ``repro/lint/``
-itself (lint timings are tooling diagnostics, not run artifacts).
+outputs' use elsewhere, not their bodies).
 """
 
 import ast
 
-from ..core import Rule, dotted_name
+from ..callgraph import bound_arguments
+from ..core import (
+    ENTROPY_MODULES,
+    ENV_READS,
+    WALL_CLOCKS,
+    Rule,
+    chain_name,
+    dotted_name,
+    in_module,
+    resolve_dotted,
+)
 from ..dataflow import ForwardAnalysis, build_cfg
 
 VALUE = "value"
 ORDER = "order"
-
-#: Dotted call names whose result differs between runs.
-VALUE_SOURCES = frozenset({
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-    "os.getenv", "os.environ.get", "id",
-    "uuid.uuid1", "uuid.uuid4",
-    "random.random", "random.randint", "random.randrange",
-    "random.choice", "random.shuffle", "random.sample",
-    "random.uniform", "random.getrandbits",
-})
 
 #: Bare names that are clock reads wherever they appear — the
 #: ``repro.obs`` clock API is imported relatively, so the alias map
@@ -70,9 +66,15 @@ SANITIZERS = frozenset({"sorted"})
 CACHE_METHODS = frozenset({"put", "get", "get_or_build"})
 CACHE_RECEIVER_FRAGMENTS = ("cache", "artifact")
 
-EXEMPT_FRAGMENTS = ("repro/obs/", "repro/common/", "repro/lint/")
+EXEMPT_FRAGMENTS = ("repro/obs/", "repro/common/")
 
 MAX_SUMMARY_PASSES = 6
+
+#: Expressions whose taint is the union of their operands' taint.
+_COMPOSITES = (
+    ast.BinOp, ast.BoolOp, ast.UnaryOp, ast.Tuple, ast.List, ast.Set,
+    ast.Dict, ast.JoinedStr, ast.FormattedValue, ast.Starred,
+)
 
 
 def _taint_union(*sets):
@@ -137,7 +139,7 @@ class TaintAnalysis(ForwardAnalysis):
             return state
         if isinstance(node, ast.AugAssign):
             kinds = self.rule.expr_taint(node.value, state, self.info)
-            token = _target_token(node.target)
+            token = chain_name(node.target)
             if token is not None:
                 state = dict(state)
                 state[token] = state.get(token, frozenset()) | kinds
@@ -159,24 +161,13 @@ class TaintAnalysis(ForwardAnalysis):
             for element in target.elts:
                 self._store(state, element, kinds)
             return
-        token = _target_token(target)
+        token = chain_name(target)
         if token is None:
             return
         if kinds:
             state[token] = kinds
         else:
             state.pop(token, None)
-
-
-def _target_token(target):
-    if isinstance(target, ast.Name):
-        return target.id
-    if isinstance(target, (ast.Attribute, ast.Subscript)):
-        node = target
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        return dotted_name(node)
-    return None
 
 
 class TaintRule(Rule):
@@ -195,17 +186,10 @@ class TaintRule(Rule):
             qual: _Summary() for qual in graph.functions
         }
         self._compute_summaries(graph)
-        findings = []
         for qual in sorted(graph.functions):
             info = graph.functions[qual]
-            if self._exempt(info.unit):
-                continue
-            findings.extend(self._check_function(info))
-        seen = set()
-        for finding in sorted(findings):
-            if finding not in seen:
-                seen.add(finding)
-                yield finding
+            if not self._exempt(info.unit):
+                yield from self._check_function(info)
 
     def _exempt(self, unit):
         return any(f in unit.posix for f in EXEMPT_FRAGMENTS)
@@ -215,12 +199,7 @@ class TaintRule(Rule):
 
     def _call_name(self, call, info):
         name = dotted_name(call.func)
-        if name is None:
-            return None
-        aliases = info.unit.aliases
-        head, _, rest = name.partition(".")
-        origin = aliases.get(head, head)
-        return f"{origin}.{rest}" if rest else origin
+        return name and resolve_dotted(name, info.unit.aliases)
 
     def expr_taint(self, expr, state, info):
         """The may-taint kinds of one expression under ``state``."""
@@ -229,10 +208,7 @@ class TaintRule(Rule):
         if isinstance(expr, ast.Name):
             return state.get(expr.id, frozenset())
         if isinstance(expr, (ast.Attribute, ast.Subscript)):
-            node = expr
-            while isinstance(node, ast.Subscript):
-                node = node.value
-            token = dotted_name(node)
+            token = chain_name(expr)
             kinds = state.get(token, frozenset()) if token else frozenset()
             # A tainted object taints its attributes.
             root = token.split(".")[0] if token else None
@@ -243,54 +219,25 @@ class TaintRule(Rule):
             return kinds
         if isinstance(expr, ast.Call):
             return self._call_taint(expr, state, info)
-        if isinstance(expr, (ast.BinOp,)):
-            return _taint_union(
-                self.expr_taint(expr.left, state, info),
-                self.expr_taint(expr.right, state, info),
-            )
-        if isinstance(expr, ast.BoolOp):
-            return _taint_union(*[
-                self.expr_taint(v, state, info) for v in expr.values
-            ])
-        if isinstance(expr, ast.UnaryOp):
-            return self.expr_taint(expr.operand, state, info)
         if isinstance(expr, ast.IfExp):
-            return _taint_union(
-                self.expr_taint(expr.body, state, info),
-                self.expr_taint(expr.orelse, state, info),
-            )
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            kinds = _taint_union(*[
-                self.expr_taint(e, state, info) for e in expr.elts
-            ])
-            if isinstance(expr, ast.Set):
-                kinds |= frozenset({ORDER})
-            return kinds
-        if isinstance(expr, ast.Dict):
-            parts = [k for k in expr.keys if k is not None]
-            parts += expr.values
-            return _taint_union(*[
-                self.expr_taint(e, state, info) for e in parts
-            ])
-        if isinstance(expr, ast.JoinedStr):
-            return _taint_union(*[
-                self.expr_taint(v.value, state, info)
-                for v in expr.values
-                if isinstance(v, ast.FormattedValue)
-            ])
-        if isinstance(expr, ast.Compare):
-            return frozenset()    # booleans of tainted data stay clean
-        if isinstance(expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
-                             ast.DictComp)):
-            kinds = frozenset()
-            for gen in expr.generators:
-                kinds |= self.expr_taint(gen.iter, state, info)
-            if isinstance(expr, ast.SetComp):
-                kinds |= frozenset({ORDER})
-            return kinds
-        if isinstance(expr, ast.Starred):
-            return self.expr_taint(expr.value, state, info)
-        return frozenset()
+            parts = [expr.body, expr.orelse]    # the test only selects
+        elif isinstance(expr, (ast.ListComp, ast.SetComp,
+                               ast.GeneratorExp, ast.DictComp)):
+            parts = [gen.iter for gen in expr.generators]
+        elif isinstance(expr, _COMPOSITES):
+            parts = [
+                child for child in ast.iter_child_nodes(expr)
+                if isinstance(child, ast.expr)
+            ]
+        else:
+            # Notably ``Compare``: booleans of tainted data stay clean.
+            return frozenset()
+        kinds = _taint_union(*[
+            self.expr_taint(part, state, info) for part in parts
+        ])
+        if isinstance(expr, (ast.Set, ast.SetComp)):
+            kinds |= frozenset({ORDER})
+        return kinds
 
     def _call_taint(self, call, state, info):
         name = self._call_name(call, info)
@@ -302,12 +249,12 @@ class TaintRule(Rule):
         if name in SANITIZERS:
             return _taint_union(*arg_taints) - frozenset({ORDER})
         if name is not None:
-            if name in VALUE_SOURCES:
+            if name in WALL_CLOCKS or name in ENV_READS or name == "id" \
+                    or in_module(name, ENTROPY_MODULES) \
+                    or name.split(".")[-1] in CLOCK_NAMES:
                 return frozenset({VALUE})
             if name in ORDER_SOURCES:
                 return frozenset({ORDER}) | _taint_union(*arg_taints)
-            if name.split(".")[-1] in CLOCK_NAMES:
-                return frozenset({VALUE})
         # Resolved project callee: apply its summary.
         callee = self._resolved_callee(call, info)
         if callee is not None:
@@ -329,18 +276,8 @@ class TaintRule(Rule):
         return None
 
     def _bound_args(self, call, callee, state, info):
-        params = callee.params
-        offset = 1 if callee.class_name is not None and params \
-            and params[0] in ("self", "cls") else 0
-        for position, arg in enumerate(call.args):
-            index = position + offset
-            if index < len(params):
-                yield params[index], self.expr_taint(arg, state, info)
-        for keyword in call.keywords:
-            if keyword.arg and keyword.arg in params:
-                yield keyword.arg, self.expr_taint(
-                    keyword.value, state, info
-                )
+        for param, arg in bound_arguments(call, callee):
+            yield param, self.expr_taint(arg, state, info)
 
     # ------------------------------------------------------------------
     # Sinks

@@ -2,44 +2,30 @@
 
 One :func:`run_lint` call is one lint run: parse every ``.py`` file
 under the given paths, run the selected file-scope rules per file and
-project-scope rules once, drop findings silenced by suppression
-comments, then subtract the baseline.  The result object carries
+project-scope rules once, sort and de-duplicate the findings, and drop
+those silenced by suppression comments.  The result object carries
 everything the CLI (and the tests) need — surviving findings, the
-suppressed/baselined/stale counts, and per-file parse errors (reported
-as ``PARSE`` findings so a syntactically-broken file fails the run
-instead of silently skipping its rules).
+suppressed count, and per-file parse errors (reported as ``PARSE``
+findings so a syntactically-broken file fails the run instead of
+silently skipping its rules).
 
-The per-file phase (parse + file-scope rules + suppression scan) is
-embarrassingly parallel and runs on a thread pool (``jobs``; default
-``os.cpu_count()``).  Files are processed shared-nothing and results
-are collected in submission order, then globally sorted — the output
-is byte-identical for every ``jobs`` value.  Wall-clock per phase is
-recorded via :func:`repro.obs.perf_seconds` and exposed when
-``timings=True`` (the CLI's ``--timings``).
+Files are linted one after another: the work is pure-Python AST walking
+under the interpreter lock, and three quarters of a run is the serial
+project phase (see "Removed alternatives" in ``docs/performance.md``).
+Findings are globally sorted before they are filtered and rendered.
 """
 
 import ast
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ..obs import perf_seconds
-from .baseline import apply_baseline, load_baseline
 from .core import FileUnit, Finding, Project
 from .rules import ALL_RULES
 from .suppress import parse_suppressions
 
 PARSE_RULE = "PARSE"
 
-#: CPython 3.11 keeps the AST constructor's recursion-depth accounting in
-#: interpreter-global state, so concurrent ``ast.parse`` calls from threads
-#: at different stack depths can die with ``SystemError: AST constructor
-#: recursion depth mismatch``.  Parsing is a small slice of lint time (the
-#: rule traversals dominate and stay parallel), so serialize it.
-_AST_PARSE_LOCK = threading.Lock()
-
-LINT_REPORT_SCHEMA_ID = "repro.lint/v1"
+LINT_REPORT_SCHEMA_ID = "repro.lint/v2"
 
 #: Shape of the ``--format json`` document (validated in the tests with
 #: :func:`repro.obs.schemas.validate_instance`).
@@ -50,38 +36,12 @@ LINT_REPORT_SCHEMA = {
         "schema": {"enum": [LINT_REPORT_SCHEMA_ID]},
         "summary": {
             "type": "object",
-            "required": ["files", "rules", "findings", "suppressed",
-                         "baselined", "stale_baseline_entries"],
+            "required": ["files", "rules", "findings", "suppressed"],
             "properties": {
                 "files": {"type": "integer", "minimum": 0},
                 "rules": {"type": "array", "items": {"type": "string"}},
                 "findings": {"type": "integer", "minimum": 0},
                 "suppressed": {"type": "integer", "minimum": 0},
-                "baselined": {"type": "integer", "minimum": 0},
-                "stale_baseline_entries": {
-                    "type": "integer", "minimum": 0,
-                },
-            },
-            "additionalProperties": False,
-        },
-        "timings": {
-            # Present only when the run was asked to time itself
-            # (``--timings``): wall seconds per phase plus the worker
-            # count.  Values vary run to run by construction, so they
-            # are excluded from byte-stability comparisons.
-            "type": "object",
-            "required": ["total_s", "files_s", "project_s", "jobs"],
-            "properties": {
-                "total_s": {"type": "number", "minimum": 0},
-                "files_s": {"type": "number", "minimum": 0},
-                "project_s": {"type": "number", "minimum": 0},
-                "jobs": {"type": "integer", "minimum": 1},
-                "per_project_rule_s": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": "number", "minimum": 0,
-                    },
-                },
             },
             "additionalProperties": False,
         },
@@ -113,78 +73,22 @@ class LintResult:
     files: int = 0
     rules: tuple = ()
     suppressed: int = 0
-    baselined: int = 0
-    stale_baseline_entries: int = 0
-    timings: dict = None
 
     @property
     def ok(self):
         return not self.findings
 
     def to_json(self):
-        """The ``--format json`` document (schema ``repro.lint/v1``)."""
-        document = {
+        """The ``--format json`` document (schema ``repro.lint/v2``)."""
+        return {
             "schema": LINT_REPORT_SCHEMA_ID,
             "summary": {
                 "files": self.files,
                 "rules": sorted(self.rules),
                 "findings": len(self.findings),
                 "suppressed": self.suppressed,
-                "baselined": self.baselined,
-                "stale_baseline_entries": self.stale_baseline_entries,
             },
             "findings": [f.to_json() for f in self.findings],
-        }
-        if self.timings is not None:
-            document["timings"] = self.timings
-        return document
-
-    def to_sarif(self):
-        """The ``--format sarif`` document (SARIF 2.1.0).
-
-        One run, one driver; every selected rule is listed so viewers
-        can show descriptions even for rules with zero results.
-        """
-        rule_ids = sorted(set(self.rules) | {
-            f.rule for f in self.findings
-        })
-        sarif_rules = []
-        for rule_id in rule_ids:
-            rule = ALL_RULES.get(rule_id)
-            entry = {"id": rule_id}
-            if rule is not None:
-                entry["shortDescription"] = {"text": rule.description}
-            sarif_rules.append(entry)
-        results = []
-        for finding in self.findings:
-            results.append({
-                "ruleId": finding.rule,
-                "level": "error",
-                "message": {"text": finding.message},
-                "locations": [{
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path},
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    },
-                }],
-            })
-        return {
-            "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-            "version": "2.1.0",
-            "runs": [{
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri":
-                            "docs/static-analysis.md",
-                        "rules": sarif_rules,
-                    },
-                },
-                "results": results,
-            }],
         }
 
     def render_text(self):
@@ -193,33 +97,9 @@ class LintResult:
         tail = (
             f"{len(self.findings)} finding(s) in {self.files} file(s)"
         )
-        extras = []
         if self.suppressed:
-            extras.append(f"{self.suppressed} suppressed")
-        if self.baselined:
-            extras.append(f"{self.baselined} baselined")
-        if self.stale_baseline_entries:
-            extras.append(
-                f"{self.stale_baseline_entries} stale baseline entries"
-            )
-        if extras:
-            tail += " (" + ", ".join(extras) + ")"
+            tail += f" ({self.suppressed} suppressed)"
         lines.append(tail)
-        if self.timings is not None:
-            per_rule = ", ".join(
-                f"{name} {secs:.3f}s" for name, secs in sorted(
-                    self.timings.get("per_project_rule_s", {}).items()
-                )
-            )
-            line = (
-                f"timing: total {self.timings['total_s']:.3f}s, "
-                f"files {self.timings['files_s']:.3f}s, "
-                f"project {self.timings['project_s']:.3f}s "
-                f"({self.timings['jobs']} job(s))"
-            )
-            if per_rule:
-                line += f" [{per_rule}]"
-            lines.append(line)
         return "\n".join(lines)
 
 
@@ -242,17 +122,15 @@ def collect_files(paths):
 
 
 def _lint_one_file(file_path, root, file_rules):
-    """Parse and file-rule one file (runs on the worker pool).
+    """Parse and file-rule one file.
 
-    Returns ``(unit_or_None, findings, suppressions_or_None)`` —
-    shared-nothing, so any number of these can run concurrently.
+    Returns ``(unit_or_None, findings, suppressions_or_None)``.
     """
     rel = os.path.relpath(file_path, root)
     try:
         with open(file_path, "r", encoding="utf-8") as handle:
             source = handle.read()
-        with _AST_PARSE_LOCK:
-            tree = ast.parse(source, filename=file_path)
+        tree = ast.parse(source, filename=file_path)
     except (OSError, SyntaxError, ValueError) as err:
         finding = Finding(
             path=rel.replace("\\", "/"),
@@ -270,26 +148,18 @@ def _lint_one_file(file_path, root, file_rules):
     return unit, findings, filters
 
 
-def run_lint(paths, rules=None, baseline_path=None, root=None,
-             jobs=None, timings=False):
+def run_lint(paths, rules=None, root=None):
     """Run the linter; returns a :class:`LintResult`.
 
     Args:
         paths: files and/or directories to lint.
         rules: rule ids to run (default: every registered rule).
-        baseline_path: optional baseline file to subtract.
         root: directory findings are reported relative to (default:
             the current working directory).
-        jobs: worker threads for the per-file phase (default:
-            ``os.cpu_count()``); findings are globally sorted, so the
-            output does not depend on this.
-        timings: record per-phase wall clock in ``result.timings``.
 
     Raises:
         KeyError: an unknown rule id in ``rules``.
-        OSError / ValueError: unreadable or malformed baseline.
     """
-    started = perf_seconds()
     selected = list(ALL_RULES) if rules is None else list(rules)
     for rule_id in selected:
         if rule_id not in ALL_RULES:
@@ -302,46 +172,24 @@ def run_lint(paths, rules=None, baseline_path=None, root=None,
         ALL_RULES[r] for r in selected if ALL_RULES[r].scope == "project"
     ]
 
-    files = collect_files(paths)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(int(jobs), len(files) or 1))
-
-    files_started = perf_seconds()
-    if jobs == 1:
-        per_file = [
-            _lint_one_file(path, root, file_rules) for path in files
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            # ``map`` yields in submission order, so the unit list —
-            # and with it every downstream pass — is independent of
-            # worker scheduling.
-            per_file = list(pool.map(
-                lambda path: _lint_one_file(path, root, file_rules),
-                files,
-            ))
     units = []
     findings = []
     suppressions = {}
-    for unit, file_findings, filters in per_file:
+    for path in collect_files(paths):
+        unit, file_findings, filters = _lint_one_file(
+            path, root, file_rules
+        )
         findings.extend(file_findings)
         if unit is not None:
             units.append(unit)
             suppressions[unit.posix] = filters
-    files_elapsed = perf_seconds() - files_started
 
-    project = Project(units, root=root)
-    per_rule = {}
-    project_started = perf_seconds()
+    project = Project(units)
     for rule in project_rules:
-        rule_started = perf_seconds()
         findings.extend(rule.check_project(project))
-        per_rule[rule.name] = round(perf_seconds() - rule_started, 6)
-    project_elapsed = perf_seconds() - project_started
 
     kept, suppressed = [], 0
-    for finding in sorted(findings):
+    for finding in sorted(set(findings)):
         filters = suppressions.get(finding.path)
         if filters is not None and finding.rule != PARSE_RULE \
                 and filters.is_suppressed(finding):
@@ -349,27 +197,9 @@ def run_lint(paths, rules=None, baseline_path=None, root=None,
         else:
             kept.append(finding)
 
-    baselined = stale = 0
-    if baseline_path is not None:
-        baseline = load_baseline(baseline_path)
-        kept, baselined, stale = apply_baseline(kept, baseline)
-
-    timing_data = None
-    if timings:
-        timing_data = {
-            "total_s": round(perf_seconds() - started, 6),
-            "files_s": round(files_elapsed, 6),
-            "project_s": round(project_elapsed, 6),
-            "per_project_rule_s": per_rule,
-            "jobs": jobs,
-        }
-
     return LintResult(
         findings=kept,
         files=len(units),
         rules=tuple(selected),
         suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline_entries=stale,
-        timings=timing_data,
     )

@@ -8,9 +8,8 @@ Two forms, mirroring the usual linter conventions:
   silences those rules for the whole file.
 
 ``disable=all`` (or ``disable-file=all``) silences every rule.  A
-suppression is the *reviewed* escape hatch — grandfathered findings
-that nobody has reviewed belong in the baseline instead (see
-:mod:`repro.lint.baseline`).
+suppression is the *reviewed* escape hatch; there is no other way to
+accept a finding.
 
 A directive covers the whole *statement* it sits on, not just its
 physical line: on the first line of a multi-line call it also silences
@@ -46,10 +45,6 @@ class Suppressions:
             if ALL in rules or finding.rule in rules:
                 return True
         return False
-
-    @property
-    def count_directives(self):
-        return len(self._line_rules) + (1 if self._file_rules else 0)
 
 
 #: Statements whose first-line directive extends over the whole span

@@ -24,7 +24,7 @@ attribution does.
 
 Lock discipline: the worker callable (``_execute``) and everything it
 reaches is submitted to a pool, so every shared-attribute write below
-sits under a named lock — ``LCK001`` checks this transitively.
+sits under a named lock — ``LCK002`` checks this across call edges.
 """
 
 import threading

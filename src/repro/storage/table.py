@@ -6,10 +6,16 @@ actual execution of 100-query workloads fast while the *virtual clock*
 accounts for what the same plan would cost on the paper's hardware.
 """
 
+import threading
+
 import numpy as np
 
 from ..common.errors import CatalogError
 from ..common.hardware import pages_for_bytes
+
+#: Guards the lazily computed sizes of every table: session workers
+#: price plans against one shared :class:`Table`.
+_SIZE_LOCK = threading.Lock()
 
 
 class Table:
@@ -71,7 +77,8 @@ class Table:
         (the only mutation that changes the row count).
         """
         if self._byte_size is None:
-            self._byte_size = self.row_count * self.schema.row_width()
+            with _SIZE_LOCK:
+                self._byte_size = self.row_count * self.schema.row_width()
         return self._byte_size
 
     def page_count(self):

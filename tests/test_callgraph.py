@@ -196,21 +196,6 @@ def test_unsubmitted_methods_are_not_entries():
     assert g.reachable_from_entries() == set()
 
 
-def test_callers_of_inverts_the_edge():
-    g = graph(unit("repro/a.py", (
-        "def helper():\n"
-        "    return 1\n"
-        "\n"
-        "def one():\n"
-        "    return helper()\n"
-        "\n"
-        "def two():\n"
-        "    return helper()\n"
-    )))
-    callers = {site.caller.qualname for site in g.callers_of("repro.a::helper")}
-    assert callers == {"repro.a::one", "repro.a::two"}
-
-
 def test_submit_binding_maps_self_to_receiver():
     g = graph(unit("repro/a.py", (
         "class Job:\n"

@@ -5,12 +5,7 @@ fixpoint driver they plug into."""
 
 import ast
 
-from repro.lint.dataflow import (
-    TOP,
-    LocksetAnalysis,
-    build_cfg,
-    statement_operations,
-)
+from repro.lint.dataflow import TOP, LocksetAnalysis, build_cfg
 
 
 def fn(source):
@@ -215,16 +210,3 @@ def test_unreached_code_stays_at_top():
     assert analysis.before.get(dead_ops[0], TOP) is TOP
     assert analysis.locks_at(dead_ops[0]) == frozenset()
 
-
-def test_statement_operations_maps_back_to_statements():
-    node = fn(
-        "def f(self):\n"
-        "    a = 1\n"
-        "    b = 2\n"
-    )
-    cfg = build_cfg(node, lock_token=lock_token)
-    analysis = LocksetAnalysis(entry_locks=frozenset())
-    analysis.run(cfg)
-    lines = sorted(node.lineno
-                   for node, _ in statement_operations(analysis.before))
-    assert lines == [2, 3]

@@ -1,7 +1,7 @@
 """Every experiment driver runs end-to-end at a tiny scale.
 
-These are integration tests for the harness plumbing; the full-scale runs
-live under ``benchmarks/``.
+These are integration tests for the harness plumbing; a full-scale run
+is ``python -m repro.bench run <id>``.
 """
 
 import pytest

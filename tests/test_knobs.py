@@ -3,14 +3,19 @@
 The registry is the single sanctioned accessor for ``REPRO_*``
 environment variables (the ``KNB001`` lint rule enforces that); these
 tests pin its semantics — declaration validation, idempotent
-re-registration, ``text`` parsing — and enumerate the full
-knob set, so every registered knob is named in at least one test (the
-third leg of the KNB001 contract).
+re-registration, ``text`` parsing — and close the knob contract from
+the other side: the registered set is exactly ``EXPECTED_KNOBS`` (so a
+new knob must be named here), and every registered knob has a row in
+``docs/cli.md``.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.common import knobs
+
+CLI_DOC = Path(__file__).resolve().parents[1] / "docs" / "cli.md"
 
 
 EXPECTED_KNOBS = {
@@ -36,6 +41,13 @@ EXPECTED_KNOBS = {
 def test_every_expected_knob_is_registered_with_its_kind():
     registered = {k.name: k.kind for k in knobs.registered()}
     assert registered == EXPECTED_KNOBS
+
+
+def test_every_registered_knob_is_documented():
+    documented = CLI_DOC.read_text(encoding="utf-8")
+    missing = [k.name for k in knobs.registered()
+               if f"`{k.name}`" not in documented]
+    assert not missing, f"no docs/cli.md row for {missing}"
 
 
 def test_registered_is_sorted_and_carries_descriptions():
