@@ -23,6 +23,7 @@ from ..catalog.catalog import Catalog
 from ..catalog.schema import ColumnDef, ForeignKey, TableSchema
 from ..common.rng import make_rng, spawn
 from ..engine.database import Database
+from ..storage.encoding import ColumnDictionary
 from ..storage.types import date, float_, integer, varchar
 from .text import name_pool, sequence_strings, zipf_column
 
@@ -147,18 +148,19 @@ def nref_catalog():
 
 
 def _group_ordinals(keys):
-    """1-based running ordinal within each key group (for composite PKs)."""
-    keys = np.asarray(keys)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    change = np.ones(len(keys), dtype=bool)
-    change[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    group_start = np.maximum.accumulate(
-        np.where(change, np.arange(len(keys)), 0)
+    """1-based running ordinal within each key group (for composite PKs).
+
+    A row's ordinal depends only on which earlier rows share its key,
+    so the groups are the runs of the key column's dictionary order —
+    an integer sort of its codes, not a sort of the key strings.
+    """
+    dictionary = ColumnDictionary(keys)
+    counts = dictionary.counts
+    ordinals = np.empty(len(dictionary.base), dtype=np.int64)
+    ordinals[dictionary.argsort()] = (
+        np.arange(1, len(ordinals) + 1)
+        - np.repeat(np.cumsum(counts) - counts, counts)
     )
-    ordinals_sorted = np.arange(len(keys)) - group_start + 1
-    ordinals = np.empty(len(keys), dtype=np.int64)
-    ordinals[order] = ordinals_sorted
     return ordinals
 
 

@@ -18,6 +18,7 @@ from ..catalog.catalog import Catalog
 from ..catalog.schema import ColumnDef, ForeignKey, TableSchema
 from ..common.rng import make_rng, spawn
 from ..engine.database import Database
+from ..storage.encoding import stable_order
 from ..storage.types import date, float_, integer, varchar
 from .text import zipf_column
 
@@ -309,7 +310,7 @@ def generate_tpch(scale=1.0, zipf=0.0, seed=1992):
     l_orderkey = _pick(
         r, np.arange(1, rows["orders"] + 1), n, z
     ).astype(np.int64)
-    order = np.argsort(l_orderkey, kind="stable")
+    order = stable_order(l_orderkey, rows["orders"] + 1)
     l_orderkey = l_orderkey[order]
     linenumber = np.ones(n, dtype=np.int64)
     same = np.zeros(n, dtype=bool)

@@ -852,7 +852,8 @@ class Database:
         table = self.table(table_name)
         # Through the dictionary cache, which extends the table's
         # dictionaries instead of letting the append orphan them.
-        appended = self._cache("dict_cache").append_rows(table, columns)
+        encodings = self._cache("dict_cache")
+        appended = encodings.append_rows(table, columns)
         obs.counter_add("engine.rows_inserted", appended)
         self._view_size_cache.clear()
         self.invalidate_caches()
@@ -862,7 +863,9 @@ class Database:
                 if ix.table == table_name:
                     data = self._built.index_data[ix.name]
                     heights.append(data.size.height)
-                    self._built.index_data[ix.name] = data.append(table)
+                    self._built.index_data[ix.name] = data.append(
+                        table, encodings
+                    )
             obs.counter_add(
                 "engine.index_entries_merged", appended * len(heights)
             )

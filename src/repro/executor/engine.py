@@ -355,12 +355,14 @@ class Executor:
                 + info.entries * self._hw.cpu_row_s * 2
             )
             # The leading keys are the table column, sorted: their
-            # values and counts are the column's dictionary.
-            keys = info.data.leading_keys
+            # values and counts are the column's dictionary.  The
+            # entries' row ids stand for the index in the validity
+            # check — every build or append that changes it has new
+            # ones.
             values, counts = self._subplans.semi_values(
                 ("index_only", info.definition.name, semi.sub_table,
                  semi.sub_column),
-                (keys,),
+                (info.data.row_ids,),
                 lambda: self._value_counts(
                     self._table(semi.sub_table), semi.sub_column
                 ),
@@ -461,8 +463,8 @@ class Executor:
             )
         values, keep = self._semi_source(node.driving.source, clock)
         allowed = values[keep]
-        counts = info.data.count_many(allowed)
-        matched = int(counts.sum())
+        lows, highs = info.data.ranges(allowed)
+        matched = int((highs - lows).sum())
         obs.counter_add("engine.index_probes", len(allowed))
         obs.counter_add("engine.rows_scanned", matched)
         clock.charge(
@@ -477,7 +479,7 @@ class Executor:
             )
         )
         _guard_materialization(matched)
-        (row_ids, _), __ = info.data.probe_many(allowed)
+        row_ids, _ = info.data.fetch(lows, highs)
         batch = self._probe_batch(node.alias, table, node.columns, row_ids)
         batch = self._apply_filters(batch, node.residual_filters, clock)
         batch = self._apply_semis(batch, node.semi_filters, clock)
@@ -637,8 +639,8 @@ class Executor:
                 f"index {info.definition.name} is hypothetical; cannot run"
             )
         probes = outer.column(node.outer_key)
-        counts = info.data.count_many(probes)
-        matched = int(counts.sum())
+        lows, highs = info.data.ranges(probes)
+        matched = int((highs - lows).sum())
         obs.counter_add("engine.index_probes", len(probes))
         obs.counter_add("engine.rows_scanned", matched)
         clock.charge(
@@ -663,7 +665,7 @@ class Executor:
         )
         _guard_materialization(matched)
 
-        (row_ids, probe_idx), _ = info.data.probe_many(probes)
+        row_ids, probe_idx = info.data.fetch(lows, highs)
         obatch = outer.take(probe_idx)
         attach = self._attached(node.alias, node.columns)
         columns = dict(obatch.columns)

@@ -1,8 +1,15 @@
 """Built index data.
 
 An :class:`IndexData` materializes an :class:`IndexDefinition` over a
-table: key columns stored in key order plus the matching row-id
-permutation.  Probes used by the executor are vectorized over these
+table as the row-id permutation that puts the key columns in order,
+plus what a probe needs to find its entries in it.  For the leading
+column that is no array of keys at all: the sorted keys are the
+column's dictionary values, each repeated by its count, so the index
+keeps the ``d`` distinct ``values`` and the ``d + 1`` run ``offsets``
+— the entries of ``values[slot]`` are ``offsets[slot]:offsets[slot +
+1]`` — and a probe bisects ``d`` values instead of ``n`` entries.
+Only the *inner* columns of a multi-column index are stored as sorted
+value copies.  Probes used by the executor are vectorized over these
 arrays; a real :class:`~repro.index.btree.BPlusTree` over the same entries
 is available lazily (and is cross-checked against the arrays in the test
 suite).
@@ -15,6 +22,7 @@ exposes.
 """
 
 import copy
+import pickle
 
 import numpy as np
 
@@ -67,34 +75,27 @@ def _bisect(column, values, lows, highs, right):
         highs[active[~descend]] = middle[~descend]
 
 
-def _upper_bounds(sorted_columns, keys):
-    """For each key tuple, how many entries of the lexicographically
-    sorted ``sorted_columns`` are not greater (``side="right"``).
-
-    The leading column narrows every key to its run of equal leading
-    values with two C ``searchsorted`` calls; each further column is
-    sorted inside that run and bisected there.
-    """
-    highs = np.searchsorted(sorted_columns[0], keys[0], side="right")
-    if len(sorted_columns) > 1:
-        lows = np.searchsorted(sorted_columns[0], keys[0], side="left")
-        for column, values in zip(sorted_columns[1:], keys[1:]):
-            lows, highs = (
-                _bisect(column, values, lows, highs, right=False),
-                _bisect(column, values, lows, highs, right=True),
-            )
-    return highs
-
-
 class IndexData:
     """A built secondary index over a table's columns.
 
     Instances are immutable once built: :meth:`append` returns a new
     index, so a reader holding the old one keeps a consistent snapshot.
-    ``row_ids`` and ``key_columns`` are read-only arrays; ``row_ids``
-    of a fresh build is shared with ``encodings`` (the database's
-    :class:`~repro.storage.encoding.DictionaryCache`) and with every
-    other index on the same columns.
+
+    Attributes:
+        row_ids: heap row ids in key order (read-only).  A fresh
+            build's is shared with ``encodings`` (the database's
+            :class:`~repro.storage.encoding.DictionaryCache`) and with
+            every other index on the same columns.
+        values: the leading column's sorted distinct values — the
+            column dictionary's own array, not the dictionary: an
+            index outlives the cache (``Database.__getstate__`` drops
+            it) and must not drag a dictionary's base, codes and
+            order along.
+        offsets: ``d + 1`` run boundaries (read-only); the entries
+            whose leading key is ``values[slot]`` are
+            ``offsets[slot]:offsets[slot + 1]``.
+        inner_columns: the key columns after the leading one, in key
+            order (read-only).
     """
 
     def __init__(self, definition, table, encodings, overhead_factor=1.0):
@@ -105,15 +106,21 @@ class IndexData:
         # copy per index.
         order = encodings.lexsort(table, tuple(definition.columns))
         self._set_entries(
-            table, order, [table.column(c)[order] for c in definition.columns]
+            table, encodings, order,
+            [table.column(c)[order] for c in definition.columns[1:]],
         )
 
-    def _set_entries(self, table, row_ids, key_columns):
-        for array in (row_ids, *key_columns):
+    def _set_entries(self, table, encodings, row_ids, inner_columns):
+        leading = encodings.dictionary(table, self.definition.columns[0])
+        offsets = np.zeros(leading.n_distinct + 1, dtype=np.int64)
+        np.cumsum(leading.counts, out=offsets[1:])
+        for array in (row_ids, offsets, *inner_columns):
             array.setflags(write=False)
         self._tree = None
         self.row_ids = row_ids
-        self.key_columns = key_columns
+        self.values = leading.values
+        self.offsets = offsets
+        self.inner_columns = inner_columns
         self.entry_count = len(row_ids)
         key_width = sum(
             table.schema.column(c).width for c in self.definition.columns
@@ -123,24 +130,41 @@ class IndexData:
         )
         self.cluster_factor = self._measure_cluster_factor(table)
 
-    def append(self, table):
+    def __setstate__(self, state):
+        # An artifact store written before the run-offset layout holds
+        # sorted key copies instead; refusing it makes the store miss
+        # and rebuild rather than fail at the first probe.
+        if "offsets" not in state:
+            raise pickle.UnpicklingError(
+                "index pickled without leading-key run offsets"
+            )
+        self.__dict__.update(state)
+
+    def append(self, table, encodings):
         """The index after rows were appended to ``table``.
 
         ``table`` already holds the new rows, at row ids
-        ``entry_count`` and up.  Only their keys are sorted; each then
-        takes the slot after every existing entry that is not greater
-        (a lexicographic ``side="right"`` binary search).  New row ids
-        exceed all old ones, so that is where the stable ``lexsort`` of
-        a from-scratch build puts them: the result equals
-        ``IndexData(definition, table, encodings)`` array for array.
-        Keys must be NaN-free, as ``<=`` orders a NaN differently from
-        a sort.
+        ``entry_count`` and up, and ``encodings`` the leading column's
+        dictionary over them.  Only their keys are sorted; each then
+        takes the slot after every existing entry that is not greater:
+        the end of its leading value's run, narrowed column by column
+        (each inner column is sorted inside the run and bisected
+        there).  New row ids exceed all old ones, so that is where the
+        stable ``lexsort`` of a from-scratch build puts them: the
+        result equals ``IndexData(definition, table, encodings)`` array
+        for array.  Keys must be NaN-free, as ``<=`` orders a NaN
+        differently from a sort.
         """
         first = self.entry_count
         tails = [table.column(c)[first:] for c in self.definition.columns]
         order = np.lexsort(tuple(reversed(tails)))
         tails = [tail[order] for tail in tails]
-        slots = _upper_bounds(self.key_columns, tails)
+        lows, slots = self.ranges(tails[0])
+        for column, values in zip(self.inner_columns, tails[1:]):
+            lows, slots = (
+                _bisect(column, values, lows, slots, right=False),
+                _bisect(column, values, lows, slots, right=True),
+            )
         # Sorted entry j lands behind the slots[j] old entries before
         # it and the j new ones.
         positions = slots + np.arange(len(order))
@@ -156,10 +180,10 @@ class IndexData:
 
         merged = copy.copy(self)
         merged._set_entries(
-            table,
+            table, encodings,
             splice(self.row_ids, first + order.astype(np.int64)),
             [splice(old, new)
-             for old, new in zip(self.key_columns, tails)],
+             for old, new in zip(self.inner_columns, tails[1:])],
         )
         return merged
 
@@ -186,43 +210,51 @@ class IndexData:
     # ------------------------------------------------------------------
     # Probes (vectorized over the sorted arrays)
 
-    @property
-    def leading_keys(self):
-        """Leading key column in index order (for searchsorted probes)."""
-        return self.key_columns[0]
+    def ranges(self, probe_values):
+        """``(lows, highs)``: for each probe, the range of entries
+        whose leading key equals it (empty where none does).
+
+        One ``searchsorted`` into the distinct leading values; the run
+        offsets turn the slot into entry positions.
+        """
+        probe_values = np.asarray(probe_values)
+        if not len(self.values):
+            empty = np.zeros(len(probe_values), dtype=np.int64)
+            return empty, empty
+        slots = np.searchsorted(self.values, probe_values)
+        found = self.values.take(slots, mode="clip") == probe_values
+        return self.offsets[slots], self.offsets[slots + found]
+
+    def fetch(self, lows, highs):
+        """``(row_ids, range_indices)`` of the entries in the given
+        ranges: every heap row id, and which range it came from."""
+        return gather_ranges(self.row_ids, lows, highs)
 
     def lookup_eq(self, prefix_values):
         """Row ids matching equality on a leading prefix of key columns."""
         prefix_values = tuple(prefix_values)
-        if len(prefix_values) > len(self.key_columns):
+        if len(prefix_values) > len(self.definition.columns):
             raise ValueError("prefix longer than the index key")
-        lo = np.searchsorted(self.leading_keys, prefix_values[0], side="left")
-        hi = np.searchsorted(self.leading_keys, prefix_values[0], side="right")
+        (lo,), (hi,) = self.ranges(prefix_values[:1])
         if len(prefix_values) == 1:
             return self.row_ids[lo:hi]
         mask = np.ones(hi - lo, dtype=bool)
-        for depth, value in enumerate(prefix_values[1:], start=1):
-            mask &= self.key_columns[depth][lo:hi] == value
+        for column, value in zip(self.inner_columns, prefix_values[1:]):
+            mask &= column[lo:hi] == value
         return self.row_ids[lo:hi][mask]
 
     def probe_many(self, probe_values):
         """Batch equality probes on the leading key column.
 
-        Returns ``(matched_row_ids, probe_indices)`` — for every matching
-        index entry, the heap row id and the position in ``probe_values``
-        it matched.  This is the inner side of index-nested-loop joins.
+        Returns ``(matched_row_ids, probe_indices), (lows, highs)`` —
+        for every matching index entry, the heap row id and the
+        position in ``probe_values`` it matched, then the probes'
+        entry ranges.  This is the inner side of index-nested-loop
+        joins, which take :meth:`ranges` and :meth:`fetch` one at a
+        time to price the matches before they materialize them.
         """
-        probe_values = np.asarray(probe_values)
-        lows = np.searchsorted(self.leading_keys, probe_values, side="left")
-        highs = np.searchsorted(self.leading_keys, probe_values, side="right")
-        return gather_ranges(self.row_ids, lows, highs), (lows, highs)
-
-    def count_many(self, probe_values):
-        """Number of index entries matching each probe value (no fetch)."""
-        probe_values = np.asarray(probe_values)
-        lows = np.searchsorted(self.leading_keys, probe_values, side="left")
-        highs = np.searchsorted(self.leading_keys, probe_values, side="right")
-        return highs - lows
+        lows, highs = self.ranges(probe_values)
+        return self.fetch(lows, highs), (lows, highs)
 
     # ------------------------------------------------------------------
     # Reference structure
@@ -230,8 +262,12 @@ class IndexData:
     def tree(self):
         """The equivalent B+-tree, built lazily from the sorted entries."""
         if self._tree is None:
+            key_columns = [
+                np.repeat(self.values, np.diff(self.offsets)),
+                *self.inner_columns,
+            ]
             entries = zip(
-                (tuple(col[i] for col in self.key_columns)
+                (tuple(col[i] for col in key_columns)
                  for i in range(self.entry_count)),
                 (int(r) for r in self.row_ids),
             )

@@ -9,10 +9,24 @@ module each consumer called ``np.unique`` independently — a full sort
 of the column every time, which profiling shows dominating the fig4
 pipeline.
 
-A :class:`ColumnDictionary` computes a column's dictionary **once**:
-the sorted unique values, their frequency counts, and (lazily) the
-dense per-row int64 codes and the column's stable argsort.  A
-:class:`DictionaryCache`, owned by a
+A :class:`ColumnDictionary` computes a column's dictionary **once**,
+and its construction is the one place a column is ordered — one pass
+that depends on nothing but the column:
+
+* an **int64** column whose value span packs beside a row position
+  (``bit_length(max - min) + bit_length(n - 1) <= 62``) sorts
+  ``(value - min) << bits | position`` once and reads the sorted unique
+  values, their counts, the dense per-row codes and the column's
+  stable argsort off that single sorted array;
+* an **object** column takes one hash pass: the *distinct* values are
+  sorted, every row looks its slot up, the counts are a ``bincount``
+  — no ``n log n`` sort of Python strings, and its argsort is an
+  integer sort of the codes when first asked for;
+* **anything else** (floats, integers too wide to pack, an empty
+  column) takes ``np.unique``, and bisects its codes and sorts them on
+  first use.
+
+A :class:`DictionaryCache`, owned by a
 :class:`~repro.engine.database.Database` and invalidated through its
 ``invalidate_caches`` path, shares one dictionary per ``(table,
 column)`` across all four consumers:
@@ -26,10 +40,14 @@ column)`` across all four consumers:
   histograms straight off the dictionary;
 * :mod:`repro.index.data` takes its row-id permutation from
   :meth:`DictionaryCache.lexsort` — the memoized order itself, one
-  read-only array shared by every index keyed on the same columns.
+  read-only array shared by every index keyed on the same columns —
+  and its leading key from the dictionary's ``values`` and ``counts``
+  instead of a sorted copy of the column.
 
-Every sort of rows here is a plain integer sort (:func:`stable_order`):
-codes and row positions packed into one int64 per row.
+Codes that already exist are ordered by :func:`stable_order` — every
+``lexsort`` level above the last column, a frequency order, a join's
+build side: codes and row positions packed into one int64 per row, the
+same packing (and the same helper) the int64 construction uses.
 
 The layer never changes an output: each dictionary product is checked
 against the NumPy call it replaces (``np.unique``, ``np.lexsort``) in
@@ -60,8 +78,34 @@ from .. import obs
 from ..common.cache import CacheStats
 
 
-# Width of the position grid in :func:`stable_order` (rows per line).
+# Width of the position grid in :func:`_sort_with_positions` (rows per line).
 _GRID = 1 << 12
+
+
+def _sort_with_positions(packed):
+    """Sort ``packed`` in place after OR-ing every element's position
+    into its (zero) low bits.
+
+    Positions are OR-ed in as line start + offset over a 2-D view: a
+    full-length ``arange`` would be a second array of the column's
+    size, allocated and first-touched only to be thrown away — which
+    costs several times the sort itself.
+    """
+    n = len(packed)
+    full = n - n % _GRID
+    grid = packed[:full].reshape(-1, _GRID)
+    grid |= np.arange(0, full, _GRID, dtype=np.int64)[:, None]
+    grid |= np.arange(_GRID, dtype=np.int64)
+    packed[full:] |= np.arange(full, n, dtype=np.int64)
+    packed.sort()
+
+
+def _packs(span, rows):
+    """Position bits of a ``rows``-long column when keys in
+    ``[0, span]`` pack beside a row position in one int64, else
+    ``None`` (``bits(span) + bits(rows - 1) > 62``)."""
+    bits = max(rows - 1, 0).bit_length()
+    return bits if span.bit_length() + bits <= 62 else None
 
 
 def stable_order(codes, span):
@@ -76,25 +120,73 @@ def stable_order(codes, span):
     the merge/radix sort that has to carry an index array along.
     Keys too wide to pack beside a position (``bits(span) + bits(n)
     > 62``) take the ``argsort`` itself.
+
+    This is the ordering primitive for codes that already exist
+    (``lexsort`` levels, ``by_frequency``, the join build side); a
+    column that has no codes yet is ordered by its
+    :class:`ColumnDictionary`, once.
     """
     obs.counter_add("encoding.sorts")
-    n = len(codes)
-    bits = max(n - 1, 0).bit_length()
-    if max(span - 1, 0).bit_length() + bits > 62:
+    bits = _packs(max(span - 1, 0), len(codes))
+    if bits is None:
         return np.argsort(codes, kind="stable")
     packed = np.left_shift(codes, bits, dtype=np.int64)
-    # Positions are OR-ed in as line start + offset over a 2-D view:
-    # a full-length ``arange`` would be a second array of the column's
-    # size, allocated and first-touched only to be thrown away — which
-    # costs several times the sort itself.
-    full = n - n % _GRID
-    grid = packed[:full].reshape(-1, _GRID)
-    grid |= np.arange(0, full, _GRID, dtype=np.int64)[:, None]
-    grid |= np.arange(_GRID, dtype=np.int64)
-    packed[full:] |= np.arange(full, n, dtype=np.int64)
-    packed.sort()
+    _sort_with_positions(packed)
     packed &= (1 << bits) - 1
     return packed
+
+
+def _packed_dictionary(base):
+    """``(values, counts, codes, order)`` of an int64 column from one
+    integer sort, or ``None`` when it is empty or its value span does
+    not pack beside a row position.
+
+    Row ``i`` sorts as ``(base[i] - min) << bits | i``.  In the sorted
+    array the high bits are the column in order — every change starts
+    a new dictionary entry, the run lengths are the counts — and the
+    low bits are the stable argsort; scattering each row's run rank
+    back through that order gives the dense codes.
+    """
+    rows = len(base)
+    if not rows:
+        return None
+    low = int(base.min())
+    bits = _packs(int(base.max()) - low, rows)
+    if bits is None:
+        return None
+    packed = base - low
+    packed <<= bits
+    _sort_with_positions(packed)
+    order = packed & ((1 << bits) - 1)
+    packed >>= bits
+    change = packed[1:] != packed[:-1]
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    values = packed[starts] + low
+    counts = np.diff(starts, append=rows)
+    # The sorted keys have served; their buffer takes the run ranks.
+    ranks = packed
+    ranks[0] = 0
+    np.cumsum(change, out=ranks[1:])
+    codes = np.empty(rows, dtype=np.int64)
+    codes[order] = ranks
+    # Indexes hold the order as their row ids.
+    order.setflags(write=False)
+    return values, counts, codes, order
+
+
+def _hashed_dictionary(base):
+    """``(values, counts, codes)`` of an object column from one hash
+    pass: only the *distinct* values are sorted (Python compares),
+    every row then looks its slot up, and the counts are a
+    ``bincount`` of the codes."""
+    rows = base.tolist()
+    distinct = sorted(set(rows))
+    slot_of = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(
+        map(slot_of.__getitem__, rows), dtype=np.int64, count=len(rows)
+    )
+    values = np.fromiter(distinct, dtype=object, count=len(distinct))
+    return values, np.bincount(codes, minlength=len(distinct)), codes
 
 
 class ColumnDictionary:
@@ -106,12 +198,18 @@ class ColumnDictionary:
         values: sorted unique values (``np.unique`` order).
         counts: occurrence count of each unique value.
 
-    Per-row codes, the stable argsort, and the frequency-ordered views
-    are derived lazily — most consumers need only a subset, and the
-    lazy attributes are computed from immutable inputs, so a racing
-    double-compute in a session worker pool is deterministic and
-    harmless (the same last-writer-wins convention as
-    :meth:`~repro.common.cache.BoundedCache.get_or_build`).
+    Construction is the one place a column is ordered, and what it
+    does depends on the column alone: an int64 column whose value span
+    packs beside a row position takes one integer sort that yields
+    ``values``, ``counts``, the dense ``codes`` and the stable
+    ``argsort`` together; an object column takes one hash pass for
+    ``values``, ``counts`` and ``codes``; any other column (floats,
+    integers too wide to pack, an empty column) takes ``np.unique``
+    and bisects its codes on first use.  Whatever construction did not
+    produce — and the frequency-ordered views — is derived lazily from
+    immutable inputs, so a racing double-compute in a session worker
+    pool is deterministic and harmless (the same last-writer-wins
+    convention as :meth:`~repro.common.cache.BoundedCache.get_or_build`).
     """
 
     __slots__ = (
@@ -122,14 +220,21 @@ class ColumnDictionary:
 
     def __init__(self, values):
         base = np.asarray(values)
-        self._set(base, *np.unique(base, return_counts=True))
+        built = None
+        if base.dtype == object:
+            built = _hashed_dictionary(base)
+        elif base.dtype == np.int64:
+            built = _packed_dictionary(base)
+        if built is None:
+            built = np.unique(base, return_counts=True)
+        self._set(base, *built)
 
-    def _set(self, base, values, counts, codes=None):
+    def _set(self, base, values, counts, codes=None, order=None):
         self.base = base
         self.values = values
         self.counts = counts
         self._codes = codes
-        self._argsort = None
+        self._argsort = order
         self._freq_order = None
         self._freq_counts_f64 = None
         self._freq_histogram = None
@@ -138,17 +243,16 @@ class ColumnDictionary:
         """The dictionary of ``base``, an array that continues this
         dictionary's base column with appended rows.
 
-        Only the tail is sorted (``np.unique`` of the new rows); its
-        unseen values are spliced into ``values``, its counts added,
-        and the dense codes — when this dictionary has them — remapped
-        through a monotone shift table and continued with the tail's.
-        Equal to ``ColumnDictionary(base)`` in ``values``, ``counts``
-        and ``codes``; the column must be NaN-free (``np.unique``
-        merges NaNs, ``==`` does not find them again).
+        Only the tail gets a dictionary of its own; its unseen values
+        are spliced into ``values``, its counts added, and the dense
+        codes — when this dictionary has them — remapped through a
+        monotone shift table and continued with the tail's.  Equal to
+        ``ColumnDictionary(base)`` in ``values``, ``counts`` and
+        ``codes``; the column must be NaN-free (``np.unique`` merges
+        NaNs, ``==`` does not find them again).
         """
-        tail_values, tail_codes, tail_counts = np.unique(
-            base[len(self.base):], return_inverse=True, return_counts=True
-        )
+        tail = ColumnDictionary(base[len(self.base):])
+        tail_values, tail_counts = tail.values, tail.counts
         known = len(self.values)
         slots, seen = self.find(tail_values)
         unseen = ~seen
@@ -169,7 +273,7 @@ class ColumnDictionary:
         if self._codes is not None:
             codes = np.empty(len(base), dtype=np.int64)
             np.take(moved, self._codes, out=codes[:len(self.base)])
-            codes[len(self.base):] = tail_slots[tail_codes]
+            codes[len(self.base):] = tail_slots[tail.codes]
         grown = ColumnDictionary.__new__(ColumnDictionary)
         grown._set(base, values, counts, codes)
         return grown
@@ -190,37 +294,25 @@ class ColumnDictionary:
 
         Identical to ``np.unique(base, return_inverse=True)``'s inverse:
         codes are ranks into the sorted dictionary, and every dictionary
-        value occurs in the base column, so the codes are dense.  An
-        object column looks its values up in a hash table, any other
-        dtype bisects the dictionary.
+        value occurs in the base column, so the codes are dense.  Packed
+        and hashed columns have them from construction; a column that
+        took ``np.unique`` bisects the dictionary on first use.
         """
         if self._codes is None:
-            if self.base.dtype == object:
-                # One hash lookup per row instead of a bisect of
-                # Python-level compares; a value the dictionary does
-                # not hold raises KeyError rather than taking its
-                # neighbour's slot.
-                slot_of = dict(
-                    zip(self.values.tolist(), range(len(self.values)))
-                )
-                self._codes = np.fromiter(
-                    map(slot_of.__getitem__, self.base),
-                    dtype=np.int64, count=len(self.base),
-                )
-            else:
-                self._codes = np.searchsorted(
-                    self.values, self.base
-                ).astype(np.int64, copy=False)
+            self._codes = np.searchsorted(
+                self.values, self.base
+            ).astype(np.int64, copy=False)
         return self._codes
 
     def argsort(self):
         """Stable argsort of the base column (cached).
 
-        Identical to ``np.lexsort((base,))``: codes are
-        order-isomorphic to values, and stable sorts are unique, so
-        sorting the int64 codes yields the same permutation as sorting
-        the raw (possibly string) array — usually much faster.  The
-        array is read-only: indexes hold it as their row ids.
+        Identical to ``np.lexsort((base,))``.  A packed column has it
+        from construction; otherwise the int64 codes are sorted —
+        they are order-isomorphic to the values, and stable sorts are
+        unique, so that is the permutation sorting the raw (possibly
+        string) array would give.  The array is read-only: indexes
+        hold it as their row ids.
         """
         if self._argsort is None:
             order = stable_order(self.codes, self.n_distinct)

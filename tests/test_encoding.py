@@ -63,7 +63,47 @@ def test_dictionary_frequency_views():
 
 
 # ----------------------------------------------------------------------
-# stable_order: one packed integer sort equals the stable argsort
+# Construction: one packed sort (int64), one hash pass (object) or
+# np.unique (everything else) — always what NumPy would answer
+
+def assert_dictionary_is_numpys(base):
+    """``ColumnDictionary(base)`` against ``np.unique`` and the stable
+    ``np.argsort`` of the same array."""
+    values, inverse, counts = np.unique(
+        base, return_inverse=True, return_counts=True
+    )
+    d = ColumnDictionary(base)
+    assert d.base is base
+    for got, want in ((d.values, values), (d.counts, counts)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+    if base.dtype == object:
+        assert d.values.tolist() == values.tolist()
+    else:
+        assert np.array_equal(
+            d.values, values, equal_nan=base.dtype.kind == "f"
+        )
+    assert d.counts.tolist() == counts.tolist()
+    assert d.codes.dtype == np.int64
+    assert d.codes.tolist() == inverse.tolist()
+    order = d.argsort()
+    assert order.dtype == np.int64 and not order.flags.writeable
+    assert order.tolist() == np.argsort(base, kind="stable").tolist()
+    return d
+
+
+def count_calls(monkeypatch, name):
+    """Record every call of ``np.<name>``; returns the list of kwargs."""
+    calls = []
+    original = getattr(np, name)
+    monkeypatch.setattr(
+        np, name,
+        lambda *args, **kwargs: calls.append(kwargs) or original(
+            *args, **kwargs
+        ),
+    )
+    return calls
+
 
 # Row counts around the powers of two where the position field widens,
 # and around the grid the positions are laid out on.
@@ -72,6 +112,76 @@ ROW_COUNTS = st.sampled_from(
      2 * _GRID, 2 * _GRID + 7]
 )
 
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=ROW_COUNTS,
+    span_bits=st.integers(0, 62),
+    off_by=st.sampled_from([-1, 0, 1]),
+    low=st.sampled_from([-(1 << 62), -(1 << 40) - 3, -1, 0, 1, 1 << 33]),
+    all_equal=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_property_int64_dictionary_equals_unique_and_stable_argsort(
+        rows, span_bits, off_by, low, all_equal, seed):
+    """Spans at and around every power of two up to 2**62 — so both
+    sides of the 62-bit packing limit, whatever ``rows`` is — from
+    negative, zero and positive minima, in long runs of ties."""
+    span = max(0, (1 << span_bits) + off_by)
+    rng = np.random.default_rng(seed)
+    if all_equal:
+        base = np.full(rows, low + span, dtype=np.int64)
+    else:
+        pool = low + rng.integers(0, span + 1, size=5)
+        pool[0], pool[1] = low, low + span
+        base = pool[rng.integers(0, len(pool), size=rows)]
+        if rows:
+            base[-1] = low + span  # widest key at the widest position
+    assert_dictionary_is_numpys(base)
+
+
+def test_int64_dictionary_packs_up_to_62_bits_and_falls_back_beyond(
+        monkeypatch):
+    unique_calls = count_calls(monkeypatch, "unique")
+    # 5 rows need 3 position bits: a 59-bit span still packs ...
+    top = (1 << 59) - 1
+    base = np.array([top, 0, top, 7, 0], dtype=np.int64) - 12
+    with obs.recording() as recorder:
+        d = ColumnDictionary(base)
+        assert d.values.tolist() == [-12, -5, top - 12]
+        assert d.counts.tolist() == [2, 1, 2]
+        assert d.codes.tolist() == [2, 0, 2, 1, 0]
+        assert d.argsort().tolist() == [1, 4, 3, 0, 2]
+    # ... in one sort that is neither np.unique nor a stable_order.
+    assert unique_calls == []
+    assert "encoding.sorts" not in recorder.metrics.snapshot()["counters"]
+    # One bit more takes np.unique, lazy codes and a stable_order of
+    # them, with the same answers.
+    base = np.array([2 * top + 1, 0, 2 * top + 1, 7, 0], dtype=np.int64)
+    with obs.recording() as recorder:
+        d = ColumnDictionary(base)
+        assert len(unique_calls) == 1
+        assert d.codes.tolist() == [2, 0, 2, 1, 0]
+        assert d.argsort().tolist() == [1, 4, 3, 0, 2]
+    assert recorder.metrics.snapshot()["counters"]["encoding.sorts"] == 1
+    # An empty column has no span to pack.
+    assert_dictionary_is_numpys(np.array([], dtype=np.int64))
+    assert len(unique_calls) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 7), min_size=0, max_size=60),
+)
+def test_property_float_dictionary_is_np_unique_with_merged_nans(picks):
+    domain = np.array(
+        [-np.inf, -1e9, -0.5, 0.0, 0.25, 1e9, np.inf, np.nan]
+    )
+    assert_dictionary_is_numpys(domain[np.array(picks, dtype=np.int64)])
+
+
+# ----------------------------------------------------------------------
+# stable_order: one packed integer sort equals the stable argsort
 
 @settings(max_examples=120, deadline=None)
 @given(
@@ -101,14 +211,7 @@ def test_property_stable_order_equals_stable_argsort(
 
 def test_stable_order_packs_up_to_62_bits_and_falls_back_beyond(
         monkeypatch):
-    calls = []
-    argsort = np.argsort
-    monkeypatch.setattr(
-        np, "argsort",
-        lambda *args, **kwargs: calls.append(kwargs) or argsort(
-            *args, **kwargs
-        ),
-    )
+    calls = count_calls(monkeypatch, "argsort")
     # 5 rows need 3 position bits: a 59-bit span still packs ...
     top = (1 << 59) - 1
     codes = np.array([top, 0, top, 7, 0], dtype=np.int64)
@@ -131,21 +234,23 @@ def test_stable_order_packs_up_to_62_bits_and_falls_back_beyond(
     )
 )
 def test_property_object_codes_are_the_unique_inverse(words):
+    """Strings — the empty one, prefixes of one another — hash into
+    the dictionary np.unique sorts them into."""
     base = np.array(words, dtype=object)
-    d = ColumnDictionary(base)
-    expected = np.unique(base, return_inverse=True)[1]
-    assert d.codes.dtype == np.int64
-    assert d.codes.tolist() == expected.tolist()
+    d = assert_dictionary_is_numpys(base)
     assert d.values[d.codes].tolist() == words
 
 
-def test_object_codes_raise_on_a_value_outside_the_dictionary():
-    base = np.array(["b", "a", "c", "a", "bb"], dtype=object)
-    forged = ColumnDictionary(base[:-1])
-    forged.base = base  # "bb" would bisect into "c"'s slot
-    assert np.searchsorted(forged.values, "bb") == 2
-    with pytest.raises(KeyError):
-        forged.codes
+def test_object_dictionary_sorts_only_the_distinct_values(monkeypatch):
+    unique_calls = count_calls(monkeypatch, "unique")
+    base = np.array(["b", "a", "", "a", "b", "ab"] * 50, dtype=object)
+    with obs.recording() as recorder:
+        d = ColumnDictionary(base)
+        assert d.values.tolist() == ["", "a", "ab", "b"]
+        assert d.counts.tolist() == [50, 100, 50, 100]
+        assert d.codes[:6].tolist() == [3, 1, 0, 1, 3, 2]
+    assert unique_calls == []
+    assert "encoding.sorts" not in recorder.metrics.snapshot()["counters"]
 
 
 # ----------------------------------------------------------------------
@@ -242,17 +347,29 @@ def test_index_build_with_cache_is_identical(city_db):
     definition = IndexDefinition(table="users", columns=("city", "age"))
     cached = IndexData(definition, users, cache)
     # np.lexsort on the raw arrays is the reference.
-    arrays = [users.column("city"), users.column("age")]
-    order = np.lexsort(tuple(reversed(arrays)))
+    city, age = users.column("city"), users.column("age")
+    order = np.lexsort((age, city))
     assert cached.row_ids.dtype == np.int64
     assert cached.row_ids.tolist() == order.tolist()
-    for got, arr in zip(cached.key_columns, arrays):
-        assert got.tolist() == arr[order].tolist()
+    # The leading key is the dictionary's values — the array itself —
+    # and its run offsets; only the inner key is a sorted copy.
+    leading = cache.dictionary(users, "city")
+    assert cached.values is leading.values
+    assert cached.offsets.tolist() == [
+        0, *np.cumsum(leading.counts).tolist()
+    ]
+    assert np.repeat(
+        cached.values, np.diff(cached.offsets)
+    ).tolist() == city[order].tolist()
+    assert [c.tolist() for c in cached.inner_columns] == [
+        age[order].tolist()
+    ]
     # The index and the memo hold one read-only permutation.
     memo = cache.lexsort(users, ("city", "age"))
     assert cached.row_ids is memo
     assert not memo.flags.writeable
-    for array in (cached.row_ids, memo, *cached.key_columns):
+    for array in (cached.row_ids, memo, cached.offsets,
+                  *cached.inner_columns):
         with pytest.raises(ValueError):
             array[0] = array[0]
     # A second index on the same columns shares it too.
@@ -322,11 +439,12 @@ VALUE_DOMAINS = {
 }
 
 
-def assert_same_dictionary(got, want, names=("values", "counts", "codes")):
-    for name in names:
+def assert_same_dictionary(got, want):
+    for name in ("values", "counts", "codes"):
         have, expected = getattr(got, name), getattr(want, name)
         assert have.dtype == expected.dtype, name
         assert have.tolist() == expected.tolist(), name
+    assert got.argsort().tolist() == want.argsort().tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,28 +454,33 @@ def assert_same_dictionary(got, want, names=("values", "counts", "codes")):
         st.lists(st.integers(0, 6), min_size=0, max_size=15),
         min_size=1, max_size=5,
     ),
-    with_codes=st.booleans(),
+    touch_codes=st.booleans(),
 )
-def test_property_extended_dictionary_equals_rebuild(kind, picks, with_codes):
+def test_property_extended_dictionary_equals_rebuild(
+        kind, picks, touch_codes):
     """0-4 successive tails — empty, all-new, all-known, sorting before or
-    after every known value — extend to what np.unique would build."""
+    after every known value — extend a packed, a hashed and an
+    ``np.unique`` dictionary to what a fresh one over the grown column
+    holds."""
     domain, dtype = VALUE_DOMAINS[kind]
     domain = np.array(domain, dtype=dtype)
     base = domain[np.array(picks[0], dtype=np.int64)]
     dictionary = ColumnDictionary(base)
-    if with_codes:
+    if touch_codes:
         dictionary.codes
+    # Only the np.unique side (floats, and an empty int64 column with
+    # no span to pack) has codes that may not exist yet.
+    lazy = kind == "float" or (kind == "int" and not len(base))
+    has_codes = dictionary._codes is not None
+    assert has_codes == (touch_codes or not lazy)
     for tail in picks[1:]:
         base = np.concatenate([base, domain[np.array(tail, dtype=np.int64)]])
         grown = dictionary.extended(base)
         assert grown is not dictionary and grown.base is base
         # Codes are carried when there are any, and stay lazy otherwise.
-        assert (grown._codes is not None) == with_codes
-        assert_same_dictionary(
-            grown, ColumnDictionary(base),
-            ("values", "counts", "codes") if with_codes
-            else ("values", "counts"),
-        )
+        assert (grown._codes is not None) == has_codes
+        assert_same_dictionary(grown, ColumnDictionary(base))
+        has_codes = True  # the comparison has read them
         dictionary = grown
     assert_same_dictionary(dictionary, ColumnDictionary(base))
 

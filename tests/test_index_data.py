@@ -1,5 +1,7 @@
 """Built index data: probes, sizes, cluster factors, B+-tree agreement."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,10 @@ from hypothesis import strategies as st
 
 from repro import ColumnDef, TableSchema, float_, integer, obs, varchar
 from repro.engine import database as engine_database
+from repro.engine.configuration import (
+    one_column_configuration,
+    primary_configuration,
+)
 from repro.index.data import IndexData, gather_ranges
 from repro.index.definition import (
     IndexDefinition,
@@ -15,6 +21,32 @@ from repro.index.definition import (
 )
 from repro.storage.encoding import DictionaryCache
 from repro.storage.table import Table
+
+
+KEYED = TableSchema(
+    "keyed",
+    [
+        ColumnDef("i", integer(), "i"),
+        ColumnDef("f", float_(), "f"),
+        ColumnDef("s", varchar(4), "s"),
+    ],
+    primary_key=("i",),
+)
+
+# Small domains force heavy duplicates; the extremes sort before and
+# after everything a batch of mid values holds.
+INTS = st.sampled_from([-(10 ** 6), -1, 0, 1, 2, 3, 10 ** 6])
+FLOATS = st.sampled_from([-1e9, -0.5, 0.0, 0.25, 0.5, 2.0, 1e9])
+STRINGS = st.sampled_from(["", "a", "ab", "b", "m", "zz", "zzzz"])
+ROW = st.tuples(INTS, FLOATS, STRINGS)
+
+
+def keyed_columns(rows):
+    return {
+        "i": [r[0] for r in rows],
+        "f": [r[1] for r in rows],
+        "s": np.array([r[2] for r in rows], dtype=object),
+    }
 
 
 def make_index(city_db, table, columns):
@@ -73,13 +105,70 @@ def test_probe_many_matches_loop(city_db):
         assert got == sorted(np.flatnonzero(uid == expected).tolist())
 
 
-def test_count_many(city_db):
+def test_ranges_count_the_matches_per_probe(city_db):
     index = make_index(city_db, "orders", ["uid"])
     uid = city_db.table("orders").column("uid")
     probes = np.arange(10)
-    counts = index.count_many(probes)
-    for p, c in zip(probes, counts):
+    lows, highs = index.ranges(probes)
+    for p, c in zip(probes, highs - lows):
         assert c == int(np.sum(uid == p))
+
+
+# Leading keys whose neighbours leave room for a probe in between; the
+# strings include the empty one (nothing sorts below it) and prefixes
+# of one another.
+LEADING = {
+    "i": ([-(10 ** 6), -4, 0, 2, 10 ** 6], [-(10 ** 7), -5, 1, 10 ** 7]),
+    "f": ([-1e9, -0.5, 0.0, 0.25, 1e9], [-1e12, -0.25, 0.125, 1e12]),
+    "s": (["", "a", "ab", "b", "zz"], ["aa", "abc", "c", "zzz"]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    column=st.sampled_from(sorted(LEADING)),
+    picks=st.lists(st.integers(0, 4), min_size=0, max_size=30),
+    inner=st.booleans(),
+)
+def test_property_ranges_equal_a_brute_force_scan(column, picks, inner):
+    """Probes below, between, equal to and above every key — on an
+    empty index and a one-row index too — get the entry range a scan
+    of the key-ordered column finds."""
+    keys, between = LEADING[column]
+    rows = [
+        tuple(LEADING[name][0][pick] for name in "ifs") for pick in picks
+    ]
+    table = Table(KEYED, keyed_columns(rows))
+    other = "f" if column == "i" else "i"
+    definition = IndexDefinition(
+        table="keyed", columns=(column, other) if inner else (column,)
+    )
+    index = IndexData(definition, table, DictionaryCache())
+    ordered = table.column(column)[index.row_ids]
+    probes = np.array(
+        keys + between, dtype=table.column(column).dtype
+    )
+    lows, highs = index.ranges(probes)
+    assert lows.dtype == highs.dtype == np.int64
+    for probe, low, high in zip(probes.tolist(), lows, highs):
+        matching = np.flatnonzero(ordered == probe)
+        assert high - low == len(matching)
+        if len(matching):
+            assert (low, high) == (matching[0], matching[-1] + 1)
+        assert index.lookup_eq((probe,)).tolist() == index.row_ids[
+            matching
+        ].tolist()
+    (row_ids, probe_idx), (again_lows, again_highs) = index.probe_many(
+        probes
+    )
+    assert again_lows.tolist() == lows.tolist()
+    assert again_highs.tolist() == highs.tolist()
+    fetched, range_idx = index.fetch(lows, highs)
+    assert row_ids.tolist() == fetched.tolist()
+    assert probe_idx.tolist() == range_idx.tolist()
+    assert sorted(row_ids.tolist()) == sorted(
+        np.flatnonzero(np.isin(table.column(column), probes)).tolist()
+    )
 
 
 def test_tree_agrees_with_arrays(city_db):
@@ -142,37 +231,14 @@ def test_property_gather_ranges(data, probes):
 # ----------------------------------------------------------------------
 # IndexData.append: merging a batch equals rebuilding
 
-KEYED = TableSchema(
-    "keyed",
-    [
-        ColumnDef("i", integer(), "i"),
-        ColumnDef("f", float_(), "f"),
-        ColumnDef("s", varchar(4), "s"),
-    ],
-    primary_key=("i",),
-)
-
-# Small domains force heavy duplicates; the extremes sort before and
-# after everything a batch of mid values holds.
-INTS = st.sampled_from([-(10 ** 6), -1, 0, 1, 2, 3, 10 ** 6])
-FLOATS = st.sampled_from([-1e9, -0.5, 0.0, 0.25, 0.5, 2.0, 1e9])
-STRINGS = st.sampled_from(["", "a", "ab", "b", "m", "zz", "zzzz"])
-ROW = st.tuples(INTS, FLOATS, STRINGS)
-
-
-def keyed_columns(rows):
-    return {
-        "i": [r[0] for r in rows],
-        "f": [r[1] for r in rows],
-        "s": np.array([r[2] for r in rows], dtype=object),
-    }
-
-
 def assert_same_index(got, want):
     assert got.row_ids.dtype == want.row_ids.dtype
     assert got.row_ids.tolist() == want.row_ids.tolist()
-    assert len(got.key_columns) == len(want.key_columns)
-    for have, expected in zip(got.key_columns, want.key_columns):
+    assert len(got.inner_columns) == len(want.inner_columns)
+    for have, expected in zip(
+        (got.values, got.offsets, *got.inner_columns),
+        (want.values, want.offsets, *want.inner_columns),
+    ):
         assert have.dtype == expected.dtype
         assert have.tolist() == expected.tolist()
     assert got.entry_count == want.entry_count
@@ -198,15 +264,19 @@ def test_property_append_equals_rebuild(initial, batches, key):
     assert index.row_ids is memo
     memo_before = memo.tolist()
     for batch in batches:
-        table.append_rows(keyed_columns(batch))
+        # Through the cache, as Database.insert_rows appends: the
+        # leading column's dictionary is extended, and the merge reads
+        # the new values and run offsets off it.
+        cache.append_rows(table, keyed_columns(batch))
         before, before_rows = index.row_ids, index.row_ids.tolist()
-        merged = index.append(table)
+        merged = index.append(table, cache)
         # The old index is a snapshot: appending leaves it — and the
         # order it may share with the cache — alone.
         assert merged is not index and index.row_ids is before
         assert before.tolist() == before_rows
         assert memo.tolist() == memo_before
         assert not merged.row_ids.flags.writeable
+        assert merged.values is cache.dictionary(table, key[0]).values
         index = merged
         rebuilt = IndexData(
             definition, table, DictionaryCache(), overhead_factor=1.3
@@ -276,3 +346,105 @@ def test_insert_rows_merges_instead_of_rebuilding(city_db_1c, monkeypatch):
                 city_db_1c.system.index_overhead,
             ),
         )
+
+
+# ----------------------------------------------------------------------
+# Pickling (the artifact store's --cache-dir path)
+
+PICKLED_SQLS = (
+    "SELECT u.city, COUNT(*) FROM users u, orders o "
+    "WHERE u.uid = o.uid AND u.age = 30 GROUP BY u.city",
+    "SELECT o.city, COUNT(*) FROM orders o WHERE o.uid IN "
+    "(SELECT uid FROM orders GROUP BY uid HAVING COUNT(*) < 4) "
+    "GROUP BY o.city",
+    "SELECT COUNT(*) FROM orders o WHERE o.city = 'tor'",
+)
+
+
+@pytest.mark.parametrize("fixture", ["city_db_p", "city_db_1c"])
+def test_pickled_database_keeps_its_indexes_and_no_dictionary(
+        request, fixture):
+    """An index holds its leading dictionary's *values array* and its
+    own offsets, never the dictionary: the pickle — which drops the
+    dictionary cache — carries no base, codes or order along, and the
+    unpickled indexes answer as the live ones do."""
+    db = request.getfixturevalue(fixture)
+    for sql in PICKLED_SQLS:  # fills the dictionary cache
+        db.execute(sql)
+    payload = pickle.dumps(db, pickle.HIGHEST_PROTOCOL)
+    assert b"ColumnDictionary" not in payload
+    clone = pickle.loads(payload)
+    for sql in PICKLED_SQLS:
+        got, want = clone.execute(sql), db.execute(sql)
+        assert sorted(got.rows()) == sorted(want.rows())
+        assert got.elapsed == want.elapsed
+    for name, live in db._built.index_data.items():
+        index = clone._built.index_data[name]
+        assert_same_index(index, live)
+        column = db.table(live.definition.table).column(
+            live.definition.columns[0]
+        )
+        probes = np.concatenate([column[:5], column[-3:]])
+        for probe in probes.tolist():
+            assert index.lookup_eq((probe,)).tolist() == live.lookup_eq(
+                (probe,)
+            ).tolist()
+        (got_ids, got_idx), _ = index.probe_many(probes)
+        (want_ids, want_idx), _ = live.probe_many(probes)
+        assert got_ids.tolist() == want_ids.tolist()
+        assert got_idx.tolist() == want_idx.tolist()
+
+
+def index_pickle_bytes(db):
+    """``(now, before)``: pickled bytes of every index's arrays, and of
+    what the indexes held before they read their leading key off the
+    dictionary — sorted copies of every key column.  One pickle each,
+    as in a database's: an array two indexes share is written once."""
+    now, before = [], []
+    for index in db._built.index_data.values():
+        table = db.table(index.definition.table)
+        now.append([index.row_ids, index.values, index.offsets,
+                    *index.inner_columns])
+        before.append([index.row_ids,
+                       *(table.column(c)[index.row_ids]
+                         for c in index.definition.columns)])
+    return len(pickle.dumps(now)), len(pickle.dumps(before))
+
+
+def test_index_pickles_shrink_unless_the_leading_key_is_unique(
+        city_db, tiny_nref):
+    # NREF under P: five of six primary keys lead with a repeating id.
+    now, before = index_pickle_bytes(tiny_nref)
+    assert now < before
+    city_db.apply_configuration(one_column_configuration(city_db.catalog))
+    now, before = index_pickle_bytes(city_db)
+    assert now < before
+    # Two single-column unique keys are the worst case: d = n values
+    # and n + 1 offsets where there were n keys.
+    city_db.apply_configuration(primary_configuration(city_db.catalog))
+    now, before = index_pickle_bytes(city_db)
+    rows = sum(t.row_count for t in city_db.tables.values())
+    assert before < now <= before + 8 * (rows + len(city_db.tables)) + 512
+
+
+def test_index_pickled_in_the_sorted_copy_layout_is_a_store_miss(
+        city_db_p, tmp_path):
+    """An artifact store written by an earlier version holds indexes
+    with ``key_columns``; loading one must miss, not half-work."""
+    from repro.runtime.artifacts import ArtifactCache
+
+    index = next(iter(city_db_p._built.index_data.values()))
+    stale = dict(index.__dict__)
+    del stale["values"], stale["offsets"], stale["inner_columns"]
+    stale["key_columns"] = [np.arange(index.entry_count)]
+    forged = IndexData.__new__(IndexData)
+    forged.__dict__.update(stale)
+    with pytest.raises(pickle.UnpicklingError):
+        pickle.loads(pickle.dumps(forged))
+    store = ArtifactCache(tmp_path)
+    store.put("index", "k", forged)
+    store.clear_memory()
+    assert store.get("index", "k", "missed") == "missed"
+    store.put("index", "k", index)
+    store.clear_memory()
+    assert_same_index(store.get("index", "k"), index)
