@@ -399,17 +399,9 @@ class Database:
     def _estimated_configuration_bytes(self, config):
         index_bytes = 0
         for ix in config.indexes:
-            if ix.table in config.view_names():
-                rows, key_width = self._hypothetical_view_geometry(
-                    config, ix.table, ix.columns
-                )
-            else:
-                stats = self.statistics.table(ix.table)
-                rows = stats.row_count
-                schema = self.catalog.table(ix.table)
-                key_width = sum(
-                    schema.column(c).width for c in ix.columns
-                )
+            # No environment, so no ViewInfo: every view at its
+            # what-if size.
+            rows, key_width = self._whatif_index_geometry(config, ix, {})
             index_bytes += estimate_index_size(
                 rows, key_width, self.system.index_overhead
             ).byte_size
@@ -571,44 +563,12 @@ class Database:
         view_infos = {v.definition.name: v for v in base_env.views}
         shared_views = set(view_infos)
         for view_def in delta_views:
-            rows, width = self._hypothetical_view_size(view_def)
-            view_infos[view_def.name] = ViewInfo(
-                definition=view_def,
-                rows=int(rows),
-                page_count=cm.bytes_to_pages(rows * width),
-                row_width=width,
-                hypothetical=True,
-            )
+            view_infos[view_def.name] = self._whatif_view_info(view_def)
 
         indexes = {t: list(infos) for t, infos in base_env.indexes.items()}
-        built_by_name = {}
-        if self._built is not None:
-            built_by_name = dict(self._built.index_data)
-        view_names = set(view_infos)
         for ix in delta_indexes:
-            on_view = ix.table in view_names
-            if ix.name in built_by_name and not on_view:
-                info = IndexInfo.from_data(built_by_name[ix.name])
-            else:
-                if on_view:
-                    rows = view_infos[ix.table].rows
-                    _, key_width = self._hypothetical_view_geometry(
-                        config, ix.table, ix.columns
-                    )
-                else:
-                    stats = self.statistics.table(ix.table)
-                    rows = stats.row_count
-                    schema = self.catalog.table(ix.table)
-                    key_width = sum(
-                        schema.column(c).width for c in ix.columns
-                    )
-                info = IndexInfo.hypothetical_on(
-                    ix, rows, key_width, self.system.index_overhead
-                )
-                obs.counter_add("optimizer.hypothetical_index_probes")
-                if oracle and not on_view:
-                    info.cluster_factor = 0.25
-            if on_view:
+            info = self._whatif_index_info(config, ix, view_infos, oracle)
+            if ix.table in view_infos:
                 vinfo = view_infos[ix.table]
                 if ix.table in shared_views:
                     vinfo = ViewInfo(
@@ -650,9 +610,6 @@ class Database:
         estimation gap Section 5 of the paper identifies.
         """
         obs.counter_add("optimizer.hypothetical_env_builds")
-        built_by_name = {}
-        if self._built is not None:
-            built_by_name = dict(self._built.index_data)
         any_hypothetical = bool(force_hypothetical)
 
         view_infos = {}
@@ -669,40 +626,13 @@ class Database:
                 )
             else:
                 any_hypothetical = True
-                rows, width = self._hypothetical_view_size(view_def)
-                view_infos[view_def.name] = ViewInfo(
-                    definition=view_def,
-                    rows=int(rows),
-                    page_count=cm.bytes_to_pages(rows * width),
-                    row_width=width,
-                    hypothetical=True,
-                )
+                view_infos[view_def.name] = self._whatif_view_info(view_def)
 
         indexes = {}
-        view_names = set(view_infos)
         for ix in config.indexes:
-            if ix.name in built_by_name and ix.table not in view_names:
-                info = IndexInfo.from_data(built_by_name[ix.name])
-            else:
-                any_hypothetical = True
-                if ix.table in view_names:
-                    vinfo = view_infos[ix.table]
-                    rows = vinfo.rows
-                    _, key_width = self._hypothetical_view_geometry(
-                        config, ix.table, ix.columns
-                    )
-                else:
-                    stats = self.statistics.table(ix.table)
-                    rows = stats.row_count
-                    schema = self.catalog.table(ix.table)
-                    key_width = sum(
-                        schema.column(c).width for c in ix.columns
-                    )
-                info = IndexInfo.hypothetical_on(
-                    ix, rows, key_width, self.system.index_overhead
-                )
-                obs.counter_add("optimizer.hypothetical_index_probes")
-            if ix.table in view_names:
+            info = self._whatif_index_info(config, ix, view_infos, oracle)
+            any_hypothetical = any_hypothetical or info.hypothetical
+            if ix.table in view_infos:
                 view_infos[ix.table].indexes.append(info)
             else:
                 indexes.setdefault(ix.table, []).append(info)
@@ -710,11 +640,6 @@ class Database:
         policy = self.system.policy
         if any_hypothetical and not oracle:
             policy = policy.as_hypothetical()
-        if oracle:
-            for infos in indexes.values():
-                for info in infos:
-                    if info.hypothetical:
-                        info.cluster_factor = 0.25
         estimator = Estimator(self._hypo_stats(view_infos), policy)
         return PlannerEnv(
             catalog=self.catalog,
@@ -966,9 +891,57 @@ class Database:
         rows = estimator.group_count(input_rows, ndvs)
         return rows, width
 
-    def _hypothetical_view_geometry(self, config, view_name, columns):
-        view_def = next(v for v in config.views if v.name == view_name)
-        rows, _ = self._hypothetical_view_size(view_def)
-        schema = view_def.view_schema(self.catalog)
-        key_width = sum(schema.column(c).width for c in columns)
-        return int(rows), key_width
+    def _whatif_view_info(self, view_def):
+        """The :class:`ViewInfo` of a view that is not built."""
+        rows, width = self._hypothetical_view_size(view_def)
+        return ViewInfo(
+            definition=view_def,
+            rows=int(rows),
+            page_count=cm.bytes_to_pages(rows * width),
+            row_width=width,
+            hypothetical=True,
+        )
+
+    def _whatif_index_geometry(self, config, ix, view_infos):
+        """``(rows, key width)`` of ``ix``, an index of ``config`` on a
+        base table or on one of its views.
+
+        ``view_infos`` maps view names to the :class:`ViewInfo` objects
+        of the environment being built — a built view's holds its true
+        row count; a view without one takes its what-if size.
+        """
+        view_def = next(
+            (v for v in config.views if v.name == ix.table), None
+        )
+        if view_def is None:
+            schema = self.catalog.table(ix.table)
+            rows = self.statistics.table(ix.table).row_count
+        else:
+            schema = view_def.view_schema(self.catalog)
+            if ix.table in view_infos:
+                rows = view_infos[ix.table].rows
+            else:
+                rows = int(self._hypothetical_view_size(view_def)[0])
+        return rows, sum(schema.column(c).width for c in ix.columns)
+
+    def _whatif_index_info(self, config, ix, view_infos, oracle):
+        """The :class:`IndexInfo` of ``ix`` in a what-if environment of
+        ``config`` whose views are ``view_infos``.
+
+        An index on a base table that exists in the built configuration
+        keeps its measured metadata; anything else is derived from its
+        geometry (and counted as a probe), well-clustered under
+        ``oracle`` when it is on a base table.
+        """
+        on_view = ix.table in view_infos
+        if not on_view and self._built is not None \
+                and ix.name in self._built.index_data:
+            return IndexInfo.from_data(self._built.index_data[ix.name])
+        rows, key_width = self._whatif_index_geometry(config, ix, view_infos)
+        info = IndexInfo.hypothetical_on(
+            ix, rows, key_width, self.system.index_overhead
+        )
+        obs.counter_add("optimizer.hypothetical_index_probes")
+        if oracle and not on_view:
+            info.cluster_factor = 0.25
+        return info

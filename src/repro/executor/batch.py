@@ -1,20 +1,23 @@
 """Execution batches: the late-materialized output of a physical
 operator.
 
-Batches optionally carry per-column *encodings* — lazy references to
-the owning database's cached :class:`~repro.storage.encoding.ColumnDictionary`
-objects.  When present, :func:`factorize` and :func:`join_codes` skip
-the ``np.unique`` full sort and derive dense codes from the cached
-sorted dictionary instead (``searchsorted`` + a presence scan), with
-byte-identical results.  Columns without an encoding (aggregate
-outputs, derived labels) always take the ``np.unique`` sort path.
+Batches are *views*: a scanned key is its table's storage array, an
+optional ``sels`` selection vector (int64 row ids into that array) and
+a lazy handle on the column's cached
+:class:`~repro.storage.encoding.ColumnDictionary`, and stays that for
+the life of the batch.  ``mask``/``take`` compose selection vectors
+(``sel = sel[positions]``) without touching payload columns; values
+are gathered only when an operator reads them (:meth:`Batch.column`,
+memoized beside the base array).
 
-Batches are *views*: a batch carries arrays plus per-key ``sels``
-selection vectors (int64 row ids into the attached array), and
-``mask``/``take`` compose selection vectors (``sel = sel[positions]``)
-without touching payload columns.  Values are gathered only when an
-operator actually reads them (:meth:`Batch.column`), with dictionary
-``codes`` subset lazily in lockstep.
+There is one route to a key's codes: :meth:`Batch.key_codes` returns
+the column's dictionary and that dictionary's ``codes`` through the
+key's selection vector.  :func:`factorize` densifies such codes over
+the dictionary (a presence scan, the ranks ``np.unique`` would assign)
+and :func:`join_codes` merges two ``(dictionary, codes)`` sides over
+the cached join domain of the dictionary pair.  Only scanned keys have
+codes; aggregate outputs and derived labels exist at the plan's root
+alone, where nothing factorizes them.
 """
 
 import threading
@@ -64,34 +67,31 @@ class Batch:
     ``columns`` maps batch keys (``"alias.column"`` or output labels) to
     arrays: a key listed in ``sels`` maps to its *base* array and
     ``sels[key]`` holds the ``rows`` row ids selecting from it; a key
-    without a ``sels`` entry is an already-gathered column of ``rows``
-    entries.  ``length`` states ``rows`` outright for batches whose
+    without a ``sels`` entry is a column of ``rows`` entries.
+    ``length`` states ``rows`` outright for batches whose
     columns were all pruned.  ``weights``
     (optional) carries the row multiplicity introduced by
     pre-aggregated view rewrites; ``widths`` tracks per-key byte widths
     for spill accounting (and stays complete even when column pruning
     leaves a key unattached, so cost charges are representation-
-    independent).  ``encodings`` (optional) maps a subset of batch keys
-    to dictionary handles for sort-free factorization; an entry is only
-    valid while the column's values remain drawn from the encoded base
-    column, which every subsetting operation (mask/take) preserves.
-    ``codes`` (optional) carries the dictionary codes of a further
-    subset of the encoded keys *through* the operators: scans attach
-    the base column's cached codes and mask/take subset them in
-    lockstep with the values, so a downstream join or aggregation
-    factorizes without re-encoding (``codes[key]`` is aligned with
-    ``columns[key]`` under the same ``sels`` entry, so after gathering,
-    ``codes[key][i]`` is always the dictionary code of
-    ``columns[key][i]``).
+    independent).  ``encodings`` maps every scanned key to the lazy
+    dictionary handle of its column: ``columns[key]`` is that
+    dictionary's base array, so the key's codes are the dictionary's
+    codes behind the same ``sels`` entry (:meth:`key_codes`), which
+    every subsetting operation (mask/take) preserves.
     """
 
     columns: dict
     widths: dict = field(default_factory=dict)
     weights: np.ndarray = None
     encodings: dict = field(default_factory=dict)
-    codes: dict = field(default_factory=dict)
     sels: dict = field(default_factory=dict)
     length: int = None
+
+    def __post_init__(self):
+        # column()'s memo: the gathered values of a selected key, kept
+        # beside its base array rather than in place of it.
+        self._gathered = {}
 
     @property
     def rows(self):
@@ -148,28 +148,23 @@ class Batch:
             widths=dict(self.widths),
             weights=weights,
             encodings=dict(self.encodings),
-            codes=dict(self.codes),
             sels=sels,
             length=out_rows,
         )
 
     def selected(self, key):
-        """Does ``key`` still sit behind an ungathered selection vector?"""
+        """Does ``key`` sit behind a selection vector?"""
         return key in self.sels
 
     def column(self, key):
-        """The materialized values of ``key``, gathering (memoized) if a
-        selection vector is pending; codes gather in lockstep."""
+        """The values of ``key``: the array itself, or — memoized — its
+        gather through the key's selection vector."""
         sel = self.sels.get(key)
-        values = self.columns[key]
         if sel is None:
-            return values
-        values = values[sel]
-        self.columns[key] = values
-        carried = self.codes.get(key)
-        if carried is not None:
-            self.codes[key] = carried[sel]
-        del self.sels[key]
+            return self.columns[key]
+        values = self._gathered.get(key)
+        if values is None:
+            values = self._gathered[key] = self.columns[key][sel]
         return values
 
     def gather(self, key, positions):
@@ -181,36 +176,25 @@ class Batch:
             return values[positions]
         return values[sel[positions]]
 
-    def carried_codes(self, key):
-        """The carried dictionary codes of ``key`` aligned to this
-        batch's rows, or ``None``; never memoizes (a values/codes pair
-        must only be cached together, in :meth:`column`)."""
-        carried = self.codes.get(key)
-        if carried is None:
-            return None
+    def key_codes(self, key):
+        """``(dictionary, codes)`` of a scanned key: its column's
+        dictionary (resolved here, when an operator asks, not when the
+        scan attaches) and that dictionary's codes of this batch's
+        rows."""
+        dictionary = self.encodings[key].dictionary()
         sel = self.sels.get(key)
-        if sel is None:
-            return carried
-        return carried[sel]
-
-    def dictionary_codes(self, key, dictionary):
-        """Codes of ``key``'s rows in ``dictionary``, the dictionary
-        its encoding resolves to: the carried codes, else the base
-        column's cached codes through the selection vector, else an
-        encode of the gathered values."""
-        carried = self.carried_codes(key)
-        if carried is not None:
-            return carried
-        if self.columns[key] is dictionary.base:
-            sel = self.sels.get(key)
-            return dictionary.codes if sel is None else dictionary.codes[sel]
-        return dictionary.encode(self.column(key))
+        codes = dictionary.codes
+        return dictionary, codes if sel is None else codes[sel]
 
     def materialize(self):
-        """Gather every pending column in place; ``columns`` then holds
-        plain equal-length arrays."""
-        for key in list(self.sels):
-            self.column(key)
+        """Turn the view into plain data: ``columns`` then holds
+        gathered equal-length arrays, and nothing ties them to storage
+        any more."""
+        for key in self.sels:
+            self.columns[key] = self.column(key)
+        self.sels = {}
+        self.encodings = {}
+        self._gathered = {}
         return self
 
     def weight_array(self):
@@ -218,20 +202,6 @@ class Batch:
         if self.weights is None:
             return _ONES.get(self.rows)
         return self.weights.astype(np.float64)
-
-
-def _resolve_encoding(encoding):
-    """The :class:`ColumnDictionary` behind an encoding, or ``None``.
-
-    Accepts a lazy :class:`~repro.storage.encoding.ColumnHandle` (the
-    usual batch payload), an already-resolved dictionary, or ``None``.
-    """
-    if encoding is None:
-        return None
-    resolve = getattr(encoding, "dictionary", None)
-    if callable(resolve):
-        return resolve()
-    return encoding
 
 
 def _densify_dict_codes(codes, domain_size):
@@ -255,7 +225,7 @@ _DENSIFY_PRESENCE_CAP = 1 << 23
 
 
 def _densify_ints(codes):
-    """Dense ranks of a non-negative int array (``== factorize``).
+    """Dense ranks of a non-negative int array (``np.unique``'s inverse).
 
     Sort-free (presence scan) while the value range stays small
     relative to the array; otherwise the ``np.unique`` path.  Both
@@ -270,32 +240,16 @@ def _densify_ints(codes):
     return dense.astype(np.int64)
 
 
-def factorize(values, encoding=None, carried=None):
-    """Dense integer codes for an array (group/join key encoding).
-
-    With an ``encoding`` whose dictionary covers ``values`` (the base
-    column itself or any subset of it), codes come from the cached
-    dictionary: the base column's pre-computed dense codes directly, a
-    subset via ``searchsorted`` into the sorted dictionary plus a
-    presence-scan densification.  ``carried`` — the subset's dictionary
-    codes carried through the operators on ``Batch.codes`` — skips even
-    the ``searchsorted``: carried codes equal
-    ``dictionary.encode(values)`` elementwise by construction (the base
-    codes were gathered in lockstep with the values), so only the
-    densification remains.  Without an encoding, ``np.unique`` as
-    before.  All paths produce the identical array.
+def factorize(dictionary, codes):
+    """Dense group codes from a key's ``(dictionary, codes)``
+    (:meth:`Batch.key_codes`): the inverse
+    ``np.unique(values, return_inverse=True)`` assigns to the key's
+    values.  The whole column's codes are dense as they are; a subset
+    is densified over the dictionary.
     """
-    dictionary = _resolve_encoding(encoding)
-    if dictionary is not None:
-        if values is dictionary.base:
-            return dictionary.encode(values)  # the cached dense codes
-        if carried is not None:
-            return _densify_dict_codes(carried, dictionary.n_distinct)
-        return _densify_dict_codes(
-            dictionary.encode(values), dictionary.n_distinct
-        )
-    _, codes = np.unique(values, return_inverse=True)
-    return codes.astype(np.int64)
+    if codes is dictionary.codes:
+        return codes
+    return _densify_dict_codes(codes, dictionary.n_distinct)
 
 
 def combine_codes(code_arrays):
@@ -327,47 +281,29 @@ def _merged_domain(left_dict, right_dict):
     )
 
 
-def _join_pair_codes(left, right, left_encoding, right_encoding,
-                     left_carried=None, right_carried=None,
-                     domains=None):
-    """Sort-free joint codes for one join-key column pair, or ``None``.
+def _join_pair_codes(left, right, domains):
+    """Joint dense codes for one join-key pair of ``(dictionary,
+    codes)`` sides.
 
-    Both sides must carry an encoding.  Their dictionaries (one shared
-    dictionary for a self-join, otherwise the ``union1d`` of the two
-    sorted value sets) define a merged sorted domain; each side maps in
-    through its own cached codes, and one presence scan over the merged
-    domain assigns the same dense ranks the concatenate-and-sort path
-    would.  A side whose dictionary codes were carried through the
-    operators (``Batch.codes``) maps in without re-encoding — the
-    carried array equals ``encode()``'s output elementwise.  ``domains``
-    (a :class:`~repro.executor.subplan.SubplanCache`) memoizes the
-    merged domain across queries joining the same dictionary pair.
+    The two dictionaries (one shared dictionary for a self-join,
+    otherwise the ``union1d`` of the two sorted value sets, memoized
+    per dictionary pair in ``domains``, a
+    :class:`~repro.executor.subplan.SubplanCache`) define a merged
+    sorted domain; each side maps its codes in, and one presence scan
+    over the merged domain assigns the dense ranks
+    ``np.unique(np.concatenate([left values, right values]))`` would.
     """
-    left_dict = _resolve_encoding(left_encoding)
-    right_dict = _resolve_encoding(right_encoding)
-    if left_dict is None or right_dict is None:
-        return None
-    if left_carried is None:
-        left_carried = left_dict.encode(left)
-    if right_carried is None:
-        right_carried = right_dict.encode(right)
+    (left_dict, left_codes), (right_dict, right_codes) = left, right
     if left_dict is right_dict:
         domain = left_dict.n_distinct
-        left_codes = left_carried
-        right_codes = right_carried
     else:
-        if domains is not None:
-            domain, left_map, right_map = domains.join_domain(
-                (id(left_dict), id(right_dict)),
-                (left_dict.values, right_dict.values),
-                lambda: _merged_domain(left_dict, right_dict),
-            )
-        else:
-            domain, left_map, right_map = _merged_domain(
-                left_dict, right_dict
-            )
-        left_codes = left_map[left_carried]
-        right_codes = right_map[right_carried]
+        domain, left_map, right_map = domains.join_domain(
+            (id(left_dict), id(right_dict)),
+            (left_dict.values, right_dict.values),
+            lambda: _merged_domain(left_dict, right_dict),
+        )
+        left_codes = left_map[left_codes]
+        right_codes = right_map[right_codes]
     present = np.zeros(domain, dtype=bool)
     present[left_codes] = True
     present[right_codes] = True
@@ -378,39 +314,21 @@ def _join_pair_codes(left, right, left_encoding, right_encoding,
     )
 
 
-def join_codes(left_arrays, right_arrays,
-               left_encodings=None, right_encodings=None,
-               left_carried=None, right_carried=None,
-               domains=None):
+def join_codes(left_keys, right_keys, domains):
     """Comparable integer codes for join keys across two batches.
 
-    Columns are factorized jointly so equal values on either side get the
-    same code.  Key columns encoded on *both* sides take the sort-free
-    merged-dictionary path (skipping even the per-side re-encode when
-    carried dictionary codes are supplied); any other column is
-    concatenated and factorized as before.  The codes are identical
-    either way.
+    ``left_keys`` and ``right_keys`` hold one ``(dictionary, codes)``
+    pair per join column (:meth:`Batch.key_codes`).  Each column pair
+    is coded jointly over its merged dictionary domain, so equal values
+    on either side get the same code; several columns combine into one
+    code per row.
     """
-    left_codes, right_codes = [], []
-    for position, (larr, rarr) in enumerate(zip(left_arrays, right_arrays)):
-        pair = _join_pair_codes(
-            larr, rarr,
-            left_encodings[position] if left_encodings else None,
-            right_encodings[position] if right_encodings else None,
-            left_carried[position] if left_carried else None,
-            right_carried[position] if right_carried else None,
-            domains=domains,
-        )
-        if pair is None:
-            both = np.concatenate([larr, rarr])
-            codes = factorize(both)
-            pair = codes[: len(larr)], codes[len(larr):]
-        left_codes.append(pair[0])
-        right_codes.append(pair[1])
-    if len(left_codes) == 1:
-        return left_codes[0], right_codes[0]
-    combined = combine_codes(
-        [np.concatenate([l, r]) for l, r in zip(left_codes, right_codes)]
-    )
-    n_left = len(left_codes[0])
+    pairs = [
+        _join_pair_codes(left, right, domains)
+        for left, right in zip(left_keys, right_keys)
+    ]
+    if len(pairs) == 1:
+        return pairs[0]
+    n_left = len(pairs[0][0])
+    combined = combine_codes([np.concatenate(pair) for pair in pairs])
     return combined[:n_left], combined[n_left:]

@@ -16,10 +16,21 @@ virtual clock is untouched either way.
 
 Execution is late-materializing: batches are selection-vector views
 over the stored arrays (:mod:`repro.executor.batch`), scans attach only
-the columns some operator consumes, conjunctive filters run as one
+the columns some operator consumes — all of them through
+:meth:`Executor._scan_batch` — conjunctive filters run as one
 fused kernel (:mod:`repro.executor.kernels`), and operator temporaries
 come from a per-executor scratch arena.  The clock charges by logical
 row counts and full row widths, so none of that can move a figure.
+
+Joins, grouping, ``COUNT(DISTINCT)`` and semijoin filters work on
+dictionary codes, and there is one way to a key's codes:
+:meth:`Batch.key_codes <repro.executor.batch.Batch.key_codes>`, the
+column's dictionary codes behind the batch's selection vector.  That
+is total because the planner ends every plan in a ``Project`` or a
+``HashAggregate`` and creates neither anywhere else: every key an
+operator below the root reads is a scanned ``alias.column``
+(``tests/test_plan_shape.py`` walks the plans of every query family to
+keep it so).
 """
 
 from dataclasses import dataclass
@@ -40,14 +51,9 @@ from ..optimizer.plans import (
     ViewScan,
 )
 from ..views.matview import COUNT_COLUMN
-from .batch import (
-    Batch,
-    _resolve_encoding,
-    combine_codes,
-    factorize,
-    join_codes,
-)
+from .batch import Batch, combine_codes, factorize, join_codes
 from ..common.cache import BoundedCache
+from ..index.data import gather_ranges
 from ..storage.encoding import DictionaryCache, stable_order
 from .kernels import MAX_KERNELS, ScratchArena, fused_filter
 from .subplan import SubplanCache
@@ -87,10 +93,9 @@ class Executor:
         self._timeout = timeout
         # A database shares its three caches across its executors; a
         # bare executor owns private ones.
-        # DictionaryCache: scans attach lazy per-column dictionary
-        # handles to their batches so factorize/join_codes take the
-        # sort-free paths, and carry the codes of join/group keys
-        # through the operators.
+        # DictionaryCache: scans attach a lazy dictionary handle to
+        # every column; an operator that needs a key's codes resolves
+        # it (Batch.key_codes).
         self._encodings = encodings or DictionaryCache()
         # SubplanCache: semijoin value/count pairs, base filter masks
         # and join domains are reused across queries.
@@ -102,9 +107,8 @@ class Executor:
             kernels = BoundedCache("kernel_cache", MAX_KERNELS)
         self._kernels = kernels
         self._arena = ScratchArena()
-        # Batch keys the running plan consumes (None = attach all).
-        self._required = None
-        self._code_keys = frozenset()
+        # Batch keys the running plan consumes.
+        self._required = frozenset()
 
     def run(self, plan):
         """Execute a plan; returns an :class:`ExecutionResult`.
@@ -112,7 +116,6 @@ class Executor:
         Raises :class:`QueryTimeout` when the virtual clock exceeds the
         timeout (the charge so far is available on the exception).
         """
-        self._code_keys = _code_keys_of(plan)
         self._required = _required_keys(plan)
         clock = VirtualClock(self._timeout)
         batch = self._exec(plan, clock)
@@ -149,10 +152,6 @@ class Executor:
                     k: child.encodings[k]
                     for k in node.keys if k in child.encodings
                 },
-                codes={
-                    k: child.codes[k]
-                    for k in node.keys if k in child.codes
-                },
                 sels={
                     k: child.sels[k]
                     for k in node.keys if k in child.sels
@@ -170,89 +169,54 @@ class Executor:
         except KeyError:
             raise ExecutionError(f"table {name!r} is not loaded") from None
 
-    def _attached(self, alias, columns):
-        """The subset of a scan's columns some operator consumes.
+    def _scan_batch(self, table, columns, row_ids=None, weights=None):
+        """The batch of a scan of ``table``: ``columns`` maps batch keys
+        to column names, ``row_ids`` (an index probe's matches) selects
+        rows, ``weights`` are a view's row multiplicities.
 
-        Column pruning only drops the *attachment* — ``widths`` always
-        covers every plan column, so ``row_width`` (and through it the
-        cost charges) never depends on what was attached.
+        The one place scanned columns are attached: each key the plan
+        consumes gets the table's storage array, the ``row_ids``
+        selection vector when there is one, and the column's lazy
+        dictionary handle.  Column pruning only drops the *attachment*
+        — ``widths`` always covers every plan column, so ``row_width``
+        (and through it the cost charges) never depends on what was
+        attached.
         """
-        if self._required is None:
-            return columns
-        attach = [c for c in columns if f"{alias}.{c}" in self._required]
+        widths = {
+            key: table.schema.column(name).width
+            for key, name in columns.items()
+        }
+        attach = {
+            key: name for key, name in columns.items()
+            if key in self._required
+        }
         if len(attach) < len(columns):
             obs.counter_add(
                 "executor.columns_pruned", len(columns) - len(attach)
             )
-        return attach
-
-    def _base_batch(self, alias, table, columns):
-        widths = {
-            f"{alias}.{c}": table.schema.column(c).width for c in columns
-        }
-        attach = self._attached(alias, columns)
+        sels, rows = {}, table.row_count
+        if row_ids is not None:
+            sel = np.asarray(row_ids, dtype=np.int64)
+            sels, rows = dict.fromkeys(attach, sel), len(sel)
+            if attach:
+                obs.counter_add("executor.gathers_deferred", len(attach))
+                obs.counter_add(
+                    "executor.gather_bytes_avoided",
+                    rows * sum(widths[key] for key in attach),
+                )
         return Batch(
             columns={
-                f"{alias}.{c}": table.column(c) for c in attach
+                key: table.column(name) for key, name in attach.items()
             },
             widths=widths,
-            encodings=self._column_handles(alias, table, attach),
-            codes=self._carried_codes(alias, table, attach),
-            length=table.row_count,
+            weights=weights,
+            encodings={
+                key: self._encodings.handle(table, name)
+                for key, name in attach.items()
+            },
+            sels=sels,
+            length=rows,
         )
-
-    def _probe_batch(self, alias, table, columns, row_ids):
-        """A batch of the heap rows an index probe matched.
-
-        The base arrays attach behind one shared ``row_ids`` selection
-        vector, with carried dictionary codes left ungathered in
-        lockstep.
-        """
-        widths = {
-            f"{alias}.{c}": table.schema.column(c).width for c in columns
-        }
-        attach = self._attached(alias, columns)
-        sel = np.asarray(row_ids, dtype=np.int64)
-        cols = {f"{alias}.{c}": table.column(c) for c in attach}
-        if cols:
-            obs.counter_add("executor.gathers_deferred", len(cols))
-            obs.counter_add(
-                "executor.gather_bytes_avoided",
-                len(sel) * sum(widths[k] for k in cols),
-            )
-        return Batch(
-            columns=cols,
-            widths=widths,
-            encodings=self._column_handles(alias, table, attach),
-            codes=self._carried_codes(alias, table, attach),
-            sels={key: sel for key in cols},
-            length=len(sel),
-        )
-
-    def _column_handles(self, alias, table, columns):
-        """Lazy dictionary handles for base-table columns."""
-        return {
-            f"{alias}.{c}": self._encodings.handle(table, c)
-            for c in columns
-        }
-
-    def _carried_codes(self, alias, table, columns):
-        """Dictionary codes to carry alongside the scanned columns.
-
-        Only columns the plan later uses as a join, group, or distinct
-        key (collected by :func:`_code_keys_of` before execution) get a
-        codes array — the base column's cached dense codes, selected
-        through the same ``sels`` entry as the values — so scans never
-        pay for codes no downstream operator consumes.
-        """
-        codes = {}
-        for column in columns:
-            key = f"{alias}.{column}"
-            if key not in self._code_keys:
-                continue
-            codes[key] = self._encodings.dictionary(table, column).codes
-            obs.counter_add("subplan.codes_carried")
-        return codes
 
     def _apply_filters(self, batch, filters, clock, table=None, alias=None):
         if not filters:
@@ -314,16 +278,8 @@ class Executor:
         for semi in semi_filters:
             values, keep = self._semi_source(semi.source, clock)
             clock.charge(cm.filter_rows(self._hw, batch.rows))
-            dictionary = _resolve_encoding(batch.encodings.get(semi.key))
-            if dictionary is None:
-                # A batch built without a handle for the column:
-                # compare the values.
-                member = np.isin(batch.column(semi.key), values[keep])
-            else:
-                member = _member_flags(dictionary, values, keep)[
-                    batch.dictionary_codes(semi.key, dictionary)
-                ]
-            batch = batch.mask(member)
+            dictionary, codes = batch.key_codes(semi.key)
+            batch = batch.mask(_member_flags(dictionary, values, keep)[codes])
         return batch
 
     def _semi_source(self, source, clock):
@@ -397,7 +353,7 @@ class Executor:
         )
         obs.counter_add("engine.rows_scanned", table.row_count)
         obs.counter_add("engine.pages_read", table.page_count())
-        batch = self._base_batch(node.alias, table, node.columns)
+        batch = self._scan_batch(table, _keyed(node.alias, node.columns))
         batch = self._apply_filters(batch, node.filters, clock,
                                     table=table, alias=node.alias)
         batch = self._apply_semis(batch, node.semi_filters, clock)
@@ -433,8 +389,8 @@ class Executor:
                         table.row_count,
                     )
                 )
-            batch = self._probe_batch(
-                node.alias, table, node.columns, row_ids
+            batch = self._scan_batch(
+                table, _keyed(node.alias, node.columns), row_ids
             )
         else:
             # Covering full index-only scan.
@@ -445,7 +401,9 @@ class Executor:
             )
             obs.counter_add("engine.rows_scanned", info.entries)
             obs.counter_add("engine.pages_read", info.leaf_pages)
-            batch = self._base_batch(node.alias, table, node.columns)
+            batch = self._scan_batch(
+                table, _keyed(node.alias, node.columns)
+            )
         # A covering scan's batch columns are the table's own arrays,
         # so the mask cache applies; the probe branch sits behind a
         # selection vector and the identity checks route it elementwise.
@@ -480,7 +438,9 @@ class Executor:
         )
         _guard_materialization(matched)
         row_ids, _ = info.data.fetch(lows, highs)
-        batch = self._probe_batch(node.alias, table, node.columns, row_ids)
+        batch = self._scan_batch(
+            table, _keyed(node.alias, node.columns), row_ids
+        )
         batch = self._apply_filters(batch, node.residual_filters, clock)
         batch = self._apply_semis(batch, node.semi_filters, clock)
         return batch
@@ -495,29 +455,9 @@ class Executor:
         clock.charge(cm.seq_scan(self._hw, view.page_count, view.rows))
         obs.counter_add("engine.rows_scanned", view.rows)
         obs.counter_add("engine.pages_read", view.page_count)
-        schema = table.schema
-        columns, widths, encodings, codes = {}, {}, {}, {}
-        pruned = 0
-        for batch_key, view_col in node.column_map.items():
-            widths[batch_key] = schema.column(view_col).width
-            if self._required is not None \
-                    and batch_key not in self._required:
-                pruned += 1
-                continue
-            columns[batch_key] = table.column(view_col)
-            encodings[batch_key] = self._encodings.handle(table, view_col)
-            if batch_key in self._code_keys:
-                codes[batch_key] = self._encodings.dictionary(
-                    table, view_col
-                ).codes
-                obs.counter_add("subplan.codes_carried")
-        if pruned:
-            obs.counter_add("executor.columns_pruned", pruned)
-        weights = table.column(COUNT_COLUMN).astype(np.float64)
-        batch = Batch(
-            columns=columns, widths=widths, weights=weights,
-            encodings=encodings, codes=codes,
-            length=view.rows,
+        batch = self._scan_batch(
+            table, node.column_map,
+            weights=table.column(COUNT_COLUMN).astype(np.float64),
         )
         if node.filters:
             clock.charge(
@@ -540,33 +480,10 @@ class Executor:
         clock.charge(cm.hash_build(self._hw, right.rows, right.row_width))
         clock.charge(cm.hash_probe(self._hw, left.rows))
 
-        lencs = [left.encodings.get(k) for k in node.left_keys]
-        rencs = [right.encodings.get(k) for k in node.right_keys]
-        lcarr = [left.carried_codes(k) for k in node.left_keys]
-        rcarr = [right.carried_codes(k) for k in node.right_keys]
-        larrs, rarrs = [], []
-        for pos, (lk, rk) in enumerate(zip(node.left_keys,
-                                           node.right_keys)):
-            paired = (
-                lcarr[pos] is not None and rcarr[pos] is not None
-                and _resolve_encoding(lencs[pos]) is not None
-                and _resolve_encoding(rencs[pos]) is not None
-            )
-            if paired:
-                # The merged-dictionary path never touches values when
-                # both sides carry codes — skip gathering them at all.
-                larrs.append(None)
-                rarrs.append(None)
-            else:
-                larrs.append(left.column(lk))
-                rarrs.append(right.column(rk))
         lcodes, rcodes = join_codes(
-            larrs, rarrs,
-            left_encodings=lencs,
-            right_encodings=rencs,
-            left_carried=lcarr,
-            right_carried=rcarr,
-            domains=self._subplans,
+            [left.key_codes(k) for k in node.left_keys],
+            [right.key_codes(k) for k in node.right_keys],
+            self._subplans,
         )
         rspan = int(rcodes.max()) + 1 if len(rcodes) else 0
         order = stable_order(rcodes, rspan)
@@ -594,41 +511,8 @@ class Executor:
         obs.counter_add("engine.join_output_rows", out_rows)
         _guard_materialization(out_rows)
 
-        left_pos = np.repeat(np.arange(left.rows), counts)
-        starts = np.repeat(lows, counts)
-        offsets = np.arange(out_rows) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        ) if out_rows else np.empty(0, dtype=np.int64)
-        right_pos = order[starts + offsets] if out_rows else (
-            np.empty(0, dtype=np.int64)
-        )
-
-        lbatch = left.take(left_pos)
-        rbatch = right.take(right_pos)
-        return self._merge_join_batches(left, right, lbatch, rbatch)
-
-    def _merge_join_batches(self, left, right, lbatch, rbatch):
-        columns = dict(lbatch.columns)
-        columns.update(rbatch.columns)
-        widths = dict(lbatch.widths)
-        widths.update(rbatch.widths)
-        encodings = dict(lbatch.encodings)
-        encodings.update(rbatch.encodings)
-        codes = dict(lbatch.codes)
-        codes.update(rbatch.codes)
-        weights = None
-        if left.weights is not None or right.weights is not None:
-            weights = lbatch.weight_array() * rbatch.weight_array()
-        # Batch keys are alias-qualified, so the two sides' selection
-        # vectors merge without collisions; each key keeps composing
-        # against its own side's base arrays.
-        sels = dict(lbatch.sels)
-        sels.update(rbatch.sels)
-        return Batch(
-            columns=columns, widths=widths, weights=weights,
-            encodings=encodings, codes=codes,
-            sels=sels, length=lbatch.rows,
-        )
+        right_pos, left_pos = gather_ranges(order, lows, lows + counts)
+        return _merged(left.take(left_pos), right.take(right_pos))
 
     def _inl_join(self, node, clock):
         outer = self._exec(node.outer, clock)
@@ -666,39 +550,11 @@ class Executor:
         _guard_materialization(matched)
 
         row_ids, probe_idx = info.data.fetch(lows, highs)
-        obatch = outer.take(probe_idx)
-        attach = self._attached(node.alias, node.columns)
-        columns = dict(obatch.columns)
-        widths = dict(obatch.widths)
-        encodings = dict(obatch.encodings)
-        encodings.update(
-            self._column_handles(node.alias, table, attach)
-        )
-        codes = dict(obatch.codes)
-        for col in node.columns:
-            widths[f"{node.alias}.{col}"] = table.schema.column(col).width
-        # Inner columns attach as base arrays behind the probe's
-        # row_ids selection vector; carried codes stay ungathered
-        # under the same vector.
-        sel = np.asarray(row_ids, dtype=np.int64)
-        sels = dict(obatch.sels)
-        codes.update(self._carried_codes(node.alias, table, attach))
-        for col in attach:
-            key = f"{node.alias}.{col}"
-            columns[key] = table.column(col)
-            sels[key] = sel
-        if attach:
-            obs.counter_add("executor.gathers_deferred", len(attach))
-            obs.counter_add(
-                "executor.gather_bytes_avoided",
-                len(sel) * sum(
-                    widths[f"{node.alias}.{c}"] for c in attach
-                ),
-            )
-        batch = Batch(
-            columns=columns, widths=widths, weights=obatch.weights,
-            encodings=encodings, codes=codes,
-            sels=sels, length=obatch.rows,
+        batch = _merged(
+            outer.take(probe_idx),
+            self._scan_batch(
+                table, _keyed(node.alias, node.columns), row_ids
+            ),
         )
 
         if node.extra_preds:
@@ -725,10 +581,7 @@ class Executor:
 
         if node.group_keys:
             codes = combine_codes(
-                [
-                    factorize(*self._factor_inputs(child, k))
-                    for k in node.group_keys
-                ]
+                [factorize(*child.key_codes(k)) for k in node.group_keys]
             )
             n_groups = int(codes.max()) + 1 if rows else 0
         else:
@@ -763,11 +616,9 @@ class Executor:
                 )[:n_groups] if rows else np.empty(0)
                 columns[label] = np.round(values).astype(np.int64)
             elif agg.func == "count" and agg.distinct:
-                arg_values, arg_enc, arg_carried = self._factor_inputs(
-                    child, str(agg.arg)
-                )
                 columns[label] = self._count_distinct(
-                    codes, arg_values, n_groups, arg_enc, arg_carried,
+                    codes, factorize(*child.key_codes(str(agg.arg))),
+                    n_groups,
                 )
             elif agg.func in ("sum", "avg"):
                 arg = child.column(str(agg.arg)).astype(np.float64)
@@ -788,34 +639,13 @@ class Executor:
             else:
                 raise ExecutionError(f"unsupported aggregate {agg.func!r}")
             widths[label] = 8
-        return Batch(
-            columns=columns, widths=widths,
-            encodings={
-                k: child.encodings[k]
-                for k in node.group_keys if k in child.encodings
-            },
-        )
+        return Batch(columns=columns, widths=widths)
 
-    def _factor_inputs(self, batch, key):
-        """``(values, encoding, carried)`` for :func:`factorize`.
-
-        When carried dictionary codes and a dictionary are both
-        available, factorization never touches the values, so a column
-        behind a selection vector stays ungathered (``values=None``); a
-        key without that fast path gathers through :meth:`Batch.column`.
-        """
-        encoding = batch.encodings.get(key)
-        carried = batch.carried_codes(key)
-        if carried is not None and _resolve_encoding(encoding) is not None:
-            values = None if batch.selected(key) else batch.columns[key]
-            return values, encoding, carried
-        return batch.column(key), encoding, carried
-
-    def _count_distinct(self, codes, values, n_groups, encoding=None,
-                        carried=None):
+    def _count_distinct(self, codes, vcodes, n_groups):
+        """Distinct values per group, from dense group ``codes`` and
+        dense value codes ``vcodes``."""
         if len(codes) == 0:
             return np.empty(0, dtype=np.int64)
-        vcodes = factorize(values, encoding, carried)
         span = int(vcodes.max()) + 1
         keys = codes * span + vcodes
         if n_groups * span <= max(4 * len(codes), 65536):
@@ -863,46 +693,22 @@ def _distinct_by_sort(keys, n_groups, span):
     )
 
 
-def _code_keys_of(plan):
-    """Batch keys the plan consumes as join/group/distinct keys.
-
-    Scans only carry dictionary codes for these keys — everything else
-    would be gathered through every operator and then thrown away.
-    """
-    keys = set()
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, HashJoin):
-            keys.update(node.left_keys)
-            keys.update(node.right_keys)
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, HashAggregate):
-            keys.update(node.group_keys)
-            for agg in node.aggregates:
-                if agg.func == "count" and agg.distinct:
-                    keys.add(str(agg.arg))
-            stack.append(node.child)
-        elif isinstance(node, Project):
-            stack.append(node.child)
-        elif isinstance(node, IndexNLJoin):
-            stack.append(node.outer)
-    return frozenset(keys)
-
-
 def _required_keys(plan):
     """Batch keys any operator in the plan actually consumes.
 
     The column-pruning pass: scans only attach columns whose key shows
     up here (filter keys, semi/join keys, aggregate inputs, output
-    labels).  Pruning is only sound when the root emits an explicit key
-    list (Project or HashAggregate) and every node type is known;
-    anything else returns ``None`` and scans attach everything.
+    labels).  Pruning is sound because the root emits an explicit key
+    list: the planner ends every plan in a Project or a HashAggregate
+    and creates neither anywhere else, which is also why every key an
+    operator factorizes is a scanned column with a dictionary.
     Widths are never pruned, so cost charges are unaffected.
     """
     if not isinstance(plan, (Project, HashAggregate)):
-        return None
+        raise ExecutionError(
+            f"a plan ends in a Project or a HashAggregate, "
+            f"not in a {type(plan).__name__}"
+        )
     keys = set()
     stack = [plan]
     while stack:
@@ -910,10 +716,7 @@ def _required_keys(plan):
         if isinstance(node, SeqScan):
             keys.update(f.key for f in node.filters)
             keys.update(s.key for s in node.semi_filters)
-        elif isinstance(node, IndexScan):
-            keys.update(f.key for f in node.residual_filters)
-            keys.update(s.key for s in node.semi_filters)
-        elif isinstance(node, SemiIndexScan):
+        elif isinstance(node, (IndexScan, SemiIndexScan)):
             keys.update(f.key for f in node.residual_filters)
             keys.update(s.key for s in node.semi_filters)
         elif isinstance(node, ViewScan):
@@ -941,8 +744,35 @@ def _required_keys(plan):
             keys.update(node.keys)
             stack.append(node.child)
         else:
-            return None
+            raise ExecutionError(
+                f"no executor for node {type(node).__name__}"
+            )
     return frozenset(keys)
+
+
+def _keyed(alias, columns):
+    """``{batch key: column}`` of a scan's columns under its alias."""
+    return {f"{alias}.{column}": column for column in columns}
+
+
+def _merged(left, right):
+    """The two sides of a join, row-aligned, as one batch.
+
+    Batch keys are alias-qualified, so the two sides' columns, handles
+    and selection vectors merge without collisions; each key keeps
+    composing against its own side's base array.
+    """
+    weights = None
+    if left.weights is not None or right.weights is not None:
+        weights = left.weight_array() * right.weight_array()
+    return Batch(
+        columns={**left.columns, **right.columns},
+        widths={**left.widths, **right.widths},
+        weights=weights,
+        encodings={**left.encodings, **right.encodings},
+        sels={**left.sels, **right.sels},
+        length=left.rows,
+    )
 
 
 def _member_flags(dictionary, values, keep):

@@ -162,9 +162,18 @@ class Binder:
             right = self._resolve(bound, pred.right)
             if pred.op != "=":
                 raise BindError("only equality joins are supported")
+            self._check_comparable(
+                bound, left, right,
+                self._kind(bound.relations[right.alias], right.column),
+            )
             bound.join_preds.append(JoinPred(left, right))
         elif isinstance(pred.right, Literal):
-            bound.filters.append(Filter(left, pred.op, pred.right.value))
+            value = pred.right.value
+            self._check_comparable(
+                bound, left, f"the literal {pred.right.to_sql()}",
+                "string" if isinstance(value, str) else "numeric",
+            )
+            bound.filters.append(Filter(left, pred.op, value))
         else:
             raise BindError(f"unsupported comparison operand {pred.right!r}")
 
@@ -200,6 +209,10 @@ class Binder:
             raise BindError(
                 f"no column {group_col!r} in table {sub_table!r}"
             )
+        self._check_comparable(
+            bound, target,
+            f"{sub_table}.{group_col}", self._kind(sub_table, group_col),
+        )
         return SemiJoin(
             target=target,
             sub_table=sub_table,
@@ -215,6 +228,25 @@ class Binder:
             return AggSpec("count", None, False)
         arg = self._resolve(bound, call.arg)
         return AggSpec(call.func, arg, call.distinct)
+
+    def _kind(self, table, column):
+        """``'string'`` or ``'numeric'``: values compare within these
+        two classes only — strings with strings, and ``int``, ``float``
+        and ``date`` columns with one another."""
+        sql_type = self._catalog.table(table).column(column).sql_type
+        return "string" if sql_type.kind == "str" else "numeric"
+
+    def _check_comparable(self, bound, column, other, other_kind):
+        """Refuse comparing the bound ``column`` with ``other`` (a
+        column or a literal, named for the message) of another kind: a
+        mismatch would otherwise surface as a NumPy ``TypeError`` out
+        of the executor, or as a silently empty result."""
+        kind = self._kind(bound.relations[column.alias], column.column)
+        if kind != other_kind:
+            raise BindError(
+                f"{column} ({kind}) and {other} ({other_kind}) "
+                f"are not comparable"
+            )
 
     def _resolve(self, bound, ref):
         if ref.qualifier is not None:

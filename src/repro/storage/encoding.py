@@ -33,9 +33,10 @@ column)`` across all four consumers:
 
 * :mod:`repro.workload.constants` serves ``value_frequencies`` and the
   selectivity/frequency ladders from the cached dictionary;
-* :mod:`repro.executor.batch` factorizes batches sort-free by mapping
-  values through the cached sorted dictionary (``searchsorted``)
-  instead of re-sorting every intermediate;
+* :mod:`repro.executor.batch` reads a scanned key's codes off the
+  dictionary — ``codes`` through the batch's selection vector, never
+  a re-encode of gathered values — and densifies them with a presence
+  scan instead of sorting every intermediate;
 * :mod:`repro.stats.column_stats` reads distinct counts and frequency
   histograms straight off the dictionary;
 * :mod:`repro.index.data` takes its row-id permutation from
@@ -323,25 +324,12 @@ class ColumnDictionary:
     def find(self, values):
         """``(slots, found)``: where each of ``values`` sorts into the
         dictionary (``searchsorted``), and whether it is the entry
-        there.  Unlike :meth:`encode`, ``values`` may hold anything."""
+        there; ``values`` may hold anything."""
         slots = np.searchsorted(self.values, values)
         found = np.zeros(len(values), dtype=bool)
         inside = slots < len(self.values)
         found[inside] = self.values[slots[inside]] == values[inside]
         return slots, found
-
-    def encode(self, values):
-        """Dictionary codes of ``values`` (must be drawn from the base column).
-
-        The base column's own array is answered from the cached dense
-        codes; any other array — a filtered or gathered subset — is
-        mapped through the sorted dictionary with one ``searchsorted``
-        (``O(n log d)``; no re-sort of the batch).
-        """
-        if values is self.base:
-            obs.counter_add("encoding.codes_reused")
-            return self.codes
-        return np.searchsorted(self.values, values)
 
     def by_frequency(self):
         """``(values, counts)`` sorted by ascending frequency (cached).
@@ -385,12 +373,13 @@ class ColumnDictionary:
 class ColumnHandle:
     """Lazy tie between a batch column and its table column's dictionary.
 
-    Execution batches carry these under ``Batch.encodings``: the
-    dictionary is only resolved (and built) when a consumer actually
-    needs codes, so scanning a column never pays for a dictionary the
-    query never factorizes.  Handles stay valid through every
-    subsetting operation (mask/take/join/group) because a subset of a
-    base column is still drawn from its dictionary's domain.
+    Execution batches carry one per scanned key under
+    ``Batch.encodings``: the dictionary is only resolved (and built)
+    when an operator asks for the key's codes, so scanning a column
+    never pays for a dictionary the query never factorizes.  Handles
+    stay valid through every subsetting operation (mask/take/join):
+    the batch keeps the base array behind a selection vector, and the
+    dictionary's codes go through the same vector.
     """
 
     __slots__ = ("cache", "table", "column")

@@ -103,3 +103,66 @@ def tiny_tpch():
     db = load_tpch_database(system_c(), scale=0.05, zipf=1.0)
     db.apply_configuration(primary_configuration(db.catalog, name="P"))
     return db
+
+
+def assert_keys_are_scanned(plan):
+    """The plan shape the executor's one route to codes rests on.
+
+    The root is a ``Project`` or a ``HashAggregate`` and neither occurs
+    below it, and every key an operator takes codes of — ``HashJoin``
+    keys, ``IndexNLJoin.outer_key``, group keys, ``COUNT(DISTINCT)``
+    arguments, ``SemiFilter.key`` — is an ``alias.column`` that a scan
+    node beneath the operator produces (so it has a dictionary).  A
+    failure names the operator that would need a non-dictionary path.
+    """
+    from repro.optimizer.plans import (
+        HashAggregate,
+        HashJoin,
+        IndexNLJoin,
+        Project,
+        ViewScan,
+        walk,
+    )
+
+    def scanned(node):
+        """Batch keys the scans at and beneath ``node`` produce."""
+        if isinstance(node, (Project, HashAggregate)):
+            return scanned(node.child)
+        if isinstance(node, HashJoin):
+            return scanned(node.left) | scanned(node.right)
+        if isinstance(node, ViewScan):
+            return set(node.column_map)
+        keys = {f"{node.alias}.{column}" for column in node.columns}
+        if isinstance(node, IndexNLJoin):
+            keys |= scanned(node.outer)
+        return keys
+
+    def check(node, keys, beneath):
+        missing = [key for key in keys if key not in beneath]
+        assert not missing, (
+            f"{node.describe()} takes codes of {missing}, which no scan "
+            f"beneath it produces"
+        )
+
+    assert isinstance(plan, (Project, HashAggregate)), (
+        f"the plan's root is a {type(plan).__name__}"
+    )
+    for node in walk(plan):
+        if node is not plan:
+            assert not isinstance(node, (Project, HashAggregate)), (
+                f"{node.describe()} occurs below the root"
+            )
+        if isinstance(node, HashAggregate):
+            distinct = [
+                str(agg.arg) for agg in node.aggregates
+                if agg.func == "count" and agg.distinct
+            ]
+            check(node, list(node.group_keys) + distinct,
+                  scanned(node.child))
+        elif isinstance(node, HashJoin):
+            check(node, node.left_keys, scanned(node.left))
+            check(node, node.right_keys, scanned(node.right))
+        elif isinstance(node, IndexNLJoin):
+            check(node, [node.outer_key], scanned(node.outer))
+        check(node, [semi.key for semi in getattr(node, "semi_filters", ())],
+              scanned(node))

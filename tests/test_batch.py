@@ -1,15 +1,78 @@
-"""Batch utilities: masks, takes, weights, code factorization."""
+"""Batch utilities: masks, takes, weights, and the one route to a
+key's codes.
+
+Every code array is checked against the NumPy call it stands for
+(``np.unique(..., return_inverse=True)``), written out here, on batches
+attached by the executor's one scan helper.
+"""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ColumnDef, TableSchema, integer, varchar
 from repro.executor.batch import (
     Batch,
     combine_codes,
     factorize,
     join_codes,
 )
+from repro.executor.engine import Executor, _merged
+from repro.executor.subplan import SubplanCache
+from repro.storage.table import Table
+from repro.views.matview import (
+    COUNT_COLUMN,
+    MatViewDefinition,
+    ViewColumn,
+    build_view,
+)
+
+
+ORDERS_BY_UID = MatViewDefinition(
+    tables=("orders",), group_columns=(ViewColumn("orders", "uid"),),
+)
+
+
+def inverse(values):
+    """The dense codes NumPy assigns: ranks among the sorted uniques."""
+    return np.unique(values, return_inverse=True)[1].tolist()
+
+
+def key_table(name, values):
+    """A one-column table ``name(k)`` holding ``values``."""
+    values = np.asarray(values)
+    sql_type = varchar(8) if values.dtype == object else integer()
+    return Table(
+        TableSchema(name, [ColumnDef("k", sql_type, "k")]), {"k": values}
+    )
+
+
+def scan(table, columns, row_ids=None, executor=None):
+    """The batch a scan of ``table`` attaches for ``{key: column}``."""
+    executor = executor or Executor({}, None)
+    executor._required = frozenset(columns)
+    return executor._scan_batch(table, columns, row_ids)
+
+
+def key_scan(name, values, row_ids=None):
+    return scan(key_table(name, values), {f"{name}.k": "k"}, row_ids)
+
+
+def joined(left, right):
+    """join_codes of two one-key batches, as lists."""
+    (lkey,), (rkey,) = left.columns, right.columns
+    lcodes, rcodes = join_codes(
+        [left.key_codes(lkey)], [right.key_codes(rkey)], SubplanCache()
+    )
+    return lcodes.tolist(), rcodes.tolist()
+
+
+def concatenated_inverse(left, right):
+    """What NumPy assigns to the two sides factorized as one array."""
+    (lkey,), (rkey,) = left.columns, right.columns
+    lvalues, rvalues = left.column(lkey), right.column(rkey)
+    codes = inverse(np.concatenate([lvalues, rvalues]))
+    return codes[:len(lvalues)], codes[len(lvalues):]
 
 
 def make_batch(n=5, weights=None):
@@ -51,25 +114,25 @@ def test_weight_array_defaults_to_ones():
 
 
 def test_factorize_dense_codes():
-    codes = factorize(np.array(["b", "a", "b", "c"], dtype=object))
-    assert codes.max() == 2
-    assert codes[0] == codes[2]
-    assert len(set(codes.tolist())) == 3
+    batch = key_scan("t", np.array(["b", "a", "b", "c"], dtype=object))
+    codes = factorize(*batch.key_codes("t.k"))
+    assert codes.tolist() == [1, 0, 1, 2] == inverse(batch.column("t.k"))
 
 
 def test_combine_codes_joint_groups():
-    a = factorize(np.array([0, 0, 1, 1]))
-    b = factorize(np.array([0, 1, 0, 1]))
+    a = np.array([0, 0, 1, 1])
+    b = np.array([0, 1, 0, 1])
     combined = combine_codes([a, b])
     assert len(set(combined.tolist())) == 4
 
 
 def test_join_codes_equality_semantics():
-    left = [np.array(["x", "y", "z"], dtype=object)]
-    right = [np.array(["y", "y", "w"], dtype=object)]
-    lc, rc = join_codes(left, right)
+    lc, rc = joined(
+        key_scan("l", np.array(["x", "y", "z"], dtype=object)),
+        key_scan("r", np.array(["y", "y", "w"], dtype=object)),
+    )
     assert lc[1] == rc[0] == rc[1]
-    assert lc[0] not in set(rc.tolist())
+    assert lc[0] not in set(rc)
 
 
 @settings(max_examples=50, deadline=None)
@@ -79,8 +142,8 @@ def test_join_codes_equality_semantics():
 )
 def test_property_join_codes_match_values(left, right):
     """Code equality across sides is exactly value equality."""
-    lc, rc = join_codes(
-        [np.array(left)], [np.array(right)]
+    lc, rc = joined(
+        key_scan("l", np.array(left)), key_scan("r", np.array(right))
     )
     for i, lv in enumerate(left):
         for j, rv in enumerate(right):
@@ -96,7 +159,7 @@ def test_property_join_codes_match_values(left, right):
 def test_property_combine_codes_bijective_on_tuples(rows, cols, seed):
     rng = np.random.default_rng(seed)
     arrays = [rng.integers(0, 5, rows) for _ in range(cols)]
-    combined = combine_codes([factorize(a) for a in arrays])
+    combined = combine_codes([np.array(inverse(a)) for a in arrays])
     tuples = list(zip(*(a.tolist() for a in arrays)))
     for i in range(rows):
         for j in range(rows):
@@ -106,85 +169,160 @@ def test_property_combine_codes_bijective_on_tuples(rows, cols, seed):
 
 
 def test_factorize_empty_and_single_value():
-    assert factorize(np.array([], dtype=np.int64)).tolist() == []
-    assert factorize(np.array([], dtype=object)).tolist() == []
-    codes = factorize(np.array(["only"] * 4, dtype=object))
-    assert codes.tolist() == [0, 0, 0, 0]
+    for empty in (np.array([], dtype=np.int64), np.array([], dtype=object)):
+        batch = key_scan("t", empty)
+        assert factorize(*batch.key_codes("t.k")).tolist() == []
+    values = np.array(["only", "other", "only"], dtype=object)
+    nothing = key_scan("t", values, row_ids=np.array([], dtype=np.int64))
+    assert factorize(*nothing.key_codes("t.k")).tolist() == []
+    only = key_scan("t", values, row_ids=np.array([0, 2, 2, 0]))
+    assert factorize(*only.key_codes("t.k")).tolist() == [0, 0, 0, 0]
 
 
-def test_factorize_with_encoding_matches_legacy():
-    from repro.storage.encoding import ColumnDictionary
+def assert_codes_are_the_inverse(batch, key):
+    """The key's codes index its dictionary and densify to np.unique's
+    inverse of the values an operator would read."""
+    dictionary, codes = batch.key_codes(key)
+    values = batch.column(key)
+    assert len(codes) == batch.rows == len(values)
+    assert dictionary.values[codes].tolist() == values.tolist()
+    assert factorize(dictionary, codes).tolist() == inverse(values)
 
-    base = np.array([7, 3, 7, 1, 3, 3, 9], dtype=np.int64)
-    d = ColumnDictionary(base)
-    assert factorize(base, d).tolist() == factorize(base).tolist()
-    subset = base[np.array([0, 2, 4, 5])]
-    assert factorize(subset, d).tolist() == factorize(subset).tolist()
-    empty = base[:0]
-    assert factorize(empty, d).tolist() == []
-    single = base[np.array([3])]
-    assert factorize(single, d).tolist() == [0]
+
+def test_factorize_with_encoding_matches_legacy(city_db, tiny_nref):
+    """The codes of a scanned key, in every state a batch can be in,
+    against ``np.unique(values, return_inverse=True)``."""
+    orders = city_db.table("orders")
+    columns = {"o.uid": "uid", "o.city": "city"}
+    picked = np.arange(0, orders.row_count, 3)[::-1]
+    for key in columns:
+        full = scan(orders, columns)
+        assert full.key_codes(key)[1] is full.key_codes(key)[0].codes
+        assert_codes_are_the_inverse(full, key)
+        # Behind a selection vector: an index probe's row ids.
+        probed = scan(orders, columns, row_ids=picked)
+        assert probed.columns[key] is orders.column(columns[key])
+        assert_codes_are_the_inverse(probed, key)
+        # After column() memoized a gather: base and vector stay.
+        read = scan(orders, columns, row_ids=picked)
+        gathered = read.column(key)
+        assert read.column(key) is gathered
+        assert read.columns[key] is orders.column(columns[key])
+        assert_codes_are_the_inverse(read, key)
+        # After a mask of a take (with repetition).
+        taken = full.take(np.array([7, 7, 0, 2499, 3, 7]))
+        masked = taken.mask(np.array([True, False, True, True, False, True]))
+        assert_codes_are_the_inverse(masked, key)
+        assert_codes_are_the_inverse(masked.mask(np.zeros(4, dtype=bool)), key)
+
+    # A view column: the view's own table and dictionary.
+    view, _ = build_view(ORDERS_BY_UID, city_db.tables, city_db.catalog)
+    batch = scan(view, {"o.uid": "orders__uid"})
+    assert batch.columns["o.uid"] is view.column("orders__uid")
+    assert_codes_are_the_inverse(batch, "o.uid")
+    assert_codes_are_the_inverse(batch.take(np.array([5, 1, 5])), "o.uid")
+
+    # The one float column: np.unique construction, codes bisected on
+    # first use.
+    neighbors = tiny_nref.table("neighboring_seq")
+    assert neighbors.column("score").dtype == np.float64
+    executor = Executor(tiny_nref.tables, tiny_nref.system.hardware)
+    batch = scan(neighbors, {"n.score": "score"}, executor=executor)
+    assert executor._encodings.dictionary(neighbors, "score")._codes is None
+    dictionary, _ = batch.key_codes("n.score")
+    assert dictionary._codes is not None
+    assert dictionary.values.tolist() == np.unique(
+        neighbors.column("score")
+    ).tolist()
+    assert_codes_are_the_inverse(batch, "n.score")
+    assert_codes_are_the_inverse(
+        batch.take(np.arange(0, neighbors.row_count, 7)), "n.score"
+    )
 
 
 def test_join_codes_one_empty_side():
-    from repro.storage.encoding import ColumnDictionary
+    left = key_scan("l", np.array([2, 4, 2], dtype=np.int64))
+    # No rows at all, and no rows left of a column that has some: the
+    # second still merges its dictionary into the domain.
+    for right in (
+        key_scan("r", np.array([], dtype=np.int64)),
+        key_scan("r", np.array([4, 9]), row_ids=np.array([], dtype=np.int64)),
+    ):
+        lc, rc = joined(left, right)
+        assert (lc, rc) == ([0, 1, 0], []) == concatenated_inverse(left, right)
+        rc, lc = joined(right, left)
+        assert (lc, rc) == ([0, 1, 0], [])
 
-    left = np.array([2, 4, 2], dtype=np.int64)
-    right = np.array([], dtype=np.int64)
-    lc, rc = join_codes([left], [right])
-    assert len(rc) == 0 and len(set(lc.tolist())) == 2
-    ld, rd = ColumnDictionary(left), ColumnDictionary(np.array([4]))
-    lc2, rc2 = join_codes(
-        [left], [right], left_encodings=[ld], right_encodings=[rd]
+
+def test_join_codes_sort_free_matches_legacy(city_db):
+    """A two-table join through the merged domain and a self-join
+    sharing one dictionary, against ``np.unique`` of both sides'
+    values concatenated."""
+    users, orders = city_db.table("users"), city_db.table("orders")
+    executor = Executor(city_db.tables, city_db.system.hardware)
+    some_users = np.arange(0, users.row_count, 5)
+    some_orders = np.arange(0, orders.row_count, 11)[::-1]
+    for column in ("uid", "city"):
+        for lrows, rrows in (
+            (None, None), (some_users, None), (some_users, some_orders),
+        ):
+            left = scan(users, {"u.k": column}, lrows, executor)
+            right = scan(orders, {"o.k": column}, rrows, executor)
+            assert left.key_codes("u.k")[0] is not right.key_codes("o.k")[0]
+            assert joined(left, right) == concatenated_inverse(left, right)
+        # Self-join: both aliases resolve to one dictionary.
+        left = scan(orders, {"a.k": column}, some_orders, executor)
+        right = scan(orders, {"b.k": column}, some_orders[:40], executor)
+        assert left.key_codes("a.k")[0] is right.key_codes("b.k")[0]
+        assert joined(left, right) == concatenated_inverse(left, right)
+
+
+def test_join_codes_combine_several_key_columns(city_db):
+    """Two join columns: equal codes exactly where both values agree."""
+    users, orders = city_db.table("users"), city_db.table("orders")
+    executor = Executor(city_db.tables, city_db.system.hardware)
+    columns = ("uid", "city")
+    left = scan(
+        users, {f"u.{c}": c for c in columns}, np.arange(0, 500, 9), executor
     )
-    assert lc2.tolist() == lc.tolist() and len(rc2) == 0
-
-
-def test_join_codes_sort_free_matches_legacy():
-    from repro.storage.encoding import ColumnDictionary
-
-    lbase = np.array(["x", "y", "z", "y"], dtype=object)
-    rbase = np.array(["y", "w", "y", "q"], dtype=object)
-    ld, rd = ColumnDictionary(lbase), ColumnDictionary(rbase)
-    legacy = join_codes([lbase], [rbase])
-    fast = join_codes(
-        [lbase], [rbase], left_encodings=[ld], right_encodings=[rd]
+    right = scan(
+        orders, {f"o.{c}": c for c in columns}, np.arange(0, 2500, 13),
+        executor,
     )
-    assert fast[0].tolist() == legacy[0].tolist()
-    assert fast[1].tolist() == legacy[1].tolist()
-    # Shared dictionary (self-join): same contract.
-    self_legacy = join_codes([lbase], [lbase[:2]])
-    self_fast = join_codes(
-        [lbase], [lbase[:2]], left_encodings=[ld], right_encodings=[ld]
+    lcodes, rcodes = join_codes(
+        [left.key_codes(f"u.{c}") for c in columns],
+        [right.key_codes(f"o.{c}") for c in columns],
+        SubplanCache(),
     )
-    assert self_fast[0].tolist() == self_legacy[0].tolist()
-    assert self_fast[1].tolist() == self_legacy[1].tolist()
+    ltuples = list(zip(*(left.column(f"u.{c}").tolist() for c in columns)))
+    rtuples = list(zip(*(right.column(f"o.{c}").tolist() for c in columns)))
+    code_of = dict(zip(ltuples, lcodes.tolist()))
+    assert len(set(code_of.values())) == len(code_of)
+    matches = 0
+    for rtuple, rcode in zip(rtuples, rcodes.tolist()):
+        assert (rtuple in code_of) == (rcode in code_of.values())
+        if rtuple in code_of:
+            assert code_of[rtuple] == rcode
+            matches += 1
+    assert matches
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     left=st.lists(st.integers(0, 12), min_size=0, max_size=40),
     right=st.lists(st.integers(0, 12), min_size=0, max_size=40),
+    stride=st.integers(1, 3),
 )
-def test_property_sort_free_join_matches_legacy(left, right):
-    from repro.storage.encoding import ColumnDictionary
-
+def test_property_sort_free_join_matches_legacy(left, right, stride):
     larr = np.array(left, dtype=np.int64)
     rarr = np.array(right, dtype=np.int64)
-    if len(larr) == 0 or len(rarr) == 0:
-        return
-    legacy = join_codes([larr], [rarr])
-    fast = join_codes(
-        [larr], [rarr],
-        left_encodings=[ColumnDictionary(larr)],
-        right_encodings=[ColumnDictionary(rarr)],
-    )
-    assert fast[0].tolist() == legacy[0].tolist()
-    assert fast[1].tolist() == legacy[1].tolist()
+    lbatch = key_scan("l", larr, row_ids=np.arange(0, len(larr), stride))
+    rbatch = key_scan("r", rarr)
+    assert joined(lbatch, rbatch) == concatenated_inverse(lbatch, rbatch)
 
 
 def test_combine_codes_single_array_and_empty_rows():
-    only = factorize(np.array([5, 5, 2]))
+    only = np.array([1, 1, 0])
     assert combine_codes([only]) is only
     empty = np.array([], dtype=np.int64)
     assert combine_codes([empty, empty]).tolist() == []
@@ -212,45 +350,64 @@ def test_combine_codes_overflow_regression():
     )
 
 
-def test_batch_mask_take_preserve_encodings():
-    from repro.storage.encoding import ColumnDictionary
-
-    batch = make_batch(6)
-    d = ColumnDictionary(batch.columns["t.b"])
-    batch.encodings["t.b"] = d
-    masked = batch.mask(np.array([True, False] * 3))
-    taken = batch.take(np.array([0, 5]))
-    assert masked.encodings["t.b"] is d
-    assert taken.encodings["t.b"] is d
-    # The propagated encoding still factorizes the subset correctly.
-    assert factorize(
-        masked.column("t.b"), masked.encodings["t.b"]
-    ).tolist() == factorize(masked.column("t.b")).tolist()
+def test_batch_mask_take_preserve_encodings(city_db):
+    orders = city_db.table("orders")
+    batch = scan(orders, {"o.city": "city", "o.uid": "uid"})
+    handle = batch.encodings["o.city"]
+    masked = batch.mask(np.arange(orders.row_count) % 2 == 0)
+    taken = masked.take(np.array([0, 5]))
+    assert masked.encodings["o.city"] is handle
+    assert taken.encodings["o.city"] is handle
+    # The handle still codes the subset: same base array, new vector.
+    assert taken.columns["o.city"] is orders.column("city")
+    assert_codes_are_the_inverse(taken, "o.city")
+    # A finished batch is plain data, tied to no dictionary.
+    done = taken.materialize()
+    assert not done.encodings and not done.sels
+    assert done.columns["o.city"].tolist() == orders.column("city")[
+        [0, 10]
+    ].tolist()
 
 
 def test_weighted_count_through_hash_join(city_db_p):
-    """A weighted batch joined against a plain one multiplies weights.
+    """A join of two unweighted scans carries no weights; a view's
+    weights multiply through one.
 
     Covers the view-rewrite count semantics at the operator level.
     """
-    from repro.executor.engine import Executor
-    from repro.optimizer.plans import HashJoin, PlanEstimate, SeqScan
-    import repro.optimizer.plans as plans
+    from repro.optimizer.plans import HashJoin, Project, SeqScan
 
     db = city_db_p
     users_scan = SeqScan(alias="u", table="users", columns=["uid", "city"])
-    users_scan.est = PlanEstimate(1, 1, 1)
     orders_scan = SeqScan(alias="o", table="orders", columns=["uid"])
-    orders_scan.est = PlanEstimate(1, 1, 1)
     join = HashJoin(orders_scan, users_scan, ["o.uid"], ["u.uid"])
-    join.est = PlanEstimate(1, 1, 1)
-    agg = plans.HashAggregate(join, ["u.city"], [])
-    del agg
+    # A plan ends in a Project (or an aggregate): the planner builds no
+    # other root, and the executor prunes columns against its key list.
+    plan = Project(join, ["u.city"])
 
     executor = Executor(db.tables, db.system.hardware)
-    result = executor.run(join)
+    result = executor.run(plan)
     assert result.batch.weights is None
+    assert result.batch.rows == db.table("orders").row_count
+    assert list(result.batch.columns) == ["u.city"]
 
-    # Now inject weights on the probe side and re-run manually.
-    batch = result.batch
-    assert batch.rows > 0
+    # A view's batch is weighted by its group counts; merged with a
+    # plain side the weights ride along, with another weighted side
+    # they multiply.
+    view, _ = build_view(ORDERS_BY_UID, db.tables, db.catalog)
+    executor._required = frozenset({"o.uid", "u.uid"})
+    counted = executor._scan_batch(
+        view, {"o.uid": "orders__uid"},
+        weights=view.column(COUNT_COLUMN).astype(np.float64),
+    )
+    plain = executor._scan_batch(db.table("users"), {"u.uid": "uid"})
+    positions = np.array([3, 0, 3])
+    merged = _merged(counted.take(positions), plain.take(positions))
+    assert merged.weights.tolist() == counted.weights[positions].tolist()
+    assert merged.column("o.uid").tolist() == view.column("orders__uid")[
+        positions
+    ].tolist()
+    squared = _merged(counted.take(positions), counted.take(positions))
+    assert squared.weights.tolist() == (
+        counted.weights[positions] ** 2
+    ).tolist()

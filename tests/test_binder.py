@@ -105,3 +105,61 @@ def test_columns_of_collects_references(binder):
     )
     assert bound.columns_of("u") == ["city", "uid"]
     assert bound.columns_of("o") == ["amount", "city", "uid"]
+
+
+COUNT_USERS = "SELECT COUNT(*) FROM users u WHERE "
+
+
+@pytest.mark.parametrize("predicate, names", [
+    # A numeric literal on a string column (the executor would hand
+    # np.searchsorted an int among strings) ...
+    ("u.city = -12345", ("u.city (string)", "-12345 (numeric)")),
+    # ... a string literal under an ordering comparison of integers
+    # (a UFuncTypeError out of the filter kernel) ...
+    ("u.age < 'abc'", ("u.age (numeric)", "'abc' (string)")),
+    # ... and under equality, which used to return nothing, silently.
+    ("u.age = 'abc'", ("u.age (numeric)", "'abc' (string)")),
+])
+def test_literal_must_match_the_column_kind(binder, predicate, names):
+    with pytest.raises(BindError) as raised:
+        bind(binder, COUNT_USERS + predicate)
+    for name in names:
+        assert name in str(raised.value)
+
+
+def test_join_and_subquery_columns_must_match_in_kind(binder):
+    with pytest.raises(BindError, match=r"u\.city \(string\) and o\.uid"):
+        bind(
+            binder,
+            "SELECT COUNT(*) FROM users u, orders o WHERE u.city = o.uid",
+        )
+    with pytest.raises(BindError, match=r"u\.age \(numeric\) and "
+                                        r"orders\.city \(string\)"):
+        bind(
+            binder,
+            COUNT_USERS + "u.age IN (SELECT city FROM orders "
+            "GROUP BY city HAVING COUNT(*) < 3)",
+        )
+
+
+def test_numeric_kinds_compare_with_one_another():
+    """int, float and date are one class: an int literal on a float
+    column, a float literal on an int or date column, and joins and
+    subqueries across them all bind."""
+    from repro import Catalog, ColumnDef, TableSchema, integer
+    from repro.storage.types import date, float_
+
+    catalog = Catalog([
+        TableSchema("m", [
+            ColumnDef("n", integer(), "n"),
+            ColumnDef("score", float_(), "score"),
+            ColumnDef("day", date(), "day"),
+        ]),
+    ])
+    bound = Binder(catalog).bind(parse(
+        "SELECT COUNT(*) FROM m a, m b WHERE a.score = 3 AND a.n < 2.5 "
+        "AND a.day >= 12000 AND a.day <> 1.5 AND a.n = b.score "
+        "AND a.day IN (SELECT n FROM m GROUP BY n HAVING COUNT(*) > 1)"
+    ))
+    assert [f.value for f in bound.filters] == [3, 2.5, 12000, 1.5]
+    assert len(bound.join_preds) == 1 and len(bound.semijoins) == 1

@@ -27,7 +27,7 @@ from repro.engine.configuration import (
 from repro.optimizer.plans import ViewScan, walk
 from repro.views.matview import MatViewDefinition, ViewColumn
 
-from conftest import load_city_database
+from conftest import assert_keys_are_scanned, load_city_database
 
 DB = load_city_database(n_users=120, n_orders=700, seed=21)
 P_CONFIG = primary_configuration(DB.catalog)
@@ -220,6 +220,10 @@ def test_property_engine_matches_reference(spec):
     DB.apply_configuration(ONE_C_VIEWS)
     v_result = DB.execute(sql)
     assert sorted(v_result.rows()) == expected, sql
+
+    # The shape the executor's one route to codes rests on.
+    for result in (p_result, c_result, v_result):
+        assert_keys_are_scanned(result.plan)
 
 
 def _grown_database():

@@ -38,12 +38,18 @@ def test_dictionary_matches_np_unique():
     assert d.argsort().tolist() == np.lexsort((base,)).tolist()
 
 
-def test_dictionary_encode_base_and_subset():
+def test_dictionary_codes_of_base_and_subset():
     base = np.array(["b", "a", "c", "a", "b"], dtype=object)
     d = ColumnDictionary(base)
-    assert d.encode(base) is d.codes  # the cached array, not a copy
-    subset = base[np.array([0, 3])]
-    assert d.values[d.encode(subset)].tolist() == ["b", "a"]
+    assert d.codes is d.codes  # one array, not a copy per read
+    assert d.values[d.codes].tolist() == base.tolist()
+    # A subset's codes are the base's codes at the same rows; find()
+    # agrees for values drawn from the column and flags the rest.
+    rows = np.array([0, 3])
+    assert d.values[d.codes[rows]].tolist() == ["b", "a"]
+    slots, found = d.find(np.array(["b", "a", "bb"], dtype=object))
+    assert slots[:2].tolist() == d.codes[rows].tolist()
+    assert found.tolist() == [True, True, False]
 
 
 def test_dictionary_frequency_views():

@@ -120,7 +120,7 @@ def test_property_count_distinct_arms_agree_with_sets(
     assert _distinct_by_sort(keys.copy(), n_groups, span).tolist() == expected
 
     with obs.recording() as recorder:
-        got = Executor({}, None)._count_distinct(codes, values, n_groups)
+        got = Executor({}, None)._count_distinct(codes, vcodes, n_groups)
     assert got.tolist() == expected
     counters = recorder.metrics.snapshot()["counters"]
     small = n_groups * span <= max(4 * rows, 65536)
@@ -198,45 +198,30 @@ def allowed_values(db, sub_table, sub_column, op, value):
 def test_semijoin_filters_on_codes_like_isin(
     city_db, column, sub_table, sub_column, op, value
 ):
-    """Membership through dictionary codes keeps the rows np.isin keeps:
-    on the full column, behind a selection vector, after a gather, with
-    and without carried codes, and on a batch without a dictionary."""
+    """Membership through dictionary codes keeps the rows np.isin
+    keeps: on the full column, behind a selection vector, and after
+    ``column()`` memoized a gather."""
     orders = city_db.table("orders")
     key = f"o.{column}"
     semi = semi_filter(key, sub_table, sub_column, op, value)
     allowed = allowed_values(city_db, sub_table, sub_column, op, value)
     picked = np.arange(0, orders.row_count, 3)[::-1]
+    executor = Executor(city_db.tables, city_db.system.hardware)
+    executor._required = frozenset({key})
 
     def surviving(batch):
-        executor = Executor(
-            city_db.tables, city_db.system.hardware,
-            encodings=cache, subplans=SubplanCache(),
-        )
         out = executor._apply_semis(batch, [semi], VirtualClock())
         return out.column(key).tolist()
 
-    # The second batch carries no dictionary handle for the key: the
-    # np.isin fallback.
-    for cache, encoded in ((DictionaryCache(), True), (DictionaryCache(), False)):
-        encodings = {key: cache.handle(orders, column)} if encoded else {}
-        for carry in (False, True):
-            codes = {}
-            if carry and encoded:
-                codes = {key: cache.dictionary(orders, column).codes}
-            full = Batch(
-                columns={key: orders.column(column)}, widths={key: 8},
-                encodings=encodings, codes=codes,
-            )
-            values = orders.column(column)
-            assert surviving(full) == values[
-                np.isin(values, allowed)
-            ].tolist()
-            values = values[picked]
-            want = values[np.isin(values, allowed)].tolist()
-            assert surviving(full.take(picked)) == want
-            gathered = full.take(picked)
-            gathered.column(key)
-            assert surviving(gathered) == want
+    values = orders.column(column)
+    full = executor._scan_batch(orders, {key: column})
+    assert surviving(full) == values[np.isin(values, allowed)].tolist()
+    values = values[picked]
+    want = values[np.isin(values, allowed)].tolist()
+    assert surviving(full.take(picked)) == want
+    probed = executor._scan_batch(orders, {key: column}, picked)
+    assert probed.column(key).tolist() == values.tolist()
+    assert surviving(probed) == want
     assert len(allowed) or value == 10 ** 6
 
 

@@ -34,10 +34,11 @@ def test_lazy_mask_defers_gather():
     assert masked.columns["t.a"] is base_a
     assert masked.selected("t.a") and masked.selected("t.b")
     assert masked.rows == 5
-    # Reading the column gathers — and only then drops the sel.
+    # Reading the column gathers beside the base array: the key stays
+    # (base, selection vector) for the life of the batch.
     assert masked.column("t.a").tolist() == [0, 2, 4, 6, 8]
-    assert not masked.selected("t.a")
-    assert masked.selected("t.b")
+    assert masked.columns["t.a"] is base_a
+    assert masked.selected("t.a") and masked.selected("t.b")
 
 
 def test_sel_composition_mask_then_take():
@@ -55,16 +56,6 @@ def test_column_gather_is_memoized():
     first = batch.column("t.a")
     second = batch.column("t.a")
     assert first is second
-
-
-def test_codes_gather_in_lockstep_with_values():
-    batch = make_lazy_batch(8)
-    batch.codes["t.a"] = np.arange(8, dtype=np.int64) + 100
-    masked = batch.mask(np.arange(8) % 2 == 0)
-    # Before any read the carried codes are still the base array.
-    assert masked.codes["t.a"][0] == 100 and len(masked.codes["t.a"]) == 8
-    masked.column("t.a")
-    assert masked.codes["t.a"].tolist() == [100, 102, 104, 106]
 
 
 def test_gather_counters_emitted():
@@ -208,9 +199,9 @@ def test_identity_specs_rejects_masked_batch(city_db):
     users = city_db.table("users")
     batch = base_batch(users, "u", ["age"])
     masked = batch.mask(np.zeros(batch.rows, dtype=bool) | True)
-    masked.column("u.age")
-    # Even an all-true mask, once read, gathers a copy: identity is gone.
-    assert not masked.selected("u.age")
+    # Even an all-true mask, once read, leaves a gathered copy beside
+    # the base array: the batch no longer stands for the full table.
+    assert masked.column("u.age") is not users.column("age")
     filters = [ScanFilter("u.age", "age", "=", 30)]
     assert executor._identity_specs(masked, filters, users, "u") is None
 

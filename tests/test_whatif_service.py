@@ -14,6 +14,7 @@ from repro.recommender.costservice import (
 from repro.recommender.profiles import RecommenderProfile
 from repro.recommender.whatif import WhatIfRecommender
 from repro.runtime.session import MeasurementSession
+from repro.views.matview import MatViewDefinition, ViewColumn
 from repro.workload.workload import Workload, make_instance
 
 from conftest import load_city_database
@@ -109,6 +110,98 @@ def test_cache_hits_across_unrelated_growth(db):
     )
     assert service.costs([ORDERS_SQL], grown) == first
     assert service.stats()["hits"] == 1
+
+
+# ----------------------------------------------------------------------
+# The incremental environment is the full one
+
+ORDERS_BY_UID = MatViewDefinition(
+    tables=("orders",), group_columns=(ViewColumn("orders", "uid"),),
+)
+CITY_PAIRS = MatViewDefinition(
+    tables=("users", "orders"),
+    join_pred=(("users", "uid"), ("orders", "uid")),
+    group_columns=(
+        ViewColumn("users", "city"), ViewColumn("orders", "city"),
+    ),
+)
+
+
+def extensions(base):
+    """``(base, trial)`` pairs: table indexes, a single-table and a
+    join view, and indexes on views — on a delta view, and on a view
+    the base environment already shares."""
+    on_tables = [
+        IndexDefinition(table="orders", columns=("uid",)),
+        IndexDefinition(table="users", columns=("age", "city")),
+    ]
+    with_views = base.with_views((ORDERS_BY_UID, CITY_PAIRS))
+    by_uid = IndexDefinition(
+        table=ORDERS_BY_UID.name, columns=("orders__uid",)
+    )
+    by_cities = IndexDefinition(
+        table=CITY_PAIRS.name, columns=("orders__city", "users__city")
+    )
+    return [
+        (base, base.with_indexes(on_tables)),
+        (base, with_views),
+        (base, with_views.with_indexes(on_tables + [by_uid])),
+        (with_views, with_views.with_indexes([by_uid, by_cities])),
+        (with_views.with_indexes([by_uid]),
+         with_views.with_indexes([by_uid, by_cities] + on_tables)),
+    ]
+
+
+def snapshot(env):
+    """An environment's structures, copied deeply enough to notice an
+    ``append`` to any list a derived environment might share."""
+    return (
+        {table: list(infos) for table, infos in env.indexes.items()},
+        [(view, list(view.indexes)) for view in env.views],
+    )
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_incremental_environment_equals_the_full_build(db, oracle):
+    base_config = db.configuration
+    for base, trial in extensions(base_config):
+        db.invalidate_caches()
+        base_env = db.hypothetical_env(base, True, oracle)
+        before = snapshot(base_env)
+        with obs.recording() as recorder:
+            derived = db._extend_hypothetical_env(base, trial, True, oracle)
+            built = db._build_hypothetical_env(trial, True, oracle)
+        assert derived is not None, trial
+        # IndexInfo by IndexInfo, ViewInfo by ViewInfo (dataclass
+        # equality: geometry, cluster factor, hypothetical flag, the
+        # built data by identity, a view's own index list).
+        assert derived.indexes == built.indexes
+        assert derived.views == built.views
+        assert derived.estimator.policy == built.estimator.policy
+        assert derived.hardware is built.hardware
+        # Both sides probed the same structures: the delta's.
+        counters = recorder.metrics.snapshot()["counters"]
+        hypothetical = sum(
+            info.hypothetical
+            for infos in list(built.indexes.values())
+            + [view.indexes for view in built.views]
+            for info in infos
+        )
+        delta = len(trial.indexes) - len(base.indexes)
+        assert counters.get("optimizer.hypothetical_index_probes", 0) \
+            == hypothetical + delta
+        # The base environment is as it was, list by list.
+        assert snapshot(base_env) == before
+        if oracle:
+            assert all(
+                info.cluster_factor == (0.25 if info.hypothetical else
+                                        info.data.cluster_factor)
+                for infos in derived.indexes.values() for info in infos
+            )
+            assert all(
+                info.cluster_factor == 1.0
+                for view in derived.views for info in view.indexes
+            )
 
 
 # ----------------------------------------------------------------------
