@@ -18,6 +18,25 @@ and :func:`join_codes` merges two ``(dictionary, codes)`` sides over
 the cached join domain of the dictionary pair.  Only scanned keys have
 codes; aggregate outputs and derived labels exist at the plan's root
 alone, where nothing factorizes them.
+
+Widths.  Storage keeps what is table-sized at four bytes a row: a
+dictionary's ``codes``, sort orders and index row ids are int32.  What
+NumPy uses as an *index* is int64, because it casts a narrower index
+array on every call, and each widening happens once, at the gather
+that takes the rows out of storage: selection vectors (``sels``) are
+int64 — ``_scan_batch`` and :meth:`Batch.take` coerce the row ids and
+positions they are handed, which is where an index's row ids and a
+join's build order widen — and so are a key's codes behind a selection
+vector (:meth:`Batch.key_codes`) and every densified code, which comes
+out of a gather from an int64 rank table.  Only a *whole* column's codes reach an operator as
+stored, int32 and uncopied, and one rule covers all arithmetic on
+them: **a product or shift of codes is computed in int64**.
+:func:`combine_codes` widens its accumulator, ``_count_distinct``
+multiplies with ``dtype=np.int64``, and
+:func:`~repro.storage.encoding.stable_order` shifts with
+``dtype=np.int64``; everything else that meets raw codes (the join
+domain maps, ``_member_flags``, the presence scans) only indexes with
+them.
 """
 
 import threading
@@ -180,11 +199,15 @@ class Batch:
         """``(dictionary, codes)`` of a scanned key: its column's
         dictionary (resolved here, when an operator asks, not when the
         scan attaches) and that dictionary's codes of this batch's
-        rows."""
+        rows — the stored int32 array itself for a whole column,
+        widened to int64 where they are gathered through a selection
+        vector: operators index with them."""
         dictionary = self.encodings[key].dictionary()
         sel = self.sels.get(key)
         codes = dictionary.codes
-        return dictionary, codes if sel is None else codes[sel]
+        return dictionary, (
+            codes if sel is None else codes[sel].astype(np.int64)
+        )
 
     def materialize(self):
         """Turn the view into plain data: ``columns`` then holds
@@ -211,12 +234,13 @@ def _densify_dict_codes(codes, domain_size):
     the dense rank of a row is the number of *present* dictionary
     values at or below its own — exactly the inverse that
     ``np.unique(values, return_inverse=True)`` assigns, computed with a
-    presence scan instead of a sort.
+    presence scan instead of a sort.  The ranks are int64 whatever
+    ``codes`` is: they are gathered from the int64 rank table.
     """
     present = np.zeros(domain_size, dtype=bool)
     present[codes] = True
     remap = np.cumsum(present) - 1
-    return remap[codes].astype(np.int64)
+    return remap[codes]
 
 
 # Presence arrays beyond this many slots stop paying for themselves;
@@ -237,7 +261,7 @@ def _densify_ints(codes):
     if top < min(max(65536, 4 * len(codes)), _DENSIFY_PRESENCE_CAP):
         return _densify_dict_codes(codes, top + 1)
     _, dense = np.unique(codes, return_inverse=True)
-    return dense.astype(np.int64)
+    return dense.astype(np.int64, copy=False)
 
 
 def factorize(dictionary, codes):
@@ -253,10 +277,15 @@ def factorize(dictionary, codes):
 
 
 def combine_codes(code_arrays):
-    """Combine multiple per-column code arrays into one code per row."""
+    """Combine multiple per-column code arrays into one code per row.
+
+    The accumulator is int64 from the start: a whole column's raw
+    int32 codes may come first, and ``combined * span`` must not wrap
+    at 2**31.
+    """
     if len(code_arrays) == 1:
         return code_arrays[0]
-    combined = code_arrays[0].copy()
+    combined = code_arrays[0].astype(np.int64)
     for codes in code_arrays[1:]:
         span = int(codes.max()) + 1 if len(codes) else 1
         cmax = int(combined.max()) if len(combined) else 0
@@ -272,13 +301,24 @@ def combine_codes(code_arrays):
 
 
 def _merged_domain(left_dict, right_dict):
-    """``(size, left map, right map)`` of two dictionaries' union."""
-    merged = np.union1d(left_dict.values, right_dict.values)
-    return (
-        len(merged),
-        np.searchsorted(merged, left_dict.values),
-        np.searchsorted(merged, right_dict.values),
-    )
+    """``(size, left map, right map)`` of two dictionaries' union.
+
+    Both value arrays are sorted already, so nothing is sorted again:
+    the right values are bisected into the left ones, and each side's
+    map is its own positions shifted by the other side's unseen values
+    before them (what ``searchsorted`` into the ``union1d`` returns).
+    """
+    slots, found = left_dict.find(right_dict.values)
+    unseen = slots[~found]
+    # Left entry i moves up by the unseen right values sorting before
+    # it; the j-th unseen right value lands at its slot + j.
+    left_map = np.arange(left_dict.n_distinct) + np.cumsum(
+        np.bincount(unseen, minlength=left_dict.n_distinct + 1)
+    )[:-1]
+    right_map = np.empty(right_dict.n_distinct, dtype=np.int64)
+    right_map[~found] = unseen + np.arange(len(unseen))
+    right_map[found] = left_map[slots[found]]
+    return left_dict.n_distinct + len(unseen), left_map, right_map
 
 
 def _join_pair_codes(left, right, domains):
@@ -286,12 +326,13 @@ def _join_pair_codes(left, right, domains):
     codes)`` sides.
 
     The two dictionaries (one shared dictionary for a self-join,
-    otherwise the ``union1d`` of the two sorted value sets, memoized
+    otherwise the union of the two sorted value sets, memoized
     per dictionary pair in ``domains``, a
     :class:`~repro.executor.subplan.SubplanCache`) define a merged
     sorted domain; each side maps its codes in, and one presence scan
     over the merged domain assigns the dense ranks
-    ``np.unique(np.concatenate([left values, right values]))`` would.
+    ``np.unique(np.concatenate([left values, right values]))`` would
+    — int64 on both arms, gathered from the int64 rank table.
     """
     (left_dict, left_codes), (right_dict, right_codes) = left, right
     if left_dict is right_dict:
@@ -308,10 +349,7 @@ def _join_pair_codes(left, right, domains):
     present[left_codes] = True
     present[right_codes] = True
     remap = np.cumsum(present) - 1
-    return (
-        remap[left_codes].astype(np.int64),
-        remap[right_codes].astype(np.int64),
-    )
+    return remap[left_codes], remap[right_codes]
 
 
 def join_codes(left_keys, right_keys, domains):

@@ -647,7 +647,9 @@ class Executor:
         if len(codes) == 0:
             return np.empty(0, dtype=np.int64)
         span = int(vcodes.max()) + 1
-        keys = codes * span + vcodes
+        # Either side may be a whole column's raw int32 codes.
+        keys = np.multiply(codes, span, dtype=np.int64)
+        keys += vcodes
         if n_groups * span <= max(4 * len(codes), 65536):
             obs.counter_add("executor.distinct_bitmap")
             return _distinct_by_bitmap(keys, n_groups, span)

@@ -9,9 +9,15 @@ keeps the ``d`` distinct ``values`` and the ``d + 1`` run ``offsets``
 — the entries of ``values[slot]`` are ``offsets[slot]:offsets[slot +
 1]`` — and a probe bisects ``d`` values instead of ``n`` entries.
 Only the *inner* columns of a multi-column index are stored as sorted
-value copies.  Probes used by the executor are vectorized over these
-arrays; a real :class:`~repro.index.btree.BPlusTree` over the same entries
-is available lazily (and is cross-checked against the arrays in the test
+value copies.  The row ids are int32 — four bytes an entry, the
+dictionary cache's memoized order itself; what a probe gathers from
+them widens to the int64 NumPy indexes with as it becomes a batch's
+selection vector (``Executor._scan_batch``).  The ``d + 1`` offsets are
+not table-sized and feed position arithmetic, so they stay int64.
+Probes used by the
+executor are vectorized over these arrays; a real
+:class:`~repro.index.btree.BPlusTree` over the same entries is
+available lazily (and is cross-checked against the arrays in the test
 suite).
 
 The measured *cluster factor* — the average fraction of a random heap page
@@ -39,24 +45,21 @@ def gather_ranges(values, lows, highs):
     """Concatenate ``values[lo:hi]`` for every (lo, hi) pair, vectorized.
 
     Also returns, for each output element, the index of the range it came
-    from (used to pair join probes with their matches).
+    from (used to pair join probes with their matches).  Empty ranges
+    — most of a hash join's, one per probe row — are dropped first, so
+    the expansion repeats over the ranges that have entries only.
     """
     lows = np.asarray(lows, dtype=np.int64)
-    highs = np.asarray(highs, dtype=np.int64)
-    counts = highs - lows
-    total = int(counts.sum())
-    if total == 0:
-        return (
-            np.empty(0, dtype=values.dtype),
-            np.empty(0, dtype=np.int64),
-        )
-    range_ids = np.repeat(np.arange(len(lows)), counts)
-    starts = np.repeat(lows, counts)
-    offsets = np.arange(total) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts
+    counts = np.asarray(highs, dtype=np.int64) - lows
+    hit = np.flatnonzero(counts)
+    counts = counts[hit]
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(hit) else 0
+    # Output element k of range r sits at lows[r] + (k - first k of r).
+    positions = np.arange(total) + np.repeat(
+        lows[hit] - (ends - counts), counts
     )
-    positions = starts + offsets
-    return values[positions], range_ids
+    return values[positions], np.repeat(hit, counts)
 
 
 def _bisect(column, values, lows, highs, right):
@@ -82,8 +85,9 @@ class IndexData:
     index, so a reader holding the old one keeps a consistent snapshot.
 
     Attributes:
-        row_ids: heap row ids in key order (read-only).  A fresh
-            build's is shared with ``encodings`` (the database's
+        row_ids: heap row ids in key order (read-only, int32: a
+            table holds fewer than 2**31 rows).  A fresh build's is
+            shared with ``encodings`` (the database's
             :class:`~repro.storage.encoding.DictionaryCache`) and with
             every other index on the same columns.
         values: the leading column's sorted distinct values — the
@@ -132,11 +136,17 @@ class IndexData:
 
     def __setstate__(self, state):
         # An artifact store written before the run-offset layout holds
-        # sorted key copies instead; refusing it makes the store miss
-        # and rebuild rather than fail at the first probe.
+        # sorted key copies instead, and one written before row ids
+        # were narrowed holds int64 ones; refusing either makes the
+        # store miss and rebuild rather than fail at the first probe
+        # or keep eight bytes a row.
         if "offsets" not in state:
             raise pickle.UnpicklingError(
                 "index pickled without leading-key run offsets"
+            )
+        if state["row_ids"].dtype != np.int32:
+            raise pickle.UnpicklingError(
+                f"index pickled with {state['row_ids'].dtype} row ids"
             )
         self.__dict__.update(state)
 
@@ -173,6 +183,8 @@ class IndexData:
         kept[positions] = False
 
         def splice(old, new):
+            # In the old array's dtype: new row ids narrow to int32 as
+            # they land.
             out = np.empty(total, dtype=old.dtype)
             out[kept] = old
             out[positions] = new
@@ -181,7 +193,7 @@ class IndexData:
         merged = copy.copy(self)
         merged._set_entries(
             table, encodings,
-            splice(self.row_ids, first + order.astype(np.int64)),
+            splice(self.row_ids, first + order),
             [splice(old, new)
              for old, new in zip(self.inner_columns, tails[1:])],
         )

@@ -16,8 +16,11 @@ that depends on nothing but the column:
 * an **int64** column whose value span packs beside a row position
   (``bit_length(max - min) + bit_length(n - 1) <= 62``) sorts
   ``(value - min) << bits | position`` once and reads the sorted unique
-  values, their counts, the dense per-row codes and the column's
-  stable argsort off that single sorted array;
+  values, their counts and the column's stable argsort off that single
+  sorted array; its dense per-row codes are that order scattered back
+  (each dictionary entry repeated by its count), which happens when an
+  operator first reads them — most integer columns are indexed and
+  never factorized, and hold no codes at all;
 * an **object** column takes one hash pass: the *distinct* values are
   sorted, every row looks its slot up, the counts are a ``bincount``
   — no ``n log n`` sort of Python strings, and its argsort is an
@@ -25,6 +28,18 @@ that depends on nothing but the column:
 * **anything else** (floats, integers too wide to pack, an empty
   column) takes ``np.unique``, and bisects its codes and sorts them on
   first use.
+
+Four bytes a row: every table-sized array the layer *keeps* — a
+dictionary's ``codes`` and ``argsort()``, every :func:`stable_order`,
+the memoized ``lexsort`` orders and through them an index's
+``row_ids`` — is int32, always; a table holds at most ``2**31 - 1``
+rows (:class:`~repro.storage.table.Table` refuses more), so there is
+no wider path to choose.  The packed sorts themselves stay int64 and
+narrow only the positions they hand out, and whoever multiplies or
+shifts codes widens them first (the rule is stated once, in
+:mod:`repro.executor.batch`).  What NumPy uses as an *index* stays
+``intp`` on the consumer's side: the ``d + 1`` run offsets, selection
+vectors, densified codes.
 
 A :class:`DictionaryCache`, owned by a
 :class:`~repro.engine.database.Database` and invalidated through its
@@ -48,7 +63,7 @@ column)`` across all four consumers:
 Codes that already exist are ordered by :func:`stable_order` — every
 ``lexsort`` level above the last column, a frequency order, a join's
 build side: codes and row positions packed into one int64 per row, the
-same packing (and the same helper) the int64 construction uses.
+same packing (and the same helpers) the int64 construction uses.
 
 The layer never changes an output: each dictionary product is checked
 against the NumPy call it replaces (``np.unique``, ``np.lexsort``) in
@@ -110,7 +125,7 @@ def _packs(span, rows):
 
 
 def stable_order(codes, span):
-    """Stable argsort of int64 ``codes``, all in ``[0, span)``.
+    """Stable argsort (int32) of integer ``codes``, all in ``[0, span)``.
 
     Row ``i`` is sorted as the single integer ``codes[i] << bits | i``
     (``bits`` wide enough for every position), and the low bits of the
@@ -122,6 +137,9 @@ def stable_order(codes, span):
     Keys too wide to pack beside a position (``bits(span) + bits(n)
     > 62``) take the ``argsort`` itself.
 
+    The packing is int64 whatever the codes' dtype (the shift widens
+    int32 codes first); only the positions handed out are narrowed.
+
     This is the ordering primitive for codes that already exist
     (``lexsort`` levels, ``by_frequency``, the join build side); a
     column that has no codes yet is ordered by its
@@ -130,23 +148,30 @@ def stable_order(codes, span):
     obs.counter_add("encoding.sorts")
     bits = _packs(max(span - 1, 0), len(codes))
     if bits is None:
-        return np.argsort(codes, kind="stable")
+        return np.argsort(codes, kind="stable").astype(np.int32)
     packed = np.left_shift(codes, bits, dtype=np.int64)
     _sort_with_positions(packed)
-    packed &= (1 << bits) - 1
-    return packed
+    return _positions(packed, bits)
+
+
+def _positions(packed, bits):
+    """The low ``bits`` of every packed key — row positions — as int32."""
+    positions = np.empty(len(packed), dtype=np.int32)
+    np.bitwise_and(packed, (1 << bits) - 1, out=positions)
+    return positions
 
 
 def _packed_dictionary(base):
-    """``(values, counts, codes, order)`` of an int64 column from one
-    integer sort, or ``None`` when it is empty or its value span does
-    not pack beside a row position.
+    """``(values, counts, order)`` of an int64 column from one integer
+    sort, or ``None`` when it is empty or its value span does not pack
+    beside a row position.
 
     Row ``i`` sorts as ``(base[i] - min) << bits | i``.  In the sorted
     array the high bits are the column in order — every change starts
     a new dictionary entry, the run lengths are the counts — and the
-    low bits are the stable argsort; scattering each row's run rank
-    back through that order gives the dense codes.
+    low bits are the stable argsort.  The dense codes are each row's
+    run rank scattered back through that order, which
+    :attr:`ColumnDictionary.codes` does when they are first read.
     """
     rows = len(base)
     if not rows:
@@ -158,21 +183,16 @@ def _packed_dictionary(base):
     packed = base - low
     packed <<= bits
     _sort_with_positions(packed)
-    order = packed & ((1 << bits) - 1)
+    order = _positions(packed, bits)
     packed >>= bits
-    change = packed[1:] != packed[:-1]
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    starts = np.concatenate(
+        ([0], np.flatnonzero(packed[1:] != packed[:-1]) + 1)
+    )
     values = packed[starts] + low
     counts = np.diff(starts, append=rows)
-    # The sorted keys have served; their buffer takes the run ranks.
-    ranks = packed
-    ranks[0] = 0
-    np.cumsum(change, out=ranks[1:])
-    codes = np.empty(rows, dtype=np.int64)
-    codes[order] = ranks
     # Indexes hold the order as their row ids.
     order.setflags(write=False)
-    return values, counts, codes, order
+    return values, counts, order
 
 
 def _hashed_dictionary(base):
@@ -184,7 +204,7 @@ def _hashed_dictionary(base):
     distinct = sorted(set(rows))
     slot_of = dict(zip(distinct, range(len(distinct))))
     codes = np.fromiter(
-        map(slot_of.__getitem__, rows), dtype=np.int64, count=len(rows)
+        map(slot_of.__getitem__, rows), dtype=np.int32, count=len(rows)
     )
     values = np.fromiter(distinct, dtype=object, count=len(distinct))
     return values, np.bincount(codes, minlength=len(distinct)), codes
@@ -202,15 +222,17 @@ class ColumnDictionary:
     Construction is the one place a column is ordered, and what it
     does depends on the column alone: an int64 column whose value span
     packs beside a row position takes one integer sort that yields
-    ``values``, ``counts``, the dense ``codes`` and the stable
-    ``argsort`` together; an object column takes one hash pass for
-    ``values``, ``counts`` and ``codes``; any other column (floats,
-    integers too wide to pack, an empty column) takes ``np.unique``
-    and bisects its codes on first use.  Whatever construction did not
-    produce — and the frequency-ordered views — is derived lazily from
-    immutable inputs, so a racing double-compute in a session worker
-    pool is deterministic and harmless (the same last-writer-wins
-    convention as :meth:`~repro.common.cache.BoundedCache.get_or_build`).
+    ``values``, ``counts`` and the stable ``argsort`` together, and
+    scatters its dense ``codes`` from that order when they are first
+    read; an object column takes one hash pass for ``values``,
+    ``counts`` and ``codes``; any other column (floats, integers too
+    wide to pack, an empty column) takes ``np.unique`` and bisects its
+    codes on first use.  ``codes`` and ``argsort()`` are int32.
+    Whatever construction did not produce — and the frequency-ordered
+    views — is derived lazily from immutable inputs, so a racing
+    double-compute in a session worker pool is deterministic and
+    harmless (the same last-writer-wins convention as
+    :meth:`~repro.common.cache.BoundedCache.get_or_build`).
     """
 
     __slots__ = (
@@ -221,14 +243,15 @@ class ColumnDictionary:
 
     def __init__(self, values):
         base = np.asarray(values)
-        built = None
+        codes = order = None
+        packed = _packed_dictionary(base) if base.dtype == np.int64 else None
         if base.dtype == object:
-            built = _hashed_dictionary(base)
-        elif base.dtype == np.int64:
-            built = _packed_dictionary(base)
-        if built is None:
-            built = np.unique(base, return_counts=True)
-        self._set(base, *built)
+            values, counts, codes = _hashed_dictionary(base)
+        elif packed is not None:
+            values, counts, order = packed
+        else:
+            values, counts = np.unique(base, return_counts=True)
+        self._set(base, values, counts, codes, order)
 
     def _set(self, base, values, counts, codes=None, order=None):
         self.base = base
@@ -246,8 +269,9 @@ class ColumnDictionary:
 
         Only the tail gets a dictionary of its own; its unseen values
         are spliced into ``values``, its counts added, and the dense
-        codes — when this dictionary has them — remapped through a
-        monotone shift table and continued with the tail's.  Equal to
+        codes — when this dictionary has them; a packed column nobody
+        factorized does not — remapped through a monotone shift table
+        and continued with the tail's.  Equal to
         ``ColumnDictionary(base)`` in ``values``, ``counts`` and
         ``codes``; the column must be NaN-free (``np.unique`` merges
         NaNs, ``==`` does not find them again).
@@ -272,8 +296,11 @@ class ColumnDictionary:
         counts[tail_slots] += tail_counts
         codes = None
         if self._codes is not None:
-            codes = np.empty(len(base), dtype=np.int64)
-            np.take(moved, self._codes, out=codes[:len(self.base)])
+            codes = np.empty(len(base), dtype=np.int32)
+            np.take(
+                moved.astype(np.int32), self._codes,
+                out=codes[:len(self.base)],
+            )
             codes[len(self.base):] = tail_slots[tail.codes]
         grown = ColumnDictionary.__new__(ColumnDictionary)
         grown._set(base, values, counts, codes)
@@ -291,29 +318,39 @@ class ColumnDictionary:
 
     @property
     def codes(self):
-        """Dense int64 code of every base row (``values[codes] == base``).
+        """Dense int32 code of every base row (``values[codes] == base``).
 
         Identical to ``np.unique(base, return_inverse=True)``'s inverse:
         codes are ranks into the sorted dictionary, and every dictionary
-        value occurs in the base column, so the codes are dense.  Packed
-        and hashed columns have them from construction; a column that
-        took ``np.unique`` bisects the dictionary on first use.
+        value occurs in the base column, so the codes are dense.  A
+        hashed column has them from construction.  A packed column
+        scatters them through its order on first read — the sorted
+        column's codes are each ``arange(d)`` entry repeated by its
+        count — so a column no operator factorizes never holds any; a
+        column that took ``np.unique`` bisects the dictionary.
         """
         if self._codes is None:
-            self._codes = np.searchsorted(
-                self.values, self.base
-            ).astype(np.int64, copy=False)
+            if self._argsort is None:
+                codes = np.searchsorted(self.values, self.base).astype(
+                    np.int32
+                )
+            else:
+                codes = np.empty(self.row_count, dtype=np.int32)
+                codes[self._argsort] = np.repeat(
+                    np.arange(self.n_distinct, dtype=np.int32), self.counts
+                )
+            self._codes = codes
         return self._codes
 
     def argsort(self):
-        """Stable argsort of the base column (cached).
+        """Stable int32 argsort of the base column (cached).
 
         Identical to ``np.lexsort((base,))``.  A packed column has it
-        from construction; otherwise the int64 codes are sorted —
-        they are order-isomorphic to the values, and stable sorts are
-        unique, so that is the permutation sorting the raw (possibly
-        string) array would give.  The array is read-only: indexes
-        hold it as their row ids.
+        from construction; otherwise the codes are sorted — they are
+        order-isomorphic to the values, and stable sorts are unique,
+        so that is the permutation sorting the raw (possibly string)
+        array would give.  The array is read-only: indexes hold it as
+        their row ids.
         """
         if self._argsort is None:
             order = stable_order(self.codes, self.n_distinct)
@@ -484,11 +521,11 @@ class DictionaryCache:
         ``np.lexsort(tuple(reversed(arrays)))`` in the index build.
         Implemented as the textbook sequence of stable sorts from the
         least to the most significant key — each a
-        :func:`stable_order` over cached int64 *codes* instead of raw
+        :func:`stable_order` over cached *codes* instead of raw
         arrays — seeded with the least significant column's cached
         argsort.  Stable sorts are unique, so the result is
-        byte-identical to ``np.lexsort`` on the raw arrays.  The
-        returned array is read-only and shared with later callers.
+        ``np.lexsort`` on the raw arrays, as int32.  The returned
+        array is read-only and shared with later callers.
 
         Every suffix's order is memoized per ``(table, column tuple)``:
         indexes sharing key suffixes (and identical rebuilt indexes)
@@ -543,6 +580,33 @@ class DictionaryCache:
         arrays = tuple(table.column(c) for c in key_columns)
         with self._lock:
             self._orders[(table.name, key_columns)] = (table, arrays, order)
+
+    def resident_bytes(self):
+        """Bytes the cache holds, by kind: every dictionary's ``codes``
+        (those that were read), its ``orders`` (argsorts that exist),
+        the memoized ``lexsorts`` that are no dictionary's argsort, and
+        ``values`` (the ``d``-sized values and counts; an object
+        array counts its pointers, not its strings)."""
+        with self._lock:
+            dictionaries = [entry[1] for entry in self._entries.values()]
+            orders = [entry[2] for entry in self._orders.values()]
+        argsorts = [
+            d._argsort for d in dictionaries if d._argsort is not None
+        ]
+        held = {id(order) for order in argsorts}
+        return {
+            "codes": sum(
+                d._codes.nbytes for d in dictionaries
+                if d._codes is not None
+            ),
+            "orders": sum(order.nbytes for order in argsorts),
+            "lexsorts": sum(
+                order.nbytes for order in orders if id(order) not in held
+            ),
+            "values": sum(
+                d.values.nbytes + d.counts.nbytes for d in dictionaries
+            ),
+        }
 
     def invalidate(self):
         """Sweep out entries no longer backed by their table's live arrays.

@@ -13,9 +13,21 @@ import numpy as np
 from ..common.errors import CatalogError
 from ..common.hardware import pages_for_bytes
 
+#: Most rows a table may hold: row positions (sort orders, index row
+#: ids) are stored as int32.
+MAX_ROWS = np.iinfo(np.int32).max
+
 #: Guards the lazily computed sizes of every table: session workers
 #: price plans against one shared :class:`Table`.
 _SIZE_LOCK = threading.Lock()
+
+
+def _check_row_count(name, rows):
+    if rows > MAX_ROWS:
+        raise CatalogError(
+            f"table {name!r} would hold {rows} rows; row positions are "
+            f"int32, so at most {MAX_ROWS}"
+        )
 
 
 class Table:
@@ -42,6 +54,7 @@ class Table:
             raise CatalogError(
                 f"table {schema.name!r} columns have differing lengths {lengths}"
             )
+        _check_row_count(schema.name, max(lengths, default=0))
         self._columns = {
             col.name: col.sql_type.coerce(columns[col.name])
             for col in schema.columns
@@ -103,6 +116,7 @@ class Table:
             lengths.add(len(arr))
         if len(lengths) != 1:
             raise CatalogError("appended columns have differing lengths")
+        _check_row_count(self.name, self.row_count + max(lengths))
         for name, arr in coerced.items():
             self._columns[name] = np.concatenate([self._columns[name], arr])
         self._byte_size = None

@@ -7,18 +7,21 @@ attached by the executor's one scan helper.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import ColumnDef, TableSchema, integer, varchar
 from repro.executor.batch import (
     Batch,
+    _join_pair_codes,
+    _merged_domain,
     combine_codes,
     factorize,
     join_codes,
 )
-from repro.executor.engine import Executor, _merged
+from repro.executor.engine import Executor, _member_flags, _merged
 from repro.executor.subplan import SubplanCache
+from repro.storage.encoding import ColumnDictionary
 from repro.storage.table import Table
 from repro.views.matview import (
     COUNT_COLUMN,
@@ -64,6 +67,8 @@ def joined(left, right):
     lcodes, rcodes = join_codes(
         [left.key_codes(lkey)], [right.key_codes(rkey)], SubplanCache()
     )
+    # Raw codes are int32; what the join indexes with is int64.
+    assert lcodes.dtype == rcodes.dtype == np.int64
     return lcodes.tolist(), rcodes.tolist()
 
 
@@ -197,11 +202,15 @@ def test_factorize_with_encoding_matches_legacy(city_db, tiny_nref):
     picked = np.arange(0, orders.row_count, 3)[::-1]
     for key in columns:
         full = scan(orders, columns)
+        # The whole column's codes are the stored array, int32.
         assert full.key_codes(key)[1] is full.key_codes(key)[0].codes
+        assert full.key_codes(key)[1].dtype == np.int32
         assert_codes_are_the_inverse(full, key)
-        # Behind a selection vector: an index probe's row ids.
+        # Behind a selection vector: an index probe's row ids; the
+        # codes widen where they are gathered.
         probed = scan(orders, columns, row_ids=picked)
         assert probed.columns[key] is orders.column(columns[key])
+        assert probed.key_codes(key)[1].dtype == np.int64
         assert_codes_are_the_inverse(probed, key)
         # After column() memoized a gather: base and vector stay.
         read = scan(orders, columns, row_ids=picked)
@@ -411,3 +420,140 @@ def test_weighted_count_through_hash_join(city_db_p):
     assert squared.weights.tolist() == (
         counted.weights[positions] ** 2
     ).tolist()
+
+
+# ----------------------------------------------------------------------
+# Four bytes a row: a key's raw codes are int32, and a product or shift
+# of codes is computed in int64.  Each site that meets raw codes, on
+# tiny int32 inputs whose product passes 2**31: equal to the same call
+# on int64 copies and to a NumPy reference written here.
+
+WIDE = 70_000  # WIDE * WIDE > 2**31
+WIDE_CODES = st.sampled_from([0, 1, 2, WIDE - 2, WIDE - 1])
+
+
+def int32_columns(rows):
+    """The columns of ``rows`` (tuples of codes) as int32 arrays that
+    each reach ``WIDE - 1``."""
+    rows = rows + [(WIDE - 1,) * len(rows[0])]
+    return [np.array(column, dtype=np.int32) for column in zip(*rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(
+    st.tuples(WIDE_CODES, WIDE_CODES, WIDE_CODES), min_size=1, max_size=30,
+))
+def test_property_combine_codes_widens_int32_codes(rows):
+    narrow = int32_columns(rows)
+    combined = combine_codes(narrow)
+    assert combined.dtype == np.int64
+    assert all(codes.dtype == np.int32 for codes in narrow)  # untouched
+    wide = combine_codes([codes.astype(np.int64) for codes in narrow])
+    assert combined.tolist() == wide.tolist()
+    _, reference = np.unique(
+        np.stack(narrow, axis=1), axis=0, return_inverse=True
+    )
+    assert combined.tolist() == reference.reshape(-1).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(
+    st.tuples(WIDE_CODES, WIDE_CODES), min_size=1, max_size=30,
+))
+def test_property_count_distinct_widens_int32_codes(rows):
+    """70 000 groups x a span of 70 000: ``group * span + value`` keys
+    pass 2**31 whichever side is a whole column's raw codes."""
+    codes, vcodes = int32_columns(rows)
+    executor = Executor({}, None)
+    got = executor._count_distinct(codes, vcodes, WIDE)
+    wide = executor._count_distinct(
+        codes.astype(np.int64), vcodes.astype(np.int64), WIDE
+    )
+    assert got.dtype == np.int64 and got.tolist() == wide.tolist()
+    reference = np.zeros(WIDE, dtype=np.int64)
+    for group, _ in set(zip(codes.tolist(), vcodes.tolist())):
+        reference[group] += 1
+    assert got.tolist() == reference.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    left=st.lists(st.integers(0, 9), min_size=1, max_size=30),
+    right=st.lists(st.integers(0, 9), min_size=1, max_size=30),
+    picks=st.lists(st.integers(0, 29), max_size=30),
+)
+def test_property_join_pair_codes_take_int32_codes(left, right, picks):
+    """Both arms — one shared dictionary, two dictionaries through the
+    domain maps — hand back int64 ranks for int32 codes, whole columns
+    and subsets alike."""
+    left, right = np.array(left) * 7, np.array(right) * 7 + 21
+    left_dict, right_dict = ColumnDictionary(left), ColumnDictionary(right)
+    sel = np.array([p for p in picks if p < len(left)], dtype=np.int64)
+    for (ldict, lcodes, lvalues), (rdict, rcodes, rvalues) in (
+        ((left_dict, left_dict.codes, left),
+         (left_dict, left_dict.codes[sel], left[sel])),
+        ((left_dict, left_dict.codes[sel], left[sel]),
+         (right_dict, right_dict.codes, right)),
+    ):
+        assert lcodes.dtype == rcodes.dtype == np.int32
+        got = _join_pair_codes(
+            (ldict, lcodes), (rdict, rcodes), SubplanCache()
+        )
+        wide = _join_pair_codes(
+            (ldict, lcodes.astype(np.int64)),
+            (rdict, rcodes.astype(np.int64)), SubplanCache(),
+        )
+        reference = inverse(np.concatenate([lvalues, rvalues]))
+        assert got[0].dtype == got[1].dtype == np.int64
+        assert [*got[0].tolist(), *got[1].tolist()] == reference
+        assert [*wide[0].tolist(), *wide[1].tolist()] == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    column=st.lists(st.integers(0, 9), min_size=1, max_size=40),
+    allowed=st.lists(st.integers(-2, 12), max_size=8, unique=True),
+)
+def test_property_member_flags_index_with_int32_codes(column, allowed):
+    column = np.array(column)
+    dictionary = ColumnDictionary(column)
+    values = np.array(sorted(allowed), dtype=np.int64)
+    flags = _member_flags(dictionary, values, np.ones(len(values), bool))
+    assert dictionary.codes.dtype == np.int32
+    assert flags[dictionary.codes].tolist() == np.isin(
+        column, values
+    ).tolist()
+
+
+# ----------------------------------------------------------------------
+# The join domain of two dictionaries: a merge, not a sort
+
+MERGE_DOMAINS = {
+    "int": np.array([-(10 ** 6), -1, 0, 1, 2, 3, 10 ** 6]),
+    "float": np.array([-1e9, -0.5, 0.0, 0.25, 0.5, 2.0, 1e9]),
+    "str": np.array(["", "a", "ab", "b", "m", "zz", "zzzz"], dtype=object),
+}
+PICKS = st.lists(st.integers(0, 6), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(MERGE_DOMAINS)), left=PICKS, right=PICKS)
+@example(kind="str", left=[0, 1, 2], right=[4, 5, 6])     # disjoint
+@example(kind="int", left=[4, 5, 6], right=[0, 1, 2])     # disjoint, after
+@example(kind="float", left=[0, 2, 3, 6], right=[2, 3])   # nested
+@example(kind="str", left=[2, 3], right=[0, 2, 3, 6])     # nested, inside
+@example(kind="int", left=[1, 3, 5], right=[5, 3, 1])     # equal
+@example(kind="str", left=[], right=[])                   # both empty
+def test_property_merged_domain_is_the_union1d_triple(kind, left, right):
+    domain = MERGE_DOMAINS[kind]
+    left_dict = ColumnDictionary(domain[np.array(left, dtype=np.int64)])
+    right_dict = ColumnDictionary(domain[np.array(right, dtype=np.int64)])
+    size, left_map, right_map = _merged_domain(left_dict, right_dict)
+    merged = np.union1d(left_dict.values, right_dict.values)
+    assert size == len(merged)
+    for got, values in (
+        (left_map, left_dict.values), (right_map, right_dict.values),
+    ):
+        want = np.searchsorted(merged, values)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()

@@ -1,5 +1,8 @@
 """Dictionary-encoded columns: identity caching, equivalence, invalidation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,8 +37,9 @@ def test_dictionary_matches_np_unique():
     assert d.row_count == len(base)
     _, inverse = np.unique(base, return_inverse=True)
     assert d.codes.tolist() == inverse.tolist()
-    assert d.codes.dtype == np.int64
+    assert d.codes.dtype == np.int32
     assert d.argsort().tolist() == np.lexsort((base,)).tolist()
+    assert d.argsort().dtype == np.int32
 
 
 def test_dictionary_codes_of_base_and_subset():
@@ -90,10 +94,10 @@ def assert_dictionary_is_numpys(base):
             d.values, values, equal_nan=base.dtype.kind == "f"
         )
     assert d.counts.tolist() == counts.tolist()
-    assert d.codes.dtype == np.int64
+    assert d.codes.dtype == np.int32
     assert d.codes.tolist() == inverse.tolist()
     order = d.argsort()
-    assert order.dtype == np.int64 and not order.flags.writeable
+    assert order.dtype == np.int32 and not order.flags.writeable
     assert order.tolist() == np.argsort(base, kind="stable").tolist()
     return d
 
@@ -175,6 +179,48 @@ def test_int64_dictionary_packs_up_to_62_bits_and_falls_back_beyond(
     assert len(unique_calls) > 1
 
 
+def test_packed_dictionary_scatters_codes_on_first_read():
+    base = np.array([3, 1, 3, 2, 1, 3, 7], dtype=np.int64)
+    _, inverse = np.unique(base, return_inverse=True)
+    d = ColumnDictionary(base)
+    # The sort left the order; nobody has asked for codes yet ...
+    assert d._codes is None and d._argsort is not None
+    grown = d.extended(np.concatenate([base, [0, 7]]))
+    assert d._codes is None and grown._codes is None
+    # ... and the first read scatters them through it, sorting nothing.
+    with obs.recording() as recorder:
+        codes = d.codes
+    assert "encoding.sorts" not in recorder.metrics.snapshot()["counters"]
+    assert codes.dtype == np.int32 and codes.tolist() == inverse.tolist()
+    assert d.codes is codes
+
+    # A racing first read computes the same array twice; whichever
+    # write lands last, every reader holds the right codes.
+    fresh = ColumnDictionary(np.tile(base, 5_000))
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def read():
+        barrier.wait(timeout=30)
+        seen.append(fresh.codes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 8
+    expected = np.tile(inverse, 5_000)
+    assert all(np.array_equal(codes, expected) for codes in seen)
+    assert any(fresh.codes is codes for codes in seen)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     picks=st.lists(st.integers(0, 7), min_size=0, max_size=60),
@@ -211,7 +257,27 @@ def test_property_stable_order_equals_stable_argsort(
         if rows:
             codes[-1] = span - 1  # widest code at the widest position
     order = stable_order(codes, span)
-    assert order.dtype == np.int64
+    assert order.dtype == np.int32
+    assert order.tolist() == np.argsort(codes, kind="stable").tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 4), min_size=64, max_size=90),
+    span_bits=st.integers(26, 31),
+)
+def test_property_stable_order_shifts_int32_codes_in_int64(picks, span_bits):
+    """``bits(span) + bits(n) > 31``: shifted in their own dtype, int32
+    codes would wrap; the packing is int64 whatever comes in."""
+    span = 1 << span_bits
+    pool = np.array([0, 1, span // 2, span - 2, span - 1])
+    codes = pool[np.array(picks + [4])].astype(np.int32)
+    assert (span - 1).bit_length() + (len(codes) - 1).bit_length() > 31
+    order = stable_order(codes, span)
+    assert order.dtype == np.int32 and codes.dtype == np.int32
+    assert order.tolist() == stable_order(
+        codes.astype(np.int64), span
+    ).tolist()
     assert order.tolist() == np.argsort(codes, kind="stable").tolist()
 
 
@@ -355,7 +421,7 @@ def test_index_build_with_cache_is_identical(city_db):
     # np.lexsort on the raw arrays is the reference.
     city, age = users.column("city"), users.column("age")
     order = np.lexsort((age, city))
-    assert cached.row_ids.dtype == np.int64
+    assert cached.row_ids.dtype == np.int32
     assert cached.row_ids.tolist() == order.tolist()
     # The leading key is the dictionary's values — the array itself —
     # and its run offsets; only the inner key is a sorted copy.
@@ -410,6 +476,61 @@ def test_property_lexsort_equals_np_lexsort(rows, domain, seed):
         arrays = [table.column(c) for c in columns]
         expected = np.lexsort(tuple(reversed(arrays)))
         assert cache.lexsort(table, columns).tolist() == expected.tolist()
+
+
+def wide_orders_table(rows, seed):
+    """``orders`` with two integer columns of about ``rows`` distinct
+    values each: at 70 000 rows a code beside a position passes 31
+    bits."""
+    from conftest import make_city_catalog
+    from repro.storage.table import Table
+
+    rng = np.random.default_rng(seed)
+    return Table(
+        make_city_catalog().table("orders"),
+        {
+            "oid": np.arange(rows),
+            "uid": rng.permutation(rows) // 2 * 3,
+            "city": np.full(rows, "a", dtype=object),
+            "amount": rng.permutation(rows) // 2 * 5,
+        },
+    )
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_property_lexsort_levels_shift_int32_codes_in_int64(seed):
+    table = wide_orders_table(70_000, seed)
+    cache = DictionaryCache()
+    order = cache.lexsort(table, ("uid", "amount"))
+    codes = cache.dictionary(table, "uid").codes
+    assert order.dtype == codes.dtype == np.int32
+    assert int(codes.max()).bit_length() + (
+        table.row_count - 1).bit_length() > 31
+    assert np.array_equal(
+        order, np.lexsort((table.column("amount"), table.column("uid")))
+    )
+
+
+def test_resident_bytes_counts_each_array_once(city_db):
+    cache = DictionaryCache()
+    orders = city_db.table("orders")
+    rows = orders.row_count
+    uid = cache.dictionary(orders, "uid")
+    small = uid.values.nbytes + uid.counts.nbytes
+    # A packed column holds its order and no codes ...
+    assert cache.resident_bytes() == {
+        "codes": 0, "orders": 4 * rows, "lexsorts": 0, "values": small,
+    }
+    # ... the one-column memo is that order, a two-column one is not;
+    # its upper level read uid's codes.
+    cache.lexsort(orders, ("uid",))
+    cache.lexsort(orders, ("uid", "amount"))
+    amount = cache.dictionary(orders, "amount")
+    assert cache.resident_bytes() == {
+        "codes": 4 * rows, "orders": 8 * rows, "lexsorts": 4 * rows,
+        "values": small + amount.values.nbytes + amount.counts.nbytes,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -474,11 +595,10 @@ def test_property_extended_dictionary_equals_rebuild(
     dictionary = ColumnDictionary(base)
     if touch_codes:
         dictionary.codes
-    # Only the np.unique side (floats, and an empty int64 column with
-    # no span to pack) has codes that may not exist yet.
-    lazy = kind == "float" or (kind == "int" and not len(base))
+    # Only a hashed column has codes nobody read: a packed one
+    # scatters them on first read, the np.unique side bisects them.
     has_codes = dictionary._codes is not None
-    assert has_codes == (touch_codes or not lazy)
+    assert has_codes == (touch_codes or kind == "str")
     for tail in picks[1:]:
         base = np.concatenate([base, domain[np.array(tail, dtype=np.int64)]])
         grown = dictionary.extended(base)

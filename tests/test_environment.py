@@ -1,5 +1,9 @@
 """Planner environment metadata: IndexInfo, ViewInfo, PlannerEnv."""
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.index.definition import IndexDefinition
 from repro.optimizer.environment import IndexInfo, PlannerEnv, ViewInfo
 from repro.views.matview import MatViewDefinition, ViewColumn
@@ -100,3 +104,27 @@ def test_hypothetical_view_size_counts_distinct_key_tuples():
     rows, _width = db._hypothetical_view_size(vdef)
     assert rows == len(tuples)
     assert 1 < rows < orders.row_count
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_property_hypothetical_view_size_reads_int32_codes_and_orders(seed):
+    """70 000 rows: a uid code beside a row position passes 31 bits in
+    the lexsort, and the key changes are compared on int32 codes
+    gathered through the int32 order."""
+    db = load_city_database(n_users=70_000, n_orders=70_000, seed=seed)
+    vdef = MatViewDefinition(
+        tables=("orders",),
+        group_columns=(
+            ViewColumn("orders", "uid"), ViewColumn("orders", "amount"),
+        ),
+    )
+    orders = db.table("orders")
+    rows, _width = db._hypothetical_view_size(vdef)
+    encodings = db._cache("dict_cache")
+    assert encodings.lexsort(orders, ("uid", "amount")).dtype == np.int32
+    assert encodings.dictionary(orders, "uid").codes.dtype == np.int32
+    assert rows == len(np.unique(
+        np.stack([orders.column("uid"), orders.column("amount")], axis=1),
+        axis=0,
+    ))

@@ -77,6 +77,37 @@ def test_table_validation():
         table.append_rows({"a": [5]})
 
 
+def test_table_refuses_more_rows_than_an_int32_position(monkeypatch):
+    """Row positions are int32 everywhere, with no wider path: a table
+    past 2**31 - 1 rows is refused at load and at append."""
+    from repro.storage.table import MAX_ROWS
+
+    assert MAX_ROWS == 2 ** 31 - 1
+
+    class Claims:
+        """A column that only states its length."""
+
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __len__(self):
+            return self.rows
+
+    schema = TableSchema("t", [
+        ColumnDef("a", integer()), ColumnDef("b", integer()),
+    ])
+    with pytest.raises(CatalogError, match="int32"):
+        Table(schema, {"a": Claims(MAX_ROWS + 1), "b": Claims(MAX_ROWS + 1)})
+    table = Table(schema, {"a": [1, 2], "b": [3, 4]})
+    monkeypatch.setattr(
+        Table, "row_count", property(lambda self: MAX_ROWS - 1)
+    )
+    with pytest.raises(CatalogError, match="int32"):
+        table.append_rows({"a": [5, 6], "b": [7, 8]})
+    assert table.column("a").tolist() == [1, 2]
+    assert table.append_rows({"a": [5], "b": [7]}) == 1
+
+
 def test_empty_table_operations():
     schema = TableSchema("t", [ColumnDef("a", integer())])
     table = Table(schema)

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import ColumnDef, TableSchema, float_, integer, obs, varchar
@@ -208,22 +208,36 @@ def test_heap_fetch_pages_monotone():
         previous = pages
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    data=st.lists(st.integers(0, 20), min_size=1, max_size=200),
-    probes=st.lists(st.integers(0, 25), min_size=0, max_size=50),
+    size=st.integers(1, 200),
+    ranges=st.lists(
+        st.tuples(st.integers(0, 199), st.sampled_from([0, 0, 1, 2, 7])),
+        max_size=50,
+    ),
+    dtype=st.sampled_from([np.int32, np.int64]),
 )
-def test_property_gather_ranges(data, probes):
-    """gather_ranges equals the naive per-range concatenation."""
-    values = np.sort(np.array(data))
-    probes = np.array(probes)
-    lows = np.searchsorted(values, probes, side="left")
-    highs = np.searchsorted(values, probes, side="right")
+@example(size=5, ranges=[(0, 0), (3, 0), (4, 0)], dtype=np.int32)
+@example(size=9, ranges=[(0, 0), (0, 0), (2, 3), (8, 1)], dtype=np.int32)
+@example(size=9, ranges=[(2, 3), (8, 1), (0, 0), (9, 0)], dtype=np.int64)
+@example(size=9, ranges=[(1, 2), (5, 0)] * 4, dtype=np.int32)
+@example(size=200, ranges=[(7, 0), (0, 200), (7, 0)], dtype=np.int32)
+def test_property_gather_ranges(size, ranges, dtype):
+    """gather_ranges equals the naive per-range concatenation: no
+    ranges, only empty ones, empties leading, trailing and in between,
+    one range spanning everything — over int32 values (an index's row
+    ids, a join's build order) as over int64 ones."""
+    values = (np.arange(size) * 3 % size).astype(dtype)
+    lows = np.array([min(lo, size) for lo, _ in ranges], dtype=np.int64)
+    highs = np.array(
+        [min(lo + count, size) for lo, count in ranges], dtype=np.int64
+    )
     got_values, got_ranges = gather_ranges(values, lows, highs)
     expected_values, expected_ranges = [], []
     for i, (lo, hi) in enumerate(zip(lows, highs)):
         expected_values.extend(values[lo:hi].tolist())
         expected_ranges.extend([i] * (hi - lo))
+    assert got_values.dtype == dtype and got_ranges.dtype == np.int64
     assert got_values.tolist() == expected_values
     assert got_ranges.tolist() == expected_ranges
 
@@ -448,3 +462,23 @@ def test_index_pickled_in_the_sorted_copy_layout_is_a_store_miss(
     store.put("index", "k", index)
     store.clear_memory()
     assert_same_index(store.get("index", "k"), index)
+
+
+def test_index_pickled_with_int64_row_ids_is_a_store_miss(
+        city_db_p, tmp_path):
+    """An artifact store written before row ids were narrowed holds
+    int64 ones; loading such an index must miss and rebuild."""
+    from repro.runtime.artifacts import ArtifactCache
+
+    index = next(iter(city_db_p._built.index_data.values()))
+    assert index.row_ids.dtype == np.int32
+    forged = IndexData.__new__(IndexData)
+    forged.__dict__.update(
+        index.__dict__, row_ids=index.row_ids.astype(np.int64)
+    )
+    with pytest.raises(pickle.UnpicklingError, match="int64 row ids"):
+        pickle.loads(pickle.dumps(forged))
+    store = ArtifactCache(tmp_path)
+    store.put("index", "k", forged)
+    store.clear_memory()
+    assert store.get("index", "k", "missed") == "missed"
