@@ -41,7 +41,11 @@ a trial configuration extends a configuration whose environment is
 already cached (the greedy recommenders probe ``current + one
 candidate`` hundreds of times per round), the new environment is
 derived from the cached one plus the delta structures instead of being
-rebuilt from scratch (see :meth:`Database.hypothetical_env`).
+rebuilt from scratch (see :meth:`Database.hypothetical_env`).  The
+derived environment also shares the base's planner memo
+(:class:`~repro.optimizer.environment.PlanMemo`), so pricing a trial
+re-derives only what its own structures can change; the memo hangs off
+the cached environments and nothing else, and is dropped with them.
 """
 
 import threading
@@ -58,7 +62,12 @@ from ..executor.subplan import SubplanCache
 from ..index.data import IndexData
 from ..index.definition import estimate_index_size
 from ..optimizer import cost_model as cm
-from ..optimizer.environment import IndexInfo, PlannerEnv, ViewInfo
+from ..optimizer.environment import (
+    IndexInfo,
+    PlanMemo,
+    PlannerEnv,
+    ViewInfo,
+)
 from ..optimizer.estimator import Estimator
 from ..optimizer.planner import Planner
 from ..sql.binder import Binder, BoundQuery
@@ -387,9 +396,12 @@ class Database:
         """Size of a configuration *without building it* (what-if sizing).
 
         This is what the recommender's space-budget arithmetic uses.
-        Memoized per configuration fingerprint in the what-if cache (the
-        greedy recommenders re-size every surviving trial configuration
-        each round); invalidated with every other derived result.
+        A sum of integers, one per structure, each depending on that
+        structure alone (an index on a view: on the view), so
+        ``bytes(base + candidate) == bytes(base) + bytes(candidate's
+        structures)`` exactly.  Memoized per configuration fingerprint
+        in the what-if cache; invalidated with every other derived
+        result.
         """
         key = ("bytes", config.fingerprint)
         return self._cache("whatif_cache").get_or_build(
@@ -397,11 +409,14 @@ class Database:
         )
 
     def _estimated_configuration_bytes(self, config):
+        # No environment, so no ViewInfo: every view at its what-if
+        # size.
+        views = {view_def.name: view_def for view_def in config.views}
         index_bytes = 0
         for ix in config.indexes:
-            # No environment, so no ViewInfo: every view at its
-            # what-if size.
-            rows, key_width = self._whatif_index_geometry(config, ix, {})
+            rows, key_width = self._whatif_index_geometry(
+                ix, views.get(ix.table)
+            )
             index_bytes += estimate_index_size(
                 rows, key_width, self.system.index_overhead
             ).byte_size
@@ -473,10 +488,10 @@ class Database:
 
         Memoized per ``(config fingerprint, flags)``: a recommender
         probing one candidate configuration against a whole workload
-        derives the hypothetical metadata once.  The environment is
-        read-only after construction (the planner never mutates it), so
-        sharing it across queries — and session worker threads — is
-        safe.
+        derives the hypothetical metadata once.  The environment's
+        structures are read-only after construction and its planner
+        memo is written under per-query locks, so sharing it across
+        queries — and session worker threads — is safe.
 
         Args:
             config: the hypothetical :class:`Configuration`.
@@ -567,7 +582,7 @@ class Database:
 
         indexes = {t: list(infos) for t, infos in base_env.indexes.items()}
         for ix in delta_indexes:
-            info = self._whatif_index_info(config, ix, view_infos, oracle)
+            info = self._whatif_index_info(ix, view_infos, oracle)
             if ix.table in view_infos:
                 vinfo = view_infos[ix.table]
                 if ix.table in shared_views:
@@ -585,13 +600,15 @@ class Database:
                 vinfo.indexes.append(info)
             else:
                 indexes.setdefault(ix.table, []).append(info)
-        return PlannerEnv(
+        env = PlannerEnv(
             catalog=self.catalog,
             estimator=base_env.estimator,
             hardware=base_env.hardware,
             indexes=indexes,
             views=list(view_infos.values()),
         )
+        env.adopt(base_env)
+        return env
 
     def _build_hypothetical_env(self, config, force_hypothetical, oracle):
         """Uncached construction of a what-if environment.
@@ -630,7 +647,7 @@ class Database:
 
         indexes = {}
         for ix in config.indexes:
-            info = self._whatif_index_info(config, ix, view_infos, oracle)
+            info = self._whatif_index_info(ix, view_infos, oracle)
             any_hypothetical = any_hypothetical or info.hypothetical
             if ix.table in view_infos:
                 view_infos[ix.table].indexes.append(info)
@@ -647,6 +664,7 @@ class Database:
             hardware=self.system.hardware,
             indexes=indexes,
             views=list(view_infos.values()),
+            memo=PlanMemo(),
         )
 
     def plan(self, sql):
@@ -902,46 +920,44 @@ class Database:
             hypothetical=True,
         )
 
-    def _whatif_index_geometry(self, config, ix, view_infos):
-        """``(rows, key width)`` of ``ix``, an index of ``config`` on a
-        base table or on one of its views.
+    def _whatif_index_geometry(self, ix, view_def=None, view_info=None):
+        """``(rows, key width)`` of ``ix``, an index on a base table or,
+        given ``view_def``, on that view.
 
-        ``view_infos`` maps view names to the :class:`ViewInfo` objects
-        of the environment being built — a built view's holds its true
-        row count; a view without one takes its what-if size.
+        ``view_info`` is the view's :class:`ViewInfo` in the environment
+        being built — a built view's holds its true row count; without
+        one the view takes its what-if size.
         """
-        view_def = next(
-            (v for v in config.views if v.name == ix.table), None
-        )
         if view_def is None:
             schema = self.catalog.table(ix.table)
             rows = self.statistics.table(ix.table).row_count
         else:
             schema = view_def.view_schema(self.catalog)
-            if ix.table in view_infos:
-                rows = view_infos[ix.table].rows
+            if view_info is not None:
+                rows = view_info.rows
             else:
                 rows = int(self._hypothetical_view_size(view_def)[0])
         return rows, sum(schema.column(c).width for c in ix.columns)
 
-    def _whatif_index_info(self, config, ix, view_infos, oracle):
-        """The :class:`IndexInfo` of ``ix`` in a what-if environment of
-        ``config`` whose views are ``view_infos``.
+    def _whatif_index_info(self, ix, view_infos, oracle):
+        """The :class:`IndexInfo` of ``ix`` in a what-if environment
+        whose views are ``view_infos``.
 
         An index on a base table that exists in the built configuration
         keeps its measured metadata; anything else is derived from its
         geometry (and counted as a probe), well-clustered under
         ``oracle`` when it is on a base table.
         """
-        on_view = ix.table in view_infos
-        if not on_view and self._built is not None \
+        view_info = view_infos.get(ix.table)
+        if view_info is None and self._built is not None \
                 and ix.name in self._built.index_data:
             return IndexInfo.from_data(self._built.index_data[ix.name])
-        rows, key_width = self._whatif_index_geometry(config, ix, view_infos)
+        view_def = None if view_info is None else view_info.definition
+        rows, key_width = self._whatif_index_geometry(ix, view_def, view_info)
         info = IndexInfo.hypothetical_on(
             ix, rows, key_width, self.system.index_overhead
         )
         obs.counter_add("optimizer.hypothetical_index_probes")
-        if oracle and not on_view:
+        if oracle and view_info is None:
             info.cluster_factor = 0.25
         return info

@@ -11,7 +11,9 @@ what the environment contains:
   recommenders.
 """
 
+import threading
 from dataclasses import dataclass, field
+from operator import is_
 
 from ..index.definition import estimate_index_size
 
@@ -82,25 +84,130 @@ class ViewInfo:
         return None
 
 
+class TableStructures:
+    """The indexes and single-table views on one base table.
+
+    The planner keys what it memoizes about an alias by the *identity*
+    of this object: an environment derived from another one shares it
+    for every table the derivation left alone (:meth:`PlannerEnv.adopt`).
+    """
+
+    __slots__ = ("indexes", "views")
+
+    def __init__(self, indexes=(), views=()):
+        self.indexes = tuple(indexes)
+        self.views = tuple(views)
+
+    def same_as(self, other):
+        return len(self.indexes) == len(other.indexes) \
+            and len(self.views) == len(other.views) \
+            and all(map(is_, self.indexes, other.indexes)) \
+            and all(map(is_, self.views, other.views))
+
+
+_NO_STRUCTURES = TableStructures()
+
+
+class QueryMemo:
+    """What planning one bound query has derived so far.
+
+    ``facts`` is what depends on the query and the estimator only;
+    ``entries`` maps identity keys (``id()`` of the structures, path
+    lists and plan nodes a result was derived from) to ``(inputs,
+    result)`` — an entry holds its inputs, so an ``id()`` in a stored
+    key always names a live object.  ``lock`` serialises the planners
+    of one query: an entry is derived once, by whoever needs it first.
+    """
+
+    __slots__ = ("facts", "entries", "lock")
+
+    def __init__(self, facts):
+        self.facts = facts
+        self.entries = {}
+        self.lock = threading.Lock()
+
+
+class PlanMemo:
+    """The :class:`QueryMemo` of every query planned under one what-if
+    environment and the environments derived from it."""
+
+    def __init__(self):
+        self._queries = {}
+        self._lock = threading.Lock()
+
+    def query(self, bound, build_facts, env):
+        """The memo of ``bound`` — of that object: its facts
+        (``build_facts(bound, env)`` the first time) hold the query's
+        own predicate objects, and so keep its ``id`` taken."""
+        with self._lock:
+            memo = self._queries.get(id(bound))
+        if memo is None:
+            memo = QueryMemo(build_facts(bound, env))
+            with self._lock:
+                memo = self._queries.setdefault(id(bound), memo)
+        return memo
+
+
 @dataclass
 class PlannerEnv:
-    """Everything the planner consults besides the query itself."""
+    """Everything the planner consults besides the query itself.
+
+    ``memo`` is set on what-if environments only: one built from
+    scratch owns a fresh :class:`PlanMemo`, one derived from it
+    (:meth:`adopt`) reads and extends the same memo but never stores a
+    result that depends on a structure of its own (``volatile``), so
+    nothing a trial adds outlives the trial.  The environment of the
+    built configuration has none — every executed plan is a private
+    tree.
+    """
 
     catalog: object                # Catalog
     estimator: object              # Estimator
     hardware: object               # HardwareProfile
     indexes: dict = field(default_factory=dict)   # table -> [IndexInfo]
     views: list = field(default_factory=list)     # [ViewInfo]
+    memo: object = field(default=None, compare=False, repr=False)
 
-    def indexes_on(self, table):
-        return self.indexes.get(table, [])
+    def __post_init__(self):
+        on_table = {}
+        for view in self.views:
+            if not view.definition.is_join_view:
+                on_table.setdefault(view.definition.tables[0], []).append(view)
+        self._structures = {
+            table: TableStructures(
+                self.indexes.get(table, ()), on_table.get(table, ())
+            )
+            for table in {*self.indexes, *on_table}
+        }
+        self.join_views = tuple(
+            view for view in self.views if view.definition.is_join_view
+        )
+        self.volatile = frozenset()
 
-    def views_on_table(self, table):
-        """Single-table aggregate views over ``table``."""
-        return [
-            v for v in self.views
-            if not v.definition.is_join_view and v.definition.tables[0] == table
-        ]
+    def adopt(self, base):
+        """Share ``base``'s memo and its per-table structures.
 
-    def join_views(self):
-        return [v for v in self.views if v.definition.is_join_view]
+        Called on an environment derived from ``base`` before anyone
+        plans with it.  A table whose indexes and views are — by
+        identity — the base's gets the base's :class:`TableStructures`
+        object, so what the memo holds for it is found again; what is
+        left over (and every view the base does not have) is this
+        environment's own and marks a result as not to be kept.
+        """
+        own = set()
+        for table, mine in self._structures.items():
+            theirs = base.structures_on(table)
+            if mine.same_as(theirs):
+                self._structures[table] = theirs
+            else:
+                own.add(id(mine))
+        shared_views = {id(view) for view in base.views}
+        own.update(
+            id(view) for view in self.views if id(view) not in shared_views
+        )
+        self.volatile = frozenset(own)
+        self.memo = base.memo
+
+    def structures_on(self, table):
+        """The :class:`TableStructures` of a base table."""
+        return self._structures.get(table, _NO_STRUCTURES)

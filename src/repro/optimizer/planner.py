@@ -6,8 +6,8 @@ Structure of an optimization run:
    index-only streaming aggregate, or a matching single-table view;
 2. enumerate access paths per relation alias (seq scan, equality index
    scan, covering index-only scan);
-3. try join-view rewrites that replace a joined pair of aliases by a
-   materialized view scan;
+3. try view rewrites that replace one alias or a joined pair of aliases
+   by a materialized view scan;
 4. dynamic-programming join enumeration (hash join both orientations,
    index-nested-loop join when the inner join column leads an index);
 5. hash aggregation / projection on top.
@@ -15,11 +15,25 @@ Structure of an optimization run:
 All costs come from :mod:`repro.optimizer.cost_model` applied to the
 estimator's cardinalities, so the executor can later charge identical
 formulas with actual cardinalities.
+
+What a plan derives is split by what it depends on.  :class:`QueryFacts`
+holds everything the bound query and the estimator decide alone; steps
+1 to 4 read it and are each memoized in the query's
+:class:`~repro.optimizer.environment.QueryMemo` under the *identity* of
+the structures, path lists and outer plans they were derived from.  A
+what-if environment shares that memo with the environments derived from
+it, so pricing ``base + one index`` re-derives the paths of the index's
+table and the join steps they enter, and finds the rest.  The
+environment of the built configuration has no memo: the same code then
+runs on a private :class:`QueryMemo` that dies with the call.
 """
+
+from itertools import combinations
 
 from .. import obs
 from ..common.errors import PlanError
 from . import cost_model as cm
+from .environment import QueryMemo
 from .plans import (
     HashAggregate,
     HashJoin,
@@ -36,6 +50,206 @@ from .plans import (
 )
 
 MAX_DP_RELATIONS = 6
+
+# Kinds of memo entry (the first element of an entry's key).
+_SEMI, _PATHS, _SEEDS, _SEEDED_PATHS, _STEP = range(5)
+
+
+class _SemiFacts:
+    """One IN-subquery: its result size and the cost of scanning for it."""
+
+    __slots__ = ("semi", "allowed", "width", "scan_cost")
+
+
+class _AliasFacts:
+    """One relation alias: what a scan of it must read, test and emit."""
+
+    __slots__ = (
+        "alias", "key", "table", "rows", "pages", "needed", "needed_width",
+        "touched", "filters", "filter_sels", "filter_sel", "scan_filters",
+        "eq_position", "semis", "semi_keys", "semi_sels", "out_rows",
+        "out_width", "scan_cost",
+    )
+
+
+class _StepFacts:
+    """Extending a joined subset by one alias: the connecting
+    predicates' selectivity, key lists and index-probe shapes."""
+
+    __slots__ = ("sel", "left_keys", "right_keys", "probes")
+
+
+class QueryFacts:
+    """What planning needs of a bound query whatever the configuration.
+
+    Depends on the query, the catalog, the estimator and the hardware
+    profile — all of which an environment shares with the environments
+    derived from it — so it is computed once per query and memo.
+    """
+
+    __slots__ = (
+        "bound", "count_only", "semis", "aliases", "tables", "subsets", "full",
+    )
+
+    def __init__(self, bound, env):
+        est, hw, catalog = env.estimator, env.hardware, env.catalog
+        self.bound = bound
+        # Only COUNT aggregates are decomposable over a pre-aggregated
+        # view (COUNT(*) via batch weights, COUNT(DISTINCT c) because the
+        # view preserves the distinct values of its group columns).
+        self.count_only = all(a.func == "count" for a in bound.aggregates)
+
+        self.semis = []
+        for semi in bound.semijoins:
+            table = semi.sub_table
+            rows = est.table_rows(table)
+            facts = _SemiFacts()
+            facts.semi = semi
+            facts.allowed = est.semijoin_allowed_values(semi)
+            facts.width = catalog.table(table).column(semi.sub_column).width
+            facts.scan_cost = (
+                cm.seq_scan(hw, est.table_pages(table), rows)
+                + cm.hash_aggregate(
+                    hw, rows, est.n_distinct(table, semi.sub_column),
+                    facts.width,
+                )
+            )
+            self.semis.append(facts)
+
+        self.aliases = {}
+        for alias, table in bound.relations.items():
+            schema = catalog.table(table)
+            facts = self.aliases[alias] = _AliasFacts()
+            facts.alias, facts.table = alias, table
+            facts.key = frozenset([alias])
+            facts.rows = rows = est.table_rows(table)
+            facts.pages = est.table_pages(table)
+            # COUNT(*)-only references: carry the narrowest column so the
+            # batch keeps its row count.
+            facts.needed = bound.columns_of(alias) or [
+                min(schema.columns, key=lambda c: c.width).name
+            ]
+            facts.needed_width = sum(
+                schema.column(c).width for c in facts.needed
+            )
+            facts.filters = [
+                f for f in bound.filters if f.target.alias == alias
+            ]
+            facts.filter_sels = [
+                est.filter_selectivity(table, f) for f in facts.filters
+            ]
+            facts.filter_sel = _product(facts.filter_sels)
+            facts.scan_filters = [
+                ScanFilter(
+                    key=f"{alias}.{f.target.column}",
+                    column=f.target.column,
+                    op=f.op,
+                    value=f.value,
+                )
+                for f in facts.filters
+            ]
+            facts.eq_position = {
+                f.target.column: position
+                for position, f in enumerate(facts.filters) if f.op == "="
+            }
+            facts.semis = [
+                position for position, s in enumerate(bound.semijoins)
+                if s.target.alias == alias
+            ]
+            semis = [bound.semijoins[position] for position in facts.semis]
+            facts.semi_keys = [f"{alias}.{s.target.column}" for s in semis]
+            facts.semi_sels = [
+                est.semijoin_selectivity(table, s) for s in semis
+            ]
+            # An index-only scan must cover everything the scan touches;
+            # semijoin target columns count as touched.
+            facts.touched = {
+                *facts.needed,
+                *(f.target.column for f in facts.filters),
+                *(s.target.column for s in semis),
+            }
+            facts.out_rows = max(
+                1.0, rows * facts.filter_sel * _product(facts.semi_sels)
+            )
+            facts.out_width = facts.needed_width + cm.ROW_OVERHEAD
+            facts.scan_cost = (
+                cm.seq_scan(hw, facts.pages, rows)
+                + cm.filter_rows(hw, rows, len(facts.filters) + len(semis))
+            )
+
+        self.tables = list(dict.fromkeys(bound.relations.values()))
+        names = list(bound.relations)
+        self.full = frozenset(names)
+        # Per subset of two or more aliases, in enumeration order: the
+        # aliases that a predicate connects to the rest of it.
+        self.subsets = []
+        for size in range(2, len(names) + 1):
+            for subset in combinations(names, size):
+                key = frozenset(subset)
+                extensions = []
+                for alias in subset:
+                    rest = key - {alias}
+                    preds = _connecting_preds(bound, rest, alias)
+                    if preds:
+                        extensions.append(
+                            (alias, rest, self._step(est, preds, alias))
+                        )
+                if extensions:
+                    self.subsets.append((key, extensions))
+
+    def _step(self, est, preds, alias):
+        relations = self.bound.relations
+        oriented = [_orient(pred, alias) for pred in preds]
+        step = _StepFacts()
+        step.sel = 1.0
+        for (o_alias, o_col), (i_col,) in oriented:
+            step.sel *= est.join_selectivity(
+                relations[o_alias], o_col, relations[alias], i_col
+            )
+        step.left_keys = [f"{oa}.{oc}" for (oa, oc), _ in oriented]
+        step.right_keys = [f"{alias}.{ic}" for _, (ic,) in oriented]
+        # Per predicate an index could be probed through: the outer key,
+        # the inner column, and the other predicates as checks on the
+        # matches.
+        pairs = [
+            (outer_key, i_col)
+            for outer_key, (_, (i_col,)) in zip(step.left_keys, oriented)
+        ]
+        step.probes = [
+            (outer_key, i_col, pairs[:position] + pairs[position + 1:])
+            for position, (outer_key, i_col) in enumerate(pairs)
+        ]
+        return step
+
+
+def _product(factors):
+    product = 1.0
+    for factor in factors:
+        product *= factor
+    return product
+
+
+def _cost(node):
+    return node.est.cost
+
+
+def _keep(entries, own, key, inputs, value, parts=()):
+    """Memoize ``value`` under ``key`` — unless one of the ``inputs`` it
+    was derived from is the planning environment's own, in which case
+    it (and the plan nodes in ``parts``) is marked as its own too.
+
+    ``own`` holds ``id()``s: of the environment's own structures to
+    start with, then of everything derived from them during this call.
+    Only the call's live objects are ever looked up in it, and a stored
+    entry keeps its inputs alive, so no ``id()`` is ever read after the
+    object it named is gone.
+    """
+    if own and not own.isdisjoint(map(id, inputs)):
+        own.add(id(value))
+        own.update(map(id, parts))
+    else:
+        entries[key] = (inputs, value)
+    return value
 
 
 class Planner:
@@ -56,528 +270,475 @@ class Planner:
             raise PlanError(
                 f"too many relations ({len(bound.relations)}) for the DP"
             )
-        semi_sources = {
-            id(semi): self._plan_semi_source(semi) for semi in bound.semijoins
-        }
-        paths = {
-            alias: self._access_paths(bound, alias, semi_sources)
-            for alias in bound.relations
-        }
+        env = self._env
+        if env.memo is None:
+            query = QueryMemo(QueryFacts(bound, env))
+        else:
+            query = env.memo.query(bound, QueryFacts, env)
+        with query.lock:
+            return self._plan(query.facts, query.entries, set(env.volatile))
+
+    def _plan(self, facts, entries, own):
+        sources = [
+            self._semi_source(entries, own, position, semi)
+            for position, semi in enumerate(facts.semis)
+        ]
+        paths = {}
+        considered = reused = 0
+        for alias, alias_facts in facts.aliases.items():
+            paths[alias], found = self._access_paths(
+                entries, own, alias_facts, sources
+            )
+            considered += len(paths[alias])
+            if found:
+                reused += len(paths[alias])
         obs.counter_add("optimizer.plans_enumerated")
-        obs.counter_add(
-            "optimizer.access_paths_considered",
-            sum(len(alias_paths) for alias_paths in paths.values()),
-        )
-        best = self._enumerate_joins(bound, paths)
-        return self._finalize(bound, best)
+        obs.counter_add("optimizer.access_paths_considered", considered)
+        obs.counter_add("optimizer.access_paths_reused", reused)
+        best = self._enumerate_joins(facts, entries, own, paths)
+        return self._finalize(facts.bound, best)
 
     # ------------------------------------------------------------------
     # Semijoin sources
 
-    def _plan_semi_source(self, semi):
-        table = semi.sub_table
-        rows = self._est.table_rows(table)
-        pages = self._est.table_pages(table)
-        ndv = self._est.n_distinct(table, semi.sub_column)
-        allowed = self._est.semijoin_allowed_values(semi)
-        col_width = self._env.catalog.table(table).column(semi.sub_column).width
-
-        candidates = []
-
-        scan_cost = (
-            cm.seq_scan(self._hw, pages, rows)
-            + cm.hash_aggregate(self._hw, rows, ndv, col_width)
-        )
-        candidates.append((scan_cost, SemiSource(semi=semi, via="scan")))
-
-        for info in self._env.indexes_on(table):
+    def _semi_source(self, entries, own, position, facts):
+        semi = facts.semi
+        structures = self._env.structures_on(semi.sub_table)
+        key = (_SEMI, position, id(structures))
+        entry = entries.get(key)
+        if entry is not None:
+            return entry[1]
+        hw = self._hw
+        # Scan first, then indexes, then views; the first cheapest wins.
+        cost, via, index, view = facts.scan_cost, "scan", None, None
+        for info in structures.indexes:
             if info.definition.columns[0] != semi.sub_column:
                 continue
-            cost = (
-                cm.index_descend(self._hw, info.height)
-                + info.leaf_pages * self._hw.seq_page_read_s
-                + info.entries * self._hw.cpu_row_s * 2
+            index_cost = (
+                cm.index_descend(hw, info.height)
+                + info.leaf_pages * hw.seq_page_read_s
+                + info.entries * hw.cpu_row_s * 2
             )
-            candidates.append(
-                (cost, SemiSource(semi=semi, via="index_only", index=info))
-            )
-
-        for view in self._env.views_on_table(table):
-            gcols = view.definition.group_columns
+            if index_cost < cost:
+                cost, via, index, view = index_cost, "index_only", info, None
+        for info in structures.views:
+            gcols = info.definition.group_columns
             if len(gcols) != 1 or gcols[0].column != semi.sub_column:
                 continue
-            cost = cm.seq_scan(self._hw, view.page_count, view.rows)
-            candidates.append(
-                (cost, SemiSource(semi=semi, via="view", view=view))
-            )
-
-        cost, source = min(candidates, key=lambda item: item[0])
-        source.est = PlanEstimate(rows=allowed, width=col_width, cost=cost)
-        return source
+            view_cost = cm.seq_scan(hw, info.page_count, info.rows)
+            if view_cost < cost:
+                cost, via, index, view = view_cost, "view", None, info
+        source = SemiSource(semi=semi, via=via, index=index, view=view)
+        source.est = PlanEstimate(
+            rows=facts.allowed, width=facts.width, cost=cost
+        )
+        return _keep(entries, own, key, (structures,), source)
 
     # ------------------------------------------------------------------
     # Access paths
 
-    def _access_paths(self, bound, alias, semi_sources):
-        table = bound.relations[alias]
-        needed = bound.columns_of(alias)
-        if not needed:
-            # COUNT(*)-only references: carry the narrowest column so the
-            # batch keeps its row count.
-            schema_cols = self._env.catalog.table(table).columns
-            needed = [min(schema_cols, key=lambda c: c.width).name]
-        filters = [
-            f for f in bound.filters if f.target.alias == alias
-        ]
-        semis = [
-            s for s in bound.semijoins if s.target.alias == alias
-        ]
-        schema = self._env.catalog.table(table)
-        rows = self._est.table_rows(table)
-        pages = self._est.table_pages(table)
+    def _access_paths(self, entries, own, facts, sources):
+        """``(paths of the alias, whether the memo had them)``."""
+        structures = self._env.structures_on(facts.table)
+        sources = [sources[position] for position in facts.semis]
+        key = (_PATHS, facts.alias, id(structures), *map(id, sources))
+        entry = entries.get(key)
+        if entry is not None:
+            return entry[1], True
+        paths = self._build_access_paths(facts, structures.indexes, sources)
+        return _keep(
+            entries, own, key, (structures, *sources), paths, paths
+        ), False
 
-        filter_sel = 1.0
-        for flt in filters:
-            filter_sel *= self._est.filter_selectivity(table, flt)
-        semi_sel = 1.0
-        for semi in semis:
-            semi_sel *= self._est.semijoin_selectivity(table, semi)
-        out_rows = max(1.0, rows * filter_sel * semi_sel)
-        out_width = sum(schema.column(c).width for c in needed) + cm.ROW_OVERHEAD
-
+    def _build_access_paths(self, facts, indexes, sources):
+        hw = self._hw
+        alias, table = facts.alias, facts.table
+        rows, pages = facts.rows, facts.pages
+        filters, scan_filters = facts.filters, facts.scan_filters
         semi_filters = [
-            SemiFilter(
-                key=f"{alias}.{s.target.column}",
-                source=semi_sources[id(s)],
-                selectivity=self._est.semijoin_selectivity(table, s),
+            SemiFilter(key=key, source=source, selectivity=sel)
+            for key, source, sel in zip(
+                facts.semi_keys, sources, facts.semi_sels
             )
-            for s in semis
         ]
         semi_cost = sum(sf.source.est.cost for sf in semi_filters)
+        checks = len(filters) + len(semi_filters)
 
-        def scan_filters(subset):
-            return [
-                ScanFilter(
-                    key=f"{alias}.{f.target.column}",
-                    column=f.target.column,
-                    op=f.op,
-                    value=f.value,
-                )
-                for f in subset
-            ]
-
-        paths = []
+        def estimate(cost):
+            return PlanEstimate(
+                rows=facts.out_rows, width=facts.out_width, cost=cost
+            )
 
         # Sequential scan.
         seq = SeqScan(
             alias=alias,
             table=table,
-            columns=list(needed),
-            filters=scan_filters(filters),
+            columns=list(facts.needed),
+            filters=list(scan_filters),
             semi_filters=semi_filters,
         )
-        seq_cost = (
-            cm.seq_scan(self._hw, pages, rows)
-            + cm.filter_rows(self._hw, rows, len(filters) + len(semis))
-            + semi_cost
-        )
-        seq.est = PlanEstimate(rows=out_rows, width=out_width, cost=seq_cost)
-        paths.append(seq)
+        seq.est = estimate(facts.scan_cost + semi_cost)
+        paths = [seq]
 
-        eq_filters = [f for f in filters if f.op == "="]
-        eq_by_col = {f.target.column: f for f in eq_filters}
-
-        for info in self._env.indexes_on(table):
+        for info in indexes:
+            columns = info.definition.columns
             prefix = []
-            for col in info.definition.columns:
-                if col in eq_by_col:
-                    prefix.append(eq_by_col[col])
-                else:
+            for col in columns:
+                if col not in facts.eq_position:
                     break
-            covered = set(info.definition.columns)
-            # Index-only is possible when the key covers everything the
-            # scan touches; semijoin target columns count as touched.
-            covering_with_semis = set(needed) <= covered and all(
-                f.target.column in covered for f in filters
-            ) and all(s.target.column in covered for s in semis)
+                prefix.append(facts.eq_position[col])
+            covering = facts.touched <= set(columns)
 
             if prefix:
-                prefix_sel = 1.0
-                for flt in prefix:
-                    prefix_sel *= self._est.filter_selectivity(table, flt)
-                matched = max(1.0, rows * prefix_sel)
-                residual = [f for f in filters if f not in prefix]
-                index_only = covering_with_semis
+                matched = max(
+                    1.0,
+                    rows * _product(facts.filter_sels[p] for p in prefix),
+                )
+                consumed = [filters[p] for p in prefix]
+                residual = [
+                    scan for flt, scan in zip(filters, scan_filters)
+                    if flt not in consumed
+                ]
                 cost = (
-                    cm.index_descend(self._hw, info.height)
+                    cm.index_descend(hw, info.height)
                     + cm.index_leaf_range(
-                        self._hw, matched, info.entries, info.leaf_pages
+                        hw, matched, info.entries, info.leaf_pages
                     )
                     + semi_cost
                 )
-                if not index_only:
+                if not covering:
                     cost += cm.heap_fetch(
-                        self._hw, matched, info.cluster_factor, pages, rows
+                        hw, matched, info.cluster_factor, pages, rows
                     )
                 cost += cm.filter_rows(
-                    self._hw, matched, len(residual) + len(semis)
+                    hw, matched, len(residual) + len(semi_filters)
                 )
                 node = IndexScan(
                     alias=alias,
                     table=table,
                     index=info,
-                    columns=list(needed),
-                    prefix_filters=scan_filters(prefix),
-                    residual_filters=scan_filters(residual),
+                    columns=list(facts.needed),
+                    prefix_filters=[scan_filters[p] for p in prefix],
+                    residual_filters=residual,
                     semi_filters=semi_filters,
-                    index_only=index_only,
+                    index_only=covering,
                 )
-                node.est = PlanEstimate(
-                    rows=out_rows, width=out_width, cost=cost
-                )
+                node.est = estimate(cost)
                 paths.append(node)
-            if not prefix and semi_filters:
-                # Semijoin-driven probes: the subquery's allowed values
-                # drive index lookups instead of a scan + membership test.
-                for drive_pos, driving in enumerate(semi_filters):
-                    target_col = semis[drive_pos].target.column
-                    if info.definition.columns[0] != target_col:
-                        continue
-                    probes = driving.source.est.rows
-                    matched = max(
-                        1.0, rows * driving.selectivity
+                continue
+            # Semijoin-driven probes: the subquery's allowed values
+            # drive index lookups instead of a scan + membership test.
+            leading = f"{alias}.{columns[0]}"
+            for position, driving in enumerate(semi_filters):
+                if driving.key != leading:
+                    continue
+                matched = max(1.0, rows * driving.selectivity)
+                others = [
+                    sf for j, sf in enumerate(semi_filters) if j != position
+                ]
+                cost = (
+                    semi_cost
+                    + cm.index_probes(
+                        hw, driving.source.est.rows, info.entries,
+                        info.leaf_pages,
                     )
-                    others = [
-                        sf for j, sf in enumerate(semi_filters)
-                        if j != drive_pos
-                    ]
-                    cost = (
-                        semi_cost
-                        + cm.index_probes(
-                            self._hw, probes, info.entries, info.leaf_pages
-                        )
-                        + cm.heap_fetch(
-                            self._hw, matched, info.cluster_factor, pages,
-                            rows,
-                        )
-                        + cm.filter_rows(
-                            self._hw, matched,
-                            max(1, len(filters) + len(others)),
-                        )
+                    + cm.heap_fetch(
+                        hw, matched, info.cluster_factor, pages, rows
                     )
-                    node = SemiIndexScan(
-                        alias=alias,
-                        table=table,
-                        index=info,
-                        driving=driving,
-                        columns=list(needed),
-                        residual_filters=scan_filters(filters),
-                        semi_filters=others,
+                    + cm.filter_rows(
+                        hw, matched, max(1, len(filters) + len(others))
                     )
-                    node.est = PlanEstimate(
-                        rows=out_rows, width=out_width, cost=cost
-                    )
-                    paths.append(node)
-            if not prefix and covering_with_semis and covered:
+                )
+                node = SemiIndexScan(
+                    alias=alias,
+                    table=table,
+                    index=info,
+                    driving=driving,
+                    columns=list(facts.needed),
+                    residual_filters=list(scan_filters),
+                    semi_filters=others,
+                )
+                node.est = estimate(cost)
+                paths.append(node)
+            if covering:
                 # Full index-only scan: cheaper than the heap when the
                 # index is much narrower than the table.
                 cost = (
-                    cm.index_descend(self._hw, info.height)
-                    + info.leaf_pages * self._hw.seq_page_read_s
-                    + cm.filter_rows(
-                        self._hw, info.entries,
-                        max(1, len(filters) + len(semis)),
-                    )
+                    cm.index_descend(hw, info.height)
+                    + info.leaf_pages * hw.seq_page_read_s
+                    + cm.filter_rows(hw, info.entries, max(1, checks))
                     + semi_cost
                 )
                 node = IndexScan(
                     alias=alias,
                     table=table,
                     index=info,
-                    columns=list(needed),
+                    columns=list(facts.needed),
                     prefix_filters=[],
-                    residual_filters=scan_filters(filters),
+                    residual_filters=list(scan_filters),
                     semi_filters=semi_filters,
                     index_only=True,
                 )
-                node.est = PlanEstimate(
-                    rows=out_rows, width=out_width, cost=cost
-                )
+                node.est = estimate(cost)
                 paths.append(node)
         return paths
 
     # ------------------------------------------------------------------
     # Join enumeration
 
-    def _enumerate_joins(self, bound, paths):
-        aliases = list(bound.relations)
-        dp = {}
-        for alias in aliases:
-            best = min(paths[alias], key=lambda p: p.est.cost)
-            dp[frozenset([alias])] = best
-
-        self._seed_view_pairs(bound, dp)
+    def _enumerate_joins(self, facts, entries, own, paths):
+        dp = {
+            alias_facts.key: min(paths[alias], key=_cost)
+            for alias, alias_facts in facts.aliases.items()
+        }
+        if facts.count_only:
+            # The views on the query's tables, then the join views, each
+            # in the environment's order; a seed must beat what is there.
+            env = self._env
+            views = [
+                view for table in facts.tables
+                for view in env.structures_on(table).views
+            ]
+            for view in (*views, *env.join_views):
+                for key, node in self._view_seeds(facts, entries, own, view):
+                    if key not in dp or node.est.cost < dp[key].est.cost:
+                        dp[key] = node
         # A single-alias view rewrite must also be joinable as the
         # *extension* side of the DP, not only as the seed.
-        for alias in aliases:
-            seeded = dp.get(frozenset([alias]))
-            if isinstance(seeded, ViewScan) and seeded not in paths[alias]:
-                paths[alias] = paths[alias] + [seeded]
-
-        n = len(aliases)
-        for size in range(2, n + 1):
-            for subset in _subsets(aliases, size):
-                key = frozenset(subset)
-                # A view pair may already be seeded at this key; joins can
-                # still beat it, so keep enumerating against it.
-                best = dp.get(key)
-                for alias in subset:
-                    rest = key - {alias}
-                    if rest not in dp:
-                        continue
-                    outer = dp[rest]
-                    preds = _connecting_preds(bound, rest, alias)
-                    if not preds:
-                        continue
-                    for candidate in self._join_candidates(
-                        bound, outer, alias, paths[alias], preds
-                    ):
-                        if best is None or candidate.est.cost < best.est.cost:
-                            best = candidate
-                if best is not None:
-                    dp[key] = best
-
-        full = frozenset(aliases)
-        if full not in dp:
-            # Disconnected join graph: fall back to cartesian extension.
-            dp_full = self._cartesian_fallback(bound, dp, paths, aliases)
-            if dp_full is None:
-                raise PlanError("could not connect the join graph")
-            dp[full] = dp_full
-        return dp[full]
-
-    def _join_candidates(self, bound, outer, alias, alias_paths, preds,
-                         sel=None):
-        table = bound.relations[alias]
-        outer_rows = outer.est.rows
-        if sel is None:
-            sel = 1.0
-            for pred in preds:
-                (o_alias, o_col), (i_col,) = _orient(pred, alias)
-                sel *= self._est.join_selectivity(
-                    bound.relations[o_alias], o_col, table, i_col
+        for alias, alias_facts in facts.aliases.items():
+            seeded = dp[alias_facts.key]
+            if isinstance(seeded, ViewScan):
+                paths[alias] = self._seeded_paths(
+                    entries, own, paths[alias], seeded
                 )
-        candidates = []
 
-        for inner_path in alias_paths:
-            inner_rows = inner_path.est.rows
-            out_rows = self._est.join_rows(outer_rows, inner_rows, sel)
-            width = outer.est.width + inner_path.est.width
-            left_keys, right_keys = [], []
-            for pred in preds:
-                (o_alias, o_col), (i_col,) = _orient(pred, alias)
-                left_keys.append(f"{o_alias}.{o_col}")
-                right_keys.append(f"{alias}.{i_col}")
-            # Build on the smaller input.
-            build_is_inner = inner_rows <= outer_rows
-            build_rows = inner_rows if build_is_inner else outer_rows
-            probe_rows = outer_rows if build_is_inner else inner_rows
-            build_width = (
-                inner_path.est.width if build_is_inner else outer.est.width
-            )
-            cost = (
-                outer.est.cost
-                + inner_path.est.cost
-                + cm.hash_build(self._hw, build_rows, build_width)
-                + cm.hash_probe(self._hw, probe_rows)
-                + cm.join_output(self._hw, out_rows, width)
-            )
-            if build_is_inner:
-                node = HashJoin(outer, inner_path, left_keys, right_keys)
-            else:
-                node = HashJoin(inner_path, outer, right_keys, left_keys)
-            node.est = PlanEstimate(rows=out_rows, width=width, cost=cost)
-            candidates.append(node)
-
-        candidates.extend(
-            self._inl_candidates(bound, outer, alias, preds, sel)
-        )
-        return candidates
-
-    def _inl_candidates(self, bound, outer, alias, preds, sel):
-        table = bound.relations[alias]
-        needed = bound.columns_of(alias)
-        schema = self._env.catalog.table(table)
-        pages = self._est.table_pages(table)
-        rows = self._est.table_rows(table)
-        filters = [f for f in bound.filters if f.target.alias == alias]
-        semis = [s for s in bound.semijoins if s.target.alias == alias]
-        if semis:
-            # Keep INL simple: inner semijoins force the scan-based paths.
-            return []
-        filter_sel = 1.0
-        for flt in filters:
-            filter_sel *= self._est.filter_selectivity(table, flt)
-
-        candidates = []
-        for pred in preds:
-            (o_alias, o_col), (i_col,) = _orient(pred, alias)
-            for info in self._env.indexes_on(table):
-                if info.definition.columns[0] != i_col:
+        enumerated = reused = 0
+        for key, extensions in facts.subsets:
+            # A view pair may already be seeded at this key; joins can
+            # still beat it, so keep enumerating against it.
+            best = dp.get(key)
+            for alias, rest, step in extensions:
+                outer = dp.get(rest)
+                if outer is None:
                     continue
-                outer_rows = outer.est.rows
-                matched = self._est.join_rows(outer_rows, rows, sel)
-                out_rows = max(1.0, matched * filter_sel)
-                width = outer.est.width + sum(
-                    schema.column(c).width for c in needed
-                ) + cm.ROW_OVERHEAD
-                covered = set(info.definition.columns)
-                index_only = set(needed) <= covered and all(
-                    f.target.column in covered for f in filters
-                )
-                cost = outer.est.cost + cm.index_probes(
-                    self._hw, outer_rows, info.entries, info.leaf_pages
-                )
-                if not index_only:
-                    cost += cm.heap_fetch(
-                        self._hw, matched, info.cluster_factor, pages, rows
+                alias_paths = paths[alias]
+                step_key = (_STEP, id(outer), alias, id(alias_paths))
+                entry = entries.get(step_key)
+                if entry is not None:
+                    candidate = entry[1]
+                    reused += 1
+                else:
+                    candidate = _keep(
+                        entries, own, step_key, (outer, alias_paths),
+                        self._join_step(
+                            facts.aliases[alias], step, outer, alias_paths
+                        ),
                     )
-                cost += cm.filter_rows(
-                    self._hw, matched, max(1, len(filters))
-                )
-                cost += cm.join_output(self._hw, out_rows, width)
-                extra = [p for p in preds if p is not pred]
-                residual = [
-                    ScanFilter(
-                        key=f"{alias}.{f.target.column}",
-                        column=f.target.column,
-                        op=f.op,
-                        value=f.value,
+                    enumerated += 1
+                if best is None or candidate.est.cost < best.est.cost:
+                    best = candidate
+            if best is not None:
+                dp[key] = best
+        obs.counter_add("optimizer.join_steps_enumerated", enumerated)
+        obs.counter_add("optimizer.join_steps_reused", reused)
+
+        if facts.full not in dp:
+            raise PlanError("could not connect the join graph")
+        return dp[facts.full]
+
+    def _seeded_paths(self, entries, own, alias_paths, seeded):
+        key = (_SEEDED_PATHS, id(alias_paths), id(seeded))
+        entry = entries.get(key)
+        if entry is not None:
+            return entry[1]
+        return _keep(
+            entries, own, key, (alias_paths, seeded), alias_paths + [seeded]
+        )
+
+    def _join_step(self, facts, step, outer, alias_paths):
+        """The cheapest join of ``outer`` with the alias of ``facts``.
+
+        Every candidate is costed — a hash join per access path, then an
+        index-nested-loop join per connecting predicate and index led
+        by its inner column — in that order, and only the first
+        cheapest one is built.
+        """
+        hw = self._hw
+        sel, join_rows = step.sel, self._est.join_rows
+        outer_rows, outer_width = outer.est.rows, outer.est.width
+        outer_cost = outer.est.cost
+        # (cost, rows, width, hash-join inner | None, index probe | None)
+        best = None
+
+        for inner in alias_paths:
+            inner_rows, inner_width = inner.est.rows, inner.est.width
+            out_rows = join_rows(outer_rows, inner_rows, sel)
+            width = outer_width + inner_width
+            # Build on the smaller input.
+            if inner_rows <= outer_rows:
+                build_rows, build_width = inner_rows, inner_width
+                probe_rows = outer_rows
+            else:
+                build_rows, build_width = outer_rows, outer_width
+                probe_rows = inner_rows
+            cost = (
+                outer_cost
+                + inner.est.cost
+                + cm.hash_build(hw, build_rows, build_width)
+                + cm.hash_probe(hw, probe_rows)
+                + cm.join_output(hw, out_rows, width)
+            )
+            if best is None or cost < best[0]:
+                best = (cost, out_rows, width, inner, None)
+
+        # Keep INL simple: inner semijoins force the scan-based paths.
+        if not facts.semis:
+            rows, pages = facts.rows, facts.pages
+            matched = join_rows(outer_rows, rows, sel)
+            out_rows = max(1.0, matched * facts.filter_sel)
+            width = outer_width + facts.needed_width + cm.ROW_OVERHEAD
+            checks = max(1, len(facts.filters))
+            indexes = self._env.structures_on(facts.table).indexes
+            for probe in step.probes:
+                for info in indexes:
+                    if info.definition.columns[0] != probe[1]:
+                        continue
+                    index_only = facts.touched <= set(info.definition.columns)
+                    cost = outer_cost + cm.index_probes(
+                        hw, outer_rows, info.entries, info.leaf_pages
                     )
-                    for f in filters
-                ]
-                node = IndexNLJoin(
-                    outer=outer,
-                    alias=alias,
-                    table=table,
-                    index=info,
-                    outer_key=f"{o_alias}.{o_col}",
-                    inner_column=i_col,
-                    columns=list(needed),
-                    residual_filters=residual,
-                    semi_filters=[],
-                    index_only=index_only,
-                    extra_preds=[
-                        (f"{oa}.{oc}", ic)
-                        for (oa, oc), (ic,) in (
-                            _orient(p, alias) for p in extra
+                    if not index_only:
+                        cost += cm.heap_fetch(
+                            hw, matched, info.cluster_factor, pages, rows
                         )
-                    ],
-                )
-                node.est = PlanEstimate(
-                    rows=out_rows, width=width, cost=cost
-                )
-                candidates.append(node)
-        return candidates
+                    cost += cm.filter_rows(hw, matched, checks)
+                    cost += cm.join_output(hw, out_rows, width)
+                    if cost < best[0]:
+                        best = (
+                            cost, out_rows, width, None,
+                            (probe, info, index_only),
+                        )
+
+        cost, out_rows, width, inner, probed = best
+        if probed is not None:
+            (outer_key, inner_column, extra_preds), info, index_only = probed
+            node = IndexNLJoin(
+                outer=outer,
+                alias=facts.alias,
+                table=facts.table,
+                index=info,
+                outer_key=outer_key,
+                inner_column=inner_column,
+                columns=list(facts.needed),
+                residual_filters=list(facts.scan_filters),
+                semi_filters=[],
+                index_only=index_only,
+                extra_preds=extra_preds,
+            )
+        elif inner.est.rows <= outer_rows:
+            node = HashJoin(outer, inner, step.left_keys, step.right_keys)
+        else:
+            node = HashJoin(inner, outer, step.right_keys, step.left_keys)
+        node.est = PlanEstimate(rows=out_rows, width=width, cost=cost)
+        return node
 
     # ------------------------------------------------------------------
     # View rewrites
 
-    def _seed_view_pairs(self, bound, dp):
-        # Only COUNT aggregates are decomposable over a pre-aggregated
-        # view (COUNT(*) via batch weights, COUNT(DISTINCT c) because the
-        # view preserves the distinct values of its group columns).
-        if any(a.func != "count" for a in bound.aggregates):
-            return
-        self._seed_single_table_views(bound, dp)
-        for view in self._env.join_views():
-            pair = self._match_join_view(bound, view)
-            if pair is None:
-                continue
-            aliases, column_map, filters = pair
-            sel = 1.0
-            table_by_alias = bound.relations
-            for flt in filters:
-                alias = flt.key.split(".", 1)[0]
-                sel *= self._est.filter_selectivity(
-                    table_by_alias[alias],
-                    _FilterShim(flt),
-                )
-            rows = max(1.0, view.rows * sel)
-            width = view.row_width
-            cost = cm.seq_scan(self._hw, view.page_count, view.rows)
-            cost += cm.filter_rows(self._hw, view.rows, max(1, len(filters)))
-            node = ViewScan(
-                view=view,
-                aliases=aliases,
-                column_map=column_map,
-                filters=filters,
-            )
-            node.est = PlanEstimate(rows=rows, width=width, cost=cost)
-            key = frozenset(aliases)
-            if key not in dp or node.est.cost < dp[key].est.cost:
-                dp[key] = node
+    def _view_seeds(self, facts, entries, own, view):
+        """``[(aliases the view stands in for, its scan)]``."""
+        key = (_SEEDS, id(view))
+        entry = entries.get(key)
+        if entry is not None:
+            return entry[1]
+        if view.definition.is_join_view:
+            seeds = self._join_view_seeds(facts, view)
+        else:
+            seeds = self._single_table_view_seeds(facts, view)
+        return _keep(
+            entries, own, key, (view,), seeds, [node for _, node in seeds]
+        )
 
-    def _seed_single_table_views(self, bound, dp):
+    def _single_table_view_seeds(self, facts, view):
         """Replace one alias by a pre-aggregated single-table view.
 
         Valid when every column the query touches on the alias is a group
         column of the view and the alias carries no IN-subquery (count
         semantics then decompose through the view's ``cnt`` weights).
         """
-        for view in self._env.views:
-            vdef = view.definition
-            if vdef.is_join_view:
+        hw = self._hw
+        vdef = view.definition
+        table = vdef.tables[0]
+        seeds = []
+        for alias in facts.aliases.values():
+            if alias.table != table or alias.semis:
                 continue
-            table = vdef.tables[0]
-            for alias, alias_table in bound.relations.items():
-                if alias_table != table:
-                    continue
-                if any(s.target.alias == alias for s in bound.semijoins):
-                    continue
-                column_map, ok = {}, True
-                for col in bound.columns_of(alias):
-                    vcol = vdef.column_for(table, col)
-                    if vcol is None:
-                        ok = False
-                        break
-                    column_map[f"{alias}.{col}"] = vcol.name
-                if not ok or not column_map:
-                    continue
-                filters = [
+            columns = [
+                vdef.column_for(table, col)
+                for col in facts.bound.columns_of(alias.alias)
+            ]
+            if not columns or None in columns:
+                continue
+            cost = cm.seq_scan(hw, view.page_count, view.rows)
+            if alias.filters:
+                cost += cm.filter_rows(hw, view.rows, len(alias.filters))
+            node = ViewScan(
+                view=view,
+                aliases=(alias.alias,),
+                column_map={
+                    f"{alias.alias}.{vcol.column}": vcol.name
+                    for vcol in columns
+                },
+                filters=[
                     ScanFilter(
-                        key=f"{alias}.{f.target.column}",
-                        column=vdef.column_for(
-                            table, f.target.column
-                        ).name,
+                        key=f"{alias.alias}.{f.target.column}",
+                        column=vdef.column_for(table, f.target.column).name,
                         op=f.op,
                         value=f.value,
                     )
-                    for f in bound.filters
-                    if f.target.alias == alias
-                ]
-                sel = 1.0
-                for flt in bound.filters:
-                    if flt.target.alias == alias:
-                        sel *= self._est.filter_selectivity(table, flt)
-                rows = max(1.0, view.rows * sel)
-                cost = cm.seq_scan(self._hw, view.page_count, view.rows)
-                if filters:
-                    cost += cm.filter_rows(
-                        self._hw, view.rows, len(filters)
-                    )
-                node = ViewScan(
-                    view=view,
-                    aliases=(alias,),
-                    column_map=column_map,
-                    filters=filters,
+                    for f in alias.filters
+                ],
+            )
+            node.est = PlanEstimate(
+                rows=max(1.0, view.rows * alias.filter_sel),
+                width=view.row_width,
+                cost=cost,
+            )
+            seeds.append((alias.key, node))
+        return seeds
+
+    def _join_view_seeds(self, facts, view):
+        """Replace a joined pair of aliases by a join view."""
+        bound = facts.bound
+        pair = self._match_join_view(bound, view)
+        if pair is None:
+            return []
+        aliases, column_map = pair
+        vdef = view.definition
+        sel = 1.0
+        filters = []
+        for flt in bound.filters:
+            if flt.target.alias not in aliases:
+                continue
+            table = bound.relations[flt.target.alias]
+            sel *= self._est.filter_selectivity(table, flt)
+            filters.append(
+                ScanFilter(
+                    key=f"{flt.target.alias}.{flt.target.column}",
+                    column=vdef.column_for(table, flt.target.column).name,
+                    op=flt.op,
+                    value=flt.value,
                 )
-                node.est = PlanEstimate(
-                    rows=rows, width=view.row_width, cost=cost
-                )
-                key = frozenset([alias])
-                if key not in dp or node.est.cost < dp[key].est.cost:
-                    dp[key] = node
+            )
+        cost = cm.seq_scan(self._hw, view.page_count, view.rows)
+        cost += cm.filter_rows(self._hw, view.rows, max(1, len(filters)))
+        node = ViewScan(
+            view=view, aliases=aliases, column_map=column_map, filters=filters
+        )
+        node.est = PlanEstimate(
+            rows=max(1.0, view.rows * sel), width=view.row_width, cost=cost
+        )
+        return [(frozenset(aliases), node)]
 
     def _match_join_view(self, bound, view):
         """Match a join view against a pair of the query's aliases."""
@@ -624,28 +785,8 @@ class Planner:
             ]
             if len(internal) != 1:
                 continue
-            filters = [
-                ScanFilter(
-                    key=f"{f.target.alias}.{f.target.column}",
-                    column=vdef.column_for(
-                        bound.relations[f.target.alias], f.target.column
-                    ).name,
-                    op=f.op,
-                    value=f.value,
-                )
-                for f in bound.filters
-                if f.target.alias in aliases
-            ]
-            return aliases, column_map, filters
+            return aliases, column_map
         return None
-
-    def _cartesian_fallback(self, bound, dp, paths, aliases):
-        del bound, paths
-        full = None
-        for key, plan in dp.items():
-            if full is None or len(key) > len(full[0]):
-                full = (key, plan)
-        return None if full is None or len(full[0]) != len(aliases) else full[1]
 
     # ------------------------------------------------------------------
     # Final aggregation / projection
@@ -681,22 +822,6 @@ class Planner:
         return node
 
 
-class _FilterShim:
-    """Adapts a ScanFilter to the estimator's Filter interface."""
-
-    def __init__(self, scan_filter):
-        alias, column = scan_filter.key.split(".", 1)
-        self.target = _TargetShim(alias, column)
-        self.op = scan_filter.op
-        self.value = scan_filter.value
-
-
-class _TargetShim:
-    def __init__(self, alias, column):
-        self.alias = alias
-        self.column = column
-
-
 def _pred_column_uses(bound, pred):
     """(alias, column) pairs used *only* by the given join predicate."""
     internal = {
@@ -722,12 +847,6 @@ def _pred_column_uses(bound, pred):
         if kind == "col":
             used_elsewhere.add((ref.alias, ref.column))
     return internal - used_elsewhere
-
-
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)
 
 
 def _connecting_preds(bound, subset, alias):

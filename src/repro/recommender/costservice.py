@@ -11,11 +11,11 @@ configuration grows), cross-round repeats would always miss.
 This service sits between the recommenders and the what-if optimizer
 (:meth:`~repro.engine.database.Database.price_hypothetical`, which plans
 every call and memoizes nothing) and adds **atomic-configuration
-memoization**: the cost of a query is keyed by
-the fingerprint of the *relevant subset* of the trial configuration's
-structures — exactly the indexes and views the planner could put into a
-plan for that query.  The usability rules are read off the planner
-(:class:`QueryProfile`): an index participates only via an
+memoization**: the cost of a query is keyed by the *relevant subset* of
+the trial configuration's structures — exactly the indexes and views
+the planner could put into a plan for that query.  The usability rules
+are read off the planner (:class:`QueryProfile`): an index participates
+only via an
 equality-prefix scan, a semijoin source/probe, an index-nested-loop
 inner, or a covering index-only scan, and views only rewrite
 COUNT-shaped aggregates (plus semijoin-source pre-aggregations) — so
@@ -46,13 +46,10 @@ full trial configuration.
 """
 
 import threading
+from operator import is_
 
 from .. import obs
-from ..engine.configuration import (
-    content_fingerprint,
-    index_content_key,
-    view_content_key,
-)
+
 
 def query_tables(bound):
     """The set of base tables a bound query touches (incl. semijoins)."""
@@ -72,7 +69,7 @@ class QueryProfile:
     serving a semijoin source.  Everything those rules look at — equality
     filter columns, join columns, semijoin columns, and each alias's
     touched-column set — is captured here once per query so
-    :func:`relevant_fingerprint` can test candidate structures cheaply.
+    :func:`relevant_key` can test candidate structures cheaply.
     """
 
     __slots__ = ("tables", "first_cols", "touched", "count_only",
@@ -143,37 +140,43 @@ class QueryProfile:
         gcol = view.group_columns[0]
         return (view.tables[0], gcol.column) in self.semi_views
 
+    def affects(self, structure):
+        """Whether an index or view definition can enter a plan."""
+        if hasattr(structure, "group_columns"):        # a view
+            return self.view_relevant(structure)
+        return self.index_usable(structure)
 
-def query_profile(bound, catalog):
-    """The :class:`QueryProfile` of a bound query."""
-    return QueryProfile(bound, catalog)
 
-
-def relevant_fingerprint(bound, config, catalog=None, profile=None):
-    """Fingerprint of the structures of ``config`` that can affect ``bound``.
+def relevant_key(bound, config, catalog=None, profile=None):
+    """Canonical text of the structures of ``config`` that can affect
+    ``bound``.
 
     Keys the atomic memo by exactly the structures the planner could use
     for this query (see :class:`QueryProfile`); indexes *on views* are
     excluded entirely because the planner never consults them.  The
-    fingerprint is order-insensitive, mirroring
-    :meth:`~repro.engine.configuration.Configuration.fingerprint`.
+    sorted ``repr`` of the definitions, which spells out their whole
+    content: order-insensitive and independent of display names, like
+    :attr:`~repro.engine.configuration.Configuration.fingerprint`, but
+    not digested — the key never leaves the process, and a string
+    hashes once.
     """
     if profile is None:
         profile = QueryProfile(bound, catalog)
-    view_keys = [
-        view_content_key(view)
-        for view in config.views
-        if profile.view_relevant(view)
-    ]
-    index_keys = [
-        index_content_key(ix)
-        for ix in config.indexes
-        if profile.index_usable(ix)
-    ]
-    return content_fingerprint(
-        tuple(sorted(index_keys)),
-        tuple(sorted(repr(key) for key in view_keys)),
-    )
+    return "|".join(sorted(
+        repr(structure) for structure in (*config.views, *config.indexes)
+        if profile.affects(structure)
+    ))
+
+
+def _added(base, config):
+    """What ``config`` appends to ``base`` (``with_indexes`` /
+    ``with_views`` keep the base's tuples as a prefix), else ``None``."""
+    n_indexes, n_views = len(base.indexes), len(base.views)
+    if len(config.indexes) < n_indexes or len(config.views) < n_views \
+            or not all(map(is_, base.indexes, config.indexes)) \
+            or not all(map(is_, base.views, config.views)):
+        return None
+    return (*config.views[n_views:], *config.indexes[n_indexes:])
 
 
 class WhatIfCostService:
@@ -198,8 +201,10 @@ class WhatIfCostService:
         self._db = database
         self._session = session
         # Query profiles depend only on the bound query and the catalog,
-        # so one per SQL text serves every round of a recommender run.
+        # so one per SQL text serves every round of a recommender run;
+        # so does the relevant subset of a round's base configuration.
         self._profiles = {}
+        self._base_relevant = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -213,21 +218,43 @@ class WhatIfCostService:
                 profile = self._profiles.setdefault(bound.sql, profile)
         return profile
 
+    def _relevant(self, bound, config, base):
+        """The memo key's structures: ``(relevant subset of the base,
+        relevant structures config adds to it)``.
+
+        The first half is computed once per query and base and shared by
+        every trial of a round; the second is the candidate's own key.
+        Without a base (or when ``config`` does not extend it) the whole
+        of ``config`` is the first half.  Two splits of one set are two
+        keys — a lost hit, never a wrong one — and a greedy run cannot
+        produce them: what it adds to a base is one candidate that is
+        not in it.
+        """
+        profile = self._profile(bound)
+        added = None if base is None else _added(base, config)
+        if added is None:
+            return relevant_key(bound, config, profile=profile), ()
+        key = (bound.sql, base.fingerprint)
+        with self._lock:
+            shared = self._base_relevant.get(key)
+        if shared is None:
+            shared = relevant_key(bound, base, profile=profile)
+            with self._lock:
+                shared = self._base_relevant.setdefault(key, shared)
+        return shared, tuple(filter(profile.affects, added))
+
     def affects(self, structure, bound):
         """Whether adding ``structure`` can change the cost of ``bound``.
 
         The one relevance rule of both recommenders, and the rule of the
         memo key: a candidate index or view the planner could not use
-        for the query leaves :func:`relevant_fingerprint` — hence the
+        for the query leaves :func:`relevant_key` — hence the
         memoized cost — as it is, so its gain on that query is exactly
         zero and pricing it would be a wasted lookup.  (A view
         candidate's own index never counts: the planner does not consult
-        indexes on views.)
+        indexes on views.)  Depends on neither round nor configuration.
         """
-        profile = self._profile(bound)
-        if hasattr(structure, "group_columns"):        # a view
-            return profile.view_relevant(structure)
-        return profile.index_usable(structure)
+        return self._profile(bound).affects(structure)
 
     def cost(self, bound, config, base=None, oracle=False):
         """Atomic-memoized ``H`` cost of one bound query under ``config``.
@@ -238,7 +265,7 @@ class WhatIfCostService:
         """
         key = (
             "H", bound.sql, self._db.configuration_fingerprint,
-            relevant_fingerprint(bound, config, profile=self._profile(bound)),
+            *self._relevant(bound, config, base),
             bool(oracle),
         )
         cache = self._db.whatif_cache
@@ -290,6 +317,14 @@ class WhatIfCostService:
             "service.what_if", configuration=config.name, queries=len(bound)
         ) as span:
             if parallel and self._session is not None:
+                if self._session.jobs > 1 and bound:
+                    # Workers racing to build the environment would each
+                    # plan into a memo of their own; one build, before
+                    # the fan-out, gives them all the same one.
+                    self._db.hypothetical_env(
+                        config, force_hypothetical=True, oracle=oracle,
+                        base=base,
+                    )
                 costs = self._session.map_batch(one, bound)
             else:
                 costs = [one(query) for query in bound]

@@ -91,6 +91,7 @@ class GoalDrivenRecommender(WhatIfRecommender):
         used = 0
         selected = []
         iterations = 0
+        affected = {}
 
         def margin_of(costs):
             measurement = WorkloadMeasurement(
@@ -118,10 +119,7 @@ class GoalDrivenRecommender(WhatIfRecommender):
                 )
                 if used + max(0, extra) > budget_bytes:
                     continue
-                relevant = [
-                    idx for idx, query in enumerate(queries)
-                    if self._service.affects(candidate, query)
-                ]
+                relevant = self._affected(affected, key, candidate, queries)
                 # Goal margins are not additive over queries, so the
                 # gain bounds of the total-cost advisor do not apply and
                 # every affected query is priced — but the cost

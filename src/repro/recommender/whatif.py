@@ -186,6 +186,7 @@ class WhatIfRecommender:
         used = 0
         selected = []
         iterations = 0
+        affected = {}
         while len(selected) < profile.max_selected:
             iterations += 1
             threshold = profile.min_improvement * max(
@@ -195,6 +196,7 @@ class WhatIfRecommender:
             best = self._best_candidate(
                 candidates, selected_keys, queries, weights, current,
                 current_costs, base_bytes, used, budget_bytes, threshold,
+                affected,
             )
             if best is None:
                 break
@@ -232,7 +234,7 @@ class WhatIfRecommender:
 
     def _best_candidate(self, candidates, selected_keys, queries, weights,
                         current, current_costs, base_bytes, used,
-                        budget_bytes, threshold):
+                        budget_bytes, threshold, affected):
         """The round's best ``(score, key, candidate, extra, gain, costs)``.
 
         Phase 1 (serial, cheap) filters candidates: already selected,
@@ -262,10 +264,7 @@ class WhatIfRecommender:
             )
             if used + max(0, extra) > budget_bytes:
                 continue
-            relevant = [
-                idx for idx, query in enumerate(queries)
-                if self._service.affects(candidate, query)
-            ]
+            relevant = self._affected(affected, key, candidate, queries)
             before = [current_costs[idx] for idx in relevant]
             if sum(before) < threshold:
                 pruned += 1
@@ -307,6 +306,18 @@ class WhatIfRecommender:
             obs.counter_add("recommender.candidates_abandoned", abandoned)
             obs.counter_add("recommender.pricings_skipped", skipped)
         return best
+
+    def _affected(self, memo, key, candidate, queries):
+        """Positions of the queries ``candidate`` can affect: a property
+        of the candidate and the workload, so ``memo`` (one per run)
+        answers every round after the first."""
+        relevant = memo.get(key)
+        if relevant is None:
+            relevant = memo[key] = [
+                idx for idx, query in enumerate(queries)
+                if self._service.affects(candidate, query)
+            ]
+        return relevant
 
     def _what_if_batch(self, queries, config, base=None, parallel=False):
         """H costs of ``queries`` under ``config`` from the cost service

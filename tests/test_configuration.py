@@ -87,6 +87,41 @@ def test_estimated_bytes_close_to_built(city_db):
     assert estimated == pytest.approx(report.index_bytes, rel=0.35)
 
 
+def test_estimated_bytes_add_up_structure_by_structure(city_db):
+    """``bytes(base + candidate) == bytes(base) + bytes(candidate's
+    structures)``: an index is sized from its own table or view."""
+    from repro.views.matview import MatViewDefinition, ViewColumn
+
+    base = one_column_configuration(city_db.catalog)
+    view = MatViewDefinition(
+        tables=("orders",),
+        group_columns=(ViewColumn("orders", "uid"),
+                       ViewColumn("orders", "city")),
+    )
+    pairs = MatViewDefinition(
+        tables=("users", "orders"),
+        join_pred=(("users", "uid"), ("orders", "uid")),
+        group_columns=(ViewColumn("users", "city"),),
+    )
+    candidates = [
+        Configuration("c", indexes=(
+            IndexDefinition("orders", ("uid", "city")),
+        )),
+        Configuration("c", views=(view,), indexes=(
+            IndexDefinition(view.name, ("orders__uid",)),
+        )),
+        Configuration("c", views=(pairs,)),
+    ]
+    size = city_db.estimated_configuration_bytes
+    current = base
+    for candidate in candidates:
+        trial = current.with_views(candidate.views) \
+            .with_indexes(candidate.indexes)
+        assert size(candidate) > 0
+        assert size(trial) == size(current) + size(candidate)
+        current = trial
+
+
 def test_system_overheads_change_sizes(tiny_nref):
     from repro.engine.systems import system_a, system_b
     from repro.engine.configuration import one_column_configuration

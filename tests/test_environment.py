@@ -83,10 +83,13 @@ def test_planner_env_queries():
             ViewInfo(join_vdef, 10, 1, 16),
         ],
     )
-    assert env.indexes_on("users") == ["sentinel"]
-    assert env.indexes_on("orders") == []
-    assert len(env.views_on_table("orders")) == 1
-    assert len(env.join_views()) == 1
+    assert env.structures_on("users").indexes == ("sentinel",)
+    assert env.structures_on("users").views == ()
+    # Single-table views sit with their table; a join view with none.
+    assert env.structures_on("orders").indexes == ()
+    assert [v.definition for v in env.structures_on("orders").views] \
+        == [vdef]
+    assert env.structures_on("lineitem") is env.structures_on("part")
 
 
 def test_hypothetical_view_size_counts_distinct_key_tuples():

@@ -9,6 +9,7 @@ from repro.engine.configuration import (
     primary_configuration,
 )
 from repro.index.definition import IndexDefinition
+from repro.optimizer.environment import IndexInfo, PlannerEnv
 from repro.optimizer.planner import Planner
 from repro.optimizer.plans import (
     HashJoin,
@@ -165,6 +166,77 @@ def test_rejects_empty_query():
     db = load_city_database(n_users=50, n_orders=50)
     with pytest.raises(PlanError):
         Planner(db.planner_env()).plan(BoundQuery(relations={}))
+
+
+def test_disconnected_join_graph_is_a_plan_error():
+    """Two relations no predicate connects: the DP has nothing to join
+    them with (there is no cartesian product operator)."""
+    from repro.bench.context import BenchContext, BenchSettings
+
+    tpch = BenchContext(BenchSettings(scale=0.02)).database("C", "skth")
+    with pytest.raises(PlanError, match="could not connect the join graph"):
+        tpch.plan(
+            "SELECT COUNT(*) FROM nation n, region r "
+            "WHERE n.n_name = 'FRANCE'"
+        )
+
+
+def test_first_of_two_equal_cost_join_candidates_wins(db):
+    """Only the cheapest candidate of a join step is built, so the tie
+    rule — strictly cheaper replaces, hence the first in enumeration
+    order stays — is the costing loop's: swap two indexes that cost the
+    same and the plan swaps with them."""
+    db.apply_configuration(primary_configuration(db.catalog))
+    base = db._build_hypothetical_env(db.configuration, True, False)
+    twins = [
+        IndexInfo.hypothetical_on(
+            IndexDefinition("orders", ("uid", second)),
+            db.table("orders").row_count, key_width=16,
+        )
+        for second in ("amount", "oid")
+    ]
+    bound = db.bind(
+        "SELECT u.city, COUNT(*) FROM users u, orders o "
+        "WHERE u.uid = o.uid AND u.age = 30 GROUP BY u.city"
+    )
+
+    def plan_with(infos):
+        env = PlannerEnv(
+            catalog=base.catalog, estimator=base.estimator,
+            hardware=base.hardware,
+            indexes={**base.indexes,
+                     "orders": base.indexes["orders"] + infos},
+        )
+        return Planner(env).plan(bound)
+
+    alone = [plan_with([twin]) for twin in twins]
+    assert alone[0].est.cost == alone[1].est.cost
+    for ordered in (twins, twins[::-1]):
+        used = [
+            node.index for node in walk(plan_with(ordered))
+            if getattr(node, "index", None) in twins
+        ]
+        assert used and all(info is ordered[0] for info in used)
+
+
+def test_executed_plans_share_no_node(db):
+    """What-if plans may share subtrees through their environment's
+    memo; the built configuration's environment has none, so a plan
+    that is executed is a private tree."""
+    db.apply_configuration(one_column_configuration(db.catalog))
+    sqls = [
+        "SELECT u.city, COUNT(*) FROM users u, orders o "
+        f"WHERE u.uid = o.uid AND u.age = {age} GROUP BY u.city"
+        for age in (30, 31)
+    ] + ["SELECT u.city, COUNT(*) FROM users u GROUP BY u.city"]
+    trial = db.configuration.with_indexes(
+        [IndexDefinition(table="orders", columns=("uid", "city"))]
+    )
+    for sql in sqls:
+        db.estimate_hypothetical(sql, trial, force_hypothetical=True)
+    assert db.planner_env().memo is None
+    nodes = [node for sql in sqls for node in walk(db.plan(sql))]
+    assert len({id(node) for node in nodes}) == len(nodes)
 
 
 def test_configuration_equivalence_of_results(db):

@@ -1,15 +1,21 @@
 """What-if cost service: memo keys, invalidation, parity, pruning."""
 
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.engine.configuration import primary_configuration
+from repro.bench.context import FAMILY_DATASET, BenchContext, BenchSettings
+from repro.engine.configuration import Configuration, primary_configuration
 from repro.index.definition import IndexDefinition
+from repro.optimizer.planner import Planner
+from repro.optimizer.plans import explain
 from repro.recommender.costservice import (
     WhatIfCostService,
     query_tables,
-    relevant_fingerprint,
+    relevant_key,
 )
 from repro.recommender.profiles import RecommenderProfile
 from repro.recommender.whatif import WhatIfRecommender
@@ -24,6 +30,10 @@ ORDERS_SQL = (
 )
 USERS_SQL = (
     "SELECT u.city, COUNT(*) FROM users u WHERE u.age = 30 GROUP BY u.city"
+)
+JOIN_SQL = (
+    "SELECT u.city, COUNT(*) FROM users u, orders o "
+    "WHERE u.uid = o.uid AND o.city = 'tor' GROUP BY u.city"
 )
 
 
@@ -53,25 +63,25 @@ def test_relevant_fingerprint_ignores_unrelated_structures(db):
     bound = db.bind(ORDERS_SQL)
     assert query_tables(bound) == {"orders"}
     trial = orders_trial(db)
-    baseline = relevant_fingerprint(bound, trial, db.catalog)
+    baseline = relevant_key(bound, trial, db.catalog)
     # An index on a table the query never touches must not change the key
     # (this is exactly what makes round-2 lookups hit after an unrelated
     # structure was selected in round 1) ...
     noisy = trial.with_indexes(
         [IndexDefinition(table="users", columns=("age",))]
     )
-    assert relevant_fingerprint(bound, noisy, db.catalog) == baseline
+    assert relevant_key(bound, noisy, db.catalog) == baseline
     # ... and so must one the planner cannot use: orders.city neither
     # matches the equality filter (uid) nor covers {uid, city} ...
     unusable = trial.with_indexes(
         [IndexDefinition(table="orders", columns=("city",))]
     )
-    assert relevant_fingerprint(bound, unusable, db.catalog) == baseline
+    assert relevant_key(bound, unusable, db.catalog) == baseline
     # ... while a covering index on the query's table changes the key.
     covering = trial.with_indexes(
         [IndexDefinition(table="orders", columns=("city", "uid"))]
     )
-    assert relevant_fingerprint(bound, covering, db.catalog) != baseline
+    assert relevant_key(bound, covering, db.catalog) != baseline
 
 
 def test_service_memoizes_and_counts(db):
@@ -110,6 +120,51 @@ def test_cache_hits_across_unrelated_growth(db):
     )
     assert service.costs([ORDERS_SQL], grown) == first
     assert service.stats()["hits"] == 1
+
+
+def test_key_of_a_trial_is_the_base_key_plus_the_candidate(db):
+    """Unrelated growth of the *base* keeps the hit, and the base's half
+    of the key is taken once per query and base."""
+    service = WhatIfCostService(db)
+    bound = db.bind(ORDERS_SQL)
+    base = db.configuration
+    candidate = IndexDefinition(table="orders", columns=("uid",))
+    cost = service.cost(bound, base.with_indexes([candidate]), base=base)
+    grown = base.with_indexes(
+        [IndexDefinition(table="users", columns=("age",))]
+    )
+    assert service.cost(
+        bound, grown.with_indexes([candidate]), base=grown
+    ) == cost
+    assert service.stats()["hits"] == 1
+    assert set(service._base_relevant) == {
+        (bound.sql, base.fingerprint), (bound.sql, grown.fingerprint)
+    }
+    # A candidate the query cannot use adds nothing to the key: the
+    # trial is priced as its base.
+    unusable = IndexDefinition(table="users", columns=("city",))
+    assert service.cost(bound, base, base=None) == service.cost(
+        bound, base.with_indexes([unusable]), base=base
+    )
+    assert service.stats()["hits"] == 2
+
+
+def test_affects_is_asked_once_per_candidate_and_run(db, monkeypatch):
+    sqls = [ORDERS_SQL, USERS_SQL, JOIN_SQL]
+    asked = []
+    affects = WhatIfCostService.affects
+
+    def counting(self, structure, bound):
+        asked.append((structure, bound.sql))
+        return affects(self, structure, bound)
+
+    monkeypatch.setattr(WhatIfCostService, "affects", counting)
+    recommender = WhatIfRecommender(
+        db, RecommenderProfile("t", min_improvement=0.001)
+    )
+    report = recommender.recommend(workload_of(sqls), budget_bytes=10**9)
+    assert report.iterations > 2
+    assert len(asked) == len(set(asked)) <= report.candidate_count * len(sqls)
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +257,194 @@ def test_incremental_environment_equals_the_full_build(db, oracle):
                 info.cluster_factor == 1.0
                 for view in derived.views for info in view.indexes
             )
+
+
+# ----------------------------------------------------------------------
+# Pricing a candidate as a delta: the planner's memo changes no plan,
+# keeps nothing of a trial, and dies with the environment cache
+
+FAMILIES = [
+    ("A", "NREF2J"), ("A", "NREF3J"),
+    ("B", "NREF2J"), ("B", "NREF3J"),
+    ("C", "SkTH3J"), ("C", "SkTH3Js"), ("C", "UnTH3J"),
+]
+
+
+@pytest.fixture(scope="module")
+def context():
+    return BenchContext(BenchSettings(scale=0.05, workload_size=10, jobs=1))
+
+
+def greedy_chain(db, queries, seed, length=3):
+    """``(current, trial)`` steps ``P -> P+X1 -> P+X1+X2 ...`` over
+    candidates drawn from the recommender's own pool — a view (with its
+    index) first whenever the pool has one."""
+    recommender = WhatIfRecommender(db)
+    pool = list(
+        recommender._collect_candidates(queries, db.configuration).values()
+    )
+    rng = np.random.default_rng(seed)
+    views = [c for c in pool if hasattr(c, "group_columns")]
+    picks = [views[rng.integers(len(views))]] if views else []
+    rest = [c for c in pool if c not in picks]
+    order = rng.permutation(len(rest))[:length - len(picks)]
+    picks += [rest[i] for i in order]
+    current = db.configuration
+    for candidate in picks:
+        trial = recommender._extend(current, candidate)
+        yield current, trial
+        current = trial
+
+
+@pytest.mark.parametrize("system, family", FAMILIES)
+def test_delta_pricing_equals_a_fresh_plan(context, system, family):
+    """Whatever the memo already holds — the base priced first, the
+    trial priced first, four workers pricing at once — a trial's cost
+    and plan are those of a planner that starts from nothing."""
+    db = context.database(system, FAMILY_DATASET[family])
+    queries = [db.bind(q.sql) for q in context.workload(system, family)]
+
+    def price(config, base):
+        return [
+            db.price_hypothetical(
+                bound, config, force_hypothetical=True, base=base
+            )
+            for bound in queries
+        ]
+
+    for seed, order in enumerate(("base first", "trial first", "jobs=4")):
+        db.invalidate_caches()
+        previous = None
+        for current, trial in greedy_chain(db, queries, seed):
+            # What the recommender's _select does between rounds.
+            db.hypothetical_env(current, True, base=previous)
+            previous = current
+            if order == "base first":
+                price(current, None)
+                costs = price(trial, current)
+            elif order == "trial first":
+                costs = price(trial, current)
+                price(current, None)
+            else:
+                with MeasurementSession(db, jobs=4) as session:
+                    costs = session.map_batch(
+                        lambda bound: db.price_hypothetical(
+                            bound, trial, force_hypothetical=True,
+                            base=current,
+                        ),
+                        queries,
+                    )
+            shared = db.hypothetical_env(trial, True, base=current)
+            assert shared.memo is db.hypothetical_env(current, True).memo
+            fresh = db._build_hypothetical_env(trial, True, False)
+            for bound, cost in zip(queries, costs):
+                reference = Planner(fresh).plan(bound)
+                assert cost == reference.est.cost, (order, bound.sql)
+                assert explain(Planner(shared).plan(bound)) \
+                    == explain(reference), (order, bound.sql)
+
+
+def test_a_trial_leaves_nothing_of_its_own_in_the_memo(db):
+    base = db.configuration
+    bound = db.bind(JOIN_SQL)
+    db.price_hypothetical(bound, base, force_hypothetical=True)
+    base_env = db.hypothetical_env(base, True)
+    entries = base_env.memo.query(bound, None, None).entries
+    held = len(entries)
+    assert held > 0
+    # Uncached, so the only references to the trial are this test's.
+    trial = db._extend_hypothetical_env(base, orders_trial(db), True, False)
+    assert trial.memo is base_env.memo and trial.volatile
+    # Held by the trial's structures of "orders": alive while any memo
+    # entry keyed by them is.
+    own_index = weakref.ref(trial.indexes["orders"][-1])
+    assert trial.structures_on("users") is base_env.structures_on("users")
+    plan = Planner(trial).plan(bound)
+    assert len(entries) == held, "everything new involves the trial's index"
+    del trial, plan
+    assert own_index() is None
+
+
+@pytest.mark.parametrize("transition", [
+    "invalidate_caches", "insert_rows", "apply_configuration",
+    "collect_statistics",
+])
+def test_memo_dies_with_the_environment_cache(db, transition):
+    """No reference cycle, no second owner: dropping ``env_cache`` frees
+    the base environment and its memo at once, without the collector —
+    and what is priced next is planned on the new state."""
+    service, trial = _prime(db)
+    stale = service.costs([ORDERS_SQL], trial)
+    env = db.hypothetical_env(db.configuration, True)
+    assert db.planner_env().memo is None
+    watched = [weakref.ref(env), weakref.ref(env.memo)]
+    del env
+    if transition == "insert_rows":
+        n = 6000
+        db.insert_rows("orders", {
+            "oid": np.arange(100000, 100000 + n),
+            "uid": np.full(n, 3),
+            "city": np.array(["tor"] * n, dtype=object),
+            "amount": np.ones(n, dtype=np.int64),
+        })
+        db.collect_statistics()
+    elif transition == "apply_configuration":
+        db.apply_configuration(primary_configuration(db.catalog, name="P2"))
+    else:
+        getattr(db, transition)()
+    assert [ref() for ref in watched] == [None, None]
+    fresh = service.costs([ORDERS_SQL], trial)
+    reference = Planner(
+        db._build_hypothetical_env(trial, True, False)
+    ).plan(db.bind(ORDERS_SQL))
+    assert fresh == [reference.est.cost]
+    assert (fresh != stale) == (transition == "insert_rows")
+
+
+def test_reuse_counters_do_not_depend_on_the_pool_width():
+    # A join step is found again only if neither side holds the
+    # candidate's table, so the workload needs a third alias.
+    three_way = (
+        "SELECT u.city, COUNT(*) FROM users u, orders o, orders p "
+        "WHERE u.uid = o.uid AND o.uid = p.uid AND p.city = 'tor' "
+        "GROUP BY u.city"
+    )
+    sqls = [JOIN_SQL, ORDERS_SQL, USERS_SQL, three_way]
+    names = (
+        "optimizer.access_paths_considered", "optimizer.access_paths_reused",
+        "optimizer.join_steps_enumerated", "optimizer.join_steps_reused",
+        "optimizer.plans_enumerated",
+    )
+    outcomes = {}
+    for jobs in (1, 4):
+        fresh = load_city_database(n_users=2000, n_orders=12000, seed=7)
+        fresh.apply_configuration(
+            primary_configuration(fresh.catalog, name="P")
+        )
+        # Four workers on fewer cores, switching threads every
+        # microsecond: a lost update or an entry derived twice would
+        # show as a count that differs from the serial run's.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.recording() as recorder, \
+                    MeasurementSession(fresh, jobs=jobs) as session:
+                WhatIfRecommender(
+                    fresh, RecommenderProfile("t", min_improvement=0.001),
+                    session=session,
+                ).recommend(workload_of(sqls), budget_bytes=10**9)
+        finally:
+            sys.setswitchinterval(interval)
+        counters = recorder.metrics.snapshot()["counters"]
+        # One planner invocation per counted plan build, memo or not.
+        assert counters["optimizer.plans_enumerated"] == (
+            counters["optimizer.what_if_plan_builds"]
+            + counters.get("optimizer.plan_builds", 0)
+        )
+        outcomes[jobs] = [counters[name] for name in names]
+    assert outcomes[1] == outcomes[4]
+    considered, paths_reused, _, steps_reused, _ = outcomes[1]
+    assert 0 < paths_reused < considered and steps_reused > 0
 
 
 # ----------------------------------------------------------------------
