@@ -224,12 +224,14 @@ class BenchContext:
                 db = self.database(system_name, FAMILY_DATASET[family])
                 workload = self.workload(system_name, family)
                 self._ensure_configuration(db, system_name, "P")
-                recommender = WhatIfRecommender(db)
                 budget = self.space_budget(db)
                 try:
-                    report = recommender.recommend(
-                        workload, budget, name=f"{family}_R"
-                    )
+                    with MeasurementSession(
+                        db, jobs=self.jobs, executor=self.executor
+                    ) as session:
+                        report = WhatIfRecommender(
+                            db, session=session
+                        ).recommend(workload, budget, name=f"{family}_R")
                 except RecommenderGaveUp as failure:
                     return (None, failure)
                 return (report.configuration, report)

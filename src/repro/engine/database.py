@@ -405,23 +405,50 @@ class Database:
         """
         key = ("bytes", config.fingerprint)
         return self._cache("whatif_cache").get_or_build(
-            key, lambda: self._estimated_configuration_bytes(config)
+            key, lambda: self._structure_bytes(
+                config, config.indexes, config.views
+            ),
         )
 
-    def _estimated_configuration_bytes(self, config):
+    def estimated_added_bytes(self, config, extended):
+        """What-if size of the structures ``extended`` adds to ``config``.
+
+        Sizes only the indexes and views of ``extended`` that ``config``
+        does not hold (by name), so for an ``extended`` that only adds
+        to ``config`` it is exactly
+        ``estimated_configuration_bytes(extended) -
+        estimated_configuration_bytes(config)``.  The recommenders size
+        each candidate this way once per run: a candidate's structures
+        are disjoint from every other candidate's, so its size is the
+        same against whatever the earlier rounds selected.  Not
+        memoized.
+        """
+        indexes = {ix.name for ix in config.indexes}
+        views = {view_def.name for view_def in config.views}
+        return self._structure_bytes(
+            extended,
+            [ix for ix in extended.indexes if ix.name not in indexes],
+            [view_def for view_def in extended.views
+             if view_def.name not in views],
+        )
+
+    def _structure_bytes(self, config, indexes, views):
+        """Summed what-if bytes of ``indexes`` and ``views``, which
+        belong to ``config`` (an index on a view is sized from that
+        view's definition there)."""
         # No environment, so no ViewInfo: every view at its what-if
         # size.
-        views = {view_def.name: view_def for view_def in config.views}
+        view_defs = {view_def.name: view_def for view_def in config.views}
         index_bytes = 0
-        for ix in config.indexes:
+        for ix in indexes:
             rows, key_width = self._whatif_index_geometry(
-                ix, views.get(ix.table)
+                ix, view_defs.get(ix.table)
             )
             index_bytes += estimate_index_size(
                 rows, key_width, self.system.index_overhead
             ).byte_size
         view_bytes = 0
-        for view_def in config.views:
+        for view_def in views:
             rows, width = self._hypothetical_view_size(view_def)
             view_bytes += int(rows * width * self.system.heap_overhead)
         return index_bytes + view_bytes

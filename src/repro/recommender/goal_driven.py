@@ -82,7 +82,7 @@ class GoalDrivenRecommender(WhatIfRecommender):
         )
         base_config = self._db.configuration
         candidates = self._collect_candidates(queries, base_config)
-        base_bytes = self._db.estimated_configuration_bytes(base_config)
+        sizes = self._sizes(candidates, base_config)
 
         current = base_config
         current_costs = np.array(
@@ -112,13 +112,10 @@ class GoalDrivenRecommender(WhatIfRecommender):
             for key, candidate in candidates.items():
                 if key in selected_keys:
                     continue
-                trial = self._extend(current, candidate)
-                extra = (
-                    self._db.estimated_configuration_bytes(trial)
-                    - base_bytes - used
-                )
-                if used + max(0, extra) > budget_bytes:
+                extra = sizes[key]
+                if used + extra > budget_bytes:
                     continue
+                trial = self._extend(current, candidate)
                 relevant = self._affected(affected, key, candidate, queries)
                 # Goal margins are not additive over queries, so the
                 # gain bounds of the total-cost advisor do not apply and
@@ -141,7 +138,7 @@ class GoalDrivenRecommender(WhatIfRecommender):
             _, key, candidate, extra, trial_costs, margin = best
             current = self._select(current, candidate)
             current_costs = trial_costs
-            used += max(0, extra)
+            used += extra
             selected.append((key, candidate))
 
         return GoalRecommendation(

@@ -18,7 +18,13 @@ round never prices more of a candidate than it takes to rule it out:
 its best-possible gain is bounded before any optimizer call and again
 after every priced query (:func:`price_bounded`), and the candidate is
 dropped the moment the bound falls below the round's improvement
-threshold.
+threshold — or, per byte, below the score of the round's *rival*: the
+first candidate, in order of best-possible gain per byte, that survives
+being priced in full.  Both drops are exact (a dropped candidate could
+not have won the round) and the rival is chosen before the fan-out, so
+the pool width changes neither the recommendation nor which pricings
+happen.  Each candidate's size is taken once per run: it adds the same
+bytes to whatever the earlier rounds selected.
 
 Reproduced failure modes:
 
@@ -77,7 +83,7 @@ def gain_of(current, trial):
     return gain
 
 
-def price_bounded(current, threshold, price):
+def price_bounded(current, threshold, price, beats=None):
     """Price one candidate until it is known to miss ``threshold``.
 
     Queries are priced dearest first, and before each one the candidate's
@@ -97,6 +103,11 @@ def price_bounded(current, threshold, price):
         threshold: the gain a candidate must reach this round.
         price: ``price(position)`` → weighted trial cost (``>= 0``) of
             the query at ``position`` of ``current``.
+        beats: optional ``beats(gain)`` → whether a candidate whose
+            final gain were this optimistic gain could still win the
+            round; asked after the threshold, at every check, and the
+            candidate is dropped on the first no.  It must be monotone
+            in the gain for the drop to be sound.
 
     Returns:
         ``(trial, priced)``: the trial costs aligned with ``current``
@@ -106,13 +117,15 @@ def price_bounded(current, threshold, price):
     trial = [0.0] * len(current)
     dearest_first = sorted(range(len(current)), key=lambda i: -current[i])
     priced = 0
-    while not gain_of(current, trial) < threshold:
+    while True:
+        gain = gain_of(current, trial)
+        if gain < threshold or not (beats is None or beats(gain)):
+            return None, priced
         if priced == len(current):
             return trial, priced
         position = dearest_first[priced]
         trial[position] = price(position)
         priced += 1
-    return None, priced
 
 
 class WhatIfRecommender:
@@ -174,7 +187,7 @@ class WhatIfRecommender:
                 f"(workload of {len(queries)} queries)"
             )
 
-        base_bytes = self._db.estimated_configuration_bytes(base_config)
+        sizes = self._sizes(candidates, base_config)
         raw_base = self._what_if_batch(
             queries, base_config, parallel=True
         )
@@ -194,15 +207,15 @@ class WhatIfRecommender:
             )
             selected_keys = {key for key, _ in selected}
             best = self._best_candidate(
-                candidates, selected_keys, queries, weights, current,
-                current_costs, base_bytes, used, budget_bytes, threshold,
+                candidates, sizes, selected_keys, queries, weights,
+                current, current_costs, used, budget_bytes, threshold,
                 affected,
             )
             if best is None:
                 break
             _, key, candidate, extra, gain, trial_costs = best
             current = self._select(current, candidate)
-            used += max(0, extra)
+            used += extra
             selected.append((key, candidate))
             for idx, cost in trial_costs.items():
                 current_costs[idx] = cost
@@ -232,68 +245,111 @@ class WhatIfRecommender:
     # ------------------------------------------------------------------
     # One greedy round
 
-    def _best_candidate(self, candidates, selected_keys, queries, weights,
-                        current, current_costs, base_bytes, used,
+    def _best_candidate(self, candidates, sizes, selected_keys, queries,
+                        weights, current, current_costs, used,
                         budget_bytes, threshold, affected):
         """The round's best ``(score, key, candidate, extra, gain, costs)``.
 
         Phase 1 (serial, cheap) filters candidates: already selected,
         over budget, or pruned because even a best-possible gain (the
         entire current cost of the queries the candidate can affect)
-        cannot reach the round's improvement threshold.  Phase 2 prices
-        the survivors: whole candidate evaluations fan out over the
-        session pool, and each worker prices its candidate's queries
-        one at a time through the atomic memo (extending the current
-        configuration's what-if environment incrementally), stopping
-        as soon as :func:`price_bounded` rules the candidate out.  The
-        bound looks at nothing but the candidate itself, so which
-        pricings are skipped does not depend on the pool width.
+        cannot reach the round's improvement threshold.
+
+        Phase 2 prices the survivors, each one query at a time through
+        the atomic memo (extending the current configuration's what-if
+        environment incrementally), stopping as soon as
+        :func:`price_bounded` rules it out.  The most promising ones —
+        by that best-possible gain per byte, ties by position — are
+        priced first, serially, until one survives: the round's
+        *rival*.  The others fan out over the session pool, and each is
+        also dropped once its optimistic gain per byte can neither beat
+        the rival's score nor tie it from an earlier position.  The
+        threshold is checked first, so a candidate that misses both is
+        counted as abandoned.  Neither bound looks at anything but the
+        candidate and the rival, which is fixed before the fan-out, so
+        which pricings happen does not depend on the pool width.
+
         Phase 3 reduces in candidate order with a strict comparison, so
         ties are broken by candidate position, never by completion
-        order.
+        order.  The rival bound never drops its winner: a final score
+        is never above the optimistic one (the same sum over the same
+        order, divided by the same positive size), so a candidate that
+        cannot beat or earlier-tie the rival's score optimistically
+        cannot finally, and the first highest score does either.
         """
         eligible = []
         pruned = 0
         for key, candidate in candidates.items():
             if key in selected_keys:
                 continue
-            trial = self._extend(current, candidate)
-            extra = (
-                self._db.estimated_configuration_bytes(trial)
-                - base_bytes - used
-            )
-            if used + max(0, extra) > budget_bytes:
+            extra = sizes[key]
+            if used + extra > budget_bytes:
                 continue
             relevant = self._affected(affected, key, candidate, queries)
             before = [current_costs[idx] for idx in relevant]
             if sum(before) < threshold:
                 pruned += 1
                 continue
-            eligible.append((key, candidate, trial, extra, relevant, before))
+            eligible.append((key, candidate, extra, relevant, before))
         if pruned:
             obs.counter_add("recommender.candidates_pruned", pruned)
 
-        def evaluate(item):
-            _key, _candidate, trial, _extra, relevant, before = item
+        def evaluate(position, rival):
+            """``(trial costs or None, queries priced, outscored)``."""
+            _key, candidate, extra, relevant, before = eligible[position]
+            trial = self._extend(current, candidate)
+            per_byte = max(1, extra)
+            outscored = False
 
-            def price(position):
-                idx = relevant[position]
+            def price(at):
+                idx = relevant[at]
                 return weights[idx] * self._service.cost(
                     queries[idx], trial, base=current, oracle=self.oracle
                 )
 
-            return price_bounded(before, threshold, price)
+            def beats(gain):
+                nonlocal outscored
+                score, ahead = gain / per_byte, position < rival[1]
+                outscored = not (
+                    score > rival[0] or (score == rival[0] and ahead)
+                )
+                return not outscored
 
-        priced = self._session.map_batch(evaluate, eligible)
+            after, count = price_bounded(
+                before, threshold, price, None if rival is None else beats
+            )
+            return after, count, outscored
+
+        priced = [None] * len(eligible)
+        rival = None
+        promise = [sum(before) / max(1, extra)
+                   for _key, _candidate, extra, _relevant, before in eligible]
+        for position in sorted(range(len(eligible)),
+                               key=lambda p: -promise[p]):
+            priced[position] = evaluate(position, None)
+            after = priced[position][0]
+            if after is not None:
+                _key, _candidate, extra, _relevant, before = eligible[position]
+                rival = (gain_of(before, after) / max(1, extra), position)
+                break
+        rest = [p for p, outcome in enumerate(priced) if outcome is None]
+        outcomes = self._session.map_batch(
+            lambda position: evaluate(position, rival), rest
+        )
+        for position, outcome in zip(rest, outcomes):
+            priced[position] = outcome
 
         best = None
-        abandoned = skipped = 0
-        for (key, candidate, _trial, extra, relevant, before), (
-                after, count) in zip(eligible, priced):
+        abandoned = skipped = outscored = unpriced = 0
+        for (key, candidate, extra, relevant, before), (
+                after, count, lost) in zip(eligible, priced):
             if after is None:
-                # Not worth its maintenance/storage footprint: the
-                # candidate is ineligible this round.
-                if count < len(relevant):
+                # Not worth its maintenance/storage footprint, or cannot
+                # win: the candidate is ineligible this round.
+                if count < len(relevant) and lost:
+                    outscored += 1
+                    unpriced += len(relevant) - count
+                elif count < len(relevant):
                     abandoned += 1
                     skipped += len(relevant) - count
                 continue
@@ -305,7 +361,21 @@ class WhatIfRecommender:
         if abandoned:
             obs.counter_add("recommender.candidates_abandoned", abandoned)
             obs.counter_add("recommender.pricings_skipped", skipped)
+        if outscored:
+            obs.counter_add("recommender.candidates_outscored", outscored)
+            obs.counter_add("recommender.pricings_outscored", unpriced)
         return best
+
+    def _sizes(self, candidates, config):
+        """Bytes each candidate adds, sized once per run against the
+        run's starting ``config``: candidates share no structure, so
+        that is what it adds to whatever earlier rounds selected."""
+        return {
+            key: self._db.estimated_added_bytes(
+                config, self._extend(config, candidate)
+            )
+            for key, candidate in candidates.items()
+        }
 
     def _affected(self, memo, key, candidate, queries):
         """Positions of the queries ``candidate`` can affect: a property

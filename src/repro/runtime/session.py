@@ -19,7 +19,9 @@ owns that loop:
 
 ``analysis.measurements.measure_workload`` / ``estimate_workload`` are
 thin wrappers over this class, and the what-if recommender fans its
-candidate evaluations out over the same pool (:meth:`map_batch`).
+candidate evaluations out over the same pool (:meth:`map_batch`), each
+tested against a rival fixed before the fan-out, so that which
+candidates are priced is the same at every pool width.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -143,7 +145,11 @@ class MeasurementSession:
         pool is never re-entered).  Results are returned in submission
         order whatever the pool width, which is what keeps the parallel
         candidate search byte-identical to the serial one: the caller's
-        reduction sees the same sequence either way.
+        reduction sees the same sequence either way.  ``fn`` must not
+        depend on what other items have done (the recommender prices
+        its round's rival serially *before* the batch, so every worker
+        tests its candidate against the same score); then which work
+        each item does is the same at every width too.
         """
         return self._map(fn, items)
 

@@ -116,3 +116,54 @@ def test_weighted_workload_shifts_the_curve(db):
     assert measurement.lower_bound_total() == pytest.approx(
         9 * measurement.elapsed[0] + measurement.elapsed[1]
     )
+
+def test_once_per_run_sizes_are_the_whole_trial_arithmetic(db):
+    """Candidates are sized once per run; every budget check still sees
+    what re-sizing the whole trial configuration each round gave:
+    ``bytes(current + candidate) - bytes(base) - used``."""
+    sqls = [
+        f"SELECT o.city, COUNT(*) FROM orders o WHERE o.uid = {u} "
+        f"GROUP BY o.city" for u in (1, 7, 19)
+    ] + [
+        f"SELECT u.city, COUNT(*) FROM users u WHERE u.age = {a} "
+        f"GROUP BY u.city" for a in (30, 41, 52)
+    ]
+    workload = Workload(
+        "W", [make_instance(sql, "W", i=i) for i, sql in enumerate(sqls)]
+    )
+    rec = GoalDrivenRecommender(
+        db, StepGoal(steps=((1.0, 1.0),)),
+        RecommenderProfile("g", min_improvement=0.001),
+    )
+    size = db.estimated_configuration_bytes
+    base_bytes = size(db.configuration)
+    run = {"current": db.configuration, "used": 0, "checked": 0}
+
+    def whole_trial(candidate):
+        trial = rec._extend(run["current"], candidate)
+        return size(trial) - base_bytes - run["used"]
+
+    class Checked(dict):
+        def __getitem__(self, key):
+            extra = super().__getitem__(key)
+            assert extra == whole_trial(self.candidates[key]), key
+            run["checked"] += 1
+            return extra
+
+    sizes, select = rec._sizes, rec._select
+
+    def sizing(candidates, config):
+        checked = Checked(sizes(candidates, config))
+        checked.candidates = candidates
+        return checked
+
+    def selecting(current, candidate):
+        run["used"] += max(0, whole_trial(candidate))
+        run["current"] = select(current, candidate)
+        return run["current"]
+
+    rec._sizes, rec._select = sizing, selecting
+    outcome = rec.recommend_for_goal(workload, budget_bytes=10**9)
+    assert len(outcome.selected) == 2 and outcome.iterations == 3
+    assert outcome.used_bytes == run["used"]
+    assert run["checked"] > 2 * len(outcome.selected)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.common.errors import RecommenderGaveUp
-from repro.engine.configuration import primary_configuration
+from repro.engine.configuration import Configuration, primary_configuration
+from repro.index.definition import IndexDefinition
 from repro.recommender.candidates import (
     index_candidates,
     roles_of,
@@ -258,3 +260,145 @@ def test_price_bounded_stops_at_the_first_hopeless_query():
 
     assert price_bounded([6.0, 10.0, 4.0], 12.0, price) == (None, 1)
     assert calls == [1]
+
+
+# ----------------------------------------------------------------------
+# A greedy round against its rival: the same winner as full pricing
+
+class _Priced:
+    """What-if answers of a synthetic round: candidate ``i`` affects
+    query ``j`` when ``costs[i][j]`` is not ``None``, and then prices it
+    at that (unweighted) cost."""
+
+    def __init__(self, costs):
+        self.costs = costs
+        self.calls = 0
+
+    def affects(self, candidate, query):
+        return self.costs[int(candidate.table[1:])][query] is not None
+
+    def cost(self, query, trial, base=None, oracle=False):
+        self.calls += 1
+        return self.costs[int(trial.indexes[-1].table[1:])][query]
+
+
+class _Serial:
+    def map_batch(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def _round(costs, sizes, current, weights, used, budget, threshold):
+    """``(winner, pricings)`` of one greedy round over candidate
+    ``i`` = an index on table ``t<i>``, in candidate order."""
+    service = _Priced(costs)
+    recommender = WhatIfRecommender.__new__(WhatIfRecommender)
+    recommender._service = service
+    recommender._session = _Serial()
+    recommender.oracle = False
+    candidates = {
+        ("ix", f"t{i}"): IndexDefinition(table=f"t{i}", columns=("c",))
+        for i in range(len(costs))
+    }
+    best = recommender._best_candidate(
+        candidates, dict(zip(candidates, sizes)), set(),
+        list(range(len(current))), weights, Configuration("P"),
+        current, used, budget, threshold, {},
+    )
+    winner = None if best is None else (best[1], best[4], best[5])
+    return winner, service.calls
+
+
+def _fully_priced(costs, sizes, current, weights, used, budget, threshold):
+    """The round's winner when every candidate is priced in full."""
+    best = None
+    for i, (row, extra) in enumerate(zip(costs, sizes)):
+        relevant = [j for j, cost in enumerate(row) if cost is not None]
+        before = [current[j] for j in relevant]
+        if used + extra > budget or sum(before) < threshold:
+            continue
+        after = [weights[j] * row[j] for j in relevant]
+        gain = gain_of(before, after)
+        if gain < threshold:
+            continue
+        score = gain / max(1, extra)
+        if best is None or score > best[0]:
+            best = (score, ("ix", f"t{i}"), gain, dict(zip(relevant, after)))
+    return None if best is None else best[1:]
+
+
+@st.composite
+def rounds(draw):
+    m = draw(st.integers(1, 6))
+    current = draw(st.lists(_magnitudes, min_size=m, max_size=m))
+    weights = draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=m, max_size=m
+    ))
+    shared = draw(st.integers(0, 10**6))
+    costs, sizes = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        if costs and draw(st.booleans()):
+            # An exact copy at a later position: every score ties.
+            at = draw(st.integers(0, len(costs) - 1))
+            costs.append(costs[at])
+            sizes.append(sizes[at])
+            continue
+        costs.append([
+            draw(st.one_of(st.none(), _magnitudes,
+                           st.just(current[j] / 2)))
+            for j in range(m)
+        ])
+        sizes.append(draw(st.one_of(
+            st.sampled_from([0, 1, shared]), st.integers(0, 10**6)
+        )))
+    used = draw(st.integers(0, 10**6))
+    budget = draw(st.one_of(st.just(10**9), st.integers(0, 2 * 10**6)))
+    threshold = draw(st.one_of(
+        st.just(0.0), _magnitudes,
+        st.floats(min_value=0.0, max_value=1.0).map(
+            lambda share: share * max(sum(current), 1e-9)
+        ),
+    ))
+    return costs, sizes, current, weights, used, budget, threshold
+
+
+@settings(max_examples=500, deadline=None)
+@given(rounds())
+def test_round_against_its_rival_agrees_with_full_pricing(case):
+    winner, calls = _round(*case)
+    assert winner == _fully_priced(*case)
+    costs = case[0]
+    assert calls <= sum(c is not None for row in costs for c in row)
+
+
+def test_rival_tied_from_an_earlier_position_still_loses():
+    # t1 promises more (20 against 10 a byte) and is priced first: it
+    # is the rival, with score 6.  t0 ties it exactly, and from an
+    # earlier position, so t0 wins — as it would under full pricing.
+    costs = [[4.0, None], [None, 14.0]]
+    case = (costs, [1, 1], [10.0, 20.0], [1.0, 1.0], 0, 10**9, 0.0)
+    assert _round(*case) == ((("ix", "t0"), 6.0, {0: 4.0}), 2)
+    assert _fully_priced(*case) == (("ix", "t0"), 6.0, {0: 4.0})
+
+
+def test_rival_outscores_later_candidates_and_need_not_win():
+    # t0 promises most (100 a byte) and survives: the rival, score 10.
+    # t1 cannot save more than its 2 + 1, so it is dropped before its
+    # first pricing.  t2 saves 40 and wins.  t3 saves exactly the
+    # rival's 10 from a later position: priced in full, then dropped by
+    # the final check, which skips nothing and so counts nothing.
+    costs = [
+        [90.0, None, None, None, None],
+        [None, 1.0, 0.0, None, None],
+        [None, None, None, 10.0, None],
+        [None, None, None, None, 20.0],
+    ]
+    current = [100.0, 2.0, 1.0, 50.0, 30.0]
+    case = (costs, [1] * 4, current, [1.0] * 5, 0, 10**9, 0.0)
+    with obs.recording() as recorder:
+        winner, calls = _round(*case)
+    assert winner == _fully_priced(*case) == (("ix", "t2"), 40.0, {3: 10.0})
+    counters = recorder.metrics.snapshot()["counters"]
+    assert calls == 3
+    assert counters["recommender.candidates_outscored"] == 1
+    assert counters["recommender.pricings_outscored"] == 2
+    assert "recommender.candidates_abandoned" not in counters

@@ -600,6 +600,62 @@ def test_parallel_candidate_search_matches_serial(db):
     assert outcomes[1][1][0] > 0, "the 90 % round abandons a candidate"
 
 
+def test_pool_width_changes_no_recommender_or_what_if_counter():
+    """The rival is fixed before the fan-out and every bound looks only
+    at one candidate and the rival, so four workers price exactly what
+    one does."""
+    outcomes = {}
+    for jobs in (1, 4):
+        context = BenchContext(
+            BenchSettings(scale=0.05, workload_size=10, seed=405, jobs=jobs)
+        )
+        context.workload("C", "SkTH3J")
+        with obs.recording() as recorder:
+            recommended, _ = context.recommendation("C", "SkTH3J")
+        counters = recorder.metrics.snapshot()["counters"]
+        outcomes[jobs] = recommended.fingerprint, {
+            name: value for name, value in counters.items()
+            if name.startswith(("recommender.", "optimizer.what_if_"))
+        }
+    assert outcomes[1] == outcomes[4]
+    counted = outcomes[1][1]
+    assert counted["recommender.candidates_outscored"] > 0
+    assert counted["optimizer.what_if_plan_builds"] > 0
+
+
+def test_candidate_sizes_are_the_whole_trial_delta_in_every_round(
+        monkeypatch):
+    """Each candidate is sized once per run; in every round of every
+    family and system that is what re-sizing the whole trial
+    configuration against the round's base gives, views (with the
+    index on their leading column) included."""
+    best_candidate = WhatIfRecommender._best_candidate
+    checked = {"ix": 0, "mv": 0}
+
+    def checking(self, candidates, sizes, selected_keys, queries, weights,
+                 current, *rest):
+        here = self._db.estimated_configuration_bytes(current)
+        for key, candidate in candidates.items():
+            if key in selected_keys:
+                continue
+            trial = self._extend(current, candidate)
+            assert sizes[key] == (
+                self._db.estimated_configuration_bytes(trial) - here
+            ), key
+            checked[key[0]] += 1
+        return best_candidate(self, candidates, sizes, selected_keys,
+                              queries, weights, current, *rest)
+
+    monkeypatch.setattr(WhatIfRecommender, "_best_candidate", checking)
+    context = BenchContext(
+        BenchSettings(scale=0.05, workload_size=10, seed=405, jobs=1)
+    )
+    for family in FAMILY_DATASET:
+        for system in "ABC":
+            context.recommendation(system, family)
+    assert checked["ix"] > 0 and checked["mv"] > 0, checked
+
+
 # ----------------------------------------------------------------------
 # Satellite: Table.byte_size memo
 
