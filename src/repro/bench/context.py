@@ -226,12 +226,9 @@ class BenchContext:
                 self._ensure_configuration(db, system_name, "P")
                 budget = self.space_budget(db)
                 try:
-                    with MeasurementSession(
-                        db, jobs=self.jobs, executor=self.executor
-                    ) as session:
-                        report = WhatIfRecommender(
-                            db, session=session
-                        ).recommend(workload, budget, name=f"{family}_R")
+                    report = WhatIfRecommender(db).recommend(
+                        workload, budget, name=f"{family}_R"
+                    )
                 except RecommenderGaveUp as failure:
                     return (None, failure)
                 return (report.configuration, report)

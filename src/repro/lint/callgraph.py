@@ -30,7 +30,7 @@ Resolution is deliberately cheap and explicit about its tiers:
 * ``unique``       — ``x.m(...)`` where exactly one project class
                      defines method ``m`` (the classic cheap CHA cut);
 * ``submit``       — the callable handed to an executor
-                     (``pool.submit(self._work)``, ``map_batch(fn)``,
+                     (``pool.submit(self._work)``, ``_map(fn)``,
                      ``Thread(target=fn)``, ``add_done_callback(fn)``);
                      submit targets are the *entry points* of the
                      concurrency rules.  A submitted ``lambda`` has no
@@ -45,7 +45,7 @@ import ast
 
 from .core import annotate_parents, dotted_name, enclosing
 
-SUBMIT_ATTRS = frozenset({"map_batch", "submit", "_map"})
+SUBMIT_ATTRS = frozenset({"submit", "_map"})
 POOLISH_FRAGMENTS = ("pool", "executor")
 CALLBACK_ATTRS = frozenset({"add_done_callback"})
 THREAD_CALLS = frozenset({"threading.Thread", "Thread"})

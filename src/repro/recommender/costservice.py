@@ -36,7 +36,9 @@ The memo lives in the owning database's
 :attr:`~repro.engine.database.Database.whatif_cache`, so it is dropped
 by the same ``invalidate_caches`` path as every plan: applying a
 configuration, inserting rows, collecting statistics, or (re)loading a
-table all clear it.
+table all clear it.  The cache's own statistics are the memo's only
+hit/miss count.  A service is thread-confined: one recommender owns it
+and prices on one thread, so it holds no lock.
 
 The service never changes a cost:
 ``tests/test_whatif_service.py::test_service_costs_match_direct_estimates``
@@ -45,7 +47,6 @@ checks every cost it returns against
 full trial configuration.
 """
 
-import threading
 from operator import is_
 
 from .. import obs
@@ -186,36 +187,27 @@ class WhatIfCostService:
         database: the :class:`~repro.engine.database.Database` whose
             optimizer answers the what-if calls (and whose
             ``whatif_cache`` stores the atomic memo).
-        session: optional :class:`~repro.runtime.session.MeasurementSession`
-            whose worker pool serves ``parallel=True`` batches.
 
-    Thread-safe: the recommenders evaluate whole candidate batches on
-    session worker threads, each calling :meth:`costs` concurrently; the
-    memo is a locked :class:`~repro.common.cache.BoundedCache`, the
-    database's own planning path is already shareable, and the service's
-    local hit/miss counters and profile memo are guarded by their own
-    lock (unguarded ``+=`` from workers would silently under-count).
+    A service belongs to one recommender and is used from one thread.
+    Its lookups are counted once, by the ``whatif_cache`` itself
+    (``database.cache_stats()["whatif_cache"]``) and by the
+    ``recommender.whatif_cache.*`` counters.
     """
 
-    def __init__(self, database, session=None):
+    def __init__(self, database):
         self._db = database
-        self._session = session
         # Query profiles depend only on the bound query and the catalog,
         # so one per SQL text serves every round of a recommender run;
         # so does the relevant subset of a round's base configuration.
         self._profiles = {}
         self._base_relevant = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
     def _profile(self, bound):
-        with self._lock:
-            profile = self._profiles.get(bound.sql)
+        profile = self._profiles.get(bound.sql)
         if profile is None:
-            profile = QueryProfile(bound, self._db.catalog)
-            with self._lock:
-                profile = self._profiles.setdefault(bound.sql, profile)
+            profile = self._profiles[bound.sql] = QueryProfile(
+                bound, self._db.catalog
+            )
         return profile
 
     def _relevant(self, bound, config, base):
@@ -235,12 +227,11 @@ class WhatIfCostService:
         if added is None:
             return relevant_key(bound, config, profile=profile), ()
         key = (bound.sql, base.fingerprint)
-        with self._lock:
-            shared = self._base_relevant.get(key)
+        shared = self._base_relevant.get(key)
         if shared is None:
-            shared = relevant_key(bound, base, profile=profile)
-            with self._lock:
-                shared = self._base_relevant.setdefault(key, shared)
+            shared = self._base_relevant[key] = relevant_key(
+                bound, base, profile=profile
+            )
         return shared, tuple(filter(profile.affects, added))
 
     def affects(self, structure, bound):
@@ -271,12 +262,8 @@ class WhatIfCostService:
         cache = self._db.whatif_cache
         cost = cache.get(key)
         if cost is not None:
-            with self._lock:
-                self.hits += 1
             obs.counter_add("recommender.whatif_cache.hits")
             return cost
-        with self._lock:
-            self.misses += 1
         obs.counter_add("recommender.whatif_cache.misses")
         cost = self._db.price_hypothetical(
             bound, config, force_hypothetical=True, oracle=oracle, base=base
@@ -284,8 +271,7 @@ class WhatIfCostService:
         cache.put(key, cost)
         return cost
 
-    def costs(self, queries, config, base=None, oracle=False,
-              parallel=False):
+    def costs(self, queries, config, base=None, oracle=False):
         """Atomic-memoized ``H`` costs of ``queries`` under ``config``.
 
         Every cost is taken with ``force_hypothetical=True`` — the
@@ -300,44 +286,17 @@ class WhatIfCostService:
                 the database so a cache miss can build its what-if
                 environment incrementally from the base's.
             oracle: full-fidelity what-if statistics (ablation knob).
-            parallel: fan the queries out over the session's worker
-                pool.  Only safe from the main thread (never from
-                inside a worker — the pool is not reentrant); candidate
-                batches parallelize at candidate granularity instead.
 
         Returns:
             A list of costs, index-aligned with ``queries``.
         """
         bound = [self._db.bind(q) for q in queries]
-
-        def one(query):
-            return self.cost(query, config, base=base, oracle=oracle)
-
         with obs.span(
             "service.what_if", configuration=config.name, queries=len(bound)
         ) as span:
-            if parallel and self._session is not None:
-                if self._session.jobs > 1 and bound:
-                    # Workers racing to build the environment would each
-                    # plan into a memo of their own; one build, before
-                    # the fan-out, gives them all the same one.
-                    self._db.hypothetical_env(
-                        config, force_hypothetical=True, oracle=oracle,
-                        base=base,
-                    )
-                costs = self._session.map_batch(one, bound)
-            else:
-                costs = [one(query) for query in bound]
+            costs = [
+                self.cost(query, config, base=base, oracle=oracle)
+                for query in bound
+            ]
             span.set(virtual_s=float(sum(costs)))
         return costs
-
-    def stats(self):
-        """Local hit/miss counters of this service instance."""
-        with self._lock:
-            hits, misses = self.hits, self.misses
-        lookups = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / lookups if lookups else 0.0,
-        }

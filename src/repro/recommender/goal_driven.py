@@ -86,7 +86,7 @@ class GoalDrivenRecommender(WhatIfRecommender):
 
         current = base_config
         current_costs = np.array(
-            self._what_if_batch(queries, base_config, parallel=True)
+            self._service.costs(queries, base_config, oracle=self.oracle)
         )
         used = 0
         selected = []
@@ -122,8 +122,9 @@ class GoalDrivenRecommender(WhatIfRecommender):
                 # every affected query is priced — but the cost
                 # service's atomic memo and incremental environments do.
                 trial_costs = current_costs.copy()
-                trial_costs[relevant] = self._what_if_batch(
-                    [queries[idx] for idx in relevant], trial, base=current
+                trial_costs[relevant] = self._service.costs(
+                    [queries[idx] for idx in relevant], trial,
+                    base=current, oracle=self.oracle,
                 )
                 trial_margin = margin_of(trial_costs)
                 gain = trial_margin - margin

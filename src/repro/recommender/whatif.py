@@ -10,21 +10,18 @@ profile's minimum-improvement threshold.
 
 The candidate search runs on top of the **what-if cost service**
 (:mod:`repro.recommender.costservice`): per-query ``H`` costs are
-memoized by the relevant subset of the trial configuration, candidate
-trials extend the current configuration's what-if environment
-incrementally, and whole candidate evaluations fan out over the
-measurement session's worker pool with a deterministic reduction.  A
-round never prices more of a candidate than it takes to rule it out:
-its best-possible gain is bounded before any optimizer call and again
-after every priced query (:func:`price_bounded`), and the candidate is
-dropped the moment the bound falls below the round's improvement
-threshold — or, per byte, below the score of the round's *rival*: the
-first candidate, in order of best-possible gain per byte, that survives
-being priced in full.  Both drops are exact (a dropped candidate could
-not have won the round) and the rival is chosen before the fan-out, so
-the pool width changes neither the recommendation nor which pricings
-happen.  Each candidate's size is taken once per run: it adds the same
-bytes to whatever the earlier rounds selected.
+memoized by the relevant subset of the trial configuration, and
+candidate trials extend the current configuration's what-if environment
+incrementally.  A round is one serial loop over its candidates, most
+promising first (best-possible gain per byte), and never prices more of
+a candidate than it takes to rule it out: its best-possible gain is
+bounded before any optimizer call and again after every priced query
+(:func:`price_bounded`), and the candidate is dropped the moment the
+bound falls below the round's improvement threshold — or, per byte,
+below the score of the round's best candidate so far.  Both drops are
+exact: a dropped candidate could not have won the round.  Each
+candidate's size is taken once per run: it adds the same bytes to
+whatever the earlier rounds selected.
 
 Reproduced failure modes:
 
@@ -46,7 +43,6 @@ from .. import obs
 from ..common.errors import RecommenderGaveUp
 from ..engine.configuration import Configuration
 from ..index.definition import IndexDefinition
-from ..runtime.session import MeasurementSession
 from .candidates import index_candidates, view_candidates
 from .costservice import WhatIfCostService
 
@@ -131,16 +127,13 @@ def price_bounded(current, threshold, price, beats=None):
 class WhatIfRecommender:
     """Greedy budgeted index/view advisor over what-if optimizer calls."""
 
-    def __init__(self, database, profile=None, oracle=False, session=None):
+    def __init__(self, database, profile=None, oracle=False):
         self._db = database
         self.profile = profile or database.system.recommender
         self.oracle = oracle
-        # The session provides the worker pool (REPRO_JOBS) that
-        # candidate evaluations fan out over.
-        self._session = session or MeasurementSession(database)
         # The what-if cost service: atomic-configuration memoization
         # and incremental environments over the what-if optimizer.
-        self._service = WhatIfCostService(database, self._session)
+        self._service = WhatIfCostService(database)
 
     def recommend(self, workload, budget_bytes, name=None):
         """Recommend a configuration for ``workload`` under a byte budget.
@@ -188,8 +181,8 @@ class WhatIfRecommender:
             )
 
         sizes = self._sizes(candidates, base_config)
-        raw_base = self._what_if_batch(
-            queries, base_config, parallel=True
+        raw_base = self._service.costs(
+            queries, base_config, oracle=self.oracle
         )
         base_costs = [c * w for c, w in zip(raw_base, weights)]
         total = sum(base_costs)
@@ -250,32 +243,27 @@ class WhatIfRecommender:
                         budget_bytes, threshold, affected):
         """The round's best ``(score, key, candidate, extra, gain, costs)``.
 
-        Phase 1 (serial, cheap) filters candidates: already selected,
-        over budget, or pruned because even a best-possible gain (the
-        entire current cost of the queries the candidate can affect)
-        cannot reach the round's improvement threshold.
+        Phase 1 (cheap) filters candidates: already selected, over
+        budget, or pruned because even a best-possible gain (the entire
+        current cost of the queries the candidate can affect) cannot
+        reach the round's improvement threshold.
 
-        Phase 2 prices the survivors, each one query at a time through
-        the atomic memo (extending the current configuration's what-if
-        environment incrementally), stopping as soon as
-        :func:`price_bounded` rules it out.  The most promising ones —
-        by that best-possible gain per byte, ties by position — are
-        priced first, serially, until one survives: the round's
-        *rival*.  The others fan out over the session pool, and each is
-        also dropped once its optimistic gain per byte can neither beat
-        the rival's score nor tie it from an earlier position.  The
-        threshold is checked first, so a candidate that misses both is
-        counted as abandoned.  Neither bound looks at anything but the
-        candidate and the rival, which is fixed before the fan-out, so
-        which pricings happen does not depend on the pool width.
-
-        Phase 3 reduces in candidate order with a strict comparison, so
-        ties are broken by candidate position, never by completion
-        order.  The rival bound never drops its winner: a final score
-        is never above the optimistic one (the same sum over the same
-        order, divided by the same positive size), so a candidate that
-        cannot beat or earlier-tie the rival's score optimistically
-        cannot finally, and the first highest score does either.
+        Phase 2 prices the survivors in one loop, most promising first —
+        by that best-possible gain per byte, ties by position — each one
+        query at a time through the atomic memo (extending the current
+        configuration's what-if environment incrementally), stopping as
+        soon as :func:`price_bounded` rules it out: once its optimistic
+        gain misses the threshold, or once its optimistic gain per byte
+        can neither beat the best score so far nor tie it from an
+        earlier position.  The threshold is checked first, so a
+        candidate that misses both is counted as abandoned.  The last
+        check is the final gain, so a candidate that survives beats the
+        best so far (or ties it from an earlier position) and takes its
+        place: the winner is the first candidate, by position, with the
+        highest score, as if every candidate had been priced in full.
+        No drop loses it: a final score is never above the optimistic
+        one (the same sum over the same order, divided by the same
+        positive size), and the best so far never scores above it.
         """
         eligible = []
         pruned = 0
@@ -294,12 +282,16 @@ class WhatIfRecommender:
         if pruned:
             obs.counter_add("recommender.candidates_pruned", pruned)
 
-        def evaluate(position, rival):
-            """``(trial costs or None, queries priced, outscored)``."""
-            _key, candidate, extra, relevant, before = eligible[position]
+        best = leader = None
+        abandoned = skipped = outscored = unpriced = 0
+        promise = [sum(before) / max(1, extra)
+                   for _key, _candidate, extra, _relevant, before in eligible]
+        for position in sorted(range(len(eligible)),
+                               key=lambda p: -promise[p]):
+            key, candidate, extra, relevant, before = eligible[position]
             trial = self._extend(current, candidate)
             per_byte = max(1, extra)
-            outscored = False
+            lost = False
 
             def price(at):
                 idx = relevant[at]
@@ -308,41 +300,15 @@ class WhatIfRecommender:
                 )
 
             def beats(gain):
-                nonlocal outscored
-                score, ahead = gain / per_byte, position < rival[1]
-                outscored = not (
-                    score > rival[0] or (score == rival[0] and ahead)
-                )
-                return not outscored
+                nonlocal lost
+                score = gain / per_byte
+                lost = not (score > leader[0] or (
+                    score == leader[0] and position < leader[1]))
+                return not lost
 
             after, count = price_bounded(
-                before, threshold, price, None if rival is None else beats
+                before, threshold, price, None if leader is None else beats
             )
-            return after, count, outscored
-
-        priced = [None] * len(eligible)
-        rival = None
-        promise = [sum(before) / max(1, extra)
-                   for _key, _candidate, extra, _relevant, before in eligible]
-        for position in sorted(range(len(eligible)),
-                               key=lambda p: -promise[p]):
-            priced[position] = evaluate(position, None)
-            after = priced[position][0]
-            if after is not None:
-                _key, _candidate, extra, _relevant, before = eligible[position]
-                rival = (gain_of(before, after) / max(1, extra), position)
-                break
-        rest = [p for p, outcome in enumerate(priced) if outcome is None]
-        outcomes = self._session.map_batch(
-            lambda position: evaluate(position, rival), rest
-        )
-        for position, outcome in zip(rest, outcomes):
-            priced[position] = outcome
-
-        best = None
-        abandoned = skipped = outscored = unpriced = 0
-        for (key, candidate, extra, relevant, before), (
-                after, count, lost) in zip(eligible, priced):
             if after is None:
                 # Not worth its maintenance/storage footprint, or cannot
                 # win: the candidate is ineligible this round.
@@ -354,10 +320,9 @@ class WhatIfRecommender:
                     skipped += len(relevant) - count
                 continue
             gain = gain_of(before, after)
-            score = gain / max(1, extra)
-            if best is None or score > best[0]:
-                best = (score, key, candidate, extra, gain,
-                        dict(zip(relevant, after)))
+            leader = (gain / per_byte, position)
+            best = (leader[0], key, candidate, extra, gain,
+                    dict(zip(relevant, after)))
         if abandoned:
             obs.counter_add("recommender.candidates_abandoned", abandoned)
             obs.counter_add("recommender.pricings_skipped", skipped)
@@ -388,18 +353,6 @@ class WhatIfRecommender:
                 if self._service.affects(candidate, query)
             ]
         return relevant
-
-    def _what_if_batch(self, queries, config, base=None, parallel=False):
-        """H costs of ``queries`` under ``config`` from the cost service
-        (atomic memoization, incremental environments).
-
-        ``parallel`` fans misses out over the session pool and must only
-        be set from the main thread.
-        """
-        return self._service.costs(
-            queries, config, base=base, oracle=self.oracle,
-            parallel=parallel,
-        )
 
     # ------------------------------------------------------------------
 

@@ -18,10 +18,8 @@ owns that loop:
   counters — this is where bench runs get their planner-cache hit rates.
 
 ``analysis.measurements.measure_workload`` / ``estimate_workload`` are
-thin wrappers over this class, and the what-if recommender fans its
-candidate evaluations out over the same pool (:meth:`map_batch`), each
-tested against a rival fixed before the fan-out, so that which
-candidates are priced is the same at every pool width.
+thin wrappers over this class.  The pool widens measurement only: the
+recommenders price their candidates on the calling thread.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -134,24 +132,6 @@ class MeasurementSession:
             )
             self._owns_pool = True
         return list(self._pool.map(fn, items))
-
-    def map_batch(self, fn, items):
-        """Apply ``fn`` over ``items`` on the worker pool, in order.
-
-        The public face of the session's pool for callers that batch
-        units other than single queries — the what-if recommender fans
-        whole *candidate evaluations* out through here (one candidate's
-        relevant queries are priced serially inside the worker, so the
-        pool is never re-entered).  Results are returned in submission
-        order whatever the pool width, which is what keeps the parallel
-        candidate search byte-identical to the serial one: the caller's
-        reduction sees the same sequence either way.  ``fn`` must not
-        depend on what other items have done (the recommender prices
-        its round's rival serially *before* the batch, so every worker
-        tests its candidate against the same score); then which work
-        each item does is the same at every width too.
-        """
-        return self._map(fn, items)
 
     # ------------------------------------------------------------------
     # Measurement (actual costs, A)

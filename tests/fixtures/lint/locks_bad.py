@@ -12,7 +12,7 @@ class Service:
             self.hits += 1
             return item
 
-        return self._session.map_batch(work, items)
+        return self._session._map(work, items)
 
     def run_lambda(self, pool, items):
         return pool.map(lambda item: self._bump(item), items)

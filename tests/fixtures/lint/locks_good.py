@@ -19,7 +19,7 @@ class Service:
             box.value = item
             return box
 
-        return self._session.map_batch(work, items)
+        return self._session._map(work, items)
 
 
 class Box:

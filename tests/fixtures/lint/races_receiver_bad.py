@@ -26,4 +26,4 @@ class Session:
         def run(query):
             return self.db.bind(query)
 
-        return self._pool.map_batch(run, queries)
+        return self._pool._map(run, queries)

@@ -69,17 +69,21 @@ def test_fig8_recommendation_what_if_work_is_pinned():
     in what they recommend — shows here.
 
     It was 3332 while a round priced every candidate until it missed
-    the round's threshold; each round now also drops a candidate once
-    it cannot beat the round's rival (the first survivor in order of
-    best-possible gain per byte), which recommends the same structures
-    after 2430 plans."""
+    the round's threshold, and 2430 while a round also dropped a
+    candidate once it could not beat a rival fixed up front (the first
+    survivor in order of best-possible gain per byte).  A round now
+    prices its candidates in that order in one loop and tests each
+    against the best candidate so far, which is never worse than that
+    rival and only improves, so more candidates drop before they are
+    priced in full; it recommends the same structures after 2246
+    plans."""
     context = BenchContext(
         BenchSettings(scale=0.05, workload_size=10, seed=405)
     )
     with obs.recording() as recorder:
         context.recommendation("C", "SkTH3J")
     counters = recorder.metrics.snapshot()["counters"]
-    assert counters["optimizer.what_if_plan_builds"] == 2430
+    assert counters["optimizer.what_if_plan_builds"] == 2246
     assert counters["optimizer.hypothetical_env_builds"] == 1
 
 

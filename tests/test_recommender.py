@@ -263,7 +263,8 @@ def test_price_bounded_stops_at_the_first_hopeless_query():
 
 
 # ----------------------------------------------------------------------
-# A greedy round against its rival: the same winner as full pricing
+# A greedy round against its running best: the same winner as full
+# pricing
 
 class _Priced:
     """What-if answers of a synthetic round: candidate ``i`` affects
@@ -282,18 +283,12 @@ class _Priced:
         return self.costs[int(trial.indexes[-1].table[1:])][query]
 
 
-class _Serial:
-    def map_batch(self, fn, items):
-        return [fn(item) for item in items]
-
-
 def _round(costs, sizes, current, weights, used, budget, threshold):
     """``(winner, pricings)`` of one greedy round over candidate
     ``i`` = an index on table ``t<i>``, in candidate order."""
     service = _Priced(costs)
     recommender = WhatIfRecommender.__new__(WhatIfRecommender)
     recommender._service = service
-    recommender._session = _Serial()
     recommender.oracle = False
     candidates = {
         ("ix", f"t{i}"): IndexDefinition(table=f"t{i}", columns=("c",))
@@ -372,8 +367,8 @@ def test_round_against_its_rival_agrees_with_full_pricing(case):
 
 def test_rival_tied_from_an_earlier_position_still_loses():
     # t1 promises more (20 against 10 a byte) and is priced first: it
-    # is the rival, with score 6.  t0 ties it exactly, and from an
-    # earlier position, so t0 wins — as it would under full pricing.
+    # is the best so far, with score 6.  t0 ties it exactly, and from
+    # an earlier position, so t0 wins — as it would under full pricing.
     costs = [[4.0, None], [None, 14.0]]
     case = (costs, [1, 1], [10.0, 20.0], [1.0, 1.0], 0, 10**9, 0.0)
     assert _round(*case) == ((("ix", "t0"), 6.0, {0: 4.0}), 2)
@@ -381,11 +376,12 @@ def test_rival_tied_from_an_earlier_position_still_loses():
 
 
 def test_rival_outscores_later_candidates_and_need_not_win():
-    # t0 promises most (100 a byte) and survives: the rival, score 10.
-    # t1 cannot save more than its 2 + 1, so it is dropped before its
-    # first pricing.  t2 saves 40 and wins.  t3 saves exactly the
-    # rival's 10 from a later position: priced in full, then dropped by
-    # the final check, which skips nothing and so counts nothing.
+    # t0 promises most (100 a byte) and survives: the best so far,
+    # score 10.  t2 promises 50, saves 40 and takes its place.  t3 and
+    # t1 cannot save more than their 30 and 2 + 1, so each is dropped
+    # before its first pricing.  Against a best fixed at t0's 10, t3
+    # would have been priced in full before its final check dropped it:
+    # three pricings where the running best needs two.
     costs = [
         [90.0, None, None, None, None],
         [None, 1.0, 0.0, None, None],
@@ -398,7 +394,7 @@ def test_rival_outscores_later_candidates_and_need_not_win():
         winner, calls = _round(*case)
     assert winner == _fully_priced(*case) == (("ix", "t2"), 40.0, {3: 10.0})
     counters = recorder.metrics.snapshot()["counters"]
-    assert calls == 3
-    assert counters["recommender.candidates_outscored"] == 1
-    assert counters["recommender.pricings_outscored"] == 2
+    assert calls == 2
+    assert counters["recommender.candidates_outscored"] == 2
+    assert counters["recommender.pricings_outscored"] == 3
     assert "recommender.candidates_abandoned" not in counters

@@ -1,7 +1,7 @@
 """What-if cost service: memo keys, invalidation, parity, pruning."""
 
-import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from repro.recommender.costservice import (
 )
 from repro.recommender.profiles import RecommenderProfile
 from repro.recommender.whatif import WhatIfRecommender
-from repro.runtime.session import MeasurementSession
 from repro.views.matview import MatViewDefinition, ViewColumn
 from repro.workload.workload import Workload, make_instance
 
@@ -48,6 +47,12 @@ def workload_of(sqls):
     return Workload(
         "W", [make_instance(sql, "W", i=i) for i, sql in enumerate(sqls)]
     )
+
+
+def lookups(db):
+    """``(hits, misses)`` of the database's what-if cache so far."""
+    stats = db.cache_stats()["whatif_cache"]
+    return stats["hits"], stats["misses"]
 
 
 def orders_trial(db):
@@ -87,15 +92,20 @@ def test_relevant_fingerprint_ignores_unrelated_structures(db):
 def test_service_memoizes_and_counts(db):
     service = WhatIfCostService(db)
     trial = orders_trial(db)
+    assert lookups(db) == (0, 0)
     first = service.costs([ORDERS_SQL], trial)
-    assert service.stats()["misses"] == 1
+    assert lookups(db) == (0, 1)
     again = service.costs([ORDERS_SQL], trial)
     assert again == first
-    assert service.stats()["hits"] == 1
+    assert lookups(db) == (1, 1)
     # The memo lives on the database, so a second service instance hits.
     other = WhatIfCostService(db)
-    assert other.costs([ORDERS_SQL], trial) == first
-    assert other.stats() == {"hits": 1, "misses": 0, "hit_rate": 1.0}
+    with obs.recording() as recorder:
+        assert other.costs([ORDERS_SQL], trial) == first
+    assert lookups(db) == (2, 1)
+    counters = recorder.metrics.snapshot()["counters"]
+    assert counters["recommender.whatif_cache.hits"] == 1
+    assert "recommender.whatif_cache.misses" not in counters
 
 
 def test_service_costs_match_direct_estimates(db):
@@ -119,7 +129,7 @@ def test_cache_hits_across_unrelated_growth(db):
         [IndexDefinition(table="users", columns=("age",))]
     )
     assert service.costs([ORDERS_SQL], grown) == first
-    assert service.stats()["hits"] == 1
+    assert lookups(db) == (1, 1)
 
 
 def test_key_of_a_trial_is_the_base_key_plus_the_candidate(db):
@@ -128,6 +138,7 @@ def test_key_of_a_trial_is_the_base_key_plus_the_candidate(db):
     service = WhatIfCostService(db)
     bound = db.bind(ORDERS_SQL)
     base = db.configuration
+    hits = lookups(db)[0]
     candidate = IndexDefinition(table="orders", columns=("uid",))
     cost = service.cost(bound, base.with_indexes([candidate]), base=base)
     grown = base.with_indexes(
@@ -136,7 +147,7 @@ def test_key_of_a_trial_is_the_base_key_plus_the_candidate(db):
     assert service.cost(
         bound, grown.with_indexes([candidate]), base=grown
     ) == cost
-    assert service.stats()["hits"] == 1
+    assert lookups(db)[0] == hits + 1
     assert set(service._base_relevant) == {
         (bound.sql, base.fingerprint), (bound.sql, grown.fingerprint)
     }
@@ -146,7 +157,7 @@ def test_key_of_a_trial_is_the_base_key_plus_the_candidate(db):
     assert service.cost(bound, base, base=None) == service.cost(
         bound, base.with_indexes([unusable]), base=base
     )
-    assert service.stats()["hits"] == 2
+    assert lookups(db)[0] == hits + 2
 
 
 def test_affects_is_asked_once_per_candidate_and_run(db, monkeypatch):
@@ -299,7 +310,7 @@ def greedy_chain(db, queries, seed, length=3):
 @pytest.mark.parametrize("system, family", FAMILIES)
 def test_delta_pricing_equals_a_fresh_plan(context, system, family):
     """Whatever the memo already holds — the base priced first, the
-    trial priced first, four workers pricing at once — a trial's cost
+    trial priced first, four threads pricing at once — a trial's cost
     and plan are those of a planner that starts from nothing."""
     db = context.database(system, FAMILY_DATASET[family])
     queries = [db.bind(q.sql) for q in context.workload(system, family)]
@@ -326,14 +337,14 @@ def test_delta_pricing_equals_a_fresh_plan(context, system, family):
                 costs = price(trial, current)
                 price(current, None)
             else:
-                with MeasurementSession(db, jobs=4) as session:
-                    costs = session.map_batch(
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    costs = list(pool.map(
                         lambda bound: db.price_hypothetical(
                             bound, trial, force_hypothetical=True,
                             base=current,
                         ),
                         queries,
-                    )
+                    ))
             shared = db.hypothetical_env(trial, True, base=current)
             assert shared.memo is db.hypothetical_env(current, True).memo
             fresh = db._build_hypothetical_env(trial, True, False)
@@ -401,7 +412,7 @@ def test_memo_dies_with_the_environment_cache(db, transition):
     assert (fresh != stale) == (transition == "insert_rows")
 
 
-def test_reuse_counters_do_not_depend_on_the_pool_width():
+def test_recommender_reuses_access_paths_and_join_steps(db):
     # A join step is found again only if neither side holds the
     # candidate's table, so the workload needs a third alias.
     three_way = (
@@ -410,41 +421,20 @@ def test_reuse_counters_do_not_depend_on_the_pool_width():
         "GROUP BY u.city"
     )
     sqls = [JOIN_SQL, ORDERS_SQL, USERS_SQL, three_way]
-    names = (
-        "optimizer.access_paths_considered", "optimizer.access_paths_reused",
-        "optimizer.join_steps_enumerated", "optimizer.join_steps_reused",
-        "optimizer.plans_enumerated",
+    with obs.recording() as recorder:
+        WhatIfRecommender(
+            db, RecommenderProfile("t", min_improvement=0.001),
+        ).recommend(workload_of(sqls), budget_bytes=10**9)
+    counters = recorder.metrics.snapshot()["counters"]
+    # One planner invocation per counted plan build, memo or not.
+    assert counters["optimizer.plans_enumerated"] == (
+        counters["optimizer.what_if_plan_builds"]
+        + counters.get("optimizer.plan_builds", 0)
     )
-    outcomes = {}
-    for jobs in (1, 4):
-        fresh = load_city_database(n_users=2000, n_orders=12000, seed=7)
-        fresh.apply_configuration(
-            primary_configuration(fresh.catalog, name="P")
-        )
-        # Four workers on fewer cores, switching threads every
-        # microsecond: a lost update or an entry derived twice would
-        # show as a count that differs from the serial run's.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with obs.recording() as recorder, \
-                    MeasurementSession(fresh, jobs=jobs) as session:
-                WhatIfRecommender(
-                    fresh, RecommenderProfile("t", min_improvement=0.001),
-                    session=session,
-                ).recommend(workload_of(sqls), budget_bytes=10**9)
-        finally:
-            sys.setswitchinterval(interval)
-        counters = recorder.metrics.snapshot()["counters"]
-        # One planner invocation per counted plan build, memo or not.
-        assert counters["optimizer.plans_enumerated"] == (
-            counters["optimizer.what_if_plan_builds"]
-            + counters.get("optimizer.plan_builds", 0)
-        )
-        outcomes[jobs] = [counters[name] for name in names]
-    assert outcomes[1] == outcomes[4]
-    considered, paths_reused, _, steps_reused, _ = outcomes[1]
-    assert 0 < paths_reused < considered and steps_reused > 0
+    considered = counters["optimizer.access_paths_considered"]
+    paths_reused = counters["optimizer.access_paths_reused"]
+    assert 0 < paths_reused < considered
+    assert counters["optimizer.join_steps_reused"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -562,65 +552,6 @@ def test_bounded_pricing_abandons_hopeless_candidates(db, monkeypatch):
     assert affected == 6 and 0 < calls < affected
     assert counters["recommender.candidates_abandoned"] == 1
     assert counters["recommender.pricings_skipped"] == affected - calls
-
-
-def test_parallel_candidate_search_matches_serial(db):
-    sqls = [
-        f"SELECT o.city, COUNT(*) FROM orders o WHERE o.uid = {u} "
-        f"GROUP BY o.city"
-        for u in (3, 17, 99, 251)
-    ] + [USERS_SQL]
-    # The bound is per candidate, so the pool width changes neither the
-    # recommendation nor which pricings are skipped.
-    skip_counters = (
-        "recommender.candidates_abandoned", "recommender.pricings_skipped"
-    )
-    for min_improvement in (0.001, 0.9):
-        profile = RecommenderProfile("t", min_improvement=min_improvement)
-        outcomes = {}
-        for jobs in (1, 4):
-            fresh = load_city_database(n_users=2000, n_orders=12000, seed=7)
-            fresh.apply_configuration(
-                primary_configuration(fresh.catalog, name="P")
-            )
-            with obs.recording() as recorder, \
-                    MeasurementSession(fresh, jobs=jobs) as session:
-                recommender = WhatIfRecommender(
-                    fresh, profile, session=session
-                )
-                report = recommender.recommend(
-                    workload_of(sqls), budget_bytes=10**9, name="R"
-                )
-            counters = recorder.metrics.snapshot()["counters"]
-            outcomes[jobs] = (
-                report.configuration.fingerprint,
-                [counters.get(name, 0) for name in skip_counters],
-            )
-        assert outcomes[1] == outcomes[4]
-    assert outcomes[1][1][0] > 0, "the 90 % round abandons a candidate"
-
-
-def test_pool_width_changes_no_recommender_or_what_if_counter():
-    """The rival is fixed before the fan-out and every bound looks only
-    at one candidate and the rival, so four workers price exactly what
-    one does."""
-    outcomes = {}
-    for jobs in (1, 4):
-        context = BenchContext(
-            BenchSettings(scale=0.05, workload_size=10, seed=405, jobs=jobs)
-        )
-        context.workload("C", "SkTH3J")
-        with obs.recording() as recorder:
-            recommended, _ = context.recommendation("C", "SkTH3J")
-        counters = recorder.metrics.snapshot()["counters"]
-        outcomes[jobs] = recommended.fingerprint, {
-            name: value for name, value in counters.items()
-            if name.startswith(("recommender.", "optimizer.what_if_"))
-        }
-    assert outcomes[1] == outcomes[4]
-    counted = outcomes[1][1]
-    assert counted["recommender.candidates_outscored"] > 0
-    assert counted["optimizer.what_if_plan_builds"] > 0
 
 
 def test_candidate_sizes_are_the_whole_trial_delta_in_every_round(
