@@ -15,8 +15,8 @@ The package bundles:
 * the evaluation framework: cumulative frequency curves, performance
   goals, improvement ratios, and one experiment driver per table/figure;
 * a measurement runtime (:mod:`repro.runtime`): parallel measurement
-  sessions (``REPRO_JOBS``), fingerprint-keyed plan/estimate caching,
-  and a persistent artifact store (``REPRO_CACHE_DIR``).
+  sessions (``--jobs``), fingerprint-keyed plan/estimate caching,
+  and a persistent artifact store (``--cache-dir``).
 """
 
 from .catalog.catalog import Catalog

@@ -65,13 +65,12 @@ class WorkloadMeasurement:
 
 
 def measure_workload(database, workload, timeout=DEFAULT_TIMEOUT,
-                     configuration=None, jobs=None):
+                     configuration=None, jobs=1):
     """Execute every query of a workload; returns a measurement.
 
     Thin wrapper over :class:`repro.runtime.MeasurementSession`: the
-    workload fans out over ``jobs`` workers (default: the ``REPRO_JOBS``
-    environment knob, serial when unset) with order-preserving,
-    bit-identical-to-serial results.
+    workload fans out over ``jobs`` workers (default 1, serial) with
+    order-preserving, bit-identical-to-serial results.
     """
     from ..runtime.session import MeasurementSession
 
@@ -82,7 +81,7 @@ def measure_workload(database, workload, timeout=DEFAULT_TIMEOUT,
 
 
 def estimate_workload(database, workload, configuration=None,
-                      hypothetical=None, jobs=None):
+                      hypothetical=None, jobs=1):
     """Per-query estimated (or hypothetical) costs for a workload.
 
     With ``hypothetical`` set to a configuration, returns ``H`` costs;

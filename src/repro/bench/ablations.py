@@ -13,12 +13,12 @@ time to show *why* the paper's findings come out the way they do.
   workload grows (the paper got recommendations for 25/12/6/3-query
   NREF3J subsets but not for 100).
 
-Ablations run at a reduced default scale (``REPRO_ABLATION_SCALE``,
-default 0.25) so the whole set stays in the minutes.
+Ablations run at a reduced scale (:data:`SCALE`, :data:`WORKLOAD_SIZE`)
+so the whole set stays in the minutes; the drivers take both as keyword
+arguments.
 """
 
 from ..analysis.measurements import measure_workload
-from ..common import knobs
 from ..common.errors import RecommenderGaveUp
 from ..datagen.nref import load_nref_database
 from ..datagen.tpch import load_tpch_database
@@ -35,12 +35,10 @@ from ..analysis.charts import render_table
 from .experiments import ExperimentResult
 
 
-def _scale():
-    return float(knobs.text("REPRO_ABLATION_SCALE", "0.25"))
-
-
-def _workload_size():
-    return int(knobs.text("REPRO_ABLATION_WORKLOAD", "25"))
+#: Data scale factor of every ablation.
+SCALE = 0.25
+#: Queries per sampled ablation workload.
+WORKLOAD_SIZE = 25
 
 
 def _budget(db):
@@ -54,11 +52,16 @@ def _budget(db):
     )
 
 
-def _nref3j_setup(system):
-    db = load_nref_database(system, scale=_scale())
+def _nref3j_database(system, scale):
+    db = load_nref_database(system, scale=scale)
     db.apply_configuration(primary_configuration(db.catalog, name="P"))
+    return db
+
+
+def _nref3j_setup(system, scale, workload_size):
+    db = _nref3j_database(system, scale)
     family = generate_nref3j(db)
-    workload = sample_benchmark_workload(db, family, size=_workload_size())
+    workload = sample_benchmark_workload(db, family, size=workload_size)
     return db, workload
 
 
@@ -68,9 +71,9 @@ def _measure_config(db, workload, config):
     return measure_workload(db, workload, configuration=config.name)
 
 
-def ablation_budget():
+def ablation_budget(scale=SCALE, workload_size=WORKLOAD_SIZE):
     """Space-budget sweep on System B / NREF3J."""
-    db, workload = _nref3j_setup(system_b())
+    db, workload = _nref3j_setup(system_b(), scale, workload_size)
     base_budget = _budget(db)
     rows, data = [], {}
     for label, factor in (("quarter", 0.25), ("paper", 1.0),
@@ -101,9 +104,9 @@ def ablation_budget():
                             text, data)
 
 
-def ablation_oracle_statistics():
+def ablation_oracle_statistics(scale=SCALE, workload_size=WORKLOAD_SIZE):
     """Degraded vs oracle what-if statistics (System B / NREF3J)."""
-    db, workload = _nref3j_setup(system_b())
+    db, workload = _nref3j_setup(system_b(), scale, workload_size)
     budget = _budget(db)
     rows, data = [], {}
     for label, oracle in (("degraded (real tools)", False),
@@ -141,16 +144,14 @@ def ablation_oracle_statistics():
     )
 
 
-def ablation_skew():
+def ablation_skew(scale=SCALE, workload_size=WORKLOAD_SIZE):
     """Zipf-factor sweep on TPC-H (System C, SkTH3J template)."""
     rows, data = [], {}
     for z in (0.0, 0.5, 1.0):
-        db = load_tpch_database(system_c(), scale=_scale(), zipf=z)
+        db = load_tpch_database(system_c(), scale=scale, zipf=z)
         db.apply_configuration(primary_configuration(db.catalog, name="P"))
         family = generate_skth3j(db)
-        workload = sample_benchmark_workload(
-            db, family, size=_workload_size()
-        )
+        workload = sample_benchmark_workload(db, family, size=workload_size)
         recommender = WhatIfRecommender(db)
         report = recommender.recommend(workload, _budget(db), name="R")
         r_meas = _measure_config(db, workload, report.configuration)
@@ -178,9 +179,9 @@ def ablation_skew():
     return ExperimentResult("ablation-skew", "Skew sweep", text, data)
 
 
-def ablation_workload_size():
+def ablation_workload_size(scale=SCALE):
     """System A's NREF3J bail-out as the workload grows (Section 4.1.2)."""
-    db, _ = _nref3j_setup(system_a())
+    db = _nref3j_database(system_a(), scale)
     family = generate_nref3j(db)
     rows, data = [], {}
     for size in (3, 6, 12, 25, 100):

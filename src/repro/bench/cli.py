@@ -57,12 +57,11 @@ def _build_parser():
                      help="per-query virtual timeout seconds")
     run.add_argument("--results-dir", default="results",
                      help="directory for result files")
-    run.add_argument("--jobs", type=int, default=0,
+    run.add_argument("--jobs", type=int, default=1,
                      help="measurement worker-pool width "
-                          "(default: REPRO_JOBS env, serial)")
+                          "(default 1, serial)")
     run.add_argument("--cache-dir", default=None,
-                     help="persist built artifacts here "
-                          "(default: REPRO_CACHE_DIR env, off)")
+                     help="persist built artifacts here (default off)")
     run.add_argument("--stats", action="store_true",
                      help="print runtime cache/timing statistics "
                           "after the run")
@@ -95,10 +94,7 @@ def _run_experiments(args):
         timeout=args.timeout,
         jobs=args.jobs,
     )
-    artifacts = None
-    if args.cache_dir is not None:
-        artifacts = ArtifactCache(args.cache_dir)
-    context = BenchContext(settings, artifacts=artifacts)
+    context = BenchContext(settings, artifacts=ArtifactCache(args.cache_dir))
     wanted = list(ALL_EXPERIMENTS) if "all" in args.experiments \
         else args.experiments
     unknown = [e for e in wanted if e not in ALL_EXPERIMENTS]

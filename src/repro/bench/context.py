@@ -4,19 +4,12 @@ Building a database, sampling a 100-query workload, constructing P/1C,
 obtaining a recommendation and measuring workloads are shared by every
 figure and table; this module stores those artifacts in a
 fingerprint-keyed :class:`~repro.runtime.ArtifactCache` so a full
-benchmark run builds each artifact once — and, when ``REPRO_CACHE_DIR``
-points at a directory, persists them so a *second* run skips the builds
-entirely.
+benchmark run builds each artifact once — and, when the store has a
+directory (``--cache-dir``), persists them so a *second* run skips the
+builds entirely.
 
-Environment knobs:
-
-* ``REPRO_SCALE``          — data scale factor (default 1.0);
-* ``REPRO_WORKLOAD_SIZE``  — queries per sampled workload (default 100);
-* ``REPRO_TIMEOUT``        — per-query virtual timeout in seconds
-  (default 1800, the paper's 30 minutes);
-* ``REPRO_JOBS``           — measurement worker-pool width (default 1);
-* ``REPRO_CACHE_DIR``      — artifact persistence directory (default
-  off: artifacts live only in this process).
+A run is its :class:`BenchSettings` — the ``run`` command's flags — and
+its artifact store; nothing is read from the environment.
 
 Every stage is timed (:meth:`BenchContext.stats_report` prints seconds
 per phase, artifact-cache traffic, and each database's planner-cache hit
@@ -26,7 +19,6 @@ rates).
 from dataclasses import dataclass
 
 from .. import obs
-from ..common import knobs
 from ..common.errors import RecommenderGaveUp
 from ..datagen.nref import load_nref_database
 from ..datagen.tpch import load_tpch_database
@@ -71,15 +63,7 @@ class BenchSettings:
     workload_size: int = 100
     timeout: float = 1800.0
     seed: int = 405
-    jobs: int = 0          # 0 = resolve from REPRO_JOBS (default serial)
-
-    @classmethod
-    def from_env(cls):
-        return cls(
-            scale=float(knobs.text("REPRO_SCALE", "1.0")),
-            workload_size=int(knobs.text("REPRO_WORKLOAD_SIZE", "100")),
-            timeout=float(knobs.text("REPRO_TIMEOUT", "1800")),
-        )
+    jobs: int = 1
 
     def content_key(self):
         """The settings fields that determine artifact content.
@@ -94,10 +78,10 @@ class BenchContext:
     """Fingerprint-keyed store of databases, workloads, and measurements."""
 
     def __init__(self, settings=None, artifacts=None, executor=None):
-        self.settings = settings or BenchSettings.from_env()
+        self.settings = settings or BenchSettings()
         self.artifacts = artifacts or ArtifactCache()
         self.timings = StageTimings()
-        self.jobs = resolve_jobs(self.settings.jobs or None)
+        self.jobs = resolve_jobs(self.settings.jobs)
         # Optional borrowed worker pool: measurement sessions created by
         # this context run on it instead of private pools (the tuning
         # server shares one executor across every tenant's context).

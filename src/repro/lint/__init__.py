@@ -24,8 +24,8 @@ LCK002    state shared with executor workers — ``self`` of a
 TNT001    nondeterministic values (clocks, env, ``id()``, ambient RNG,
           set order) must not flow into fingerprints, cache keys,
           costs, or report fields (interprocedural taint)
-KNB001    ``REPRO_*`` names must be registered in
-          ``repro.common.knobs`` and read only through it
+KNB001    no environment-variable reads: a run's settings are its
+          command-line flags and arguments
 ========  ==============================================================
 
 The project-scope rules share one :class:`~repro.lint.callgraph.

@@ -147,8 +147,8 @@ class Project:
 
 # ----------------------------------------------------------------------
 # The one table of nondeterministic sources.  ``CLK001`` and ``RNG001``
-# ban them by location, ``KNB001`` bans raw environment reads of knob
-# names, and ``TNT001`` treats every entry as a taint source.
+# ban them by location, ``KNB001`` bans environment reads everywhere,
+# and ``TNT001`` treats every entry as a taint source.
 
 #: Dotted names whose value is the wall clock.
 WALL_CLOCKS = frozenset({

@@ -4,9 +4,8 @@ The reproduction's contract is that every derived artifact — plan
 costs, fingerprints, cache keys, report fields — is a pure function of
 (inputs, seed, configuration).  ``CLK001``/``RNG001`` ban the *sources*
 syntactically in most of the tree, but a value produced legitimately
-(a wall-clock duration inside ``repro.obs``, an ``os.environ`` read
-inside knob plumbing) can still leak into an artifact several calls
-later.  This rule tracks that flow.
+(a wall-clock duration inside ``repro.obs``) can still leak into an
+artifact several calls later.  This rule tracks that flow.
 
 Two taint kinds ride the may-analysis lattice
 (:mod:`repro.lint.dataflow`, union joins):

@@ -75,7 +75,7 @@ class MetricsRegistry:
       (:meth:`observe`), used for per-query virtual seconds.
 
     All mutations take one shared lock, so a :class:`MetricsRegistry`
-    may be fed concurrently by every worker of a ``REPRO_JOBS`` pool;
+    may be fed concurrently by every worker of a ``--jobs`` pool;
     counter totals are exact regardless of interleaving.
     """
 

@@ -117,7 +117,7 @@ class TraceRecorder:
     """Collects spans, events, and metrics for one observed run.
 
     The recorder is thread-safe: span parentage is tracked per thread
-    (each ``REPRO_JOBS`` worker grows its own span tree), while span
+    (each ``--jobs`` worker grows its own span tree), while span
     ids, the finished-span list, the event log, and the metrics registry
     are shared under locks.
 

@@ -4,7 +4,7 @@ A :class:`Span` is one timed region of the pipeline — planning a query,
 measuring a workload, building a configuration.  Spans nest: each thread
 keeps its own stack of open spans, and a span opened while another is
 open on the *same thread* records it as its parent.  Worker threads of a
-``REPRO_JOBS`` pool therefore start their own span trees (their work has
+``--jobs`` pool therefore start their own span trees (their work has
 no meaningful single parent on the submitting thread), which keeps the
 trace deterministic in *structure* even though wall-clock numbers vary.
 

@@ -5,21 +5,20 @@ layers, and owns everything about *how* measurements are taken rather
 than *what* they mean:
 
 * :class:`~repro.runtime.session.MeasurementSession` — fans a workload
-  out over a worker pool (``REPRO_JOBS``), with deterministic
+  out over a worker pool (``--jobs``), with deterministic
   order-preserving results, per-query timeout handling, and per-stage
   timing/cache statistics;
 * :class:`~repro.runtime.artifacts.ArtifactCache` — the
   fingerprint-keyed artifact store (databases, workloads,
   recommendations, measurements) with optional disk persistence under
-  ``REPRO_CACHE_DIR``.
+  ``--cache-dir``.
 """
 
 from .artifacts import ArtifactCache, StageTimings, artifact_key
-from .session import JOBS_ENV, MeasurementSession, resolve_jobs
+from .session import MeasurementSession, resolve_jobs
 
 __all__ = [
     "ArtifactCache",
-    "JOBS_ENV",
     "MeasurementSession",
     "StageTimings",
     "artifact_key",

@@ -5,8 +5,8 @@ sampled workloads, recommendations, measurements, build reports — and
 every figure/table needs some subset of them.  :class:`ArtifactCache`
 replaces the ad-hoc per-process dicts that used to live in
 ``bench/context.py``: artifacts are keyed by *content* (settings +
-configuration fingerprints), held in memory, and — when a cache directory
-is configured via ``REPRO_CACHE_DIR`` or the constructor — persisted with
+configuration fingerprints), held in memory, and — when the constructor
+is given a directory (the ``--cache-dir`` flag) — persisted with
 :mod:`pickle` so a second process reuses them instead of rebuilding.
 
 :class:`StageTimings` is the companion wall-clock accounting: the bench
@@ -22,10 +22,7 @@ from pathlib import Path
 
 from ..engine.configuration import content_fingerprint
 from ..obs import counter_add as _obs_count
-from ..common import knobs
 from ..obs.clock import perf_seconds
-
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 _MISSING = object()
 
@@ -45,9 +42,7 @@ class ArtifactCache:
     cache misses, never to errors.
     """
 
-    def __init__(self, directory=_MISSING):
-        if directory is _MISSING:
-            directory = knobs.text(CACHE_DIR_ENV) or None
+    def __init__(self, directory=None):
         self.directory = Path(directory) if directory else None
         self._memory = {}
         self._lock = threading.Lock()

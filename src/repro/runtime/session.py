@@ -6,7 +6,7 @@ estimated (E) and hypothetical (H) costs".  A :class:`MeasurementSession`
 owns that loop:
 
 * queries fan out over a ``concurrent.futures`` **thread pool** whose
-  width comes from the ``REPRO_JOBS`` environment knob (default 1 =
+  width is the caller's ``jobs`` (the ``--jobs`` flag; default 1 =
   serial).  The engine's clock is *virtual* — elapsed times are computed
   from the cost model, not measured — so parallel execution is
   bit-identical to serial execution; results are collected in submission
@@ -27,26 +27,21 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .. import obs
-from ..common import knobs
 from .artifacts import StageTimings
 
-JOBS_ENV = "REPRO_JOBS"
 
-
-def resolve_jobs(jobs=None):
-    """Worker-pool width: explicit argument, else ``REPRO_JOBS``, else 1.
+def resolve_jobs(jobs):
+    """Worker-pool width: ``jobs`` as an integer, at least 1.
 
     Args:
-        jobs: desired width, or ``None`` to consult the environment.
+        jobs: desired width (``int`` or integer text).
 
     Returns:
         A positive integer pool width (values below 1 clamp to 1).
 
     Raises:
-        ValueError: when the argument or env value is not an integer.
+        ValueError: when ``jobs`` is not an integer.
     """
-    if jobs is None:
-        jobs = knobs.text(JOBS_ENV, "1")
     try:
         jobs = int(jobs)
     except (TypeError, ValueError):
@@ -64,7 +59,7 @@ class MeasurementSession:
     Args:
         database: the :class:`~repro.engine.database.Database` every
             query of this session runs against.
-        jobs: worker-pool width (``None`` resolves ``REPRO_JOBS``).
+        jobs: worker-pool width (default 1: serial).
         timeout: default per-query virtual timeout in seconds (``None``
             uses the engine default, the paper's 30 minutes).
         executor: an externally owned ``ThreadPoolExecutor`` to borrow
@@ -82,7 +77,7 @@ class MeasurementSession:
     a no-op unless a recorder is installed (see :mod:`repro.obs`).
     """
 
-    def __init__(self, database, jobs=None, timeout=None, executor=None):
+    def __init__(self, database, jobs=1, timeout=None, executor=None):
         from ..engine.database import DEFAULT_TIMEOUT
 
         self.database = database

@@ -4,23 +4,14 @@ Usage::
 
     python -m repro.server --port 8451 --jobs 4 --max-sessions 8
 
-Every flag has an environment-variable fallback (flag wins) so the
-server can be configured by a process manager without a wrapper script;
-see ``docs/server.md`` for the full table.
+Its settings are these flags; see ``docs/server.md`` for the full
+table.
 """
 
 import argparse
 import sys
 
-from ..common import knobs
 from .app import TuningServer
-
-
-def _env(name, default, cast):
-    raw = knobs.text(name)
-    if raw is None or raw == "":
-        return default
-    return cast(raw)
 
 
 def _build_parser():
@@ -29,46 +20,39 @@ def _build_parser():
         description="Multi-tenant configuration-tuning server.",
     )
     parser.add_argument(
-        "--host", default=_env("REPRO_SERVER_HOST", "127.0.0.1", str),
-        help="bind address (env REPRO_SERVER_HOST; default loopback)",
+        "--host", default="127.0.0.1",
+        help="bind address (default loopback)",
     )
     parser.add_argument(
-        "--port", type=int, default=_env("REPRO_SERVER_PORT", 8451, int),
-        help="TCP port, 0 picks a free one "
-             "(env REPRO_SERVER_PORT; default 8451)",
+        "--port", type=int, default=8451,
+        help="TCP port, 0 picks a free one (default 8451)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=_env("REPRO_JOBS", 0, int),
+        "--jobs", type=int, default=0,
         help="shared measurement-pool width handed to every tenant "
-             "context (env REPRO_JOBS; default 0 = serial)",
+             "context (default 0 = serial)",
     )
     parser.add_argument(
-        "--workers", type=int,
-        default=_env("REPRO_SERVER_WORKERS", 2, int),
-        help="job worker threads (env REPRO_SERVER_WORKERS; default 2)",
+        "--workers", type=int, default=2,
+        help="job worker threads (default 2)",
     )
     parser.add_argument(
-        "--queue", type=int, default=_env("REPRO_SERVER_QUEUE", 8, int),
-        help="pending-job bound before 429 backpressure "
-             "(env REPRO_SERVER_QUEUE; default 8)",
+        "--queue", type=int, default=8,
+        help="pending-job bound before 429 backpressure (default 8)",
     )
     parser.add_argument(
-        "--max-sessions", type=int,
-        default=_env("REPRO_SERVER_MAX_SESSIONS", 8, int),
+        "--max-sessions", type=int, default=8,
         help="resident tenant-session cap, LRU eviction beyond it "
-             "(env REPRO_SERVER_MAX_SESSIONS; default 8)",
+             "(default 8)",
     )
     parser.add_argument(
-        "--session-ttl", type=float,
-        default=_env("REPRO_SERVER_SESSION_TTL", 3600.0, float),
-        help="idle seconds before a session expires "
-             "(env REPRO_SERVER_SESSION_TTL; default 3600)",
+        "--session-ttl", type=float, default=3600.0,
+        help="idle seconds before a session expires (default 3600)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=_env("REPRO_CACHE_DIR", None, str),
+        "--cache-dir", default=None,
         help="shared on-disk artifact cache directory; keys are "
-             "tenant-scoped (env REPRO_CACHE_DIR; default off)",
+             "tenant-scoped (default off)",
     )
     parser.add_argument(
         "--verbose", action="store_true",

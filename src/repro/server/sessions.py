@@ -11,7 +11,7 @@ Isolation is layered:
 * every session owns a :class:`TenantContext`, a
   :class:`~repro.bench.context.BenchContext` whose artifact keys are
   prefixed with the tenant name — so even when sessions share one
-  artifact store (or one ``REPRO_CACHE_DIR`` disk directory), a tenant
+  artifact store (or one ``--cache-dir`` disk directory), a tenant
   can never observe another tenant's cached plans, workloads, or
   measurements;
 * the live ``Database`` objects (and their plan/bind/what-if/dictionary
@@ -51,7 +51,7 @@ class TenantContext(BenchContext):
     Every cache key produced by :meth:`_key` mixes the tenant name in
     front of the usual settings content key, so two tenants issuing the
     same request against a shared artifact store (in memory or under a
-    shared ``REPRO_CACHE_DIR``) read and write *disjoint* entries —
+    shared ``--cache-dir``) read and write *disjoint* entries —
     identical results, distinct keys.
     """
 

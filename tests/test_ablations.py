@@ -1,37 +1,31 @@
 """Ablation drivers run end-to-end at a tiny scale."""
 
-import pytest
-
 from repro.bench import ablations
 
-
-@pytest.fixture(autouse=True)
-def tiny_ablation_scale(monkeypatch):
-    monkeypatch.setenv("REPRO_ABLATION_SCALE", "0.04")
-    monkeypatch.setenv("REPRO_ABLATION_WORKLOAD", "6")
+TINY = {"scale": 0.04, "workload_size": 6}
 
 
 def test_budget_sweep_runs():
-    result = ablations.ablation_budget()
+    result = ablations.ablation_budget(**TINY)
     assert result.experiment == "ablation-budget"
     assert "unlimited" in result.text
     assert set(result.data) == {"quarter", "paper", "unlimited"}
 
 
 def test_oracle_ablation_runs():
-    result = ablations.ablation_oracle_statistics()
+    result = ablations.ablation_oracle_statistics(**TINY)
     assert "1C" in result.data
     assert "oracle" in result.text
 
 
 def test_skew_sweep_runs():
-    result = ablations.ablation_skew()
+    result = ablations.ablation_skew(**TINY)
     assert set(result.data) == {0.0, 0.5, 1.0}
     for ratio in result.data.values():
         assert ratio > 0
 
 
 def test_workload_size_sweep_runs():
-    result = ablations.ablation_workload_size()
+    result = ablations.ablation_workload_size(scale=TINY["scale"])
     assert 3 in result.data
     assert "workload size" in result.text

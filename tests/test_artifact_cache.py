@@ -56,15 +56,6 @@ def test_unpicklable_artifacts_degrade_to_memory_only(tmp_path):
     assert fresh.get("kind", key) is None         # nothing hit the disk
 
 
-def test_cache_dir_env_knob(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = ArtifactCache()
-    assert cache.persistent
-    assert str(cache.directory) == str(tmp_path)
-    monkeypatch.delenv("REPRO_CACHE_DIR")
-    assert not ArtifactCache().persistent
-
-
 def test_stage_timings_accumulate():
     timings = StageTimings()
     with timings.stage("build"):

@@ -38,14 +38,6 @@ def test_cli_runs_one_experiment(tmp_path, capsys, monkeypatch):
     assert "Table 2" in capsys.readouterr().out
 
 
-def test_settings_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "0.5")
-    monkeypatch.setenv("REPRO_WORKLOAD_SIZE", "7")
-    settings = BenchSettings.from_env()
-    assert settings.scale == 0.5
-    assert settings.workload_size == 7
-
-
 def test_family_registries_consistent():
     assert set(FAMILY_GENERATORS) == set(FAMILY_DATASET)
     assert set(FAMILY_DATASET.values()) == {"nref", "skth", "unth"}

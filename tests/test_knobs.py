@@ -1,122 +1,115 @@
-"""Tests of the REPRO_* knob registry (repro.common.knobs).
+"""A run's knobs are its command-line flags.
 
-The registry is the single sanctioned accessor for ``REPRO_*``
-environment variables (the ``KNB001`` lint rule enforces that); these
-tests pin its semantics — declaration validation, idempotent
-re-registration, ``text`` parsing — and close the knob contract from
-the other side: the registered set is exactly ``EXPECTED_KNOBS`` (so a
-new knob must be named here), and every registered knob has a row in
-``docs/cli.md``.
+Nothing reads the environment (the ``KNB001`` lint rule keeps it that
+way).  These tests pin the flag surface of ``python -m repro.bench``
+and ``python -m repro.server``: the flags are exactly ``EXPECTED_FLAGS``
+with their types (so a new flag must be named here), every flag has a
+row in the docs, and the defaults hold whatever the shell exports.
 """
 
+import argparse
 from pathlib import Path
 
 import pytest
 
-from repro.common import knobs
+from repro.bench import ablations
+from repro.bench.cli import _build_parser as bench_parser
+from repro.bench.context import BenchContext, BenchSettings
+from repro.server.__main__ import _build_parser as server_parser
 
-CLI_DOC = Path(__file__).resolve().parents[1] / "docs" / "cli.md"
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
-
-EXPECTED_KNOBS = {
-    # runtime
-    "REPRO_JOBS": "int",
-    "REPRO_CACHE_DIR": "str",
-    # bench scale
-    "REPRO_SCALE": "float",
-    "REPRO_WORKLOAD_SIZE": "int",
-    "REPRO_TIMEOUT": "float",
-    "REPRO_ABLATION_SCALE": "float",
-    "REPRO_ABLATION_WORKLOAD": "int",
-    # tuning server
-    "REPRO_SERVER_HOST": "str",
-    "REPRO_SERVER_PORT": "int",
-    "REPRO_SERVER_WORKERS": "int",
-    "REPRO_SERVER_QUEUE": "int",
-    "REPRO_SERVER_MAX_SESSIONS": "int",
-    "REPRO_SERVER_SESSION_TTL": "float",
+EXPECTED_FLAGS = {
+    "run": {
+        "--scale": float, "--workload-size": int, "--timeout": float,
+        "--results-dir": None, "--jobs": int, "--cache-dir": None,
+        "--stats": None, "--trace": None, "--metrics": None,
+        "--report": None,
+    },
+    "summarize": {"--results-dir": None, "--output": None},
+    "server": {
+        "--host": None, "--port": int, "--jobs": int, "--workers": int,
+        "--queue": int, "--max-sessions": int, "--session-ttl": float,
+        "--cache-dir": None, "--verbose": None,
+    },
 }
+
+#: The variables earlier versions read; set, they must change nothing.
+FORMER_KNOBS = (
+    "REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_SCALE", "REPRO_WORKLOAD_SIZE",
+    "REPRO_TIMEOUT", "REPRO_ABLATION_SCALE", "REPRO_ABLATION_WORKLOAD",
+    "REPRO_SERVER_HOST", "REPRO_SERVER_PORT", "REPRO_SERVER_WORKERS",
+    "REPRO_SERVER_QUEUE", "REPRO_SERVER_MAX_SESSIONS",
+    "REPRO_SERVER_SESSION_TTL",
+)
+
+
+def parsers():
+    """``{command: parser}`` for every command that takes flags."""
+    commands = next(
+        action for action in bench_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        "run": commands.choices["run"],
+        "summarize": commands.choices["summarize"],
+        "server": server_parser(),
+    }
+
+
+def flags(parser):
+    return {
+        option: action.type
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+
+
+@pytest.fixture
+def exported(monkeypatch, tmp_path):
+    """Every former knob set to a value unlike its default."""
+    for name in FORMER_KNOBS:
+        monkeypatch.setenv(name, "7")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_SERVER_HOST", "0.0.0.0")
 
 
 def test_every_expected_knob_is_registered_with_its_kind():
-    registered = {k.name: k.kind for k in knobs.registered()}
-    assert registered == EXPECTED_KNOBS
+    found = {name: flags(parser) for name, parser in parsers().items()}
+    assert found == EXPECTED_FLAGS
 
 
 def test_every_registered_knob_is_documented():
-    documented = CLI_DOC.read_text(encoding="utf-8")
-    missing = [k.name for k in knobs.registered()
-               if f"`{k.name}`" not in documented]
-    assert not missing, f"no docs/cli.md row for {missing}"
+    documented = {
+        "run": (DOCS / "cli.md").read_text(encoding="utf-8"),
+        "summarize": (DOCS / "cli.md").read_text(encoding="utf-8"),
+        "server": (DOCS / "server.md").read_text(encoding="utf-8"),
+    }
+    missing = [
+        (name, flag)
+        for name, parser in parsers().items()
+        for flag in flags(parser)
+        if f"`{flag}" not in documented[name]
+    ]
+    assert not missing, f"undocumented flags {missing}"
 
 
-def test_registered_is_sorted_and_carries_descriptions():
-    names = [k.name for k in knobs.registered()]
-    assert names == sorted(names)
-    for knob in knobs.registered():
-        assert knob.description, f"{knob.name} has no description"
+def test_server_knobs_cover_the_documented_surface(exported):
+    args = server_parser().parse_args([])
+    assert (args.host, args.port, args.jobs, args.workers, args.queue,
+            args.max_sessions, args.session_ttl, args.cache_dir) \
+        == ("127.0.0.1", 8451, 0, 2, 8, 8, 3600.0, None)
 
 
-def test_register_rejects_bad_names():
-    with pytest.raises(ValueError):
-        knobs.register("NOT_A_KNOB")
-    with pytest.raises(ValueError):
-        knobs.register("repro_lowercase")
-
-
-def test_register_is_idempotent_for_identical_declarations():
-    knob = knobs.get("REPRO_JOBS")
-    again = knobs.register(
-        "REPRO_JOBS", kind=knob.kind, default=knob.default,
-        description=knob.description,
-    )
-    assert again is knobs.get("REPRO_JOBS")
-
-
-def test_register_rejects_conflicting_redeclaration():
-    with pytest.raises(ValueError):
-        knobs.register("REPRO_JOBS", kind="float")
-
-
-def test_text_returns_default_when_unset(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALE", raising=False)
-    assert knobs.text("REPRO_SCALE") is None
-    assert knobs.text("REPRO_SCALE", "1.0") == "1.0"
-
-
-def test_text_returns_raw_environment_value(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKLOAD_SIZE", "12")
-    assert knobs.text("REPRO_WORKLOAD_SIZE", "100") == "12"
-
-
-def test_text_rejects_unregistered_names():
-    with pytest.raises(KeyError):
-        knobs.text("REPRO_NOT_REGISTERED")
-
-
-def test_is_registered():
-    assert knobs.is_registered("REPRO_JOBS")
-    assert not knobs.is_registered("REPRO_UNHEARD_OF")
-
-
-def test_to_json_shape():
-    payload = knobs.get("REPRO_SERVER_PORT").to_json()
-    assert payload["name"] == "REPRO_SERVER_PORT"
-    assert payload["kind"] == "int"
-
-
-def test_server_knobs_cover_the_documented_surface():
-    # One assertion per server knob keeps each name test-visible.
-    assert knobs.get("REPRO_SERVER_HOST").default == "127.0.0.1"
-    assert knobs.get("REPRO_SERVER_PORT").default == 8451
-    assert knobs.get("REPRO_SERVER_WORKERS").default == 2
-    assert knobs.get("REPRO_SERVER_QUEUE").default == 8
-    assert knobs.get("REPRO_SERVER_MAX_SESSIONS").default == 8
-    assert knobs.get("REPRO_SERVER_SESSION_TTL").default == 3600.0
-
-
-def test_scale_knobs_defaults():
-    assert knobs.get("REPRO_ABLATION_SCALE").default == 0.25
-    assert knobs.get("REPRO_ABLATION_WORKLOAD").default == 25
-    assert knobs.get("REPRO_TIMEOUT").default == 1800.0
-    assert knobs.get("REPRO_CACHE_DIR").default is None
+def test_scale_knobs_defaults(exported):
+    settings = BenchSettings()
+    args = bench_parser().parse_args(["run", "all"])
+    assert (args.scale, args.workload_size, args.timeout, args.jobs) \
+        == (settings.scale, settings.workload_size, settings.timeout,
+            settings.jobs) == (1.0, 100, 1800.0, 1)
+    assert args.cache_dir is None
+    context = BenchContext()
+    assert context.settings == settings and context.jobs == 1
+    assert not context.artifacts.persistent
+    assert (ablations.SCALE, ablations.WORKLOAD_SIZE) == (0.25, 25)

@@ -176,12 +176,16 @@ def test_taint_rule_negative():
     assert lint(FIXTURES / "taint_good.py", "TNT001").ok
 
 
-def test_knob_rule_unregistered_mode():
-    tree = FIXTURES / "knobs_unregistered"
-    result = run_lint([str(tree / "repro")], rules=["KNB001"],
-                      root=str(tree))
-    assert [f.rule for f in result.findings] == ["KNB001"]
-    assert "REPRO_FIX_BETA is not registered" in result.findings[0].message
+def test_knob_rule_positive():
+    result = lint(FIXTURES / "knobs_bad.py", "KNB001")
+    assert [f.message.split()[0] for f in result.findings] == [
+        "REPRO_JOBS", "REPRO_TURBO", "HOME", "PATH", "SHELL",
+    ]
+    assert all("command-line flag" in f.message for f in result.findings)
+
+
+def test_knob_rule_negative():
+    assert lint(FIXTURES / "knobs_good.py", "KNB001").ok
 
 
 def test_path_exemptions_in_tree():
@@ -423,11 +427,10 @@ def test_unregistered_knob_read_fails_lint(tmp_path):
     )
     result = run_lint([str(tree)], root=str(tmp_path))
     assert not result.ok
-    assert {f.rule for f in result.findings} == {"KNB001"}
-    messages = [f.message for f in result.findings]
-    assert any("REPRO_TURBO is read directly from os.environ" in m
-               for m in messages)
-    assert any("REPRO_TURBO is not registered" in m for m in messages)
+    assert [f.rule for f in result.findings] == ["KNB001"]
+    assert result.findings[0].message.startswith(
+        "REPRO_TURBO is read from the environment"
+    )
 
 
 # ----------------------------------------------------------------------

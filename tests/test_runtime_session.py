@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.measurements import estimate_workload, measure_workload
 from repro.engine.configuration import one_column_configuration
-from repro.runtime.session import MeasurementSession, resolve_jobs
+from repro.runtime.session import MeasurementSession
 from repro.workload.nref_families import generate_nref2j
 from repro.workload.sampling import sample_benchmark_workload
 from repro.workload.workload import Workload, make_instance
@@ -77,17 +77,16 @@ def test_parallel_timeouts_bit_identical(tiny_nref):
 
 
 # ----------------------------------------------------------------------
-# Worker-pool resolution and the wrapper API
+# The wrapper API
 
-def test_repro_jobs_env_controls_wrappers(city_db_p, monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "4")
-    parallel = measure_workload(city_db_p, small_workload())
-    monkeypatch.setenv("REPRO_JOBS", "1")
-    serial = measure_workload(city_db_p, small_workload())
+def test_jobs_argument_controls_wrappers(city_db_p):
+    parallel = measure_workload(city_db_p, small_workload(), jobs=4)
+    serial = measure_workload(city_db_p, small_workload(), jobs=1)
     assert np.array_equal(parallel.elapsed, serial.elapsed)
-    assert resolve_jobs() == 1
-    monkeypatch.delenv("REPRO_JOBS")
-    assert resolve_jobs() == 1
+    assert np.array_equal(
+        estimate_workload(city_db_p, small_workload(), jobs=4).elapsed,
+        estimate_workload(city_db_p, small_workload()).elapsed,
+    )
 
 
 def test_weights_propagate_through_measure_and_estimate(city_db_p):
