@@ -40,9 +40,3 @@ def zipf_weights(n, z):
     weights = ranks ** (-float(z))
     return weights / weights.sum()
 
-
-def zipf_choice(rng, values, size, z):
-    """Sample ``size`` items from ``values`` with Zipfian rank weights."""
-    weights = zipf_weights(len(values), z)
-    idx = rng.choice(len(values), size=size, p=weights)
-    return np.asarray(values)[idx]

@@ -23,9 +23,8 @@ from ..catalog.catalog import Catalog
 from ..catalog.schema import ColumnDef, ForeignKey, TableSchema
 from ..common.rng import make_rng, spawn
 from ..engine.database import Database
-from ..storage.encoding import ColumnDictionary
 from ..storage.types import date, float_, integer, varchar
-from .text import name_pool, sequence_strings, zipf_column
+from .text import PooledTable, name_pool, sequence_strings, zipf_column
 
 PAPER_ROWS = {
     "protein": 1_100_000,
@@ -147,14 +146,13 @@ def nref_catalog():
     )
 
 
-def _group_ordinals(keys):
+def _group_ordinals(dictionary):
     """1-based running ordinal within each key group (for composite PKs).
 
     A row's ordinal depends only on which earlier rows share its key,
-    so the groups are the runs of the key column's dictionary order —
-    an integer sort of its codes, not a sort of the key strings.
+    so the groups are the runs of the key column's ``dictionary``
+    order — an integer sort of its codes, not a sort of the key strings.
     """
-    dictionary = ColumnDictionary(keys)
     counts = dictionary.counts
     ordinals = np.empty(len(dictionary.base), dtype=np.int64)
     ordinals[dictionary.argsort()] = (
@@ -165,7 +163,8 @@ def _group_ordinals(keys):
 
 
 def generate_nref(scale=1.0, seed=1405):
-    """Generate all six tables; returns ``{table: {column: array}}``."""
+    """Generate all six tables; returns ``{table: {column: array}}``,
+    each table a :class:`~repro.datagen.text.PooledTable`."""
     sizes = scale if isinstance(scale, NrefScale) else NrefScale.of(scale)
     rng = make_rng(seed)
 
@@ -182,7 +181,7 @@ def generate_nref(scale=1.0, seed=1405):
     taxa = np.arange(1, n_taxa + 1) * 7 + 13
 
     r = spawn(rng, "protein")
-    protein = {
+    protein = PooledTable({
         "nref_id": nref_ids,
         "p_name": zipf_column(r, names, sizes.protein, 0.9),
         "last_updated": r.integers(11000, 12800, sizes.protein),
@@ -190,11 +189,11 @@ def generate_nref(scale=1.0, seed=1405):
         "length": np.asarray(
             (r.lognormal(5.6, 0.6, sizes.protein)).astype(np.int64)
         ).clip(30, 5000),
-    }
+    })
 
     r = spawn(rng, "source")
     src_nref = zipf_column(r, nref_ids, sizes.source, 0.5)
-    source = {
+    source = PooledTable({
         "nref_id": src_nref,
         "p_id": np.array(
             [f"P{i:09d}" for i in range(sizes.source)], dtype=object
@@ -209,31 +208,31 @@ def generate_nref(scale=1.0, seed=1405):
         "source": zipf_column(
             r, np.array(SOURCE_DATABASES, dtype=object), sizes.source, 0.6
         ),
-    }
+    })
 
     r = spawn(rng, "taxonomy")
     tax_lineage = zipf_column(r, lineages, sizes.taxonomy, 1.05)
-    taxonomy = {
+    taxonomy = PooledTable({
         "nref_id": zipf_column(r, nref_ids, sizes.taxonomy, 0.4),
         "taxon_id": zipf_column(r, taxa, sizes.taxonomy, 1.0),
         "lineage": tax_lineage,
         "species_name": zipf_column(r, species, sizes.taxonomy, 1.0),
         "common_name": zipf_column(r, species, sizes.taxonomy, 1.2),
-    }
+    })
 
     r = spawn(rng, "organism")
-    organism = {
+    organism = PooledTable({
         "nref_id": zipf_column(r, nref_ids, sizes.organism, 0.3),
         "ordinal": None,
         "taxon_id": zipf_column(r, taxa, sizes.organism, 1.0),
         "name": zipf_column(r, species, sizes.organism, 1.0),
-    }
+    })
 
     r = spawn(rng, "neighboring")
     n = sizes.neighboring_seq
     starts = r.integers(1, 900, n)
     spans = r.integers(20, 700, n)
-    neighboring = {
+    neighboring = PooledTable({
         "nref_id_1": zipf_column(r, nref_ids, n, 0.7),
         "ordinal": None,
         "nref_id_2": zipf_column(r, nref_ids, n, 0.5),
@@ -245,20 +244,22 @@ def generate_nref(scale=1.0, seed=1405):
         "start_2": r.integers(1, 900, n),
         "end_1": starts + spans,
         "end_2": r.integers(900, 1800, n),
-    }
+    })
 
     r = spawn(rng, "identical")
     m = sizes.identical_seq
-    identical = {
+    identical = PooledTable({
         "nref_id_1": zipf_column(r, nref_ids, m, 0.4),
         "ordinal": None,
         "nref_id_2": zipf_column(r, nref_ids, m, 0.4),
         "taxon_id": zipf_column(r, taxa, m, 1.0),
-    }
+    })
 
-    organism["ordinal"] = _group_ordinals(organism["nref_id"])
-    neighboring["ordinal"] = _group_ordinals(neighboring["nref_id_1"])
-    identical["ordinal"] = _group_ordinals(identical["nref_id_1"])
+    organism["ordinal"] = _group_ordinals(organism.dictionary("nref_id"))
+    neighboring["ordinal"] = _group_ordinals(
+        neighboring.dictionary("nref_id_1")
+    )
+    identical["ordinal"] = _group_ordinals(identical.dictionary("nref_id_1"))
 
     return {
         "protein": protein,

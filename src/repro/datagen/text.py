@@ -1,8 +1,11 @@
 """Text/value pool helpers shared by the data generators."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..common.rng import zipf_weights
+from ..storage.encoding import ColumnDictionary
 
 GREEK = [
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
@@ -64,17 +67,80 @@ def name_pool(rng, size, kind="protein"):
     return np.array(names, dtype=object)
 
 
+class Pooled(NamedTuple):
+    """A column drawn from a pool: its values are ``pool[rows]``, and
+    ``rows`` holds one int32 pool index per row."""
+
+    pool: np.ndarray
+    rows: np.ndarray
+
+    def values(self):
+        return self.pool[self.rows]
+
+
+class PooledTable(dict):
+    """One generated table, ``{column: array}``, that remembers how its
+    pooled object columns were drawn: ``pools[column]`` is the
+    :class:`Pooled` behind ``self[column]``.
+
+    :meth:`~repro.engine.database.Database.load_table` hands the pools
+    to the dictionary cache, which encodes such a column from its pool
+    codes instead of hashing every row; a numeric pooled column keeps
+    its values only (its dictionary is one integer sort anyway).
+    """
+
+    def __init__(self, columns):
+        super().__init__()
+        self.pools = {}
+        for name, column in columns.items():
+            if isinstance(column, Pooled):
+                if column.pool.dtype == object:
+                    self.pools[name] = column
+                column = column.values()
+            self[name] = column
+
+    def dictionary(self, name):
+        """The dictionary of pooled column ``name``, read off its codes."""
+        return ColumnDictionary.from_pool(self[name], *self.pools[name])
+
+
+def zipf_pick(rng, n, size, z):
+    """``rng.choice(n, size=size, p=zipf_weights(n, z))``, bit for bit.
+
+    The same ``cdf`` and the same ``rng.random(size)`` draws, so the
+    picks (int64) and the generator's state afterwards are the ones
+    ``choice`` gives; only the search differs.  ``choice`` bisects the
+    whole ``cdf`` for every pick.  Here ``[0, 1)`` is cut into a power
+    of two of equal buckets first (about eight per pool entry, never
+    many more than there are picks), so ``u * buckets`` is exact and its
+    floor is ``u``'s bucket: a bucket that no ``cdf`` entry crosses
+    answers every pick in it from one table read, and only picks in
+    the (at most ``n``) crossed buckets are bisected.
+    """
+    cdf = zipf_weights(n, z).cumsum()
+    cdf /= cdf[-1]
+    draws = rng.random(size)
+    buckets = 1 << (min(8 * n, max(size, 1)) - 1).bit_length()
+    edges = np.arange(buckets + 1) / buckets
+    # Every draw in bucket b picks guide[b]; -1 marks a crossed bucket.
+    guide = cdf.searchsorted(edges[:-1], side="right")
+    guide[cdf.searchsorted(edges[1:], side="left") != guide] = -1
+    picks = guide[(draws * buckets).astype(np.intp)]
+    crossed = np.flatnonzero(picks < 0)
+    picks[crossed] = cdf.searchsorted(draws[crossed], side="right")
+    return picks
+
+
 def zipf_column(rng, pool, size, z):
-    """Sample a column of ``size`` values from ``pool`` with Zipf(z) weights.
+    """Sample a :class:`Pooled` column of ``size`` rows from ``pool``
+    with Zipf(z) weights.
 
     The pool is shuffled first so that rank order does not correlate with
     pool construction order.
     """
     pool = np.asarray(pool)
-    order = rng.permutation(len(pool))
-    weights = zipf_weights(len(pool), z)
-    idx = rng.choice(len(pool), size=size, p=weights)
-    return pool[order][idx]
+    order = rng.permutation(len(pool)).astype(np.int32)
+    return Pooled(pool, order[zipf_pick(rng, len(pool), size, z)])
 
 
 def sequence_strings(rng, size, mean_length=40):

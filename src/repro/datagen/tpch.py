@@ -20,7 +20,7 @@ from ..common.rng import make_rng, spawn
 from ..engine.database import Database
 from ..storage.encoding import stable_order
 from ..storage.types import date, float_, integer, varchar
-from .text import zipf_column
+from .text import Pooled, PooledTable, zipf_column
 
 BASE_ROWS = {
     "region": 5,
@@ -188,16 +188,24 @@ def tpch_catalog():
 
 
 def _pick(rng, pool, size, z):
-    """Value choice helper: uniform when z == 0, Zipfian otherwise."""
+    """Value choice helper: uniform when z == 0, Zipfian otherwise.
+
+    Draws from a string pool stay :class:`~repro.datagen.text.Pooled`
+    (the table encodes them from their codes); any other pool's are
+    returned as values.
+    """
     pool = np.asarray(pool, dtype=object if isinstance(pool[0], str) else None)
     if z <= 0:
-        idx = rng.integers(0, len(pool), size)
-        return pool[idx]
-    return zipf_column(rng, pool, size, z)
+        rows = rng.integers(0, len(pool), size).astype(np.int32)
+        pooled = Pooled(pool, rows)
+    else:
+        pooled = zipf_column(rng, pool, size, z)
+    return pooled if pool.dtype == object else pooled.values()
 
 
 def generate_tpch(scale=1.0, zipf=0.0, seed=1992):
-    """Generate all eight tables; returns ``{table: {column: array}}``."""
+    """Generate all eight tables; returns ``{table: {column: array}}``,
+    each table a :class:`~repro.datagen.text.PooledTable`."""
     rows = {
         name: max(5, int(count * scale)) if name not in ("region", "nation")
         else count
@@ -350,7 +358,7 @@ def generate_tpch(scale=1.0, zipf=0.0, seed=1992):
         "l_shipmode": _pick(r, SHIPMODES, n, z),
     }
 
-    return {
+    tables = {
         "region": region,
         "nation": nation,
         "supplier": supplier,
@@ -360,6 +368,7 @@ def generate_tpch(scale=1.0, zipf=0.0, seed=1992):
         "orders": orders,
         "lineitem": lineitem,
     }
+    return {name: PooledTable(columns) for name, columns in tables.items()}
 
 
 def load_tpch_database(system, scale=1.0, zipf=0.0, seed=1992, name=None):

@@ -244,12 +244,23 @@ class Database:
     # Loading and statistics
 
     def load_table(self, name, columns):
+        """Load ``{column: values}`` as table ``name``.
+
+        ``columns`` may carry ``pools`` (a generated
+        :class:`~repro.datagen.text.PooledTable`): each such column's
+        pool and int32 codes seed its dictionary, so it is encoded from
+        the codes instead of by hashing every row.
+        """
         schema = self.catalog.table(name)
-        self.tables[name] = Table(schema, columns)
+        table = Table(schema, columns)
+        self.tables[name] = table
         for cache in self._caches["catalog"].values():
             cache.invalidate()
         self._view_size_cache.clear()
         self.invalidate_caches()
+        encodings = self._cache("dict_cache")
+        for column, (pool, rows) in getattr(columns, "pools", {}).items():
+            encodings.seed(table, column, pool, rows)
 
     def table(self, name):
         try:

@@ -24,7 +24,10 @@ that depends on nothing but the column:
 * an **object** column takes one hash pass: the *distinct* values are
   sorted, every row looks its slot up, the counts are a ``bincount``
   — no ``n log n`` sort of Python strings, and its argsort is an
-  integer sort of the codes when first asked for;
+  integer sort of the codes when first asked for.  A generated column
+  drawn from a pool arrives with the pool and one int32 pool index per
+  row (:meth:`DictionaryCache.seed`); only the pool is hashed then, and
+  the rows take integer passes (:meth:`ColumnDictionary.from_pool`);
 * **anything else** (floats, integers too wide to pack, an empty
   column) takes ``np.unique``, and bisects its codes and sorts them on
   first use.
@@ -225,7 +228,8 @@ class ColumnDictionary:
     ``values``, ``counts`` and the stable ``argsort`` together, and
     scatters its dense ``codes`` from that order when they are first
     read; an object column takes one hash pass for ``values``,
-    ``counts`` and ``codes``; any other column (floats, integers too
+    ``counts`` and ``codes`` (or, drawn from a pool, :meth:`from_pool`
+    reads them off its pool codes); any other column (floats, integers too
     wide to pack, an empty column) takes ``np.unique`` and bisects its
     codes on first use.  ``codes`` and ``argsort()`` are int32.
     Whatever construction did not produce — and the frequency-ordered
@@ -252,6 +256,29 @@ class ColumnDictionary:
         else:
             values, counts = np.unique(base, return_counts=True)
         self._set(base, values, counts, codes, order)
+
+    @classmethod
+    def from_pool(cls, base, pool, rows):
+        """The dictionary of ``base``, an object column drawn from
+        ``pool`` as ``base == pool[rows]`` (``rows`` int32).
+
+        Only the pool is hashed; the rows take integer passes — a
+        ``bincount`` of their pool indices, and one gather of each
+        pool entry's code.  Pool entries that hold one value share a
+        code, and entries no row draws drop out, so ``values``,
+        ``counts`` and ``codes`` (dtypes included) are those of
+        ``ColumnDictionary(base)``.
+        """
+        distinct, _, slots = _hashed_dictionary(pool)
+        counts = np.zeros(len(distinct), dtype=np.int64)
+        np.add.at(counts, slots, np.bincount(rows, minlength=len(pool)))
+        drawn = counts > 0
+        code_of_entry = (np.cumsum(drawn) - 1).astype(np.int32)[slots]
+        dictionary = cls.__new__(cls)
+        dictionary._set(
+            base, distinct[drawn], counts[drawn], code_of_entry[rows]
+        )
+        return dictionary
 
     def _set(self, base, values, counts, codes=None, order=None):
         self.base = base
@@ -451,6 +478,8 @@ class DictionaryCache:
         self._entries = {}
         # (table name, columns tuple) -> (Table, key arrays tuple, order)
         self._orders = {}
+        # (table name, column) -> (Table, base array, pool, rows)
+        self._pools = {}
 
     def dictionary(self, table, column):
         """The dictionary of ``table.column(column)`` (built lazily once).
@@ -475,11 +504,33 @@ class DictionaryCache:
             return entry[1]
         with self._lock:
             self.stats.misses += 1
-        dictionary = ColumnDictionary(values)
+            pooled = self._pools.pop(key, None)
+        if pooled is not None and pooled[1] is values:
+            dictionary = ColumnDictionary.from_pool(values, *pooled[2:])
+        else:
+            dictionary = ColumnDictionary(values)
         obs.counter_add("encoding.dict_builds")
         with self._lock:
             self._entries[key] = (table, dictionary)
         return dictionary
+
+    def seed(self, table, column, pool, rows):
+        """Have the first build of ``table.column(column)``'s dictionary
+        read it off pool codes: the column is ``pool[rows]``.
+
+        That build is still :meth:`dictionary`'s one miss for the
+        column, made by :meth:`ColumnDictionary.from_pool` instead of
+        a hash pass; it drops the codes (a seed whose column is no
+        longer the table's storage array is dropped unread).
+        """
+        values = table.column(column)
+        if len(rows) != len(values):
+            raise ValueError(
+                f"{table.name}.{column}: {len(rows)} pool codes for "
+                f"{len(values)} rows"
+            )
+        with self._lock:
+            self._pools[(table.name, column)] = (table, values, pool, rows)
 
     def append_rows(self, table, columns):
         """``table.append_rows(columns)``, carrying the table's
@@ -618,8 +669,10 @@ class DictionaryCache:
         (the table's data did not change, or :meth:`append_rows`
         extended them) are kept; everything else (reloaded tables,
         rebuilt views, memoized sort orders of a grown table) is dropped.
-        Access-time identity validation in :meth:`dictionary` makes
-        this sweep a garbage collection, not a correctness requirement.
+        Seeds (:meth:`seed`) of columns that were replaced unread go
+        too.  Access-time identity validation in :meth:`dictionary`
+        makes this sweep a garbage collection, not a correctness
+        requirement.
         """
         with self._lock:
             self._entries = {
@@ -634,6 +687,11 @@ class DictionaryCache:
                     entry[0].column(column) is array
                     for column, array in zip(key[1], entry[1])
                 )
+            }
+            self._pools = {
+                key: entry
+                for key, entry in self._pools.items()
+                if entry[0].column(key[1]) is entry[1]
             }
             self.stats.invalidations += 1
         obs.counter_add("cache.dict_cache.invalidations")

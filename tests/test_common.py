@@ -10,8 +10,9 @@ from repro.common.hardware import (
     desktop_2004,
     pages_for_bytes,
 )
-from repro.common.rng import make_rng, spawn, zipf_choice, zipf_weights
+from repro.common.rng import make_rng, spawn, zipf_weights
 from repro.common.units import GIB, format_bytes, format_seconds, minutes
+from repro.datagen.text import zipf_column
 
 
 def test_format_bytes():
@@ -60,7 +61,7 @@ def test_zipf_weights_skewed():
 def test_zipf_choice_covers_values():
     rng = make_rng(0)
     values = np.arange(50)
-    sample = zipf_choice(rng, values, 5000, 1.0)
+    sample = zipf_column(rng, values, 5000, 1.0).values()
     assert set(np.unique(sample)) <= set(values)
     counts = np.bincount(sample, minlength=50)
     assert counts.max() > 5 * max(1, counts[counts > 0].min())

@@ -5,13 +5,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.rng import zipf_weights
 from repro.datagen.nref import (
     NrefScale,
     generate_nref,
+    load_nref_database,
     nref_catalog,
 )
-from repro.datagen.tpch import generate_tpch, tpch_catalog
+from repro.datagen.text import zipf_pick
+from repro.datagen.tpch import generate_tpch, load_tpch_database, tpch_catalog
+from repro.engine.systems import system_a, system_c
+from repro.storage.encoding import ColumnDictionary
 
 
 def test_nref_catalog_matches_paper_schema():
@@ -167,3 +174,70 @@ def test_generated_tables_are_pinned_bit_for_bit(dataset):
             else:
                 sha.update(np.ascontiguousarray(array).tobytes())
     assert sha.hexdigest() == GENERATED[dataset]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 50_000),
+    size=st.integers(0, 20_000),
+    z=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_guide_table_picks_are_choices(d, size, z, seed):
+    """The guide-table search returns ``Generator.choice``'s picks and
+    leaves the generator where ``choice`` leaves it."""
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = zipf_pick(ours, d, size, z)
+    want = numpys.choice(d, size=size, p=zipf_weights(d, z))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "dataset, pooled", [("nref", 14), ("skth", 9), ("unth", 9)]
+)
+def test_loaded_columns_are_born_encoded(dataset, pooled, monkeypatch):
+    """Every object column's cached dictionary — pooled columns read
+    off their codes, the rest hashed — equals one hashed afresh, and
+    each column's dictionary was built once."""
+    from_pool = ColumnDictionary.from_pool.__func__
+    read_off_codes = []
+
+    def spy(cls, base, pool, rows):
+        read_off_codes.append(base)
+        return from_pool(cls, base, pool, rows)
+
+    monkeypatch.setattr(ColumnDictionary, "from_pool", classmethod(spy))
+    database = {
+        "nref": lambda: load_nref_database(system_a(), scale=0.05),
+        "skth": lambda: load_tpch_database(system_c(), scale=0.05, zipf=1.0),
+        "unth": lambda: load_tpch_database(system_c(), scale=0.05),
+    }[dataset]()
+    cache = database._cache("dict_cache")
+    columns = [
+        (table, column)
+        for table in database.tables.values()
+        for column in table.column_names()
+    ]
+    assert cache.stats.misses == len(columns)
+    assert not cache._pools
+    checked = 0
+    for table, column in columns:
+        values = table.column(column)
+        if values.dtype != object:
+            continue
+        cached = cache._entries[(table.name, column)][1]
+        assert cached.base is values
+        fresh = ColumnDictionary(values)
+        for name in ("values", "counts", "codes"):
+            a, b = getattr(cached, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), (
+                table.name, column, name,
+            )
+        checked += 1
+    assert checked
+    assert sum(
+        any(table.column(column) is base for base in read_off_codes)
+        for table, column in columns
+    ) == pooled

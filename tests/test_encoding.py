@@ -313,6 +313,91 @@ def test_property_object_codes_are_the_unique_inverse(words):
     assert d.values[d.codes].tolist() == words
 
 
+def assert_same_dictionary(got, want):
+    """Every product and every dtype of two dictionaries agree."""
+    for name in ("values", "counts", "codes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tolist() == b.tolist(), name
+    assert got.argsort().dtype == want.argsort().dtype
+    assert got.argsort().tolist() == want.argsort().tolist()
+    for a, b in zip(got.by_frequency(), want.by_frequency()):
+        assert a.dtype == b.dtype
+        assert a.tolist() == b.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pool=st.lists(
+        st.sampled_from(["", "a", "ab", "b", "ba", "m", "zz", "zzzz"]),
+        min_size=0, max_size=12,
+    ),
+    picks=st.lists(st.integers(0, 10**6), min_size=0, max_size=120),
+)
+def test_property_pool_dictionary_equals_hashing_the_rows(pool, picks):
+    """Pools that repeat a string, hold entries no row draws, hold one
+    entry, or draw no rows at all encode like hashing ``pool[rows]``."""
+    pool = np.array(pool, dtype=object)
+    rows = np.array(
+        [p % len(pool) for p in picks] if len(pool) else [], dtype=np.int32
+    )
+    base = pool[rows]
+    got = ColumnDictionary.from_pool(base, pool, rows)
+    assert got.base is base
+    assert_same_dictionary(got, ColumnDictionary(base))
+
+
+def test_pool_dictionary_of_generated_names():
+    """``name_pool`` repeats names; the pool dictionary merges them."""
+    from repro.datagen.text import name_pool
+
+    pool = name_pool(np.random.default_rng(3), 800, "protein")
+    assert len(set(pool.tolist())) < len(pool)
+    rows = np.random.default_rng(4).integers(0, 700, 5000).astype(np.int32)
+    base = pool[rows]
+    assert_same_dictionary(
+        ColumnDictionary.from_pool(base, pool, rows), ColumnDictionary(base)
+    )
+
+
+def test_seeded_column_builds_from_its_pool_once(monkeypatch):
+    """A seed is the column's one miss, and is dropped when read — or,
+    unread, once the column is no longer the table's storage array."""
+    from repro.catalog.schema import ColumnDef, TableSchema
+    from repro.storage.table import Table
+    from repro.storage.types import integer, varchar
+
+    schema = TableSchema(
+        "t", [ColumnDef("s", varchar(4), ""), ColumnDef("i", integer(), "")]
+    )
+    pool = np.array(["x", "y", "x"], dtype=object)
+    rows = np.array([2, 1, 0, 1], dtype=np.int32)
+    table = Table(schema, {"s": pool[rows], "i": np.arange(4)})
+    cache = DictionaryCache()
+    cache.seed(table, "s", pool, rows)
+    built = []
+    real = ColumnDictionary.from_pool.__func__
+    monkeypatch.setattr(
+        ColumnDictionary, "from_pool",
+        classmethod(lambda cls, *a: built.append(a) or real(cls, *a)),
+    )
+    first = cache.dictionary(table, "s")
+    assert cache.dictionary(table, "s") is first
+    assert len(built) == 1 and not cache._pools
+    assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+    assert first.values.tolist() == ["x", "y"]
+    assert first.codes.tolist() == [0, 1, 0, 1]
+    with pytest.raises(ValueError):
+        cache.seed(table, "s", pool, rows[:3])
+
+    cache.seed(table, "s", pool, rows)
+    table.append_rows({"s": ["z"], "i": [9]})
+    cache.invalidate()
+    assert not cache._pools
+    assert cache.dictionary(table, "s").values.tolist() == ["x", "y", "z"]
+    assert len(built) == 1
+
+
 def test_object_dictionary_sorts_only_the_distinct_values(monkeypatch):
     unique_calls = count_calls(monkeypatch, "unique")
     base = np.array(["b", "a", "", "a", "b", "ab"] * 50, dtype=object)
