@@ -31,6 +31,11 @@ is total because the planner ends every plan in a ``Project`` or a
 operator below the root reads is a scanned ``alias.column``
 (``tests/test_plan_shape.py`` walks the plans of every query family to
 keep it so).
+
+A ``COUNT`` over a join on one key pair reads the join's per-row
+match counts instead of its rows (:mod:`repro.executor.groupjoin`).
+Each join type's charges live in its match step, whichever way its
+matches are then consumed.
 """
 
 from dataclasses import dataclass
@@ -52,6 +57,7 @@ from ..optimizer.plans import (
 )
 from ..views.matview import COUNT_COLUMN
 from .batch import Batch, combine_codes, factorize, join_codes
+from .groupjoin import count_shape, slot_map, take_or_zero
 from ..common.cache import BoundedCache
 from ..index.data import gather_ranges
 from ..storage.encoding import DictionaryCache, stable_order
@@ -473,13 +479,35 @@ class Executor:
     # ------------------------------------------------------------------
     # Joins
 
-    def _hash_join(self, node, clock):
+    def _hash_match(self, node, clock, match):
+        """``(left, right, matches)``: run a hash join's children and
+        make every charge of the join, whoever consumes it;
+        ``match(node, left, right)`` returns ``(matches, output rows)``.
+        """
         left = self._exec(node.left, clock)
         right = self._exec(node.right, clock)
 
         clock.charge(cm.hash_build(self._hw, right.rows, right.row_width))
         clock.charge(cm.hash_probe(self._hw, left.rows))
 
+        matches, out_rows = match(node, left, right)
+
+        out_width = left.row_width + right.row_width
+        clock.charge(cm.join_output(self._hw, out_rows, out_width))
+        obs.counter_add("engine.join_output_rows", out_rows)
+        _guard_materialization(out_rows)
+        return left, right, matches
+
+    def _hash_join(self, node, clock):
+        left, right, (order, lows, counts) = self._hash_match(
+            node, clock, self._probe_ranges
+        )
+        right_pos, left_pos = gather_ranges(order, lows, lows + counts)
+        return _merged(left.take(left_pos), right.take(right_pos))
+
+    def _probe_ranges(self, node, left, right):
+        """``((build order, lows, counts), output rows)``: each probe
+        row matches the build rows ``order[lows:lows + counts]``."""
         lcodes, rcodes = join_codes(
             [left.key_codes(k) for k in node.left_keys],
             [right.key_codes(k) for k in node.right_keys],
@@ -504,17 +532,13 @@ class Executor:
         else:
             # An empty side: no probe row matches anything.
             lows = counts = np.zeros(len(lcodes), dtype=np.int64)
-        out_rows = int(counts.sum())
+        return (order, lows, counts), int(counts.sum())
 
-        out_width = left.row_width + right.row_width
-        clock.charge(cm.join_output(self._hw, out_rows, out_width))
-        obs.counter_add("engine.join_output_rows", out_rows)
-        _guard_materialization(out_rows)
-
-        right_pos, left_pos = gather_ranges(order, lows, lows + counts)
-        return _merged(left.take(left_pos), right.take(right_pos))
-
-    def _inl_join(self, node, clock):
+    def _inl_match(self, node, clock):
+        """``(outer, lows, highs, inner widths)``: run an index join's
+        outer side and probes and make every charge of the join,
+        whoever consumes it; outer row ``i`` matches the index entries
+        ``lows[i]:highs[i]``."""
         outer = self._exec(node.outer, clock)
         table = self._table(node.table)
         info = node.index
@@ -541,19 +565,25 @@ class Executor:
                     table.page_count(), table.row_count,
                 )
             )
-        inner_width = sum(
-            table.schema.column(c).width for c in node.columns
-        ) + cm.ROW_OVERHEAD
+        inner = {
+            key: table.schema.column(name).width
+            for key, name in _keyed(node.alias, node.columns).items()
+        }
+        inner_width = sum(inner.values()) + cm.ROW_OVERHEAD
         clock.charge(
             cm.join_output(self._hw, matched, outer.row_width + inner_width)
         )
         _guard_materialization(matched)
+        return outer, lows, highs, inner
 
-        row_ids, probe_idx = info.data.fetch(lows, highs)
+    def _inl_join(self, node, clock):
+        outer, lows, highs, _ = self._inl_match(node, clock)
+        row_ids, probe_idx = node.index.data.fetch(lows, highs)
         batch = _merged(
             outer.take(probe_idx),
             self._scan_batch(
-                table, _keyed(node.alias, node.columns), row_ids
+                self._table(node.table), _keyed(node.alias, node.columns),
+                row_ids,
             ),
         )
 
@@ -576,17 +606,14 @@ class Executor:
     # Aggregation
 
     def _aggregate(self, node, clock):
+        shape = count_shape(node)
+        if shape is not None:
+            return self._aggregate_matches(node, shape, clock)
         child = self._exec(node.child, clock)
         rows = child.rows
-
-        if node.group_keys:
-            codes = combine_codes(
-                [factorize(*child.key_codes(k)) for k in node.group_keys]
-            )
-            n_groups = int(codes.max()) + 1 if rows else 0
-        else:
-            codes = np.zeros(rows, dtype=np.int64)
-            n_groups = 1 if rows else 0
+        codes, n_groups = _group_codes(
+            [child.key_codes(k) for k in node.group_keys], rows
+        )
 
         clock.charge(
             cm.hash_aggregate(
@@ -595,12 +622,7 @@ class Executor:
         )
 
         columns, widths = {}, {}
-        # Sort-free first-occurrence scatter: group codes are dense
-        # (every value in [0, n_groups) occurs), so writing row
-        # indices in descending order leaves each slot holding its
-        # group's smallest index.
-        firsts = np.empty(n_groups, dtype=np.int64)
-        firsts[codes[::-1]] = np.arange(rows - 1, -1, -1, dtype=np.int64)
+        firsts = _first_rows(codes, n_groups)
         for key in node.group_keys:
             # One value per group: gather through any pending selection
             # vector instead of materializing the whole column.
@@ -611,10 +633,7 @@ class Executor:
         for i, agg in enumerate(node.aggregates):
             label = f"agg{i}:{agg.label()}"
             if agg.func == "count" and not agg.distinct:
-                values = np.bincount(
-                    codes, weights=wts, minlength=max(n_groups, 1)
-                )[:n_groups] if rows else np.empty(0)
-                columns[label] = np.round(values).astype(np.int64)
+                columns[label] = _group_counts(codes, wts, n_groups)
             elif agg.func == "count" and agg.distinct:
                 columns[label] = self._count_distinct(
                     codes, factorize(*child.key_codes(str(agg.arg))),
@@ -622,15 +641,11 @@ class Executor:
                 )
             elif agg.func in ("sum", "avg"):
                 arg = child.column(str(agg.arg)).astype(np.float64)
-                sums = np.bincount(
-                    codes, weights=arg * wts, minlength=max(n_groups, 1)
-                )[:n_groups] if rows else np.empty(0)
+                sums = _per_group(codes, arg * wts, n_groups)
                 if agg.func == "sum":
                     columns[label] = sums
                 else:
-                    cnt = np.bincount(
-                        codes, weights=wts, minlength=max(n_groups, 1)
-                    )[:n_groups] if rows else np.empty(0)
+                    cnt = _per_group(codes, wts, n_groups)
                     columns[label] = sums / np.maximum(cnt, 1)
             elif agg.func in ("min", "max"):
                 columns[label] = self._min_max(
@@ -640,6 +655,153 @@ class Executor:
                 raise ExecutionError(f"unsupported aggregate {agg.func!r}")
             widths[label] = 8
         return Batch(columns=columns, widths=widths)
+
+    def _aggregate_matches(self, node, shape, clock):
+        """``node`` from its join's per-row matches (``shape``, see
+        :mod:`~repro.executor.groupjoin`), charged as if the join had
+        expanded.  A group's key values come from the row the expanded
+        join puts first: the first matched row in probe or outer order
+        or, on a build side, the one matching the earliest probe row.
+        """
+        join = node.child
+        ys = [str(agg.arg) for agg, rule
+              in zip(node.aggregates, shape.rules) if rule == "b"]
+        if shape.side == "outer":
+            side, lows, highs, inner = self._inl_match(join, clock)
+            join_widths = {**side.widths, **inner}
+            matches, slots, per_key, first_probe = highs - lows, None, {}, None
+            if ys:
+                table = self._table(join.table)
+                slots, per_key, _ = self._table_counts(
+                    side.key_codes(shape.a_key),
+                    self._encodings.dictionary(table, join.inner_column),
+                    {y: self._encodings.dictionary(
+                        table, y[len(join.alias) + 1:]) for y in ys},
+                    first=False,
+                )
+        else:
+            left, right, counted = self._hash_match(
+                join, clock,
+                lambda node, left, right: self._hash_counts(
+                    node, shape, left, right, ys
+                ),
+            )
+            side = left if shape.side == "left" else right
+            join_widths = {**left.widths, **right.widths}
+            matches, slots, per_key, first_probe = counted
+
+        rows = int(matches.sum())
+        matched = np.flatnonzero(matches)
+        codes, n_groups = _group_codes(
+            [(dictionary, side_codes[matched]) for dictionary, side_codes
+             in map(side.key_codes, node.group_keys)],
+            len(matched),
+        )
+        clock.charge(
+            cm.hash_aggregate(
+                self._hw, rows, max(n_groups, 1),
+                sum(join_widths.values()) + 8,
+            )
+        )
+        obs.counter_add("executor.joins_unexpanded")
+        obs.counter_add("executor.rows_unexpanded", rows)
+
+        order = None
+        if first_probe is not None:
+            order = np.argsort(first_probe[slots[matched]], kind="stable")
+        firsts = matched[_first_rows(codes, n_groups, order)]
+        columns = {key: side.gather(key, firsts) for key in node.group_keys}
+        widths = {key: join_widths[key] for key in node.group_keys}
+        for i, (agg, rule) in enumerate(zip(node.aggregates, shape.rules)):
+            label = f"agg{i}:{agg.label()}"
+            if rule == "rows":
+                columns[label] = _group_counts(
+                    codes, matches[matched], n_groups
+                )
+            elif rule == "a":
+                dictionary, arg_codes = side.key_codes(str(agg.arg))
+                columns[label] = self._count_distinct(
+                    codes, factorize(dictionary, arg_codes[matched]),
+                    n_groups,
+                )
+            else:
+                columns[label] = per_key[str(agg.arg)][
+                    slots[firsts]
+                ].astype(np.int64)
+            widths[label] = 8
+        return Batch(columns=columns, widths=widths)
+
+    def _hash_counts(self, node, shape, left, right, ys):
+        """``((matches, slots, per_key, first_probe), output rows)``:
+        per group-side row its matches and its key's slot in the
+        per-key tables — ``per_key[y]``, the other side's distinct
+        ``y``, and ``first_probe`` (build side only), its first row."""
+        group_left = shape.side == "left"
+        other = right if group_left else left
+        if not other.selected(shape.b_key) and not any(
+            map(other.selected, ys)
+        ):
+            dictionary = other.encodings[shape.b_key].dictionary()
+            slots, per_key, first_probe = self._table_counts(
+                (left if group_left else right).key_codes(shape.a_key),
+                dictionary,
+                {y: other.encodings[y].dictionary() for y in ys},
+                first=not group_left,
+            )
+            matches = take_or_zero(dictionary.counts, slots)
+            return (matches, slots, per_key, first_probe), int(matches.sum())
+        lcodes, rcodes = join_codes(
+            [left.key_codes(node.left_keys[0])],
+            [right.key_codes(node.right_keys[0])],
+            self._subplans,
+        )
+        slots, keys = (lcodes, rcodes) if group_left else (rcodes, lcodes)
+        domain = max(
+            int(codes.max()) + 1 if len(codes) else 0
+            for codes in (slots, keys)
+        )
+        per_key = {
+            y: self._count_distinct(
+                keys, factorize(*other.key_codes(y)), domain
+            )
+            for y in ys
+        }
+        first_probe = None if group_left else _first_rows(keys, domain)
+        matches = np.bincount(keys, minlength=domain)[slots]
+        return (matches, slots, per_key, first_probe), int(matches.sum())
+
+    def _table_counts(self, key_codes, keys, values, first):
+        """:meth:`_hash_counts`'s tables against whole columns of one
+        table — the key's dictionary ``keys``, each ``y``'s in
+        ``values`` — whose rows are then never read: column properties
+        memoized in the ``SubplanCache``, reached through a memoized
+        slot map (none on a self-join of one column)."""
+        own, codes = key_codes
+        slots = codes
+        if own is not keys:
+            slots = self._subplans.key_table(
+                ("slots", id(own), id(keys)), (own.values, keys.values),
+                lambda: slot_map(own, keys),
+            )[codes]
+        per_key = {
+            y: self._subplans.key_table(
+                ("distinct", id(keys), id(dictionary)),
+                (keys.base, dictionary.base),
+                lambda dictionary=dictionary: self._count_distinct(
+                    keys.codes, dictionary.codes, keys.n_distinct
+                ).astype(np.int32),
+            )
+            for y, dictionary in values.items()
+        }
+        first_probe = None
+        if first:
+            first_probe = self._subplans.key_table(
+                ("first", id(keys)), (keys.base,),
+                lambda: _first_rows(keys.codes, keys.n_distinct).astype(
+                    np.int32
+                ),
+            )
+        return slots, per_key, first_probe
 
     def _count_distinct(self, codes, vcodes, n_groups):
         """Distinct values per group, from dense group ``codes`` and
@@ -693,6 +855,40 @@ def _distinct_by_sort(keys, n_groups, span):
     return np.bincount(keys[first] // span, minlength=n_groups).astype(
         np.int64
     )
+
+
+def _group_codes(key_codes, rows):
+    """``(codes, n_groups)``: dense group codes of ``rows`` rows from
+    each group key's ``(dictionary, codes)`` (none for a grand total)."""
+    if key_codes:
+        codes = combine_codes([factorize(*pair) for pair in key_codes])
+        return codes, int(codes.max()) + 1 if rows else 0
+    return np.zeros(rows, dtype=np.int64), 1 if rows else 0
+
+
+def _first_rows(codes, n_groups, order=None):
+    """Per code, the position of its first row — first in ``order``
+    (positions) when given.  Writing positions in reverse leaves each
+    slot holding its first; a code that never occurs keeps garbage."""
+    firsts = np.empty(n_groups, dtype=np.int64)
+    if order is None:
+        firsts[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
+    else:
+        firsts[codes[order[::-1]]] = order[::-1]
+    return firsts
+
+
+def _per_group(codes, weights, n_groups):
+    """The sum of ``weights`` over each group's rows, as floats."""
+    return np.bincount(
+        codes, weights=weights, minlength=max(n_groups, 1)
+    )[:n_groups]
+
+
+def _group_counts(codes, weights, n_groups):
+    """``COUNT(*)`` per group: its rows' weights (view multiplicities
+    or join matches), summed."""
+    return np.round(_per_group(codes, weights, n_groups)).astype(np.int64)
 
 
 def _required_keys(plan):

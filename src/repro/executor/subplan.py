@@ -16,7 +16,11 @@ intermediates across queries:
   so each evaluation strategy caches its own result;
 * **filter masks** — the boolean keep-mask of a filter set applied to
   an unfiltered base batch, keyed by ``(table, (column, op, value)…)``;
-* **join domains** — the merged sorted domain of a dictionary pair.
+* **join domains** — the merged sorted domain of a dictionary pair;
+* **key tables** — per-key properties of whole columns that an
+  aggregate over a join reads instead of the joined rows: the slot map
+  between two dictionaries, a column's first row per key, and the
+  number of distinct values of one column per key of another.
 
 The cache never changes a result or a cost: the executor charges the
 virtual clock exactly as if it had recomputed the intermediate, so
@@ -44,13 +48,15 @@ from ..common.cache import BoundedCache, CacheStats
 MAX_SEMI_ENTRIES = 1024
 MAX_MASK_ENTRIES = 256
 MAX_DOMAIN_ENTRIES = 256
+MAX_KEY_ENTRIES = 256
 
 _MISSING = object()
 
 
 class SubplanCache:
-    """Cross-query memo of semijoin aggregations, base filter masks and
-    join domains: one bounded, identity-validated cache per kind."""
+    """Cross-query memo of semijoin aggregations, base filter masks,
+    join domains and key tables: one bounded, identity-validated cache
+    per kind."""
 
     def __init__(self):
         # kind -> (cache, hit counter, build counter)
@@ -64,12 +70,13 @@ class SubplanCache:
                 ("semi", MAX_SEMI_ENTRIES),
                 ("mask", MAX_MASK_ENTRIES),
                 ("domain", MAX_DOMAIN_ENTRIES),
+                ("key", MAX_KEY_ENTRIES),
             )
         }
 
     @property
     def stats(self):
-        """The three kinds' traffic as one ``subplan_cache``."""
+        """The kinds' traffic as one ``subplan_cache``."""
         parts = [cache.stats for cache, _, _ in self._kinds.values()]
         return CacheStats(
             "subplan_cache",
@@ -114,6 +121,16 @@ class SubplanCache:
         two sorted value arrays) makes an ``id`` reuse a harmless miss.
         """
         return self._lookup("domain", key, backing, build)
+
+    def key_table(self, key, backing, build):
+        """One per-key table of whole columns (an int32 array over a
+        dictionary's entries).
+
+        ``key`` names the table and carries the dictionaries' ``id``s;
+        ``backing`` holds the arrays it is derived from (their values
+        or base columns), so an ``id`` reuse is a harmless miss.
+        """
+        return self._lookup("key", key, backing, build)
 
     def _lookup(self, kind, key, backing, build):
         cache, hit_metric, build_metric = self._kinds[kind]

@@ -10,6 +10,12 @@ must agree exactly.  A second database takes a seeded insert batch under
 append, not rebuilt — and must then agree with the reference evaluated
 over the grown tables.  A third property is metamorphic: the rows and
 the virtual seconds of a query do not depend on which caches are warm.
+
+A query groups by one or two columns (often with the join key among
+them) and takes ``COUNT(*)`` or ``COUNT(DISTINCT)`` of a column on
+either join side, so an aggregate that counts its join's matches
+(:mod:`repro.executor.groupjoin`) meets the reference under every rule,
+and so does one that expands its join.
 """
 
 import collections
@@ -90,7 +96,7 @@ def reference_eval(spec, rows=REFERENCE_ROWS):
             v for v, f in freq.items() if _cmp(f, op, threshold)
         }
 
-    groups = collections.Counter()
+    groups = collections.defaultdict(list)
     for combo in itertools.product(*row_sets):
         env = dict(zip(aliases, combo))
         ok = True
@@ -112,8 +118,20 @@ def reference_eval(spec, rows=REFERENCE_ROWS):
             key = tuple(
                 env[alias][column] for alias, column in spec["group_by"]
             )
-            groups[key] += 1
-    return sorted((*k, v) for k, v in groups.items())
+            groups[key].append(env)
+    return sorted(
+        (*key, *(_aggregate(agg, envs) for agg in spec["aggregates"]))
+        for key, envs in groups.items()
+    )
+
+
+def _aggregate(agg, envs):
+    """``COUNT(*)`` (``agg`` is ``None``) or ``COUNT(DISTINCT alias.column)``
+    over one group's joined rows."""
+    if agg is None:
+        return len(envs)
+    alias, column = agg
+    return len({env[alias][column] for env in envs})
 
 
 def _cmp(lhs, op, rhs):
@@ -143,8 +161,12 @@ def to_sql(spec):
         )
     where = f" WHERE {' AND '.join(preds)}" if preds else ""
     group_cols = ", ".join(f"{a}.{c}" for a, c in spec["group_by"])
+    aggregates = ", ".join(
+        "COUNT(*)" if agg is None else f"COUNT(DISTINCT {agg[0]}.{agg[1]})"
+        for agg in spec["aggregates"]
+    )
     return (
-        f"SELECT {group_cols}, COUNT(*) FROM {froms}{where} "
+        f"SELECT {group_cols}, {aggregates} FROM {froms}{where} "
         f"GROUP BY {group_cols}"
     )
 
@@ -189,6 +211,22 @@ def query_specs(draw):
     group_alias = draw(st.sampled_from([a for a, _ in tables]))
     group_col = draw(st.sampled_from(TABLES[alias_tables[group_alias]]))
     group_by = [(group_alias, group_col)]
+    if draw(st.booleans()):
+        # A second group column: often the group side's join key (so a
+        # COUNT(DISTINCT) of the other side can be read per key),
+        # otherwise any column, on either side.
+        join_keys = [key for key in itertools.chain(*joins)
+                     if key[0] == group_alias]
+        second = draw(st.sampled_from(
+            join_keys * 3 + [(a, c) for a, t in tables for c in TABLES[t]]
+        ))
+        if second not in group_by:
+            group_by.append(second)
+
+    # COUNT(*) or COUNT(DISTINCT) of a column of either side.
+    columns = [None] + [(a, c) for a, t in tables for c in TABLES[t]]
+    aggregates = draw(st.lists(st.sampled_from(columns), min_size=1,
+                               max_size=2))
 
     return {
         "tables": tables,
@@ -196,6 +234,7 @@ def query_specs(draw):
         "filters": filters,
         "semis": semis,
         "group_by": group_by,
+        "aggregates": aggregates,
     }
 
 
@@ -343,6 +382,7 @@ def test_reference_sanity():
         "filters": [("t0", "age", ">", 40)],
         "semis": [],
         "group_by": [("t0", "city")],
+        "aggregates": [None],
     }
     expected = reference_eval(spec)
     assert expected

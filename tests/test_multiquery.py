@@ -10,6 +10,7 @@ import pytest
 
 from repro.executor.subplan import (
     MAX_DOMAIN_ENTRIES,
+    MAX_KEY_ENTRIES,
     MAX_MASK_ENTRIES,
     MAX_SEMI_ENTRIES,
     SubplanCache,
@@ -44,12 +45,14 @@ def test_subplan_cache_invalidate_clears_every_kind():
     cache.semi_values("s", (base,), lambda: 1)
     cache.filter_mask("m", (base,), lambda: 2)
     cache.join_domain("d", (base,), lambda: 3)
+    cache.key_table("t", (base,), lambda: 4)
     cache.invalidate()
     builds = []
     cache.semi_values("s", (base,), lambda: builds.append(1))
     cache.filter_mask("m", (base,), lambda: builds.append(1))
     cache.join_domain("d", (base,), lambda: builds.append(1))
-    assert len(builds) == 3
+    cache.key_table("t", (base,), lambda: builds.append(1))
+    assert len(builds) == 4
     assert cache.stats.invalidations == 1
 
 
@@ -72,6 +75,7 @@ def test_subplan_entry_is_a_miss_after_its_array_is_replaced():
     ("semi_values", MAX_SEMI_ENTRIES),
     ("filter_mask", MAX_MASK_ENTRIES),
     ("join_domain", MAX_DOMAIN_ENTRIES),
+    ("key_table", MAX_KEY_ENTRIES),
 ])
 def test_subplan_eviction_respects_each_kind_bound(kind, bound):
     cache = SubplanCache()
@@ -84,6 +88,7 @@ def test_subplan_eviction_respects_each_kind_bound(kind, bound):
     assert lookup(0, (base,), lambda: "rebuilt") == "rebuilt"
     assert lookup(bound + 4, (base,), lambda: "rebuilt") == bound + 4
     # Filling one kind leaves the others empty.
-    others = {"semi_values", "filter_mask", "join_domain"} - {kind}
+    others = {"semi_values", "filter_mask", "join_domain", "key_table"}
+    others.discard(kind)
     for other in others:
         assert getattr(cache, other)(0, (base,), lambda: "fresh") == "fresh"
