@@ -162,6 +162,14 @@ def _group_ordinals(dictionary):
     return ordinals
 
 
+def accessions(rng, size):
+    """``size`` accession ids below ``A{2 * size:09d}``, from one
+    ``integers`` call: the ids (and the generator state) one scalar
+    draw per row gives."""
+    ids = rng.integers(0, 2 * size, size).tolist()
+    return np.array([f"A{i:09d}" for i in ids], dtype=object)
+
+
 def generate_nref(scale=1.0, seed=1405):
     """Generate all six tables; returns ``{table: {column: array}}``,
     each table a :class:`~repro.datagen.text.PooledTable`."""
@@ -199,11 +207,7 @@ def generate_nref(scale=1.0, seed=1405):
             [f"P{i:09d}" for i in range(sizes.source)], dtype=object
         ),
         "taxon_id": zipf_column(r, taxa, sizes.source, 1.0),
-        "accession": np.array(
-            [f"A{r.integers(0, sizes.source * 2):09d}"
-             for _ in range(sizes.source)],
-            dtype=object,
-        ),
+        "accession": accessions(r, sizes.source),
         "p_name": zipf_column(r, names, sizes.source, 1.1),
         "source": zipf_column(
             r, np.array(SOURCE_DATABASES, dtype=object), sizes.source, 0.6

@@ -47,21 +47,24 @@ LINEAGE_ROOTS = [
 
 def name_pool(rng, size, kind="protein"):
     """A pool of ``size`` human-readable names of the given kind."""
-    names = []
     if kind == "protein":
-        for i in range(size):
-            greek = GREEK[int(rng.integers(len(GREEK)))]
-            role = PROTEIN_ROLES[int(rng.integers(len(PROTEIN_ROLES)))]
-            names.append(f"{greek}-{role} {i % 97 + 1}")
+        picks = rng.integers(0, [len(GREEK), len(PROTEIN_ROLES)], (size, 2))
+        names = [
+            f"{GREEK[greek]}-{PROTEIN_ROLES[role]} {i % 97 + 1}"
+            for i, (greek, role) in enumerate(picks.tolist())
+        ]
     elif kind == "species":
-        for i in range(size):
-            stem = ORGANISM_STEMS[i % len(ORGANISM_STEMS)]
-            epithet = ORGANISM_EPITHETS[int(rng.integers(len(ORGANISM_EPITHETS)))]
-            names.append(f"{stem} {epithet} {i // len(ORGANISM_STEMS) + 1}")
+        epithets = rng.integers(0, len(ORGANISM_EPITHETS), size).tolist()
+        names = [
+            f"{ORGANISM_STEMS[i % len(ORGANISM_STEMS)]} "
+            f"{ORGANISM_EPITHETS[epithet]} {i // len(ORGANISM_STEMS) + 1}"
+            for i, epithet in enumerate(epithets)
+        ]
     elif kind == "lineage":
-        for i in range(size):
-            root = LINEAGE_ROOTS[i % len(LINEAGE_ROOTS)]
-            names.append(f"{root}; clade-{i + 1}")
+        names = [
+            f"{LINEAGE_ROOTS[i % len(LINEAGE_ROOTS)]}; clade-{i + 1}"
+            for i in range(size)
+        ]
     else:
         raise ValueError(f"unknown pool kind {kind!r}")
     return np.array(names, dtype=object)
@@ -144,10 +147,15 @@ def zipf_column(rng, pool, size, z):
 
 
 def sequence_strings(rng, size, mean_length=40):
-    """Fake amino-acid sequences (non-indexable payload data)."""
-    alphabet = np.array(list("ACDEFGHIKLMNPQRSTVWY"), dtype=object)
+    """Fake amino-acid sequences (non-indexable payload data): one
+    ``integers`` call draws every letter, sliced at the cumulative
+    lengths — the strings and generator state of one
+    ``"".join(rng.choice(alphabet, n))`` per row."""
+    alphabet = np.frombuffer(b"ACDEFGHIKLMNPQRSTVWY", dtype=np.uint8)
     lengths = rng.poisson(mean_length, size).clip(10, 4 * mean_length)
+    ends = lengths.cumsum().tolist()
+    text = alphabet[rng.integers(0, 20, int(lengths.sum()))].tobytes().decode()
     return np.array(
-        ["".join(rng.choice(alphabet, int(n))) for n in lengths],
+        [text[end - n:end] for n, end in zip(lengths.tolist(), ends)],
         dtype=object,
     )

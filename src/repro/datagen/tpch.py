@@ -203,6 +203,16 @@ def _pick(rng, pool, size, z):
     return pooled if pool.dtype == object else pooled.values()
 
 
+def phone_numbers(rng, size):
+    """``size`` phone numbers ``NN-NNN-NNN-NNNN`` from one ``integers``
+    call over the four fields' bounds tiled per row: the numbers (and
+    the generator state) four interleaved scalar draws per row give."""
+    fields = rng.integers(
+        (10, 100, 100, 1000), (35, 999, 999, 9999), (size, 4)
+    ).tolist()
+    return np.array([f"{a}-{b}-{c}-{d}" for a, b, c, d in fields], dtype=object)
+
+
 def generate_tpch(scale=1.0, zipf=0.0, seed=1992):
     """Generate all eight tables; returns ``{table: {column: array}}``,
     each table a :class:`~repro.datagen.text.PooledTable`."""
@@ -233,12 +243,7 @@ def generate_tpch(scale=1.0, zipf=0.0, seed=1992):
         ),
         "s_nationkey": _pick(r, np.arange(rows["nation"]), n, z),
         "s_acctbal": np.round(r.uniform(-999.99, 9999.99, n), 2),
-        "s_phone": np.array(
-            [f"{r.integers(10, 35)}-{r.integers(100, 999)}-"
-             f"{r.integers(100, 999)}-{r.integers(1000, 9999)}"
-             for _ in range(n)],
-            dtype=object,
-        ),
+        "s_phone": phone_numbers(r, n),
     }
 
     r = spawn(rng, "customer")

@@ -199,10 +199,17 @@ def _packed_dictionary(base):
 
 
 def _hashed_dictionary(base):
-    """``(values, counts, codes)`` of an object column from one hash
-    pass: only the *distinct* values are sorted (Python compares),
-    every row then looks its slot up, and the counts are a
-    ``bincount`` of the codes."""
+    """``(values, counts, codes)`` of an object column.
+
+    A column whose neighbours strictly increase (one generated in
+    order: an id column, a pool of ids) is its own dictionary, found
+    by one vectorized comparison.  Any other takes one hash pass: only
+    the *distinct* values are sorted (Python compares), every row then
+    looks its slot up, and the counts are a ``bincount`` of the codes.
+    """
+    if (base[1:] > base[:-1]).all():
+        n = len(base)
+        return base, np.ones(n, np.int64), np.arange(n, dtype=np.int32)
     rows = base.tolist()
     distinct = sorted(set(rows))
     slot_of = dict(zip(distinct, range(len(distinct))))

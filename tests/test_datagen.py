@@ -11,12 +11,26 @@ from hypothesis import strategies as st
 from repro.common.rng import zipf_weights
 from repro.datagen.nref import (
     NrefScale,
+    accessions,
     generate_nref,
     load_nref_database,
     nref_catalog,
 )
-from repro.datagen.text import zipf_pick
-from repro.datagen.tpch import generate_tpch, load_tpch_database, tpch_catalog
+from repro.datagen.text import (
+    GREEK,
+    ORGANISM_EPITHETS,
+    ORGANISM_STEMS,
+    PROTEIN_ROLES,
+    name_pool,
+    sequence_strings,
+    zipf_pick,
+)
+from repro.datagen.tpch import (
+    generate_tpch,
+    load_tpch_database,
+    phone_numbers,
+    tpch_catalog,
+)
 from repro.engine.systems import system_a, system_c
 from repro.storage.encoding import ColumnDictionary
 
@@ -194,13 +208,91 @@ def test_property_guide_table_picks_are_choices(d, size, z, seed):
     assert ours.bit_generator.state == numpys.bit_generator.state
 
 
+ROWS = st.integers(0, 2_000)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_same_draws(draw, loop, seed):
+    """``draw`` and the per-row reference ``loop`` give the same list
+    from one seed and leave the generator in the same state."""
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw(ours)
+    assert got.dtype == object
+    assert got.tolist() == loop(reference)
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=ROWS, mean_length=st.sampled_from([1, 10, 40, 97]), seed=SEEDS)
+def test_property_sequences_are_one_choice_per_row(size, mean_length, seed):
+    alphabet = np.array(list("ACDEFGHIKLMNPQRSTVWY"), dtype=object)
+
+    def loop(rng):
+        lengths = rng.poisson(mean_length, size).clip(10, 4 * mean_length)
+        return ["".join(rng.choice(alphabet, int(n))) for n in lengths]
+
+    assert_same_draws(
+        lambda rng: sequence_strings(rng, size, mean_length), loop, seed
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=ROWS, seed=SEEDS)
+def test_property_accessions_are_one_draw_per_row(size, seed):
+    assert_same_draws(
+        lambda rng: accessions(rng, size),
+        lambda rng: [f"A{rng.integers(0, size * 2):09d}" for _ in range(size)],
+        seed,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=ROWS, seed=SEEDS)
+def test_property_phone_numbers_are_four_draws_per_row(size, seed):
+    assert_same_draws(
+        lambda rng: phone_numbers(rng, size),
+        lambda rng: [
+            f"{rng.integers(10, 35)}-{rng.integers(100, 999)}-"
+            f"{rng.integers(100, 999)}-{rng.integers(1000, 9999)}"
+            for _ in range(size)
+        ],
+        seed,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=ROWS, seed=SEEDS)
+def test_property_name_pools_are_one_draw_per_entry(size, seed):
+    def protein(rng):
+        return [
+            f"{GREEK[int(rng.integers(len(GREEK)))]}-"
+            f"{PROTEIN_ROLES[int(rng.integers(len(PROTEIN_ROLES)))]} "
+            f"{i % 97 + 1}"
+            for i in range(size)
+        ]
+
+    def species(rng):
+        stems = len(ORGANISM_STEMS)
+        return [
+            f"{ORGANISM_STEMS[i % stems]} "
+            f"{ORGANISM_EPITHETS[int(rng.integers(len(ORGANISM_EPITHETS)))]}"
+            f" {i // stems + 1}"
+            for i in range(size)
+        ]
+
+    for kind, loop in (("protein", protein), ("species", species)):
+        assert_same_draws(
+            lambda rng, kind=kind: name_pool(rng, size, kind), loop, seed
+        )
+
+
 @pytest.mark.parametrize(
     "dataset, pooled", [("nref", 14), ("skth", 9), ("unth", 9)]
 )
 def test_loaded_columns_are_born_encoded(dataset, pooled, monkeypatch):
     """Every object column's cached dictionary — pooled columns read
-    off their codes, the rest hashed — equals one hashed afresh, and
-    each column's dictionary was built once."""
+    off their codes, the rest hashed or their own — is np.unique's,
+    and each column's dictionary was built once."""
     from_pool = ColumnDictionary.from_pool.__func__
     read_off_codes = []
 
@@ -229,10 +321,15 @@ def test_loaded_columns_are_born_encoded(dataset, pooled, monkeypatch):
             continue
         cached = cache._entries[(table.name, column)][1]
         assert cached.base is values
-        fresh = ColumnDictionary(values)
-        for name in ("values", "counts", "codes"):
-            a, b = getattr(cached, name), getattr(fresh, name)
-            assert a.dtype == b.dtype and a.tolist() == b.tolist(), (
+        unique, inverse, counts = np.unique(
+            values, return_inverse=True, return_counts=True
+        )
+        for name, want in (
+            ("values", unique), ("counts", counts),
+            ("codes", inverse.astype(np.int32)),
+        ):
+            got = getattr(cached, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (
                 table.name, column, name,
             )
         checked += 1

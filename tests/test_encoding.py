@@ -76,13 +76,13 @@ def test_dictionary_frequency_views():
 # Construction: one packed sort (int64), one hash pass (object) or
 # np.unique (everything else) — always what NumPy would answer
 
-def assert_dictionary_is_numpys(base):
-    """``ColumnDictionary(base)`` against ``np.unique`` and the stable
-    ``np.argsort`` of the same array."""
+def assert_dictionary_is_numpys(base, d=None):
+    """``d`` (default ``ColumnDictionary(base)``) against ``np.unique``
+    and the stable ``np.argsort`` of the same array."""
     values, inverse, counts = np.unique(
         base, return_inverse=True, return_counts=True
     )
-    d = ColumnDictionary(base)
+    d = ColumnDictionary(base) if d is None else d
     assert d.base is base
     for got, want in ((d.values, values), (d.counts, counts)):
         assert got.dtype == want.dtype
@@ -311,6 +311,51 @@ def test_property_object_codes_are_the_unique_inverse(words):
     base = np.array(words, dtype=object)
     d = assert_dictionary_is_numpys(base)
     assert d.values[d.codes].tolist() == words
+
+
+@pytest.mark.parametrize("words, own", [
+    ([], True),
+    (["a"], True),
+    (["a", "b"], True),
+    (["", "a", "ab", "abc", "b", "ba"], True),
+    (["NF00000000", "NF00000001", "NF00000002"], True),
+    (["a", "b", "b"], False),
+    (["a", "c", "b"], False),
+    (["b", "a"], False),
+    (["", ""], False),
+])
+def test_strictly_increasing_object_column_is_its_own_dictionary(
+    words, own
+):
+    """A column whose neighbours strictly increase is its own
+    dictionary; a repeat or a descent anywhere — the last pair
+    included — falls through to the hash pass.  Both give np.unique's
+    dictionary."""
+    base = np.array(words, dtype=object)
+    d = assert_dictionary_is_numpys(base)
+    assert (d.values is base) == own
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.sets(st.text(alphabet="ab", max_size=6), max_size=60),
+    drawn=st.lists(st.integers(0, 10**6), min_size=1, max_size=80),
+)
+def test_property_increasing_pool_with_undrawn_entries_is_numpys(
+    words, drawn
+):
+    """A strictly increasing pool — the empty string and prefixes
+    included — is its own dictionary, and ``from_pool`` drops the
+    entries no row draws: np.unique's dictionary of the rows."""
+    pool = np.array(sorted(words), dtype=object)
+    assert ColumnDictionary(pool).values is pool
+    rows = np.array(
+        [p % len(pool) for p in drawn] if len(pool) else [], dtype=np.int32
+    )
+    base = pool[rows]
+    assert_dictionary_is_numpys(
+        base, ColumnDictionary.from_pool(base, pool, rows)
+    )
 
 
 def assert_same_dictionary(got, want):
