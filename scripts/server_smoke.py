@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """CI smoke for the tuning server: boot, drive, verify report parity.
 
-Boots a ``python -m repro.server``-equivalent server in process, drives
-it with the stdlib client (create a session, submit the fig3 workload,
-poll to completion, fetch the report), writes the served report to
-disk for schema validation, and — when ``--compare`` points at a CLI
-``--report`` file of the same run — byte-compares the two canonical
-serializations (wall-clock stage seconds zeroed; everything else must
-match to the byte).
+Boots a ``python -m repro.server``-equivalent server in process (or,
+with ``--spawn``, the real subprocess) with ``--jobs``, drives it with
+the stdlib client (create a session that names no ``jobs``, so it takes
+the server's; submit the fig3 workload, poll to completion, fetch the
+report), writes the served report to disk for schema validation, and —
+when ``--compare`` points at a CLI ``--report`` file of the same run —
+byte-compares the two canonical serializations (wall-clock stage
+seconds zeroed; everything else must match to the byte).
 
 Usage::
 
@@ -36,7 +37,7 @@ from repro.server import TuningClient, TuningServer      # noqa: E402
 
 
 @contextlib.contextmanager
-def spawned_server(workers):
+def spawned_server(workers, jobs):
     """Boot the real ``python -m repro.server`` as a subprocess.
 
     Yields the base URL parsed from the server's startup line; the
@@ -46,7 +47,7 @@ def spawned_server(workers):
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.server", "--port", "0",
-         "--workers", str(workers)],
+         "--workers", str(workers), "--jobs", str(jobs)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env, cwd=REPO_ROOT,
     )
@@ -75,7 +76,9 @@ def main(argv=None):
     parser.add_argument("--experiment", default="fig3")
     parser.add_argument("--scale", type=float, default=0.05)
     parser.add_argument("--workload-size", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="the server's --jobs: the measurement-pool "
+                             "width of the smoke's session")
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="job-completion deadline in seconds")
     parser.add_argument("--report-out", default="served-report.json",
@@ -90,9 +93,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.spawn:
-        scope = spawned_server(workers=2)
+        scope = spawned_server(workers=2, jobs=args.jobs)
     else:
-        scope = TuningServer(port=0, workers=2)
+        scope = TuningServer(port=0, workers=2, measure_jobs=args.jobs)
     with scope as booted:
         base_url = booted if isinstance(booted, str) else booted.base_url
         print(f"server up at {base_url}"
@@ -100,9 +103,9 @@ def main(argv=None):
         client = TuningClient(base_url)
         session = client.create_session(
             "ci", scale=args.scale, workload_size=args.workload_size,
-            jobs=args.jobs,
         )
-        print(f"session {session['id']} (tenant {session['tenant']})")
+        print(f"session {session['id']} (tenant {session['tenant']}, "
+              f"jobs {session['settings']['jobs']})")
         job = client.submit_experiment(session["id"], args.experiment)
         print(f"job {job} submitted; polling...")
         events = []

@@ -81,17 +81,17 @@ def measure_workload(database, workload, timeout=DEFAULT_TIMEOUT,
 
 
 def estimate_workload(database, workload, configuration=None,
-                      hypothetical=None, jobs=1):
+                      hypothetical=None):
     """Per-query estimated (or hypothetical) costs for a workload.
 
     With ``hypothetical`` set to a configuration, returns ``H`` costs;
-    otherwise ``E`` costs in the current configuration.  Wraps
-    :class:`repro.runtime.MeasurementSession` like
-    :func:`measure_workload`.
+    otherwise ``E`` costs in the current configuration, priced on the
+    calling thread.  Wraps :class:`repro.runtime.MeasurementSession`
+    like :func:`measure_workload`.
     """
     from ..runtime.session import MeasurementSession
 
-    with MeasurementSession(database, jobs=jobs) as session:
+    with MeasurementSession(database) as session:
         return session.estimate(
             workload,
             configuration=configuration,

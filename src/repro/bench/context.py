@@ -77,15 +77,11 @@ class BenchSettings:
 class BenchContext:
     """Fingerprint-keyed store of databases, workloads, and measurements."""
 
-    def __init__(self, settings=None, artifacts=None, executor=None):
+    def __init__(self, settings=None, artifacts=None):
         self.settings = settings or BenchSettings()
         self.artifacts = artifacts or ArtifactCache()
         self.timings = StageTimings()
         self.jobs = resolve_jobs(self.settings.jobs)
-        # Optional borrowed worker pool: measurement sessions created by
-        # this context run on it instead of private pools (the tuning
-        # server shares one executor across every tenant's context).
-        self.executor = executor
         # Databases are mutable (configurations get applied in place),
         # so the live instances are process-local; the artifact store
         # keeps the expensive *loaded + P-built* snapshot.
@@ -240,9 +236,7 @@ class BenchContext:
                 system=system_name, family=family,
                 configuration=config_name,
             ):
-                with MeasurementSession(
-                    db, jobs=self.jobs, executor=self.executor
-                ) as session:
+                with MeasurementSession(db, jobs=self.jobs) as session:
                     return session.measure(
                         workload,
                         timeout=self.settings.timeout,

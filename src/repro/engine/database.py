@@ -48,7 +48,6 @@ re-derives only what its own structures can change; the memo hangs off
 the cached environments and nothing else, and is dropped with them.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,10 +83,6 @@ from .configuration import (
 )
 
 DEFAULT_TIMEOUT = 1800.0
-
-#: Guards the view-size memo of every database (a plain dict that is
-#: pickled with it): session workers size candidate views concurrently.
-_VIEW_SIZE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -527,9 +522,10 @@ class Database:
         Memoized per ``(config fingerprint, flags)``: a recommender
         probing one candidate configuration against a whole workload
         derives the hypothetical metadata once.  The environment's
-        structures are read-only after construction and its planner
-        memo is written under per-query locks, so sharing it across
-        queries — and session worker threads — is safe.
+        structures are read-only after construction, so it is shared
+        across queries; its planner memo grows as they are priced,
+        which happens on the calling thread only (measurement pool
+        threads execute, they do not price).
 
         Args:
             config: the hypothetical :class:`Configuration`.
@@ -930,8 +926,7 @@ class Database:
                         change[1:] |= codes[1:] != codes[:-1]
                     distinct = int(change.sum())
                 cached = max(1, distinct)
-                with _VIEW_SIZE_LOCK:
-                    self._view_size_cache[view_def.name] = cached
+                self._view_size_cache[view_def.name] = cached
             return cached, width
 
         estimator = Estimator(self.statistics, self.system.policy)

@@ -39,7 +39,6 @@ domain maps, ``_member_flags``, the presence scans) only indexes with
 them.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,36 +46,6 @@ import numpy as np
 from .. import obs
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-class _OnesPool:
-    """Shared read-only all-ones float64 array for default weights.
-
-    ``Batch.weight_array`` sits in the aggregate hot loop and used to
-    allocate a fresh ones array per call; every consumer treats the
-    default weights as read-only (bincount inputs, elementwise
-    multiplies), so one shared immutable buffer serves them all.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._ones = np.ones(0, dtype=np.float64)
-        self._ones.setflags(write=False)
-
-    def get(self, n):
-        with self._lock:
-            ones = self._ones
-        if len(ones) < n:
-            ones = np.ones(max(n, 2 * len(ones)), dtype=np.float64)
-            ones.setflags(write=False)
-            with self._lock:
-                if len(ones) > len(self._ones):
-                    self._ones = ones
-            obs.counter_add("executor.ones_allocations")
-        return ones[:n]
-
-
-_ONES = _OnesPool()
 
 
 @dataclass
@@ -221,9 +190,9 @@ class Batch:
         return self
 
     def weight_array(self):
-        """Weights as floats, defaulting to a shared read-only ones view."""
+        """Weights as floats; ``None`` when every row counts once."""
         if self.weights is None:
-            return _ONES.get(self.rows)
+            return None
         return self.weights.astype(np.float64)
 
 

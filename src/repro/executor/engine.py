@@ -18,9 +18,9 @@ Execution is late-materializing: batches are selection-vector views
 over the stored arrays (:mod:`repro.executor.batch`), scans attach only
 the columns some operator consumes — all of them through
 :meth:`Executor._scan_batch` — conjunctive filters run as one
-fused kernel (:mod:`repro.executor.kernels`), and operator temporaries
-come from a per-executor scratch arena.  The clock charges by logical
-row counts and full row widths, so none of that can move a figure.
+fused kernel (:mod:`repro.executor.kernels`).  The clock charges by
+logical row counts and full row widths, so none of that can move a
+figure.
 
 Joins, grouping, ``COUNT(DISTINCT)`` and semijoin filters work on
 dictionary codes, and there is one way to a key's codes:
@@ -61,7 +61,7 @@ from .groupjoin import count_shape, slot_map, take_or_zero
 from ..common.cache import BoundedCache
 from ..index.data import gather_ranges
 from ..storage.encoding import DictionaryCache, stable_order
-from .kernels import MAX_KERNELS, ScratchArena, fused_filter
+from .kernels import MAX_KERNELS, fused_filter
 from .subplan import SubplanCache
 
 MAX_MATERIALIZED_ROWS = 8_000_000
@@ -112,7 +112,6 @@ class Executor:
         if kernels is None:
             kernels = BoundedCache("kernel_cache", MAX_KERNELS)
         self._kernels = kernels
-        self._arena = ScratchArena()
         # Batch keys the running plan consumes.
         self._required = frozenset()
 
@@ -469,7 +468,7 @@ class Executor:
             clock.charge(
                 cm.filter_rows(self._hw, batch.rows, len(node.filters))
             )
-            keep = self._arena.bools(batch.rows, fill=True)
+            keep = np.ones(batch.rows, dtype=bool)
             for flt in node.filters:
                 values = table.column(flt.column)
                 keep &= _compare(values, flt.op, flt.value)
@@ -523,7 +522,7 @@ class Executor:
             # searches per probe row.  The prefix table is bounded by
             # the total row count because the codes are dense.
             domain = max(int(lcodes.max()) + 1, rspan)
-            starts_table = self._arena.ints(domain + 1, fill=0)
+            starts_table = np.zeros(domain + 1, dtype=np.int64)
             np.cumsum(
                 np.bincount(rcodes, minlength=domain), out=starts_table[1:]
             )
@@ -641,7 +640,9 @@ class Executor:
                 )
             elif agg.func in ("sum", "avg"):
                 arg = child.column(str(agg.arg)).astype(np.float64)
-                sums = _per_group(codes, arg * wts, n_groups)
+                if wts is not None:
+                    arg = arg * wts
+                sums = _per_group(codes, arg, n_groups)
                 if agg.func == "sum":
                     columns[label] = sums
                 else:
@@ -879,7 +880,8 @@ def _first_rows(codes, n_groups, order=None):
 
 
 def _per_group(codes, weights, n_groups):
-    """The sum of ``weights`` over each group's rows, as floats."""
+    """The sum of ``weights`` over each group's rows, as floats; with
+    ``weights=None``, each group's row count, as integers."""
     return np.bincount(
         codes, weights=weights, minlength=max(n_groups, 1)
     )[:n_groups]
@@ -887,8 +889,11 @@ def _per_group(codes, weights, n_groups):
 
 def _group_counts(codes, weights, n_groups):
     """``COUNT(*)`` per group: its rows' weights (view multiplicities
-    or join matches), summed."""
-    return np.round(_per_group(codes, weights, n_groups)).astype(np.int64)
+    or join matches), summed; its row count when ``weights`` is None."""
+    counts = _per_group(codes, weights, n_groups)
+    if weights is None:
+        return counts.astype(np.int64, copy=False)
+    return np.round(counts).astype(np.int64)
 
 
 def _required_keys(plan):
@@ -960,9 +965,11 @@ def _merged(left, right):
     and selection vectors merge without collisions; each key keeps
     composing against its own side's base array.
     """
-    weights = None
-    if left.weights is not None or right.weights is not None:
-        weights = left.weight_array() * right.weight_array()
+    weights, other = left.weight_array(), right.weight_array()
+    if weights is None:
+        weights = other
+    elif other is not None:
+        weights = weights * other
     return Batch(
         columns={**left.columns, **right.columns},
         widths={**left.widths, **right.widths},

@@ -1,23 +1,17 @@
-"""Fused predicate kernels and scratch buffers for the executor.
+"""Fused predicate kernels for the executor.
 
-- :func:`fused_filter` compiles a conjunctive filter list into a single
-  callable cached by ``(table, filter structure)``.  The compiled kernel
-  resolves each comparison operator once, lets the first comparison
-  allocate the keep mask, and ANDs the remaining predicates into it in
-  place.  Literal values are passed at call time, so the kernel is
-  reused across a workload's templated queries (same structure,
-  different constants).
-- :class:`ScratchArena` is a per-executor pool of boolean/int64
-  temporaries, so operator-local masks and offset tables stop
-  allocating on every call.  Arena buffers never escape the operator
-  that borrowed them.
+:func:`fused_filter` compiles a conjunctive filter list into a single
+callable cached by ``(table, filter structure)``.  The compiled kernel
+resolves each comparison operator once, lets the first comparison
+allocate the keep mask, and ANDs the remaining predicates into it in
+place.  Literal values are passed at call time, so the kernel is reused
+across a workload's templated queries (same structure, different
+constants).
 """
 
 import operator
 
 import numpy as np
-
-from .. import obs
 
 # Bound on compiled kernels; structures are few (one per filter
 # shape per table), so this is a safety valve, not a working limit.
@@ -68,37 +62,3 @@ def fused_filter(kernels, table_name, filters):
         (table_name, tuple((flt.key, flt.op) for flt in filters)),
         lambda: _compile_conjunction([flt.op for flt in filters]),
     )
-
-
-class ScratchArena:
-    """Reusable boolean/int64 temporaries owned by one executor.
-
-    Not thread-safe by design: each executor instance owns its own
-    arena and never hands a buffer to another thread or to a cache
-    that outlives the borrowing operator.  Buffers grow geometrically
-    and are returned as views, so repeated operators at similar widths
-    stop hitting the allocator.
-    """
-
-    def __init__(self):
-        self._bools = np.empty(0, dtype=bool)
-        self._ints = np.empty(0, dtype=np.int64)
-
-    def _borrow(self, attr, n, fill):
-        buffer = getattr(self, attr)
-        if len(buffer) < n:
-            buffer = np.empty(max(n, 2 * len(buffer)), dtype=buffer.dtype)
-            setattr(self, attr, buffer)
-            obs.counter_add("executor.arena_allocations")
-        else:
-            obs.counter_add("executor.arena_reuses")
-        view = buffer[:n]
-        if fill is not None:
-            view[...] = fill
-        return view
-
-    def bools(self, n, fill=None):
-        return self._borrow("_bools", n, fill)
-
-    def ints(self, n, fill=None):
-        return self._borrow("_ints", n, fill)

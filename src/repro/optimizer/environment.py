@@ -11,7 +11,6 @@ what the environment contains:
   recommenders.
 """
 
-import threading
 from dataclasses import dataclass, field
 from operator import is_
 
@@ -115,16 +114,15 @@ class QueryMemo:
     ``entries`` maps identity keys (``id()`` of the structures, path
     lists and plan nodes a result was derived from) to ``(inputs,
     result)`` — an entry holds its inputs, so an ``id()`` in a stored
-    key always names a live object.  ``lock`` serialises the planners
-    of one query: an entry is derived once, by whoever needs it first.
+    key always names a live object.  What-if planning runs on one
+    thread, so an entry is derived once, by whoever needs it first.
     """
 
-    __slots__ = ("facts", "entries", "lock")
+    __slots__ = ("facts", "entries")
 
     def __init__(self, facts):
         self.facts = facts
         self.entries = {}
-        self.lock = threading.Lock()
 
 
 class PlanMemo:
@@ -133,18 +131,15 @@ class PlanMemo:
 
     def __init__(self):
         self._queries = {}
-        self._lock = threading.Lock()
 
     def query(self, bound, build_facts, env):
         """The memo of ``bound`` — of that object: its facts
         (``build_facts(bound, env)`` the first time) hold the query's
         own predicate objects, and so keep its ``id`` taken."""
-        with self._lock:
-            memo = self._queries.get(id(bound))
+        memo = self._queries.get(id(bound))
         if memo is None:
             memo = QueryMemo(build_facts(bound, env))
-            with self._lock:
-                memo = self._queries.setdefault(id(bound), memo)
+            self._queries[id(bound)] = memo
         return memo
 
 

@@ -275,8 +275,7 @@ class Planner:
             query = QueryMemo(QueryFacts(bound, env))
         else:
             query = env.memo.query(bound, QueryFacts, env)
-        with query.lock:
-            return self._plan(query.facts, query.entries, set(env.volatile))
+        return self._plan(query.facts, query.entries, set(env.volatile))
 
     def _plan(self, facts, entries, own):
         sources = [

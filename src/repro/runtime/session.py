@@ -5,12 +5,13 @@ against one database under configurations P/1C/R and compare actual (A),
 estimated (E) and hypothetical (H) costs".  A :class:`MeasurementSession`
 owns that loop:
 
-* queries fan out over a ``concurrent.futures`` **thread pool** whose
-  width is the caller's ``jobs`` (the ``--jobs`` flag; default 1 =
-  serial).  The engine's clock is *virtual* — elapsed times are computed
-  from the cost model, not measured — so parallel execution is
-  bit-identical to serial execution; results are collected in submission
-  order regardless of completion order;
+* executed queries fan out over the session's own ``concurrent.futures``
+  **thread pool** whose width is the caller's ``jobs`` (the ``--jobs``
+  flag; default 1 = serial).  The engine's clock is *virtual* — elapsed
+  times are computed from the cost model, not measured — so parallel
+  execution is bit-identical to serial execution; results are collected
+  in submission order regardless of completion order;
+* estimates (``E`` and ``H``) are priced on the calling thread;
 * per-query timeouts propagate exactly as in the serial path: a timed-out
   query is clamped to the timeout and flagged, never aborts the batch;
 * the session accumulates per-phase wall-clock and query counts, and its
@@ -18,8 +19,8 @@ owns that loop:
   counters — this is where bench runs get their planner-cache hit rates.
 
 ``analysis.measurements.measure_workload`` / ``estimate_workload`` are
-thin wrappers over this class.  The pool widens measurement only: the
-recommenders price their candidates on the calling thread.
+thin wrappers over this class.  A pool thread runs ``Database.execute``
+and no other engine work, so what-if planning is single-threaded.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -52,9 +53,9 @@ def resolve_jobs(jobs):
 class MeasurementSession:
     """Runs workloads against one database, possibly in parallel.
 
-    The session may be used as a context manager; otherwise the worker
-    pool (created lazily, only when ``jobs > 1``) is torn down by
-    :meth:`close` or interpreter exit.
+    The session may be used as a context manager; otherwise its worker
+    pool (created lazily, by the first :meth:`measure` with ``jobs >
+    1``) is torn down by :meth:`close` or interpreter exit.
 
     Args:
         database: the :class:`~repro.engine.database.Database` every
@@ -62,12 +63,6 @@ class MeasurementSession:
         jobs: worker-pool width (default 1: serial).
         timeout: default per-query virtual timeout in seconds (``None``
             uses the engine default, the paper's 30 minutes).
-        executor: an externally owned ``ThreadPoolExecutor`` to borrow
-            instead of creating a private pool (used by the tuning
-            server so every tenant's sessions share one pool);
-            :meth:`close` leaves a borrowed executor running.  The
-            ``jobs`` width still gates *whether* the pool is used —
-            ``jobs=1`` stays serial even with an executor supplied.
 
     Every batch method opens a tracing span (``session.measure`` /
     ``session.estimate``) carrying the batch's
@@ -77,18 +72,14 @@ class MeasurementSession:
     a no-op unless a recorder is installed (see :mod:`repro.obs`).
     """
 
-    def __init__(self, database, jobs=1, timeout=None, executor=None):
+    def __init__(self, database, jobs=1, timeout=None):
         from ..engine.database import DEFAULT_TIMEOUT
 
         self.database = database
         self.jobs = resolve_jobs(jobs)
         self.timeout = DEFAULT_TIMEOUT if timeout is None else timeout
         self.timings = StageTimings()
-        # A borrowed executor (the tuning server's shared pool) is used
-        # instead of a private one and is never shut down by close() —
-        # many sessions across many tenants share its workers.
-        self._pool = executor
-        self._owns_pool = executor is None
+        self._pool = None
         self._queries_measured = 0
         self._queries_estimated = 0
 
@@ -103,30 +94,30 @@ class MeasurementSession:
         return False
 
     def close(self):
-        """Shut down an owned worker pool (idempotent; the session object
-        stays usable and will lazily recreate the pool if reused).
-        Borrowed executors are left running for their other users."""
-        if self._pool is not None and self._owns_pool:
+        """Shut down the worker pool (idempotent; the session object
+        stays usable and will lazily recreate the pool if reused)."""
+        if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def _map(self, fn, items):
-        """Apply ``fn`` over ``items``, preserving order.
+    def _execute_all(self, queries, timeout):
+        """``Database.execute`` of every query, in order.
 
-        Serial when ``jobs == 1``; otherwise the shared thread pool.
+        Serial when ``jobs == 1``; otherwise the session's thread pool.
         Exceptions propagate either way (a worker failure fails the
         batch — only :class:`QueryTimeout` is handled below this level).
         """
-        items = list(items)
-        if self.jobs == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
+        def run(query):
+            return self.database.execute(query.sql, timeout=timeout)
+
+        if self.jobs == 1 or len(queries) <= 1:
+            return [run(query) for query in queries]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.jobs,
                 thread_name_prefix="repro-session",
             )
-            self._owns_pool = True
-        return list(self._pool.map(fn, items))
+        return list(self._pool.map(run, queries))
 
     # ------------------------------------------------------------------
     # Measurement (actual costs, A)
@@ -153,16 +144,13 @@ class MeasurementSession:
         queries = list(workload)
         config_name = configuration or self.database.configuration.name
 
-        def run(query):
-            return self.database.execute(query.sql, timeout=timeout)
-
         with self.timings.stage("measure"), obs.span(
             "session.measure",
             workload=workload.name,
             configuration=config_name,
             queries=len(queries),
         ) as span:
-            results = self._map(run, queries)
+            results = self._execute_all(queries, timeout)
             elapsed = np.array([r.elapsed for r in results])
             timed_out = np.array([r.timed_out for r in results])
             span.set(
@@ -196,7 +184,8 @@ class MeasurementSession:
 
     def estimate(self, workload, configuration=None, hypothetical=None,
                  force_hypothetical=False, oracle=False):
-        """Per-query estimated (``E``) or hypothetical (``H``) costs.
+        """Per-query estimated (``E``) or hypothetical (``H``) costs,
+        priced on the calling thread whatever the session's ``jobs``.
 
         Args:
             workload: iterable of weighted queries.
@@ -238,7 +227,7 @@ class MeasurementSession:
             kind=kind,
             queries=len(queries),
         ) as span:
-            costs = self._map(cost, queries)
+            costs = [cost(query) for query in queries]
             span.set(virtual_s=float(sum(costs)))
         self._queries_estimated += len(queries)
         if obs.is_enabled():

@@ -29,8 +29,8 @@ def _build_parser():
     )
     parser.add_argument(
         "--jobs", type=int, default=0,
-        help="shared measurement-pool width handed to every tenant "
-             "context (default 0 = serial)",
+        help="measurement-pool width of a session whose request names "
+             "no jobs (default 0 = serial)",
     )
     parser.add_argument(
         "--workers", type=int, default=2,

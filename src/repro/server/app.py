@@ -94,7 +94,7 @@ class TuningService:
                 workload_size=int(body.get("workload_size", 100)),
                 timeout=float(body.get("timeout", 1800.0)),
                 seed=int(body.get("seed", 405)),
-                jobs=int(body.get("jobs", 0)),
+                jobs=int(body.get("jobs", self.store.jobs)),
             )
         except (TypeError, ValueError) as err:
             raise ApiError(400, f"bad session settings: {err}") from err
@@ -284,9 +284,8 @@ class TuningServer:
         session_ttl: idle seconds before a session expires.
         queue_capacity: pending-job bound (429 beyond it).
         workers: job worker threads.
-        measure_jobs: width of the *shared* measurement pool handed to
-            every tenant context (``0`` disables sharing; each session's
-            ``jobs`` setting still gates whether it is used).
+        measure_jobs: the ``jobs`` (measurement-pool width) of a
+            session whose request names none (``0`` or ``1``: serial).
         artifacts_dir: optional shared on-disk artifact directory
             (tenant-scoped keys keep it safe to share).
         verbose: log HTTP requests to stderr.
@@ -295,19 +294,10 @@ class TuningServer:
     def __init__(self, host="127.0.0.1", port=0, max_sessions=8,
                  session_ttl=3600.0, queue_capacity=8, workers=2,
                  measure_jobs=0, artifacts_dir=None, verbose=False):
-        executor = None
-        self._measure_pool = None
-        if measure_jobs:
-            from concurrent.futures import ThreadPoolExecutor
-            executor = ThreadPoolExecutor(
-                max_workers=max(1, int(measure_jobs)),
-                thread_name_prefix="repro-server-measure",
-            )
-            self._measure_pool = executor
         self.store = SessionStore(
             max_sessions=max_sessions,
             ttl_seconds=session_ttl,
-            executor=executor,
+            jobs=measure_jobs,
             artifacts_dir=artifacts_dir,
         )
         self.queue = JobQueue(
@@ -352,9 +342,6 @@ class TuningServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         self.queue.close()
-        if self._measure_pool is not None:
-            self._measure_pool.shutdown(wait=True)
-            self._measure_pool = None
 
     def __enter__(self):
         self.start()

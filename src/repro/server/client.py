@@ -85,17 +85,23 @@ class TuningClient:
     # -- sessions -------------------------------------------------------
 
     def create_session(self, tenant, scale=1.0, workload_size=100,
-                       timeout=1800.0, seed=405, jobs=0, system="A"):
-        """``POST /v1/sessions``; returns the session description."""
-        return self._request("POST", "/v1/sessions", body={
+                       timeout=1800.0, seed=405, jobs=None, system="A"):
+        """``POST /v1/sessions``; returns the session description.
+
+        ``jobs=None`` names no width: the session takes the server's
+        ``--jobs``.
+        """
+        body = {
             "tenant": tenant,
             "scale": scale,
             "workload_size": workload_size,
             "timeout": timeout,
             "seed": seed,
-            "jobs": jobs,
             "system": system,
-        })
+        }
+        if jobs is not None:
+            body["jobs"] = jobs
+        return self._request("POST", "/v1/sessions", body=body)
 
     def sessions(self):
         """``GET /v1/sessions``; returns the live-session list."""

@@ -55,9 +55,8 @@ class TenantContext(BenchContext):
     identical results, distinct keys.
     """
 
-    def __init__(self, tenant, settings=None, artifacts=None,
-                 executor=None):
-        super().__init__(settings, artifacts=artifacts, executor=executor)
+    def __init__(self, tenant, settings=None, artifacts=None):
+        super().__init__(settings, artifacts=artifacts)
         self.tenant = tenant
 
     def _key(self, *parts):
@@ -118,8 +117,9 @@ class SessionStore:
             every store operation — there is no background thread.
         clock: zero-argument monotonic-seconds callable (injectable for
             tests; defaults to :func:`repro.obs.clock.perf_seconds`).
-        executor: optional shared worker pool handed to every
-            :class:`TenantContext` (the server's one measurement pool).
+        jobs: measurement-pool width of a session whose request names
+            none (the server's ``--jobs``); each measurement opens and
+            closes its own pool of that width.
         artifacts_dir: optional directory for per-session
             :class:`~repro.runtime.artifacts.ArtifactCache` persistence.
             Safe to share across tenants: keys are tenant-scoped.
@@ -127,11 +127,11 @@ class SessionStore:
 
     def __init__(self, max_sessions=DEFAULT_MAX_SESSIONS,
                  ttl_seconds=DEFAULT_TTL_SECONDS, clock=perf_seconds,
-                 executor=None, artifacts_dir=None):
+                 jobs=1, artifacts_dir=None):
         self.max_sessions = max(1, int(max_sessions))
         self.ttl_seconds = ttl_seconds
         self._clock = clock
-        self._executor = executor
+        self.jobs = jobs
         self._artifacts_dir = artifacts_dir
         self._lock = threading.Lock()
         self._sessions = OrderedDict()
@@ -170,7 +170,6 @@ class SessionStore:
                 tenant,
                 settings,
                 artifacts=ArtifactCache(self._artifacts_dir),
-                executor=self._executor,
             )
             session = TenantSession(
                 session_id, tenant, system, settings, context, now

@@ -17,8 +17,9 @@ from ..common.hardware import pages_for_bytes
 #: ids) are stored as int32.
 MAX_ROWS = np.iinfo(np.int32).max
 
-#: Guards the lazily computed sizes of every table: session workers
-#: price plans against one shared :class:`Table`.
+#: Guards the lazily computed sizes of every table: measurement pool
+#: workers execute plans, whose scans charge by page count, against one
+#: shared :class:`Table`.
 _SIZE_LOCK = threading.Lock()
 
 

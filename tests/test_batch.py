@@ -19,7 +19,13 @@ from repro.executor.batch import (
     factorize,
     join_codes,
 )
-from repro.executor.engine import Executor, _member_flags, _merged
+from repro.executor.engine import (
+    Executor,
+    _group_counts,
+    _member_flags,
+    _merged,
+    _per_group,
+)
 from repro.executor.subplan import SubplanCache
 from repro.storage.encoding import ColumnDictionary
 from repro.storage.table import Table
@@ -113,9 +119,53 @@ def test_mask_and_take():
     assert batch.rows == 6 and not batch.sels
 
 
-def test_weight_array_defaults_to_ones():
-    batch = make_batch(4)
-    assert batch.weight_array().tolist() == [1.0] * 4
+def test_weight_array_defaults_to_none():
+    assert make_batch(4).weight_array() is None
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bytes."""
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_groups=st.integers(0, 6), data=st.data())
+def test_property_unweighted_aggregate_equals_ones_weighted(n_groups, data):
+    """An unweighted batch's ``COUNT(*)``, ``SUM`` and ``AVG`` (weights
+    ``None``) are bit for bit those of the same rows weighted by ones;
+    empty input and zero groups included."""
+    rows = data.draw(st.integers(0, 40 if n_groups else 0), label="rows")
+    codes = np.array(data.draw(st.lists(
+        st.integers(0, max(n_groups - 1, 0)), min_size=rows, max_size=rows,
+    ), label="codes"), dtype=np.int64)
+    arg = np.array(data.draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=rows, max_size=rows,
+    ), label="arg"), dtype=np.float64)
+    ones = np.ones(rows, dtype=np.float64)
+
+    assert same_bits(
+        _group_counts(codes, None, n_groups),
+        _group_counts(codes, ones, n_groups),
+    )
+    counts = _per_group(codes, None, n_groups)
+    weighted_counts = _per_group(codes, ones, n_groups)
+    assert counts.tolist() == weighted_counts.tolist()
+    # SUM skips the multiply by 1.0; AVG divides by the integer count.
+    sums = _per_group(codes, arg, n_groups)
+    assert same_bits(sums, _per_group(codes, arg * ones, n_groups))
+    assert same_bits(
+        sums / np.maximum(counts, 1),
+        sums / np.maximum(weighted_counts, 1),
+    )
+
+
+def test_merged_keeps_the_weighted_sides_weights():
+    weighted = make_batch(4, weights=np.array([2.0, 0.5, 3.0, 7.0]))
+    for left, right in ((weighted, make_batch(4)), (make_batch(4), weighted)):
+        merged = _merged(left, right)
+        assert same_bits(merged.weights, weighted.weights)
+    assert _merged(make_batch(4), make_batch(4)).weights is None
 
 
 def test_factorize_dense_codes():

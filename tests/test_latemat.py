@@ -1,5 +1,5 @@
 """Late-materialization executor: selection-vector batches, plan-time
-column pruning, fused predicate kernels, and scratch arenas."""
+column pruning, and fused predicate kernels."""
 
 import numpy as np
 
@@ -8,7 +8,7 @@ from repro.engine.configuration import primary_configuration
 from repro.executor.batch import Batch
 from repro.executor.engine import Executor
 from repro.common.cache import BoundedCache
-from repro.executor.kernels import MAX_KERNELS, ScratchArena, fused_filter
+from repro.executor.kernels import MAX_KERNELS, fused_filter
 from repro.optimizer.plans import ScanFilter
 
 
@@ -86,21 +86,7 @@ def test_row_width_counts_all_plan_columns():
 
 
 # ----------------------------------------------------------------------
-# Shared-ones weights (the weight_array allocation fix)
-
-def test_weight_array_shared_ones_regression():
-    a, b = make_lazy_batch(32), make_lazy_batch(32)
-    with obs.recording() as recorder:
-        first = a.weight_array()
-        second = b.weight_array()
-    assert first.tolist() == [1.0] * 32
-    # Same pooled buffer, handed out read-only — not a fresh np.ones
-    # per call (the counter would grow once per batch otherwise).
-    assert np.shares_memory(first, second)
-    assert not first.flags.writeable
-    counters = recorder.metrics.snapshot().get("counters", {})
-    assert counters.get("executor.ones_allocations", 0) <= 1
-
+# Explicit weights
 
 def test_weight_array_copies_explicit_weights():
     batch = make_lazy_batch(4)
@@ -154,21 +140,6 @@ def test_kernel_cache_invalidate():
     cache.invalidate()
     fused_filter(cache, "t", filters)
     assert cache.stats.snapshot()["misses"] == 2
-
-
-def test_scratch_arena_reuses_buffers():
-    arena = ScratchArena()
-    with obs.recording() as recorder:
-        first = arena.bools(100, fill=True)
-        assert first.all() and len(first) == 100
-        second = arena.bools(40, fill=False)
-        assert not second.any() and len(second) == 40
-        ints = arena.ints(50, fill=0)
-        assert not ints.any() and len(ints) == 50
-    counters = recorder.metrics.snapshot().get("counters", {})
-    # Second bools() request fits the grown buffer: reuse, not alloc.
-    assert counters.get("executor.arena_allocations") == 2
-    assert counters.get("executor.arena_reuses") == 1
 
 
 # ----------------------------------------------------------------------

@@ -319,6 +319,28 @@ def test_http_concurrent_tenants_get_identical_isolated_results(server):
     assert finals["biotech"]["tenant"] == "biotech"
 
 
+def test_server_jobs_is_the_width_of_a_session_that_names_none():
+    """``measure_jobs`` (``--jobs``) fills in a session's ``jobs`` only
+    when the request names none, and a family job measures the same
+    per-configuration totals at either width."""
+    with TuningServer(port=0, measure_jobs=2) as server:
+        client = TuningClient(server.base_url)
+        wide = client.create_session("acme", **TINY)
+        serial = client.create_session("biotech", jobs=1, **TINY)
+        assert wide["settings"]["jobs"] == 2
+        assert serial["settings"]["jobs"] == 1
+        measured = []
+        for session in (wide, serial):
+            job = client.submit_workload(
+                session["id"], "NREF2J", configurations=["P", "1C", "R"],
+            )
+            final = client.wait(job, timeout=180.0)
+            assert final["status"] == "succeeded"
+            measured.append(final["result"]["measured"])
+    assert set(measured[0]) == {"P", "1C", "R"}
+    assert measured[0] == measured[1]
+
+
 # ----------------------------------------------------------------------
 # Report parity with the one-shot pipeline
 
