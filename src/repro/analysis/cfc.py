@@ -51,11 +51,6 @@ class CumulativeFrequencyCurve:
             return float("inf")
         return float(self._done_times[idx])
 
-    def series(self, grid):
-        """``(grid, CFC(grid))`` pairs for plotting/reporting."""
-        grid = np.asarray(grid, dtype=np.float64)
-        return grid, self(grid)
-
 
 def log_grid(lo=1.0, hi=1800.0, points_per_decade=2):
     """The paper's log-scale x grid (e.g. 10^0, 10^0.5, ..., timeout)."""
@@ -75,20 +70,3 @@ def dominates(curve_a, curve_b, grid=None):
     a = curve_a(grid)
     b = curve_b(grid)
     return bool(np.all(a >= b) and np.any(a > b))
-
-
-def crossover(curve_a, curve_b, grid=None):
-    """Grid points where the sign of (A - B) changes, if any."""
-    if grid is None:
-        grid = log_grid(points_per_decade=8)
-    diff = curve_a(grid) - curve_b(grid)
-    signs = np.sign(diff)
-    crossings = []
-    last_sign = 0
-    for i, sign in enumerate(signs):
-        if sign == 0:
-            continue
-        if last_sign != 0 and sign != last_sign:
-            crossings.append(float(grid[i]))
-        last_sign = sign
-    return crossings

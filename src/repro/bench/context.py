@@ -338,14 +338,3 @@ class BenchContext:
                     primary_configuration(db.catalog, name="P")
                 )
                 db.collect_statistics()
-
-
-_GLOBAL_CONTEXT = None
-
-
-def global_context():
-    """The process-wide :class:`BenchContext` (created on first use)."""
-    global _GLOBAL_CONTEXT
-    if _GLOBAL_CONTEXT is None:
-        _GLOBAL_CONTEXT = BenchContext()
-    return _GLOBAL_CONTEXT

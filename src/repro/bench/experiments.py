@@ -16,8 +16,8 @@ from ..analysis.goals import example2_goal, improvement_ratio
 from ..analysis.measurements import estimate_workload
 from ..analysis.ratios import air, eir, hir, ratio_summary
 from ..common.units import GIB, minutes
-from ..workload.updates import nref_neighboring_batch
-from .context import FAMILY_DATASET, global_context
+from ..workload.updates import break_even_inserts, nref_neighboring_batch
+from .context import FAMILY_DATASET
 
 # Rows of the Section 4.4 insert probe.
 PROBE_ROWS = 1000
@@ -39,8 +39,7 @@ class ExperimentResult:
 # ----------------------------------------------------------------------
 # Figures 1-2: histograms of NREF2J on System A (P vs recommended)
 
-def figure_1_2(context=None):
-    ctx = context or global_context()
+def figure_1_2(ctx):
     sections, data = [], {}
     for config in ("P", "R"):
         measurement = ctx.measure("A", "NREF2J", config)
@@ -83,9 +82,8 @@ _CFC_FIGURES = {
 }
 
 
-def figure_cfc(figure, context=None):
+def figure_cfc(figure, ctx):
     """Any of the CFC figures (fig3..fig9)."""
-    ctx = context or global_context()
     system, family, title = _CFC_FIGURES[figure]
     grid = log_grid(lo=1.0, hi=ctx.settings.timeout, points_per_decade=2)
 
@@ -130,8 +128,7 @@ def figure_cfc(figure, context=None):
 # ----------------------------------------------------------------------
 # Figure 10: estimated and hypothetical cost curves, System B / NREF3J
 
-def figure_10(context=None):
-    ctx = context or global_context()
+def figure_10(ctx):
     system, family = "B", "NREF3J"
     db = ctx.database(system, FAMILY_DATASET[family])
     workload = ctx.workload(system, family)
@@ -191,8 +188,7 @@ def figure_10(context=None):
 # ----------------------------------------------------------------------
 # Figure 11: improvement ratio histograms (R vs 1C), System B / NREF3J
 
-def figure_11(context=None):
-    ctx = context or global_context()
+def figure_11(ctx):
     system, family = "B", "NREF3J"
     db = ctx.database(system, FAMILY_DATASET[family])
     workload = ctx.workload(system, family)
@@ -265,8 +261,7 @@ TABLE1_ROWS = (
 )
 
 
-def table_1(context=None):
-    ctx = context or global_context()
+def table_1(ctx):
     rows, data = [], {}
     for system, dataset, label, config, family in TABLE1_ROWS:
         key = config if family is None else f"R:{family}"
@@ -303,8 +298,7 @@ def table_1(context=None):
 # ----------------------------------------------------------------------
 # Tables 2-3: index width histograms of the recommendations
 
-def _index_table(context, rows_spec, experiment, title):
-    ctx = context or global_context()
+def _index_table(ctx, rows_spec, experiment, title):
     columns = {}
     all_targets = set()
     for system, family in rows_spec:
@@ -349,18 +343,18 @@ def _index_table(context, rows_spec, experiment, title):
     )
 
 
-def table_2(context=None):
+def table_2(ctx):
     return _index_table(
-        context,
+        ctx,
         (("A", "NREF2J"), ("B", "NREF2J"), ("B", "NREF3J")),
         "tab2",
         "Table 2: index widths per recommended configuration (NREF)",
     )
 
 
-def table_3(context=None):
+def table_3(ctx):
     return _index_table(
-        context,
+        ctx,
         (("C", "SkTH3Js"), ("C", "SkTH3J"), ("C", "UnTH3J")),
         "tab3",
         "Table 3: index widths per recommended configuration (TPC-H), "
@@ -371,8 +365,7 @@ def table_3(context=None):
 # ----------------------------------------------------------------------
 # Section 4.3: timeout-aware workload totals on SkTH3J
 
-def section_4_3(context=None):
-    ctx = context or global_context()
+def section_4_3(ctx):
     rows, data = [], {}
     measurements = {}
     for config in ("P", "1C", "R"):
@@ -418,7 +411,7 @@ def section_4_3(context=None):
 # ----------------------------------------------------------------------
 # Section 4.4: the impact of insertions (break-even analysis)
 
-def section_4_4(context=None, batches=(10_000, 40_000, 100_000)):
+def section_4_4(ctx, batches=(10_000, 40_000, 100_000)):
     """Insert cost per configuration plus the 1C-vs-R break-even point.
 
     Inserts go into Neighboring_seq ("both the widest and the largest
@@ -426,7 +419,6 @@ def section_4_4(context=None, batches=(10_000, 40_000, 100_000)):
     break-even count is where 1C's faster queries pay for its slower
     inserts relative to R.
     """
-    ctx = context or global_context()
     system, family, table = "A", "NREF2J", "neighboring_seq"
     db = ctx.database(system, FAMILY_DATASET[family])
     workload_cost = {}
@@ -469,10 +461,11 @@ def section_4_4(context=None, batches=(10_000, 40_000, 100_000)):
     )
     data = {"insert_rate": insert_rate, "workload_cost": workload_cost}
     if {"R", "1C"} <= set(insert_rate):
-        delta_rate = insert_rate["1C"] - insert_rate["R"]
         gain = workload_cost["R"] - workload_cost["1C"]
-        if delta_rate > 0 and gain > 0:
-            break_even = gain / delta_rate
+        break_even = break_even_inserts(
+            insert_rate["1C"], insert_rate["R"], gain
+        )
+        if gain > 0 and break_even < float("inf"):
             text += (
                 f"\nBreak-even: inserting {break_even:,.0f} tuples makes "
                 "1C (slower inserts, faster queries) equal to R "
@@ -490,13 +483,13 @@ def section_4_4(context=None, batches=(10_000, 40_000, 100_000)):
 
 ALL_EXPERIMENTS = {
     "fig1-2": figure_1_2,
-    "fig3": lambda ctx=None: figure_cfc("fig3", ctx),
-    "fig4": lambda ctx=None: figure_cfc("fig4", ctx),
-    "fig5": lambda ctx=None: figure_cfc("fig5", ctx),
-    "fig6": lambda ctx=None: figure_cfc("fig6", ctx),
-    "fig7": lambda ctx=None: figure_cfc("fig7", ctx),
-    "fig8": lambda ctx=None: figure_cfc("fig8", ctx),
-    "fig9": lambda ctx=None: figure_cfc("fig9", ctx),
+    "fig3": lambda ctx: figure_cfc("fig3", ctx),
+    "fig4": lambda ctx: figure_cfc("fig4", ctx),
+    "fig5": lambda ctx: figure_cfc("fig5", ctx),
+    "fig6": lambda ctx: figure_cfc("fig6", ctx),
+    "fig7": lambda ctx: figure_cfc("fig7", ctx),
+    "fig8": lambda ctx: figure_cfc("fig8", ctx),
+    "fig9": lambda ctx: figure_cfc("fig9", ctx),
     "fig10": figure_10,
     "fig11": figure_11,
     "tab1": table_1,

@@ -76,10 +76,6 @@ class TableSchema:
     def has_column(self, name):
         return any(col.name == name for col in self.columns)
 
-    @property
-    def column_names(self):
-        return [col.name for col in self.columns]
-
     def indexable_columns(self):
         """Columns eligible for the 1C configuration and for query templates."""
         return [col for col in self.columns if col.indexable]

@@ -5,31 +5,6 @@ MIB = 1024 * KIB
 GIB = 1024 * MIB
 
 
-def format_bytes(n):
-    """Render a byte count the way the paper's Table 1 does (GB with 1 decimal).
-
-    >>> format_bytes(13.5 * GIB)
-    '13.5 GB'
-    """
-    if n >= GIB:
-        return f"{n / GIB:.1f} GB"
-    if n >= MIB:
-        return f"{n / MIB:.1f} MB"
-    if n >= KIB:
-        return f"{n / KIB:.1f} KB"
-    return f"{int(n)} B"
-
-
-def format_seconds(seconds):
-    """Render a duration compactly (s / min / h) for report tables."""
-    if seconds < 120:
-        return f"{seconds:.1f} s"
-    minutes = seconds / 60.0
-    if minutes < 180:
-        return f"{minutes:.0f} min"
-    return f"{minutes / 60.0:.1f} h"
-
-
 def minutes(seconds):
     """Convert seconds to minutes (Table 1 reports build times in minutes)."""
     return seconds / 60.0

@@ -113,23 +113,12 @@ class Configuration:
         return Configuration(name=name, indexes=self.indexes,
                              views=self.views)
 
-    def has_index(self, definition):
-        return any(ix.name == definition.name for ix in self.indexes)
-
     def secondary_indexes(self):
         """All non-primary-key indexes."""
         return [ix for ix in self.indexes if not ix.is_primary]
 
     def view_names(self):
         return {v.name for v in self.views}
-
-    def indexes_on_views(self):
-        names = self.view_names()
-        return [ix for ix in self.indexes if ix.table in names]
-
-    def indexes_on_tables(self):
-        names = self.view_names()
-        return [ix for ix in self.indexes if ix.table not in names]
 
     def index_width_histogram(self, max_width=4):
         """``{target: [count of 1-col, 2-col, ...]}`` over secondary indexes.

@@ -292,10 +292,9 @@ class Executor:
         values and the mask of those passing the HAVING filter.
 
         The virtual-clock charge always models the full evaluation; the
-        value/count aggregation itself is served from the cross-query
-        :class:`~repro.executor.subplan.SubplanCache` while the backing
-        arrays are unchanged — every member of a semijoin family shares
-        the aggregation and applies only its own HAVING comparison.
+        value/count aggregation itself is the column's cached
+        dictionary — every member of a semijoin family shares it and
+        applies only its own HAVING comparison.
         """
         semi = source.semi
         if source.via == "view":
@@ -316,25 +315,13 @@ class Executor:
                 + info.entries * self._hw.cpu_row_s * 2
             )
             # The leading keys are the table column, sorted: their
-            # values and counts are the column's dictionary.  The
-            # entries' row ids stand for the index in the validity
-            # check — every build or append that changes it has new
-            # ones.
-            values, counts = self._subplans.semi_values(
-                ("index_only", info.definition.name, semi.sub_table,
-                 semi.sub_column),
-                (info.data.row_ids,),
-                lambda: self._value_counts(
-                    self._table(semi.sub_table), semi.sub_column
-                ),
+            # values and counts are the column's dictionary.
+            values, counts = self._value_counts(
+                self._table(semi.sub_table), semi.sub_column
             )
         else:
             table = self._table(semi.sub_table)
-            values, counts = self._subplans.semi_values(
-                ("scan", semi.sub_table, semi.sub_column),
-                (table.column(semi.sub_column),),
-                lambda: self._value_counts(table, semi.sub_column),
-            )
+            values, counts = self._value_counts(table, semi.sub_column)
             clock.charge(
                 cm.seq_scan(self._hw, table.page_count(), table.row_count)
                 + cm.hash_aggregate(
@@ -806,18 +793,27 @@ class Executor:
 
     def _count_distinct(self, codes, vcodes, n_groups):
         """Distinct values per group, from dense group ``codes`` and
-        dense value codes ``vcodes``."""
+        dense value codes ``vcodes``.
+
+        A plain integer sort of the ``group * span + value`` keys and
+        one adjacent compare find each distinct key once.
+        ``np.unique`` returns the same array but hashes on NumPy >= 2.3,
+        which is many times slower on keys this distinct.
+        """
         if len(codes) == 0:
             return np.empty(0, dtype=np.int64)
         span = int(vcodes.max()) + 1
         # Either side may be a whole column's raw int32 codes.
         keys = np.multiply(codes, span, dtype=np.int64)
         keys += vcodes
-        if n_groups * span <= max(4 * len(codes), 65536):
-            obs.counter_add("executor.distinct_bitmap")
-            return _distinct_by_bitmap(keys, n_groups, span)
         obs.counter_add("executor.distinct_sorted")
-        return _distinct_by_sort(keys, n_groups, span)
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return np.bincount(keys[first] // span, minlength=n_groups).astype(
+            np.int64
+        )
 
     @staticmethod
     def _min_max(codes, values, n_groups, func):
@@ -831,31 +827,6 @@ class Executor:
             return sorted_values[starts]
         ends = np.searchsorted(sorted_codes, np.arange(n_groups), "right")
         return sorted_values[ends - 1]
-
-
-def _distinct_by_bitmap(keys, n_groups, span):
-    """Distinct values per group from ``group * span + value`` keys,
-    for a small key space: mark every key present, sum each group's
-    row of the bitmap."""
-    present = np.zeros(n_groups * span, dtype=bool)
-    present[keys] = True
-    return present.reshape(n_groups, span).sum(axis=1).astype(np.int64)
-
-
-def _distinct_by_sort(keys, n_groups, span):
-    """The same counts for any key space; sorts ``keys`` in place.
-
-    A plain integer sort and one adjacent compare find each distinct
-    key once.  ``np.unique`` returns the same array but hashes on
-    NumPy >= 2.3, which is many times slower on keys this distinct.
-    """
-    keys.sort()
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return np.bincount(keys[first] // span, minlength=n_groups).astype(
-        np.int64
-    )
 
 
 def _group_codes(key_codes, rows):

@@ -1,19 +1,13 @@
 """Shared subplan results across queries.
 
 Template-generated workloads re-execute the same *subplans* over and
-over: every member of a semijoin family re-aggregates the identical
-subquery (``SELECT key FROM t GROUP BY key HAVING COUNT(*) op c``
-differs only in ``c`` — the expensive value/count pass is shared), and
-repeated scan+filter combinations recompute the same row masks.  A
+over: repeated scan+filter combinations recompute the same row masks,
+and joins over the same columns merge the same dictionaries.  A
 :class:`SubplanCache`, owned by a
 :class:`~repro.engine.database.Database` and handed to every
 :class:`~repro.executor.engine.Executor` it constructs, memoizes those
 intermediates across queries:
 
-* **semijoin value/count pairs** — the ``(values, counts)`` aggregation
-  of a semijoin subquery source, keyed by how the executor evaluates it
-  (base-table scan, index-only leading-key pass, or materialized view)
-  so each evaluation strategy caches its own result;
 * **filter masks** — the boolean keep-mask of a filter set applied to
   an unfiltered base batch, keyed by ``(table, (column, op, value)…)``;
 * **join domains** — the merged sorted domain of a dictionary pair;
@@ -42,10 +36,9 @@ requirement.
 from .. import obs
 from ..common.cache import BoundedCache, CacheStats
 
-# Entry bounds: payloads hold real arrays (value sets, row masks,
-# merged join domains), so unlike the key-only plan caches these stay
+# Entry bounds: payloads hold real arrays (row masks, merged join
+# domains, key tables), so unlike the key-only plan caches these stay
 # deliberately small.
-MAX_SEMI_ENTRIES = 1024
 MAX_MASK_ENTRIES = 256
 MAX_DOMAIN_ENTRIES = 256
 MAX_KEY_ENTRIES = 256
@@ -54,9 +47,8 @@ _MISSING = object()
 
 
 class SubplanCache:
-    """Cross-query memo of semijoin aggregations, base filter masks,
-    join domains and key tables: one bounded, identity-validated cache
-    per kind."""
+    """Cross-query memo of base filter masks, join domains and key
+    tables: one bounded, identity-validated cache per kind."""
 
     def __init__(self):
         # kind -> (cache, hit counter, build counter)
@@ -67,7 +59,6 @@ class SubplanCache:
                 f"subplan.{kind}_builds",
             )
             for kind, bound in (
-                ("semi", MAX_SEMI_ENTRIES),
                 ("mask", MAX_MASK_ENTRIES),
                 ("domain", MAX_DOMAIN_ENTRIES),
                 ("key", MAX_KEY_ENTRIES),
@@ -87,26 +78,18 @@ class SubplanCache:
             invalidations=parts[0].invalidations,
         )
 
-    def semi_values(self, key, backing, build):
-        """The ``(values, counts)`` pair of one semijoin source.
-
-        Args:
-            key: hashable identity of the source (via + names).
-            backing: tuple of the storage arrays the result is derived
-                from; a cached entry is served only when every array is
-                identical (``is``) to the stored one.
-            build: zero-argument callable computing the pair on a miss.
-
-        Returns:
-            The cached or freshly built ``(values, counts)``.
-        """
-        return self._lookup("semi", key, backing, build)
-
     def filter_mask(self, key, backing, build):
         """The keep-mask of one filter set over an unfiltered base batch.
 
-        Same contract as :meth:`semi_values`; ``backing`` holds the
-        filtered columns' storage arrays.
+        Args:
+            key: hashable identity of the filter set.
+            backing: tuple of the filtered columns' storage arrays; a
+                cached entry is served only when every array is
+                identical (``is``) to the stored one.
+            build: zero-argument callable computing the mask on a miss.
+
+        Returns:
+            The cached or freshly built mask.
         """
         return self._lookup("mask", key, backing, build)
 

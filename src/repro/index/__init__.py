@@ -1,7 +1,6 @@
 """B+-tree indexes: definitions, size model, built data."""
 
-from .btree import BPlusTree
 from .data import IndexData
 from .definition import IndexDefinition, estimate_index_size
 
-__all__ = ["BPlusTree", "IndexData", "IndexDefinition", "estimate_index_size"]
+__all__ = ["IndexData", "IndexDefinition", "estimate_index_size"]

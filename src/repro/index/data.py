@@ -14,11 +14,8 @@ dictionary cache's memoized order itself; what a probe gathers from
 them widens to the int64 NumPy indexes with as it becomes a batch's
 selection vector (``Executor._scan_batch``).  The ``d + 1`` offsets are
 not table-sized and feed position arithmetic, so they stay int64.
-Probes used by the
-executor are vectorized over these arrays; a real
-:class:`~repro.index.btree.BPlusTree` over the same entries is
-available lazily (and is cross-checked against the arrays in the test
-suite).
+Probes used by the executor are vectorized over these arrays; the test
+suite cross-checks them against a B+-tree over the same entries.
 
 The measured *cluster factor* — the average fraction of a random heap page
 read per fetched row — is the statistic that distinguishes a built index
@@ -33,7 +30,6 @@ import pickle
 import numpy as np
 
 from ..common.hardware import PAGE_SIZE
-from .btree import BPlusTree
 from .definition import estimate_index_size
 
 
@@ -120,7 +116,6 @@ class IndexData:
         np.cumsum(leading.counts, out=offsets[1:])
         for array in (row_ids, offsets, *inner_columns):
             array.setflags(write=False)
-        self._tree = None
         self.row_ids = row_ids
         self.values = leading.values
         self.offsets = offsets
@@ -254,34 +249,3 @@ class IndexData:
         for column, value in zip(self.inner_columns, prefix_values[1:]):
             mask &= column[lo:hi] == value
         return self.row_ids[lo:hi][mask]
-
-    def probe_many(self, probe_values):
-        """Batch equality probes on the leading key column.
-
-        Returns ``(matched_row_ids, probe_indices), (lows, highs)`` —
-        for every matching index entry, the heap row id and the
-        position in ``probe_values`` it matched, then the probes'
-        entry ranges.  This is the inner side of index-nested-loop
-        joins, which take :meth:`ranges` and :meth:`fetch` one at a
-        time to price the matches before they materialize them.
-        """
-        lows, highs = self.ranges(probe_values)
-        return self.fetch(lows, highs), (lows, highs)
-
-    # ------------------------------------------------------------------
-    # Reference structure
-
-    def tree(self):
-        """The equivalent B+-tree, built lazily from the sorted entries."""
-        if self._tree is None:
-            key_columns = [
-                np.repeat(self.values, np.diff(self.offsets)),
-                *self.inner_columns,
-            ]
-            entries = zip(
-                (tuple(col[i] for col in key_columns)
-                 for i in range(self.entry_count)),
-                (int(r) for r in self.row_ids),
-            )
-            self._tree = BPlusTree.bulk_load(entries)
-        return self._tree

@@ -13,7 +13,7 @@ the paper constrains recommended configurations to
 import math
 from dataclasses import dataclass
 
-from ..common.hardware import PAGE_SIZE, pages_for_bytes
+from ..common.hardware import PAGE_SIZE
 
 ROWID_WIDTH = 8
 ENTRY_OVERHEAD = 4
@@ -44,14 +44,6 @@ class IndexDefinition:
         """Number of key columns (the paper's Tables 2/3 group by this)."""
         return len(self.columns)
 
-    def covers(self, columns):
-        """True if every column in ``columns`` is a key column of this index."""
-        return set(columns) <= set(self.columns)
-
-    def has_prefix(self, columns):
-        """True if ``columns`` (as a set) can form a leading prefix."""
-        k = len(columns)
-        return k <= len(self.columns) and set(self.columns[:k]) == set(columns)
 
 
 @dataclass(frozen=True)
@@ -113,8 +105,3 @@ def heap_fetch_pages(rows_fetched, table_rows, table_pages):
     rows_per_page = max(1.0, table_rows / table_pages)
     frac = 1.0 - (1.0 - min(1.0, rows_fetched / table_rows)) ** rows_per_page
     return min(float(table_pages), table_pages * frac)
-
-
-def pages_for_rows(row_count, row_width):
-    """Pages needed for ``row_count`` rows of ``row_width`` bytes."""
-    return pages_for_bytes(row_count * row_width)

@@ -32,25 +32,17 @@ The project-scope rules share one :class:`~repro.lint.callgraph.
 CallGraph` per run (``Project.call_graph``) and the dataflow fixpoints
 of :mod:`repro.lint.dataflow`.
 
-Run it with ``python -m repro.lint [paths]`` (``--rule``, ``--format
-text|json``, ``--list-rules``); silence a reviewed finding with
-``# repro-lint: disable=RULE``.
+Run it with ``python -m repro.lint [paths]``.  A finding cannot be
+silenced: it is fixed in the code or in the rule.
 """
 
 from .core import Finding, Rule
 from .rules import ALL_RULES
-from .runner import (
-    LINT_REPORT_SCHEMA,
-    LINT_REPORT_SCHEMA_ID,
-    LintResult,
-    run_lint,
-)
+from .runner import LintResult, run_lint
 
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "LINT_REPORT_SCHEMA",
-    "LINT_REPORT_SCHEMA_ID",
     "LintResult",
     "Rule",
     "run_lint",

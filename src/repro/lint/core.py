@@ -13,8 +13,7 @@ skewing a figure.
 A rule sees either one :class:`FileUnit` (``scope = "file"``) or the
 whole :class:`Project` (``scope = "project"``, for cross-file passes
 such as the report/schema drift check).  Findings are plain value
-objects; suppression comments are applied by the runner, not by rules,
-and the runner sorts and de-duplicates what the rules yield.
+objects; the runner sorts and de-duplicates what the rules yield.
 """
 
 import ast
@@ -36,30 +35,18 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} " \
                f"{self.message}"
 
-    def to_json(self):
-        """JSON-serializable dict (the ``--format json`` item shape)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
 
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``name`` (the ``RULE000`` id used in suppression
-    comments and ``--rule`` filters), ``description`` (one
-    line for ``--list-rules`` and the docs), and ``scope``:
+    Subclasses set ``name`` (the ``RULE000`` id each finding carries)
+    and ``scope``:
 
     * ``"file"`` — :meth:`check_file` runs once per parsed file;
     * ``"project"`` — :meth:`check_project` runs once over all files.
     """
 
     name = ""
-    description = ""
     scope = "file"
 
     def check_file(self, unit):

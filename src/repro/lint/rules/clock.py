@@ -26,10 +26,6 @@ _EXEMPT_FRAGMENT = "repro/obs/"
 
 class ClockRule(Rule):
     name = "CLK001"
-    description = (
-        "no wall-clock reads outside repro.obs (the engine clock is "
-        "virtual)"
-    )
     scope = "file"
 
     def check_file(self, unit):

@@ -43,10 +43,6 @@ def _broad_types(handler, aliases):
 
 class ExceptionRule(Rule):
     name = "EXC001"
-    description = (
-        "no bare except and no broad except that swallows (never "
-        "re-raises)"
-    )
     scope = "file"
 
     def check_file(self, unit):

@@ -84,9 +84,6 @@ class _MethodFacts(ast.NodeVisitor):
 
 class InvalidationRule(Rule):
     name = "INV001"
-    description = (
-        "Database mutators must (transitively) call invalidate_caches()"
-    )
     scope = "file"
 
     def check_file(self, unit):

@@ -18,7 +18,6 @@ _ADVICE = "take the setting as a command-line flag or an argument instead"
 
 class KnobRule(Rule):
     name = "KNB001"
-    description = "no environment-variable reads: settings are flags"
     scope = "file"
 
     def check_file(self, unit):

@@ -137,11 +137,6 @@ def _written_names(stmt, outer):
 
 class RaceRule(Rule):
     name = "LCK002"
-    description = (
-        "state shared with executor workers (self of lock-owning or "
-        "submitting classes, free variables) must be written with a "
-        "lock held on every path"
-    )
     scope = "project"
 
     def check_project(self, project):

@@ -38,9 +38,6 @@ def _ambient(name):
 
 class RngRule(Rule):
     name = "RNG001"
-    description = (
-        "no direct random/numpy.random/uuid use outside repro.common.rng"
-    )
     scope = "file"
 
     def check_file(self, unit):

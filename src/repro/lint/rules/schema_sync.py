@@ -79,10 +79,6 @@ def _schema_level(schema_node, constants):
 
 class SchemaSyncRule(Rule):
     name = "SCH001"
-    description = (
-        "keys emitted by build_run_report and RUN_REPORT_SCHEMA "
-        "properties must agree"
-    )
     scope = "project"
 
     def check_project(self, project):

@@ -171,11 +171,6 @@ class TaintAnalysis(ForwardAnalysis):
 
 class TaintRule(Rule):
     name = "TNT001"
-    description = (
-        "nondeterministic values (clocks, env, id(), ambient RNG, set "
-        "order) must not flow into fingerprints, cache keys, costs, or "
-        "report fields"
-    )
     scope = "project"
 
     def check_project(self, project):

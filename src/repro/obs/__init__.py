@@ -6,7 +6,7 @@ First-class instrumentation for the whole measurement pipeline:
   carrying wall-clock *and* virtual-clock time (``db.execute``,
   ``session.measure``, ``bench.recommend``, …);
 * **metrics** (:mod:`repro.obs.metrics`) — a thread-safe registry of
-  counters/gauges/histograms fed by the engine (rows scanned, pages
+  counters/histograms fed by the engine (rows scanned, pages
   read), the optimizer (plans enumerated, what-if calls, hypothetical
   index probes), and the runtime caches (hits/misses/evictions);
 * **recorders** (:mod:`repro.obs.recorder`) — the dispatch point.  A
@@ -32,7 +32,6 @@ from .recorder import (
     TraceRecorder,
     counter_add,
     event,
-    gauge_set,
     get_recorder,
     install,
     is_enabled,
@@ -72,7 +71,6 @@ __all__ = [
     "canonicalize_run_report",
     "counter_add",
     "event",
-    "gauge_set",
     "get_recorder",
     "install",
     "is_enabled",

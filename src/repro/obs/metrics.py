@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, and log-bucket histograms.
+"""The metrics registry: counters and log-bucket histograms.
 
 A :class:`MetricsRegistry` is a flat, thread-safe namespace of named
 instruments.  Producers never hold instrument objects — they call
@@ -66,11 +66,10 @@ class _Histogram:
 class MetricsRegistry:
     """A thread-safe, create-on-first-touch registry of named metrics.
 
-    Three instrument kinds are supported:
+    Two instrument kinds are supported:
 
     * **counters** — monotonically increasing integers
       (:meth:`counter_add`);
-    * **gauges** — last-write-wins numbers (:meth:`gauge_set`);
     * **histograms** — decade-bucketed distributions of observed values
       (:meth:`observe`), used for per-query virtual seconds.
 
@@ -82,7 +81,6 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._counters = {}
-        self._gauges = {}
         self._histograms = {}
 
     def counter_add(self, name, value=1):
@@ -97,16 +95,6 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
 
-    def counter_value(self, name):
-        """Current value of a counter (0 when it was never touched)."""
-        with self._lock:
-            return self._counters.get(name, 0)
-
-    def gauge_set(self, name, value):
-        """Set the gauge called ``name`` to ``value`` (last write wins)."""
-        with self._lock:
-            self._gauges[name] = value
-
     def observe(self, name, value):
         """Record one observation into the histogram called ``name``."""
         with self._lock:
@@ -119,7 +107,7 @@ class MetricsRegistry:
         """A plain-dict copy of every instrument.
 
         Returns:
-            ``{"counters": {name: int}, "gauges": {name: number},
+            ``{"counters": {name: int},
             "histograms": {name: {count, sum, min, max, buckets}}}`` —
             the exact shape embedded in the run report's ``metrics``
             block (see ``docs/observability.md``).
@@ -127,7 +115,6 @@ class MetricsRegistry:
         with self._lock:
             return {
                 "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
                 "histograms": {
                     name: h.snapshot()
                     for name, h in self._histograms.items()

@@ -66,9 +66,6 @@ class NullRecorder:
     def counter_add(self, name, value=1):
         pass
 
-    def gauge_set(self, name, value):
-        pass
-
     def observe(self, name, value):
         pass
 
@@ -166,9 +163,6 @@ class TraceRecorder:
     def counter_add(self, name, value=1):
         self.metrics.counter_add(name, value)
 
-    def gauge_set(self, name, value):
-        self.metrics.gauge_set(name, value)
-
     def observe(self, name, value):
         self.metrics.observe(name, value)
 
@@ -194,11 +188,6 @@ class TraceRecorder:
             )
 
     # -- export ---------------------------------------------------------
-
-    def spans(self):
-        """Finished spans, in completion order (a copied list)."""
-        with self._lock:
-            return list(self._finished)
 
     def events(self, kind=None):
         """Recorded events (copies), optionally filtered by ``kind``."""
@@ -292,11 +281,6 @@ def span(name, **attrs):
 def counter_add(name, value=1):
     """Increment a counter on the active recorder (no-op when disabled)."""
     _active.counter_add(name, value)
-
-
-def gauge_set(name, value):
-    """Set a gauge on the active recorder (no-op when disabled)."""
-    _active.gauge_set(name, value)
 
 
 def observe(name, value):

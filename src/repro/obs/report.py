@@ -202,9 +202,6 @@ def render_metrics(snapshot, title="metrics"):
     counters = snapshot.get("counters", {})
     for name in sorted(counters):
         lines.append(f"  {name} = {counters[name]}")
-    gauges = snapshot.get("gauges", {})
-    for name in sorted(gauges):
-        lines.append(f"  {name} = {gauges[name]} (gauge)")
     histograms = snapshot.get("histograms", {})
     for name in sorted(histograms):
         h = histograms[name]

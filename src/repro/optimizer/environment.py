@@ -75,13 +75,6 @@ class ViewInfo:
     hypothetical: bool = False
     data: object = None            # built Table when real
 
-    def index_on(self, column):
-        """A view index led by ``column``, if any."""
-        for info in self.indexes:
-            if info.definition.columns[0] == column:
-                return info
-        return None
-
 
 class TableStructures:
     """The indexes and single-table views on one base table.

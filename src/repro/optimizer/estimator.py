@@ -9,8 +9,6 @@ skew (Section 4.3) and hypothetical estimates degrade further
 (Section 5.1).
 """
 
-from ..common.errors import PlanError
-
 
 class Estimator:
     """Cardinality/selectivity estimates over a statistics catalog."""
@@ -27,9 +25,6 @@ class Estimator:
 
     def table_pages(self, table):
         return self._stats.table(table).page_count
-
-    def row_width(self, table):
-        return self._stats.table(table).row_width
 
     def column(self, table, column):
         return self._stats.table(table).column(column)
@@ -121,7 +116,3 @@ class Estimator:
         # Distinct-value survival under random selection.
         survived = ndv * (1.0 - (1.0 - frac) ** max(1.0, total / ndv))
         return max(1.0, survived)
-
-    def require(self, condition, message):
-        if not condition:
-            raise PlanError(message)

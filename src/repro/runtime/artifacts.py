@@ -11,7 +11,8 @@ is given a directory (the ``--cache-dir`` flag) — persisted with
 
 :class:`StageTimings` is the companion wall-clock accounting: the bench
 context wraps each pipeline phase (build/sample/recommend/measure) in
-``with timings.stage(name):`` and reports seconds-per-phase at the end.
+``with timings.stage(name):``; its snapshot is the run report's
+``stages`` block.
 """
 
 import os
@@ -50,10 +51,6 @@ class ArtifactCache:
         self.disk_hits = 0
         self.misses = 0
         self.stores = 0
-
-    @property
-    def persistent(self):
-        return self.directory is not None
 
     def _path(self, kind, key):
         return self.directory / kind / f"{key}.pkl"
@@ -144,20 +141,6 @@ class ArtifactCache:
             self.put(kind, key, value, persist=persist)
         return value
 
-    def contains(self, kind, key):
-        """Whether an artifact exists in memory or on disk (no counters)."""
-        with self._lock:
-            if (kind, key) in self._memory:
-                return True
-        return (
-            self.directory is not None and self._path(kind, key).exists()
-        )
-
-    def clear_memory(self):
-        """Drop the in-memory level (disk entries survive)."""
-        with self._lock:
-            self._memory.clear()
-
     def snapshot(self):
         """Traffic counters as a plain dict.
 
@@ -201,12 +184,6 @@ class StageTimings:
                 self._seconds[name] = self._seconds.get(name, 0.0) + elapsed
                 self._counts[name] = self._counts.get(name, 0) + 1
 
-    def add(self, name, seconds):
-        """Charge ``seconds`` to stage ``name`` without a context block."""
-        with self._lock:
-            self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-            self._counts[name] = self._counts.get(name, 0) + 1
-
     def snapshot(self):
         """Cumulative ``{stage: {"seconds", "count"}}`` (a copied dict).
 
@@ -220,18 +197,3 @@ class StageTimings:
                 }
                 for name in self._seconds
             }
-
-    def report(self, title="stage timings"):
-        """Console rendering of the snapshot, slowest stage first.
-
-        Args:
-            title: heading line of the block.
-
-        Returns:
-            A multi-line string (identical format to
-            :func:`repro.obs.report.render_stages`, which report-backed
-            consumers should prefer).
-        """
-        from ..obs.report import render_stages
-
-        return render_stages(self.snapshot(), title=title)

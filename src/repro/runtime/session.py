@@ -13,10 +13,7 @@ owns that loop:
   in submission order regardless of completion order;
 * estimates (``E`` and ``H``) are priced on the calling thread;
 * per-query timeouts propagate exactly as in the serial path: a timed-out
-  query is clamped to the timeout and flagged, never aborts the batch;
-* the session accumulates per-phase wall-clock and query counts, and its
-  :meth:`stats` merges those with the database's plan/bind/env cache
-  counters — this is where bench runs get their planner-cache hit rates.
+  query is clamped to the timeout and flagged, never aborts the batch.
 
 ``analysis.measurements.measure_workload`` / ``estimate_workload`` are
 thin wrappers over this class.  A pool thread runs ``Database.execute``
@@ -28,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .. import obs
-from .artifacts import StageTimings
 
 
 def resolve_jobs(jobs):
@@ -78,10 +74,7 @@ class MeasurementSession:
         self.database = database
         self.jobs = resolve_jobs(jobs)
         self.timeout = DEFAULT_TIMEOUT if timeout is None else timeout
-        self.timings = StageTimings()
         self._pool = None
-        self._queries_measured = 0
-        self._queries_estimated = 0
 
     # ------------------------------------------------------------------
     # Pool plumbing
@@ -144,7 +137,7 @@ class MeasurementSession:
         queries = list(workload)
         config_name = configuration or self.database.configuration.name
 
-        with self.timings.stage("measure"), obs.span(
+        with obs.span(
             "session.measure",
             workload=workload.name,
             configuration=config_name,
@@ -157,7 +150,6 @@ class MeasurementSession:
                 virtual_s=float(elapsed.sum()),
                 timeouts=int(timed_out.sum()),
             )
-        self._queries_measured += len(queries)
         if obs.is_enabled():
             obs.event(
                 "measurement",
@@ -220,7 +212,7 @@ class MeasurementSession:
                 )
             return self.database.estimate(query.sql)
 
-        with self.timings.stage("estimate"), obs.span(
+        with obs.span(
             "session.estimate",
             workload=workload.name,
             configuration=config_name,
@@ -229,7 +221,6 @@ class MeasurementSession:
         ) as span:
             costs = [cost(query) for query in queries]
             span.set(virtual_s=float(sum(costs)))
-        self._queries_estimated += len(queries)
         if obs.is_enabled():
             obs.event(
                 "measurement",
@@ -250,27 +241,3 @@ class MeasurementSession:
             sqls=[q.sql for q in queries],
             weights=np.array([q.weight for q in queries]),
         )
-
-    # ------------------------------------------------------------------
-    # Accounting
-
-    def stats(self):
-        """Merged session + database-cache statistics.
-
-        ``plan_cache``/``bind_cache``/``env_cache`` report the database's
-        cumulative counters (the caches are shared by every session on
-        the same database); the ``session`` block is local to this
-        session.
-        """
-        report = {
-            "session": {
-                "jobs": self.jobs,
-                "queries_measured": self._queries_measured,
-                "queries_estimated": self._queries_estimated,
-            },
-            "timings": self.timings.snapshot(),
-        }
-        cache_stats = getattr(self.database, "cache_stats", None)
-        if cache_stats is not None:
-            report.update(cache_stats())
-        return report

@@ -79,9 +79,6 @@ class BoundQuery:
     output: list = field(default_factory=list)   # ('col', BoundColumn) | ('agg', i)
     sql: str = ""
 
-    def aliases(self):
-        return list(self.relations)
-
     def columns_of(self, alias):
         """All columns of ``alias`` referenced anywhere in the query."""
         needed = set()

@@ -63,8 +63,5 @@ class StatisticsCatalog:
         except KeyError:
             raise CatalogError(f"no statistics for table {name!r}") from None
 
-    def has_table(self, name):
-        return name in self._tables
-
     def table_names(self):
         return list(self._tables)

@@ -49,8 +49,8 @@ A :class:`DictionaryCache`, owned by a
 ``invalidate_caches`` path, shares one dictionary per ``(table,
 column)`` across all four consumers:
 
-* :mod:`repro.workload.constants` serves ``value_frequencies`` and the
-  selectivity/frequency ladders from the cached dictionary;
+* :mod:`repro.workload.constants` serves the selectivity/frequency
+  ladders from the cached dictionary;
 * :mod:`repro.executor.batch` reads a scanned key's codes off the
   dictionary — ``codes`` through the batch's selection vector, never
   a re-encode of gathered values — and densifies them with a presence
@@ -403,12 +403,8 @@ class ColumnDictionary:
         return slots, found
 
     def by_frequency(self):
-        """``(values, counts)`` sorted by ascending frequency (cached).
-
-        Byte-identical to
-        :func:`repro.workload.constants.value_frequencies` on the base
-        column (stable sort by count).
-        """
+        """``(values, counts)`` sorted by ascending frequency, ties in
+        value order (a stable sort by count; cached)."""
         if self._freq_order is None:
             self._freq_order = stable_order(
                 self.counts, self.row_count + 1

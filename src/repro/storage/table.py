@@ -122,7 +122,3 @@ class Table:
             self._columns[name] = np.concatenate([self._columns[name], arr])
         self._byte_size = None
         return lengths.pop()
-
-    def take(self, row_ids, column_names):
-        """Gather the given columns at the given row ids."""
-        return {name: self._columns[name][row_ids] for name in column_names}

@@ -71,9 +71,6 @@ class MatViewDefinition:
     def is_join_view(self):
         return len(self.tables) == 2
 
-    def column_names(self):
-        return [c.name for c in self.group_columns] + [COUNT_COLUMN]
-
     def view_schema(self, catalog):
         """Schema of the materialized result table."""
         columns = []

@@ -21,16 +21,6 @@ def _dictionary(source):
     return ColumnDictionary(source)
 
 
-def value_frequencies(source):
-    """Sorted-by-frequency ``(value, count)`` pairs of a column.
-
-    ``source`` is either a raw storage array or a cached
-    :class:`~repro.storage.encoding.ColumnDictionary`; the dictionary
-    serves the pairs without re-sorting the column per call.
-    """
-    return _dictionary(source).by_frequency()
-
-
 def selectivity_ladder(source, steps=(1, 10, 100), rank=0):
     """Constants with frequencies ≈ ``f1 * step`` for each step.
 

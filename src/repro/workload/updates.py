@@ -2,8 +2,8 @@
 
 The paper's update experiment inserts batches into ``Neighboring_seq``
 ("both the widest and the largest relation in the NREF database"); this
-module synthesizes fresh, FK-consistent insert batches for any NREF or
-TPC-H table so the experiment does not recycle existing rows.
+module synthesizes fresh, FK-consistent insert batches for it so the
+experiment does not recycle existing rows.
 """
 
 import numpy as np
@@ -32,42 +32,6 @@ def nref_neighboring_batch(database, size, seed=77):
         "start_2": rng.integers(1, 900, size),
         "end_1": starts + spans,
         "end_2": rng.integers(900, 1800, size),
-    }
-
-
-def tpch_lineitem_batch(database, size, seed=77):
-    """A batch of new ``lineitem`` rows with consistent FKs and dates."""
-    rng = make_rng(seed)
-    orders = database.table("orders")
-    partsupp = database.table("partsupp")
-    existing = database.table("lineitem").row_count
-    order_pos = rng.integers(0, orders.row_count, size)
-    ps_pos = rng.integers(0, partsupp.row_count, size)
-    shipdate = orders.column("o_orderdate")[order_pos] + rng.integers(
-        1, 121, size
-    )
-    return {
-        "l_orderkey": orders.column("o_orderkey")[order_pos],
-        "l_linenumber": np.arange(existing + 1, existing + size + 1),
-        "l_partkey": partsupp.column("ps_partkey")[ps_pos],
-        "l_suppkey": partsupp.column("ps_suppkey")[ps_pos],
-        "l_quantity": rng.integers(1, 51, size),
-        "l_extendedprice": np.round(rng.uniform(900.0, 105_000.0, size), 2),
-        "l_discount": np.round(rng.integers(0, 11, size) / 100.0, 2),
-        "l_tax": np.round(rng.integers(0, 9, size) / 100.0, 2),
-        "l_returnflag": np.array(
-            rng.choice(["A", "N", "R"], size), dtype=object
-        ),
-        "l_linestatus": np.array(
-            rng.choice(["F", "O"], size), dtype=object
-        ),
-        "l_shipdate": shipdate,
-        "l_commitdate": shipdate + rng.integers(-30, 31, size),
-        "l_receiptdate": shipdate + rng.integers(1, 31, size),
-        "l_shipmode": np.array(
-            rng.choice(["AIR", "RAIL", "TRUCK", "SHIP"], size),
-            dtype=object,
-        ),
     }
 
 

@@ -23,9 +23,6 @@ class QueryInstance:
     meta: tuple = ()    # sorted (key, value) pairs describing the bindings
     weight: float = 1.0
 
-    def meta_dict(self):
-        return dict(self.meta)
-
 
 def make_instance(sql, family, weight=1.0, **meta):
     """Build a :class:`QueryInstance` with normalized metadata."""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.analysis.binning import ratio_histogram, time_histogram
 from repro.analysis.cfc import (
     CumulativeFrequencyCurve,
-    crossover,
     dominates,
     log_grid,
 )
@@ -54,7 +53,7 @@ def test_cfc_quantile():
     assert CumulativeFrequencyCurve(m2).quantile(0.9) == float("inf")
 
 
-def test_dominance_and_crossover():
+def test_dominance():
     fast = CumulativeFrequencyCurve(measurement([1, 2, 3, 4], name="fast"))
     slow = CumulativeFrequencyCurve(
         measurement([10, 20, 30, 40], name="slow")
@@ -62,12 +61,10 @@ def test_dominance_and_crossover():
     grid = log_grid(0.5, 100, points_per_decade=4)
     assert dominates(fast, slow, grid)
     assert not dominates(slow, fast, grid)
-    assert not crossover(fast, slow, grid)
     mixed = CumulativeFrequencyCurve(
         measurement([0.5, 0.6, 90, 95], name="mixed")
     )
     assert not dominates(mixed, slow, grid)
-    assert crossover(mixed, slow, grid)
 
 
 def test_step_goal_validation_and_shape():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.btree import BPlusTree
+from btree import BPlusTree
 
 
 def test_empty_tree():

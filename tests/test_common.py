@@ -11,22 +11,7 @@ from repro.common.hardware import (
     pages_for_bytes,
 )
 from repro.common.rng import make_rng, spawn, zipf_weights
-from repro.common.units import GIB, format_bytes, format_seconds, minutes
 from repro.datagen.text import zipf_column
-
-
-def test_format_bytes():
-    assert format_bytes(13.5 * GIB) == "13.5 GB"
-    assert format_bytes(2.5 * 2**20) == "2.5 MB"
-    assert format_bytes(3 * 1024) == "3.0 KB"
-    assert format_bytes(17) == "17 B"
-
-
-def test_format_seconds():
-    assert format_seconds(5.0) == "5.0 s"
-    assert format_seconds(600) == "10 min"
-    assert format_seconds(2 * 3600 * 4) == "8.0 h"
-    assert minutes(120) == 2.0
 
 
 def test_pages_for_bytes():

@@ -44,24 +44,6 @@ def test_hypothetical_size_overhead_factor():
     assert fat.leaf_pages > lean.leaf_pages
 
 
-def test_view_info_index_lookup():
-    vdef = MatViewDefinition(
-        tables=("orders",),
-        group_columns=(ViewColumn("orders", "uid"),),
-    )
-    ix = IndexInfo.hypothetical_on(
-        IndexDefinition(table=vdef.name, columns=("orders__uid",)),
-        1000,
-        8,
-    )
-    vinfo = ViewInfo(
-        definition=vdef, rows=1000, page_count=3, row_width=16,
-        indexes=[ix],
-    )
-    assert vinfo.index_on("orders__uid") is ix
-    assert vinfo.index_on("cnt") is None
-
-
 def test_planner_env_queries():
     db = load_city_database(n_users=100, n_orders=100)
     vdef = MatViewDefinition(

@@ -1,6 +1,5 @@
 """Error paths and miscellaneous edge cases across modules."""
 
-import numpy as np
 import pytest
 
 from repro.catalog.catalog import Catalog
@@ -113,7 +112,6 @@ def test_empty_table_operations():
     table = Table(schema)
     assert table.row_count == 0
     assert table.page_count() == 1
-    assert table.take(np.array([], dtype=np.int64), ["a"])["a"].size == 0
 
 
 def test_parse_error_reports_position():

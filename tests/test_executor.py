@@ -18,8 +18,6 @@ from repro.executor.batch import Batch
 from repro.executor.engine import (
     Executor,
     VirtualClock,
-    _distinct_by_bitmap,
-    _distinct_by_sort,
     _member_flags,
 )
 from repro.executor.subplan import SubplanCache
@@ -95,12 +93,11 @@ def test_count_distinct(city_db):
     domain=st.integers(1, 400),
     seed=st.integers(0, 10_000),
 )
-@example(rows=400, groups=400, domain=400, seed=0)  # the sorted arm
-@example(rows=400, groups=3, domain=400, seed=0)    # the bitmap arm
+@example(rows=400, groups=400, domain=400, seed=0)
+@example(rows=400, groups=3, domain=400, seed=0)
 def test_property_count_distinct_arms_agree_with_sets(
         rows, groups, domain, seed):
-    """Both COUNT(DISTINCT) arms, on the same keys, and the executor's
-    own choice between them all equal a set per group."""
+    """The executor's COUNT(DISTINCT) equals a set per group."""
     from repro import obs
 
     rng = np.random.default_rng(seed)
@@ -114,18 +111,11 @@ def test_property_count_distinct_arms_agree_with_sets(
     expected = [len(seen[g]) for g in range(n_groups)]
 
     _, vcodes = np.unique(values, return_inverse=True)
-    span = int(vcodes.max()) + 1
-    keys = codes * span + vcodes
-    assert _distinct_by_bitmap(keys, n_groups, span).tolist() == expected
-    assert _distinct_by_sort(keys.copy(), n_groups, span).tolist() == expected
-
     with obs.recording() as recorder:
         got = Executor({}, None)._count_distinct(codes, vcodes, n_groups)
     assert got.tolist() == expected
     counters = recorder.metrics.snapshot()["counters"]
-    small = n_groups * span <= max(4 * rows, 65536)
-    assert counters.get("executor.distinct_bitmap", 0) == int(small)
-    assert counters.get("executor.distinct_sorted", 0) == int(not small)
+    assert counters["executor.distinct_sorted"] == 1
 
 
 def test_sum_avg_min_max(city_db):

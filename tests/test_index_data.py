@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from btree import BPlusTree
 from repro import ColumnDef, TableSchema, float_, integer, obs, varchar
 from repro.engine import database as engine_database
 from repro.engine.configuration import (
@@ -54,6 +55,19 @@ def make_index(city_db, table, columns):
     return IndexData(definition, city_db.table(table), DictionaryCache())
 
 
+def tree_of(index):
+    """The reference B+-tree over ``index``'s entries."""
+    key_columns = [
+        np.repeat(index.values, np.diff(index.offsets)),
+        *index.inner_columns,
+    ]
+    return BPlusTree.bulk_load(zip(
+        (tuple(column[i] for column in key_columns)
+         for i in range(index.entry_count)),
+        (int(row_id) for row_id in index.row_ids),
+    ))
+
+
 def test_definition_validation():
     with pytest.raises(ValueError):
         IndexDefinition(table="t", columns=())
@@ -61,10 +75,6 @@ def test_definition_validation():
         IndexDefinition(table="t", columns=("a", "a"))
     ix = IndexDefinition(table="t", columns=("a", "b"))
     assert ix.width == 2
-    assert ix.covers(["a"]) and ix.covers(["a", "b"])
-    assert not ix.covers(["c"])
-    assert ix.has_prefix(["a"]) and ix.has_prefix(["b", "a"])
-    assert not ix.has_prefix(["b"])
 
 
 def test_lookup_eq_single_column(city_db):
@@ -97,7 +107,8 @@ def test_probe_many_matches_loop(city_db):
     index = make_index(city_db, "orders", ["uid"])
     uid = city_db.table("orders").column("uid")
     probes = np.array([0, 1, 2, 9999, 1])
-    (row_ids, probe_idx), (lows, highs) = index.probe_many(probes)
+    lows, highs = index.ranges(probes)
+    row_ids, probe_idx = index.fetch(lows, highs)
     assert len(row_ids) == len(probe_idx)
     assert (highs - lows).sum() == len(row_ids)
     for p, expected in enumerate(probes):
@@ -158,14 +169,7 @@ def test_property_ranges_equal_a_brute_force_scan(column, picks, inner):
         assert index.lookup_eq((probe,)).tolist() == index.row_ids[
             matching
         ].tolist()
-    (row_ids, probe_idx), (again_lows, again_highs) = index.probe_many(
-        probes
-    )
-    assert again_lows.tolist() == lows.tolist()
-    assert again_highs.tolist() == highs.tolist()
-    fetched, range_idx = index.fetch(lows, highs)
-    assert row_ids.tolist() == fetched.tolist()
-    assert probe_idx.tolist() == range_idx.tolist()
+    row_ids, _ = index.fetch(lows, highs)
     assert sorted(row_ids.tolist()) == sorted(
         np.flatnonzero(np.isin(table.column(column), probes)).tolist()
     )
@@ -173,7 +177,7 @@ def test_property_ranges_equal_a_brute_force_scan(column, picks, inner):
 
 def test_tree_agrees_with_arrays(city_db):
     index = make_index(city_db, "users", ["city", "age"])
-    tree = index.tree()
+    tree = tree_of(index)
     tree.check_invariants()
     assert len(tree) == index.entry_count
     got = sorted(tree.search(("tor", 30)))
@@ -300,7 +304,7 @@ def test_property_append_equals_rebuild(initial, batches, key):
         assert rebuilt.row_ids.tolist() == np.lexsort(
             tuple(table.column(c) for c in reversed(key))
         ).tolist()
-    tree = index.tree()
+    tree = tree_of(index)
     tree.check_invariants()
     assert len(tree) == index.entry_count
     for row in initial[:3] + [r for batch in batches for r in batch[:2]]:
@@ -403,8 +407,8 @@ def test_pickled_database_keeps_its_indexes_and_no_dictionary(
             assert index.lookup_eq((probe,)).tolist() == live.lookup_eq(
                 (probe,)
             ).tolist()
-        (got_ids, got_idx), _ = index.probe_many(probes)
-        (want_ids, want_idx), _ = live.probe_many(probes)
+        got_ids, got_idx = index.fetch(*index.ranges(probes))
+        want_ids, want_idx = live.fetch(*live.ranges(probes))
         assert got_ids.tolist() == want_ids.tolist()
         assert got_idx.tolist() == want_idx.tolist()
 
@@ -455,13 +459,10 @@ def test_index_pickled_in_the_sorted_copy_layout_is_a_store_miss(
     forged.__dict__.update(stale)
     with pytest.raises(pickle.UnpicklingError):
         pickle.loads(pickle.dumps(forged))
-    store = ArtifactCache(tmp_path)
-    store.put("index", "k", forged)
-    store.clear_memory()
-    assert store.get("index", "k", "missed") == "missed"
-    store.put("index", "k", index)
-    store.clear_memory()
-    assert_same_index(store.get("index", "k"), index)
+    ArtifactCache(tmp_path).put("index", "k", forged)
+    assert ArtifactCache(tmp_path).get("index", "k", "missed") == "missed"
+    ArtifactCache(tmp_path).put("index", "k", index)
+    assert_same_index(ArtifactCache(tmp_path).get("index", "k"), index)
 
 
 def test_index_pickled_with_int64_row_ids_is_a_store_miss(
@@ -478,7 +479,5 @@ def test_index_pickled_with_int64_row_ids_is_a_store_miss(
     )
     with pytest.raises(pickle.UnpicklingError, match="int64 row ids"):
         pickle.loads(pickle.dumps(forged))
-    store = ArtifactCache(tmp_path)
-    store.put("index", "k", forged)
-    store.clear_memory()
-    assert store.get("index", "k", "missed") == "missed"
+    ArtifactCache(tmp_path).put("index", "k", forged)
+    assert ArtifactCache(tmp_path).get("index", "k", "missed") == "missed"

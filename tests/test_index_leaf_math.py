@@ -6,7 +6,6 @@ from repro.index.definition import (
     IndexDefinition,
     ROWID_WIDTH,
     estimate_index_size,
-    pages_for_rows,
 )
 
 
@@ -39,11 +38,6 @@ def test_zero_row_index():
     assert size.leaf_pages == 1
     assert size.height == 1
     assert size.byte_size >= PAGE_SIZE
-
-
-def test_pages_for_rows():
-    assert pages_for_rows(0, 100) == 1
-    assert pages_for_rows(100, 100) == -(-100 * 100 // PAGE_SIZE)
 
 
 def test_wide_keys_fit_fewer_entries():

@@ -111,5 +111,5 @@ def test_scale_knobs_defaults(exported):
     assert args.cache_dir is None
     context = BenchContext()
     assert context.settings == settings and context.jobs == 1
-    assert not context.artifacts.persistent
+    assert context.artifacts.directory is None
     assert (ablations.SCALE, ablations.WORKLOAD_SIZE) == (0.25, 25)

@@ -78,7 +78,7 @@ def test_workload_container_api():
     assert len(workload) == 3
     assert len(workload.sqls()) == 3
     assert all(q.family == "W" for q in workload)
-    assert workload.queries[0].meta_dict() == {"i": "0"}
+    assert dict(workload.queries[0].meta) == {"i": "0"}
 
 
 def test_configuration_names_survive_pipeline(city_db):

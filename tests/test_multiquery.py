@@ -12,7 +12,6 @@ from repro.executor.subplan import (
     MAX_DOMAIN_ENTRIES,
     MAX_KEY_ENTRIES,
     MAX_MASK_ENTRIES,
-    MAX_SEMI_ENTRIES,
     SubplanCache,
 )
 
@@ -30,29 +29,27 @@ def test_subplan_cache_hit_requires_identical_backing():
         builds.append(1)
         return base * 2
 
-    first = cache.semi_values("k", (base,), build)
-    second = cache.semi_values("k", (base,), build)
+    first = cache.filter_mask("k", (base,), build)
+    second = cache.filter_mask("k", (base,), build)
     assert first is second
     assert len(builds) == 1
     # An equal but distinct array is treated as new data: rebuild.
-    cache.semi_values("k", (base.copy(),), build)
+    cache.filter_mask("k", (base.copy(),), build)
     assert len(builds) == 2
 
 
 def test_subplan_cache_invalidate_clears_every_kind():
     cache = SubplanCache()
     base = np.arange(4)
-    cache.semi_values("s", (base,), lambda: 1)
     cache.filter_mask("m", (base,), lambda: 2)
     cache.join_domain("d", (base,), lambda: 3)
     cache.key_table("t", (base,), lambda: 4)
     cache.invalidate()
     builds = []
-    cache.semi_values("s", (base,), lambda: builds.append(1))
     cache.filter_mask("m", (base,), lambda: builds.append(1))
     cache.join_domain("d", (base,), lambda: builds.append(1))
     cache.key_table("t", (base,), lambda: builds.append(1))
-    assert len(builds) == 4
+    assert len(builds) == 3
     assert cache.stats.invalidations == 1
 
 
@@ -72,7 +69,6 @@ def test_subplan_entry_is_a_miss_after_its_array_is_replaced():
 
 
 @pytest.mark.parametrize("kind, bound", [
-    ("semi_values", MAX_SEMI_ENTRIES),
     ("filter_mask", MAX_MASK_ENTRIES),
     ("join_domain", MAX_DOMAIN_ENTRIES),
     ("key_table", MAX_KEY_ENTRIES),
@@ -88,7 +84,7 @@ def test_subplan_eviction_respects_each_kind_bound(kind, bound):
     assert lookup(0, (base,), lambda: "rebuilt") == "rebuilt"
     assert lookup(bound + 4, (base,), lambda: "rebuilt") == bound + 4
     # Filling one kind leaves the others empty.
-    others = {"semi_values", "filter_mask", "join_domain", "key_table"}
+    others = {"filter_mask", "join_domain", "key_table"}
     others.discard(kind)
     for other in others:
         assert getattr(cache, other)(0, (base,), lambda: "fresh") == "fresh"

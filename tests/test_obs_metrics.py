@@ -29,17 +29,15 @@ def test_disabled_instrumentation_records_nothing():
     with obs.span("some.work", detail=1) as handle:
         handle.set(more=2)
     obs.counter_add("some.counter", 5)
-    obs.gauge_set("some.gauge", 1.0)
     obs.observe("some.histogram", 0.5)
     obs.event("some_event", payload=True)
     # ...then check a freshly installed recorder sees none of it.
     with recording() as recorder:
         pass
-    assert recorder.spans() == []
+    assert recorder.trace_records() == []
     assert recorder.events() == []
     snapshot = recorder.metrics.snapshot()
     assert snapshot["counters"] == {}
-    assert snapshot["gauges"] == {}
     assert snapshot["histograms"] == {}
 
 
@@ -82,12 +80,12 @@ def test_span_nesting_assigns_parent_ids():
             with obs.span("inner", depth=2):
                 pass
             outer.set(children=1)
-    spans = {s.name: s for s in recorder.spans()}
-    assert spans["inner"].parent_id == spans["outer"].span_id
-    assert spans["outer"].parent_id is None
-    assert spans["outer"].attrs["children"] == 1
-    assert spans["inner"].attrs["depth"] == 2
-    assert spans["outer"].wall_s >= 0.0
+    spans = {r["name"]: r for r in recorder.trace_records()}
+    assert spans["inner"]["parent_id"] == spans["outer"]["span_id"]
+    assert spans["outer"]["parent_id"] is None
+    assert spans["outer"]["attrs"]["children"] == 1
+    assert spans["inner"]["attrs"]["depth"] == 2
+    assert spans["outer"]["wall_s"] >= 0.0
 
 
 def test_span_stacks_are_per_thread():
@@ -104,8 +102,9 @@ def test_span_stacks_are_per_thread():
             list(pool.map(work, ["t0", "t1"]))
     # Concurrent spans on different threads must both be roots — neither
     # may adopt the other as a parent.
-    assert [s.parent_id for s in recorder.spans()] == [None, None]
-    ids = [s.span_id for s in recorder.spans()]
+    records = recorder.trace_records()
+    assert [r["parent_id"] for r in records] == [None, None]
+    ids = [r["span_id"] for r in records]
     assert len(set(ids)) == 2
 
 
@@ -134,13 +133,6 @@ def test_counter_coerces_numpy_values_to_int():
     value = registry.snapshot()["counters"]["rows"]
     assert value == 12
     assert type(value) is int
-
-
-def test_gauge_keeps_last_value():
-    registry = MetricsRegistry()
-    registry.gauge_set("depth", 3)
-    registry.gauge_set("depth", 1.5)
-    assert registry.snapshot()["gauges"]["depth"] == 1.5
 
 
 def test_histogram_summary_and_decade_buckets():

@@ -240,8 +240,7 @@ def test_http_workload_job_runs_and_reports(server):
     # The finished job's cross-query engine counters fold into the
     # queue-lifetime "engine" block.
     engine = metrics["engine"]
-    assert all(name.startswith("subplan.") for name in engine)
-    assert engine.get("subplan.semi_hits", 0) >= 1
+    assert engine and all(name.startswith("subplan.") for name in engine)
 
 
 def test_http_report_409_until_done_and_event_cursor(server):

@@ -10,7 +10,6 @@ from repro.engine.configuration import (
 from repro.workload.updates import (
     break_even_inserts,
     nref_neighboring_batch,
-    tpch_lineitem_batch,
 )
 
 
@@ -29,22 +28,6 @@ def test_nref_batch_inserts_cleanly(tiny_nref):
     seconds = tiny_nref.insert_rows("neighboring_seq", batch)
     assert seconds > 0
     assert tiny_nref.table("neighboring_seq").row_count == before + 200
-
-
-def test_tpch_batch_is_fk_consistent(tiny_tpch):
-    batch = tpch_lineitem_batch(tiny_tpch, 300)
-    orders = set(tiny_tpch.table("orders").column("o_orderkey").tolist())
-    assert set(batch["l_orderkey"].tolist()) <= orders
-    ps = set(
-        zip(
-            tiny_tpch.table("partsupp").column("ps_partkey").tolist(),
-            tiny_tpch.table("partsupp").column("ps_suppkey").tolist(),
-        )
-    )
-    assert set(
-        zip(batch["l_partkey"].tolist(), batch["l_suppkey"].tolist())
-    ) <= ps
-    assert (batch["l_receiptdate"] > batch["l_shipdate"]).all()
 
 
 def test_break_even_arithmetic():

@@ -75,7 +75,7 @@ def test_nref3j_constants_span_magnitudes(tiny_nref):
     w3 = generate_nref3j(tiny_nref)
     freqs = {}
     for q in w3:
-        meta = q.meta_dict()
+        meta = dict(q.meta)
         key = (meta["s"], meta["c4"], meta["group_by"], meta["c1"])
         freqs.setdefault(key, []).append(int(meta["constant_freq"]))
     ladders = [sorted(v) for v in freqs.values() if len(v) >= 2]
@@ -91,10 +91,10 @@ def test_tpch_families_shape(tiny_tpch):
     assert len(w) > len(ws)
     simple_tables = {"lineitem", "orders", "partsupp"}
     for q in ws:
-        meta = q.meta_dict()
+        meta = dict(q.meta)
         assert {meta["r"], meta["s"], meta["t"]} <= simple_tables
         assert meta["theta"] == "eq"
-    assert any(q.meta_dict()["theta"] == "freq" for q in w)
+    assert any(dict(q.meta)["theta"] == "freq" for q in w)
     for q in list(w)[:20]:
         bound = tiny_tpch.bind(q.sql)
         assert len(bound.relations) == 3
