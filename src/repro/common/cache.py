@@ -194,9 +194,20 @@ class BoundedCache:
             self.put(key, value, backing)
         return value
 
-    def invalidate(self):
-        """Drop every entry (configuration/data/statistics changed)."""
+    def invalidate(self, live=frozenset()):
+        """Drop every entry (configuration/data/statistics changed) but
+        those stored with ``backing=`` arrays that all are in ``live``.
+
+        Args:
+            live: ``id``s of arrays the caller vouches for.  Both the
+                caller and a kept entry hold their arrays, so an ``id``
+                match is the same array.
+        """
         with self._lock:
-            self._entries.clear()
+            self._entries = OrderedDict(
+                (key, value) for key, value in self._entries.items()
+                if type(value) is _Backed and value.backing
+                and all(id(array) in live for array in value.backing)
+            )
             self.stats.invalidations += 1
         _obs_count(self._metric_invalidations)

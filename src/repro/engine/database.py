@@ -153,6 +153,7 @@ class Database:
         ``catalog`` entries (bound queries) depend on the catalog only,
         survive that, and are dropped by :meth:`load_table` alone.
         """
+        dictionaries = DictionaryCache()
         self._caches = {
             "derived": {
                 "plan_cache": BoundedCache(
@@ -165,8 +166,8 @@ class Database:
                 # The executor's three, shared by every executor of
                 # this database: column dictionaries, subplan results,
                 # fused filter kernels.
-                "dict_cache": DictionaryCache(),
-                "subplan_cache": SubplanCache(),
+                "dict_cache": dictionaries,
+                "subplan_cache": SubplanCache(dictionaries),
                 "kernel_cache": BoundedCache("kernel_cache", MAX_KERNELS),
             },
             "catalog": {
@@ -331,7 +332,7 @@ class Database:
         view_bytes = 0
         for view_def in config.views:
             view_table, _input_rows = build_view(
-                view_def, self.tables, self.catalog
+                view_def, self.tables, self.catalog, encodings
             )
             state.view_tables[view_def.name] = view_table
             input_cost = self._view_input_cost(view_def)
@@ -821,10 +822,13 @@ class Database:
 
         The charge covers the heap append plus maintenance of every index
         on the table in the current configuration.  The wall-clock work
-        is sized by the batch as well: the table's dictionaries and
-        index entries are carried across the append (the new rows are
-        merged in), while plans, environments, what-if costs, subplans
-        and kernels are dropped.  Dependent views are rebuilt.
+        is sized by the batch as well, wherever the batch allows: the
+        columns append into spare capacity, the table's dictionaries,
+        index entries and cluster factors are carried across the append
+        (the new rows are merged in), and so are the join domains of
+        every dictionary whose values the batch leaves unchanged; plans,
+        environments, what-if costs, the other subplans and kernels are
+        dropped.  Dependent views are rebuilt, from the dictionaries.
         """
         table = self.table(table_name)
         # Through the dictionary cache, which extends the table's
@@ -849,7 +853,7 @@ class Database:
             for view_def in self._built.configuration.views:
                 if table_name in view_def.tables:
                     view_table, _ = build_view(
-                        view_def, self.tables, self.catalog
+                        view_def, self.tables, self.catalog, encodings
                     )
                     self._built.view_tables[view_def.name] = view_table
         return cm.insert_rows(

@@ -296,7 +296,7 @@ def _join_pair_codes(left, right, domains):
 
     The two dictionaries (one shared dictionary for a self-join,
     otherwise the union of the two sorted value sets, memoized
-    per dictionary pair in ``domains``, a
+    per pair of value arrays in ``domains``, a
     :class:`~repro.executor.subplan.SubplanCache`) define a merged
     sorted domain; each side maps its codes in, and one presence scan
     over the merged domain assigns the dense ranks
@@ -308,7 +308,7 @@ def _join_pair_codes(left, right, domains):
         domain = left_dict.n_distinct
     else:
         domain, left_map, right_map = domains.join_domain(
-            (id(left_dict), id(right_dict)),
+            (id(left_dict.values), id(right_dict.values)),
             (left_dict.values, right_dict.values),
             lambda: _merged_domain(left_dict, right_dict),
         )

@@ -105,7 +105,7 @@ class Executor:
         self._encodings = encodings or DictionaryCache()
         # SubplanCache: semijoin value/count pairs, base filter masks
         # and join domains are reused across queries.
-        self._subplans = subplans or SubplanCache()
+        self._subplans = subplans or SubplanCache(self._encodings)
         # Fused-kernel cache: conjunctive filter lists compile into one
         # cached callable reused across templated queries.  (An empty
         # BoundedCache is falsy, hence the explicit None test.)

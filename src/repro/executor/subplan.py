@@ -10,7 +10,8 @@ intermediates across queries:
 
 * **filter masks** — the boolean keep-mask of a filter set applied to
   an unfiltered base batch, keyed by ``(table, (column, op, value)…)``;
-* **join domains** — the merged sorted domain of a dictionary pair;
+* **join domains** — the merged sorted domain of a pair of dictionary
+  ``values`` arrays;
 * **key tables** — per-key properties of whole columns that an
   aggregate over a join reads instead of the joined rows: the slot map
   between two dictionaries, a column's first row per key, and the
@@ -25,12 +26,15 @@ after invalidation on generated queries).
 Every entry records the storage arrays it was computed from
 (``backing=`` of :class:`~repro.common.cache.BoundedCache`), and a
 lookup only hits when those arrays are — by identity — still the live
-ones.  ``append_rows`` builds new arrays, a rebuilt view or index is a
-new object graph, so stale entries can never be served.
+ones.  ``append_rows`` publishes new arrays, a rebuilt view or index is
+a new object graph, so stale entries can never be served.
 :meth:`invalidate` (wired into ``Database.invalidate_caches``, keeping
-the INV001 lint contract) clears the cache outright; access-time
-identity validation makes that a garbage collection, not a correctness
-requirement.
+the INV001 lint contract) clears masks and key tables outright, and
+keeps a join domain while both its ``values`` arrays are still the
+values of a live dictionary — a domain depends on nothing else, and an
+insert that brings a column no new value leaves its ``values`` in
+place.  Access-time identity validation makes that sweep a garbage
+collection, not a correctness requirement.
 """
 
 from .. import obs
@@ -50,7 +54,10 @@ class SubplanCache:
     """Cross-query memo of base filter masks, join domains and key
     tables: one bounded, identity-validated cache per kind."""
 
-    def __init__(self):
+    def __init__(self, dictionaries):
+        # The DictionaryCache whose live values a join domain must be
+        # merged from to survive an invalidation.
+        self._dictionaries = dictionaries
         # kind -> (cache, hit counter, build counter)
         self._kinds = {
             kind: (
@@ -98,10 +105,12 @@ class SubplanCache:
 
         Joins between differently-encoded columns map both sides into
         the ``union1d`` of their dictionaries; that merge and the two
-        code-translation tables depend only on the dictionaries, which
-        every join over the same column pair shares.  ``key`` carries
-        the pair's ``id``s; the identity check over ``backing`` (the
-        two sorted value arrays) makes an ``id`` reuse a harmless miss.
+        code-translation tables depend only on the dictionaries'
+        ``values``, which every join over the same column pair shares —
+        and which an extended dictionary keeps when its rows bring no
+        new value.  ``key`` carries the two ``values`` arrays' ``id``s;
+        the identity check over ``backing`` (those arrays) makes an
+        ``id`` reuse a harmless miss.
         """
         return self._lookup("domain", key, backing, build)
 
@@ -127,12 +136,14 @@ class SubplanCache:
         return payload
 
     def invalidate(self):
-        """Drop every entry (data/configuration/statistics changed).
+        """Drop every entry (data/configuration/statistics changed)
+        but the join domains of two live dictionaries' values.
 
         Called from ``Database.invalidate_caches`` on every state
         transition.  Access-time identity validation already prevents
         stale serves; the sweep reclaims the arrays the dead entries
-        pin.
+        pin, and bounds the kept domains by the dictionaries alive.
         """
-        for cache, _, _ in self._kinds.values():
-            cache.invalidate()
+        live = self._dictionaries.live_values()
+        for kind, (cache, _, _) in self._kinds.items():
+            cache.invalidate(live if kind == "domain" else frozenset())

@@ -21,7 +21,10 @@ The measured *cluster factor* — the average fraction of a random heap page
 read per fetched row — is the statistic that distinguishes a built index
 from a hypothetical one: what-if optimization has to assume the worst
 (factor 1.0), which is one of the estimation gaps Section 5 of the paper
-exposes.
+exposes.  It is the index's *page transitions* (how often the heap page
+changes along ``row_ids``, plus one for the first page) over its
+entries; a build counts them in one scan, and an append carries the
+count, updating it where the batch's entries were spliced in.
 """
 
 import copy
@@ -56,6 +59,65 @@ def gather_ranges(values, lows, highs):
         lows[hit] - (ends - counts), counts
     )
     return values[positions], np.repeat(hit, counts)
+
+
+def _rows_per_page(table):
+    return max(1.0, PAGE_SIZE / table.schema.row_width())
+
+
+def _page_transitions(row_ids, rows_per_page):
+    """How often the heap page changes along ``row_ids``, plus one for
+    the first page (0 when empty)."""
+    if not len(row_ids):
+        return 0
+    # Page numbers block by block in one small reused buffer (each
+    # block re-reads the row before it): whole-array temporaries cost
+    # more in first-touch page faults than in arithmetic.
+    transitions = 1
+    pages = np.empty(min(len(row_ids), _PAGE_BLOCK + 1))
+    for start in range(0, len(row_ids) - 1, _PAGE_BLOCK):
+        block = row_ids[start:start + _PAGE_BLOCK + 1]
+        block_pages = pages[:len(block)]
+        np.divide(block, rows_per_page, out=block_pages)
+        np.floor(block_pages, out=block_pages)
+        transitions += int(
+            np.count_nonzero(block_pages[1:] != block_pages[:-1])
+        )
+    return transitions
+
+
+def _spliced_transitions(row_ids, positions, rows_per_page):
+    """The page transitions ``row_ids`` gained when the entries at
+    ``positions`` (sorted) were spliced in between the others.
+
+    Per run of consecutive spliced entries: the pairs it forms with its
+    neighbours and inside itself, less the one pair of old neighbours
+    it parted.  A splice into an empty index also brings the first
+    page.
+    """
+    total = len(row_ids)
+    if not len(positions):
+        return 0
+
+    def changes(left, right):
+        return int(np.count_nonzero(
+            np.floor(row_ids[left] / rows_per_page)
+            != np.floor(row_ids[right] / rows_per_page)
+        ))
+
+    ends = np.flatnonzero(np.diff(positions) != 1)
+    firsts = positions[np.concatenate(([0], ends + 1))]
+    lasts = positions[np.concatenate((ends, [len(positions) - 1]))]
+    parted = (firsts > 0) & (lasts < total - 1)
+    # Pair (i, i + 1) touches a spliced entry when either end is one:
+    # it starts at a spliced entry or just before a run — once each.
+    pairs = np.concatenate((firsts - 1, positions))
+    pairs = pairs[(pairs >= 0) & (pairs < total - 1)]
+    return (
+        changes(pairs, pairs + 1)
+        - changes(firsts[parted] - 1, lasts[parted] + 1)
+        + (len(positions) == total)
+    )
 
 
 def _bisect(column, values, lows, highs, right):
@@ -96,6 +158,9 @@ class IndexData:
             ``offsets[slot]:offsets[slot + 1]``.
         inner_columns: the key columns after the leading one, in key
             order (read-only).
+        page_transitions: heap page changes along ``row_ids``, plus
+            one for the first page; ``cluster_factor`` is this over
+            ``entry_count``.
     """
 
     def __init__(self, definition, table, encodings, overhead_factor=1.0):
@@ -108,9 +173,11 @@ class IndexData:
         self._set_entries(
             table, encodings, order,
             [table.column(c)[order] for c in definition.columns[1:]],
+            _page_transitions(order, _rows_per_page(table)),
         )
 
-    def _set_entries(self, table, encodings, row_ids, inner_columns):
+    def _set_entries(self, table, encodings, row_ids, inner_columns,
+                     page_transitions):
         leading = encodings.dictionary(table, self.definition.columns[0])
         offsets = np.zeros(leading.n_distinct + 1, dtype=np.int64)
         np.cumsum(leading.counts, out=offsets[1:])
@@ -127,17 +194,26 @@ class IndexData:
         self.size = estimate_index_size(
             self.entry_count, key_width, self._overhead_factor
         )
-        self.cluster_factor = self._measure_cluster_factor(table)
+        self.page_transitions = page_transitions
+        self.cluster_factor = (
+            min(1.0, page_transitions / self.entry_count)
+            if self.entry_count else 1.0
+        )
 
     def __setstate__(self, state):
         # An artifact store written before the run-offset layout holds
-        # sorted key copies instead, and one written before row ids
-        # were narrowed holds int64 ones; refusing either makes the
-        # store miss and rebuild rather than fail at the first probe
-        # or keep eight bytes a row.
+        # sorted key copies instead, one written before row ids were
+        # narrowed holds int64 ones, and one written before appends
+        # carried the cluster factor holds no page-transition count;
+        # refusing each makes the store miss and rebuild rather than
+        # fail at the first probe or append, or keep eight bytes a row.
         if "offsets" not in state:
             raise pickle.UnpicklingError(
                 "index pickled without leading-key run offsets"
+            )
+        if "page_transitions" not in state:
+            raise pickle.UnpicklingError(
+                "index pickled without its page-transition count"
             )
         if state["row_ids"].dtype != np.int32:
             raise pickle.UnpicklingError(
@@ -157,8 +233,9 @@ class IndexData:
         there).  New row ids exceed all old ones, so that is where the
         stable ``lexsort`` of a from-scratch build puts them: the
         result equals ``IndexData(definition, table, encodings)`` array
-        for array.  Keys must be NaN-free, as ``<=`` orders a NaN
-        differently from a sort.
+        for array, and its page transitions — updated at the spliced
+        positions only — the count a build's scan makes.  Keys must be
+        NaN-free, as ``<=`` orders a NaN differently from a sort.
         """
         first = self.entry_count
         tails = [table.column(c)[first:] for c in self.definition.columns]
@@ -185,34 +262,17 @@ class IndexData:
             out[positions] = new
             return out
 
+        row_ids = splice(self.row_ids, first + order)
         merged = copy.copy(self)
         merged._set_entries(
-            table, encodings,
-            splice(self.row_ids, first + order),
+            table, encodings, row_ids,
             [splice(old, new)
              for old, new in zip(self.inner_columns, tails[1:])],
+            self.page_transitions + _spliced_transitions(
+                row_ids, positions, _rows_per_page(table)
+            ),
         )
         return merged
-
-    def _measure_cluster_factor(self, table):
-        """Fraction of a random page I/O charged per row fetched via this index."""
-        if self.entry_count == 0:
-            return 1.0
-        rows_per_page = max(1.0, PAGE_SIZE / table.schema.row_width())
-        # Page numbers block by block in one small reused buffer (each
-        # block re-reads the row before it): whole-array temporaries
-        # cost more in first-touch page faults than in arithmetic.
-        transitions = 1
-        pages = np.empty(min(self.entry_count, _PAGE_BLOCK + 1))
-        for start in range(0, self.entry_count - 1, _PAGE_BLOCK):
-            block = self.row_ids[start:start + _PAGE_BLOCK + 1]
-            block_pages = pages[:len(block)]
-            np.divide(block, rows_per_page, out=block_pages)
-            np.floor(block_pages, out=block_pages)
-            transitions += int(
-                np.count_nonzero(block_pages[1:] != block_pages[:-1])
-            )
-        return min(1.0, transitions / self.entry_count)
 
     # ------------------------------------------------------------------
     # Probes (vectorized over the sorted arrays)

@@ -76,11 +76,14 @@ Consistency: a dictionary is valid exactly as long as its base storage
 array is.  :meth:`DictionaryCache.dictionary` verifies *array
 identity* on every lookup — an entry whose base array is no longer the
 table's current storage array (a reloaded table; a rebuilt view is a
-new ``Table``) is rebuilt, never served.  ``append_rows`` concatenates
-into new arrays too, but ``Database.insert_rows`` appends through
-:meth:`DictionaryCache.append_rows`, which *extends* the table's live
-dictionaries by the appended rows (:meth:`ColumnDictionary.extended`)
-instead of letting them go stale.
+new ``Table``) is rebuilt, never served.  ``append_rows`` publishes
+every column as a new, longer array too, but ``Database.insert_rows``
+appends through :meth:`DictionaryCache.append_rows`, which *extends*
+the table's live dictionaries by the appended rows
+(:meth:`ColumnDictionary.extended`) instead of letting them go stale —
+keeping ``values`` itself when the rows bring no new value, which is
+what lets a join domain merged from it survive the insert
+(:class:`~repro.executor.subplan.SubplanCache`).
 :meth:`DictionaryCache.invalidate`, called from
 ``Database.invalidate_caches`` on every state transition, sweeps out
 entries that fail the identity check; entries for untouched base
@@ -95,6 +98,7 @@ import numpy as np
 
 from .. import obs
 from ..common.cache import CacheStats
+from .table import appended, spare_buffer
 
 
 # Width of the position grid in :func:`_sort_with_positions` (rows per line).
@@ -248,7 +252,7 @@ class ColumnDictionary:
 
     __slots__ = (
         "base", "values", "counts",
-        "_codes", "_argsort", "_freq_order",
+        "_codes", "_spare", "_argsort", "_freq_order",
         "_freq_counts_f64", "_freq_histogram",
     )
 
@@ -287,11 +291,15 @@ class ColumnDictionary:
         )
         return dictionary
 
-    def _set(self, base, values, counts, codes=None, order=None):
+    def _set(self, base, values, counts, codes=None, order=None,
+             spare=None):
         self.base = base
         self.values = values
         self.counts = counts
         self._codes = codes
+        # The buffer ``codes`` is a prefix of, when it has room behind
+        # them (an extension writes its tail's codes there).
+        self._spare = spare
         self._argsort = order
         self._freq_order = None
         self._freq_counts_f64 = None
@@ -301,19 +309,38 @@ class ColumnDictionary:
         """The dictionary of ``base``, an array that continues this
         dictionary's base column with appended rows.
 
-        Only the tail gets a dictionary of its own; its unseen values
-        are spliced into ``values``, its counts added, and the dense
-        codes — when this dictionary has them; a packed column nobody
-        factorized does not — remapped through a monotone shift table
-        and continued with the tail's.  Equal to
+        Only the tail gets a dictionary of its own.  When it brings no
+        value this dictionary lacks, ``values`` carries over — the same
+        array — its counts are added, and the tail's codes are written
+        behind the dense codes (when this dictionary has them; a packed
+        column nobody factorized does not) in their spare capacity,
+        which passes to the result
+        (:func:`~repro.storage.table.appended`).  Otherwise its unseen
+        values are spliced into ``values`` and the codes remapped
+        through a monotone shift table into a new buffer.  Equal to
         ``ColumnDictionary(base)`` in ``values``, ``counts`` and
-        ``codes``; the column must be NaN-free (``np.unique`` merges
-        NaNs, ``==`` does not find them again).
+        ``codes`` either way; the column must be NaN-free (``np.unique``
+        merges NaNs, ``==`` does not find them again).
         """
         tail = ColumnDictionary(base[len(self.base):])
         tail_values, tail_counts = tail.values, tail.counts
         known = len(self.values)
         slots, seen = self.find(tail_values)
+        grown = ColumnDictionary.__new__(ColumnDictionary)
+        if seen.all():
+            counts = self.counts.copy()
+            counts[slots] += tail_counts
+            codes = spare = None
+            if self._codes is not None:
+                codes, spare = appended(
+                    self._codes, slots.astype(np.int32)[tail.codes],
+                    self._spare,
+                )
+                # The buffer has one owner: extending this dictionary
+                # again must not write over the result's tail.
+                self._spare = None
+            grown._set(base, self.values, counts, codes, spare=spare)
+            return grown
         unseen = ~seen
         values = np.insert(self.values, slots[unseen], tail_values[unseen])
         # Old entry i moves up by the number of unseen values spliced
@@ -328,16 +355,16 @@ class ColumnDictionary:
         counts = np.zeros(len(values), dtype=self.counts.dtype)
         counts[moved] = self.counts
         counts[tail_slots] += tail_counts
-        codes = None
+        codes = spare = None
         if self._codes is not None:
-            codes = np.empty(len(base), dtype=np.int32)
+            spare = spare_buffer(len(base), np.int32)
             np.take(
                 moved.astype(np.int32), self._codes,
-                out=codes[:len(self.base)],
+                out=spare[:len(self.base)],
             )
-            codes[len(self.base):] = tail_slots[tail.codes]
-        grown = ColumnDictionary.__new__(ColumnDictionary)
-        grown._set(base, values, counts, codes)
+            spare[len(self.base):len(base)] = tail_slots[tail.codes]
+            codes = spare[:len(base)]
+        grown._set(base, values, counts, codes, spare=spare)
         return grown
 
     @property
@@ -539,7 +566,7 @@ class DictionaryCache:
         """``table.append_rows(columns)``, carrying the table's
         dictionaries across; returns the number of rows appended.
 
-        ``Table.append_rows`` concatenates into new arrays, which on
+        ``Table.append_rows`` publishes new column arrays, which on
         its own orphans every entry of the table.  Each entry that is
         live before the append is instead replaced by its
         :meth:`ColumnDictionary.extended` over the new array — one
@@ -637,7 +664,8 @@ class DictionaryCache:
 
     def resident_bytes(self):
         """Bytes the cache holds, by kind: every dictionary's ``codes``
-        (those that were read), its ``orders`` (argsorts that exist),
+        (those that were read, with the spare capacity behind them),
+        its ``orders`` (argsorts that exist),
         the memoized ``lexsorts`` that are no dictionary's argsort, and
         ``values`` (the ``d``-sized values and counts; an object
         array counts its pointers, not its strings)."""
@@ -650,8 +678,8 @@ class DictionaryCache:
         held = {id(order) for order in argsorts}
         return {
             "codes": sum(
-                d._codes.nbytes for d in dictionaries
-                if d._codes is not None
+                (d._codes if d._spare is None else d._spare).nbytes
+                for d in dictionaries if d._codes is not None
             ),
             "orders": sum(order.nbytes for order in argsorts),
             "lexsorts": sum(
@@ -661,6 +689,16 @@ class DictionaryCache:
                 d.values.nbytes + d.counts.nbytes for d in dictionaries
             ),
         }
+
+    def live_values(self):
+        """The ``id``s of the ``values`` of every dictionary whose base
+        is still its table's column."""
+        with self._lock:
+            return frozenset(
+                id(entry[1].values)
+                for key, entry in self._entries.items()
+                if entry[0].column(key[1]) is entry[1].base
+            )
 
     def invalidate(self):
         """Sweep out entries no longer backed by their table's live arrays.

@@ -4,6 +4,12 @@ Each table holds one numpy array per column.  The executor operates on
 these arrays (and on integer row-id selections over them), which keeps the
 actual execution of 100-query workloads fast while the *virtual clock*
 accounts for what the same plan would cost on the paper's hardware.
+
+An append writes the new rows into spare capacity behind each column
+(:func:`appended`) and publishes a longer prefix of that buffer as the
+column: a new array object, so every identity-validated cache still
+sees the change, while the rows already stored are neither copied nor
+touched — an earlier column array stays a valid snapshot.
 """
 
 import threading
@@ -21,6 +27,30 @@ MAX_ROWS = np.iinfo(np.int32).max
 #: workers execute plans, whose scans charge by page count, against one
 #: shared :class:`Table`.
 _SIZE_LOCK = threading.Lock()
+
+
+def appended(column, tail, spare=None):
+    """``(column + tail, buffer)``: the concatenation as a prefix view
+    of ``buffer``.
+
+    When ``column`` is itself a prefix of ``spare`` and the buffer has
+    room, only ``tail`` is written, behind it; otherwise the rows move
+    into a new buffer with an eighth more room than they fill.  Nothing
+    below ``len(column)`` is ever written, so ``column`` — like every
+    prefix handed out before it — keeps its contents.  A buffer must
+    have one owner, which hands it on to the owner of the result.
+    """
+    rows, total = len(column), len(column) + len(tail)
+    if spare is None or column.base is not spare or len(spare) < total:
+        spare = spare_buffer(total, column.dtype)
+        spare[:rows] = column
+    spare[rows:total] = tail
+    return spare[:total], spare
+
+
+def spare_buffer(rows, dtype):
+    """An empty buffer for ``rows`` rows and an eighth more."""
+    return np.empty(rows + rows // 8, dtype=dtype)
 
 
 def _check_row_count(name, rows):
@@ -60,6 +90,20 @@ class Table:
             col.name: col.sql_type.coerce(columns[col.name])
             for col in schema.columns
         }
+        # column -> the buffer its array is a prefix of, once appended to
+        self._spare = {}
+
+    # The rows only: a column array pickles its own elements, and the
+    # spare capacity behind it is rebuilt by the next append.
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_spare"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._spare = {}
 
     @property
     def name(self):
@@ -103,8 +147,15 @@ class Table:
         """Append rows given as a ``{column_name: sequence}`` mapping.
 
         Used by the Section 4.4 insertion experiment.  Returns the number
-        of rows appended.
+        of rows appended.  Each column costs what it appends
+        (:func:`appended`), apart from the copy into a larger buffer
+        once its spare capacity runs out.
         """
+        unknown = sorted(set(columns) - set(self._columns))
+        if unknown:
+            raise CatalogError(
+                f"append to {self.name!r} names unknown columns {unknown}"
+            )
         lengths = set()
         coerced = {}
         for col in self.schema.columns:
@@ -119,6 +170,8 @@ class Table:
             raise CatalogError("appended columns have differing lengths")
         _check_row_count(self.name, self.row_count + max(lengths))
         for name, arr in coerced.items():
-            self._columns[name] = np.concatenate([self._columns[name], arr])
+            self._columns[name], self._spare[name] = appended(
+                self._columns[name], arr, self._spare.get(name)
+            )
         self._byte_size = None
         return lengths.pop()

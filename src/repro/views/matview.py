@@ -90,8 +90,17 @@ class MatViewDefinition:
         return None
 
 
-def build_view(definition, tables, catalog):
+def build_view(definition, tables, catalog, encodings):
     """Materialize a view over the given ``{name: Table}`` mapping.
+
+    A single-table view groups through ``encodings`` (a
+    :class:`~repro.storage.encoding.DictionaryCache`): one group
+    column is its dictionary's
+    ``values`` and ``counts``, several are ordered by the memoized
+    ``lexsort`` and split into groups where a column's *code* changes,
+    so no raw (often string) column is sorted or compared.  The result
+    equals what ``np.unique`` / ``np.lexsort`` over the raw columns
+    give, which is how a join view's rows are grouped.
 
     Returns the result :class:`Table` plus the input row count that was
     aggregated (used for build cost accounting).
@@ -113,46 +122,65 @@ def build_view(definition, tables, catalog):
             np.concatenate(([0], np.cumsum(counts)[:-1])), counts
         )
         right_ids = order[starts + offsets]
-        source = {}
-        for vcol in definition.group_columns:
-            if vcol.table == t1:
-                source[vcol.name] = left.column(vcol.column)[left_ids]
-            else:
-                source[vcol.name] = right.column(vcol.column)[right_ids]
+        arrays = [
+            left.column(vcol.column)[left_ids] if vcol.table == t1
+            else right.column(vcol.column)[right_ids]
+            for vcol in definition.group_columns
+        ]
         input_rows = left.row_count + right.row_count
-        group_len = total
+        groups, counts = _group_rows(arrays)
     else:
         base = tables[definition.tables[0]]
-        source = {
-            vcol.name: base.column(vcol.column)
-            for vcol in definition.group_columns
-        }
         input_rows = base.row_count
-        group_len = base.row_count
-
-    names = [c.name for c in definition.group_columns]
-    if group_len == 0:
-        data = {name: source[name][:0] for name in names}
-        data[COUNT_COLUMN] = np.array([], dtype=np.int64)
-        return Table(definition.view_schema(catalog), data), input_rows
-
-    if len(names) == 1:
-        keys, counts = np.unique(source[names[0]], return_counts=True)
-        data = {names[0]: keys}
-    else:
-        arrays = [source[name] for name in names]
-        order = np.lexsort(tuple(reversed(arrays)))
-        sorted_cols = [arr[order] for arr in arrays]
-        change = np.zeros(group_len, dtype=bool)
-        change[0] = True
-        for col in sorted_cols:
-            change[1:] |= col[1:] != col[:-1]
-        group_starts = np.flatnonzero(change)
-        counts = np.diff(np.append(group_starts, group_len))
-        data = {
-            name: col[group_starts]
-            for name, col in zip(names, sorted_cols)
-        }
+        groups, counts = _group_table(
+            base, [vcol.column for vcol in definition.group_columns],
+            encodings,
+        )
+    data = {
+        vcol.name: group
+        for vcol, group in zip(definition.group_columns, groups)
+    }
     data[COUNT_COLUMN] = np.asarray(counts, dtype=np.int64)
     view_table = Table(definition.view_schema(catalog), data)
     return view_table, input_rows
+
+
+def _group_starts(key_arrays):
+    """Positions where any of the (sorted) key arrays changes value."""
+    change = np.zeros(len(key_arrays[0]), dtype=bool)
+    change[:1] = True
+    for keys in key_arrays:
+        change[1:] |= keys[1:] != keys[:-1]
+    return np.flatnonzero(change)
+
+
+def _group_table(base, columns, encodings):
+    """``(group values per column, counts)`` of ``base`` grouped by
+    ``columns``, read off their dictionaries."""
+    if len(columns) == 1:
+        dictionary = encodings.dictionary(base, columns[0])
+        return [dictionary.values], dictionary.counts
+    order = encodings.lexsort(base, tuple(columns))
+    starts = _group_starts([
+        encodings.dictionary(base, column).codes[order]
+        for column in columns
+    ])
+    firsts = order[starts]
+    return (
+        [base.column(column)[firsts] for column in columns],
+        np.diff(starts, append=len(order)),
+    )
+
+
+def _group_rows(arrays):
+    """``(group values per column, counts)`` of raw rows."""
+    if len(arrays) == 1:
+        keys, counts = np.unique(arrays[0], return_counts=True)
+        return [keys], counts
+    order = np.lexsort(tuple(reversed(arrays)))
+    sorted_arrays = [array[order] for array in arrays]
+    starts = _group_starts(sorted_arrays)
+    return (
+        [array[starts] for array in sorted_arrays],
+        np.diff(starts, append=len(order)),
+    )

@@ -27,7 +27,7 @@ from repro.executor.engine import (
     _per_group,
 )
 from repro.executor.subplan import SubplanCache
-from repro.storage.encoding import ColumnDictionary
+from repro.storage.encoding import ColumnDictionary, DictionaryCache
 from repro.storage.table import Table
 from repro.views.matview import (
     COUNT_COLUMN,
@@ -71,7 +71,8 @@ def joined(left, right):
     """join_codes of two one-key batches, as lists."""
     (lkey,), (rkey,) = left.columns, right.columns
     lcodes, rcodes = join_codes(
-        [left.key_codes(lkey)], [right.key_codes(rkey)], SubplanCache()
+        [left.key_codes(lkey)], [right.key_codes(rkey)],
+        SubplanCache(DictionaryCache()),
     )
     # Raw codes are int32; what the join indexes with is int64.
     assert lcodes.dtype == rcodes.dtype == np.int64
@@ -275,7 +276,9 @@ def test_factorize_with_encoding_matches_legacy(city_db, tiny_nref):
         assert_codes_are_the_inverse(masked.mask(np.zeros(4, dtype=bool)), key)
 
     # A view column: the view's own table and dictionary.
-    view, _ = build_view(ORDERS_BY_UID, city_db.tables, city_db.catalog)
+    view, _ = build_view(
+        ORDERS_BY_UID, city_db.tables, city_db.catalog, DictionaryCache()
+    )
     batch = scan(view, {"o.uid": "orders__uid"})
     assert batch.columns["o.uid"] is view.column("orders__uid")
     assert_codes_are_the_inverse(batch, "o.uid")
@@ -351,7 +354,7 @@ def test_join_codes_combine_several_key_columns(city_db):
     lcodes, rcodes = join_codes(
         [left.key_codes(f"u.{c}") for c in columns],
         [right.key_codes(f"o.{c}") for c in columns],
-        SubplanCache(),
+        SubplanCache(DictionaryCache()),
     )
     ltuples = list(zip(*(left.column(f"u.{c}").tolist() for c in columns)))
     rtuples = list(zip(*(right.column(f"o.{c}").tolist() for c in columns)))
@@ -453,7 +456,9 @@ def test_weighted_count_through_hash_join(city_db_p):
     # A view's batch is weighted by its group counts; merged with a
     # plain side the weights ride along, with another weighted side
     # they multiply.
-    view, _ = build_view(ORDERS_BY_UID, db.tables, db.catalog)
+    view, _ = build_view(
+        ORDERS_BY_UID, db.tables, db.catalog, DictionaryCache()
+    )
     executor._required = frozenset({"o.uid", "u.uid"})
     counted = executor._scan_batch(
         view, {"o.uid": "orders__uid"},
@@ -547,11 +552,11 @@ def test_property_join_pair_codes_take_int32_codes(left, right, picks):
     ):
         assert lcodes.dtype == rcodes.dtype == np.int32
         got = _join_pair_codes(
-            (ldict, lcodes), (rdict, rcodes), SubplanCache()
+            (ldict, lcodes), (rdict, rcodes), SubplanCache(DictionaryCache())
         )
         wide = _join_pair_codes(
             (ldict, lcodes.astype(np.int64)),
-            (rdict, rcodes.astype(np.int64)), SubplanCache(),
+            (rdict, rcodes.astype(np.int64)), SubplanCache(DictionaryCache()),
         )
         reference = inverse(np.concatenate([lvalues, rvalues]))
         assert got[0].dtype == got[1].dtype == np.int64

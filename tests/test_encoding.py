@@ -737,6 +737,63 @@ def test_property_extended_dictionary_equals_rebuild(
     assert_same_dictionary(dictionary, ColumnDictionary(base))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(VALUE_DOMAINS)),
+    picks=st.lists(st.integers(0, 6), min_size=1, max_size=15),
+    tails=st.lists(
+        st.lists(st.integers(0, 14), max_size=8), min_size=1, max_size=4
+    ),
+    touch_codes=st.booleans(),
+)
+def test_property_extension_without_a_new_value_keeps_values(
+        kind, picks, tails, touch_codes):
+    """A tail that brings no new value keeps ``values`` — the same
+    array — and writes its codes behind the old ones in one buffer;
+    the result still equals ``ColumnDictionary(base)``, and the
+    dictionary it extended is left as it was."""
+    domain, dtype = VALUE_DOMAINS[kind]
+    domain = np.array(domain, dtype=dtype)
+    base = domain[np.array(picks, dtype=np.int64)]
+    dictionary = ColumnDictionary(base)
+    if touch_codes:
+        dictionary.codes
+    for tail in tails:
+        # Tail picks index the dictionary's own values: none is new.
+        tail = dictionary.values[
+            np.array(tail, dtype=np.int64) % dictionary.n_distinct
+        ]
+        base = np.concatenate([base, tail])
+        held = (dictionary.counts.tolist(),
+                None if dictionary._codes is None
+                else (dictionary._codes, dictionary._codes.tolist()))
+        grown = dictionary.extended(base)
+        assert grown.values is dictionary.values
+        assert dictionary.counts.tolist() == held[0]
+        if held[1] is not None:
+            codes, contents = held[1]
+            assert codes.tolist() == contents
+            assert grown._codes[:len(codes)].tolist() == contents
+        assert_same_dictionary(grown, ColumnDictionary(base))
+        dictionary = grown
+
+
+def test_extending_one_dictionary_twice_keeps_both_results():
+    """The spare codes buffer passes to the first extension: a second
+    extension of the same dictionary writes a buffer of its own."""
+    dictionary = ColumnDictionary(
+        np.array(["a", "b", "a"] * 16, dtype=object)
+    )
+    base = dictionary.base
+    first = dictionary.extended(np.concatenate([base, ["a"] * 2]))
+    second = dictionary.extended(np.concatenate([base, ["b"] * 2]))
+    third = first.extended(np.concatenate([first.base, ["b"]]))
+    for grown in (first, second, third):
+        assert_same_dictionary(grown, ColumnDictionary(grown.base))
+    assert np.shares_memory(first.codes, third.codes)
+    assert not np.shares_memory(first.codes, second.codes)
+
+
 def test_insert_rows_carries_dictionaries_without_a_miss(city_db):
     orders = city_db.table("orders")
     held = {

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from btree import BPlusTree
 from repro import ColumnDef, TableSchema, float_, integer, obs, varchar
+from repro.common.hardware import PAGE_SIZE
 from repro.engine import database as engine_database
 from repro.engine.configuration import (
     one_column_configuration,
@@ -24,12 +25,15 @@ from repro.storage.encoding import DictionaryCache
 from repro.storage.table import Table
 
 
+# Rows this wide fit four to a heap page, so an index over a few dozen
+# of them changes page often: appends exercise the carried
+# page-transition count, not just the first page.
 KEYED = TableSchema(
     "keyed",
     [
         ColumnDef("i", integer(), "i"),
         ColumnDef("f", float_(), "f"),
-        ColumnDef("s", varchar(4), "s"),
+        ColumnDef("s", varchar(2000), "s"),
     ],
     primary_key=("i",),
 )
@@ -249,6 +253,16 @@ def test_property_gather_ranges(size, ranges, dtype):
 # ----------------------------------------------------------------------
 # IndexData.append: merging a batch equals rebuilding
 
+def rescanned_transitions(index, table):
+    """Page transitions along ``index.row_ids``, counted over the whole
+    array: the reference an appended index's carried count must equal."""
+    if not index.entry_count:
+        return 0
+    rows_per_page = max(1.0, PAGE_SIZE / table.schema.row_width())
+    pages = np.floor(index.row_ids / rows_per_page)
+    return 1 + int(np.count_nonzero(np.diff(pages)))
+
+
 def assert_same_index(got, want):
     assert got.row_ids.dtype == want.row_ids.dtype
     assert got.row_ids.tolist() == want.row_ids.tolist()
@@ -261,6 +275,7 @@ def assert_same_index(got, want):
         assert have.tolist() == expected.tolist()
     assert got.entry_count == want.entry_count
     assert got.size == want.size
+    assert got.page_transitions == want.page_transitions
     assert got.cluster_factor == want.cluster_factor
 
 
@@ -272,6 +287,10 @@ def assert_same_index(got, want):
         lambda names: st.integers(1, 3).map(lambda n: tuple(names[:n]))
     ),
 )
+@example(initial=[], batches=[[], [(1, 0.5, "a")], []], key=("i",))
+@example(initial=[], batches=[[(2, 0.0, "b"), (1, 0.5, "a")]],
+         key=("s", "f"))
+@example(initial=[(3, 2.0, "m")] * 3, batches=[[]], key=("f", "i", "s"))
 def test_property_append_equals_rebuild(initial, batches, key):
     table = Table(KEYED, keyed_columns(initial))
     definition = IndexDefinition(table="keyed", columns=key)
@@ -300,6 +319,9 @@ def test_property_append_equals_rebuild(initial, batches, key):
             definition, table, DictionaryCache(), overhead_factor=1.3
         )
         assert_same_index(index, rebuilt)
+        # The carried page-transition count is never rescanned: it
+        # must equal a count over the whole spliced array.
+        assert index.page_transitions == rescanned_transitions(index, table)
         # np.lexsort on the raw columns is the reference for both.
         assert rebuilt.row_ids.tolist() == np.lexsort(
             tuple(table.column(c) for c in reversed(key))
@@ -317,7 +339,6 @@ def test_property_append_equals_rebuild(initial, batches, key):
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
 def test_cluster_factor_by_blocks_equals_the_whole_array_formula(
         city_db, monkeypatch, block):
-    from repro.common.hardware import PAGE_SIZE
     from repro.index import data as index_data
 
     monkeypatch.setattr(index_data, "_PAGE_BLOCK", block)
@@ -478,6 +499,24 @@ def test_index_pickled_with_int64_row_ids_is_a_store_miss(
         index.__dict__, row_ids=index.row_ids.astype(np.int64)
     )
     with pytest.raises(pickle.UnpicklingError, match="int64 row ids"):
+        pickle.loads(pickle.dumps(forged))
+    ArtifactCache(tmp_path).put("index", "k", forged)
+    assert ArtifactCache(tmp_path).get("index", "k", "missed") == "missed"
+
+
+def test_index_pickled_without_page_transitions_is_a_store_miss(
+        city_db_p, tmp_path):
+    """An artifact store written before appends carried the cluster
+    factor holds indexes without a page-transition count, which a
+    later append would need; loading one must miss and rebuild."""
+    from repro.runtime.artifacts import ArtifactCache
+
+    index = next(iter(city_db_p._built.index_data.values()))
+    stale = dict(index.__dict__)
+    del stale["page_transitions"]
+    forged = IndexData.__new__(IndexData)
+    forged.__dict__.update(stale)
+    with pytest.raises(pickle.UnpicklingError, match="page-transition"):
         pickle.loads(pickle.dumps(forged))
     ArtifactCache(tmp_path).put("index", "k", forged)
     assert ArtifactCache(tmp_path).get("index", "k", "missed") == "missed"

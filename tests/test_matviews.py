@@ -4,7 +4,10 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import Catalog, ColumnDef, TableSchema, float_, integer, varchar
 from repro.engine.configuration import primary_configuration
 from repro.index.definition import IndexDefinition
 from repro.optimizer.plans import ViewScan, walk
@@ -14,6 +17,8 @@ from repro.views.matview import (
     ViewColumn,
     build_view,
 )
+from repro.storage.encoding import DictionaryCache
+from repro.storage.table import Table
 
 from conftest import load_city_database
 
@@ -48,7 +53,9 @@ def test_single_table_view_counts(db):
         tables=("orders",),
         group_columns=(ViewColumn("orders", "uid"),),
     )
-    table, _ = build_view(view_def, db.tables, db.catalog)
+    table, _ = build_view(
+        view_def, db.tables, db.catalog, DictionaryCache()
+    )
     freq = collections.Counter(db.table("orders").column("uid").tolist())
     got = dict(
         zip(
@@ -68,7 +75,9 @@ def test_join_view_counts(db):
             ViewColumn("orders", "city"),
         ),
     )
-    table, _ = build_view(view_def, db.tables, db.catalog)
+    table, _ = build_view(
+        view_def, db.tables, db.catalog, DictionaryCache()
+    )
     users, orders = db.table("users"), db.table("orders")
     city_of = dict(zip(users.column("uid"), users.column("city")))
     counter = collections.Counter(
@@ -201,3 +210,67 @@ def test_view_refreshes_after_insert(db):
     )
     after = db._built.view_tables[view_def.name].column(COUNT_COLUMN).sum()
     assert after == before + 1
+
+
+def reference_groups(arrays):
+    """The raw-column grouping: ``np.unique`` for one column, a
+    ``np.lexsort`` and adjacent compares for several."""
+    if len(arrays) == 1:
+        keys, counts = np.unique(arrays[0], return_counts=True)
+        return [keys], counts
+    order = np.lexsort(tuple(reversed(arrays)))
+    ordered = [array[order] for array in arrays]
+    change = np.zeros(len(order), dtype=bool)
+    change[:1] = True
+    for array in ordered:
+        change[1:] |= array[1:] != array[:-1]
+    starts = np.flatnonzero(change)
+    return [array[starts] for array in ordered], np.diff(
+        np.append(starts, len(order))
+    )
+
+
+GROUPED = TableSchema("g", [
+    ColumnDef("i", integer(), "i"),
+    ColumnDef("f", float_(), "f"),
+    ColumnDef("s", varchar(4), "s"),
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(
+        st.sampled_from([-(10 ** 6), -1, 0, 3, 10 ** 6]),
+        st.sampled_from([-1e9, -0.5, 0.0, 0.25, 1e9]),
+        st.sampled_from(["", "a", "ab", "zz"]),
+    ), max_size=40),
+    columns=st.permutations(["i", "f", "s"]).flatmap(
+        lambda names: st.integers(1, 3).map(lambda n: tuple(names[:n]))
+    ),
+)
+def test_property_single_table_view_equals_the_raw_grouping(rows, columns):
+    """A single-table view read off the dictionary cache equals the
+    ``np.unique`` / ``np.lexsort`` grouping of the raw object, float
+    and int columns, dtypes included — empty tables too."""
+    table = Table(GROUPED, {
+        "i": [r[0] for r in rows],
+        "f": [r[1] for r in rows],
+        "s": np.array([r[2] for r in rows], dtype=object),
+    })
+    catalog = Catalog([GROUPED])
+    view_def = MatViewDefinition(
+        tables=("g",),
+        group_columns=tuple(ViewColumn("g", c) for c in columns),
+    )
+    view, input_rows = build_view(
+        view_def, {"g": table}, catalog, DictionaryCache()
+    )
+    assert input_rows == len(rows)
+    keys, counts = reference_groups([table.column(c) for c in columns])
+    for vcol, want in zip(view_def.group_columns, keys):
+        have = view.column(vcol.name)
+        assert have.dtype == want.dtype
+        assert have.tolist() == want.tolist()
+    have = view.column(COUNT_COLUMN)
+    assert have.dtype == np.int64
+    assert have.tolist() == counts.tolist()

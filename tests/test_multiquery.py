@@ -14,6 +14,7 @@ from repro.executor.subplan import (
     MAX_MASK_ENTRIES,
     SubplanCache,
 )
+from repro.storage.encoding import DictionaryCache
 
 
 # ----------------------------------------------------------------------
@@ -21,7 +22,7 @@ from repro.executor.subplan import (
 
 
 def test_subplan_cache_hit_requires_identical_backing():
-    cache = SubplanCache()
+    cache = SubplanCache(DictionaryCache())
     base = np.arange(10)
     builds = []
 
@@ -39,7 +40,7 @@ def test_subplan_cache_hit_requires_identical_backing():
 
 
 def test_subplan_cache_invalidate_clears_every_kind():
-    cache = SubplanCache()
+    cache = SubplanCache(DictionaryCache())
     base = np.arange(4)
     cache.filter_mask("m", (base,), lambda: 2)
     cache.join_domain("d", (base,), lambda: 3)
@@ -57,7 +58,7 @@ def test_subplan_entry_is_a_miss_after_its_array_is_replaced():
     """``append_rows`` and reloads put a new array under the same key:
     the entry computed from the old one must not be served, and the
     rebuilt one takes its place."""
-    cache = SubplanCache()
+    cache = SubplanCache(DictionaryCache())
     old, new = np.arange(5), np.arange(6)
     assert cache.filter_mask("m", (old,), lambda: "old") == "old"
     assert cache.filter_mask("m", (new,), lambda: "new") == "new"
@@ -74,7 +75,7 @@ def test_subplan_entry_is_a_miss_after_its_array_is_replaced():
     ("key_table", MAX_KEY_ENTRIES),
 ])
 def test_subplan_eviction_respects_each_kind_bound(kind, bound):
-    cache = SubplanCache()
+    cache = SubplanCache(DictionaryCache())
     base = np.arange(3)
     lookup = getattr(cache, kind)
     for key in range(bound + 5):
@@ -88,3 +89,67 @@ def test_subplan_eviction_respects_each_kind_bound(kind, bound):
     others.discard(kind)
     for other in others:
         assert getattr(cache, other)(0, (base,), lambda: "fresh") == "fresh"
+
+
+def test_invalidate_keeps_a_domain_of_two_live_dictionaries(city_db):
+    """A join domain depends on the two ``values`` arrays alone: the
+    sweep keeps it while both are live dictionary values, and drops
+    it — with every mask and key table — once one is not."""
+    cache = city_db._cache("subplan_cache")
+    users = city_db.column_dictionary("users", "city")
+    orders = city_db.column_dictionary("orders", "city")
+    backing = (users.values, orders.values)
+    builds = []
+    cache.join_domain("d", backing, lambda: builds.append(1))
+    cache.filter_mask("m", (users.base,), lambda: builds.append(1))
+    city_db.invalidate_caches()
+    cache.join_domain("d", backing, lambda: builds.append(1))
+    cache.filter_mask("m", (users.base,), lambda: builds.append(1))
+    assert len(builds) == 3
+    # A new value replaces the users dictionary's values array.
+    city_db.insert_rows(
+        "users", {"uid": [10_000], "city": ["yyz"], "age": [40]}
+    )
+    assert city_db.column_dictionary("users", "city").values \
+        is not users.values
+    assert len(cache._kinds["domain"][0]) == 0
+    cache.join_domain("d", backing, lambda: builds.append(1))
+    assert len(builds) == 4
+
+
+@pytest.mark.parametrize("city, builds", [("tor", 0), ("yyz", 1)])
+def test_insert_without_a_new_key_value_keeps_the_join_domain(city, builds):
+    """After an insert that brings the join key no new value, the
+    burst's first join hits the domain merged before it, and answers
+    with the rows and virtual seconds of a freshly loaded database; a
+    new value rebuilds the domain."""
+    from repro import obs
+    from repro.engine.configuration import one_column_configuration
+
+    from conftest import load_city_database
+
+    sql = ("SELECT orders.oid FROM users, orders "
+           "WHERE users.city = orders.city AND users.age = 30")
+    db = load_city_database()
+    db.apply_configuration(one_column_configuration(db.catalog))
+    db.execute(sql)
+    db.insert_rows("orders", {
+        "oid": [90_000, 90_001], "uid": [3, 499],
+        "city": np.array([city, "mtl"], dtype=object), "amount": [1, 99],
+    })
+    with obs.recording(obs.TraceRecorder()) as recorder:
+        got = db.execute(sql)
+    counters = recorder.metrics.snapshot()["counters"]
+    assert counters.get("subplan.domain_builds", 0) == builds
+    assert counters.get("subplan.domain_hits", 0) == 1 - builds
+    # The same rows loaded from scratch, under the same statistics
+    # (an insert does not recollect them, and a load keeps them).
+    fresh = load_city_database()
+    fresh.load_table("orders", {
+        name: db.table("orders").column(name).copy()
+        for name in ("oid", "uid", "city", "amount")
+    })
+    fresh.apply_configuration(one_column_configuration(fresh.catalog))
+    want = fresh.execute(sql)
+    assert got.rows() == want.rows()
+    assert got.elapsed == want.elapsed

@@ -1,0 +1,110 @@
+"""Columnar tables: appends into spare capacity, validation, pickling."""
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import ColumnDef, TableSchema, float_, integer, varchar
+from repro.common.errors import CatalogError
+from repro.storage.table import Table
+
+SCHEMA = TableSchema(
+    "t",
+    [
+        ColumnDef("i", integer(), "i"),
+        ColumnDef("f", float_(), "f"),
+        ColumnDef("s", varchar(4), "s"),
+    ],
+)
+ROW = st.tuples(
+    st.integers(-(10 ** 6), 10 ** 6),
+    st.floats(-1e9, 1e9),
+    st.sampled_from(["", "a", "ab", "zz"]),
+)
+
+
+def columns_of(rows):
+    return {
+        "i": [r[0] for r in rows],
+        "f": [r[1] for r in rows],
+        "s": np.array([r[2] for r in rows], dtype=object),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    initial=st.lists(ROW, max_size=30),
+    batches=st.lists(st.lists(ROW, max_size=12), max_size=6),
+)
+@example(initial=[], batches=[[], [(1, 0.5, "a")], []])
+@example(initial=[(1, 0.5, "a")] * 16, batches=[[(2, 1.0, "b")]] * 6)
+def test_property_appended_columns_equal_concatenation(initial, batches):
+    """After every append each column equals ``np.concatenate`` of the
+    loaded and appended parts in the schema dtype, and every column
+    array handed out before — a snapshot — keeps its contents."""
+    table = Table(SCHEMA, columns_of(initial))
+    parts = {
+        col.name: [col.sql_type.coerce(columns_of(initial)[col.name])]
+        for col in SCHEMA.columns
+    }
+    snapshots = []
+    for batch in batches:
+        snapshots.append({
+            name: (table.column(name), table.column(name).tolist())
+            for name in parts
+        })
+        assert table.append_rows(columns_of(batch)) == len(batch)
+        for col in SCHEMA.columns:
+            parts[col.name].append(
+                col.sql_type.coerce(columns_of(batch)[col.name])
+            )
+            want = np.concatenate(parts[col.name])
+            have = table.column(col.name)
+            assert have.dtype == want.dtype == col.sql_type.numpy_dtype()
+            assert have.tolist() == want.tolist()
+        for snapshot in snapshots:
+            for array, contents in snapshot.values():
+                assert array.tolist() == contents
+    assert table.row_count == len(initial) + sum(map(len, batches))
+
+
+def test_an_append_writes_behind_the_previous_one():
+    """The second append copies no stored row: its columns continue
+    the first one's buffer, and the first one's arrays are prefixes."""
+    table = Table(SCHEMA, columns_of([(i, i / 2, "a") for i in range(800)]))
+    table.append_rows(columns_of([(1, 1.0, "b")] * 10))
+    first = {name: table.column(name) for name in ("i", "f", "s")}
+    table.append_rows(columns_of([(2, 2.0, "c")] * 10))
+    for name, array in first.items():
+        grown = table.column(name)
+        assert grown is not array
+        assert np.shares_memory(grown, array)
+        assert grown[:len(array)].tolist() == array.tolist()
+
+
+def test_append_naming_an_unknown_column_is_refused():
+    table = Table(SCHEMA, columns_of([(1, 0.5, "a")]))
+    with pytest.raises(CatalogError, match="'x'"):
+        table.append_rows({**columns_of([(2, 1.0, "b")]), "x": [3]})
+    assert table.row_count == 1
+
+
+def test_an_appended_table_pickles_only_its_rows():
+    """The spare capacity behind the columns stays out of the pickle:
+    an appended table pickles to the bytes a table loaded with the
+    same rows does, and unpickles to the same columns."""
+    rows = [(i, i / 3, "ab") for i in range(4000)]
+    appended = Table(SCHEMA, columns_of(rows[:3000]))
+    for start in (3000, 3500):
+        appended.append_rows(columns_of(rows[start:start + 500]))
+    loaded = Table(SCHEMA, columns_of(rows))
+    payload = pickle.dumps(appended, pickle.HIGHEST_PROTOCOL)
+    assert len(payload) == len(pickle.dumps(loaded, pickle.HIGHEST_PROTOCOL))
+    clone = pickle.loads(payload)
+    for name in ("i", "f", "s"):
+        assert clone.column(name).tolist() == loaded.column(name).tolist()
+    clone.append_rows(columns_of(rows[:1]))
+    assert clone.row_count == appended.row_count + 1 == 4001

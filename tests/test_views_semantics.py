@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.configuration import primary_configuration
+from repro.storage.encoding import DictionaryCache
 from repro.views.matview import (
     COUNT_COLUMN,
     MatViewDefinition,
@@ -30,7 +31,9 @@ def test_view_count_sums_match_base(db):
             tables=("orders",),
             group_columns=tuple(ViewColumn("orders", c) for c in cols),
         )
-        table, _ = build_view(view_def, db.tables, db.catalog)
+        table, _ = build_view(
+            view_def, db.tables, db.catalog, DictionaryCache()
+        )
         assert int(table.column(COUNT_COLUMN).sum()) == \
             db.table("orders").row_count
 
@@ -41,7 +44,9 @@ def test_join_view_count_sums_match_join_size(db):
         join_pred=(("users", "uid"), ("orders", "uid")),
         group_columns=(ViewColumn("users", "city"),),
     )
-    table, _ = build_view(view_def, db.tables, db.catalog)
+    table, _ = build_view(
+        view_def, db.tables, db.catalog, DictionaryCache()
+    )
     users = db.table("users")
     freq = collections.Counter(db.table("orders").column("uid").tolist())
     join_size = sum(freq.get(int(u), 0) for u in users.column("uid"))
@@ -131,7 +136,9 @@ def test_property_view_counts_exact_for_random_data(seed):
         tables=("t",),
         group_columns=(ViewColumn("t", "a"), ViewColumn("t", "b")),
     )
-    result, _ = build_view(view_def, {"t": table}, catalog)
+    result, _ = build_view(
+        view_def, {"t": table}, catalog, DictionaryCache()
+    )
     got = {
         (int(a), int(b)): int(c)
         for a, b, c in zip(
