@@ -21,9 +21,6 @@ LCK002    state shared with executor workers — ``self`` of a
           lock-owning or submitting class, free variables of a
           submitted closure — is written with a lock held on every
           path (interprocedural lockset analysis)
-TNT001    nondeterministic values (clocks, env, ``id()``, ambient RNG,
-          set order) must not flow into fingerprints, cache keys,
-          costs, or report fields (interprocedural taint)
 KNB001    no environment-variable reads: a run's settings are its
           command-line flags and arguments
 ========  ==============================================================

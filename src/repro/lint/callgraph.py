@@ -1,12 +1,11 @@
 """The project-wide call graph: who calls whom, and how.
 
 The file-scope rules are syntactic; the invariants that matter at
-server scale (lock discipline across ``SessionStore``/``JobQueue``,
-determinism taint through helper modules) are *inter*procedural.  This
-module builds one :class:`CallGraph` per lint run — every function,
-method and nested ``def`` of every linted file, plus resolved call
-edges — which the project-scope rules (``LCK002``, ``TNT001``) traverse
-and run their dataflow fixpoints over (:mod:`repro.lint.dataflow`).
+server scale (lock discipline across ``SessionStore``/``JobQueue``)
+are *inter*procedural.  This module builds one :class:`CallGraph` per
+lint run — every function, method and nested ``def`` of every linted
+file, plus resolved call edges — which ``LCK002`` traverses and runs
+its lockset fixpoint over (:mod:`repro.lint.dataflow`).
 
 A nested ``def`` belongs to the class of the method it is written in
 and is keyed under it (``module::Class.method.<name>``): the closure a
@@ -38,7 +37,7 @@ Resolution is deliberately cheap and explicit about its tiers:
                      entries.
 
 Every edge carries an argument-binding map so analyses can translate
-facts (held locks, taint) between caller and callee frames.
+facts (held locks) between caller and callee frames.
 """
 
 import ast
@@ -92,19 +91,15 @@ class CallSite:
     ``bindings`` maps callee parameter names to caller-side *tokens*:
     ``"self"`` when the caller passes its own instance, a plain local
     name, or a dotted ``self.attr`` chain — enough for the dataflow
-    layer to rename facts across the edge.  ``receiver`` is the dotted
-    text of the receiver expression for method calls (``"self.store"``),
-    or ``None``.
+    layer to rename facts across the edge.
     """
 
-    def __init__(self, caller, callee, node, kind, bindings=None,
-                 receiver=None):
+    def __init__(self, caller, callee, node, kind, bindings=None):
         self.caller = caller
         self.callee = callee          #: callee qualname
         self.node = node              #: the ast.Call
         self.kind = kind
         self.bindings = bindings or {}
-        self.receiver = receiver
 
     def __repr__(self):
         return (
@@ -386,9 +381,7 @@ class CallGraph:
                 token = dotted_name(arg)
                 if token:
                     bindings[param] = token
-            info.calls.append(CallSite(
-                info, callee, call, kind, bindings, receiver
-            ))
+            info.calls.append(CallSite(info, callee, call, kind, bindings))
 
     def _nested_callee(self, info, name):
         """A ``def name`` nested in ``info`` or in a function around it."""

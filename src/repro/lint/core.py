@@ -134,8 +134,7 @@ class Project:
 
 # ----------------------------------------------------------------------
 # The one table of nondeterministic sources.  ``CLK001`` and ``RNG001``
-# ban them by location, ``KNB001`` bans environment reads everywhere,
-# and ``TNT001`` treats every entry as a taint source.
+# ban them by location, and ``KNB001`` bans environment reads everywhere.
 
 #: Dotted names whose value is the wall clock.
 WALL_CLOCKS = frozenset({

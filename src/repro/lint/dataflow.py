@@ -1,10 +1,9 @@
-"""A small dataflow framework: CFG approximation + forward analyses.
+"""A small dataflow framework: CFG approximation + lockset analysis.
 
-The project-scope rules need more than a tree walk: "is some lock held
-on *every* path reaching this write" (a must-analysis with intersection
-joins) and "can a nondeterministic value reach this argument" (a
-may-analysis with union joins) are path-sensitive questions.  This
-module provides the shared machinery:
+The races rule needs more than a tree walk: "is some lock held on
+*every* path reaching this write" is a path-sensitive question (a
+must-analysis with intersection joins).  This module provides the
+machinery:
 
 * :func:`build_cfg` — a per-function control-flow graph approximation.
   Nodes are *operations*: plain statements, branch tests, and paired
@@ -13,18 +12,14 @@ module provides the shared machinery:
   / ``raise`` produce the obvious edges; exception edges are
   approximated by making every handler reachable from the start of its
   ``try`` body (any statement may raise).
-* :class:`ForwardAnalysis` — a worklist fixpoint over the CFG.
-  Subclasses provide the lattice: ``initial()``, ``join(states)`` and
-  ``transfer(op, state)``.  The result maps every operation to its
-  *entry* state, which is what rules inspect ("state right before this
-  write").
-* :class:`LocksetAnalysis` — the must-held-locks instance: state is a
-  frozenset of lock tokens, join is set intersection (a lock is held
-  only if held on **all** reaching paths), ``with <lock>:`` acquires
-  for exactly the body's extent.  ``TOP`` marks not-yet-reached blocks
-  so intersection does not drain facts from unvisited paths.
+* :class:`LocksetAnalysis` — a worklist fixpoint over the CFG for the
+  must-held-locks lattice: state is a frozenset of lock tokens, join is
+  set intersection (a lock is held only if held on **all** reaching
+  paths), ``with <lock>:`` acquires for exactly the body's extent.
+  ``TOP`` marks not-yet-reached blocks so intersection does not drain
+  facts from unvisited paths.
 
-Loops converge because both lattices are finite and the transfers are
+Loops converge because the lattice is finite and the transfer is
 monotone; the worklist re-queues a block only when its entry state
 changes.
 """
@@ -225,36 +220,41 @@ def build_cfg(fn, lock_token=lambda expr: None):
     return cfg
 
 
-class ForwardAnalysis:
-    """Worklist forward dataflow over a :class:`CFG`.
+class LocksetAnalysis:
+    """Must-held locks at every operation (intersection over paths).
 
-    Subclasses define the lattice::
-
-        initial()            # entry-block state
-        join(states)         # merge of predecessor exit states
-        transfer(op, state)  # state after one operation
-
-    :meth:`run` returns ``{id(op.node) or op: entry-state}`` via
+    A worklist forward fixpoint over a :class:`CFG`.  State is a
+    frozenset of lock tokens; ``entry_locks`` is the set guaranteed held
+    by *every* caller path into the function — the interprocedural
+    credit computed by the races rule's fixpoint.  :meth:`run` fills
     :attr:`before` — the state immediately *before* each operation —
-    which is what rules query ("held locks at this write").
+    which is what the rule queries ("held locks at this write").
     """
 
-    def __init__(self):
+    def __init__(self, entry_locks=frozenset()):
         self.before = {}
-
-    def initial(self):
-        raise NotImplementedError
+        self.entry_locks = frozenset(entry_locks)
 
     def join(self, states):
-        raise NotImplementedError
+        states = [s for s in states if s is not TOP]
+        if not states:
+            return TOP
+        merged = states[0]
+        for state in states[1:]:
+            merged = merged & state
+        return merged
 
     def transfer(self, op, state):
-        raise NotImplementedError
+        if op.kind == "acquire" and op.payload:
+            return state | frozenset(op.payload)
+        if op.kind == "release" and op.payload:
+            return state - frozenset(op.payload)
+        return state
 
     def run(self, cfg):
         preds = cfg.predecessors()
         entry_state = {block: TOP for block in cfg.blocks}
-        entry_state[cfg.entry] = self.initial()
+        entry_state[cfg.entry] = self.entry_locks
         worklist = [cfg.entry]
         exit_state = {}
         while worklist:
@@ -276,38 +276,6 @@ class ForwardAnalysis:
                     entry_state[succ] = merged
                     worklist.append(succ)
         return self.before
-
-
-class LocksetAnalysis(ForwardAnalysis):
-    """Must-held locks at every operation (intersection over paths).
-
-    State is a frozenset of lock tokens.  ``entry_locks`` is the set
-    guaranteed held by *every* caller path into the function — the
-    interprocedural credit computed by the races rule's fixpoint.
-    """
-
-    def __init__(self, entry_locks=frozenset()):
-        super().__init__()
-        self.entry_locks = frozenset(entry_locks)
-
-    def initial(self):
-        return self.entry_locks
-
-    def join(self, states):
-        states = [s for s in states if s is not TOP]
-        if not states:
-            return TOP
-        merged = states[0]
-        for state in states[1:]:
-            merged = merged & state
-        return merged
-
-    def transfer(self, op, state):
-        if op.kind == "acquire" and op.payload:
-            return state | frozenset(op.payload)
-        if op.kind == "release" and op.payload:
-            return state - frozenset(op.payload)
-        return state
 
     def locks_at(self, op):
         """Held lockset before ``op`` (empty for unreached code)."""

@@ -13,7 +13,6 @@ from .knobs import KnobRule
 from .races import RaceRule
 from .rng import RngRule
 from .schema_sync import SchemaSyncRule
-from .taint import TaintRule
 
 ALL_RULES = {
     rule.name: rule
@@ -24,7 +23,6 @@ ALL_RULES = {
         SchemaSyncRule(),
         ExceptionRule(),
         RaceRule(),
-        TaintRule(),
         KnobRule(),
     )
 }
@@ -38,5 +36,4 @@ __all__ = [
     "RaceRule",
     "RngRule",
     "SchemaSyncRule",
-    "TaintRule",
 ]

@@ -1,7 +1,7 @@
 """The dataflow framework (repro.lint.dataflow): CFG approximation
-shapes (branch/loop/with/try), the must-lockset lattice — intersection
-join, TOP for unreached code, acquire/release transfer — and the
-fixpoint driver they plug into."""
+shapes (branch/loop/with/try) and the must-lockset analysis —
+intersection join, TOP for unreached code, acquire/release transfer,
+and its worklist fixpoint."""
 
 import ast
 

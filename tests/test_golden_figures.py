@@ -5,7 +5,10 @@ a check; these digests (recorded where CI still proved every on/off pair
 of the since-removed knobs agreed) pin the rendered output and the
 underlying data instead: fig3/fig4/fig7 for the executor and index
 builds, fig8 for the what-if recommender end to end under System C,
-sec44 for the insert path and the dictionaries carried across it.
+sec44 for the insert path and the dictionaries carried across it, tab1
+for the virtual build cost of every configuration, views included (its
+printed table rounds to minutes; the data digest keeps every digit, so
+a wall-clock reading that leaks into a build cost shows here).
 """
 
 import hashlib
@@ -40,6 +43,10 @@ GOLDEN = {
     "sec44": (
         "ad2213eae2a12e08de800bd55f300dd73f9e4e0ba1a726113aa2604dbd786bdd",
         "d334c1c08855bea6ee4498164913c65e5cb988d1f81274dccdf7ee9c76efdaa7",
+    ),
+    "tab1": (
+        "8ce5e83e94dc568abccce4494d7573b34d2d28485f32df42298b1a6a062d86e3",
+        "2e9ada90510f5cc1562b9e6edc20e3424fadb40751ff53647701b6cb5b0cf7bc",
     ),
 }
 

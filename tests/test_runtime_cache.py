@@ -1,15 +1,17 @@
 """Cache correctness: fingerprints, plan/estimate memoization, invalidation."""
 
+import os
 import pickle
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.engine.configuration import (
     Configuration,
-    content_fingerprint,
     one_column_configuration,
     primary_configuration,
 )
@@ -27,6 +29,8 @@ JOIN = (
     "WHERE u.uid = o.uid GROUP BY u.city"
 )
 SQLS = [GROUPED, SCAN, JOIN]
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ----------------------------------------------------------------------
@@ -49,14 +53,52 @@ def test_fingerprint_order_insensitive():
     )
 
 
-def test_fingerprint_stable_across_processes():
-    # content_fingerprint must not depend on PYTHONHASHSEED or object ids
-    # (the artifact store uses it for on-disk file names).
-    key = content_fingerprint(("ix", "users", ("uid",), False), 1.0, 100)
-    assert key == content_fingerprint(
-        ("ix", "users", ("uid",), False), 1.0, 100
+FINGERPRINTS = """
+from repro.engine.configuration import Configuration, content_fingerprint
+from repro.index.definition import IndexDefinition
+from repro.views.matview import MatViewDefinition, ViewColumn
+
+views = (
+    MatViewDefinition(
+        tables=("orders",), group_columns=(ViewColumn("orders", "uid"),),
+    ),
+    MatViewDefinition(
+        tables=("users", "orders"),
+        join_pred=(("users", "uid"), ("orders", "uid")),
+        group_columns=(
+            ViewColumn("users", "city"), ViewColumn("orders", "city"),
+        ),
+    ),
+)
+indexes = tuple(
+    IndexDefinition(table=table, columns=columns)
+    for table, columns in (
+        ("users", ("uid",)), ("users", ("city",)),
+        ("users", ("city", "uid")), ("orders", ("oid",)),
+        ("orders", ("uid",)), ("orders", ("city", "uid")),
     )
-    assert len(key) == 16
+)
+print(content_fingerprint(("ix", "users", ("uid",), False), 1.0, 100))
+print(Configuration(name="R", indexes=indexes, views=views).fingerprint)
+"""
+
+
+def test_fingerprint_stable_across_processes():
+    # The artifact store names its files by fingerprint, so a
+    # fingerprint must not depend on PYTHONHASHSEED (set and dict order
+    # over strings) or on object ids: two processes that differ only in
+    # the hash seed print the same ones.
+    printed = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", FINGERPRINTS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        printed.append(proc.stdout.split())
+    assert printed[0] == printed[1], printed
+    assert [len(key) for key in printed[0]] == [16, 16]
 
 
 def test_database_tracks_current_fingerprint(city_db):
