@@ -193,6 +193,16 @@ class Database:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._init_caches()
+        # An index's values are its leading column's dictionary's
+        # (executor probes map codes through that dictionary): re-link
+        # each restored index to the rebuilt one.
+        if self._built is not None:
+            encodings = self._cache("dict_cache")
+            for data in self._built.index_data.values():
+                ix = data.definition
+                data.relink(encodings.dictionary(
+                    self._index_target(ix, self._built), ix.columns[0]
+                ))
 
     # ------------------------------------------------------------------
     # Cache invalidation

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
+from ..storage.encoding import locate
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -273,11 +274,13 @@ def _merged_domain(left_dict, right_dict):
     """``(size, left map, right map)`` of two dictionaries' union.
 
     Both value arrays are sorted already, so nothing is sorted again:
-    the right values are bisected into the left ones, and each side's
-    map is its own positions shifted by the other side's unseen values
-    before them (what ``searchsorted`` into the ``union1d`` returns).
+    the right values are located among the left ones — by their ranks
+    when the two share a domain (:func:`~repro.storage.encoding.locate`)
+    — and each side's map is its own positions shifted by the other
+    side's unseen values before them (what ``searchsorted`` into the
+    ``union1d`` returns).
     """
-    slots, found = left_dict.find(right_dict.values)
+    slots, found = locate(right_dict, left_dict)
     unseen = slots[~found]
     # Left entry i moves up by the unseen right values sorting before
     # it; the j-th unseen right value lands at its slot + j.

@@ -281,15 +281,20 @@ class Executor:
 
     def _apply_semis(self, batch, semi_filters, clock):
         for semi in semi_filters:
-            values, keep = self._semi_source(semi.source, clock)
+            source, allowed = self._semi_source(semi.source, clock)
             clock.charge(cm.filter_rows(self._hw, batch.rows))
             dictionary, codes = batch.key_codes(semi.key)
-            batch = batch.mask(_member_flags(dictionary, values, keep)[codes])
+            member = _member_flags(
+                dictionary, self._slots(source, allowed, dictionary)
+            )
+            batch = batch.mask(member[codes])
         return batch
 
     def _semi_source(self, source, clock):
-        """``(values, keep)`` of a semijoin source: its sorted distinct
-        values and the mask of those passing the HAVING filter.
+        """``(dictionary, codes)`` of a semijoin source: the values
+        passing its HAVING filter, as codes of a dictionary — entries
+        of the aggregated column's own, in value order, or the view
+        rows' codes, in row order.
 
         The virtual-clock charge always models the full evaluation; the
         value/count aggregation itself is the column's cached
@@ -305,8 +310,14 @@ class Executor:
             # Plain column reads off the materialized view — nothing
             # worth caching beyond what the view already is.
             table = view.data
-            values = table.column(source.view.definition.group_columns[0].name)
-            counts = table.column(COUNT_COLUMN)
+            dictionary = self._encodings.dictionary(
+                table, view.definition.group_columns[0].name
+            )
+            keep = _compare(
+                table.column(COUNT_COLUMN), semi.having_op,
+                semi.having_value,
+            )
+            return dictionary, dictionary.codes[keep]
         elif source.via == "index_only":
             info = source.index
             clock.charge(
@@ -316,27 +327,24 @@ class Executor:
             )
             # The leading keys are the table column, sorted: their
             # values and counts are the column's dictionary.
-            values, counts = self._value_counts(
+            dictionary = self._encodings.dictionary(
                 self._table(semi.sub_table), semi.sub_column
             )
         else:
             table = self._table(semi.sub_table)
-            values, counts = self._value_counts(table, semi.sub_column)
+            dictionary = self._encodings.dictionary(table, semi.sub_column)
             clock.charge(
                 cm.seq_scan(self._hw, table.page_count(), table.row_count)
                 + cm.hash_aggregate(
                     self._hw,
                     table.row_count,
-                    len(values),
+                    dictionary.n_distinct,
                     table.schema.column(semi.sub_column).width,
                 )
             )
-        return values, _compare(counts, semi.having_op, semi.having_value)
-
-    def _value_counts(self, table, column):
-        """Sorted distinct values of a table column and their counts."""
-        dictionary = self._encodings.dictionary(table, column)
-        return dictionary.values, dictionary.counts
+        return dictionary, np.flatnonzero(_compare(
+            dictionary.counts, semi.having_op, semi.having_value
+        ))
 
     def _seq_scan(self, node, clock):
         table = self._table(node.table)
@@ -411,9 +419,8 @@ class Executor:
             raise ExecutionError(
                 f"index {info.definition.name} is hypothetical; cannot run"
             )
-        values, keep = self._semi_source(node.driving.source, clock)
-        allowed = values[keep]
-        lows, highs = info.data.ranges(allowed)
+        source, allowed = self._semi_source(node.driving.source, clock)
+        lows, highs = self._index_ranges(table, info.data, source, allowed)
         matched = int((highs - lows).sum())
         obs.counter_add("engine.index_probes", len(allowed))
         obs.counter_add("engine.rows_scanned", matched)
@@ -436,6 +443,38 @@ class Executor:
         batch = self._apply_filters(batch, node.residual_filters, clock)
         batch = self._apply_semis(batch, node.semi_filters, clock)
         return batch
+
+    def _index_ranges(self, table, data, dictionary, codes):
+        """``(lows, highs)``: per code of ``dictionary``, the range of
+        the index ``data``'s entries whose leading key is its value
+        (empty where none is).
+
+        The index's ``values`` are the leading column's dictionary's
+        (docs/architecture.md), so a code's slot in that dictionary is
+        its run, ``offsets[slot]:offsets[slot + 1]``.
+        """
+        leading = self._encodings.dictionary(
+            table, data.definition.columns[0]
+        )
+        slots = self._slots(dictionary, codes, leading)
+        lows = data.offsets[slots]
+        # Slot -1 read offsets[-1] (all entries) and offsets[0] (none).
+        lows[slots < 0] = 0
+        return lows, data.offsets[slots + 1]
+
+    def _slots(self, own, codes, other):
+        """The slots in the dictionary ``other`` of the dictionary
+        ``own``'s ``codes`` (-1 where a value is not in ``other``): the
+        codes themselves when both have one ``values`` array (a
+        self-join of one column), else through the pair's cached slot
+        table."""
+        if own.values is other.values:
+            return codes
+        return self._subplans.join_domain(
+            ("slots", id(own.values), id(other.values)),
+            (own.values, other.values),
+            lambda: slot_map(own, other),
+        )[codes]
 
     def _view_scan(self, node, clock):
         view = node.view
@@ -532,14 +571,15 @@ class Executor:
             raise ExecutionError(
                 f"index {info.definition.name} is hypothetical; cannot run"
             )
-        probes = outer.column(node.outer_key)
-        lows, highs = info.data.ranges(probes)
+        lows, highs = self._index_ranges(
+            table, info.data, *outer.key_codes(node.outer_key)
+        )
         matched = int((highs - lows).sum())
-        obs.counter_add("engine.index_probes", len(probes))
+        obs.counter_add("engine.index_probes", outer.rows)
         obs.counter_add("engine.rows_scanned", matched)
         clock.charge(
             cm.index_probes(
-                self._hw, len(probes), info.entries, info.leaf_pages
+                self._hw, outer.rows, info.entries, info.leaf_pages
             )
         )
         if node.index_only:
@@ -765,12 +805,7 @@ class Executor:
         memoized in the ``SubplanCache``, reached through a memoized
         slot map (none on a self-join of one column)."""
         own, codes = key_codes
-        slots = codes
-        if own is not keys:
-            slots = self._subplans.key_table(
-                ("slots", id(own), id(keys)), (own.values, keys.values),
-                lambda: slot_map(own, keys),
-            )[codes]
+        slots = self._slots(own, codes, keys)
         per_key = {
             y: self._subplans.key_table(
                 ("distinct", id(keys), id(dictionary)),
@@ -951,18 +986,11 @@ def _merged(left, right):
     )
 
 
-def _member_flags(dictionary, values, keep):
-    """Per entry of ``dictionary``: is it one of ``values[keep]``?
-
-    When the semijoin source is the filtered column's own dictionary
-    the HAVING mask already is that flag array; any other source is
-    looked up in the sorted dictionary, one search per allowed value.
-    """
-    if values is dictionary.values:
-        return keep
-    slots, found = dictionary.find(values[keep])
+def _member_flags(dictionary, slots):
+    """Per entry of ``dictionary``: is it one of the allowed values,
+    given as their ``slots`` in it (-1 for a value it does not hold)?"""
     flags = np.zeros(dictionary.n_distinct, dtype=bool)
-    flags[slots[found]] = True
+    flags[slots[slots >= 0]] = True
     return flags
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..optimizer.plans import HashJoin, IndexNLJoin, ViewScan, walk
+from ..storage.encoding import locate
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,8 @@ def take_or_zero(table, slots):
 
 def slot_map(own, dictionary):
     """Per entry of the dictionary ``own``, its slot in ``dictionary``,
-    or -1 where the value is not there (int32)."""
-    slots, found = dictionary.find(own.values)
+    or -1 where the value is not there (int32): a slot table, which
+    :meth:`Executor._slots <repro.executor.engine.Executor._slots>`
+    caches per pair of ``values`` arrays."""
+    slots, found = locate(own, dictionary)
     return np.where(found, slots, -1).astype(np.int32)

@@ -11,11 +11,13 @@ intermediates across queries:
 * **filter masks** — the boolean keep-mask of a filter set applied to
   an unfiltered base batch, keyed by ``(table, (column, op, value)…)``;
 * **join domains** — the merged sorted domain of a pair of dictionary
-  ``values`` arrays;
+  ``values`` arrays, and the *slot table* of such a pair: each entry's
+  slot in the other dictionary, through which index probes, semijoin
+  flags and counted joins map codes;
 * **key tables** — per-key properties of whole columns that an
-  aggregate over a join reads instead of the joined rows: the slot map
-  between two dictionaries, a column's first row per key, and the
-  number of distinct values of one column per key of another.
+  aggregate over a join reads instead of the joined rows: a column's
+  first row per key, and the number of distinct values of one column
+  per key of another.
 
 The cache never changes a result or a cost: the executor charges the
 virtual clock exactly as if it had recomputed the intermediate, so
@@ -30,9 +32,9 @@ ones.  ``append_rows`` publishes new arrays, a rebuilt view or index is
 a new object graph, so stale entries can never be served.
 :meth:`invalidate` (wired into ``Database.invalidate_caches``, keeping
 the INV001 lint contract) clears masks and key tables outright, and
-keeps a join domain while both its ``values`` arrays are still the
-values of a live dictionary — a domain depends on nothing else, and an
-insert that brings a column no new value leaves its ``values`` in
+keeps a join domain or slot table while both its ``values`` arrays are
+still the values of a live dictionary — it depends on nothing else, and
+an insert that brings a column no new value leaves its ``values`` in
 place.  Access-time identity validation makes that sweep a garbage
 collection, not a correctness requirement.
 """
@@ -101,16 +103,19 @@ class SubplanCache:
         return self._lookup("mask", key, backing, build)
 
     def join_domain(self, key, backing, build):
-        """The merged sorted domain of one dictionary pair.
+        """The merged sorted domain of one dictionary pair, or the
+        pair's slot table.
 
         Joins between differently-encoded columns map both sides into
-        the ``union1d`` of their dictionaries; that merge and the two
-        code-translation tables depend only on the dictionaries'
-        ``values``, which every join over the same column pair shares —
-        and which an extended dictionary keeps when its rows bring no
-        new value.  ``key`` carries the two ``values`` arrays' ``id``s;
-        the identity check over ``backing`` (those arrays) makes an
-        ``id`` reuse a harmless miss.
+        the ``union1d`` of their dictionaries, and probes map one
+        side's codes to the other's slots (an int32 slot table); the
+        merge, its two code-translation tables and the slot table
+        depend only on the dictionaries' ``values``, which every join
+        over the same column pair shares — and which an extended
+        dictionary keeps when its rows bring no new value.  ``key``
+        names the entry and carries the two ``values`` arrays'
+        ``id``s; the identity check over ``backing`` (those arrays)
+        makes an ``id`` reuse a harmless miss.
         """
         return self._lookup("domain", key, backing, build)
 
@@ -137,7 +142,8 @@ class SubplanCache:
 
     def invalidate(self):
         """Drop every entry (data/configuration/statistics changed)
-        but the join domains of two live dictionaries' values.
+        but the join domains and slot tables of two live
+        dictionaries' values.
 
         Called from ``Database.invalidate_caches`` on every state
         transition.  Access-time identity validation already prevents

@@ -7,7 +7,10 @@ column that is no array of keys at all: the sorted keys are the
 column's dictionary values, each repeated by its count, so the index
 keeps the ``d`` distinct ``values`` and the ``d + 1`` run ``offsets``
 — the entries of ``values[slot]`` are ``offsets[slot]:offsets[slot +
-1]`` — and a probe bisects ``d`` values instead of ``n`` entries.
+1]``.  An executor's probe never compares a key: its codes in its own
+column's dictionary map to slots of the leading column's dictionary
+through a cached slot table (``Executor._index_ranges``), and only a
+literal probe (:meth:`IndexData.lookup_eq`) bisects the ``d`` values.
 Only the *inner* columns of a multi-column index are stored as sorted
 value copies.  The row ids are int32 — four bytes an entry, the
 dictionary cache's memoized order itself; what a probe gathers from
@@ -120,6 +123,14 @@ def _spliced_transitions(row_ids, positions, rows_per_page):
     )
 
 
+def _run_offsets(dictionary):
+    """The ``d + 1`` run boundaries of a sorted column with the
+    dictionary's counts (int64)."""
+    offsets = np.zeros(dictionary.n_distinct + 1, dtype=np.int64)
+    np.cumsum(dictionary.counts, out=offsets[1:])
+    return offsets
+
+
 def _bisect(column, values, lows, highs, right):
     """Per-element ``searchsorted`` of ``values[i]`` in the sorted run
     ``column[lows[i]:highs[i]]``; returns absolute positions."""
@@ -149,10 +160,12 @@ class IndexData:
             :class:`~repro.storage.encoding.DictionaryCache`) and with
             every other index on the same columns.
         values: the leading column's sorted distinct values — the
-            column dictionary's own array, not the dictionary: an
-            index outlives the cache (``Database.__getstate__`` drops
-            it) and must not drag a dictionary's base, codes and
-            order along.
+            column dictionary's own array (the same object), not the
+            dictionary: an index outlives the cache
+            (``Database.__getstate__`` drops it) and must not drag a
+            dictionary's base, codes and order along; an unpickled
+            index is re-linked to the rebuilt dictionary's array
+            (:meth:`relink`).
         offsets: ``d + 1`` run boundaries (read-only); the entries
             whose leading key is ``values[slot]`` are
             ``offsets[slot]:offsets[slot + 1]``.
@@ -179,8 +192,7 @@ class IndexData:
     def _set_entries(self, table, encodings, row_ids, inner_columns,
                      page_transitions):
         leading = encodings.dictionary(table, self.definition.columns[0])
-        offsets = np.zeros(leading.n_distinct + 1, dtype=np.int64)
-        np.cumsum(leading.counts, out=offsets[1:])
+        offsets = _run_offsets(leading)
         for array in (row_ids, offsets, *inner_columns):
             array.setflags(write=False)
         self.row_ids = row_ids
@@ -221,16 +233,31 @@ class IndexData:
             )
         self.__dict__.update(state)
 
+    def relink(self, leading):
+        """Share ``values`` with ``leading``, the leading column's
+        dictionary rebuilt after this index was unpickled, once one
+        comparison shows they are equal; an index whose values are not
+        refuses (``pickle.UnpicklingError``), so the store misses."""
+        if not np.array_equal(self.values, leading.values):
+            raise pickle.UnpicklingError(
+                f"index {self.definition.name} does not match the "
+                f"dictionary of its leading column"
+            )
+        self.values = leading.values
+
     def append(self, table, encodings):
         """The index after rows were appended to ``table``.
 
         ``table`` already holds the new rows, at row ids
         ``entry_count`` and up, and ``encodings`` the leading column's
-        dictionary over them.  Only their keys are sorted; each then
-        takes the slot after every existing entry that is not greater:
-        the end of its leading value's run, narrowed column by column
-        (each inner column is sorted inside the run and bisected
-        there).  New row ids exceed all old ones, so that is where the
+        dictionary over them.  Only their keys are sorted — the leading
+        one as its dictionary codes; each then takes the slot after
+        every existing entry that is not greater: the end of its
+        leading value's run, narrowed column by column (each inner
+        column is sorted inside the run and bisected there).  The run
+        is read off the dictionary: the old entries before and in it
+        are all entries there less the tail's own.  New row ids exceed
+        all old ones, so that is where the
         stable ``lexsort`` of a from-scratch build puts them: the
         result equals ``IndexData(definition, table, encodings)`` array
         for array, and its page transitions — updated at the spliced
@@ -238,10 +265,17 @@ class IndexData:
         NaN-free, as ``<=`` orders a NaN differently from a sort.
         """
         first = self.entry_count
-        tails = [table.column(c)[first:] for c in self.definition.columns]
+        leading = encodings.dictionary(table, self.definition.columns[0])
+        # Codes are order-isomorphic to the keys, so they sort alike.
+        tails = [leading.codes_from(first)] + [
+            table.column(c)[first:] for c in self.definition.columns[1:]
+        ]
         order = np.lexsort(tuple(reversed(tails)))
         tails = [tail[order] for tail in tails]
-        lows, slots = self.ranges(tails[0])
+        runs = _run_offsets(leading)
+        lead = tails[0]
+        lows = runs[lead] - np.searchsorted(lead, lead, side="left")
+        slots = runs[lead + 1] - np.searchsorted(lead, lead, side="right")
         for column, values in zip(self.inner_columns, tails[1:]):
             lows, slots = (
                 _bisect(column, values, lows, slots, right=False),
@@ -278,11 +312,13 @@ class IndexData:
     # Probes (vectorized over the sorted arrays)
 
     def ranges(self, probe_values):
-        """``(lows, highs)``: for each probe, the range of entries
-        whose leading key equals it (empty where none does).
+        """``(lows, highs)``: for each literal probe value, the range
+        of entries whose leading key equals it (empty where none does).
 
         One ``searchsorted`` into the distinct leading values; the run
-        offsets turn the slot into entry positions.
+        offsets turn the slot into entry positions.  For literals only
+        (:meth:`lookup_eq`): keys that are another column's codes take
+        the executor's slot tables instead (``Executor._index_ranges``).
         """
         probe_values = np.asarray(probe_values)
         if not len(self.values):

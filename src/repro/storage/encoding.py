@@ -26,11 +26,22 @@ that depends on nothing but the column:
   — no ``n log n`` sort of Python strings, and its argsort is an
   integer sort of the codes when first asked for.  A generated column
   drawn from a pool arrives with the pool and one int32 pool index per
-  row (:meth:`DictionaryCache.seed`); only the pool is hashed then, and
-  the rows take integer passes (:meth:`ColumnDictionary.from_pool`);
+  row (:meth:`DictionaryCache.seed`); only the pool is hashed then —
+  once per pool, whichever columns draw from it — and the rows take
+  integer passes (:meth:`ColumnDictionary.from_pool`);
 * **anything else** (floats, integers too wide to pack, an empty
-  column) takes ``np.unique``, and bisects its codes and sorts them on
-  first use.
+  column) takes ``np.unique``; on first use its codes are scattered
+  back through one plain ``argsort`` of the column, like a packed
+  column's through its order, and sorted for its stable argsort.
+
+A dictionary also has a **domain**: a sorted array of distinct values
+its own ``values`` are drawn from, with ``ranks`` — each value's int32
+position in the domain.  A dictionary drawn from a pool has the pool's
+hashed distinct values as its domain, one array for every column of
+that pool; any other is its own domain.  Ranks are order-isomorphic to
+the values, so two dictionaries with one domain (``is``) are located in
+each other by bisecting integers (:func:`locate`), never Python
+strings.
 
 Four bytes a row: every table-sized array the layer *keeps* — a
 dictionary's ``codes`` and ``argsort()``, every :func:`stable_order`,
@@ -202,6 +213,32 @@ def _packed_dictionary(base):
     return values, counts, order
 
 
+def _find_sorted(sorted_values, values):
+    """``(slots, found)``: where each of ``values`` sorts into the
+    sorted array ``sorted_values`` (``searchsorted``), and whether it is
+    the entry there."""
+    slots = np.searchsorted(sorted_values, values)
+    found = np.zeros(len(values), dtype=bool)
+    inside = slots < len(sorted_values)
+    found[inside] = sorted_values[slots[inside]] == values[inside]
+    return slots, found
+
+
+def locate(own, other):
+    """``(slots, found)`` of the dictionary ``own``'s values in the
+    dictionary ``other`` — ``other.find(own.values)``.
+
+    Two dictionaries with one domain bisect their ranks instead: ranks
+    are order-isomorphic to the values, and equal ranks are equal
+    values, so the slots and flags are the same.  Only dictionaries
+    that share no domain (a view's column, a column loaded without its
+    pool, two columns of different pools) compare values.
+    """
+    if own.domain is other.domain:
+        return _find_sorted(other.ranks, own.ranks)
+    return other.find(own.values)
+
+
 def _hashed_dictionary(base):
     """``(values, counts, codes)`` of an object column.
 
@@ -232,6 +269,9 @@ class ColumnDictionary:
             validity can be checked by identity).
         values: sorted unique values (``np.unique`` order).
         counts: occurrence count of each unique value.
+        domain: the sorted distinct values ``values`` is drawn from —
+            its pool's, for a column drawn from a pool, else ``values``
+            itself; ``ranks`` places each value in it.
 
     Construction is the one place a column is ordered, and what it
     does depends on the column alone: an int64 column whose value span
@@ -241,8 +281,9 @@ class ColumnDictionary:
     read; an object column takes one hash pass for ``values``,
     ``counts`` and ``codes`` (or, drawn from a pool, :meth:`from_pool`
     reads them off its pool codes); any other column (floats, integers too
-    wide to pack, an empty column) takes ``np.unique`` and bisects its
-    codes on first use.  ``codes`` and ``argsort()`` are int32.
+    wide to pack, an empty column) takes ``np.unique`` and scatters its
+    codes through one ``argsort`` of the column on first use.
+    ``codes`` and ``argsort()`` are int32.
     Whatever construction did not produce — and the frequency-ordered
     views — is derived lazily from immutable inputs, so a racing
     double-compute in a session worker pool is deterministic and
@@ -251,7 +292,7 @@ class ColumnDictionary:
     """
 
     __slots__ = (
-        "base", "values", "counts",
+        "base", "values", "counts", "domain", "_ranks",
         "_codes", "_spare", "_argsort", "_freq_order",
         "_freq_counts_f64", "_freq_histogram",
     )
@@ -269,33 +310,46 @@ class ColumnDictionary:
         self._set(base, values, counts, codes, order)
 
     @classmethod
-    def from_pool(cls, base, pool, rows):
+    def from_pool(cls, base, pool, rows, hashed=None):
         """The dictionary of ``base``, an object column drawn from
         ``pool`` as ``base == pool[rows]`` (``rows`` int32).
 
-        Only the pool is hashed; the rows take integer passes — a
-        ``bincount`` of their pool indices, and one gather of each
-        pool entry's code.  Pool entries that hold one value share a
-        code, and entries no row draws drop out, so ``values``,
-        ``counts`` and ``codes`` (dtypes included) are those of
-        ``ColumnDictionary(base)``.
+        Only the pool is hashed — or not even that: ``hashed`` is the
+        pool's ``_hashed_dictionary`` when the caller keeps it
+        (:class:`DictionaryCache` does, per pool).  The rows take
+        integer passes — a ``bincount`` of their pool indices, and one
+        gather of each pool entry's code.  Pool entries that hold one
+        value share a code, and entries no row draws drop out, so
+        ``values``, ``counts`` and ``codes`` (dtypes included) are
+        those of ``ColumnDictionary(base)``.  The pool's distinct
+        values are the ``domain``, and the drawn ones' positions in it
+        the ``ranks``; a column that draws every value has the domain
+        as its ``values``.
         """
-        distinct, _, slots = _hashed_dictionary(pool)
+        distinct, _, slots = hashed or _hashed_dictionary(pool)
         counts = np.zeros(len(distinct), dtype=np.int64)
         np.add.at(counts, slots, np.bincount(rows, minlength=len(pool)))
         drawn = counts > 0
         code_of_entry = (np.cumsum(drawn) - 1).astype(np.int32)[slots]
+        values, ranks = distinct, None
+        if not drawn.all():
+            ranks = np.flatnonzero(drawn).astype(np.int32)
+            values = distinct[ranks]
         dictionary = cls.__new__(cls)
         dictionary._set(
-            base, distinct[drawn], counts[drawn], code_of_entry[rows]
+            base, values, counts[drawn], code_of_entry[rows],
+            domain=distinct, ranks=ranks,
         )
         return dictionary
 
     def _set(self, base, values, counts, codes=None, order=None,
-             spare=None):
+             spare=None, domain=None, ranks=None):
         self.base = base
         self.values = values
         self.counts = counts
+        # No ranks: ``values`` is the whole domain, and rank i is i.
+        self.domain = values if domain is None else domain
+        self._ranks = ranks
         self._codes = codes
         # The buffer ``codes`` is a prefix of, when it has room behind
         # them (an extension writes its tail's codes there).
@@ -321,11 +375,25 @@ class ColumnDictionary:
         ``ColumnDictionary(base)`` in ``values``, ``counts`` and
         ``codes`` either way; the column must be NaN-free (``np.unique``
         merges NaNs, ``==`` does not find them again).
+
+        The domain carries over while every tail value is in it: a
+        pooled dictionary ranks the tail's *distinct* values by one
+        bisect into the domain and finds them among its own by their
+        ranks; a value outside the domain makes the result its own
+        domain.  Kept values keep their domain and ranks with them.
         """
         tail = ColumnDictionary(base[len(self.base):])
         tail_values, tail_counts = tail.values, tail.counts
         known = len(self.values)
-        slots, seen = self.find(tail_values)
+        domain = tail_ranks = None
+        if self.domain is not self.values:
+            tail_ranks, inside = _find_sorted(self.domain, tail_values)
+            if inside.all():
+                domain = self.domain
+        if domain is None:
+            slots, seen = self.find(tail_values)
+        else:
+            slots, seen = _find_sorted(self.ranks, tail_ranks)
         grown = ColumnDictionary.__new__(ColumnDictionary)
         if seen.all():
             counts = self.counts.copy()
@@ -339,10 +407,16 @@ class ColumnDictionary:
                 # The buffer has one owner: extending this dictionary
                 # again must not write over the result's tail.
                 self._spare = None
-            grown._set(base, self.values, counts, codes, spare=spare)
+            grown._set(
+                base, self.values, counts, codes, spare=spare,
+                domain=self.domain, ranks=self._ranks,
+            )
             return grown
         unseen = ~seen
         values = np.insert(self.values, slots[unseen], tail_values[unseen])
+        ranks = None
+        if domain is not None:
+            ranks = np.insert(self.ranks, slots[unseen], tail_ranks[unseen])
         # Old entry i moves up by the number of unseen values spliced
         # in at or before it.
         moved = np.arange(known) + np.cumsum(
@@ -364,7 +438,10 @@ class ColumnDictionary:
             )
             spare[len(self.base):len(base)] = tail_slots[tail.codes]
             codes = spare[:len(base)]
-        grown._set(base, values, counts, codes, spare=spare)
+        grown._set(
+            base, values, counts, codes, spare=spare, domain=domain,
+            ranks=ranks,
+        )
         return grown
 
     @property
@@ -378,30 +455,46 @@ class ColumnDictionary:
         return len(self.base)
 
     @property
+    def ranks(self):
+        """The int32 position of every value in ``domain``."""
+        if self._ranks is None:
+            return np.arange(self.n_distinct, dtype=np.int32)
+        return self._ranks
+
+    @property
     def codes(self):
         """Dense int32 code of every base row (``values[codes] == base``).
 
         Identical to ``np.unique(base, return_inverse=True)``'s inverse:
         codes are ranks into the sorted dictionary, and every dictionary
         value occurs in the base column, so the codes are dense.  A
-        hashed column has them from construction.  A packed column
-        scatters them through its order on first read — the sorted
-        column's codes are each ``arange(d)`` entry repeated by its
-        count — so a column no operator factorizes never holds any; a
-        column that took ``np.unique`` bisects the dictionary.
+        hashed column has them from construction.  Any other scatters
+        them on first read through an order that sorts the column —
+        the sorted column's codes are each ``arange(d)`` entry repeated
+        by its count, whatever order equal rows take among themselves:
+        a packed column's stable order, else one plain ``argsort`` of
+        the column.  A column no operator factorizes never holds any.
         """
         if self._codes is None:
-            if self._argsort is None:
-                codes = np.searchsorted(self.values, self.base).astype(
-                    np.int32
-                )
-            else:
-                codes = np.empty(self.row_count, dtype=np.int32)
-                codes[self._argsort] = np.repeat(
-                    np.arange(self.n_distinct, dtype=np.int32), self.counts
-                )
+            order = self._argsort
+            if order is None:
+                order = np.argsort(self.base)
+            codes = np.empty(self.row_count, dtype=np.int32)
+            codes[order] = np.repeat(
+                np.arange(self.n_distinct, dtype=np.int32), self.counts
+            )
             self._codes = codes
         return self._codes
+
+    def codes_from(self, start):
+        """``codes[start:]``, without scattering the codes of a column
+        that holds none: its rows from ``start`` on bisect ``values``
+        (numbers — an object column always holds its codes)."""
+        if self._codes is not None:
+            return self._codes[start:]
+        return np.searchsorted(self.values, self.base[start:]).astype(
+            np.int32
+        )
 
     def argsort(self):
         """Stable int32 argsort of the base column (cached).
@@ -422,12 +515,9 @@ class ColumnDictionary:
     def find(self, values):
         """``(slots, found)``: where each of ``values`` sorts into the
         dictionary (``searchsorted``), and whether it is the entry
-        there; ``values`` may hold anything."""
-        slots = np.searchsorted(self.values, values)
-        found = np.zeros(len(values), dtype=bool)
-        inside = slots < len(self.values)
-        found[inside] = self.values[slots[inside]] == values[inside]
-        return slots, found
+        there; ``values`` may hold anything.  Another dictionary's
+        values are found with :func:`locate`."""
+        return _find_sorted(self.values, values)
 
     def by_frequency(self):
         """``(values, counts)`` sorted by ascending frequency, ties in
@@ -510,6 +600,9 @@ class DictionaryCache:
         self._orders = {}
         # (table name, column) -> (Table, base array, pool, rows)
         self._pools = {}
+        # id(pool) -> (pool, its _hashed_dictionary): every column
+        # drawn from one pool shares its distinct values as a domain.
+        self._hashed_pools = {}
 
     def dictionary(self, table, column):
         """The dictionary of ``table.column(column)`` (built lazily once).
@@ -536,13 +629,28 @@ class DictionaryCache:
             self.stats.misses += 1
             pooled = self._pools.pop(key, None)
         if pooled is not None and pooled[1] is values:
-            dictionary = ColumnDictionary.from_pool(values, *pooled[2:])
+            _, _, pool, rows = pooled
+            dictionary = ColumnDictionary.from_pool(
+                values, pool, rows, self._hashed_pool(pool)
+            )
         else:
             dictionary = ColumnDictionary(values)
         obs.counter_add("encoding.dict_builds")
         with self._lock:
             self._entries[key] = (table, dictionary)
         return dictionary
+
+    def _hashed_pool(self, pool):
+        """The pool's ``_hashed_dictionary``, hashed once per pool
+        object: the first hash stored is the one every column gets.
+        An entry holds its pool, so no other array can take its id."""
+        with self._lock:
+            entry = self._hashed_pools.get(id(pool))
+        if entry is None:
+            entry = (pool, _hashed_dictionary(pool))
+            with self._lock:
+                entry = self._hashed_pools.setdefault(id(pool), entry)
+        return entry[1]
 
     def seed(self, table, column, pool, rows):
         """Have the first build of ``table.column(column)``'s dictionary
@@ -711,8 +819,9 @@ class DictionaryCache:
         extended them) are kept; everything else (reloaded tables,
         rebuilt views, memoized sort orders of a grown table) is dropped.
         Seeds (:meth:`seed`) of columns that were replaced unread go
-        too.  Access-time identity validation in :meth:`dictionary`
-        makes this sweep a garbage collection, not a correctness
+        too, and so do the hashed pools no seed still draws from.
+        Access-time identity validation in :meth:`dictionary` makes
+        this sweep a garbage collection, not a correctness
         requirement.
         """
         with self._lock:
@@ -733,6 +842,11 @@ class DictionaryCache:
                 key: entry
                 for key, entry in self._pools.items()
                 if entry[0].column(key[1]) is entry[1]
+            }
+            pending = {id(entry[2]) for entry in self._pools.values()}
+            self._hashed_pools = {
+                key: entry for key, entry in self._hashed_pools.items()
+                if key in pending
             }
             self.stats.invalidations += 1
         obs.counter_add("cache.dict_cache.invalidations")

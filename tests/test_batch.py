@@ -6,7 +6,10 @@ Every code array is checked against the NumPy call it stands for
 attached by the executor's one scan helper.
 """
 
+import pickle
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +29,10 @@ from repro.executor.engine import (
     _merged,
     _per_group,
 )
+from repro.executor.groupjoin import slot_map
 from repro.executor.subplan import SubplanCache
+from repro.index.data import IndexData
+from repro.index.definition import IndexDefinition
 from repro.storage.encoding import ColumnDictionary, DictionaryCache
 from repro.storage.table import Table
 from repro.views.matview import (
@@ -573,7 +579,9 @@ def test_property_member_flags_index_with_int32_codes(column, allowed):
     column = np.array(column)
     dictionary = ColumnDictionary(column)
     values = np.array(sorted(allowed), dtype=np.int64)
-    flags = _member_flags(dictionary, values, np.ones(len(values), bool))
+    flags = _member_flags(
+        dictionary, slot_map(ColumnDictionary(values), dictionary)
+    )
     assert dictionary.codes.dtype == np.int32
     assert flags[dictionary.codes].tolist() == np.isin(
         column, values
@@ -612,3 +620,147 @@ def test_property_merged_domain_is_the_union1d_triple(kind, left, right):
         want = np.searchsorted(merged, values)
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
+
+
+# ----------------------------------------------------------------------
+# Shared domains: merges, slot tables and index probes on codes.
+#
+# Columns drawn from one pool ("sorted", "unsorted") share the pool's
+# domain and take the integer branch.  The object branch is taken by a
+# column loaded without its pool ("loose") and by everything of a
+# database unpickled from an artifact store, whose rebuilt dictionaries
+# carry no pool.  A self-join of one column ("self") maps no code.
+
+SHARED_POOLS = {
+    "sorted": np.array(["", "a", "ab", "b", "m", "zz"], dtype=object),
+    "unsorted": np.array(["m", "b", "zz", "", "b", "ab", "a"], dtype=object),
+}
+SHAPES = ("sorted", "unsorted", "loose", "self")
+KEY_PICKS = st.lists(st.integers(0, 10**6), max_size=30)
+
+
+def pooled_key_table(cache, name, pool, picks):
+    """``key_table`` drawn from ``pool``, its dictionary seeded."""
+    rows = np.array([p % len(pool) for p in picks], dtype=np.int32)
+    table = key_table(name, pool[rows])
+    cache.seed(table, "k", pool, rows)
+    return table
+
+
+def shared_pair(shape, inner, outer):
+    """``(cache, inner table, outer table)`` of one input shape."""
+    cache = DictionaryCache()
+    pool = SHARED_POOLS["unsorted" if shape == "unsorted" else "sorted"]
+    inner_table = pooled_key_table(cache, "inner", pool, inner)
+    if shape == "self":
+        outer_table = inner_table
+    elif shape == "loose":
+        outer_table = key_table("outer", pool[[p % len(pool) for p in outer]])
+    else:
+        outer_table = pooled_key_table(cache, "outer", pool, outer)
+    return cache, inner_table, outer_table
+
+
+def objects_only(dictionary):
+    """The same column's dictionary with no shared domain."""
+    return ColumnDictionary(dictionary.base)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(SHAPES), inner=KEY_PICKS, outer=KEY_PICKS)
+@example(shape="sorted", inner=[], outer=[])              # both empty
+@example(shape="unsorted", inner=[0, 1, 4], outer=[])     # one empty
+def test_property_shared_domain_merge_equals_the_find_merge(
+        shape, inner, outer):
+    cache, inner_table, outer_table = shared_pair(shape, inner, outer)
+    a = cache.dictionary(outer_table, "k")
+    b = cache.dictionary(inner_table, "k")
+    assert (a.domain is b.domain) == (shape != "loose")
+    got = _merged_domain(a, b)
+    want = _merged_domain(objects_only(a), objects_only(b))
+    assert got[0] == want[0]
+    for have, expected in zip(got[1:], want[1:]):
+        assert have.dtype == expected.dtype
+        assert have.tolist() == expected.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(SHAPES), inner=KEY_PICKS, outer=KEY_PICKS)
+@example(shape="unsorted", inner=[], outer=[2, 3])        # empty target
+def test_property_slot_tables_equal_slot_map(shape, inner, outer):
+    cache, inner_table, outer_table = shared_pair(shape, inner, outer)
+    executor = Executor({}, None, encodings=cache)
+    own = cache.dictionary(outer_table, "k")
+    other = cache.dictionary(inner_table, "k")
+    want = slot_map(objects_only(own), objects_only(other)).tolist()
+    entries = np.arange(own.n_distinct)
+    for _ in range(2):   # built, then served by the domain kind
+        assert executor._slots(own, entries, other).tolist() == want
+    tables = executor._subplans._kinds["domain"][0]
+    assert len(tables) == (own.values is not other.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES), inner=KEY_PICKS, outer=KEY_PICKS,
+    probe=st.lists(st.integers(0, 10**6), max_size=20),
+    semijoin=st.booleans(), unpickled=st.booleans(),
+)
+@example(shape="sorted", inner=[], outer=[1, 2], probe=[0, 1],
+         semijoin=False, unpickled=False)                 # empty index
+@example(shape="self", inner=[3, 3, 1], outer=[], probe=[2, 0, 2],
+         semijoin=False, unpickled=True)
+def test_property_index_probes_on_codes_equal_literal_ranges(
+        shape, inner, outer, probe, semijoin, unpickled):
+    """An INL probe (outer rows' codes, repeats and all) or a semijoin
+    probe (allowed entries' codes, in value order) finds the same
+    entries through the slot table as bisecting the values does —
+    also on an index unpickled and re-linked to a dictionary rebuilt
+    without its pool (the object branch)."""
+    cache, inner_table, outer_table = shared_pair(shape, inner, outer)
+    data = IndexData(
+        IndexDefinition(table="inner", columns=("k",)), inner_table, cache
+    )
+    if unpickled:
+        cache = DictionaryCache()
+        data = pickle.loads(pickle.dumps(data))
+        leading = cache.dictionary(inner_table, "k")
+        data.relink(leading)
+        assert data.values is leading.values
+    dictionary = cache.dictionary(outer_table, "k")
+    if semijoin:
+        codes = np.flatnonzero(
+            np.isin(np.arange(dictionary.n_distinct), probe)
+        )
+    else:
+        rows = [p % dictionary.row_count for p in probe
+                if dictionary.row_count]
+        codes = dictionary.codes[np.array(rows, dtype=np.int64)]
+    executor = Executor({"inner": inner_table}, None, encodings=cache)
+    lows, highs = executor._index_ranges(inner_table, data, dictionary, codes)
+    want_lows, want_highs = data.ranges(dictionary.values[codes])
+    assert (highs - lows).tolist() == (want_highs - want_lows).tolist()
+    hit = highs > lows
+    assert lows[hit].tolist() == want_lows[hit].tolist()
+    for got, want in zip(data.fetch(lows, highs),
+                         data.fetch(want_lows, want_highs)):
+        assert got.tolist() == want.tolist()
+
+
+def test_unpickled_database_relinks_its_index_values(tiny_nref):
+    """The artifact store's path: every restored index shares its
+    leading column's rebuilt dictionary's values, and an index that
+    does not match its column refuses the link."""
+    restored = pickle.loads(pickle.dumps(tiny_nref))
+    cache = restored._cache("dict_cache")
+    indexes = restored._built.index_data.values()
+    assert indexes
+    for data in indexes:
+        leading = cache.dictionary(
+            restored.table(data.definition.table), data.definition.columns[0]
+        )
+        assert data.values is leading.values
+    data = next(iter(indexes))
+    other = cache.dictionary(restored.table("source"), "source")
+    with pytest.raises(pickle.UnpicklingError):
+        data.relink(other)

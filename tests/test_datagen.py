@@ -296,9 +296,9 @@ def test_loaded_columns_are_born_encoded(dataset, pooled, monkeypatch):
     from_pool = ColumnDictionary.from_pool.__func__
     read_off_codes = []
 
-    def spy(cls, base, pool, rows):
+    def spy(cls, base, pool, rows, hashed=None):
         read_off_codes.append(base)
-        return from_pool(cls, base, pool, rows)
+        return from_pool(cls, base, pool, rows, hashed)
 
     monkeypatch.setattr(ColumnDictionary, "from_pool", classmethod(spy))
     database = {

@@ -15,6 +15,7 @@ from repro.storage.encoding import (
     _GRID,
     ColumnDictionary,
     DictionaryCache,
+    locate,
     stable_order,
 )
 from repro.workload.constants import (
@@ -722,7 +723,7 @@ def test_property_extended_dictionary_equals_rebuild(
     if touch_codes:
         dictionary.codes
     # Only a hashed column has codes nobody read: a packed one
-    # scatters them on first read, the np.unique side bisects them.
+    # scatters them on first read, the np.unique side after an argsort.
     has_codes = dictionary._codes is not None
     assert has_codes == (touch_codes or kind == "str")
     for tail in picks[1:]:
@@ -845,3 +846,178 @@ def test_append_through_the_cache_skips_entries_already_stale(city_db):
     rebuilt = cache.dictionary(users, "city")
     assert rebuilt.row_count == stale.row_count + 2
     assert cache.stats.misses == 2
+
+
+# ----------------------------------------------------------------------
+# Float codes: one argsort of the column, scattered
+
+@settings(max_examples=120, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 7), min_size=0, max_size=60),
+    packed=st.booleans(),
+)
+def test_property_float_codes_are_the_unique_inverse(picks, packed):
+    """Duplicates, ``-0.0`` beside ``0.0`` (one value to ``np.unique``)
+    and an empty column: the scattered codes are ``np.unique``'s
+    inverse, whichever of ``codes`` and ``argsort()`` is read first."""
+    domain = np.array([-1e9, -2.5, -0.0, 0.0, 0.1, 0.25, 7.0, 1e9])
+    base = domain[np.array(picks, dtype=np.int64)]
+    dictionary = ColumnDictionary(base)
+    if packed:
+        dictionary.argsort()
+    values, inverse, counts = np.unique(
+        base, return_inverse=True, return_counts=True
+    )
+    assert dictionary.values.tolist() == values.tolist()
+    assert dictionary.counts.tolist() == counts.tolist()
+    assert dictionary.codes.dtype == np.int32
+    assert dictionary.codes.tolist() == inverse.reshape(-1).tolist()
+    assert dictionary.argsort().tolist() == np.argsort(
+        base, kind="stable"
+    ).tolist()
+
+
+# ----------------------------------------------------------------------
+# Domains: dictionaries of one pool locate each other by their ranks
+
+POOLS = {
+    # Strictly increasing: the pool is its own hashed dictionary.
+    "sorted": np.array(["", "a", "ab", "b", "m", "zz"], dtype=object),
+    # Out of order and repeating "b": hashed once, by the cache.
+    "unsorted": np.array(["m", "b", "zz", "", "b", "ab", "a"], dtype=object),
+}
+POOL_PICKS = st.lists(st.integers(0, 10**6), max_size=30)
+
+
+def pooled_column(cache, name, pool, picks):
+    """A one-column table ``name(s)`` drawn from ``pool``, seeded."""
+    from repro.catalog.schema import ColumnDef, TableSchema
+    from repro.storage.table import Table
+    from repro.storage.types import varchar
+
+    rows = np.array([p % len(pool) for p in picks], dtype=np.int32)
+    table = Table(
+        TableSchema(name, [ColumnDef("s", varchar(4), "")]),
+        {"s": pool[rows]},
+    )
+    cache.seed(table, "s", pool, rows)
+    return table
+
+
+def find_result(own, other):
+    """What the object branch answers: ``other.find(own.values)``."""
+    slots, found = other.find(own.values)
+    return slots.tolist(), found.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(POOLS)), left=POOL_PICKS, right=POOL_PICKS,
+)
+def test_property_pooled_dictionaries_share_the_pools_domain(
+        kind, left, right):
+    """Two columns of one pool — either possibly empty — share one
+    domain, hashed once; their ranks place their values in it, and
+    locating one in the other by ranks answers what ``find`` does."""
+    pool = POOLS[kind]
+    cache = DictionaryCache()
+    tables = [pooled_column(cache, name, pool, picks)
+              for name, picks in (("l", left), ("r", right))]
+    a, b = (cache.dictionary(table, "s") for table in tables)
+    assert a.domain is b.domain
+    if kind == "sorted":
+        assert a.domain is pool
+    assert a.domain.tolist() == sorted(set(pool.tolist()))
+    for dictionary in (a, b):
+        assert dictionary.ranks.dtype == np.int32
+        assert dictionary.domain[dictionary.ranks].tolist() == (
+            dictionary.values.tolist()
+        )
+    for own, other in ((a, b), (b, a), (a, a)):
+        slots, found = locate(own, other)
+        assert (slots.tolist(), found.tolist()) == find_result(own, other)
+    # A column loaded without its pool is its own domain: locating it
+    # (or in it) takes the object branch, with the same answer.
+    loose = ColumnDictionary(tables[1].column("s"))
+    assert loose.domain is loose.values and loose.domain is not a.domain
+    slots, found = locate(a, loose)
+    assert (slots.tolist(), found.tolist()) == find_result(a, loose)
+
+
+def test_locating_pooled_dictionaries_compares_no_values(monkeypatch):
+    pool = POOLS["unsorted"]
+    cache = DictionaryCache()
+    a, b = (
+        cache.dictionary(pooled_column(cache, name, pool, picks), "s")
+        for name, picks in (("l", [0, 1, 1, 5]), ("r", [2, 3, 4, 6]))
+    )
+    finds = []
+    real = ColumnDictionary.find
+    monkeypatch.setattr(
+        ColumnDictionary, "find",
+        lambda self, values: finds.append(values) or real(self, values),
+    )
+    locate(a, b)
+    locate(b, a)
+    assert finds == []
+    # Only the object branch calls find.
+    locate(a, ColumnDictionary(b.base))
+    assert len(finds) == 1 and finds[0] is a.values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(POOLS)),
+    picks=POOL_PICKS,
+    tails=st.lists(st.lists(st.integers(0, 10**6), max_size=6), max_size=3),
+    outside=st.integers(-1, 2),
+)
+def test_property_extension_keeps_the_domain_while_values_are_in_it(
+        kind, picks, tails, outside):
+    """Tails drawn from the pool — bringing new values or none — keep
+    the domain, and the ranks follow the values; the tail numbered
+    ``outside`` also brings a value the pool lacks, after which the
+    dictionary is its own domain.  Every extension equals a rebuild,
+    and still locates a sibling column of the pool as ``find`` does."""
+    pool = POOLS[kind]
+    cache = DictionaryCache()
+    sibling = cache.dictionary(pooled_column(cache, "o", pool, [1, 3]), "s")
+    table = pooled_column(cache, "t", pool, picks)
+    dictionary = cache.dictionary(table, "s")
+    pooled = True
+    for number, tail in enumerate(tails):
+        rows = [pool[p % len(pool)] for p in tail]
+        if number == outside:
+            rows.append("zzz-outside")
+            pooled = False
+        before = dictionary
+        cache.append_rows(table, {"s": rows})
+        dictionary = cache.dictionary(table, "s")
+        assert_same_dictionary(dictionary, ColumnDictionary(table.column("s")))
+        assert (dictionary.domain is sibling.domain) == pooled
+        if not pooled:
+            assert dictionary.domain is dictionary.values
+        if set(rows) <= set(before.values.tolist()):
+            assert dictionary.values is before.values
+        assert dictionary.domain[dictionary.ranks].tolist() == (
+            dictionary.values.tolist()
+        )
+        for own, other in ((sibling, dictionary), (dictionary, sibling)):
+            slots, found = locate(own, other)
+            assert (slots.tolist(), found.tolist()) == (
+                find_result(own, other)
+            )
+
+
+def test_hashed_pools_are_dropped_once_no_seed_draws_from_them():
+    pool = POOLS["unsorted"]
+    cache = DictionaryCache()
+    tables = [pooled_column(cache, name, pool, [0, 2, 4])
+              for name in ("a", "b")]
+    first = cache.dictionary(tables[0], "s")
+    assert list(cache._hashed_pools) == [id(pool)]
+    cache.invalidate()      # b's seed still draws from the pool
+    assert list(cache._hashed_pools) == [id(pool)]
+    assert cache.dictionary(tables[1], "s").domain is first.domain
+    cache.invalidate()
+    assert cache._hashed_pools == {}

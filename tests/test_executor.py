@@ -14,16 +14,15 @@ from repro.engine.configuration import (
     one_column_configuration,
     primary_configuration,
 )
-from repro.executor.batch import Batch
 from repro.executor.engine import (
     Executor,
     VirtualClock,
     _member_flags,
 )
-from repro.executor.subplan import SubplanCache
+from repro.executor.groupjoin import slot_map
 from repro.optimizer.plans import SemiFilter, SemiSource
 from repro.sql.binder import SemiJoin
-from repro.storage.encoding import DictionaryCache
+from repro.storage.encoding import ColumnDictionary, DictionaryCache
 
 
 def rows_sorted(result):
@@ -221,15 +220,20 @@ def test_semijoin_on_value_missing_from_the_dictionary(city_db):
     dictionary = DictionaryCache().dictionary(
         city_db.table("users"), "city"
     )
-    values = np.array(["aaa", "mtl", "nnn", "tor", "zzz"], dtype=object)
+    source = ColumnDictionary(
+        np.array(["aaa", "mtl", "nnn", "tor", "zzz"], dtype=object)
+    )
+    slots = slot_map(source, dictionary)
     keep = np.array([True, True, True, False, True])
-    flags = _member_flags(dictionary, values, keep)
+    flags = _member_flags(dictionary, slots[keep])
     assert dictionary.values[flags].tolist() == ["mtl"]
-    none = _member_flags(dictionary, values, np.zeros(5, dtype=bool))
+    none = _member_flags(dictionary, slots[np.zeros(5, dtype=bool)])
     assert not none.any() and len(none) == dictionary.n_distinct
-    # Its own values: the HAVING mask is the flag array.
-    own = dictionary.counts > 0
-    assert _member_flags(dictionary, dictionary.values, own) is own
+    # Its own values: the codes are the slots.
+    own = dictionary.counts > 1
+    assert _member_flags(dictionary, np.flatnonzero(own)).tolist() == (
+        own.tolist()
+    )
 
 
 def test_self_join(city_db):
