@@ -194,6 +194,17 @@ class BoundedCache:
             self.put(key, value, backing)
         return value
 
+    def drop_backed_by(self, array):
+        """Drop every entry stored with ``array`` among its
+        ``backing=`` arrays, uncounted: the caller vouches that no
+        live lookup passes ``array`` any more."""
+        with self._lock:
+            self._entries = OrderedDict(
+                (key, value) for key, value in self._entries.items()
+                if type(value) is not _Backed
+                or not any(held is array for held in value.backing)
+            )
+
     def invalidate(self, live=frozenset()):
         """Drop every entry (configuration/data/statistics changed) but
         those stored with ``backing=`` arrays that all are in ``live``.

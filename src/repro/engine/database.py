@@ -184,6 +184,8 @@ class Database:
     # ------------------------------------------------------------------
     # Pickling (the artifact store persists built databases to disk):
     # caches hold locks and are cheap to rebuild, so they are dropped.
+    # An index an insert deferred merges as it pickles
+    # (``IndexData.__getstate__``).
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -831,18 +833,22 @@ class Database:
         """Append rows; returns the virtual seconds the insert cost.
 
         The charge covers the heap append plus maintenance of every index
-        on the table in the current configuration.  The wall-clock work
-        is sized by the batch as well, wherever the batch allows: the
-        columns append into spare capacity, the table's dictionaries,
-        index entries and cluster factors are carried across the append
-        (the new rows are merged in), and so are the join domains of
-        every dictionary whose values the batch leaves unchanged; plans,
+        on the table in the current configuration, each at its height
+        before the batch.  The wall-clock work is what the batch must
+        do at once: the columns append into spare capacity, and plans,
         environments, what-if costs, the other subplans and kernels are
-        dropped.  Dependent views are rebuilt, from the dictionaries.
+        dropped.  The table's dictionaries and index entries are
+        carried across the append, and each merges the new rows in
+        when something first reads it — one merge for every insert
+        since the last read (:meth:`IndexData.deferred`,
+        :meth:`DictionaryCache.append_rows`); so are the join domains
+        of every dictionary whose values the batch leaves unchanged.
+        Dependent views are rebuilt, from the dictionaries.
         """
         table = self.table(table_name)
-        # Through the dictionary cache, which extends the table's
-        # dictionaries instead of letting the append orphan them.
+        # Through the dictionary cache, which leaves the table's
+        # dictionaries owing the rows instead of letting the append
+        # orphan them.
         encodings = self._cache("dict_cache")
         appended = encodings.append_rows(table, columns)
         obs.counter_add("engine.rows_inserted", appended)
@@ -854,7 +860,7 @@ class Database:
                 if ix.table == table_name:
                     data = self._built.index_data[ix.name]
                     heights.append(data.size.height)
-                    self._built.index_data[ix.name] = data.append(
+                    self._built.index_data[ix.name] = data.deferred(
                         table, encodings
                     )
             obs.counter_add(
@@ -1006,5 +1012,5 @@ class Database:
         )
         obs.counter_add("optimizer.hypothetical_index_probes")
         if oracle and view_info is None:
-            info.cluster_factor = 0.25
+            info.assumed_cluster_factor = 0.25
         return info

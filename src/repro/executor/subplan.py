@@ -35,8 +35,10 @@ the INV001 lint contract) clears masks and key tables outright, and
 keeps a join domain or slot table while both its ``values`` arrays are
 still the values of a live dictionary — it depends on nothing else, and
 an insert that brings a column no new value leaves its ``values`` in
-place.  Access-time identity validation makes that sweep a garbage
-collection, not a correctness requirement.
+place.  A dictionary an insert left owing its rows counts as live; if
+its extension replaces ``values``, the domains merged from the old
+array are dropped then.  Access-time identity validation makes that
+sweep a garbage collection, not a correctness requirement.
 """
 
 from .. import obs
@@ -73,6 +75,12 @@ class SubplanCache:
                 ("key", MAX_KEY_ENTRIES),
             )
         }
+        # The domain cache itself, not this object: the dictionary
+        # cache holding a reference back to its owner would make a
+        # cycle, and a dropped database would wait for the collector.
+        dictionaries.on_values_replaced(
+            self._kinds["domain"][0].drop_backed_by
+        )
 
     @property
     def stats(self):

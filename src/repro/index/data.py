@@ -12,10 +12,11 @@ column's dictionary map to slots of the leading column's dictionary
 through a cached slot table (``Executor._index_ranges``), and only a
 literal probe (:meth:`IndexData.lookup_eq`) bisects the ``d`` values.
 Only the *inner* columns of a multi-column index are stored as sorted
-value copies.  The row ids are int32 — four bytes an entry, the
-dictionary cache's memoized order itself; what a probe gathers from
-them widens to the int64 NumPy indexes with as it becomes a batch's
-selection vector (``Executor._scan_batch``).  The ``d + 1`` offsets are
+value copies, gathered when first read: most multi-column indexes are
+only ever probed on their leading key.  The row ids are int32 — four
+bytes an entry, the dictionary cache's memoized order itself; what a
+probe gathers from them widens to the int64 NumPy indexes with as it
+becomes a batch's selection vector (``Executor._scan_batch``).  The ``d + 1`` offsets are
 not table-sized and feed position arithmetic, so they stay int64.
 Probes used by the executor are vectorized over these arrays; the test
 suite cross-checks them against a B+-tree over the same entries.
@@ -28,19 +29,40 @@ exposes.  It is the index's *page transitions* (how often the heap page
 changes along ``row_ids``, plus one for the first page) over its
 entries; a build counts them in one scan, and an append carries the
 count, updating it where the batch's entries were spliced in.
+
+An insert does not merge at once (:meth:`IndexData.deferred`): the
+index it leaves knows its entry count and size, and runs the merge —
+one :meth:`IndexData.append` over every row appended since the last
+read — when something first reads one of its arrays or its cluster
+factor.
 """
 
 import copy
 import pickle
+import threading
 
 import numpy as np
 
+from .. import obs
 from ..common.hardware import PAGE_SIZE
 from .definition import estimate_index_size
 
 
 # Rows per block of the cluster-factor scan: 512 KB of float64 pages.
 _PAGE_BLOCK = 1 << 16
+
+# What an index computes on its first read: all of these for an index
+# an insert deferred, the inner columns for a build.
+_DEFERRED = frozenset({
+    "row_ids", "values", "offsets", "inner_columns", "page_transitions",
+    "cluster_factor",
+})
+
+# Held while an index computes what it owes: measurement-pool threads
+# may read one index at once, and exactly one of them does the work.
+# Reentrant: a merge reads its base's inner columns, which the base may
+# still owe.
+_MERGE_LOCK = threading.RLock()
 
 
 def gather_ranges(values, lows, highs):
@@ -152,6 +174,9 @@ class IndexData:
 
     Instances are immutable once built: :meth:`append` returns a new
     index, so a reader holding the old one keeps a consistent snapshot.
+    One that :meth:`deferred` returned holds ``definition``,
+    ``entry_count`` and ``size`` only, and gains the attributes below
+    on the first read of any of them.
 
     Attributes:
         row_ids: heap row ids in key order (read-only, int32: a
@@ -170,7 +195,8 @@ class IndexData:
             whose leading key is ``values[slot]`` are
             ``offsets[slot]:offsets[slot + 1]``.
         inner_columns: the key columns after the leading one, in key
-            order (read-only).
+            order (read-only; a build gathers them on their first
+            read).
         page_transitions: heap page changes along ``row_ids``, plus
             one for the first page; ``cluster_factor`` is this over
             ``entry_count``.
@@ -185,32 +211,62 @@ class IndexData:
         order = encodings.lexsort(table, tuple(definition.columns))
         self._set_entries(
             table, encodings, order,
-            [table.column(c)[order] for c in definition.columns[1:]],
             _page_transitions(order, _rows_per_page(table)),
         )
+        if len(definition.columns) > 1:
+            self._gather = [table.column(c) for c in definition.columns[1:]]
+        else:
+            self.inner_columns = []
 
-    def _set_entries(self, table, encodings, row_ids, inner_columns,
-                     page_transitions):
+    def _set_entries(self, table, encodings, row_ids, page_transitions,
+                     inner_columns=None):
         leading = encodings.dictionary(table, self.definition.columns[0])
         offsets = _run_offsets(leading)
-        for array in (row_ids, offsets, *inner_columns):
+        for array in (row_ids, offsets):
             array.setflags(write=False)
         self.row_ids = row_ids
         self.values = leading.values
         self.offsets = offsets
-        self.inner_columns = inner_columns
-        self.entry_count = len(row_ids)
-        key_width = sum(
-            table.schema.column(c).width for c in self.definition.columns
-        )
-        self.size = estimate_index_size(
-            self.entry_count, key_width, self._overhead_factor
-        )
+        if inner_columns is not None:
+            self._set_inner_columns(inner_columns)
+        self._set_size(table, len(row_ids))
         self.page_transitions = page_transitions
         self.cluster_factor = (
             min(1.0, page_transitions / self.entry_count)
             if self.entry_count else 1.0
         )
+
+    def _set_inner_columns(self, inner_columns):
+        for array in inner_columns:
+            array.setflags(write=False)
+        self.inner_columns = inner_columns
+
+    def _set_size(self, table, entry_count):
+        self.entry_count = entry_count
+        key_width = sum(
+            table.schema.column(c).width for c in self.definition.columns
+        )
+        self.size = estimate_index_size(
+            entry_count, key_width, self._overhead_factor
+        )
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance lacks: one the
+        # index still owes.  An index that owes nothing holds them
+        # all, so its probes never come here.
+        if name not in _DEFERRED:
+            raise AttributeError(name)
+        self._materialize()
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __getstate__(self):
+        # Pickled owing nothing: what a deferred index owes holds the
+        # dictionary cache, which does not pickle.
+        self._materialize()
+        return self.__dict__
 
     def __setstate__(self, state):
         # An artifact store written before the run-offset layout holds
@@ -300,13 +356,72 @@ class IndexData:
         merged = copy.copy(self)
         merged._set_entries(
             table, encodings, row_ids,
-            [splice(old, new)
-             for old, new in zip(self.inner_columns, tails[1:])],
             self.page_transitions + _spliced_transitions(
                 row_ids, positions, _rows_per_page(table)
             ),
+            [splice(old, new)
+             for old, new in zip(self.inner_columns, tails[1:])],
         )
         return merged
+
+    def deferred(self, table, encodings):
+        """The index after rows were appended to ``table``, merged on
+        its first read.
+
+        Its ``entry_count`` and ``size`` — all a cost estimate or an
+        insert's charge reads — are exact at once: an index has an
+        entry per row.  Its arrays and cluster factor come from
+        :meth:`append` of the last merged index over every row
+        appended since, so they equal an eager merge's, which equals
+        a build's.  Deferring a deferred index again extends the same
+        merged index: a run of inserts that nothing reads in between
+        merges once.
+        """
+        base = self.__dict__.get("_owed", (self,))[0]
+        index = IndexData.__new__(IndexData)
+        index.definition = self.definition
+        index._overhead_factor = self._overhead_factor
+        index._owed = (base, table, encodings)
+        index._set_size(table, table.row_count)
+        obs.counter_add("index.merges_deferred")
+        return index
+
+    def _materialize(self):
+        """Compute what the index owes, once: a deferred index's merge,
+        a built one's inner columns; a no-op on an index that owes
+        nothing.
+
+        An index a later insert superseded (its table has grown past
+        its entries) raises instead of merging: the dictionaries
+        describe the table's current rows only, so its own rows cannot
+        be merged apart from the newer ones.
+        """
+        if "_owed" not in self.__dict__ and "_gather" not in self.__dict__:
+            return
+        with _MERGE_LOCK:
+            if "_gather" in self.__dict__:
+                # The columns are the ones the build read: their first
+                # ``entry_count`` rows are the index's whatever was
+                # appended since.
+                self._set_inner_columns(
+                    [column[self.row_ids] for column in self._gather]
+                )
+                del self._gather
+            owed = self.__dict__.get("_owed")
+            if owed is None:
+                return
+            base, table, encodings = owed
+            if table.row_count != self.entry_count:
+                raise RuntimeError(
+                    f"index {self.definition.name} covers "
+                    f"{self.entry_count} rows, but a later insert grew "
+                    f"{table.name} to {table.row_count}: read the "
+                    f"index the insert left instead"
+                )
+            merged = base.append(table, encodings)
+            self.__dict__.update(merged.__dict__)
+            del self._owed
+        obs.counter_add("index.materializations")
 
     # ------------------------------------------------------------------
     # Probes (vectorized over the sorted arrays)

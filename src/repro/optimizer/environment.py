@@ -25,9 +25,10 @@ class IndexInfo:
     entries: int
     leaf_pages: int
     height: int
-    cluster_factor: float
     hypothetical: bool = False
     data: object = None            # IndexData when built
+    # The cluster factor of an index that is not built.
+    assumed_cluster_factor: float = 1.0
 
     @classmethod
     def from_data(cls, index_data):
@@ -37,10 +38,19 @@ class IndexInfo:
             entries=index_data.entry_count,
             leaf_pages=index_data.size.leaf_pages,
             height=index_data.size.height,
-            cluster_factor=index_data.cluster_factor,
             hypothetical=False,
             data=index_data,
         )
+
+    @property
+    def cluster_factor(self):
+        """The fraction of a random heap page read per fetched row: a
+        built index's measured one, read when a heap fetch through it
+        is costed — an index an insert left unmerged merges only if a
+        plan fetches through it — else the assumed one."""
+        if self.data is None:
+            return self.assumed_cluster_factor
+        return self.data.cluster_factor
 
     @classmethod
     def hypothetical_on(cls, definition, row_count, key_width,
@@ -58,7 +68,6 @@ class IndexInfo:
             entries=row_count,
             leaf_pages=size.leaf_pages,
             height=size.height,
-            cluster_factor=1.0,
             hypothetical=True,
         )
 

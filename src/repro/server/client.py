@@ -3,8 +3,12 @@
 Thin :mod:`urllib.request` wrapper used by the tests, the example, and
 the CI smoke script — it is also the reference for anyone driving the
 API from another language: one method per endpoint, JSON in/out, and a
-:meth:`TuningClient.wait` helper that polls a job with ``Retry-After``
-aware backoff and relays progress events to an optional callback.
+:meth:`TuningClient.wait` helper that polls a job every
+``POLL_SECONDS`` (a fixed interval; it reads no ``Retry-After``) and
+relays progress events to an optional callback.  A ``Retry-After``
+header the server sends with an error response is parsed onto the
+raised :class:`ServerError` as ``retry_after``, for the caller to act
+on.
 
 Raises :class:`ServerError` (carrying the HTTP status and the decoded
 error body) on any non-2xx response.

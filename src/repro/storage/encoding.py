@@ -89,11 +89,12 @@ identity* on every lookup — an entry whose base array is no longer the
 table's current storage array (a reloaded table; a rebuilt view is a
 new ``Table``) is rebuilt, never served.  ``append_rows`` publishes
 every column as a new, longer array too, but ``Database.insert_rows``
-appends through :meth:`DictionaryCache.append_rows`, which *extends*
-the table's live dictionaries by the appended rows
-(:meth:`ColumnDictionary.extended`) instead of letting them go stale —
-keeping ``values`` itself when the rows bring no new value, which is
-what lets a join domain merged from it survive the insert
+appends through :meth:`DictionaryCache.append_rows`, which leaves the
+table's live dictionaries owing the appended rows instead of letting
+them go stale; the first lookup *extends* one by every row it owes
+(:meth:`ColumnDictionary.extended`) — keeping ``values`` itself when
+the rows bring no new value, which is what lets a join domain merged
+from it survive the insert
 (:class:`~repro.executor.subplan.SubplanCache`).
 :meth:`DictionaryCache.invalidate`, called from
 ``Database.invalidate_caches`` on every state transition, sweeps out
@@ -596,6 +597,11 @@ class DictionaryCache:
         self._lock = threading.Lock()
         # (table name, column) -> (Table, ColumnDictionary)
         self._entries = {}
+        # (table name, column) -> the column array the entry's
+        # dictionary is to be extended to (:meth:`append_rows`).
+        self._owed = {}
+        # Told of every values array an owed extension replaced.
+        self._listeners = []
         # (table name, columns tuple) -> (Table, key arrays tuple, order)
         self._orders = {}
         # (table name, column) -> (Table, base array, pool, rows)
@@ -612,14 +618,33 @@ class DictionaryCache:
             column: column name.
 
         Returns:
-            The cached :class:`ColumnDictionary`; rebuilt (and
-            re-cached) whenever the stored entry's base array is not
-            *the* current storage array of the column.
+            The cached :class:`ColumnDictionary`; extended (a hit) when
+            :meth:`append_rows` left it owing the rows up to the
+            current storage array of the column, and rebuilt (and
+            re-cached) whenever its base array is not that array
+            otherwise.
         """
         key = (table.name, column)
         values = table.column(column)
+        extended, dead = False, None
         with self._lock:
             entry = self._entries.get(key)
+            if entry is not None and self._owed.get(key) is values:
+                # Under the lock: one extension, however many threads
+                # read the column first.
+                old = entry[1].values
+                entry = (entry[0], entry[1].extended(self._owed.pop(key)))
+                self._entries[key] = entry
+                extended = True
+                # Columns drawing a whole pool share its values array.
+                if not any(held[1].values is old
+                           for held in self._entries.values()):
+                    dead = old
+        if extended:
+            obs.counter_add("encoding.dict_extends")
+        if dead is not None:
+            for listener in self._listeners:
+                listener(dead)
         if entry is not None and entry[1].base is values:
             with self._lock:
                 self.stats.hits += 1
@@ -638,6 +663,7 @@ class DictionaryCache:
         obs.counter_add("encoding.dict_builds")
         with self._lock:
             self._entries[key] = (table, dictionary)
+            self._owed.pop(key, None)
         return dictionary
 
     def _hashed_pool(self, pool):
@@ -676,28 +702,30 @@ class DictionaryCache:
 
         ``Table.append_rows`` publishes new column arrays, which on
         its own orphans every entry of the table.  Each entry that is
-        live before the append is instead replaced by its
-        :meth:`ColumnDictionary.extended` over the new array — one
-        column at a time, so that old and new codes of only one column
-        coexist.  Later lookups validate the new entries by identity
-        like any other.
+        live before the append — its base is the column, or it owes
+        the rows up to it — is instead left owing the rows up to the
+        new array, and :meth:`dictionary` extends it there on its
+        first lookup (:meth:`ColumnDictionary.extended` accepts any
+        number of appended rows): a column no one reads between
+        inserts is never extended, and one read after several is
+        extended once.
         """
         with self._lock:
             live = [
-                (key, entry[1]) for key, entry in self._entries.items()
-                if key[0] == table.name
-                and entry[1].base is table.column(key[1])
+                key for key, entry in self._entries.items()
+                if key[0] == table.name and self._live(key, entry)
             ]
         appended = table.append_rows(columns)
-        while live:
-            # Popped, not iterated: the list must not keep the old
-            # dictionaries (their base arrays and codes) alive.
-            key, dictionary = live.pop()
-            grown = dictionary.extended(table.column(key[1]))
-            obs.counter_add("encoding.dict_extends")
-            with self._lock:
-                self._entries[key] = (table, grown)
+        with self._lock:
+            for key in live:
+                self._owed[key] = table.column(key[1])
         return appended
+
+    def _live(self, key, entry):
+        """Whether ``entry``'s dictionary is its column's, or owes the
+        rows up to it."""
+        column = entry[0].column(key[1])
+        return entry[1].base is column or self._owed.get(key) is column
 
     def handle(self, table, column):
         """A lazy :class:`ColumnHandle` for a batch column."""
@@ -800,13 +828,25 @@ class DictionaryCache:
 
     def live_values(self):
         """The ``id``s of the ``values`` of every dictionary whose base
-        is still its table's column."""
+        is still its table's column, or that owes the rows up to it.
+
+        An owed extension keeps ``values`` when the rows bring no new
+        value; one that replaces it tells the listeners
+        (:meth:`on_values_replaced`) when it runs.
+        """
         with self._lock:
             return frozenset(
                 id(entry[1].values)
                 for key, entry in self._entries.items()
-                if entry[0].column(key[1]) is entry[1].base
+                if self._live(key, entry)
             )
+
+    def on_values_replaced(self, listener):
+        """Call ``listener(values)`` whenever an owed extension
+        replaces a dictionary's ``values`` array that no other cached
+        dictionary holds: what was merged from it is dead from then
+        on."""
+        self._listeners.append(listener)
 
     def invalidate(self):
         """Sweep out entries no longer backed by their table's live arrays.
@@ -815,8 +855,8 @@ class DictionaryCache:
         transition.  Unlike the plan/environment caches — whose entries
         depend on configuration state — a dictionary depends only on
         its base array, so entries that still pass the identity check
-        (the table's data did not change, or :meth:`append_rows`
-        extended them) are kept; everything else (reloaded tables,
+        (the table's data did not change), or owe the rows up to it
+        (:meth:`append_rows`), are kept; everything else (reloaded tables,
         rebuilt views, memoized sort orders of a grown table) is dropped.
         Seeds (:meth:`seed`) of columns that were replaced unread go
         too, and so do the hashed pools no seed still draws from.
@@ -828,7 +868,12 @@ class DictionaryCache:
             self._entries = {
                 key: entry
                 for key, entry in self._entries.items()
-                if entry[0].column(key[1]) is entry[1].base
+                if self._live(key, entry)
+            }
+            self._owed = {
+                key: column for key, column in self._owed.items()
+                if key in self._entries
+                and self._entries[key][0].column(key[1]) is column
             }
             self._orders = {
                 key: entry

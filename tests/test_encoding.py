@@ -5,9 +5,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import interleave
 from repro import obs
 from repro.index.data import IndexData
 from repro.index.definition import IndexDefinition
@@ -816,10 +817,18 @@ def test_insert_rows_carries_dictionaries_without_a_miss(city_db):
              "city": ["aaa", "tor"], "amount": [55, 55]},
         )
     counters = recorder.metrics.snapshot()["counters"]
-    assert counters["encoding.dict_extends"] == cached
+    # The insert leaves every cached entry owing the rows; it extends
+    # none of them.
+    assert "encoding.dict_extends" not in counters
     assert "encoding.dict_builds" not in counters
     for column, old in held.items():
-        carried = city_db.column_dictionary("orders", column)
+        # The first read of a held column extends it, exactly once.
+        with obs.recording(obs.TraceRecorder()) as recorder:
+            carried = city_db.column_dictionary("orders", column)
+            assert city_db.column_dictionary("orders", column) is carried
+        counters = recorder.metrics.snapshot()["counters"]
+        assert counters["encoding.dict_extends"] == 1
+        assert "encoding.dict_builds" not in counters
         assert carried is not old
         assert carried.base is orders.column(column)
         assert old.row_count == carried.row_count - 2
@@ -846,6 +855,75 @@ def test_append_through_the_cache_skips_entries_already_stale(city_db):
     rebuilt = cache.dictionary(users, "city")
     assert rebuilt.row_count == stale.row_count + 2
     assert cache.stats.misses == 2
+
+
+def check_dictionaries(database, target):
+    """Every cached dictionary of the table's columns that is up to
+    date equals a fresh one over the column, and draws its values from
+    its domain."""
+    encodings = database._cache("dict_cache")
+    table = database.table(target.table)
+    for column in table.column_names():
+        entry = encodings._entries.get((target.table, column))
+        if entry is None or entry[1].base is not table.column(column):
+            continue
+        dictionary = entry[1]
+        assert_same_dictionary(dictionary, ColumnDictionary(dictionary.base))
+        assert dictionary.domain[dictionary.ranks].tolist() == \
+            dictionary.values.tolist()
+
+
+@pytest.mark.parametrize("target", sorted(interleave.TARGETS))
+@settings(max_examples=25, deadline=None)
+@given(steps=interleave.STEPS)
+@example(steps=interleave.EXAMPLES[0])
+@example(steps=interleave.EXAMPLES[1])
+def test_property_deferred_dictionaries_read_as_built(target, steps):
+    """Inserts interleaved with probes, lookups, cluster factors, plans
+    and pickle round trips: every dictionary a read leaves up to date
+    equals ``ColumnDictionary(column)``, and so does every one read at
+    the end — each extended once, over every row it owed, as a hit."""
+    target = interleave.TARGETS[target]
+    database = interleave.run(target, steps, check_dictionaries)
+    encodings = database._cache("dict_cache")
+    table = database.table(target.table)
+    owed = sum(
+        1 for key in encodings._owed if key[0] == target.table
+    )
+    misses = encodings.stats.misses
+    with obs.recording(obs.TraceRecorder()) as recorder:
+        for column in table.column_names():
+            database.column_dictionary(target.table, column)
+    counters = recorder.metrics.snapshot()["counters"]
+    assert counters.get("encoding.dict_extends", 0) == owed
+    assert counters.get("encoding.dict_builds", 0) == \
+        encodings.stats.misses - misses
+    check_dictionaries(database, target)
+
+
+def test_owed_dictionaries_extend_once_over_every_insert(city_db):
+    """Two inserts before a read: the first lookup extends the entry
+    over both batches at once and counts a hit; a pooled domain and a
+    join domain merged from the values survive when no value is new."""
+    orders = city_db.table("orders")
+    held = city_db.column_dictionary("orders", "city")
+    cache = city_db._cache("dict_cache")
+    hits, misses = cache.stats.hits, cache.stats.misses
+    with obs.recording(obs.TraceRecorder()) as recorder:
+        for oid in (90_000, 90_001):
+            city_db.insert_rows("orders", {
+                "oid": [oid], "uid": [3], "city": [held.values[0]],
+                "amount": [7],
+            })
+        assert "encoding.dict_extends" not in \
+            recorder.metrics.snapshot()["counters"]
+        carried = city_db.column_dictionary("orders", "city")
+    counters = recorder.metrics.snapshot()["counters"]
+    assert counters["encoding.dict_extends"] == 1
+    assert carried.values is held.values
+    assert carried.row_count == held.row_count + 2
+    assert cache.stats.hits == hits + 1 and cache.stats.misses == misses
+    assert_same_dictionary(carried, ColumnDictionary(orders.column("city")))
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import interleave
 from btree import BPlusTree
 from repro import ColumnDef, TableSchema, float_, integer, obs, varchar
 from repro.common.hardware import PAGE_SIZE
@@ -385,6 +386,182 @@ def test_insert_rows_merges_instead_of_rebuilding(city_db_1c, monkeypatch):
                 city_db_1c.system.index_overhead,
             ),
         )
+
+
+# ----------------------------------------------------------------------
+# Deferred merges: an insert leaves each index to its first reader
+
+def rebuilt_index(database, ix):
+    return IndexData(
+        ix, database.table(ix.table), DictionaryCache(),
+        database.system.index_overhead,
+    )
+
+
+def check_indexes(database, target):
+    """Every merged index on the table equals a from-scratch build and
+    reads its leading values off the dictionary; every deferred one
+    already has a build's entry count and size."""
+    encodings = database._cache("dict_cache")
+    for ix in interleave.indexes_on(database, target.table):
+        data = database._built.index_data[ix.name]
+        want = rebuilt_index(database, ix)
+        if "_owed" in data.__dict__:
+            assert (data.entry_count, data.size) == \
+                (want.entry_count, want.size), ix.name
+            continue
+        assert_same_index(data, want)
+        assert data.values is encodings.dictionary(
+            database.table(ix.table), ix.columns[0]
+        ).values, ix.name
+
+
+@pytest.mark.parametrize("target", sorted(interleave.TARGETS))
+@settings(max_examples=25, deadline=None)
+@given(steps=interleave.STEPS)
+@example(steps=interleave.EXAMPLES[0])
+@example(steps=interleave.EXAMPLES[1])
+def test_property_deferred_indexes_read_as_built(target, steps):
+    """Inserts — with and without new values, one value outside the
+    pool, several before any read — interleaved with probes, literal
+    lookups, cluster factors, plans and pickle round trips: whatever a
+    read reaches equals a from-scratch build, and the inserts charge
+    from-scratch heights."""
+    database = interleave.run(
+        interleave.TARGETS[target], steps, check_indexes
+    )
+    for data in database._built.index_data.values():
+        data.row_ids
+    check_indexes(database, interleave.TARGETS[target])
+
+
+def test_a_build_gathers_its_inner_columns_on_first_read(city_db):
+    """A multi-column build leaves its inner key columns to their first
+    reader, who gets the eager gather's arrays, read-only, over the
+    build's rows only, whatever was appended since; a pickle carries
+    them gathered."""
+    orders = city_db.table("orders")
+    index = make_index(city_db, "orders", ["city", "uid", "amount"])
+    assert "inner_columns" not in index.__dict__
+    want = [orders.column(c)[index.row_ids] for c in ("uid", "amount")]
+    orders.append_rows({
+        "oid": [90_000], "uid": [3], "city": ["tor"], "amount": [1],
+    })
+    clone = pickle.loads(pickle.dumps(index))
+    for got in (index.inner_columns, clone.inner_columns):
+        assert [column.tolist() for column in got] == \
+            [column.tolist() for column in want]
+    assert not any(column.flags.writeable for column in index.inner_columns)
+    assert make_index(city_db, "orders", ["uid"]).inner_columns == []
+
+
+def test_a_deferred_index_merges_once_for_inserts_before_its_read(
+        city_db_1c, monkeypatch):
+    """Three inserts, no read: each installs a deferred index, and the
+    first read runs one merge over all three batches."""
+    merges = []
+    append = IndexData.append
+    monkeypatch.setattr(
+        IndexData, "append",
+        lambda self, *args: merges.append(self) or append(self, *args),
+    )
+    on_orders = interleave.indexes_on(city_db_1c, "orders")
+    built = {
+        ix.name: city_db_1c._built.index_data[ix.name] for ix in on_orders
+    }
+    with obs.recording(obs.TraceRecorder()) as recorder:
+        for oid in (90_000, 90_001, 90_002):
+            city_db_1c.insert_rows("orders", {
+                "oid": [oid], "uid": [oid % 7], "city": ["tor"],
+                "amount": [oid % 5],
+            })
+        counters = recorder.metrics.snapshot()["counters"]
+        assert merges == []
+        assert counters["index.merges_deferred"] == 3 * len(on_orders)
+        assert "index.materializations" not in counters
+        for ix in on_orders:
+            assert_same_index(
+                city_db_1c._built.index_data[ix.name],
+                rebuilt_index(city_db_1c, ix),
+            )
+        counters = recorder.metrics.snapshot()["counters"]
+    assert counters["index.materializations"] == len(on_orders)
+    assert sorted(map(id, merges)) == sorted(map(id, built.values()))
+
+
+def test_a_superseded_deferred_index_raises_with_its_name(city_db_1c):
+    """A deferred index a later insert replaced cannot merge its own
+    rows apart from the newer ones: it raises, naming itself, and
+    never answers with the newer rows.  One merged before the second
+    insert stays exact for its own rows."""
+    orders = city_db_1c.table("orders")
+    on_orders = interleave.indexes_on(city_db_1c, "orders")
+    read, unread = on_orders[0], on_orders[1]
+    city_db_1c.insert_rows("orders", {
+        "oid": [90_000], "uid": [3], "city": ["tor"], "amount": [1],
+    })
+    merged = city_db_1c._built.index_data[read.name]
+    merged.row_ids
+    superseded = city_db_1c._built.index_data[unread.name]
+    prefix = Table(orders.schema, {
+        c: orders.column(c).copy() for c in orders.column_names()
+    })
+    city_db_1c.insert_rows("orders", {
+        "oid": [90_001], "uid": [499], "city": ["yyz"], "amount": [2],
+    })
+    for name in ("row_ids", "cluster_factor", "values"):
+        with pytest.raises(RuntimeError, match=unread.name):
+            getattr(superseded, name)
+    with pytest.raises(RuntimeError, match=unread.name):
+        pickle.dumps(superseded)
+    assert_same_index(merged, IndexData(
+        read, prefix, DictionaryCache(), city_db_1c.system.index_overhead
+    ))
+    for ix in on_orders:
+        assert_same_index(
+            city_db_1c._built.index_data[ix.name],
+            rebuilt_index(city_db_1c, ix),
+        )
+
+
+def test_two_threads_measure_an_insert_as_one_does(monkeypatch):
+    """An NREF2J burst measured on two threads right after an insert
+    returns the elapsed times and rows of a serial run, and merges each
+    deferred index at most once however the threads race for it."""
+    from repro.runtime.session import MeasurementSession
+    from repro.workload.updates import nref_neighboring_batch
+    from repro.workload.workload import Workload, make_instance
+
+    nref = interleave.TARGETS["nref"]
+    burst = Workload("NREF2J", [
+        make_instance(sql, "NREF2J", i=i)
+        for i, sql in enumerate(nref.sqls * 4)
+    ])
+    merged = []
+    append = IndexData.append
+    monkeypatch.setattr(
+        IndexData, "append",
+        lambda self, *args: merged.append(self.definition.name)
+        or append(self, *args),
+    )
+    runs = {}
+    for jobs in (1, 2):
+        database = nref.load()
+        database.insert_rows(
+            nref.table, nref_neighboring_batch(database, 50, seed=jobs)
+        )
+        del merged[:]
+        with obs.recording(obs.TraceRecorder()) as recorder:
+            with MeasurementSession(database, jobs=jobs) as session:
+                measured = session.measure(burst)
+        counters = recorder.metrics.snapshot()["counters"]
+        assert len(merged) == len(set(merged))
+        assert counters.get("index.materializations", 0) == len(merged)
+        runs[jobs] = (
+            measured.elapsed.tolist(),
+            [database.execute(q.sql).batch.rows for q in burst],
+        )
+    assert runs[1] == runs[2]
 
 
 # ----------------------------------------------------------------------
