@@ -238,6 +238,20 @@ class Database:
             for name, cache in group.items()
         }
 
+    def resident_bytes(self):
+        """Bytes the data holds, by kind: the columns of every table and
+        built view by dtype name (:meth:`Table.resident_bytes`), and the
+        dictionary cache's arrays
+        (:meth:`~repro.storage.encoding.DictionaryCache.resident_bytes`)."""
+        tables = {}
+        for table in self._exec_tables().values():
+            for dtype, size in table.resident_bytes().items():
+                tables[dtype] = tables.get(dtype, 0) + size
+        return {
+            "tables": dict(sorted(tables.items())),
+            "dictionaries": self._cache("dict_cache").resident_bytes(),
+        }
+
     def column_dictionary(self, table_name, column):
         """The shared :class:`ColumnDictionary` of a loaded table's column.
 
@@ -843,7 +857,8 @@ class Database:
         since the last read (:meth:`IndexData.deferred`,
         :meth:`DictionaryCache.append_rows`); so are the join domains
         of every dictionary whose values the batch leaves unchanged.
-        Dependent views are rebuilt, from the dictionaries.
+        Dependent views are rebuilt, from the dictionaries, and so are
+        the indexes on them; the charge stays the base table's.
         """
         table = self.table(table_name)
         # Through the dictionary cache, which leaves the table's
@@ -872,6 +887,13 @@ class Database:
                         view_def, self.tables, self.catalog, encodings
                     )
                     self._built.view_tables[view_def.name] = view_table
+                    # A new view table: its indexes are built over it.
+                    for ix in self._built.configuration.indexes:
+                        if ix.table == view_def.name:
+                            self._built.index_data[ix.name] = IndexData(
+                                ix, view_table, encodings,
+                                self.system.index_overhead,
+                            )
         return cm.insert_rows(
             self.system.hardware,
             appended,

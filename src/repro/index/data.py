@@ -288,6 +288,10 @@ class IndexData:
                 f"index pickled with {state['row_ids'].dtype} row ids"
             )
         self.__dict__.update(state)
+        # A pickle restores arrays writeable; they are read-only
+        # (architecture invariant 7).
+        for array in (self.row_ids, self.offsets, *self.inner_columns):
+            array.setflags(write=False)
 
     def relink(self, leading):
         """Share ``values`` with ``leading``, the leading column's
@@ -344,22 +348,22 @@ class IndexData:
         kept = np.ones(total, dtype=bool)
         kept[positions] = False
 
-        def splice(old, new):
-            # In the old array's dtype: new row ids narrow to int32 as
-            # they land.
-            out = np.empty(total, dtype=old.dtype)
+        def splice(old, new, dtype):
+            out = np.empty(total, dtype=dtype)
             out[kept] = old
             out[positions] = new
             return out
 
-        row_ids = splice(self.row_ids, first + order)
+        # New row ids narrow to int32 as they land; an inner column
+        # takes the dtype its table column widened to, if it did.
+        row_ids = splice(self.row_ids, first + order, self.row_ids.dtype)
         merged = copy.copy(self)
         merged._set_entries(
             table, encodings, row_ids,
             self.page_transitions + _spliced_transitions(
                 row_ids, positions, _rows_per_page(table)
             ),
-            [splice(old, new)
+            [splice(old, new, np.result_type(old, new))
              for old, new in zip(self.inner_columns, tails[1:])],
         )
         return merged

@@ -3,10 +3,11 @@
 The run report is the durable answer to "what happened in that run?":
 the manifest (seed, scale, workload size, jobs), every configuration
 fingerprint the run touched, wall-clock per pipeline stage, hit/miss
-counters of every cache, the metrics registry, and the per-query A/E/H
-cost breakdown of every measured workload — the provenance the paper's
-Figures 10–11 analysis needs (tracing a bad recommendation back to the
-optimizer's hypothetical estimates).
+counters of every cache, each database's resident bytes (columns by
+dtype, dictionary arrays by kind), the metrics registry, and the
+per-query A/E/H cost breakdown of every measured workload — the
+provenance the paper's Figures 10–11 analysis needs (tracing a bad
+recommendation back to the optimizer's hypothetical estimates).
 
 :func:`build_run_report` assembles the document from a bench context
 (duck-typed: anything with ``settings``/``timings``/``artifacts``/
@@ -59,7 +60,9 @@ def build_run_report(context, recorder=None, experiments=None):
     databases = {}
     for (system_name, dataset), db in sorted(context.live_databases()):
         label = f"{system_name}/{dataset}"
-        databases[label] = db.cache_stats()
+        databases[label] = {
+            **db.cache_stats(), "resident_bytes": db.resident_bytes(),
+        }
         config = db.configuration
         fingerprints.setdefault(
             f"{db.name}:{config.name}", config.fingerprint
@@ -188,6 +191,15 @@ def render_text(report):
         if kernels and kernels["hits"] + kernels["misses"]:
             line += f", kernel cache rate {kernels['hit_rate']:.2f}"
         lines.append(line)
+        resident = caches["resident_bytes"]
+        lines.append(
+            f"db {label}: resident columns "
+            + ", ".join(f"{dtype} {size / 1e6:.1f} MB"
+                        for dtype, size in resident["tables"].items())
+            + "; dictionaries "
+            + ", ".join(f"{kind} {size / 1e6:.1f} MB"
+                        for kind, size in resident["dictionaries"].items())
+        )
     return "\n".join(lines)
 
 

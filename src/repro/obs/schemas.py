@@ -143,6 +143,29 @@ _CACHE_COUNTERS_SCHEMA = {
     "additionalProperties": False,
 }
 
+_BYTES = {"type": "integer", "minimum": 0}
+
+_RESIDENT_BYTES_SCHEMA = {
+    "type": "object",
+    "required": ["tables", "dictionaries"],
+    "properties": {
+        # Column bytes by dtype name: int16, int32, int64, float64, object.
+        "tables": {"type": "object", "additionalProperties": _BYTES},
+        "dictionaries": {
+            "type": "object",
+            "required": ["codes", "orders", "lexsorts", "values"],
+            "properties": {
+                "codes": _BYTES,
+                "orders": _BYTES,
+                "lexsorts": _BYTES,
+                "values": _BYTES,
+            },
+            "additionalProperties": False,
+        },
+    },
+    "additionalProperties": False,
+}
+
 _STAGE_SCHEMA = {
     "type": "object",
     "required": ["seconds", "count"],
@@ -208,6 +231,10 @@ RUN_REPORT_SCHEMA = {
                     "type": "object",
                     "additionalProperties": {
                         "type": "object",
+                        "required": ["resident_bytes"],
+                        "properties": {
+                            "resident_bytes": _RESIDENT_BYTES_SCHEMA,
+                        },
                         "additionalProperties": _CACHE_COUNTERS_SCHEMA,
                     },
                 },

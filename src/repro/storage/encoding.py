@@ -13,10 +13,11 @@ A :class:`ColumnDictionary` computes a column's dictionary **once**,
 and its construction is the one place a column is ordered — one pass
 that depends on nothing but the column:
 
-* an **int64** column whose value span packs beside a row position
+* an **integer** column (int16, int32 or int64: the narrowest its
+  table stores it in) whose value span packs beside a row position
   (``bit_length(max - min) + bit_length(n - 1) <= 62``) sorts
-  ``(value - min) << bits | position`` once and reads the sorted unique
-  values, their counts and the column's stable argsort off that single
+  ``(value - min) << bits | position``, computed in int64, once and
+  reads the sorted unique values, their counts and the column's stable argsort off that single
   sorted array; its dense per-row codes are that order scattered back
   (each dictionary entry repeated by its count), which happens when an
   operator first reads them — most integer columns are indexed and
@@ -77,7 +78,7 @@ column)`` across all four consumers:
 Codes that already exist are ordered by :func:`stable_order` — every
 ``lexsort`` level above the last column, a frequency order, a join's
 build side: codes and row positions packed into one int64 per row, the
-same packing (and the same helpers) the int64 construction uses.
+same packing (and the same helpers) the integer construction uses.
 
 The layer never changes an output: each dictionary product is checked
 against the NumPy call it replaces (``np.unique``, ``np.lexsort``) in
@@ -181,11 +182,13 @@ def _positions(packed, bits):
 
 
 def _packed_dictionary(base):
-    """``(values, counts, order)`` of an int64 column from one integer
-    sort, or ``None`` when it is empty or its value span does not pack
-    beside a row position.
+    """``(values, counts, order)`` of an integer column from one
+    integer sort, or ``None`` when it is empty or its value span does
+    not pack beside a row position.
 
-    Row ``i`` sorts as ``(base[i] - min) << bits | i``.  In the sorted
+    Row ``i`` sorts as ``(base[i] - min) << bits | i``, in int64
+    whatever the column's dtype (an int16 ``base - min`` would wrap);
+    ``values`` keep the column's dtype.  In the sorted
     array the high bits are the column in order — every change starts
     a new dictionary entry, the run lengths are the counts — and the
     low bits are the stable argsort.  The dense codes are each row's
@@ -199,7 +202,7 @@ def _packed_dictionary(base):
     bits = _packs(int(base.max()) - low, rows)
     if bits is None:
         return None
-    packed = base - low
+    packed = np.subtract(base, low, dtype=np.int64)
     packed <<= bits
     _sort_with_positions(packed)
     order = _positions(packed, bits)
@@ -207,7 +210,7 @@ def _packed_dictionary(base):
     starts = np.concatenate(
         ([0], np.flatnonzero(packed[1:] != packed[:-1]) + 1)
     )
-    values = packed[starts] + low
+    values = (packed[starts] + low).astype(base.dtype)
     counts = np.diff(starts, append=rows)
     # Indexes hold the order as their row ids.
     order.setflags(write=False)
@@ -275,9 +278,9 @@ class ColumnDictionary:
             itself; ``ranks`` places each value in it.
 
     Construction is the one place a column is ordered, and what it
-    does depends on the column alone: an int64 column whose value span
-    packs beside a row position takes one integer sort that yields
-    ``values``, ``counts`` and the stable ``argsort`` together, and
+    does depends on the column alone: an integer column (of any
+    width) whose value span packs beside a row position takes one
+    integer sort that yields ``values``, ``counts`` and the stable ``argsort`` together, and
     scatters its dense ``codes`` from that order when they are first
     read; an object column takes one hash pass for ``values``,
     ``counts`` and ``codes`` (or, drawn from a pool, :meth:`from_pool`
@@ -301,7 +304,7 @@ class ColumnDictionary:
     def __init__(self, values):
         base = np.asarray(values)
         codes = order = None
-        packed = _packed_dictionary(base) if base.dtype == np.int64 else None
+        packed = _packed_dictionary(base) if base.dtype.kind == "i" else None
         if base.dtype == object:
             values, counts, codes = _hashed_dictionary(base)
         elif packed is not None:
@@ -373,9 +376,10 @@ class ColumnDictionary:
         (:func:`~repro.storage.table.appended`).  Otherwise its unseen
         values are spliced into ``values`` and the codes remapped
         through a monotone shift table into a new buffer.  Equal to
-        ``ColumnDictionary(base)`` in ``values``, ``counts`` and
-        ``codes`` either way; the column must be NaN-free (``np.unique``
-        merges NaNs, ``==`` does not find them again).
+        ``ColumnDictionary(base)`` in ``values`` (their dtype too: that
+        of a column an append widened), ``counts`` and ``codes`` either
+        way; the column must be NaN-free (``np.unique`` merges NaNs,
+        ``==`` does not find them again).
 
         The domain carries over while every tail value is in it: a
         pooled dictionary ranks the tail's *distinct* values by one
@@ -414,7 +418,12 @@ class ColumnDictionary:
             )
             return grown
         unseen = ~seen
-        values = np.insert(self.values, slots[unseen], tail_values[unseen])
+        # In ``base``'s dtype: rows that widened the column brought a
+        # value the old dtype cannot hold, so they always land here.
+        values = np.insert(
+            self.values.astype(base.dtype, copy=False), slots[unseen],
+            tail_values[unseen],
+        )
         ranks = None
         if domain is not None:
             ranks = np.insert(self.ranks, slots[unseen], tail_ranks[unseen])

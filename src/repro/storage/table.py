@@ -10,6 +10,23 @@ An append writes the new rows into spare capacity behind each column
 column: a new array object, so every identity-validated cache still
 sees the change, while the rows already stored are neither copied nor
 touched — an earlier column array stays a valid snapshot.
+
+Two bytes a value: an ``int`` or ``date`` column is stored in the
+narrowest of int16, int32 and int64 that holds its values
+(:meth:`~repro.storage.types.SQLType.coerce`), chosen when the table is
+loaded or unpickled.  An append whose values do not fit *widens* the
+column — one copy into a buffer of the wider dtype, the copy a full
+buffer makes anyway — and never wraps them; a column never narrows
+back.  The declared width (``SQLType.width``) is what every size and
+cost reads, so the width a column is stored in changes no figure.
+
+Arithmetic on stored values goes through int64: NumPy computes
+``int16 + int`` in int16, so a sum, difference, product or shift of a
+stored integer column — or of a dictionary's ``values``, which keep the
+column's dtype — widens first (``np.subtract(base, low,
+dtype=np.int64)``).  A literal is compared with a column, never cast
+into its dtype: comparisons and ``searchsorted`` against a Python int
+outside the column's range are exact, an assignment wraps.
 """
 
 import threading
@@ -31,18 +48,23 @@ _SIZE_LOCK = threading.Lock()
 
 def appended(column, tail, spare=None):
     """``(column + tail, buffer)``: the concatenation as a prefix view
-    of ``buffer``.
+    of ``buffer``, in the dtype the two promote to.
 
-    When ``column`` is itself a prefix of ``spare`` and the buffer has
-    room, only ``tail`` is written, behind it; otherwise the rows move
-    into a new buffer with an eighth more room than they fill.  Nothing
-    below ``len(column)`` is ever written, so ``column`` — like every
-    prefix handed out before it — keeps its contents.  A buffer must
+    When ``column`` is itself a prefix of ``spare``, the buffer has
+    room and ``tail`` needs no wider dtype, only ``tail`` is written,
+    behind it; otherwise the rows move into a new buffer with an eighth
+    more room than they fill — of the wider dtype, when ``tail`` needs
+    one (a narrowest-dtype tail of a narrowest-dtype column promotes to
+    the narrowest dtype that holds both), so nothing is ever wrapped.
+    Nothing below ``len(column)`` is ever written, so ``column`` — like
+    every prefix handed out before it — keeps its contents.  A buffer must
     have one owner, which hands it on to the owner of the result.
     """
     rows, total = len(column), len(column) + len(tail)
-    if spare is None or column.base is not spare or len(spare) < total:
-        spare = spare_buffer(total, column.dtype)
+    dtype = np.result_type(column, tail)
+    if (spare is None or column.base is not spare or len(spare) < total
+            or dtype != column.dtype):
+        spare = spare_buffer(total, dtype)
         spare[:rows] = column
     spare[rows:total] = tail
     return spare[:total], spare
@@ -104,6 +126,11 @@ class Table:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._spare = {}
+        # A pickle written before columns were narrowed holds int64.
+        self._columns = {
+            col.name: col.sql_type.coerce(self._columns[col.name])
+            for col in self.schema.columns
+        }
 
     @property
     def name(self):
@@ -125,6 +152,16 @@ class Table:
 
     def column_names(self):
         return list(self._columns)
+
+    def resident_bytes(self):
+        """Bytes the column arrays hold, by dtype name: each column's
+        buffer, the spare capacity behind its rows included (an object
+        column counts its pointers, not its strings)."""
+        held = {}
+        for name, column in self._columns.items():
+            size = self._spare.get(name, column).nbytes
+            held[column.dtype.name] = held.get(column.dtype.name, 0) + size
+        return held
 
     def byte_size(self):
         """Heap size in bytes under the declared row width.
@@ -149,7 +186,10 @@ class Table:
         Used by the Section 4.4 insertion experiment.  Returns the number
         of rows appended.  Each column costs what it appends
         (:func:`appended`), apart from the copy into a larger buffer
-        once its spare capacity runs out.
+        once its spare capacity runs out, or into a wider one when an
+        integer tail does not fit the column's dtype: each tail is
+        coerced to the narrowest dtype that holds it, and the column
+        widens to the one that holds both.
         """
         unknown = sorted(set(columns) - set(self._columns))
         if unknown:

@@ -2,7 +2,10 @@
 
 Widths feed the page/size accounting that drives both the cost model and
 the space-budget bookkeeping of the recommender (the paper's budget is
-``size(1C) - size(P)``).
+``size(1C) - size(P)``).  A declared width is the paper's, not the
+storage array's: an ``int`` or ``date`` column is *stored* in the
+narrowest of int16, int32 and int64 that holds its values
+(:func:`narrowest_int`), which changes no cost, size or figure.
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,9 @@ class SQLType:
     width: int
 
     def numpy_dtype(self):
-        """The dtype used by the columnar storage layer."""
+        """The widest dtype the columnar storage layer uses for this
+        type: an integer column is stored in the narrowest integer
+        dtype that holds it (:meth:`coerce`), at most this one."""
         if self.kind == "int" or self.kind == "date":
             return np.dtype(np.int64)
         if self.kind == "float":
@@ -34,8 +39,32 @@ class SQLType:
         raise ValueError(f"unknown type kind {self.kind!r}")
 
     def coerce(self, values):
-        """Coerce a sequence of Python values into a storage array."""
-        return np.asarray(values, dtype=self.numpy_dtype())
+        """Coerce a sequence of Python values into a storage array: an
+        integer one in the narrowest dtype that holds its values, the
+        array itself when it already has that dtype."""
+        if self.kind != "int" and self.kind != "date":
+            return np.asarray(values, dtype=self.numpy_dtype())
+        array = np.asarray(values)
+        if array.dtype.kind != "i":
+            array = array.astype(self.numpy_dtype())
+        return array.astype(narrowest_int(array), copy=False)
+
+
+#: The integer storage dtypes, narrowest first.
+INT_DTYPES = tuple(np.dtype(t) for t in (np.int16, np.int32, np.int64))
+
+
+def narrowest_int(array):
+    """The narrowest of :data:`INT_DTYPES` that holds every value of the
+    integer ``array`` (int16 for an empty one)."""
+    if not len(array):
+        return INT_DTYPES[0]
+    low, high = int(array.min()), int(array.max())
+    for dtype in INT_DTYPES[:-1]:
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return dtype
+    return INT_DTYPES[-1]
 
 
 def integer():

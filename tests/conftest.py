@@ -18,6 +18,19 @@ from repro.engine.configuration import (
 from repro.engine.systems import system_a
 
 
+def narrowest_dtype(values):
+    """The dtype an integer column holding ``values`` is stored in: the
+    narrowest of int16, int32 and int64 that holds every one of them
+    (int16 for none) — a reference written apart from the storage
+    layer's own rule."""
+    values = [int(v) for v in values]
+    for dtype in (np.int16, np.int32, np.int64):
+        info = np.iinfo(dtype)
+        if all(info.min <= v <= info.max for v in values):
+            return np.dtype(dtype)
+    raise ValueError("values outside int64")
+
+
 def make_city_catalog():
     users = TableSchema(
         "users",

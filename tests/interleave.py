@@ -116,7 +116,9 @@ def batch(table, kind, size, seed, string_column):
     if kind == "new":
         for column, values in rows.items():
             if values.dtype.kind in "if":
-                rows[column] = values + 10 ** 7 + seed
+                # An int64 scalar widens a narrow column's values first
+                # (a Python int would wrap in int16 or raise).
+                rows[column] = values + np.int64(10 ** 7 + seed)
     elif kind == "outside":
         rows[string_column][0] = f"X{seed}"
     return rows

@@ -1099,3 +1099,86 @@ def test_hashed_pools_are_dropped_once_no_seed_draws_from_them():
     assert cache.dictionary(tables[1], "s").domain is first.domain
     cache.invalidate()
     assert cache._hashed_pools == {}
+
+
+# ----------------------------------------------------------------------
+# Integer columns stored narrow, widened by appends
+
+# Values at and around the int16 and int32 limits.
+EDGES = st.sampled_from([
+    -(2 ** 31) - 1, -(2 ** 31), -32769, -32768, -32767, -1, 0, 1,
+    32767, 32768, 2 ** 31 - 1, 2 ** 31,
+])
+
+
+def narrow_table(values):
+    """A one-column integer table ``n(i)`` loaded with ``values``."""
+    from repro.catalog.schema import ColumnDef, TableSchema
+    from repro.storage.table import Table
+    from repro.storage.types import integer
+
+    schema = TableSchema("n", [ColumnDef("i", integer(), "")])
+    return Table(schema, {"i": values})
+
+
+def assert_dictionary_of_int64(dictionary, want, column):
+    """``dictionary`` is the one of ``want``, the column's int64
+    reference: ``np.unique`` values (in the column's dtype), counts and
+    inverse, and the stable argsort."""
+    values, codes, counts = np.unique(
+        want, return_inverse=True, return_counts=True
+    )
+    assert dictionary.values.dtype == column.dtype
+    assert dictionary.values.tolist() == values.tolist()
+    assert dictionary.counts.tolist() == counts.tolist()
+    assert dictionary.codes.tolist() == codes.tolist()
+    assert dictionary.argsort().tolist() == np.argsort(
+        want, kind="stable"
+    ).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    initial=st.lists(EDGES, max_size=12),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("append"), st.lists(EDGES, max_size=6)),
+            st.tuples(st.just("read"), st.booleans()),
+        ),
+        max_size=8,
+    ),
+)
+# Section 4.4's first insert: ordinals loaded at most 6 670, new rows
+# numbered from 236 101, read after the insert and after the next.
+@example(
+    initial=[1, 2, 2, 6670],
+    steps=[("read", True), ("append", [236101, 236102]), ("read", False),
+           ("append", [236103]), ("read", True)],
+)
+@example(
+    initial=[-32768, 32767, 0],
+    steps=[("read", True), ("append", [32768]), ("append", [2 ** 31]),
+           ("read", True)],
+)
+def test_property_dictionaries_follow_a_widening_column(initial, steps):
+    """A cached dictionary of an integer column stored at the int16 and
+    int32 limits — read, or owing appends that fit it or widen it once
+    or twice — equals the ``np.unique`` / stable ``argsort`` products
+    of the column's int64 reference, with ``values`` in the column's
+    dtype; a column spanning all of int16 packs its sort in int64."""
+    table = narrow_table(initial)
+    cache = DictionaryCache()
+    want = np.array(initial, dtype=np.int64)
+    for kind, arg in steps:
+        if kind == "append":
+            cache.append_rows(table, {"i": np.array(arg, dtype=np.int64)})
+            want = np.concatenate([want, np.array(arg, dtype=np.int64)])
+            continue
+        dictionary = cache.dictionary(table, "i")
+        if arg:
+            # Codes read now are carried by the next extension.
+            dictionary.codes
+        assert_dictionary_of_int64(dictionary, want, table.column("i"))
+    assert_dictionary_of_int64(
+        cache.dictionary(table, "i"), want, table.column("i")
+    )

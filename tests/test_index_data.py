@@ -1,5 +1,6 @@
 """Built index data: probes, sizes, cluster factors, B+-tree agreement."""
 
+import collections
 import pickle
 
 import numpy as np
@@ -24,6 +25,8 @@ from repro.index.definition import (
 )
 from repro.storage.encoding import DictionaryCache
 from repro.storage.table import Table
+
+from conftest import narrowest_dtype
 
 
 # Rows this wide fit four to a heap page, so an index over a few dozen
@@ -161,8 +164,10 @@ def test_property_ranges_equal_a_brute_force_scan(column, picks, inner):
     )
     index = IndexData(definition, table, DictionaryCache())
     ordered = table.column(column)[index.row_ids]
+    # Built in the schema's widest dtype: probes outside an int16 or
+    # int32 column's range are compared, never cast into it.
     probes = np.array(
-        keys + between, dtype=table.column(column).dtype
+        keys + between, dtype=KEYED.column(column).sql_type.numpy_dtype()
     )
     lows, highs = index.ranges(probes)
     assert lows.dtype == highs.dtype == np.int64
@@ -451,7 +456,7 @@ def test_a_build_gathers_its_inner_columns_on_first_read(city_db):
     for got in (index.inner_columns, clone.inner_columns):
         assert [column.tolist() for column in got] == \
             [column.tolist() for column in want]
-    assert not any(column.flags.writeable for column in index.inner_columns)
+        assert not any(column.flags.writeable for column in got)
     assert make_index(city_db, "orders", ["uid"]).inner_columns == []
 
 
@@ -583,7 +588,8 @@ def test_pickled_database_keeps_its_indexes_and_no_dictionary(
     """An index holds its leading dictionary's *values array* and its
     own offsets, never the dictionary: the pickle — which drops the
     dictionary cache — carries no base, codes or order along, and the
-    unpickled indexes answer as the live ones do."""
+    unpickled indexes answer as the live ones do, their arrays as
+    read-only as the live ones'."""
     db = request.getfixturevalue(fixture)
     for sql in PICKLED_SQLS:  # fills the dictionary cache
         db.execute(sql)
@@ -594,9 +600,17 @@ def test_pickled_database_keeps_its_indexes_and_no_dictionary(
         got, want = clone.execute(sql), db.execute(sql)
         assert sorted(got.rows()) == sorted(want.rows())
         assert got.elapsed == want.elapsed
+    # Protocol 5 restores a read-only array read-only; protocol 4
+    # restores it writeable, unless the index sets it read-only again.
+    older = pickle.loads(pickle.dumps(db, 4))
     for name, live in db._built.index_data.items():
         index = clone._built.index_data[name]
         assert_same_index(index, live)
+        again = older._built.index_data[name]
+        for array in (index.row_ids, index.offsets, *index.inner_columns,
+                      again.row_ids, again.offsets, *again.inner_columns):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
         column = db.table(live.definition.table).column(
             live.definition.columns[0]
         )
@@ -611,13 +625,17 @@ def test_pickled_database_keeps_its_indexes_and_no_dictionary(
         assert got_idx.tolist() == want_idx.tolist()
 
 
-def index_pickle_bytes(db):
-    """``(now, before)``: pickled bytes of every index's arrays, and of
-    what the indexes held before they read their leading key off the
-    dictionary — sorted copies of every key column.  One pickle each,
-    as in a database's: an array two indexes share is written once."""
+def index_pickle_bytes(db, repeats=1):
+    """``(now, before)``: pickled bytes of the arrays of every index
+    whose leading key holds each value ``repeats`` times on average,
+    and of what those indexes held before they read their leading key
+    off the dictionary — sorted copies of every key column.  One
+    pickle each, as in a database's: an array two indexes share is
+    written once."""
     now, before = [], []
     for index in db._built.index_data.values():
+        if index.entry_count < repeats * len(index.values):
+            continue
         table = db.table(index.definition.table)
         now.append([index.row_ids, index.values, index.offsets,
                     *index.inner_columns])
@@ -632,8 +650,13 @@ def test_index_pickles_shrink_unless_the_leading_key_is_unique(
     # NREF under P: five of six primary keys lead with a repeating id.
     now, before = index_pickle_bytes(tiny_nref)
     assert now < before
+    # Under 1C, the indexes whose leading key repeats: an int16 key's
+    # sorted copy held 2 bytes an entry, where the run layout holds 2
+    # + 8 a distinct value, so a key shrinks once it repeats each
+    # value five times (users.city, users.age, orders.city,
+    # orders.amount; not orders.uid, 2 500 entries over 498 values).
     city_db.apply_configuration(one_column_configuration(city_db.catalog))
-    now, before = index_pickle_bytes(city_db)
+    now, before = index_pickle_bytes(city_db, repeats=5)
     assert now < before
     # Two single-column unique keys are the worst case: d = n values
     # and n + 1 offsets where there were n keys.
@@ -697,3 +720,231 @@ def test_index_pickled_without_page_transitions_is_a_store_miss(
         pickle.loads(pickle.dumps(forged))
     ArtifactCache(tmp_path).put("index", "k", forged)
     assert ArtifactCache(tmp_path).get("index", "k", "missed") == "missed"
+
+
+# ----------------------------------------------------------------------
+# Keys stored narrow: a parent key in int16 beside a child key in int32
+
+# Parent keys fit int16; child keys reach past it, to the int32 limits;
+# inserted keys reach past those, so either side may widen twice.
+PARENT_KEYS = [-32768, -32767, -1, 0, 1, 32767]
+CHILD_KEYS = PARENT_KEYS + [32768, 2 ** 31 - 1, -(2 ** 31)]
+INSERTED_KEYS = CHILD_KEYS + [-32769, -(2 ** 31) - 1, 2 ** 31]
+EDGE_TABLES = (
+    TableSchema("parents", [
+        ColumnDef("pid", integer(), "id"),
+        ColumnDef("grp", integer(), "grp"),
+    ], primary_key=("pid",)),
+    TableSchema("children", [
+        ColumnDef("cid", integer(), "cid"),
+        ColumnDef("pid", integer(), "id"),
+        ColumnDef("val", integer(), "val"),
+        ColumnDef("pad", varchar(200), "", indexable=False),
+    ], primary_key=("cid",)),
+)
+# An index nested-loop join, a semijoin through the child key's index
+# and index scans, each across the two widths.
+EDGE_SQLS = {
+    "join": "SELECT c.val FROM parents p, children c "
+            "WHERE p.pid = c.pid AND p.grp = 1",
+    "semijoin": "SELECT c.val FROM children c WHERE c.pid IN "
+                "(SELECT pid FROM parents GROUP BY pid HAVING COUNT(*) > 1)",
+    "child": "SELECT c.val FROM children c WHERE c.pid = {key}",
+    "parent": "SELECT p.grp FROM parents p WHERE p.pid = {key}",
+}
+
+
+def edge_rows(table, size, rng, keys, first_cid=0):
+    """``size`` int64 rows for ``table`` with keys drawn from ``keys``."""
+    pids = rng.choice(np.array(keys, dtype=np.int64), size)
+    if table == "parents":
+        return {"pid": pids, "grp": rng.integers(0, 50, size)}
+    return {
+        "cid": np.arange(first_cid, first_cid + size, dtype=np.int64),
+        "pid": pids,
+        "val": rng.integers(0, 50, size),
+        "pad": np.full(size, "x", dtype=object),
+    }
+
+
+def edge_database(seed):
+    """Parents keyed ``PARENT_KEYS`` and 2..299 (five keys twice),
+    3 000 children keyed ``CHILD_KEYS`` and 2..2999, under 1C; and the
+    int64 reference of every column, kept apart from the tables."""
+    from repro import Catalog, Database
+    from repro.engine.systems import system_a
+
+    rng = np.random.default_rng(seed)
+    parent_keys = PARENT_KEYS + list(range(2, 300))
+    reference = {
+        "parents": {
+            "pid": np.array(parent_keys + parent_keys[:5], dtype=np.int64),
+            "grp": rng.integers(0, 50, len(parent_keys) + 5),
+        },
+        "children": edge_rows(
+            "children", 3000, rng, CHILD_KEYS + list(range(2, 3000))
+        ),
+    }
+    database = Database(Catalog(list(EDGE_TABLES)), system_a(), name="edges")
+    for name, columns in reference.items():
+        database.load_table(name, dict(columns))
+    database.collect_statistics()
+    database.apply_configuration(one_column_configuration(database.catalog))
+    return database, reference
+
+
+def edge_answer(reference, query, key=None):
+    """What ``EDGE_SQLS[query]`` returns, sorted, from the int64
+    reference."""
+    parents, children = reference["parents"], reference["children"]
+    if query == "join":
+        matches = collections.Counter(
+            parents["pid"][parents["grp"] == 1].tolist()
+        )
+    elif query == "semijoin":
+        matches = {
+            pid: 1 for pid, count in
+            collections.Counter(parents["pid"].tolist()).items()
+            if count > 1
+        }
+    elif query == "child":
+        matches = {key: 1}
+    else:
+        return sorted(parents["grp"][parents["pid"] == key].tolist())
+    return sorted(
+        val for pid, val in zip(children["pid"].tolist(),
+                                children["val"].tolist())
+        for _ in range(matches.get(pid, 0))
+    )
+
+
+def assert_edges_equal_the_reference(database, reference):
+    """Stored columns, indexes, probes and views against int64."""
+    from repro.views.matview import (
+        COUNT_COLUMN,
+        MatViewDefinition,
+        ViewColumn,
+        build_view,
+    )
+
+    for name, columns in reference.items():
+        table = database.table(name)
+        fresh = Table(table.schema, columns)
+        for column, want in columns.items():
+            have = table.column(column)
+            assert have.tolist() == want.tolist(), (name, column)
+            if want.dtype == np.int64:
+                assert have.dtype == narrowest_dtype(want), (name, column)
+        for ix in database.configuration.indexes:
+            if ix.table != name:
+                continue
+            index = database._built.index_data[ix.name]
+            want = IndexData(ix, fresh, DictionaryCache(),
+                             database.system.index_overhead)
+            assert index.row_ids.tolist() == want.row_ids.tolist()
+            assert index.values.dtype == table.column(ix.columns[0]).dtype
+            assert index.values.tolist() == want.values.tolist()
+            assert index.offsets.tolist() == want.offsets.tolist()
+            key = reference[name][ix.columns[0]]
+            for literal in INSERTED_KEYS + [40_000]:
+                assert sorted(index.lookup_eq((literal,)).tolist()) == (
+                    np.flatnonzero(key == literal).tolist()
+                ), (ix.name, literal)
+    for query in ("join", "semijoin"):
+        got = database.execute(EDGE_SQLS[query]).rows()
+        assert sorted(v for (v,) in got) == edge_answer(reference, query)
+    for key in INSERTED_KEYS:
+        for query in ("child", "parent"):
+            got = database.execute(EDGE_SQLS[query].format(key=key)).rows()
+            assert sorted(v for (v,) in got) == edge_answer(
+                reference, query, key
+            ), (query, key)
+    children = reference["children"]
+    single = MatViewDefinition(
+        tables=("children",), group_columns=(ViewColumn("children", "pid"),)
+    )
+    joined = MatViewDefinition(
+        tables=("parents", "children"),
+        join_pred=(("parents", "pid"), ("children", "pid")),
+        group_columns=(ViewColumn("children", "pid"),),
+    )
+    parents = collections.Counter(reference["parents"]["pid"].tolist())
+    joined_keys = np.array(
+        [pid for pid in children["pid"].tolist()
+         for _ in range(parents[pid])],
+        dtype=np.int64,
+    )
+    for view_def, keys in ((single, children["pid"]),
+                           (joined, joined_keys)):
+        view, _ = build_view(view_def, database.tables, database.catalog,
+                             database._cache("dict_cache"))
+        values, counts = np.unique(keys, return_counts=True)
+        have = view.column("children__pid")
+        assert have.dtype == narrowest_dtype(values)
+        assert have.tolist() == values.tolist()
+        assert view.column(COUNT_COLUMN).tolist() == counts.tolist()
+
+
+def test_probes_cross_an_int16_and_an_int32_key():
+    """The edge database stores the parent key in int16 and the child
+    key in int32, and plans its queries as an index nested-loop join,
+    a semijoin through an index and index scans across the two."""
+    from repro.optimizer.plans import walk
+
+    database, reference = edge_database(0)
+    assert database.table("parents").column("pid").dtype == np.int16
+    assert database.table("children").column("pid").dtype == np.int32
+    kinds = {
+        query: {type(node).__name__
+                for node in walk(database.plan(sql.format(key=40_000)))}
+        for query, sql in EDGE_SQLS.items()
+    }
+    assert "IndexNLJoin" in kinds["join"]
+    assert "SemiIndexScan" in kinds["semijoin"]
+    assert "IndexScan" in kinds["child"]
+    assert_edges_equal_the_reference(database, reference)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 16),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("insert"), st.sampled_from(("parents", "children")),
+                st.integers(1, 6), st.integers(0, 2 ** 16),
+            ),
+            st.tuples(st.just("read")),
+            st.tuples(st.just("pickle")),
+        ),
+        max_size=6,
+    ),
+)
+@example(
+    seed=1,
+    steps=[("insert", "parents", 3, 5), ("insert", "children", 4, 6),
+           ("read",), ("pickle",), ("insert", "parents", 6, 7), ("read",)],
+)
+def test_property_inserts_widen_keys_and_probes_stay_exact(seed, steps):
+    """Inserts into either table, with keys that fit or widen the key
+    once or twice, interleaved with reads and pickle round trips: every
+    stored column, index, literal lookup (at keys no column's dtype
+    holds too), join, semijoin and view equals its int64 reference."""
+    database, reference = edge_database(seed)
+    for step in steps:
+        if step[0] == "insert":
+            _, name, size, pick = step
+            rows = edge_rows(
+                name, size, np.random.default_rng(pick), INSERTED_KEYS,
+                first_cid=10_000 + database.table(name).row_count,
+            )
+            database.insert_rows(name, rows)
+            for column, values in rows.items():
+                reference[name][column] = np.concatenate(
+                    [reference[name][column], values]
+                )
+        elif step[0] == "pickle":
+            database = pickle.loads(pickle.dumps(database))
+        else:
+            assert_edges_equal_the_reference(database, reference)
+    assert_edges_equal_the_reference(database, reference)

@@ -20,7 +20,7 @@ from repro.views.matview import (
 from repro.storage.encoding import DictionaryCache
 from repro.storage.table import Table
 
-from conftest import load_city_database
+from conftest import load_city_database, narrowest_dtype
 
 
 @pytest.fixture
@@ -189,6 +189,49 @@ def test_index_on_view(db):
     assert report.index_bytes > 0
 
 
+def test_an_index_on_a_view_is_rebuilt_by_an_insert():
+    """An insert into a view's table rebuilds the view and every index
+    on it: the index equals a from-scratch build over the new view
+    table, and the insert is charged what it is without that index."""
+    from repro.index.data import IndexData
+
+    view_def = MatViewDefinition(
+        tables=("orders",),
+        group_columns=(ViewColumn("orders", "uid"),),
+    )
+    on_view = IndexDefinition(table=view_def.name, columns=("orders__uid",))
+    views = primary_configuration(
+        load_city_database().catalog
+    ).with_views([view_def], name="V")
+    # One uid no order holds yet and one that many do.
+    rows = {
+        "oid": np.array([90_001, 90_002]),
+        "uid": np.array([157, 7]),
+        "city": np.array(["tor", "mtl"], dtype=object),
+        "amount": np.array([5, 6]),
+    }
+    charges = []
+    for config in (views, views.with_indexes([on_view])):
+        db = load_city_database()
+        assert 157 not in db.table("orders").column("uid").tolist()
+        db.apply_configuration(config)
+        charges.append(db.insert_rows("orders", rows))
+    view = db._built.view_tables[view_def.name]
+    assert view.row_count == 499
+    index = db._built.index_data[on_view.name]
+    want = IndexData(on_view, view, DictionaryCache(),
+                     db.system.index_overhead)
+    assert index.entry_count == want.entry_count == view.row_count
+    for have, expected in ((index.row_ids, want.row_ids),
+                           (index.values, want.values),
+                           (index.offsets, want.offsets)):
+        assert have.dtype == expected.dtype
+        assert have.tolist() == expected.tolist()
+    assert index.size == want.size
+    assert index.cluster_factor == want.cluster_factor
+    assert charges[0] == charges[1]
+
+
 def test_view_refreshes_after_insert(db):
     view_def = MatViewDefinition(
         tables=("orders",),
@@ -251,12 +294,15 @@ GROUPED = TableSchema("g", [
 def test_property_single_table_view_equals_the_raw_grouping(rows, columns):
     """A single-table view read off the dictionary cache equals the
     ``np.unique`` / ``np.lexsort`` grouping of the raw object, float
-    and int columns, dtypes included — empty tables too."""
-    table = Table(GROUPED, {
-        "i": [r[0] for r in rows],
-        "f": [r[1] for r in rows],
+    and int64 columns — empty tables too — and stores its integer
+    columns, ``cnt`` included, in the narrowest dtype that holds
+    them."""
+    raw = {
+        "i": np.array([r[0] for r in rows], dtype=np.int64),
+        "f": np.array([r[1] for r in rows], dtype=np.float64),
         "s": np.array([r[2] for r in rows], dtype=object),
-    })
+    }
+    table = Table(GROUPED, raw)
     catalog = Catalog([GROUPED])
     view_def = MatViewDefinition(
         tables=("g",),
@@ -266,11 +312,14 @@ def test_property_single_table_view_equals_the_raw_grouping(rows, columns):
         view_def, {"g": table}, catalog, DictionaryCache()
     )
     assert input_rows == len(rows)
-    keys, counts = reference_groups([table.column(c) for c in columns])
+    keys, counts = reference_groups([raw[c] for c in columns])
     for vcol, want in zip(view_def.group_columns, keys):
         have = view.column(vcol.name)
-        assert have.dtype == want.dtype
+        if want.dtype == np.int64:
+            assert have.dtype == narrowest_dtype(want)
+        else:
+            assert have.dtype == want.dtype
         assert have.tolist() == want.tolist()
     have = view.column(COUNT_COLUMN)
-    assert have.dtype == np.int64
+    assert have.dtype == narrowest_dtype(counts)
     assert have.tolist() == counts.tolist()

@@ -119,6 +119,13 @@ def test_traced_run_report_contents(traced_fig3):
     (db_caches,) = caches["databases"].values()
     assert db_caches["plan_cache"]["misses"] > 0
     assert db_caches["bind_cache"]["hits"] > 0
+    # Tiny NREF: every integer column fits int16, none is stored wider.
+    resident = db_caches["resident_bytes"]
+    assert set(resident["tables"]) == {"float64", "int16", "object"}
+    assert all(resident["tables"].values())
+    assert set(resident["dictionaries"]) == {
+        "codes", "orders", "lexsorts", "values",
+    }
 
     actuals = [m for m in report["measurements"] if m["kind"] == "A"]
     assert {m["configuration"] for m in actuals} >= {"P", "1C"}
@@ -163,6 +170,7 @@ def test_stats_report_text_matches_report_backing(traced_fig3, tmp_path):
     assert "bench stage timings" in text
     assert "artifact cache" in text
     assert "plan cache" in text
+    assert "db A/nref: resident columns" in text
     report = context.run_report()
     validate_run_report(report)
     assert obs.render_text(report) == text

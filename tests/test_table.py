@@ -11,6 +11,8 @@ from repro import ColumnDef, TableSchema, float_, integer, varchar
 from repro.common.errors import CatalogError
 from repro.storage.table import Table
 
+from conftest import narrowest_dtype
+
 SCHEMA = TableSchema(
     "t",
     [
@@ -43,13 +45,17 @@ def columns_of(rows):
 @example(initial=[(1, 0.5, "a")] * 16, batches=[[(2, 1.0, "b")]] * 6)
 def test_property_appended_columns_equal_concatenation(initial, batches):
     """After every append each column equals ``np.concatenate`` of the
-    loaded and appended parts in the schema dtype, and every column
-    array handed out before — a snapshot — keeps its contents."""
+    loaded and appended parts, built in the schema's widest dtype, and
+    is stored in the narrowest dtype that holds it; every column array
+    handed out before — a snapshot — keeps its contents."""
     table = Table(SCHEMA, columns_of(initial))
-    parts = {
-        col.name: [col.sql_type.coerce(columns_of(initial)[col.name])]
-        for col in SCHEMA.columns
-    }
+
+    def part(rows, col):
+        return np.asarray(
+            columns_of(rows)[col.name], dtype=col.sql_type.numpy_dtype()
+        )
+
+    parts = {col.name: [part(initial, col)] for col in SCHEMA.columns}
     snapshots = []
     for batch in batches:
         snapshots.append({
@@ -58,12 +64,13 @@ def test_property_appended_columns_equal_concatenation(initial, batches):
         })
         assert table.append_rows(columns_of(batch)) == len(batch)
         for col in SCHEMA.columns:
-            parts[col.name].append(
-                col.sql_type.coerce(columns_of(batch)[col.name])
-            )
+            parts[col.name].append(part(batch, col))
             want = np.concatenate(parts[col.name])
             have = table.column(col.name)
-            assert have.dtype == want.dtype == col.sql_type.numpy_dtype()
+            if col.sql_type.kind == "int":
+                assert have.dtype == narrowest_dtype(want)
+            else:
+                assert have.dtype == want.dtype
             assert have.tolist() == want.tolist()
         for snapshot in snapshots:
             for array, contents in snapshot.values():
@@ -108,3 +115,69 @@ def test_an_appended_table_pickles_only_its_rows():
         assert clone.column(name).tolist() == loaded.column(name).tolist()
     clone.append_rows(columns_of(rows[:1]))
     assert clone.row_count == appended.row_count + 1 == 4001
+
+
+# Integer values at and around the int16 and int32 limits.
+EDGES = st.sampled_from([
+    -(2 ** 31) - 1, -(2 ** 31), -32769, -32768, -32767, -1, 0, 1,
+    32767, 32768, 2 ** 31 - 1, 2 ** 31,
+])
+NARROW = TableSchema("n", [ColumnDef("i", integer(), "i")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    initial=st.lists(EDGES, max_size=12),
+    batches=st.lists(st.lists(EDGES, max_size=6), max_size=6),
+)
+# Section 4.4's first insert: NREF ordinals loaded at most 6 670 take
+# the new rows' numbers from 236 101 on.
+@example(initial=[1, 2, 6670], batches=[[236101, 236102], [236103]])
+@example(initial=[0], batches=[[32767], [32768], [2 ** 31]])
+def test_property_integer_columns_widen_and_never_wrap(initial, batches):
+    """An integer column is stored in the narrowest dtype that holds
+    its values: loaded, after every append (widening once or twice, in
+    one copy) and after a pickle round trip, it equals the int64
+    concatenation of its parts, and every array handed out before an
+    append keeps its dtype and contents."""
+    table = Table(NARROW, {"i": initial})
+    want = np.array(initial, dtype=np.int64)
+    snapshots = []
+    for batch in batches:
+        column = table.column("i")
+        snapshots.append((column, column.dtype, want.tolist()))
+        table.append_rows({"i": np.array(batch, dtype=np.int64)})
+        want = np.concatenate([want, np.array(batch, dtype=np.int64)])
+        have = table.column("i")
+        assert have.dtype == narrowest_dtype(want)
+        assert have.tolist() == want.tolist()
+    for array, dtype, contents in snapshots:
+        assert array.dtype == dtype and array.tolist() == contents
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone.column("i").dtype == narrowest_dtype(want)
+    assert clone.column("i").tolist() == want.tolist()
+
+
+def test_an_int64_pickle_loads_narrow():
+    """A table pickled while its columns were int64 loads them in the
+    narrowest dtype that holds them."""
+    table = Table(NARROW, {"i": [3, -7, 40000]})
+    table._columns["i"] = table.column("i").astype(np.int64)
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone.column("i").dtype == np.int32
+    assert clone.column("i").tolist() == [3, -7, 40000]
+
+
+def test_resident_bytes_count_each_buffer_in_its_dtype():
+    """A table's resident bytes are its column buffers by dtype, the
+    spare capacity behind appended rows included; a column an append
+    widened counts in its new dtype only."""
+    table = Table(SCHEMA, columns_of([(i, i / 2, "a") for i in range(800)]))
+    assert table.resident_bytes() == {
+        "int16": 2 * 800, "float64": 8 * 800, "object": 8 * 800,
+    }
+    table.append_rows(columns_of([(40_000, 1.0, "b")] * 10))
+    spare = 810 + 810 // 8
+    assert table.resident_bytes() == {
+        "int32": 4 * spare, "float64": 8 * spare, "object": 8 * spare,
+    }

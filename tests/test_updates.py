@@ -61,3 +61,53 @@ def test_insert_rates_ordering_with_configs():
     db2.apply_configuration(one_column_configuration(db2.catalog))
     c_rate = db2.insert_rows("orders", batch) / 500
     assert c_rate > p_rate
+
+
+def test_the_insert_loop_widens_ordinal_and_wraps_nothing():
+    """Section 4.4's loop at a small scale: under 1C, rounds of one
+    ``neighboring_seq`` batch and a burst of NREF2J queries.  The
+    batches number their rows from the table's row count on, past
+    int16, so ``ordinal`` widens to int32; afterwards every column
+    equals an int64 (or float, or object) reference kept beside the
+    table, and every index on it a from-scratch build."""
+    from repro.bench.context import BenchContext, BenchSettings
+    from repro.index.data import IndexData
+    from repro.storage.encoding import DictionaryCache
+
+    context = BenchContext(BenchSettings(scale=0.05, workload_size=5))
+    database = context.database("A", "nref")
+    queries = [q.sql for q in context.workload("A", "NREF2J")]
+    database.apply_configuration(context.one_c_configuration(database))
+    table = database.table("neighboring_seq")
+    assert table.column("ordinal").dtype == np.int16
+    assert table.row_count > np.iinfo(np.int16).max
+    schema = table.schema
+    reference = {
+        c.name: table.column(c.name).astype(c.sql_type.numpy_dtype())
+        for c in schema.columns
+    }
+    for round_ in range(3):
+        batch = nref_neighboring_batch(database, 50, seed=round_)
+        for c in schema.columns:
+            reference[c.name] = np.concatenate([
+                reference[c.name],
+                np.asarray(batch[c.name], dtype=c.sql_type.numpy_dtype()),
+            ])
+        database.insert_rows("neighboring_seq", batch)
+        for sql in queries:
+            database.execute(sql)
+    assert table.column("ordinal").dtype == np.int32
+    for name, want in reference.items():
+        assert table.column(name).tolist() == want.tolist(), name
+    for ix in database.configuration.indexes:
+        if ix.table != "neighboring_seq":
+            continue
+        have = database._built.index_data[ix.name]
+        want = IndexData(ix, table, DictionaryCache(),
+                         database.system.index_overhead)
+        for a, b in zip(
+                (have.row_ids, have.values, have.offsets,
+                 *have.inner_columns),
+                (want.row_ids, want.values, want.offsets,
+                 *want.inner_columns)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), ix.name
