@@ -433,8 +433,12 @@ def section_4_4(ctx, batches=(10_000, 40_000, 100_000)):
         # maintained by the insert.
         config = ctx._resolve_config(db, system, family, config_name)
         ctx._apply(db, system, family, config)
+        # As stored: a string column's dictionary reloads as it is.
         heap = db.table(table)
-        found = {name: heap.column(name) for name in heap.column_names()}
+        found = {
+            name: heap.dictionary(name) or heap.column(name)
+            for name in heap.column_names()
+        }
         seconds = db.insert_rows(
             table, nref_neighboring_batch(db, PROBE_ROWS)
         )

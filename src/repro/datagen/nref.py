@@ -187,6 +187,8 @@ def generate_nref(scale=1.0, seed=1405):
     lineages = name_pool(spawn(rng, "lineages"), n_lineages, "lineage")
     n_taxa = max(10, sizes.taxonomy // 25)
     taxa = np.arange(1, n_taxa + 1) * 7 + 13
+    # Each string pool is hashed once, whichever tables draw from it.
+    hashed = {}
 
     r = spawn(rng, "protein")
     protein = PooledTable({
@@ -197,7 +199,7 @@ def generate_nref(scale=1.0, seed=1405):
         "length": np.asarray(
             (r.lognormal(5.6, 0.6, sizes.protein)).astype(np.int64)
         ).clip(30, 5000),
-    })
+    }, hashed)
 
     r = spawn(rng, "source")
     src_nref = zipf_column(r, nref_ids, sizes.source, 0.5)
@@ -212,7 +214,7 @@ def generate_nref(scale=1.0, seed=1405):
         "source": zipf_column(
             r, np.array(SOURCE_DATABASES, dtype=object), sizes.source, 0.6
         ),
-    })
+    }, hashed)
 
     r = spawn(rng, "taxonomy")
     tax_lineage = zipf_column(r, lineages, sizes.taxonomy, 1.05)
@@ -222,7 +224,7 @@ def generate_nref(scale=1.0, seed=1405):
         "lineage": tax_lineage,
         "species_name": zipf_column(r, species, sizes.taxonomy, 1.0),
         "common_name": zipf_column(r, species, sizes.taxonomy, 1.2),
-    })
+    }, hashed)
 
     r = spawn(rng, "organism")
     organism = PooledTable({
@@ -230,7 +232,7 @@ def generate_nref(scale=1.0, seed=1405):
         "ordinal": None,
         "taxon_id": zipf_column(r, taxa, sizes.organism, 1.0),
         "name": zipf_column(r, species, sizes.organism, 1.0),
-    })
+    }, hashed)
 
     r = spawn(rng, "neighboring")
     n = sizes.neighboring_seq
@@ -248,7 +250,7 @@ def generate_nref(scale=1.0, seed=1405):
         "start_2": r.integers(1, 900, n),
         "end_1": starts + spans,
         "end_2": r.integers(900, 1800, n),
-    })
+    }, hashed)
 
     r = spawn(rng, "identical")
     m = sizes.identical_seq
@@ -257,13 +259,11 @@ def generate_nref(scale=1.0, seed=1405):
         "ordinal": None,
         "nref_id_2": zipf_column(r, nref_ids, m, 0.4),
         "taxon_id": zipf_column(r, taxa, m, 1.0),
-    })
+    }, hashed)
 
-    organism["ordinal"] = _group_ordinals(organism.dictionary("nref_id"))
-    neighboring["ordinal"] = _group_ordinals(
-        neighboring.dictionary("nref_id_1")
-    )
-    identical["ordinal"] = _group_ordinals(identical.dictionary("nref_id_1"))
+    organism["ordinal"] = _group_ordinals(organism["nref_id"])
+    neighboring["ordinal"] = _group_ordinals(neighboring["nref_id_1"])
+    identical["ordinal"] = _group_ordinals(identical["nref_id_1"])
 
     return {
         "protein": protein,

@@ -82,29 +82,28 @@ class Pooled(NamedTuple):
 
 
 class PooledTable(dict):
-    """One generated table, ``{column: array}``, that remembers how its
-    pooled object columns were drawn: ``pools[column]`` is the
-    :class:`Pooled` behind ``self[column]``.
-
-    :meth:`~repro.engine.database.Database.load_table` hands the pools
-    to the dictionary cache, which encodes such a column from its pool
-    codes instead of hashing every row; a numeric pooled column keeps
-    its values only (its dictionary is one integer sort anyway).
+    """One generated table, ``{column: array}``, whose columns drawn
+    from a string pool are their coded dictionaries, read off the pool
+    indices (:meth:`ColumnDictionary.from_pool
+    <repro.storage.encoding.ColumnDictionary.from_pool>`): the rows'
+    strings are never gathered, and ``Table`` stores the dictionary as
+    it is.  ``hashed`` memoizes each pool's hash across the tables of
+    one generated database, so a pool is hashed once whichever columns
+    draw from it; a numeric pooled column keeps its values only (its
+    dictionary is one integer sort anyway).
     """
 
-    def __init__(self, columns):
+    def __init__(self, columns, hashed=None):
         super().__init__()
-        self.pools = {}
         for name, column in columns.items():
             if isinstance(column, Pooled):
                 if column.pool.dtype == object:
-                    self.pools[name] = column
-                column = column.values()
+                    column = ColumnDictionary.from_pool(
+                        column.pool, column.rows, hashed
+                    )
+                else:
+                    column = column.values()
             self[name] = column
-
-    def dictionary(self, name):
-        """The dictionary of pooled column ``name``, read off its codes."""
-        return ColumnDictionary.from_pool(self[name], *self.pools[name])
 
 
 def zipf_pick(rng, n, size, z):

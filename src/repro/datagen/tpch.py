@@ -373,7 +373,10 @@ def generate_tpch(scale=1.0, zipf=0.0, seed=1992):
         "orders": orders,
         "lineitem": lineitem,
     }
-    return {name: PooledTable(columns) for name, columns in tables.items()}
+    hashed = {}
+    return {
+        name: PooledTable(columns, hashed) for name, columns in tables.items()
+    }
 
 
 def load_tpch_database(system, scale=1.0, zipf=0.0, seed=1992, name=None):

@@ -197,7 +197,9 @@ class Database:
         self._init_caches()
         # An index's values are its leading column's dictionary's
         # (executor probes map codes through that dictionary): re-link
-        # each restored index to the rebuilt one.
+        # each restored index to it — a number column's is rebuilt, a
+        # string column's came back with its table, holding the very
+        # values array the index does.
         if self._built is not None:
             encodings = self._cache("dict_cache")
             for data in self._built.index_data.values():
@@ -268,21 +270,17 @@ class Database:
     def load_table(self, name, columns):
         """Load ``{column: values}`` as table ``name``.
 
-        ``columns`` may carry ``pools`` (a generated
-        :class:`~repro.datagen.text.PooledTable`): each such column's
-        pool and int32 codes seed its dictionary, so it is encoded from
-        the codes instead of by hashing every row.
+        A string column is stored as its coded dictionary: an object
+        array is encoded here, and a column that is its dictionary
+        already (a generated :class:`~repro.datagen.text.PooledTable`'s,
+        read off its pool indices) is taken as it is.
         """
         schema = self.catalog.table(name)
-        table = Table(schema, columns)
-        self.tables[name] = table
+        self.tables[name] = Table(schema, columns)
         for cache in self._caches["catalog"].values():
             cache.invalidate()
         self._view_size_cache.clear()
         self.invalidate_caches()
-        encodings = self._cache("dict_cache")
-        for column, (pool, rows) in getattr(columns, "pools", {}).items():
-            encodings.seed(table, column, pool, rows)
 
     def table(self, name):
         try:
@@ -858,7 +856,8 @@ class Database:
         :meth:`DictionaryCache.append_rows`); so are the join domains
         of every dictionary whose values the batch leaves unchanged.
         Dependent views are rebuilt, from the dictionaries, and so are
-        the indexes on them; the charge stays the base table's.
+        the indexes on them and their statistics; the charge stays the
+        base table's.
         """
         table = self.table(table_name)
         # Through the dictionary cache, which leaves the table's
@@ -887,6 +886,9 @@ class Database:
                         view_def, self.tables, self.catalog, encodings
                     )
                     self._built.view_tables[view_def.name] = view_table
+                    self._view_stats.put(
+                        TableStats.collect(view_table, encodings)
+                    )
                     # A new view table: its indexes are built over it.
                     for ix in self._built.configuration.indexes:
                         if ix.table == view_def.name:

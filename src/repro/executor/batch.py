@@ -10,6 +10,14 @@ the life of the batch.  ``mask``/``take`` compose selection vectors
 are gathered only when an operator reads them (:meth:`Batch.column`,
 memoized beside the base array).
 
+A scanned string column is its codes (``Table`` stores no strings):
+:meth:`Batch.column` hands them out as they are stored, a filter
+compares them with its literal's code
+(:meth:`~repro.storage.encoding.ColumnHandle.literal`), and
+only what leaves the plan — group key values (:meth:`Batch.gather`)
+and the root's columns (:meth:`Batch.materialize`) — is decoded, row
+by row read.
+
 There is one route to a key's codes: :meth:`Batch.key_codes` returns
 the column's dictionary and that dictionary's ``codes`` through the
 key's selection vector.  :func:`factorize` densifies such codes over
@@ -146,8 +154,9 @@ class Batch:
         return key in self.sels
 
     def column(self, key):
-        """The values of ``key``: the array itself, or — memoized — its
-        gather through the key's selection vector."""
+        """The stored values of ``key`` (a string column's codes): the
+        array itself, or — memoized — its gather through the key's
+        selection vector."""
         sel = self.sels.get(key)
         if sel is None:
             return self.columns[key]
@@ -157,13 +166,25 @@ class Batch:
         return values
 
     def gather(self, key, positions):
-        """Values of ``key`` at row ``positions`` without materializing
-        the whole column (aggregate outputs read one value per group)."""
+        """Values of ``key`` at row ``positions``, decoded, without
+        materializing the whole column (aggregate outputs read one
+        value per group)."""
         sel = self.sels.get(key)
         values = self.columns[key]
-        if sel is None:
-            return values[positions]
-        return values[sel[positions]]
+        if sel is not None:
+            positions = sel[positions]
+        return self.decoded(key, values[positions])
+
+    def decode(self, key):
+        """The values of ``key``: :meth:`column`, decoded."""
+        return self.decoded(key, self.column(key))
+
+    def decoded(self, key, stored):
+        """The values of ``stored``, entries of ``key``'s column as it
+        is stored: a scanned string column's codes decoded, anything
+        else as it is."""
+        handle = self.encodings.get(key)
+        return stored if handle is None else handle.decode(stored)
 
     def key_codes(self, key):
         """``(dictionary, codes)`` of a scanned key: its column's
@@ -181,10 +202,10 @@ class Batch:
 
     def materialize(self):
         """Turn the view into plain data: ``columns`` then holds
-        gathered equal-length arrays, and nothing ties them to storage
-        any more."""
-        for key in self.sels:
-            self.columns[key] = self.column(key)
+        gathered, decoded equal-length arrays, and nothing ties them
+        to storage any more."""
+        for key in self.columns:
+            self.columns[key] = self.decode(key)
         self.sels = {}
         self.encodings = {}
         self._gathered = {}

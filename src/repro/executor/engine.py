@@ -61,7 +61,7 @@ from .groupjoin import count_shape, slot_map, take_or_zero
 from ..common.cache import BoundedCache
 from ..index.data import gather_ranges
 from ..storage.encoding import DictionaryCache, stable_order
-from .kernels import MAX_KERNELS, fused_filter
+from .kernels import MAX_KERNELS, OPERATORS, fused_filter
 from .subplan import SubplanCache
 
 MAX_MATERIALIZED_ROWS = 8_000_000
@@ -242,7 +242,8 @@ class Executor:
         """The conjunctive keep-mask of ``filters`` over ``batch``.
 
         The filter list compiles into one fused callable, cached by
-        table and filter structure with the literals bound per call.
+        table and filter structure with the literals bound per call; a
+        string column's codes are compared with its literal's code.
         """
         fused = fused_filter(
             self._kernels, table.name if table is not None else None,
@@ -250,7 +251,8 @@ class Executor:
         )
         return fused(
             [batch.column(flt.key) for flt in filters],
-            [flt.value for flt in filters],
+            [batch.encodings[flt.key].literal(flt.op, flt.value)
+             for flt in filters],
         )
 
     def _identity_specs(self, batch, filters, table, alias):
@@ -496,8 +498,11 @@ class Executor:
             )
             keep = np.ones(batch.rows, dtype=bool)
             for flt in node.filters:
-                values = table.column(flt.column)
-                keep &= _compare(values, flt.op, flt.value)
+                column = self._encodings.handle(table, flt.column)
+                keep &= _compare(
+                    table.column(flt.column), flt.op,
+                    column.literal(flt.op, flt.value),
+                )
             batch = batch.mask(keep)
         return batch
 
@@ -619,14 +624,26 @@ class Executor:
             )
             keep = np.ones(batch.rows, dtype=bool)
             for outer_key, inner_col in node.extra_preds:
-                keep &= (
-                    batch.column(outer_key)
-                    == batch.column(f"{node.alias}.{inner_col}")
+                keep &= self._equal(
+                    batch, outer_key, f"{node.alias}.{inner_col}"
                 )
             batch = batch.mask(keep)
         batch = self._apply_filters(batch, node.residual_filters, clock)
         batch = self._apply_semis(batch, node.semi_filters, clock)
         return batch
+
+    def _equal(self, batch, left, right):
+        """Row-wise ``left = right`` of two batch keys.  String columns
+        are two dictionaries' codes: the left codes map to their slots
+        in the right dictionary (-1 where a value is not there,
+        :meth:`_slots`), which equal the right codes exactly where the
+        values do; numbers compare as they are stored."""
+        handle = batch.encodings[left]
+        if handle.table.dictionary(handle.column) is None:
+            return batch.column(left) == batch.column(right)
+        own, codes = batch.key_codes(left)
+        other, other_codes = batch.key_codes(right)
+        return self._slots(own, codes, other) == other_codes
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -676,9 +693,10 @@ class Executor:
                     cnt = _per_group(codes, wts, n_groups)
                     columns[label] = sums / np.maximum(cnt, 1)
             elif agg.func in ("min", "max"):
-                columns[label] = self._min_max(
+                # Codes order as their values do.
+                columns[label] = child.decoded(str(agg.arg), self._min_max(
                     codes, child.column(str(agg.arg)), n_groups, agg.func
-                )
+                ))
             else:
                 raise ExecutionError(f"unsupported aggregate {agg.func!r}")
             widths[label] = 8
@@ -995,19 +1013,9 @@ def _member_flags(dictionary, slots):
 
 
 def _compare(values, op, literal):
-    if op == "=":
-        return values == literal
-    if op == "<>":
-        return values != literal
-    if op == "<":
-        return values < literal
-    if op == "<=":
-        return values <= literal
-    if op == ">":
-        return values > literal
-    if op == ">=":
-        return values >= literal
-    raise ExecutionError(f"unsupported comparison operator {op!r}")
+    if op not in OPERATORS:
+        raise ExecutionError(f"unsupported comparison operator {op!r}")
+    return OPERATORS[op](values, literal)
 
 
 def _guard_materialization(rows):

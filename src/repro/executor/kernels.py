@@ -17,7 +17,7 @@ import numpy as np
 # shape per table), so this is a safety valve, not a working limit.
 MAX_KERNELS = 256
 
-_OPERATORS = {
+OPERATORS = {
     "=": operator.eq,
     "<>": operator.ne,
     "<": operator.lt,
@@ -33,7 +33,7 @@ def _compile_conjunction(ops):
     The callable takes the gathered filter arrays and the literal
     values, and returns the boolean keep mask.
     """
-    resolved = [_OPERATORS[op] for op in ops]
+    resolved = [OPERATORS[op] for op in ops]
     first = resolved[0]
     rest = list(enumerate(resolved))[1:]
 

@@ -12,8 +12,9 @@ column's dictionary map to slots of the leading column's dictionary
 through a cached slot table (``Executor._index_ranges``), and only a
 literal probe (:meth:`IndexData.lookup_eq`) bisects the ``d`` values.
 Only the *inner* columns of a multi-column index are stored as sorted
-value copies, gathered when first read: most multi-column indexes are
-only ever probed on their leading key.  The row ids are int32 — four
+copies of what the table stores — a string column's codes, with the
+dictionary ``values`` they index — gathered when first read: most
+multi-column indexes are only ever probed on their leading key.  The row ids are int32 — four
 bytes an entry, the dictionary cache's memoized order itself; what a
 probe gathers from them widens to the int64 NumPy indexes with as it
 becomes a batch's selection vector (``Executor._scan_batch``).  The ``d + 1`` offsets are
@@ -45,6 +46,7 @@ import numpy as np
 
 from .. import obs
 from ..common.hardware import PAGE_SIZE
+from ..storage.encoding import code_bound
 from .definition import estimate_index_size
 
 
@@ -54,8 +56,8 @@ _PAGE_BLOCK = 1 << 16
 # What an index computes on its first read: all of these for an index
 # an insert deferred, the inner columns for a build.
 _DEFERRED = frozenset({
-    "row_ids", "values", "offsets", "inner_columns", "page_transitions",
-    "cluster_factor",
+    "row_ids", "values", "offsets", "inner_columns", "inner_values",
+    "page_transitions", "cluster_factor",
 })
 
 # Held while an index computes what it owes: measurement-pool threads
@@ -84,6 +86,13 @@ def gather_ranges(values, lows, highs):
         lows[hit] - (ends - counts), counts
     )
     return values[positions], np.repeat(hit, counts)
+
+
+def _coded_values(table, column):
+    """The dictionary ``values`` a string column's stored codes index
+    (``None`` for a number column)."""
+    coded = table.dictionary(column)
+    return None if coded is None else coded.values
 
 
 def _rows_per_page(table):
@@ -195,8 +204,10 @@ class IndexData:
             whose leading key is ``values[slot]`` are
             ``offsets[slot]:offsets[slot + 1]``.
         inner_columns: the key columns after the leading one, in key
-            order (read-only; a build gathers them on their first
-            read).
+            order, as stored — a string column's codes (read-only; a
+            build gathers them on their first read).
+        inner_values: per inner column, the dictionary ``values`` its
+            codes index (``None`` for a number column).
         page_transitions: heap page changes along ``row_ids``, plus
             one for the first page; ``cluster_factor`` is this over
             ``entry_count``.
@@ -214,12 +225,15 @@ class IndexData:
             _page_transitions(order, _rows_per_page(table)),
         )
         if len(definition.columns) > 1:
-            self._gather = [table.column(c) for c in definition.columns[1:]]
+            self._gather = [
+                (table.column(c), _coded_values(table, c))
+                for c in definition.columns[1:]
+            ]
         else:
-            self.inner_columns = []
+            self._set_inner_columns([], [])
 
     def _set_entries(self, table, encodings, row_ids, page_transitions,
-                     inner_columns=None):
+                     inner=None):
         leading = encodings.dictionary(table, self.definition.columns[0])
         offsets = _run_offsets(leading)
         for array in (row_ids, offsets):
@@ -227,8 +241,8 @@ class IndexData:
         self.row_ids = row_ids
         self.values = leading.values
         self.offsets = offsets
-        if inner_columns is not None:
-            self._set_inner_columns(inner_columns)
+        if inner is not None:
+            self._set_inner_columns(*inner)
         self._set_size(table, len(row_ids))
         self.page_transitions = page_transitions
         self.cluster_factor = (
@@ -236,10 +250,11 @@ class IndexData:
             if self.entry_count else 1.0
         )
 
-    def _set_inner_columns(self, inner_columns):
+    def _set_inner_columns(self, inner_columns, inner_values):
         for array in inner_columns:
             array.setflags(write=False)
         self.inner_columns = inner_columns
+        self.inner_values = inner_values
 
     def _set_size(self, table, entry_count):
         self.entry_count = entry_count
@@ -287,6 +302,14 @@ class IndexData:
             raise pickle.UnpicklingError(
                 f"index pickled with {state['row_ids'].dtype} row ids"
             )
+        if "inner_values" not in state:
+            # Written before string columns were stored as codes: an
+            # inner string column is a copy of its strings.
+            if any(c.dtype == object for c in state["inner_columns"]):
+                raise pickle.UnpicklingError(
+                    "index pickled with string inner columns"
+                )
+            state["inner_values"] = [None] * len(state["inner_columns"])
         self.__dict__.update(state)
         # A pickle restores arrays writeable; they are read-only
         # (architecture invariant 7).
@@ -298,6 +321,8 @@ class IndexData:
         dictionary rebuilt after this index was unpickled, once one
         comparison shows they are equal; an index whose values are not
         refuses (``pickle.UnpicklingError``), so the store misses."""
+        if self.values is leading.values:
+            return
         if not np.array_equal(self.values, leading.values):
             raise pickle.UnpicklingError(
                 f"index {self.definition.name} does not match the "
@@ -330,13 +355,25 @@ class IndexData:
         tails = [leading.codes_from(first)] + [
             table.column(c)[first:] for c in self.definition.columns[1:]
         ]
+        inner_values = [
+            _coded_values(table, c) for c in self.definition.columns[1:]
+        ]
+        # An inner string column whose dictionary gained values since
+        # is recoded first: its old codes' slots in the new values.
+        inner_columns = [
+            column if old is new
+            else new.searchsorted(old).astype(np.int32)[column]
+            for column, old, new in zip(
+                self.inner_columns, self.inner_values, inner_values
+            )
+        ]
         order = np.lexsort(tuple(reversed(tails)))
         tails = [tail[order] for tail in tails]
         runs = _run_offsets(leading)
         lead = tails[0]
         lows = runs[lead] - np.searchsorted(lead, lead, side="left")
         slots = runs[lead + 1] - np.searchsorted(lead, lead, side="right")
-        for column, values in zip(self.inner_columns, tails[1:]):
+        for column, values in zip(inner_columns, tails[1:]):
             lows, slots = (
                 _bisect(column, values, lows, slots, right=False),
                 _bisect(column, values, lows, slots, right=True),
@@ -363,8 +400,9 @@ class IndexData:
             self.page_transitions + _spliced_transitions(
                 row_ids, positions, _rows_per_page(table)
             ),
-            [splice(old, new, np.result_type(old, new))
-             for old, new in zip(self.inner_columns, tails[1:])],
+            ([splice(old, new, np.result_type(old, new))
+              for old, new in zip(inner_columns, tails[1:])],
+             inner_values),
         )
         return merged
 
@@ -408,7 +446,8 @@ class IndexData:
                 # ``entry_count`` rows are the index's whatever was
                 # appended since.
                 self._set_inner_columns(
-                    [column[self.row_ids] for column in self._gather]
+                    [column[self.row_ids] for column, _ in self._gather],
+                    [values for _, values in self._gather],
                 )
                 del self._gather
             owed = self.__dict__.get("_owed")
@@ -461,6 +500,10 @@ class IndexData:
         if len(prefix_values) == 1:
             return self.row_ids[lo:hi]
         mask = np.ones(hi - lo, dtype=bool)
-        for column, value in zip(self.inner_columns, prefix_values[1:]):
+        for column, values, value in zip(
+            self.inner_columns, self.inner_values, prefix_values[1:]
+        ):
+            if values is not None:
+                value = code_bound(values, "=", value)
             mask &= column[lo:hi] == value
         return self.row_ids[lo:hi][mask]

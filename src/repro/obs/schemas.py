@@ -149,7 +149,9 @@ _RESIDENT_BYTES_SCHEMA = {
     "type": "object",
     "required": ["tables", "dictionaries"],
     "properties": {
-        # Column bytes by dtype name: int16, int32, int64, float64, object.
+        # Column bytes by dtype name: int16, int32, int64, float64 (a
+        # string column is its int32 codes; its dictionary's values
+        # are under "dictionaries").
         "tables": {"type": "object", "additionalProperties": _BYTES},
         "dictionaries": {
             "type": "object",

@@ -22,14 +22,17 @@ that depends on nothing but the column:
   (each dictionary entry repeated by its count), which happens when an
   operator first reads them — most integer columns are indexed and
   never factorized, and hold no codes at all;
-* an **object** column takes one hash pass: the *distinct* values are
-  sorted, every row looks its slot up, the counts are a ``bincount``
-  — no ``n log n`` sort of Python strings, and its argsort is an
-  integer sort of the codes when first asked for.  A generated column
-  drawn from a pool arrives with the pool and one int32 pool index per
-  row (:meth:`DictionaryCache.seed`); only the pool is hashed then —
-  once per pool, whichever columns draw from it — and the rows take
-  integer passes (:meth:`ColumnDictionary.from_pool`);
+* an **object** column is *encoded*, once, when its table is loaded:
+  one hash pass sorts the *distinct* values, every row looks its slot
+  up, the counts are a ``bincount`` — no ``n log n`` sort of Python
+  strings, and its argsort is an integer sort of the codes when first
+  asked for.  The result is **coded**: the table stores the int32
+  codes as the column and keeps no object array per row
+  (:class:`~repro.storage.table.Table`), so the dictionary's ``base``
+  *is* its ``codes``.  A generated column drawn from a pool is encoded
+  off its int32 pool indices without gathering its strings: only the
+  pool is hashed — once per pool, whichever columns draw from it — and
+  the rows take integer passes (:meth:`ColumnDictionary.from_pool`);
 * **anything else** (floats, integers too wide to pack, an empty
   column) takes ``np.unique``; on first use its codes are scattered
   back through one plain ``argsort`` of the column, like a packed
@@ -85,10 +88,15 @@ against the NumPy call it replaces (``np.unique``, ``np.lexsort``) in
 ``tests/test_encoding.py``.
 
 Consistency: a dictionary is valid exactly as long as its base storage
-array is.  :meth:`DictionaryCache.dictionary` verifies *array
-identity* on every lookup — an entry whose base array is no longer the
-table's current storage array (a reloaded table; a rebuilt view is a
-new ``Table``) is rebuilt, never served.  ``append_rows`` publishes
+array is.  A coded column's dictionary is its table's storage, so it
+is never stale: :meth:`DictionaryCache.dictionary` takes the table's
+own as the column's entry, and an append grows it in the table
+(:meth:`ColumnDictionary.appended`) — its tail's codes written behind
+the stored ones while it brings no new value, else the one remapped
+copy.  For any other column the cache verifies *array identity* on
+every lookup — an entry whose base array is no longer the table's
+current storage array (a reloaded table; a rebuilt view is a new
+``Table``) is rebuilt, never served.  ``append_rows`` publishes
 every column as a new, longer array too, but ``Database.insert_rows``
 appends through :meth:`DictionaryCache.append_rows`, which leaves the
 table's live dictionaries owing the appended rows instead of letting
@@ -111,11 +119,39 @@ import numpy as np
 
 from .. import obs
 from ..common.cache import CacheStats
-from .table import appended, spare_buffer
 
 
 # Width of the position grid in :func:`_sort_with_positions` (rows per line).
 _GRID = 1 << 12
+
+
+def appended(column, tail, spare=None):
+    """``(column + tail, buffer)``: the concatenation as a prefix view
+    of ``buffer``, in the dtype the two promote to.
+
+    When ``column`` is itself a prefix of ``spare``, the buffer has
+    room and ``tail`` needs no wider dtype, only ``tail`` is written,
+    behind it; otherwise the rows move into a new buffer with an eighth
+    more room than they fill — of the wider dtype, when ``tail`` needs
+    one (a narrowest-dtype tail of a narrowest-dtype column promotes to
+    the narrowest dtype that holds both), so nothing is ever wrapped.
+    Nothing below ``len(column)`` is ever written, so ``column`` — like
+    every prefix handed out before it — keeps its contents.  A buffer must
+    have one owner, which hands it on to the owner of the result.
+    """
+    rows, total = len(column), len(column) + len(tail)
+    dtype = np.result_type(column, tail)
+    if (spare is None or column.base is not spare or len(spare) < total
+            or dtype != column.dtype):
+        spare = spare_buffer(total, dtype)
+        spare[:rows] = column
+    spare[rows:total] = tail
+    return spare[:total], spare
+
+
+def spare_buffer(rows, dtype):
+    """An empty buffer for ``rows`` rows and an eighth more."""
+    return np.empty(rows + rows // 8, dtype=dtype)
 
 
 def _sort_with_positions(packed):
@@ -243,6 +279,24 @@ def locate(own, other):
     return other.find(own.values)
 
 
+def code_bound(values, op, literal):
+    """The code standing for ``literal`` when a column coded against
+    the sorted ``values`` is compared ``codes op code``: the rows that
+    compare true are those of ``values[codes] op literal``, for each
+    of ``=``, ``<>``, ``<``, ``<=``, ``>`` and ``>=``.
+
+    A literal absent from ``values`` is ``-1`` for ``=`` and ``<>`` (no
+    code equals it); for an order it is the boundary between the
+    values below and above it.
+    """
+    low = int(np.searchsorted(values, literal, side="left"))
+    if op in ("=", "<>"):
+        return low if low < len(values) and values[low] == literal else -1
+    if op in ("<", ">="):
+        return low
+    return int(np.searchsorted(values, literal, side="right")) - 1
+
+
 def _hashed_dictionary(base):
     """``(values, counts, codes)`` of an object column.
 
@@ -269,8 +323,10 @@ class ColumnDictionary:
     """The dictionary of one column: sorted uniques, counts, codes.
 
     Attributes:
-        base: the storage array the dictionary was built from (held so
-            validity can be checked by identity).
+        base: the storage array the dictionary describes (held so
+            validity can be checked by identity): a numeric column's
+            values, or — for a *coded* column, whose storage is the
+            dictionary — the codes themselves.
         values: sorted unique values (``np.unique`` order).
         counts: occurrence count of each unique value.
         domain: the sorted distinct values ``values`` is drawn from —
@@ -282,9 +338,11 @@ class ColumnDictionary:
     width) whose value span packs beside a row position takes one
     integer sort that yields ``values``, ``counts`` and the stable ``argsort`` together, and
     scatters its dense ``codes`` from that order when they are first
-    read; an object column takes one hash pass for ``values``,
-    ``counts`` and ``codes`` (or, drawn from a pool, :meth:`from_pool`
-    reads them off its pool codes); any other column (floats, integers too
+    read; an object column is *encoded* — one hash pass for
+    ``values``, ``counts`` and ``codes`` — and the result is coded:
+    its ``base`` is its codes, and the object array is not kept (a
+    column drawn from a pool is encoded off its pool indices,
+    :meth:`from_pool`); any other column (floats, integers too
     wide to pack, an empty column) takes ``np.unique`` and scatters its
     codes through one ``argsort`` of the column on first use.
     ``codes`` and ``argsort()`` are int32.
@@ -307,6 +365,7 @@ class ColumnDictionary:
         packed = _packed_dictionary(base) if base.dtype.kind == "i" else None
         if base.dtype == object:
             values, counts, codes = _hashed_dictionary(base)
+            base = codes
         elif packed is not None:
             values, counts, order = packed
         else:
@@ -314,37 +373,67 @@ class ColumnDictionary:
         self._set(base, values, counts, codes, order)
 
     @classmethod
-    def from_pool(cls, base, pool, rows, hashed=None):
-        """The dictionary of ``base``, an object column drawn from
-        ``pool`` as ``base == pool[rows]`` (``rows`` int32).
+    def from_codes(cls, codes, values, domain=None, ranks=None):
+        """The coded dictionary of a column whose row ``i`` holds
+        ``values[codes[i]]``: ``values`` sorted and distinct, ``codes``
+        int32 into them.
 
-        Only the pool is hashed — or not even that: ``hashed`` is the
-        pool's ``_hashed_dictionary`` when the caller keeps it
-        (:class:`DictionaryCache` does, per pool).  The rows take
-        integer passes — a ``bincount`` of their pool indices, and one
-        gather of each pool entry's code.  Pool entries that hold one
-        value share a code, and entries no row draws drop out, so
-        ``values``, ``counts`` and ``codes`` (dtypes included) are
-        those of ``ColumnDictionary(base)``.  The pool's distinct
-        values are the ``domain``, and the drawn ones' positions in it
-        the ``ranks``; a column that draws every value has the domain
-        as its ``values``.
+        Entries no row holds drop out and the codes are renumbered, so
+        ``values``, ``counts`` and ``codes`` are those of encoding the
+        column's values; ``values`` carries over — the same array —
+        when every entry is held.  The domain is ``domain`` (with
+        ``ranks``, each of ``values``' position in it) when given, else
+        ``values`` itself; dropped entries keep their ranks in it.
         """
-        distinct, _, slots = hashed or _hashed_dictionary(pool)
-        counts = np.zeros(len(distinct), dtype=np.int64)
-        np.add.at(counts, slots, np.bincount(rows, minlength=len(pool)))
+        counts = np.bincount(codes, minlength=len(values))
         drawn = counts > 0
-        code_of_entry = (np.cumsum(drawn) - 1).astype(np.int32)[slots]
-        values, ranks = distinct, None
         if not drawn.all():
-            ranks = np.flatnonzero(drawn).astype(np.int32)
-            values = distinct[ranks]
+            kept = np.flatnonzero(drawn)
+            codes = (np.cumsum(drawn, dtype=np.int32) - 1)[codes]
+            if domain is None:
+                domain = values
+            ranks = kept.astype(np.int32) if ranks is None else ranks[kept]
+            values, counts = values[kept], counts[kept]
+        codes = codes.astype(np.int32, copy=False)
         dictionary = cls.__new__(cls)
         dictionary._set(
-            base, values, counts[drawn], code_of_entry[rows],
-            domain=distinct, ranks=ranks,
+            codes, values, counts, codes, domain=domain, ranks=ranks
         )
         return dictionary
+
+    @classmethod
+    def from_pool(cls, pool, rows, hashed=None):
+        """The coded dictionary of the column ``pool[rows]`` (``rows``
+        int32 pool indices), read off the indices: the column's values
+        are never gathered.
+
+        Only the pool is hashed — and once per pool when the caller
+        keeps ``hashed``, a dict that memoizes each pool's
+        ``_hashed_dictionary`` by ``id`` (the entry holds the pool, so
+        no other array can take its id).  The rows take integer passes
+        (:meth:`from_codes`): pool entries that hold one value share a
+        code, and entries no row draws drop out, so ``values``,
+        ``counts`` and ``codes`` (dtypes included) are those of
+        ``ColumnDictionary(pool[rows])``.  The pool's distinct values
+        are the ``domain``, and the drawn ones' positions in it the
+        ``ranks``; a column that draws every value has the domain as
+        its ``values``.
+        """
+        entry = None if hashed is None else hashed.get(id(pool))
+        if entry is None:
+            entry = (pool, _hashed_dictionary(pool))
+            if hashed is not None:
+                hashed[id(pool)] = entry
+        distinct, _, slots = entry[1]
+        return cls.from_codes(slots[rows], distinct, domain=distinct)
+
+    def recoded(self, codes):
+        """The coded dictionary of a column whose row ``i`` holds
+        ``values[codes[i]]`` of this one — a view's group column:
+        :meth:`from_codes` over these values, in this domain."""
+        return ColumnDictionary.from_codes(
+            codes, self.values, self.domain, self._ranks
+        )
 
     def _set(self, base, values, counts, codes=None, order=None,
              spare=None, domain=None, ranks=None):
@@ -363,23 +452,59 @@ class ColumnDictionary:
         self._freq_counts_f64 = None
         self._freq_histogram = None
 
+    # A coded dictionary is a table's column and pickles with it: its
+    # codes, values, counts, domain and ranks.  The spare capacity and
+    # what is derived lazily are rebuilt when next needed.
+
+    def __getstate__(self):
+        if not self.coded:
+            raise TypeError("only a coded column's dictionary pickles")
+        return self.base, self.values, self.counts, self.domain, self._ranks
+
+    def __setstate__(self, state):
+        codes, values, counts, domain, ranks = state
+        self._set(codes, values, counts, codes, domain=domain, ranks=ranks)
+
+    @property
+    def coded(self):
+        """Whether the column is stored as this dictionary: its
+        ``base`` is its ``codes``."""
+        return self._codes is self.base
+
     def extended(self, base):
         """The dictionary of ``base``, an array that continues this
-        dictionary's base column with appended rows.
+        dictionary's (numeric) base column with appended rows.
 
-        Only the tail gets a dictionary of its own.  When it brings no
-        value this dictionary lacks, ``values`` carries over — the same
-        array — its counts are added, and the tail's codes are written
-        behind the dense codes (when this dictionary has them; a packed
-        column nobody factorized does not) in their spare capacity,
-        which passes to the result
-        (:func:`~repro.storage.table.appended`).  Otherwise its unseen
-        values are spliced into ``values`` and the codes remapped
-        through a monotone shift table into a new buffer.  Equal to
-        ``ColumnDictionary(base)`` in ``values`` (their dtype too: that
-        of a column an append widened), ``counts`` and ``codes`` either
-        way; the column must be NaN-free (``np.unique`` merges NaNs,
-        ``==`` does not find them again).
+        Only the tail gets a dictionary of its own, and :meth:`_grown`
+        merges it in.  Equal to ``ColumnDictionary(base)`` in
+        ``values`` (their dtype too: that of a column an append
+        widened), ``counts`` and ``codes``; the column must be NaN-free
+        (``np.unique`` merges NaNs, ``==`` does not find them again).
+        """
+        return self._grown(ColumnDictionary(base[len(self.base):]), base)
+
+    def appended(self, tail):
+        """The coded dictionary of this coded column with the values
+        ``tail`` appended: the tail is encoded, and :meth:`_grown`
+        merges its codes in.  Equal to encoding the whole column's
+        values; the result's ``base`` is its codes."""
+        return self._grown(
+            ColumnDictionary(np.asarray(tail, dtype=object)), None
+        )
+
+    def _grown(self, tail, base):
+        """This dictionary with the dictionary ``tail`` of appended
+        rows merged in; ``base`` is the whole numeric column, or
+        ``None`` for a coded one (the result's codes are its base).
+
+        When the tail brings no value this dictionary lacks, ``values``
+        carries over — the same array — its counts are added, and the
+        tail's codes are written behind the dense codes (when this
+        dictionary has them; a packed column nobody factorized does
+        not) in their spare capacity, which passes to the result
+        (:func:`appended`).  Otherwise its unseen values are spliced
+        into ``values`` and the codes remapped through a monotone
+        shift table into a new buffer: the one copy of the codes.
 
         The domain carries over while every tail value is in it: a
         pooled dictionary ranks the tail's *distinct* values by one
@@ -387,9 +512,9 @@ class ColumnDictionary:
         ranks; a value outside the domain makes the result its own
         domain.  Kept values keep their domain and ranks with them.
         """
-        tail = ColumnDictionary(base[len(self.base):])
         tail_values, tail_counts = tail.values, tail.counts
         known = len(self.values)
+        rows = self.row_count + tail.row_count
         domain = tail_ranks = None
         if self.domain is not self.values:
             tail_ranks, inside = _find_sorted(self.domain, tail_values)
@@ -413,16 +538,17 @@ class ColumnDictionary:
                 # again must not write over the result's tail.
                 self._spare = None
             grown._set(
-                base, self.values, counts, codes, spare=spare,
-                domain=self.domain, ranks=self._ranks,
+                codes if base is None else base, self.values, counts,
+                codes, spare=spare, domain=self.domain, ranks=self._ranks,
             )
             return grown
         unseen = ~seen
         # In ``base``'s dtype: rows that widened the column brought a
         # value the old dtype cannot hold, so they always land here.
         values = np.insert(
-            self.values.astype(base.dtype, copy=False), slots[unseen],
-            tail_values[unseen],
+            self.values if base is None
+            else self.values.astype(base.dtype, copy=False),
+            slots[unseen], tail_values[unseen],
         )
         ranks = None
         if domain is not None:
@@ -441,18 +567,26 @@ class ColumnDictionary:
         counts[tail_slots] += tail_counts
         codes = spare = None
         if self._codes is not None:
-            spare = spare_buffer(len(base), np.int32)
+            spare = spare_buffer(rows, np.int32)
             np.take(
                 moved.astype(np.int32), self._codes,
-                out=spare[:len(self.base)],
+                out=spare[:self.row_count],
             )
-            spare[len(self.base):len(base)] = tail_slots[tail.codes]
-            codes = spare[:len(base)]
+            spare[self.row_count:rows] = tail_slots[tail.codes]
+            codes = spare[:rows]
         grown._set(
-            base, values, counts, codes, spare=spare, domain=domain,
-            ranks=ranks,
+            codes if base is None else base, values, counts, codes,
+            spare=spare, domain=domain, ranks=ranks,
         )
         return grown
+
+    @property
+    def codes_bytes(self):
+        """Bytes the codes hold, the spare capacity behind them
+        included (0 while there are none)."""
+        if self._codes is None:
+            return 0
+        return (self._codes if self._spare is None else self._spare).nbytes
 
     @property
     def n_distinct(self):
@@ -473,12 +607,14 @@ class ColumnDictionary:
 
     @property
     def codes(self):
-        """Dense int32 code of every base row (``values[codes] == base``).
+        """Dense int32 code of every row: ``values[codes]`` is the
+        column (the base of a numeric one; a coded one's base is these
+        codes).
 
-        Identical to ``np.unique(base, return_inverse=True)``'s inverse:
-        codes are ranks into the sorted dictionary, and every dictionary
-        value occurs in the base column, so the codes are dense.  A
-        hashed column has them from construction.  Any other scatters
+        Identical to ``np.unique(column, return_inverse=True)``'s
+        inverse: codes are ranks into the sorted dictionary, and every
+        dictionary value occurs in the column, so the codes are dense.
+        A coded column has them from construction.  Any other scatters
         them on first read through an order that sorts the column —
         the sorted column's codes are each ``arange(d)`` entry repeated
         by its count, whatever order equal rows take among themselves:
@@ -499,7 +635,7 @@ class ColumnDictionary:
     def codes_from(self, start):
         """``codes[start:]``, without scattering the codes of a column
         that holds none: its rows from ``start`` on bisect ``values``
-        (numbers — an object column always holds its codes)."""
+        (numbers — a coded column always holds its codes)."""
         if self._codes is not None:
             return self._codes[start:]
         return np.searchsorted(self.values, self.base[start:]).astype(
@@ -587,6 +723,20 @@ class ColumnHandle:
         """Resolve (building or fetching) the column's dictionary."""
         return self.cache.dictionary(self.table, self.column)
 
+    def decode(self, stored):
+        """The values of ``stored``, entries of the column as it is
+        stored: a coded column's codes looked up in its dictionary."""
+        coded = self.table.dictionary(self.column)
+        return stored if coded is None else coded.values[stored]
+
+    def literal(self, op, value):
+        """What the stored column compares with, ``op``, for ``value``:
+        a coded column's :func:`code_bound`, any other's ``value``."""
+        coded = self.table.dictionary(self.column)
+        if coded is None:
+            return value
+        return code_bound(coded.values, op, value)
+
 
 class DictionaryCache:
     """Per-database cache of :class:`ColumnDictionary` objects.
@@ -613,11 +763,6 @@ class DictionaryCache:
         self._listeners = []
         # (table name, columns tuple) -> (Table, key arrays tuple, order)
         self._orders = {}
-        # (table name, column) -> (Table, base array, pool, rows)
-        self._pools = {}
-        # id(pool) -> (pool, its _hashed_dictionary): every column
-        # drawn from one pool shares its distinct values as a domain.
-        self._hashed_pools = {}
 
     def dictionary(self, table, column):
         """The dictionary of ``table.column(column)`` (built lazily once).
@@ -629,9 +774,10 @@ class DictionaryCache:
         Returns:
             The cached :class:`ColumnDictionary`; extended (a hit) when
             :meth:`append_rows` left it owing the rows up to the
-            current storage array of the column, and rebuilt (and
-            re-cached) whenever its base array is not that array
-            otherwise.
+            current storage array of the column, and otherwise, when
+            its base array is not that array, replaced (and
+            re-cached): by a coded column's own dictionary, which the
+            table holds and nothing builds, or by a new build.
         """
         key = (table.name, column)
         values = table.column(column)
@@ -661,56 +807,23 @@ class DictionaryCache:
             return entry[1]
         with self._lock:
             self.stats.misses += 1
-            pooled = self._pools.pop(key, None)
-        if pooled is not None and pooled[1] is values:
-            _, _, pool, rows = pooled
-            dictionary = ColumnDictionary.from_pool(
-                values, pool, rows, self._hashed_pool(pool)
-            )
-        else:
+        dictionary = table.dictionary(column)
+        if dictionary is None:
             dictionary = ColumnDictionary(values)
-        obs.counter_add("encoding.dict_builds")
+            obs.counter_add("encoding.dict_builds")
         with self._lock:
             self._entries[key] = (table, dictionary)
             self._owed.pop(key, None)
         return dictionary
-
-    def _hashed_pool(self, pool):
-        """The pool's ``_hashed_dictionary``, hashed once per pool
-        object: the first hash stored is the one every column gets.
-        An entry holds its pool, so no other array can take its id."""
-        with self._lock:
-            entry = self._hashed_pools.get(id(pool))
-        if entry is None:
-            entry = (pool, _hashed_dictionary(pool))
-            with self._lock:
-                entry = self._hashed_pools.setdefault(id(pool), entry)
-        return entry[1]
-
-    def seed(self, table, column, pool, rows):
-        """Have the first build of ``table.column(column)``'s dictionary
-        read it off pool codes: the column is ``pool[rows]``.
-
-        That build is still :meth:`dictionary`'s one miss for the
-        column, made by :meth:`ColumnDictionary.from_pool` instead of
-        a hash pass; it drops the codes (a seed whose column is no
-        longer the table's storage array is dropped unread).
-        """
-        values = table.column(column)
-        if len(rows) != len(values):
-            raise ValueError(
-                f"{table.name}.{column}: {len(rows)} pool codes for "
-                f"{len(values)} rows"
-            )
-        with self._lock:
-            self._pools[(table.name, column)] = (table, values, pool, rows)
 
     def append_rows(self, table, columns):
         """``table.append_rows(columns)``, carrying the table's
         dictionaries across; returns the number of rows appended.
 
         ``Table.append_rows`` publishes new column arrays, which on
-        its own orphans every entry of the table.  Each entry that is
+        its own orphans every entry of the table.  A coded column's
+        dictionary is its storage, which the append grew: a live entry
+        takes the grown one.  Each other entry that is
         live before the append — its base is the column, or it owes
         the rows up to it — is instead left owing the rows up to the
         new array, and :meth:`dictionary` extends it there on its
@@ -727,7 +840,11 @@ class DictionaryCache:
         appended = table.append_rows(columns)
         with self._lock:
             for key in live:
-                self._owed[key] = table.column(key[1])
+                coded = table.dictionary(key[1])
+                if coded is None:
+                    self._owed[key] = table.column(key[1])
+                else:
+                    self._entries[key] = (table, coded)
         return appended
 
     def _live(self, key, entry):
@@ -808,9 +925,10 @@ class DictionaryCache:
             self._orders[(table.name, key_columns)] = (table, arrays, order)
 
     def resident_bytes(self):
-        """Bytes the cache holds, by kind: every dictionary's ``codes``
-        (those that were read, with the spare capacity behind them),
-        its ``orders`` (argsorts that exist),
+        """Bytes the cache holds, by kind: every numeric dictionary's
+        ``codes`` (those that were read, with the spare capacity
+        behind them; a coded column's are its table's storage, counted
+        there), every dictionary's ``orders`` (argsorts that exist),
         the memoized ``lexsorts`` that are no dictionary's argsort, and
         ``values`` (the ``d``-sized values and counts; an object
         array counts its pointers, not its strings)."""
@@ -823,8 +941,7 @@ class DictionaryCache:
         held = {id(order) for order in argsorts}
         return {
             "codes": sum(
-                (d._codes if d._spare is None else d._spare).nbytes
-                for d in dictionaries if d._codes is not None
+                d.codes_bytes for d in dictionaries if not d.coded
             ),
             "orders": sum(order.nbytes for order in argsorts),
             "lexsorts": sum(
@@ -867,8 +984,6 @@ class DictionaryCache:
         (the table's data did not change), or owe the rows up to it
         (:meth:`append_rows`), are kept; everything else (reloaded tables,
         rebuilt views, memoized sort orders of a grown table) is dropped.
-        Seeds (:meth:`seed`) of columns that were replaced unread go
-        too, and so do the hashed pools no seed still draws from.
         Access-time identity validation in :meth:`dictionary` makes
         this sweep a garbage collection, not a correctness
         requirement.
@@ -891,16 +1006,6 @@ class DictionaryCache:
                     entry[0].column(column) is array
                     for column, array in zip(key[1], entry[1])
                 )
-            }
-            self._pools = {
-                key: entry
-                for key, entry in self._pools.items()
-                if entry[0].column(key[1]) is entry[1]
-            }
-            pending = {id(entry[2]) for entry in self._pools.values()}
-            self._hashed_pools = {
-                key: entry for key, entry in self._hashed_pools.items()
-                if key in pending
             }
             self.stats.invalidations += 1
         obs.counter_add("cache.dict_cache.invalidations")

@@ -5,8 +5,20 @@ these arrays (and on integer row-id selections over them), which keeps the
 actual execution of 100-query workloads fast while the *virtual clock*
 accounts for what the same plan would cost on the paper's hardware.
 
+Strings are stored as their codes: a ``varchar`` column is its
+dictionary (:class:`~repro.storage.encoding.ColumnDictionary`, coded),
+and its storage array is the dictionary's int32 ``codes`` into the
+sorted distinct ``values``.  No table keeps an array of Python
+objects per row.  Whatever needs a string column's values decodes the
+rows it reads (:meth:`Table.decode`); everything else — filters,
+joins, grouping, indexes — works on the codes.  Loading encodes an
+object array (one hash pass), or takes a dictionary encoded already
+(a generated column, off its pool indices); an append encodes its
+tail through the column's dictionary (:meth:`ColumnDictionary.appended
+<repro.storage.encoding.ColumnDictionary.appended>`).
+
 An append writes the new rows into spare capacity behind each column
-(:func:`appended`) and publishes a longer prefix of that buffer as the
+(:func:`~repro.storage.encoding.appended`) and publishes a longer prefix of that buffer as the
 column: a new array object, so every identity-validated cache still
 sees the change, while the rows already stored are neither copied nor
 touched — an earlier column array stays a valid snapshot.
@@ -35,6 +47,7 @@ import numpy as np
 
 from ..common.errors import CatalogError
 from ..common.hardware import pages_for_bytes
+from .encoding import ColumnDictionary, appended
 
 #: Most rows a table may hold: row positions (sort orders, index row
 #: ids) are stored as int32.
@@ -44,35 +57,6 @@ MAX_ROWS = np.iinfo(np.int32).max
 #: workers execute plans, whose scans charge by page count, against one
 #: shared :class:`Table`.
 _SIZE_LOCK = threading.Lock()
-
-
-def appended(column, tail, spare=None):
-    """``(column + tail, buffer)``: the concatenation as a prefix view
-    of ``buffer``, in the dtype the two promote to.
-
-    When ``column`` is itself a prefix of ``spare``, the buffer has
-    room and ``tail`` needs no wider dtype, only ``tail`` is written,
-    behind it; otherwise the rows move into a new buffer with an eighth
-    more room than they fill — of the wider dtype, when ``tail`` needs
-    one (a narrowest-dtype tail of a narrowest-dtype column promotes to
-    the narrowest dtype that holds both), so nothing is ever wrapped.
-    Nothing below ``len(column)`` is ever written, so ``column`` — like
-    every prefix handed out before it — keeps its contents.  A buffer must
-    have one owner, which hands it on to the owner of the result.
-    """
-    rows, total = len(column), len(column) + len(tail)
-    dtype = np.result_type(column, tail)
-    if (spare is None or column.base is not spare or len(spare) < total
-            or dtype != column.dtype):
-        spare = spare_buffer(total, dtype)
-        spare[:rows] = column
-    spare[rows:total] = tail
-    return spare[:total], spare
-
-
-def spare_buffer(rows, dtype):
-    """An empty buffer for ``rows`` rows and an eighth more."""
-    return np.empty(rows + rows // 8, dtype=dtype)
 
 
 def _check_row_count(name, rows):
@@ -91,32 +75,50 @@ class Table:
     _byte_size = None
 
     def __init__(self, schema, columns=None):
+        """``columns`` maps every column to its values; a ``varchar``
+        column's may also be its coded dictionary, taken as it is."""
         self.schema = schema
         self._byte_size = None
         if columns is None:
-            columns = {
-                col.name: col.sql_type.coerce([]) for col in schema.columns
-            }
+            columns = {col.name: [] for col in schema.columns}
         missing = [c.name for c in schema.columns if c.name not in columns]
         if missing:
             raise CatalogError(
                 f"table {schema.name!r} loaded without columns {missing}"
             )
-        lengths = {len(columns[c.name]) for c in schema.columns}
+        lengths = {
+            columns[c.name].row_count
+            if isinstance(columns[c.name], ColumnDictionary)
+            else len(columns[c.name])
+            for c in schema.columns
+        }
         if len(lengths) > 1:
             raise CatalogError(
                 f"table {schema.name!r} columns have differing lengths {lengths}"
             )
         _check_row_count(schema.name, max(lengths, default=0))
-        self._columns = {
-            col.name: col.sql_type.coerce(columns[col.name])
-            for col in schema.columns
-        }
+        self._store(columns)
         # column -> the buffer its array is a prefix of, once appended to
         self._spare = {}
 
-    # The rows only: a column array pickles its own elements, and the
-    # spare capacity behind it is rebuilt by the next append.
+    def _store(self, columns):
+        """Store every column of ``columns``: a number column coerced
+        to its narrowest dtype, a string column as its dictionary —
+        encoded here unless it is one already."""
+        self._columns, self._dictionaries = {}, {}
+        for col in self.schema.columns:
+            values = columns[col.name]
+            if col.sql_type.kind == "str":
+                if not isinstance(values, ColumnDictionary):
+                    values = ColumnDictionary(col.sql_type.coerce(values))
+                self._dictionaries[col.name] = values
+                self._columns[col.name] = values.base
+            else:
+                self._columns[col.name] = col.sql_type.coerce(values)
+
+    # The rows only: a column array pickles its own elements, a coded
+    # column its dictionary, and the spare capacity behind them is
+    # rebuilt by the next append.
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -126,11 +128,9 @@ class Table:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._spare = {}
-        # A pickle written before columns were narrowed holds int64.
-        self._columns = {
-            col.name: col.sql_type.coerce(self._columns[col.name])
-            for col in self.schema.columns
-        }
+        # A pickle written before columns were narrowed holds int64,
+        # and one written before strings were coded object arrays.
+        self._store({**self._columns, **state.get("_dictionaries", {})})
 
     @property
     def name(self):
@@ -142,7 +142,7 @@ class Table:
         return len(first)
 
     def column(self, name):
-        """The full storage array for a column."""
+        """The full storage array for a column: a string column's codes."""
         try:
             return self._columns[name]
         except KeyError:
@@ -150,16 +150,37 @@ class Table:
                 f"no column {name!r} in table {self.name!r}"
             ) from None
 
+    def dictionary(self, name):
+        """The coded dictionary a string column is stored as (``None``
+        for any other column)."""
+        return self._dictionaries.get(name)
+
+    def decode(self, name, rows=None):
+        """The values of a column — of its ``rows`` (positions) only,
+        when given: a string column's codes looked up in its
+        dictionary, any other column's storage as it is."""
+        column = self.column(name)
+        if rows is not None:
+            column = column[rows]
+        dictionary = self._dictionaries.get(name)
+        return column if dictionary is None else dictionary.values[column]
+
     def column_names(self):
         return list(self._columns)
 
     def resident_bytes(self):
         """Bytes the column arrays hold, by dtype name: each column's
-        buffer, the spare capacity behind its rows included (an object
-        column counts its pointers, not its strings)."""
+        buffer, the spare capacity behind its rows included — a
+        string column's codes; its dictionary's values are counted
+        with the dictionaries
+        (:meth:`~repro.storage.encoding.DictionaryCache.resident_bytes`)."""
         held = {}
         for name, column in self._columns.items():
-            size = self._spare.get(name, column).nbytes
+            dictionary = self._dictionaries.get(name)
+            if dictionary is not None:
+                size = dictionary.codes_bytes
+            else:
+                size = self._spare.get(name, column).nbytes
             held[column.dtype.name] = held.get(column.dtype.name, 0) + size
         return held
 
@@ -185,11 +206,16 @@ class Table:
 
         Used by the Section 4.4 insertion experiment.  Returns the number
         of rows appended.  Each column costs what it appends
-        (:func:`appended`), apart from the copy into a larger buffer
-        once its spare capacity runs out, or into a wider one when an
-        integer tail does not fit the column's dtype: each tail is
-        coerced to the narrowest dtype that holds it, and the column
-        widens to the one that holds both.
+        (:func:`~repro.storage.encoding.appended`), apart from the copy
+        into a larger buffer once its spare capacity runs out, or into
+        a wider one when an integer tail does not fit the column's
+        dtype: each tail is coerced to the narrowest dtype that holds
+        it, and the column widens to the one that holds both.  A
+        string tail is encoded through the column's dictionary, which
+        grows into a new one (:meth:`ColumnDictionary.appended
+        <repro.storage.encoding.ColumnDictionary.appended>`): codes
+        appended behind the stored ones while the tail brings no new
+        value, else the one remapped copy of them.
         """
         unknown = sorted(set(columns) - set(self._columns))
         if unknown:
@@ -210,6 +236,13 @@ class Table:
             raise CatalogError("appended columns have differing lengths")
         _check_row_count(self.name, self.row_count + max(lengths))
         for name, arr in coerced.items():
+            dictionary = self._dictionaries.get(name)
+            if dictionary is not None:
+                dictionary = self._dictionaries[name] = dictionary.appended(
+                    arr
+                )
+                self._columns[name] = dictionary.base
+                continue
             self._columns[name], self._spare[name] = appended(
                 self._columns[name], arr, self._spare.get(name)
             )

@@ -19,17 +19,19 @@ class SQLType:
 
     ``kind`` is one of ``'int'``, ``'float'``, ``'str'``, ``'date'``.
     For strings ``width`` is the declared average width used in size
-    accounting (the engine stores Python strings; the cost model only
-    needs a representative byte width).
+    accounting (the engine stores a string column as int32 codes into
+    its dictionary; the cost model only needs a representative byte
+    width).
     """
 
     kind: str
     width: int
 
     def numpy_dtype(self):
-        """The widest dtype the columnar storage layer uses for this
-        type: an integer column is stored in the narrowest integer
-        dtype that holds it (:meth:`coerce`), at most this one."""
+        """The widest dtype this type's values take: an integer column
+        is stored in the narrowest integer dtype that holds it
+        (:meth:`coerce`), at most this one; a string column's values
+        are Python objects, which its table stores as int32 codes."""
         if self.kind == "int" or self.kind == "date":
             return np.dtype(np.int64)
         if self.kind == "float":
@@ -39,9 +41,10 @@ class SQLType:
         raise ValueError(f"unknown type kind {self.kind!r}")
 
     def coerce(self, values):
-        """Coerce a sequence of Python values into a storage array: an
+        """Coerce a sequence of Python values into an array: an
         integer one in the narrowest dtype that holds its values, the
-        array itself when it already has that dtype."""
+        array itself when it already has that dtype (a string one is
+        the object array its table encodes)."""
         if self.kind != "int" and self.kind != "date":
             return np.asarray(values, dtype=self.numpy_dtype())
         array = np.asarray(values)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..catalog.schema import ColumnDef, TableSchema
+from ..storage.encoding import locate, stable_order
 from ..storage.table import Table
 from ..storage.types import integer
 
@@ -93,14 +94,20 @@ class MatViewDefinition:
 def build_view(definition, tables, catalog, encodings):
     """Materialize a view over the given ``{name: Table}`` mapping.
 
-    A single-table view groups through ``encodings`` (a
-    :class:`~repro.storage.encoding.DictionaryCache`): one group
-    column is its dictionary's
-    ``values`` and ``counts``, several are ordered by the memoized
-    ``lexsort`` and split into groups where a column's *code* changes,
-    so no raw (often string) column is sorted or compared.  The result
-    equals what ``np.unique`` / ``np.lexsort`` over the raw columns
-    give, which is how a join view's rows are grouped.
+    Views group on codes, never on raw (often string) columns: each
+    group column's rows are codes of its dictionary in ``encodings``
+    (a :class:`~repro.storage.encoding.DictionaryCache`), put in order
+    and split into groups where a code changes.  A single-table view
+    orders its rows by the memoized ``lexsort``; a join view joins its
+    key codes — the left key's mapped to their slots in the right
+    key's dictionary (-1 where a value is not there) — and orders the
+    joined rows with one :func:`~repro.storage.encoding.stable_order`
+    per column, least significant first.  The result equals what
+    ``np.unique`` / ``np.lexsort`` over the raw columns give.  A
+    string group column is stored as codes into its base column's
+    dictionary ``values`` (:meth:`ColumnDictionary.recoded
+    <repro.storage.encoding.ColumnDictionary.recoded>`), sharing them
+    while the view holds every value.
 
     Returns the result :class:`Table` plus the input row count that was
     aggregated (used for build cost accounting).
@@ -108,41 +115,77 @@ def build_view(definition, tables, catalog, encodings):
     if definition.is_join_view:
         (t1, c1), (t2, c2) = definition.join_pred
         left, right = tables[t1], tables[t2]
-        lkeys = left.column(c1)
-        rkeys = right.column(c2)
-        order = np.argsort(rkeys, kind="stable")
-        sorted_keys = rkeys[order]
-        lows = np.searchsorted(sorted_keys, lkeys, side="left")
-        highs = np.searchsorted(sorted_keys, lkeys, side="right")
-        counts = highs - lows
-        total = int(counts.sum())
-        left_ids = np.repeat(np.arange(len(lkeys)), counts)
-        starts = np.repeat(lows, counts)
-        offsets = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
+        left_ids, right_ids = _join_rows(
+            encodings.dictionary(left, c1), encodings.dictionary(right, c2)
         )
-        right_ids = order[starts + offsets]
-        arrays = [
-            left.column(vcol.column)[left_ids] if vcol.table == t1
-            else right.column(vcol.column)[right_ids]
-            for vcol in definition.group_columns
-        ]
+        ids = {t2: right_ids, t1: left_ids}
         input_rows = left.row_count + right.row_count
-        groups, counts = _group_rows(arrays)
     else:
         base = tables[definition.tables[0]]
         input_rows = base.row_count
-        groups, counts = _group_table(
-            base, [vcol.column for vcol in definition.group_columns],
-            encodings,
+    dictionaries = [
+        encodings.dictionary(tables[vcol.table], vcol.column)
+        for vcol in definition.group_columns
+    ]
+    if definition.is_join_view:
+        codes = [
+            dictionary.codes[ids[vcol.table]]
+            for vcol, dictionary in zip(definition.group_columns, dictionaries)
+        ]
+        order = None
+        for dictionary, column in zip(reversed(dictionaries), reversed(codes)):
+            step = stable_order(
+                column if order is None else column[order],
+                dictionary.n_distinct,
+            )
+            order = step if order is None else order[step]
+    else:
+        codes = [dictionary.codes for dictionary in dictionaries]
+        order = encodings.lexsort(
+            base, tuple(vcol.column for vcol in definition.group_columns)
         )
+    codes = [column[order] for column in codes]
+    starts = _group_starts(codes)
     data = {
-        vcol.name: group
-        for vcol, group in zip(definition.group_columns, groups)
+        vcol.name: _view_column(dictionary, column[starts])
+        for vcol, dictionary, column in zip(
+            definition.group_columns, dictionaries, codes
+        )
     }
-    data[COUNT_COLUMN] = np.asarray(counts, dtype=np.int64)
+    data[COUNT_COLUMN] = np.diff(starts, append=len(order)).astype(np.int64)
     view_table = Table(definition.view_schema(catalog), data)
     return view_table, input_rows
+
+
+def _join_rows(left, right):
+    """``(left ids, right ids)`` of the equijoin of two key columns
+    given as their dictionaries: each left row's matches, in right row
+    order, left row by left row."""
+    lkeys = left.codes
+    if left.values is not right.values:
+        slots, found = locate(left, right)
+        lkeys = np.where(found, slots, -1)[lkeys]
+    order = stable_order(right.codes, right.n_distinct)
+    sorted_keys = right.codes[order]
+    lows = np.searchsorted(sorted_keys, lkeys, side="left")
+    highs = np.searchsorted(sorted_keys, lkeys, side="right")
+    counts = highs - lows
+    total = int(counts.sum())
+    left_ids = np.repeat(np.arange(len(lkeys)), counts)
+    starts = np.repeat(lows, counts)
+    offsets = np.arange(total) - np.repeat(
+        np.concatenate(([0], np.cumsum(counts)[:-1])), counts
+    )
+    return left_ids, order[starts + offsets]
+
+
+def _view_column(dictionary, codes):
+    """A view column of group ``codes`` into ``dictionary``: a string
+    column coded against its ``values`` (and domain), a number column
+    its values."""
+    if dictionary.coded:
+        return dictionary.recoded(codes)
+    return dictionary.values[codes]
 
 
 def _group_starts(key_arrays):
@@ -152,35 +195,3 @@ def _group_starts(key_arrays):
     for keys in key_arrays:
         change[1:] |= keys[1:] != keys[:-1]
     return np.flatnonzero(change)
-
-
-def _group_table(base, columns, encodings):
-    """``(group values per column, counts)`` of ``base`` grouped by
-    ``columns``, read off their dictionaries."""
-    if len(columns) == 1:
-        dictionary = encodings.dictionary(base, columns[0])
-        return [dictionary.values], dictionary.counts
-    order = encodings.lexsort(base, tuple(columns))
-    starts = _group_starts([
-        encodings.dictionary(base, column).codes[order]
-        for column in columns
-    ])
-    firsts = order[starts]
-    return (
-        [base.column(column)[firsts] for column in columns],
-        np.diff(starts, append=len(order)),
-    )
-
-
-def _group_rows(arrays):
-    """``(group values per column, counts)`` of raw rows."""
-    if len(arrays) == 1:
-        keys, counts = np.unique(arrays[0], return_counts=True)
-        return [keys], counts
-    order = np.lexsort(tuple(reversed(arrays)))
-    sorted_arrays = [array[order] for array in arrays]
-    starts = _group_starts(sorted_arrays)
-    return (
-        [array[starts] for array in sorted_arrays],
-        np.diff(starts, append=len(order)),
-    )

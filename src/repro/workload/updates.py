@@ -14,14 +14,21 @@ from ..common.rng import make_rng
 def nref_neighboring_batch(database, size, seed=77):
     """A batch of new ``neighboring_seq`` rows referencing real proteins."""
     rng = make_rng(seed)
-    protein_ids = database.table("protein").column("nref_id")
+    protein = database.table("protein")
     existing = database.table("neighboring_seq").row_count
     starts = rng.integers(1, 900, size)
     spans = rng.integers(20, 700, size)
+
+    def protein_ids():
+        """``size`` random proteins' ids, decoded for those rows only."""
+        return protein.decode(
+            "nref_id", rng.integers(0, protein.row_count, size)
+        )
+
     return {
-        "nref_id_1": protein_ids[rng.integers(0, len(protein_ids), size)],
+        "nref_id_1": protein_ids(),
         "ordinal": np.arange(existing + 1, existing + size + 1),
-        "nref_id_2": protein_ids[rng.integers(0, len(protein_ids), size)],
+        "nref_id_2": protein_ids(),
         "taxon_id_2": rng.integers(20, 5000, size) * 7 + 13,
         "length_2": rng.integers(30, 5000, size),
         "score": np.round(rng.uniform(10.0, 2000.0, size), 1),

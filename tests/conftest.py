@@ -54,28 +54,31 @@ def make_city_catalog():
     return Catalog([users, orders])
 
 
-def load_city_database(n_users=500, n_orders=2500, seed=0):
-    catalog = make_city_catalog()
-    db = Database(catalog, system_a(), name="city")
+def city_columns(n_users=500, n_orders=2500, seed=0):
+    """``{table: {column: values}}`` of the city database."""
     rng = np.random.default_rng(seed)
     cities = np.array(["tor", "mtl", "van", "cal", "ott"], dtype=object)
-    db.load_table(
-        "users",
-        {
-            "uid": np.arange(n_users),
-            "city": rng.choice(cities, n_users),
-            "age": rng.integers(18, 80, n_users),
-        },
-    )
-    db.load_table(
-        "orders",
-        {
-            "oid": np.arange(n_orders),
-            "uid": rng.integers(0, n_users, n_orders),
-            "city": rng.choice(cities, n_orders),
-            "amount": rng.integers(1, 100, n_orders),
-        },
-    )
+    users = {
+        "uid": np.arange(n_users),
+        "city": rng.choice(cities, n_users),
+        "age": rng.integers(18, 80, n_users),
+    }
+    orders = {
+        "oid": np.arange(n_orders),
+        "uid": rng.integers(0, n_users, n_orders),
+        "city": rng.choice(cities, n_orders),
+        "amount": rng.integers(1, 100, n_orders),
+    }
+    return {"users": users, "orders": orders}
+
+
+def load_city_database(n_users=500, n_orders=2500, seed=0, tables=None):
+    """The city database, loaded from ``tables`` (default
+    :func:`city_columns`), with statistics."""
+    db = Database(make_city_catalog(), system_a(), name="city")
+    tables = tables or city_columns(n_users, n_orders, seed)
+    for name, columns in tables.items():
+        db.load_table(name, columns)
     db.collect_statistics()
     return db
 

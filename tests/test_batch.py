@@ -54,9 +54,12 @@ def inverse(values):
 
 
 def key_table(name, values):
-    """A one-column table ``name(k)`` holding ``values``."""
-    values = np.asarray(values)
-    sql_type = varchar(8) if values.dtype == object else integer()
+    """A one-column table ``name(k)`` holding ``values`` (or the coded
+    dictionary of string values)."""
+    if not isinstance(values, ColumnDictionary):
+        values = np.asarray(values)
+    coded = isinstance(values, ColumnDictionary) or values.dtype == object
+    sql_type = varchar(8) if coded else integer()
     return Table(
         TableSchema(name, [ColumnDef("k", sql_type, "k")]), {"k": values}
     )
@@ -245,7 +248,7 @@ def assert_codes_are_the_inverse(batch, key):
     """The key's codes index its dictionary and densify to np.unique's
     inverse of the values an operator would read."""
     dictionary, codes = batch.key_codes(key)
-    values = batch.column(key)
+    values = batch.decode(key)
     assert len(codes) == batch.rows == len(values)
     assert dictionary.values[codes].tolist() == values.tolist()
     assert factorize(dictionary, codes).tolist() == inverse(values)
@@ -429,12 +432,12 @@ def test_batch_mask_take_preserve_encodings(city_db):
     # The handle still codes the subset: same base array, new vector.
     assert taken.columns["o.city"] is orders.column("city")
     assert_codes_are_the_inverse(taken, "o.city")
-    # A finished batch is plain data, tied to no dictionary.
+    # A finished batch is plain, decoded data, tied to no dictionary.
     done = taken.materialize()
     assert not done.encodings and not done.sels
-    assert done.columns["o.city"].tolist() == orders.column("city")[
-        [0, 10]
-    ].tolist()
+    assert done.columns["o.city"].tolist() == orders.decode(
+        "city", [0, 10]
+    ).tolist()
 
 
 def test_weighted_count_through_hash_join(city_db_p):
@@ -627,9 +630,8 @@ def test_property_merged_domain_is_the_union1d_triple(kind, left, right):
 #
 # Columns drawn from one pool ("sorted", "unsorted") share the pool's
 # domain and take the integer branch.  The object branch is taken by a
-# column loaded without its pool ("loose") and by everything of a
-# database unpickled from an artifact store, whose rebuilt dictionaries
-# carry no pool.  A self-join of one column ("self") maps no code.
+# column loaded without its pool ("loose").  A self-join of one column
+# ("self") maps no code.
 
 SHARED_POOLS = {
     "sorted": np.array(["", "a", "ab", "b", "m", "zz"], dtype=object),
@@ -639,31 +641,31 @@ SHAPES = ("sorted", "unsorted", "loose", "self")
 KEY_PICKS = st.lists(st.integers(0, 10**6), max_size=30)
 
 
-def pooled_key_table(cache, name, pool, picks):
-    """``key_table`` drawn from ``pool``, its dictionary seeded."""
+def pooled_key_table(hashed, name, pool, picks):
+    """``key_table`` drawn from ``pool``, encoded off its pool indices
+    (``hashed`` memoizes the pool's hash)."""
     rows = np.array([p % len(pool) for p in picks], dtype=np.int32)
-    table = key_table(name, pool[rows])
-    cache.seed(table, "k", pool, rows)
-    return table
+    return key_table(name, ColumnDictionary.from_pool(pool, rows, hashed))
 
 
 def shared_pair(shape, inner, outer):
     """``(cache, inner table, outer table)`` of one input shape."""
-    cache = DictionaryCache()
+    cache, hashed = DictionaryCache(), {}
     pool = SHARED_POOLS["unsorted" if shape == "unsorted" else "sorted"]
-    inner_table = pooled_key_table(cache, "inner", pool, inner)
+    inner_table = pooled_key_table(hashed, "inner", pool, inner)
     if shape == "self":
         outer_table = inner_table
     elif shape == "loose":
         outer_table = key_table("outer", pool[[p % len(pool) for p in outer]])
     else:
-        outer_table = pooled_key_table(cache, "outer", pool, outer)
+        outer_table = pooled_key_table(hashed, "outer", pool, outer)
     return cache, inner_table, outer_table
 
 
 def objects_only(dictionary):
-    """The same column's dictionary with no shared domain."""
-    return ColumnDictionary(dictionary.base)
+    """The same column's dictionary with no shared domain: its values
+    encoded again."""
+    return ColumnDictionary(dictionary.values[dictionary.codes])
 
 
 @settings(max_examples=150, deadline=None)
@@ -715,8 +717,8 @@ def test_property_index_probes_on_codes_equal_literal_ranges(
     """An INL probe (outer rows' codes, repeats and all) or a semijoin
     probe (allowed entries' codes, in value order) finds the same
     entries through the slot table as bisecting the values does —
-    also on an index unpickled and re-linked to a dictionary rebuilt
-    without its pool (the object branch)."""
+    also on an index unpickled apart from its table and re-linked to
+    its leading column's dictionary."""
     cache, inner_table, outer_table = shared_pair(shape, inner, outer)
     data = IndexData(
         IndexDefinition(table="inner", columns=("k",)), inner_table, cache

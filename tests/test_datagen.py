@@ -35,6 +35,14 @@ from repro.engine.systems import system_a, system_c
 from repro.storage.encoding import ColumnDictionary
 
 
+def decoded(column):
+    """A generated column's values: a pooled string column's codes
+    looked up in its dictionary."""
+    if isinstance(column, ColumnDictionary):
+        return column.values[column.codes]
+    return column
+
+
 def test_nref_catalog_matches_paper_schema():
     catalog = nref_catalog()
     assert set(catalog.table_names) == {
@@ -65,19 +73,19 @@ def test_nref_scale_preserves_paper_ratios():
 
 def test_nref_foreign_keys_hold():
     data = generate_nref(scale=0.05)
-    proteins = set(data["protein"]["nref_id"].tolist())
+    proteins = set(decoded(data["protein"]["nref_id"]).tolist())
     for child in ("source", "taxonomy", "organism"):
-        assert set(data[child]["nref_id"].tolist()) <= proteins
-    assert set(data["neighboring_seq"]["nref_id_1"].tolist()) <= proteins
-    assert set(data["identical_seq"]["nref_id_1"].tolist()) <= proteins
+        assert set(decoded(data[child]["nref_id"]).tolist()) <= proteins
+    assert set(decoded(data["neighboring_seq"]["nref_id_1"]).tolist()) <= proteins
+    assert set(decoded(data["identical_seq"]["nref_id_1"]).tolist()) <= proteins
 
 
 def test_nref_composite_pk_unique():
     data = generate_nref(scale=0.05)
     pairs = list(
         zip(
-            data["neighboring_seq"]["nref_id_1"].tolist(),
-            data["neighboring_seq"]["ordinal"].tolist(),
+            decoded(data["neighboring_seq"]["nref_id_1"]).tolist(),
+            decoded(data["neighboring_seq"]["ordinal"]).tolist(),
         )
     )
     assert len(set(pairs)) == len(pairs)
@@ -85,7 +93,7 @@ def test_nref_composite_pk_unique():
 
 def test_nref_skewed_frequencies_support_constant_ladders():
     data = generate_nref(scale=0.1)
-    lineage = data["taxonomy"]["lineage"]
+    lineage = decoded(data["taxonomy"]["lineage"])
     _, counts = np.unique(lineage, return_counts=True)
     assert counts.max() >= 50 * counts.min(), (
         "lineage frequencies must span orders of magnitude for the "
@@ -181,7 +189,7 @@ def test_generated_tables_are_pinned_bit_for_bit(dataset):
     sha = hashlib.sha256()
     for table in sorted(tables):
         for column in sorted(tables[table]):
-            array = np.asarray(tables[table][column])
+            array = np.asarray(decoded(tables[table][column]))
             sha.update(f"{table}.{column}:{array.dtype}:".encode())
             if array.dtype == object:
                 sha.update(json.dumps(array.tolist()).encode())
@@ -290,15 +298,16 @@ def test_property_name_pools_are_one_draw_per_entry(size, seed):
     "dataset, pooled", [("nref", 14), ("skth", 9), ("unth", 9)]
 )
 def test_loaded_columns_are_born_encoded(dataset, pooled, monkeypatch):
-    """Every object column's cached dictionary — pooled columns read
-    off their codes, the rest hashed or their own — is np.unique's,
-    and each column's dictionary was built once."""
+    """Every string column is stored as its dictionary — pooled
+    columns read off their pool indices, the rest hashed or their
+    own — equal to np.unique's of its values; the cache took each
+    column's dictionary once and built none for a string column."""
     from_pool = ColumnDictionary.from_pool.__func__
     read_off_codes = []
 
-    def spy(cls, base, pool, rows, hashed=None):
-        read_off_codes.append(base)
-        return from_pool(cls, base, pool, rows, hashed)
+    def spy(cls, pool, rows, hashed=None):
+        read_off_codes.append(from_pool(cls, pool, rows, hashed))
+        return read_off_codes[-1]
 
     monkeypatch.setattr(ColumnDictionary, "from_pool", classmethod(spy))
     database = {
@@ -313,16 +322,17 @@ def test_loaded_columns_are_born_encoded(dataset, pooled, monkeypatch):
         for column in table.column_names()
     ]
     assert cache.stats.misses == len(columns)
-    assert not cache._pools
     checked = 0
     for table, column in columns:
         values = table.column(column)
-        if values.dtype != object:
+        assert values.dtype.kind in "if", (table.name, column)
+        if table.schema.column(column).sql_type.kind != "str":
             continue
         cached = cache._entries[(table.name, column)][1]
-        assert cached.base is values
+        assert cached is table.dictionary(column)
+        assert cached.base is values and cached.coded
         unique, inverse, counts = np.unique(
-            values, return_inverse=True, return_counts=True
+            table.decode(column), return_inverse=True, return_counts=True
         )
         for name, want in (
             ("values", unique), ("counts", counts),
@@ -335,6 +345,6 @@ def test_loaded_columns_are_born_encoded(dataset, pooled, monkeypatch):
         checked += 1
     assert checked
     assert sum(
-        any(table.column(column) is base for base in read_off_codes)
+        any(table.dictionary(column) is coded for coded in read_off_codes)
         for table, column in columns
     ) == pooled

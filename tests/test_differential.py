@@ -75,7 +75,7 @@ def _rows(table, db=None):
     names = data.column_names()
     return [
         dict(zip(names, values))
-        for values in zip(*(data.column(n).tolist() for n in names))
+        for values in zip(*(data.decode(n).tolist() for n in names))
     ]
 
 

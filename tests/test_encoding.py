@@ -79,12 +79,14 @@ def test_dictionary_frequency_views():
 
 def assert_dictionary_is_numpys(base, d=None):
     """``d`` (default ``ColumnDictionary(base)``) against ``np.unique``
-    and the stable ``np.argsort`` of the same array."""
+    and the stable ``np.argsort`` of the same array.  An object column
+    is coded: its base is its codes, and its values are not kept."""
     values, inverse, counts = np.unique(
         base, return_inverse=True, return_counts=True
     )
     d = ColumnDictionary(base) if d is None else d
-    assert d.base is base
+    assert d.coded == (base.dtype == object)
+    assert d.base is (d.codes if d.coded else base)
     for got, want in ((d.values, values), (d.counts, counts)):
         assert got.dtype == want.dtype
         assert got.shape == want.shape
@@ -353,9 +355,8 @@ def test_property_increasing_pool_with_undrawn_entries_is_numpys(
     rows = np.array(
         [p % len(pool) for p in drawn] if len(pool) else [], dtype=np.int32
     )
-    base = pool[rows]
     assert_dictionary_is_numpys(
-        base, ColumnDictionary.from_pool(base, pool, rows)
+        pool[rows], ColumnDictionary.from_pool(pool, rows)
     )
 
 
@@ -387,10 +388,9 @@ def test_property_pool_dictionary_equals_hashing_the_rows(pool, picks):
     rows = np.array(
         [p % len(pool) for p in picks] if len(pool) else [], dtype=np.int32
     )
-    base = pool[rows]
-    got = ColumnDictionary.from_pool(base, pool, rows)
-    assert got.base is base
-    assert_same_dictionary(got, ColumnDictionary(base))
+    got = ColumnDictionary.from_pool(pool, rows)
+    assert got.coded
+    assert_same_dictionary(got, ColumnDictionary(pool[rows]))
 
 
 def test_pool_dictionary_of_generated_names():
@@ -400,15 +400,18 @@ def test_pool_dictionary_of_generated_names():
     pool = name_pool(np.random.default_rng(3), 800, "protein")
     assert len(set(pool.tolist())) < len(pool)
     rows = np.random.default_rng(4).integers(0, 700, 5000).astype(np.int32)
-    base = pool[rows]
     assert_same_dictionary(
-        ColumnDictionary.from_pool(base, pool, rows), ColumnDictionary(base)
+        ColumnDictionary.from_pool(pool, rows), ColumnDictionary(pool[rows])
     )
 
 
-def test_seeded_column_builds_from_its_pool_once(monkeypatch):
-    """A seed is the column's one miss, and is dropped when read — or,
-    unread, once the column is no longer the table's storage array."""
+def test_pooled_column_is_its_dictionary_with_one_miss():
+    """A column loaded as its pool dictionary is stored as it: the
+    cache's first lookup takes the table's dictionary — its one miss,
+    building nothing — and an append through the cache grows it in the
+    table and hands the entry the grown one, a hit; an append behind
+    the cache's back makes the next lookup a miss that builds nothing
+    either."""
     from repro.catalog.schema import ColumnDef, TableSchema
     from repro.storage.table import Table
     from repro.storage.types import integer, varchar
@@ -418,30 +421,30 @@ def test_seeded_column_builds_from_its_pool_once(monkeypatch):
     )
     pool = np.array(["x", "y", "x"], dtype=object)
     rows = np.array([2, 1, 0, 1], dtype=np.int32)
-    table = Table(schema, {"s": pool[rows], "i": np.arange(4)})
+    coded = ColumnDictionary.from_pool(pool, rows)
+    table = Table(schema, {"s": coded, "i": np.arange(4)})
+    assert table.dictionary("s") is coded and table.column("s") is coded.codes
     cache = DictionaryCache()
-    cache.seed(table, "s", pool, rows)
-    built = []
-    real = ColumnDictionary.from_pool.__func__
-    monkeypatch.setattr(
-        ColumnDictionary, "from_pool",
-        classmethod(lambda cls, *a: built.append(a) or real(cls, *a)),
-    )
-    first = cache.dictionary(table, "s")
-    assert cache.dictionary(table, "s") is first
-    assert len(built) == 1 and not cache._pools
-    assert (cache.stats.misses, cache.stats.hits) == (1, 1)
-    assert first.values.tolist() == ["x", "y"]
-    assert first.codes.tolist() == [0, 1, 0, 1]
-    with pytest.raises(ValueError):
-        cache.seed(table, "s", pool, rows[:3])
+    with obs.recording() as recorder:
+        first = cache.dictionary(table, "s")
+        assert cache.dictionary(table, "s") is first is coded
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+        assert first.values.tolist() == ["x", "y"]
+        assert first.codes.tolist() == [0, 1, 0, 1]
+        assert table.decode("s").tolist() == ["x", "y", "x", "y"]
 
-    cache.seed(table, "s", pool, rows)
-    table.append_rows({"s": ["z"], "i": [9]})
-    cache.invalidate()
-    assert not cache._pools
-    assert cache.dictionary(table, "s").values.tolist() == ["x", "y", "z"]
-    assert len(built) == 1
+        cache.append_rows(table, {"s": ["z"], "i": [9]})
+        cache.invalidate()
+        grown = cache.dictionary(table, "s")
+        assert grown is table.dictionary("s") and grown is not coded
+        assert grown.values.tolist() == ["x", "y", "z"]
+        assert (cache.stats.misses, cache.stats.hits) == (1, 2)
+
+        table.append_rows({"s": ["x"], "i": [10]})
+        assert cache.dictionary(table, "s") is table.dictionary("s")
+        assert (cache.stats.misses, cache.stats.hits) == (2, 2)
+    assert "encoding.dict_builds" not in \
+        recorder.metrics.snapshot()["counters"]
 
 
 def test_object_dictionary_sorts_only_the_distinct_values(monkeypatch):
@@ -497,17 +500,24 @@ def test_cache_serves_same_dictionary_until_data_changes(city_db):
 
 
 def test_invalidate_sweeps_stale_entries_keeps_fresh(city_db):
+    """A numeric column's entry goes stale when its table appends
+    behind the cache's back; a string column's never does — it is the
+    table's own dictionary, which the append grew."""
     cache = DictionaryCache()
     users = city_db.table("users")
     orders = city_db.table("orders")
+    cache.dictionary(users, "age")
     cache.dictionary(users, "city")
-    kept = cache.dictionary(orders, "city")
+    kept = cache.dictionary(orders, "amount")
     users.append_rows(
         {"uid": [10_001], "city": ["yul"], "age": [41]}
     )
     cache.invalidate()
-    assert ("users", "city") not in cache._entries
-    assert cache.dictionary(orders, "city") is kept
+    assert ("users", "age") not in cache._entries
+    assert cache.dictionary(orders, "amount") is kept
+    grown = cache.dictionary(users, "city")
+    assert grown is users.dictionary("city")
+    assert grown.values.tolist()[-1] == "yul"
 
 
 def test_lexsort_matches_np_lexsort(city_db):
@@ -547,7 +557,7 @@ def test_index_build_with_cache_is_identical(city_db):
     definition = IndexDefinition(table="users", columns=("city", "age"))
     cached = IndexData(definition, users, cache)
     # np.lexsort on the raw arrays is the reference.
-    city, age = users.column("city"), users.column("age")
+    city, age = users.decode("city"), users.decode("age")
     order = np.lexsort((age, city))
     assert cached.row_ids.dtype == np.int32
     assert cached.row_ids.tolist() == order.tolist()
@@ -783,15 +793,18 @@ def test_property_extension_without_a_new_value_keeps_values(
 def test_extending_one_dictionary_twice_keeps_both_results():
     """The spare codes buffer passes to the first extension: a second
     extension of the same dictionary writes a buffer of its own."""
-    dictionary = ColumnDictionary(
-        np.array(["a", "b", "a"] * 16, dtype=object)
-    )
-    base = dictionary.base
-    first = dictionary.extended(np.concatenate([base, ["a"] * 2]))
-    second = dictionary.extended(np.concatenate([base, ["b"] * 2]))
-    third = first.extended(np.concatenate([first.base, ["b"]]))
-    for grown in (first, second, third):
-        assert_same_dictionary(grown, ColumnDictionary(grown.base))
+    words = ["a", "b", "a"] * 16
+    dictionary = ColumnDictionary(np.array(words, dtype=object))
+    first = dictionary.appended(["a"] * 2)
+    second = dictionary.appended(["b"] * 2)
+    third = first.appended(["b"])
+    for grown, rows in ((first, words + ["a"] * 2),
+                        (second, words + ["b"] * 2),
+                        (third, words + ["a"] * 2 + ["b"])):
+        assert grown.coded
+        assert_same_dictionary(
+            grown, ColumnDictionary(np.array(rows, dtype=object))
+        )
     assert np.shares_memory(first.codes, third.codes)
     assert not np.shares_memory(first.codes, second.codes)
 
@@ -822,18 +835,21 @@ def test_insert_rows_carries_dictionaries_without_a_miss(city_db):
     assert "encoding.dict_extends" not in counters
     assert "encoding.dict_builds" not in counters
     for column, old in held.items():
-        # The first read of a held column extends it, exactly once.
+        # The first read of a held number column extends it, exactly
+        # once; a string column's dictionary is the table's, which the
+        # insert grew.
         with obs.recording(obs.TraceRecorder()) as recorder:
             carried = city_db.column_dictionary("orders", column)
             assert city_db.column_dictionary("orders", column) is carried
         counters = recorder.metrics.snapshot()["counters"]
-        assert counters["encoding.dict_extends"] == 1
+        coded = orders.dictionary(column) is not None
+        assert counters.get("encoding.dict_extends", 0) == (not coded)
         assert "encoding.dict_builds" not in counters
         assert carried is not old
         assert carried.base is orders.column(column)
         assert old.row_count == carried.row_count - 2
         assert_same_dictionary(
-            carried, ColumnDictionary(orders.column(column))
+            carried, ColumnDictionary(orders.decode(column))
         )
     assert city_db.cache_stats()["dict_cache"]["misses"] == misses
     # Memoized sort orders are not carried; they rebuild on demand.
@@ -847,12 +863,12 @@ def test_insert_rows_carries_dictionaries_without_a_miss(city_db):
 def test_append_through_the_cache_skips_entries_already_stale(city_db):
     cache = DictionaryCache()
     users = city_db.table("users")
-    stale = cache.dictionary(users, "city")
+    stale = cache.dictionary(users, "age")
     row = {"uid": [10_000], "city": ["yyz"], "age": [40]}
     users.append_rows(row)          # behind the cache's back
     assert cache.append_rows(users, row) == 1
-    assert cache._entries[("users", "city")][1] is stale
-    rebuilt = cache.dictionary(users, "city")
+    assert cache._entries[("users", "age")][1] is stale
+    rebuilt = cache.dictionary(users, "age")
     assert rebuilt.row_count == stale.row_count + 2
     assert cache.stats.misses == 2
 
@@ -868,7 +884,9 @@ def check_dictionaries(database, target):
         if entry is None or entry[1].base is not table.column(column):
             continue
         dictionary = entry[1]
-        assert_same_dictionary(dictionary, ColumnDictionary(dictionary.base))
+        assert_same_dictionary(
+            dictionary, ColumnDictionary(table.decode(column))
+        )
         assert dictionary.domain[dictionary.ranks].tolist() == \
             dictionary.values.tolist()
 
@@ -881,8 +899,9 @@ def check_dictionaries(database, target):
 def test_property_deferred_dictionaries_read_as_built(target, steps):
     """Inserts interleaved with probes, lookups, cluster factors, plans
     and pickle round trips: every dictionary a read leaves up to date
-    equals ``ColumnDictionary(column)``, and so does every one read at
-    the end — each extended once, over every row it owed, as a hit."""
+    equals encoding the column's values, and so does every one read at
+    the end — a number column's extended once, over every row it owed,
+    as a hit; a string column's the table's own, built by no lookup."""
     target = interleave.TARGETS[target]
     database = interleave.run(target, steps, check_dictionaries)
     encodings = database._cache("dict_cache")
@@ -890,40 +909,44 @@ def test_property_deferred_dictionaries_read_as_built(target, steps):
     owed = sum(
         1 for key in encodings._owed if key[0] == target.table
     )
-    misses = encodings.stats.misses
+    numbers_missed = 0
     with obs.recording(obs.TraceRecorder()) as recorder:
         for column in table.column_names():
-            database.column_dictionary(target.table, column)
+            misses = encodings.stats.misses
+            dictionary = database.column_dictionary(target.table, column)
+            if table.dictionary(column) is not None:
+                assert dictionary is table.dictionary(column)
+            else:
+                numbers_missed += encodings.stats.misses - misses
     counters = recorder.metrics.snapshot()["counters"]
     assert counters.get("encoding.dict_extends", 0) == owed
-    assert counters.get("encoding.dict_builds", 0) == \
-        encodings.stats.misses - misses
+    assert counters.get("encoding.dict_builds", 0) == numbers_missed
     check_dictionaries(database, target)
 
 
 def test_owed_dictionaries_extend_once_over_every_insert(city_db):
-    """Two inserts before a read: the first lookup extends the entry
-    over both batches at once and counts a hit; a pooled domain and a
-    join domain merged from the values survive when no value is new."""
+    """Two inserts before a read: the first lookup extends a number
+    column's entry over both batches at once and counts a hit, and
+    keeps its values when no value is new."""
     orders = city_db.table("orders")
-    held = city_db.column_dictionary("orders", "city")
+    held = city_db.column_dictionary("orders", "uid")
     cache = city_db._cache("dict_cache")
     hits, misses = cache.stats.hits, cache.stats.misses
     with obs.recording(obs.TraceRecorder()) as recorder:
         for oid in (90_000, 90_001):
             city_db.insert_rows("orders", {
-                "oid": [oid], "uid": [3], "city": [held.values[0]],
+                "oid": [oid], "uid": [held.values[0]], "city": ["tor"],
                 "amount": [7],
             })
         assert "encoding.dict_extends" not in \
             recorder.metrics.snapshot()["counters"]
-        carried = city_db.column_dictionary("orders", "city")
+        carried = city_db.column_dictionary("orders", "uid")
     counters = recorder.metrics.snapshot()["counters"]
     assert counters["encoding.dict_extends"] == 1
     assert carried.values is held.values
     assert carried.row_count == held.row_count + 2
     assert cache.stats.hits == hits + 1 and cache.stats.misses == misses
-    assert_same_dictionary(carried, ColumnDictionary(orders.column("city")))
+    assert_same_dictionary(carried, ColumnDictionary(orders.column("uid")))
 
 
 # ----------------------------------------------------------------------
@@ -967,19 +990,18 @@ POOLS = {
 POOL_PICKS = st.lists(st.integers(0, 10**6), max_size=30)
 
 
-def pooled_column(cache, name, pool, picks):
-    """A one-column table ``name(s)`` drawn from ``pool``, seeded."""
+def pooled_column(hashed, name, pool, picks):
+    """A one-column table ``name(s)`` drawn from ``pool``, loaded as
+    its pool dictionary (``hashed`` memoizes the pool's hash)."""
     from repro.catalog.schema import ColumnDef, TableSchema
     from repro.storage.table import Table
     from repro.storage.types import varchar
 
     rows = np.array([p % len(pool) for p in picks], dtype=np.int32)
-    table = Table(
+    return Table(
         TableSchema(name, [ColumnDef("s", varchar(4), "")]),
-        {"s": pool[rows]},
+        {"s": ColumnDictionary.from_pool(pool, rows, hashed)},
     )
-    cache.seed(table, "s", pool, rows)
-    return table
 
 
 def find_result(own, other):
@@ -998,8 +1020,8 @@ def test_property_pooled_dictionaries_share_the_pools_domain(
     domain, hashed once; their ranks place their values in it, and
     locating one in the other by ranks answers what ``find`` does."""
     pool = POOLS[kind]
-    cache = DictionaryCache()
-    tables = [pooled_column(cache, name, pool, picks)
+    cache, hashed = DictionaryCache(), {}
+    tables = [pooled_column(hashed, name, pool, picks)
               for name, picks in (("l", left), ("r", right))]
     a, b = (cache.dictionary(table, "s") for table in tables)
     assert a.domain is b.domain
@@ -1016,7 +1038,7 @@ def test_property_pooled_dictionaries_share_the_pools_domain(
         assert (slots.tolist(), found.tolist()) == find_result(own, other)
     # A column loaded without its pool is its own domain: locating it
     # (or in it) takes the object branch, with the same answer.
-    loose = ColumnDictionary(tables[1].column("s"))
+    loose = ColumnDictionary(tables[1].decode("s"))
     assert loose.domain is loose.values and loose.domain is not a.domain
     slots, found = locate(a, loose)
     assert (slots.tolist(), found.tolist()) == find_result(a, loose)
@@ -1024,9 +1046,9 @@ def test_property_pooled_dictionaries_share_the_pools_domain(
 
 def test_locating_pooled_dictionaries_compares_no_values(monkeypatch):
     pool = POOLS["unsorted"]
-    cache = DictionaryCache()
+    cache, hashed = DictionaryCache(), {}
     a, b = (
-        cache.dictionary(pooled_column(cache, name, pool, picks), "s")
+        cache.dictionary(pooled_column(hashed, name, pool, picks), "s")
         for name, picks in (("l", [0, 1, 1, 5]), ("r", [2, 3, 4, 6]))
     )
     finds = []
@@ -1039,7 +1061,7 @@ def test_locating_pooled_dictionaries_compares_no_values(monkeypatch):
     locate(b, a)
     assert finds == []
     # Only the object branch calls find.
-    locate(a, ColumnDictionary(b.base))
+    locate(a, ColumnDictionary(b.values[b.codes]))
     assert len(finds) == 1 and finds[0] is a.values
 
 
@@ -1058,9 +1080,9 @@ def test_property_extension_keeps_the_domain_while_values_are_in_it(
     dictionary is its own domain.  Every extension equals a rebuild,
     and still locates a sibling column of the pool as ``find`` does."""
     pool = POOLS[kind]
-    cache = DictionaryCache()
-    sibling = cache.dictionary(pooled_column(cache, "o", pool, [1, 3]), "s")
-    table = pooled_column(cache, "t", pool, picks)
+    cache, hashed = DictionaryCache(), {}
+    sibling = cache.dictionary(pooled_column(hashed, "o", pool, [1, 3]), "s")
+    table = pooled_column(hashed, "t", pool, picks)
     dictionary = cache.dictionary(table, "s")
     pooled = True
     for number, tail in enumerate(tails):
@@ -1071,7 +1093,7 @@ def test_property_extension_keeps_the_domain_while_values_are_in_it(
         before = dictionary
         cache.append_rows(table, {"s": rows})
         dictionary = cache.dictionary(table, "s")
-        assert_same_dictionary(dictionary, ColumnDictionary(table.column("s")))
+        assert_same_dictionary(dictionary, ColumnDictionary(table.decode("s")))
         assert (dictionary.domain is sibling.domain) == pooled
         if not pooled:
             assert dictionary.domain is dictionary.values
@@ -1087,18 +1109,34 @@ def test_property_extension_keeps_the_domain_while_values_are_in_it(
             )
 
 
-def test_hashed_pools_are_dropped_once_no_seed_draws_from_them():
+def test_a_pool_is_hashed_once_for_every_column_drawn_from_it(
+        monkeypatch):
+    """Columns drawn from one pool through one memo hash it once and
+    share its domain; the memo holds the pool, and the dictionary
+    cache keeps nothing of it."""
+    from repro.storage import encoding
+
     pool = POOLS["unsorted"]
-    cache = DictionaryCache()
-    tables = [pooled_column(cache, name, pool, [0, 2, 4])
+    hashes = []
+    real = encoding._hashed_dictionary
+    monkeypatch.setattr(
+        encoding, "_hashed_dictionary",
+        lambda base: hashes.append(base) or real(base),
+    )
+    hashed = {}
+    tables = [pooled_column(hashed, name, pool, [0, 2, 4])
               for name in ("a", "b")]
-    first = cache.dictionary(tables[0], "s")
-    assert list(cache._hashed_pools) == [id(pool)]
-    cache.invalidate()      # b's seed still draws from the pool
-    assert list(cache._hashed_pools) == [id(pool)]
-    assert cache.dictionary(tables[1], "s").domain is first.domain
-    cache.invalidate()
-    assert cache._hashed_pools == {}
+    assert [id(p) for p in hashes] == [id(pool)]
+    assert list(hashed) == [id(pool)] and hashed[id(pool)][0] is pool
+    cache = DictionaryCache()
+    first, second = (cache.dictionary(t, "s") for t in tables)
+    assert first.domain is second.domain
+    assert not hasattr(cache, "_hashed_pools")
+    # Without the memo the pool is hashed again, into a domain of its
+    # own.
+    loose = pooled_column(None, "c", pool, [0, 2, 4]).dictionary("s")
+    assert len(hashes) == 2 and loose.domain is not first.domain
+    assert loose.domain.tolist() == first.domain.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -1182,3 +1220,104 @@ def test_property_dictionaries_follow_a_widening_column(initial, steps):
     assert_dictionary_of_int64(
         cache.dictionary(table, "i"), want, table.column("i")
     )
+
+
+# ----------------------------------------------------------------------
+# Coded string columns: comparisons and equality on codes
+
+CODED_WORDS = ["", "a", "ab", "b", "it's", "naïve", "zz"]
+OPS = ("=", "<>", "<", "<=", ">", ">=")
+
+
+def coded_table(name, words):
+    """A one-column string table ``name(k)`` of ``words``, encoded
+    from the object array (its own domain)."""
+    from repro.catalog.schema import ColumnDef, TableSchema
+    from repro.storage.table import Table
+    from repro.storage.types import varchar
+
+    return Table(
+        TableSchema(name, [ColumnDef("k", varchar(8), "")]),
+        {"k": np.array(words, dtype=object)},
+    )
+
+
+def object_compare(values, op, literal):
+    import operator
+
+    compare = {
+        "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    }[op]
+    return [compare(value, literal) for value in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(CODED_WORDS), max_size=40),
+    op=st.sampled_from(OPS),
+    literal=st.sampled_from(CODED_WORDS + ["", "!", "aa", "c", "zzz", "日本"]),
+    picks=st.lists(st.integers(0, 10**6), max_size=20),
+)
+@example(words=["b", "a"], op="=", literal="c", picks=[])        # absent
+@example(words=["b", "a"], op="<", literal="!", picks=[])        # below all
+@example(words=["b", "a"], op=">=", literal="zzz", picks=[])     # above all
+@example(words=[], op="<>", literal="a", picks=[])               # empty
+def test_property_code_filters_equal_the_object_compare(
+        words, op, literal, picks):
+    """Each of the six comparisons on codes, against the literal's
+    ``code_bound``, keeps the rows the object compare keeps — literal
+    present, absent, below or above every value — on the whole column
+    and through the executor's fused filter, whole and behind a
+    selection vector."""
+    from types import SimpleNamespace
+
+    from repro.executor.engine import Executor
+    from repro.storage.encoding import code_bound
+
+    table = coded_table("t", words)
+    dictionary = table.dictionary("k")
+    bound = code_bound(dictionary.values, op, literal)
+    got = object_compare(table.column("k").tolist(), op, bound)
+    assert got == object_compare(words, op, literal)
+    executor = Executor({"t": table}, None)
+    executor._required = frozenset({"t.k"})
+    flt = SimpleNamespace(key="t.k", column="k", op=op, value=literal)
+    rows = [p % len(words) for p in picks] if words else []
+    for row_ids in (None, np.array(rows, dtype=np.int64)):
+        batch = executor._scan_batch(table, {"t.k": "k"}, row_ids)
+        keep = executor._filter_keep(batch, [flt], table)
+        values = words if row_ids is None else [words[r] for r in rows]
+        assert keep.tolist() == object_compare(values, op, literal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    left=st.lists(st.sampled_from(CODED_WORDS[:5]), min_size=1, max_size=20),
+    right=st.lists(st.sampled_from(CODED_WORDS[2:]), min_size=1,
+                   max_size=20),
+    pairs=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                   max_size=30),
+)
+def test_property_inl_extra_predicates_map_codes_across_dictionaries(
+        left, right, pairs):
+    """An index join's extra equality between two string columns of
+    two dictionaries that share no domain — different values, codes
+    that mean different strings — is true exactly where the decoded
+    values are equal."""
+    from repro.executor.engine import Executor, _merged
+
+    outer, inner = coded_table("o", left), coded_table("i", right)
+    a, b = outer.dictionary("k"), inner.dictionary("k")
+    assert a.domain is not b.domain
+    executor = Executor({"o": outer, "i": inner}, None)
+    executor._required = frozenset({"o.k", "i.k"})
+    outer_rows = np.array([p % len(left) for p, _ in pairs], dtype=np.int64)
+    inner_rows = np.array([q % len(right) for _, q in pairs], dtype=np.int64)
+    batch = _merged(
+        executor._scan_batch(outer, {"o.k": "k"}, outer_rows),
+        executor._scan_batch(inner, {"i.k": "k"}, inner_rows),
+    )
+    got = executor._equal(batch, "o.k", "i.k")
+    want = [left[p] == right[q] for p, q in zip(outer_rows, inner_rows)]
+    assert got.tolist() == want

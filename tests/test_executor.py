@@ -46,7 +46,7 @@ def test_filter_and_group(city_db):
     result = run_both_configs(city_db, sql)
     users = city_db.table("users")
     counter = collections.Counter(
-        c for c, a in zip(users.column("city"), users.column("age"))
+        c for c, a in zip(users.decode("city"), users.decode("age"))
         if a == 30
     )
     assert rows_sorted(result) == sorted(counter.items())
@@ -61,11 +61,11 @@ def test_join_group_count(city_db):
     users, orders = city_db.table("users"), city_db.table("orders")
     city_of = {
         u: c for u, c, a in zip(
-            users.column("uid"), users.column("city"), users.column("age")
+            users.decode("uid"), users.decode("city"), users.decode("age")
         ) if a == 30
     }
     counter = collections.Counter(
-        city_of[u] for u in orders.column("uid") if u in city_of
+        city_of[u] for u in orders.decode("uid") if u in city_of
     )
     assert rows_sorted(result) == sorted(counter.items())
 
@@ -78,7 +78,7 @@ def test_count_distinct(city_db):
     result = run_both_configs(city_db, sql)
     orders = city_db.table("orders")
     groups = collections.defaultdict(set)
-    for c, u in zip(orders.column("city"), orders.column("uid")):
+    for c, u in zip(orders.decode("city"), orders.decode("uid")):
         groups[c].add(u)
     assert rows_sorted(result) == sorted(
         (c, len(s)) for c, s in groups.items()
@@ -125,7 +125,7 @@ def test_sum_avg_min_max(city_db):
     result = run_both_configs(city_db, sql)
     orders = city_db.table("orders")
     groups = collections.defaultdict(list)
-    for c, a in zip(orders.column("city"), orders.column("amount")):
+    for c, a in zip(orders.decode("city"), orders.decode("amount")):
         groups[c].append(int(a))
     expected = sorted(
         (
@@ -144,7 +144,7 @@ def test_grand_total_aggregate(city_db):
     sql = "SELECT COUNT(*) FROM orders o WHERE o.city = 'tor'"
     result = run_both_configs(city_db, sql)
     orders = city_db.table("orders")
-    expected = int(np.sum(orders.column("city") == "tor"))
+    expected = int(np.sum(orders.decode("city") == "tor"))
     assert result.rows() == [(expected,)]
 
 
@@ -156,9 +156,9 @@ def test_semijoin_membership(city_db):
     )
     result = run_both_configs(city_db, sql)
     orders = city_db.table("orders")
-    freq = collections.Counter(orders.column("uid").tolist())
+    freq = collections.Counter(orders.decode("uid").tolist())
     counter = collections.Counter(
-        c for c, u in zip(orders.column("city"), orders.column("uid"))
+        c for c, u in zip(orders.decode("city"), orders.decode("uid"))
         if freq[u] < 4
     )
     assert rows_sorted(result) == sorted(counter.items())
@@ -171,7 +171,7 @@ def semi_filter(key, sub_table, sub_column, op, value):
 
 def allowed_values(db, sub_table, sub_column, op, value):
     values, counts = np.unique(
-        db.table(sub_table).column(sub_column), return_counts=True
+        db.table(sub_table).decode(sub_column), return_counts=True
     )
     keep = {"<": counts < value, ">": counts > value}[op]
     return values[keep]
@@ -200,16 +200,16 @@ def test_semijoin_filters_on_codes_like_isin(
 
     def surviving(batch):
         out = executor._apply_semis(batch, [semi], VirtualClock())
-        return out.column(key).tolist()
+        return out.decode(key).tolist()
 
-    values = orders.column(column)
+    values = orders.decode(column)
     full = executor._scan_batch(orders, {key: column})
     assert surviving(full) == values[np.isin(values, allowed)].tolist()
     values = values[picked]
     want = values[np.isin(values, allowed)].tolist()
     assert surviving(full.take(picked)) == want
     probed = executor._scan_batch(orders, {key: column}, picked)
-    assert probed.column(key).tolist() == values.tolist()
+    assert probed.decode(key).tolist() == values.tolist()
     assert surviving(probed) == want
     assert len(allowed) or value == 10 ** 6
 
@@ -243,10 +243,10 @@ def test_self_join(city_db):
     )
     result = run_both_configs(city_db, sql)
     users = city_db.table("users")
-    ages = collections.Counter(users.column("age").tolist())
+    ages = collections.Counter(users.decode("age").tolist())
     total = sum(
         ages[a]
-        for a, c in zip(users.column("age"), users.column("city"))
+        for a, c in zip(users.decode("age"), users.decode("city"))
         if c == "tor"
     )
     assert result.rows() == [("tor", total)]
@@ -268,7 +268,7 @@ def test_projection_without_aggregates(city_db_p):
     expected = sorted(
         (int(u), c)
         for u, c, a in zip(
-            users.column("uid"), users.column("city"), users.column("age")
+            users.decode("uid"), users.decode("city"), users.decode("age")
         )
         if a == 30
     )

@@ -101,7 +101,9 @@ def test_fig4_configuration_sorts_are_pinned():
     integer one (of any stored width), whose order comes out of the
     dictionary's own packed sort.  Every order is memoized in the dictionary cache and shared
     by the indexes that end in it, and the second 1C build sorts
-    nothing.  (Generating NREF adds one per ``ordinal`` column.)"""
+    nothing.  (Generating NREF orders the key column of each
+    ``ordinal`` one, and as that key's dictionary is the stored
+    column, its one-column index reuses the order.)"""
     context = BenchContext(
         BenchSettings(scale=0.05, workload_size=10, seed=405)
     )
@@ -129,14 +131,18 @@ def test_fig4_configuration_sorts_are_pinned():
     sorted_later = [
         (table, columns) for table, columns in suffixes
         if len(columns) > 1
-        or database.table(table).column(columns[0]).dtype.kind != "i"
+        or database.table(table).schema.column(columns[0]).sql_type.kind
+        not in ("int", "date")
     ]
     # The generator numbers the rows of each composite key by the
-    # same primitive, inside the recording.
+    # same primitive, inside the recording, on the dictionary its key
+    # column is stored as — which a one-column index on the key reads.
     ordinals = [
-        name for name in database.catalog.table_names
+        (name, database.catalog.table(name).primary_key[:1])
+        for name in database.catalog.table_names
         if "ordinal" in database.catalog.table(name).primary_key
     ]
     assert len(sorted_later) == 23 and len(ordinals) == 3
-    assert total == len(sorted_later) + len(ordinals)
+    assert set(ordinals) <= set(sorted_later)
+    assert total == len(sorted_later)
     assert total == before_second

@@ -67,7 +67,8 @@ def tree_of(index):
     """The reference B+-tree over ``index``'s entries."""
     key_columns = [
         np.repeat(index.values, np.diff(index.offsets)),
-        *index.inner_columns,
+        *(column if values is None else values[column]
+          for column, values in zip(index.inner_columns, index.inner_values)),
     ]
     return BPlusTree.bulk_load(zip(
         (tuple(column[i] for column in key_columns)
@@ -87,7 +88,7 @@ def test_definition_validation():
 
 def test_lookup_eq_single_column(city_db):
     index = make_index(city_db, "users", ["city"])
-    column = city_db.table("users").column("city")
+    column = city_db.table("users").decode("city")
     for value in ("tor", "mtl", "nowhere"):
         got = sorted(index.lookup_eq((value,)).tolist())
         expected = sorted(np.flatnonzero(column == value).tolist())
@@ -97,7 +98,7 @@ def test_lookup_eq_single_column(city_db):
 def test_lookup_eq_composite_prefix(city_db):
     index = make_index(city_db, "users", ["city", "age"])
     users = city_db.table("users")
-    city, age = users.column("city"), users.column("age")
+    city, age = users.decode("city"), users.decode("age")
     got = sorted(index.lookup_eq(("tor", 30)).tolist())
     expected = sorted(
         np.flatnonzero((city == "tor") & (age == 30)).tolist()
@@ -113,7 +114,7 @@ def test_lookup_eq_composite_prefix(city_db):
 
 def test_probe_many_matches_loop(city_db):
     index = make_index(city_db, "orders", ["uid"])
-    uid = city_db.table("orders").column("uid")
+    uid = city_db.table("orders").decode("uid")
     probes = np.array([0, 1, 2, 9999, 1])
     lows, highs = index.ranges(probes)
     row_ids, probe_idx = index.fetch(lows, highs)
@@ -126,7 +127,7 @@ def test_probe_many_matches_loop(city_db):
 
 def test_ranges_count_the_matches_per_probe(city_db):
     index = make_index(city_db, "orders", ["uid"])
-    uid = city_db.table("orders").column("uid")
+    uid = city_db.table("orders").decode("uid")
     probes = np.arange(10)
     lows, highs = index.ranges(probes)
     for p, c in zip(probes, highs - lows):
@@ -163,7 +164,7 @@ def test_property_ranges_equal_a_brute_force_scan(column, picks, inner):
         table="keyed", columns=(column, other) if inner else (column,)
     )
     index = IndexData(definition, table, DictionaryCache())
-    ordered = table.column(column)[index.row_ids]
+    ordered = table.decode(column)[index.row_ids]
     # Built in the schema's widest dtype: probes outside an int16 or
     # int32 column's range are compared, never cast into it.
     probes = np.array(
@@ -181,7 +182,7 @@ def test_property_ranges_equal_a_brute_force_scan(column, picks, inner):
         ].tolist()
     row_ids, _ = index.fetch(lows, highs)
     assert sorted(row_ids.tolist()) == sorted(
-        np.flatnonzero(np.isin(table.column(column), probes)).tolist()
+        np.flatnonzero(np.isin(table.decode(column), probes)).tolist()
     )
 
 
@@ -330,7 +331,7 @@ def test_property_append_equals_rebuild(initial, batches, key):
         assert index.page_transitions == rescanned_transitions(index, table)
         # np.lexsort on the raw columns is the reference for both.
         assert rebuilt.row_ids.tolist() == np.lexsort(
-            tuple(table.column(c) for c in reversed(key))
+            tuple(table.decode(c) for c in reversed(key))
         ).tolist()
     tree = tree_of(index)
     tree.check_invariants()
@@ -509,7 +510,7 @@ def test_a_superseded_deferred_index_raises_with_its_name(city_db_1c):
     merged.row_ids
     superseded = city_db_1c._built.index_data[unread.name]
     prefix = Table(orders.schema, {
-        c: orders.column(c).copy() for c in orders.column_names()
+        c: orders.decode(c).copy() for c in orders.column_names()
     })
     city_db_1c.insert_rows("orders", {
         "oid": [90_001], "uid": [499], "city": ["yyz"], "amount": [2],
@@ -586,15 +587,16 @@ PICKLED_SQLS = (
 def test_pickled_database_keeps_its_indexes_and_no_dictionary(
         request, fixture):
     """An index holds its leading dictionary's *values array* and its
-    own offsets, never the dictionary: the pickle — which drops the
-    dictionary cache — carries no base, codes or order along, and the
-    unpickled indexes answer as the live ones do, their arrays as
-    read-only as the live ones'."""
+    own offsets, never the dictionary: its pickle carries no base,
+    codes or order along, the database's drops the dictionary cache
+    (a string column's dictionary is its table's storage, and pickles
+    with it), and the unpickled indexes answer as the live ones do,
+    their arrays as read-only as the live ones'."""
     db = request.getfixturevalue(fixture)
     for sql in PICKLED_SQLS:  # fills the dictionary cache
         db.execute(sql)
+    assert b"ColumnDictionary" not in pickle.dumps(db._built.index_data)
     payload = pickle.dumps(db, pickle.HIGHEST_PROTOCOL)
-    assert b"ColumnDictionary" not in payload
     clone = pickle.loads(payload)
     for sql in PICKLED_SQLS:
         got, want = clone.execute(sql), db.execute(sql)
@@ -611,7 +613,7 @@ def test_pickled_database_keeps_its_indexes_and_no_dictionary(
                       again.row_ids, again.offsets, *again.inner_columns):
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = 0
-        column = db.table(live.definition.table).column(
+        column = db.table(live.definition.table).decode(
             live.definition.columns[0]
         )
         probes = np.concatenate([column[:5], column[-3:]])
@@ -640,7 +642,7 @@ def index_pickle_bytes(db, repeats=1):
         now.append([index.row_ids, index.values, index.offsets,
                     *index.inner_columns])
         before.append([index.row_ids,
-                       *(table.column(c)[index.row_ids]
+                       *(table.decode(c, index.row_ids)
                          for c in index.definition.columns)])
     return len(pickle.dumps(now)), len(pickle.dumps(before))
 
@@ -831,7 +833,7 @@ def assert_edges_equal_the_reference(database, reference):
         table = database.table(name)
         fresh = Table(table.schema, columns)
         for column, want in columns.items():
-            have = table.column(column)
+            have = table.decode(column)
             assert have.tolist() == want.tolist(), (name, column)
             if want.dtype == np.int64:
                 assert have.dtype == narrowest_dtype(want), (name, column)
@@ -842,7 +844,7 @@ def assert_edges_equal_the_reference(database, reference):
             want = IndexData(ix, fresh, DictionaryCache(),
                              database.system.index_overhead)
             assert index.row_ids.tolist() == want.row_ids.tolist()
-            assert index.values.dtype == table.column(ix.columns[0]).dtype
+            assert index.values.dtype == table.decode(ix.columns[0]).dtype
             assert index.values.tolist() == want.values.tolist()
             assert index.offsets.tolist() == want.offsets.tolist()
             key = reference[name][ix.columns[0]]

@@ -56,11 +56,11 @@ def test_single_table_view_counts(db):
     table, _ = build_view(
         view_def, db.tables, db.catalog, DictionaryCache()
     )
-    freq = collections.Counter(db.table("orders").column("uid").tolist())
+    freq = collections.Counter(db.table("orders").decode("uid").tolist())
     got = dict(
         zip(
-            table.column("orders__uid").tolist(),
-            table.column(COUNT_COLUMN).tolist(),
+            table.decode("orders__uid").tolist(),
+            table.decode(COUNT_COLUMN).tolist(),
         )
     )
     assert got == dict(freq)
@@ -79,22 +79,22 @@ def test_join_view_counts(db):
         view_def, db.tables, db.catalog, DictionaryCache()
     )
     users, orders = db.table("users"), db.table("orders")
-    city_of = dict(zip(users.column("uid"), users.column("city")))
+    city_of = dict(zip(users.decode("uid"), users.decode("city")))
     counter = collections.Counter(
         (city_of[u], c)
-        for u, c in zip(orders.column("uid"), orders.column("city"))
+        for u, c in zip(orders.decode("uid"), orders.decode("city"))
         if u in city_of
     )
     got = {
         (a, b): n
         for a, b, n in zip(
-            table.column("users__city"),
-            table.column("orders__city"),
-            table.column(COUNT_COLUMN),
+            table.decode("users__city"),
+            table.decode("orders__city"),
+            table.decode(COUNT_COLUMN),
         )
     }
     assert got == dict(counter)
-    assert int(table.column(COUNT_COLUMN).sum()) == sum(counter.values())
+    assert int(table.decode(COUNT_COLUMN).sum()) == sum(counter.values())
 
 
 def test_view_rewrite_produces_correct_counts(db):
@@ -166,9 +166,9 @@ def test_semijoin_answered_from_view(db):
     )
     result = sorted(db.execute(sql).rows())
     orders = db.table("orders")
-    freq = collections.Counter(orders.column("uid").tolist())
+    freq = collections.Counter(orders.decode("uid").tolist())
     counter = collections.Counter(
-        c for c, u in zip(orders.column("city"), orders.column("uid"))
+        c for c, u in zip(orders.decode("city"), orders.decode("uid"))
         if freq[u] < 4
     )
     assert result == sorted(counter.items())
@@ -213,7 +213,7 @@ def test_an_index_on_a_view_is_rebuilt_by_an_insert():
     charges = []
     for config in (views, views.with_indexes([on_view])):
         db = load_city_database()
-        assert 157 not in db.table("orders").column("uid").tolist()
+        assert 157 not in db.table("orders").decode("uid").tolist()
         db.apply_configuration(config)
         charges.append(db.insert_rows("orders", rows))
     view = db._built.view_tables[view_def.name]
@@ -241,7 +241,7 @@ def test_view_refreshes_after_insert(db):
         [view_def], name="V"
     )
     db.apply_configuration(config)
-    before = db._built.view_tables[view_def.name].column(COUNT_COLUMN).sum()
+    before = db._built.view_tables[view_def.name].decode(COUNT_COLUMN).sum()
     db.insert_rows(
         "orders",
         {
@@ -251,8 +251,32 @@ def test_view_refreshes_after_insert(db):
             "amount": np.array([5]),
         },
     )
-    after = db._built.view_tables[view_def.name].column(COUNT_COLUMN).sum()
+    after = db._built.view_tables[view_def.name].decode(COUNT_COLUMN).sum()
     assert after == before + 1
+
+
+def test_view_statistics_follow_an_insert(db):
+    """An insert that brings a view a new group rebuilds the view's
+    statistics with it: plans over the view are estimated on the view
+    the insert left, not on the one before it."""
+    view_def = MatViewDefinition(
+        tables=("orders",),
+        group_columns=(ViewColumn("orders", "uid"),),
+    )
+    db.apply_configuration(
+        primary_configuration(db.catalog).with_views([view_def], name="V")
+    )
+    groups = db._built.view_tables[view_def.name].row_count
+    assert db._view_stats.table(view_def.name).row_count == groups
+    new_uid = int(db.table("orders").column("uid").max()) + 1
+    db.insert_rows("orders", {
+        "oid": [10_002], "uid": [new_uid], "city": ["tor"], "amount": [5],
+    })
+    view = db._built.view_tables[view_def.name]
+    stats = db._view_stats.table(view_def.name)
+    assert view.row_count == groups + 1
+    assert stats.row_count == view.row_count
+    assert stats.column("orders__uid").n_distinct == view.row_count
 
 
 def reference_groups(arrays):
@@ -314,12 +338,12 @@ def test_property_single_table_view_equals_the_raw_grouping(rows, columns):
     assert input_rows == len(rows)
     keys, counts = reference_groups([raw[c] for c in columns])
     for vcol, want in zip(view_def.group_columns, keys):
-        have = view.column(vcol.name)
+        have = view.decode(vcol.name)
         if want.dtype == np.int64:
             assert have.dtype == narrowest_dtype(want)
         else:
             assert have.dtype == want.dtype
         assert have.tolist() == want.tolist()
-    have = view.column(COUNT_COLUMN)
+    have = view.decode(COUNT_COLUMN)
     assert have.dtype == narrowest_dtype(counts)
     assert have.tolist() == counts.tolist()

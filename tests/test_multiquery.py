@@ -146,7 +146,7 @@ def test_insert_without_a_new_key_value_keeps_the_join_domain(city, builds):
     # (an insert does not recollect them, and a load keeps them).
     fresh = load_city_database()
     fresh.load_table("orders", {
-        name: db.table("orders").column(name).copy()
+        name: db.table("orders").decode(name).copy()
         for name in ("oid", "uid", "city", "amount")
     })
     fresh.apply_configuration(one_column_configuration(fresh.catalog))

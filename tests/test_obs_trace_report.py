@@ -121,7 +121,7 @@ def test_traced_run_report_contents(traced_fig3):
     assert db_caches["bind_cache"]["hits"] > 0
     # Tiny NREF: every integer column fits int16, none is stored wider.
     resident = db_caches["resident_bytes"]
-    assert set(resident["tables"]) == {"float64", "int16", "object"}
+    assert set(resident["tables"]) == {"float64", "int16", "int32"}
     assert all(resident["tables"].values())
     assert set(resident["dictionaries"]) == {
         "codes", "orders", "lexsorts", "values",

@@ -273,6 +273,6 @@ def test_composite_index_prefix_consumption(db):
     )
     users = db.table("users")
     expected = int(
-        np.sum((users.column("city") == "tor") & (users.column("age") == 30))
+        np.sum((users.decode("city") == "tor") & (users.decode("age") == 30))
     )
     assert len(result.rows()) == expected

@@ -44,10 +44,11 @@ def columns_of(rows):
 @example(initial=[], batches=[[], [(1, 0.5, "a")], []])
 @example(initial=[(1, 0.5, "a")] * 16, batches=[[(2, 1.0, "b")]] * 6)
 def test_property_appended_columns_equal_concatenation(initial, batches):
-    """After every append each column equals ``np.concatenate`` of the
-    loaded and appended parts, built in the schema's widest dtype, and
-    is stored in the narrowest dtype that holds it; every column array
-    handed out before — a snapshot — keeps its contents."""
+    """After every append each column decodes to ``np.concatenate`` of
+    the loaded and appended parts, built in the schema's widest dtype,
+    and is stored in the narrowest dtype that holds it — a string
+    column as int32 codes; every column array handed out before — a
+    snapshot — keeps its contents."""
     table = Table(SCHEMA, columns_of(initial))
 
     def part(rows, col):
@@ -66,11 +67,12 @@ def test_property_appended_columns_equal_concatenation(initial, batches):
         for col in SCHEMA.columns:
             parts[col.name].append(part(batch, col))
             want = np.concatenate(parts[col.name])
-            have = table.column(col.name)
+            have = table.decode(col.name)
             if col.sql_type.kind == "int":
                 assert have.dtype == narrowest_dtype(want)
-            else:
-                assert have.dtype == want.dtype
+            elif col.sql_type.kind == "str":
+                assert table.column(col.name).dtype == np.int32
+            assert have.dtype == want.dtype or col.sql_type.kind == "int"
             assert have.tolist() == want.tolist()
         for snapshot in snapshots:
             for array, contents in snapshot.values():
@@ -80,11 +82,12 @@ def test_property_appended_columns_equal_concatenation(initial, batches):
 
 def test_an_append_writes_behind_the_previous_one():
     """The second append copies no stored row: its columns continue
-    the first one's buffer, and the first one's arrays are prefixes."""
+    the first one's buffer, and the first one's arrays are prefixes —
+    a string column's codes too, when the batch brings no new string."""
     table = Table(SCHEMA, columns_of([(i, i / 2, "a") for i in range(800)]))
     table.append_rows(columns_of([(1, 1.0, "b")] * 10))
     first = {name: table.column(name) for name in ("i", "f", "s")}
-    table.append_rows(columns_of([(2, 2.0, "c")] * 10))
+    table.append_rows(columns_of([(2, 2.0, "a")] * 10))
     for name, array in first.items():
         grown = table.column(name)
         assert grown is not array
@@ -170,14 +173,120 @@ def test_an_int64_pickle_loads_narrow():
 
 def test_resident_bytes_count_each_buffer_in_its_dtype():
     """A table's resident bytes are its column buffers by dtype, the
-    spare capacity behind appended rows included; a column an append
-    widened counts in its new dtype only."""
+    spare capacity behind appended rows included — a string column's
+    int32 codes, never an object array; a column an append widened
+    counts in its new dtype only."""
     table = Table(SCHEMA, columns_of([(i, i / 2, "a") for i in range(800)]))
     assert table.resident_bytes() == {
-        "int16": 2 * 800, "float64": 8 * 800, "object": 8 * 800,
+        "int16": 2 * 800, "float64": 8 * 800, "int32": 4 * 800,
     }
     table.append_rows(columns_of([(40_000, 1.0, "b")] * 10))
     spare = 810 + 810 // 8
     assert table.resident_bytes() == {
-        "int32": 4 * spare, "float64": 8 * spare, "object": 8 * spare,
+        "int32": 4 * spare + 4 * spare, "float64": 8 * spare,
     }
+
+
+# ----------------------------------------------------------------------
+# String columns stored as their codes
+
+# The empty string, prefixes, quotes and non-ASCII text.
+WORDS = st.sampled_from([
+    "", "a", "ab", "b", "it's", 'say "hi"', "naïve", "Straße", "日本",
+    "zz",
+])
+STRINGS = TableSchema("w", [ColumnDef("s", varchar(8), "s")])
+
+
+def loaded(words, how):
+    """A one-column string table of ``words``, loaded as an object
+    array (hashed), or as its dictionary read off pool indices."""
+    from repro.storage.encoding import ColumnDictionary
+
+    if how == "hashed":
+        return Table(STRINGS, {"s": np.array(words, dtype=object)})
+    pool = np.array(sorted(set(words)) + ["never drawn"], dtype=object)
+    rows = np.array(
+        [pool.tolist().index(w) for w in words], dtype=np.int32
+    )
+    return Table(STRINGS, {"s": ColumnDictionary.from_pool(pool, rows)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(WORDS, max_size=40),
+       how=st.sampled_from(["hashed", "pooled"]))
+@example(words=[], how="hashed")
+@example(words=[], how="pooled")
+@example(words=["b", "b", "a"], how="pooled")
+def test_property_a_coded_column_decodes_to_what_was_loaded(words, how):
+    """Loaded either way — empty, with duplicates, quotes or non-ASCII
+    text — a string column is int32 codes into sorted distinct values
+    and decodes to its input, rows in any order too."""
+    table = loaded(words, how)
+    dictionary = table.dictionary("s")
+    assert table.column("s") is dictionary.codes
+    assert table.column("s").dtype == np.int32
+    assert dictionary.values.tolist() == sorted(set(words))
+    assert table.decode("s").tolist() == words
+    rows = np.arange(len(words))[::-1]
+    assert table.decode("s", rows).tolist() == words[::-1]
+    assert "object" not in table.resident_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    words=st.lists(WORDS, max_size=30),
+    batches=st.lists(
+        st.tuples(st.lists(WORDS, max_size=8), st.booleans()), max_size=4
+    ),
+    how=st.sampled_from(["hashed", "pooled"]),
+)
+def test_property_coded_appends_equal_the_concatenation(words, batches, how):
+    """Appends inside the column's values carry the values array over
+    and write their codes behind the stored ones; an append that
+    brings a new string grows the values.  Either way the column
+    decodes to the concatenation, and every codes array handed out
+    before keeps its contents."""
+    table = loaded(words, how)
+    want = list(words)
+    snapshots = []
+    for batch, outside in batches:
+        if outside:
+            batch = batch + [f"new {len(want)}"]
+        before = table.dictionary("s")
+        snapshots.append((table.column("s"), table.column("s").tolist()))
+        table.append_rows({"s": np.array(batch, dtype=object)})
+        want += batch
+        grown = table.dictionary("s")
+        assert table.column("s") is grown.codes
+        assert table.decode("s").tolist() == want
+        assert grown.values.tolist() == sorted(set(want))
+        inside = set(batch) <= set(before.values.tolist())
+        assert (grown.values is before.values) == inside
+    for codes, contents in snapshots:
+        assert codes.tolist() == contents
+
+
+@pytest.mark.parametrize("how", ["hashed", "pooled"])
+def test_a_coded_table_pickles_and_an_object_pickle_loads_coded(how):
+    """A coded table pickles as its codes and dictionary and unpickles
+    to the same column; a pickle whose string column is an object
+    array — written before strings were coded — loads coded."""
+    words = ["b", "naïve", "", "b", "it's"] * 3
+    table = loaded(words, how)
+    table.append_rows({"s": ["zz", "b"]})
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone.decode("s").tolist() == words + ["zz", "b"]
+    assert clone.column("s") is clone.dictionary("s").codes
+    clone.append_rows({"s": ["a"]})
+    assert clone.decode("s").tolist()[-1] == "a"
+
+    old = Table.__new__(Table)
+    old.__dict__.update({
+        "schema": STRINGS, "_byte_size": None, "_spare": {},
+        "_columns": {"s": np.array(words, dtype=object)},
+    })
+    restored = pickle.loads(pickle.dumps(old))
+    assert restored.column("s").dtype == np.int32
+    assert restored.dictionary("s").coded
+    assert restored.decode("s").tolist() == words

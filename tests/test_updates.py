@@ -15,7 +15,7 @@ from repro.workload.updates import (
 
 def test_nref_batch_is_fk_consistent(tiny_nref):
     batch = nref_neighboring_batch(tiny_nref, 500)
-    proteins = set(tiny_nref.table("protein").column("nref_id").tolist())
+    proteins = set(tiny_nref.table("protein").decode("nref_id").tolist())
     assert set(batch["nref_id_1"].tolist()) <= proteins
     assert set(batch["nref_id_2"].tolist()) <= proteins
     assert len(batch["ordinal"]) == 500
@@ -79,11 +79,11 @@ def test_the_insert_loop_widens_ordinal_and_wraps_nothing():
     queries = [q.sql for q in context.workload("A", "NREF2J")]
     database.apply_configuration(context.one_c_configuration(database))
     table = database.table("neighboring_seq")
-    assert table.column("ordinal").dtype == np.int16
+    assert table.decode("ordinal").dtype == np.int16
     assert table.row_count > np.iinfo(np.int16).max
     schema = table.schema
     reference = {
-        c.name: table.column(c.name).astype(c.sql_type.numpy_dtype())
+        c.name: table.decode(c.name).astype(c.sql_type.numpy_dtype())
         for c in schema.columns
     }
     for round_ in range(3):
@@ -96,9 +96,9 @@ def test_the_insert_loop_widens_ordinal_and_wraps_nothing():
         database.insert_rows("neighboring_seq", batch)
         for sql in queries:
             database.execute(sql)
-    assert table.column("ordinal").dtype == np.int32
+    assert table.decode("ordinal").dtype == np.int32
     for name, want in reference.items():
-        assert table.column(name).tolist() == want.tolist(), name
+        assert table.decode(name).tolist() == want.tolist(), name
     for ix in database.configuration.indexes:
         if ix.table != "neighboring_seq":
             continue
