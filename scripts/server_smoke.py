@@ -10,12 +10,21 @@ when ``--compare`` points at a CLI ``--report`` file of the same run —
 byte-compares the two canonical serializations (wall-clock stage
 seconds zeroed; everything else must match to the byte).
 
+``--recreate`` checks instead that a tenant's artifacts outlive its
+session: tenant ``acme`` runs the experiment, deletes its session,
+re-creates it with the same settings and runs it again — the second
+job must print the same result text, its report must validate, and its
+stages must hold no ``build_database`` or ``sample_workload``; tenant
+``biotech`` with the same settings must then build its own database.
+
 Usage::
 
     PYTHONPATH=src python -m repro.bench run fig3 --scale 0.05 \
         --workload-size 10 --jobs 1 --report cli-report.json
     PYTHONPATH=src python scripts/server_smoke.py --scale 0.05 \
         --workload-size 10 --jobs 1 --compare cli-report.json
+    PYTHONPATH=src python scripts/server_smoke.py --spawn --recreate \
+        --scale 0.05 --workload-size 10 --jobs 1
 
 Exit status 0 on success; any failure (job error, schema mismatch,
 parity break) exits non-zero with a message.
@@ -71,6 +80,51 @@ def canonical_bytes(report):
     ).encode("utf-8")
 
 
+def run_job(client, session_id, experiment, timeout):
+    """Submit ``experiment``, wait for it; returns ``(final, report)``
+    with the report parsed and validated."""
+    job = client.submit_experiment(session_id, experiment)
+    final = client.wait(job, timeout=timeout)
+    if final["status"] != "succeeded":
+        raise RuntimeError(f"job {job} {final['status']}: "
+                           f"{final['error']}")
+    report = json.loads(client.fetch_report(job))
+    obs.validate_run_report(report)
+    return final, report
+
+
+def recreate_check(client, args):
+    """A re-created session of one scope starts warm; another tenant's
+    session of the same settings does not.  Returns the exit status."""
+    settings = dict(scale=args.scale, workload_size=args.workload_size)
+    session = client.create_session("acme", **settings)["id"]
+    first, _ = run_job(client, session, args.experiment, args.timeout)
+    client.delete_session(session)
+    session = client.create_session("acme", **settings)["id"]
+    second, report = run_job(client, session, args.experiment,
+                             args.timeout)
+    if second["result"]["text"] != first["result"]["text"]:
+        print("FAIL: the re-created session's result text differs",
+              file=sys.stderr)
+        return 1
+    built = {"build_database", "sample_workload"} & set(report["stages"])
+    if built:
+        print(f"FAIL: the re-created session ran {sorted(built)}",
+              file=sys.stderr)
+        return 1
+    print(f"re-created session started warm (stages: "
+          f"{sorted(report['stages']) or 'none'})")
+    session = client.create_session("biotech", **settings)["id"]
+    _, report = run_job(client, session, args.experiment, args.timeout)
+    if "build_database" not in report["stages"]:
+        print("FAIL: tenant biotech did not build its own database",
+              file=sys.stderr)
+        return 1
+    print("tenant biotech built its own database")
+    print("server recreate smoke OK")
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--experiment", default="fig3")
@@ -90,6 +144,10 @@ def main(argv=None):
                         help="boot the real 'python -m repro.server' "
                              "subprocess instead of an in-process "
                              "server")
+    parser.add_argument("--recreate", action="store_true",
+                        help="check that a re-created session of one "
+                             "tenant and settings starts warm, instead "
+                             "of the report-parity smoke")
     args = parser.parse_args(argv)
 
     if args.spawn:
@@ -101,6 +159,8 @@ def main(argv=None):
         print(f"server up at {base_url}"
               + (" (spawned subprocess)" if args.spawn else ""))
         client = TuningClient(base_url)
+        if args.recreate:
+            return recreate_check(client, args)
         session = client.create_session(
             "ci", scale=args.scale, workload_size=args.workload_size,
         )

@@ -82,9 +82,11 @@ class BenchContext:
         self.artifacts = artifacts or ArtifactCache()
         self.timings = StageTimings()
         self.jobs = resolve_jobs(self.settings.jobs)
-        # Databases are mutable (configurations get applied in place),
-        # so the live instances are process-local; the artifact store
-        # keeps the expensive *loaded + P-built* snapshot.
+        # Databases are mutable (configurations get applied in place).
+        # The artifact store's memory tier holds the live instance that
+        # ``apply_configuration`` mutates; only its disk tier keeps the
+        # *loaded + P-built* snapshot.  This map is the databases this
+        # context has used.
         self._live_databases = {}
 
     def _key(self, *parts):

@@ -3,8 +3,10 @@
 A long-lived, multi-tenant tuning service over the same engine the
 one-shot CLI drives — the point is *warmth*: ``Database`` instances,
 dictionary caches, and what-if cost state survive across
-requests instead of being rebuilt per invocation, while tenant-scoped
-artifact keys keep tenants fully isolated from each other.
+requests instead of being rebuilt per invocation, and outlive the
+session that built them (one artifact store per tenant and settings),
+while tenant-scoped artifact keys keep tenants fully isolated from
+each other.
 
 Layers (bottom up):
 

@@ -42,12 +42,14 @@ def _build_parser():
     )
     parser.add_argument(
         "--max-sessions", type=int, default=8,
-        help="resident tenant-session cap, LRU eviction beyond it "
-             "(default 8)",
+        help="resident tenant-session cap, and the cap on retained "
+             "per-tenant-and-settings artifact stores; LRU eviction "
+             "beyond it (default 8)",
     )
     parser.add_argument(
         "--session-ttl", type=float, default=3600.0,
-        help="idle seconds before a session expires (default 3600)",
+        help="idle seconds before a session, or an artifact store "
+             "no session uses, expires (default 3600)",
     )
     parser.add_argument(
         "--cache-dir", default=None,
