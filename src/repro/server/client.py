@@ -115,9 +115,11 @@ class TuningClient:
         """``GET /v1/sessions/{id}``."""
         return self._request("GET", f"/v1/sessions/{session_id}")
 
-    def delete_session(self, session_id):
-        """``DELETE /v1/sessions/{id}``."""
-        return self._request("DELETE", f"/v1/sessions/{session_id}")
+    def delete_session(self, session_id, drop_artifacts=False):
+        """``DELETE /v1/sessions/{id}``; ``drop_artifacts`` also drops
+        the session's artifact store unless another session uses it."""
+        query = "?drop_artifacts=1" if drop_artifacts else ""
+        return self._request("DELETE", f"/v1/sessions/{session_id}{query}")
 
     # -- jobs -----------------------------------------------------------
 
