@@ -30,8 +30,8 @@ Every entry records the storage arrays it was computed from
 lookup only hits when those arrays are — by identity — still the live
 ones.  ``append_rows`` publishes new arrays, a rebuilt view or index is
 a new object graph, so stale entries can never be served.
-:meth:`invalidate` (wired into ``Database.invalidate_caches``, keeping
-the INV001 lint contract) clears masks and key tables outright, and
+:meth:`invalidate` (wired into ``Database.invalidate_caches``, which
+every mutator calls) clears masks and key tables outright, and
 keeps a join domain or slot table while both its ``values`` arrays are
 still the values of a live dictionary — it depends on nothing else, and
 an insert that brings a column no new value leaves its ``values`` in

@@ -1,19 +1,16 @@
 """repro.lint — machine-checked reproducibility invariants.
 
 The reproduction's headline guarantees (byte-identical serial/parallel
-results, sound ``H(q, Ch, Ca)`` memoization) rest on project-wide
-conventions; this package turns each one into an AST-based rule so CI
-fails when a convention breaks instead of a figure silently drifting.
+results, a run that is its command line, a report that matches its
+schema) rest on project-wide conventions that no run exercises
+deterministically; this package turns each one into an AST-based rule
+so CI fails when a convention breaks instead of a figure silently
+drifting.  A convention whose defects a test or a CI run catches has
+no rule: the mutation table (``tests/mutants/rows.py``) shows which.
 
 Rule catalog (see ``docs/static-analysis.md`` for the rationale):
 
 ========  ==============================================================
-RNG001    no direct ``random``/``numpy.random``/``uuid`` use outside
-          ``repro.common.rng``
-CLK001    no wall-clock reads outside ``repro.obs`` (the engine clock
-          is virtual)
-INV001    every ``Database`` mutator must (transitively) call
-          ``invalidate_caches()``
 SCH001    ``build_run_report`` keys and ``RUN_REPORT_SCHEMA``
           properties must agree (both directions)
 EXC001    no bare ``except`` and no broad except that never re-raises

@@ -1,14 +1,12 @@
 """Core types of the invariant checker: findings, rules, file units.
 
-``repro.lint`` exists because the reproduction's headline guarantees —
-byte-identical serial/parallel results and sound ``H`` memoization —
-rest on conventions no test exercises directly: randomness flows through
-:mod:`repro.common.rng`, wall clocks live only in :mod:`repro.obs`,
-every :class:`~repro.engine.database.Database` mutator invalidates the
-derived-result caches, and state shared across session workers is
-lock-guarded.  Each convention is encoded here as a :class:`Rule` over
-the stdlib :mod:`ast`, so breaking one fails CI instead of silently
-skewing a figure.
+``repro.lint`` exists because some of the reproduction's guarantees
+rest on conventions no test exercises deterministically: state shared
+across session workers is lock-guarded, nothing reads the environment,
+the run report matches its schema, and no handler swallows an error.
+Each convention is encoded here as a :class:`Rule` over the stdlib
+:mod:`ast`, so breaking one fails CI instead of silently skewing a
+figure.
 
 A rule sees either one :class:`FileUnit` (``scope = "file"``) or the
 whole :class:`Project` (``scope = "project"``, for cross-file passes
@@ -130,38 +128,6 @@ class Project:
         for unit in self.units:
             if name in unit.constants:
                 yield unit, unit.constants[name]
-
-
-# ----------------------------------------------------------------------
-# The one table of nondeterministic sources.  ``CLK001`` and ``RNG001``
-# ban them by location, and ``KNB001`` bans environment reads everywhere.
-
-#: Dotted names whose value is the wall clock.
-WALL_CLOCKS = frozenset({
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-})
-
-#: Modules that hand out ambient (unseeded or host-derived) entropy.
-ENTROPY_MODULES = ("random", "uuid", "numpy.random")
-
-#: Calls that read the process environment.
-ENV_READS = frozenset({"os.getenv", "os.environ.get"})
-
-
-def in_module(name, modules):
-    """Whether dotted ``name`` is one of ``modules`` or lives in one."""
-    return any(name == m or name.startswith(m + ".") for m in modules)
 
 
 # ----------------------------------------------------------------------

@@ -6,20 +6,14 @@ subclass and listing an instance here; the CLI, the docs catalog
 ``ALL_RULES``.
 """
 
-from .clock import ClockRule
 from .exceptions import ExceptionRule
-from .invalidation import InvalidationRule
 from .knobs import KnobRule
 from .races import RaceRule
-from .rng import RngRule
 from .schema_sync import SchemaSyncRule
 
 ALL_RULES = {
     rule.name: rule
     for rule in (
-        RngRule(),
-        ClockRule(),
-        InvalidationRule(),
         SchemaSyncRule(),
         ExceptionRule(),
         RaceRule(),
@@ -29,11 +23,8 @@ ALL_RULES = {
 
 __all__ = [
     "ALL_RULES",
-    "ClockRule",
     "ExceptionRule",
-    "InvalidationRule",
     "KnobRule",
     "RaceRule",
-    "RngRule",
     "SchemaSyncRule",
 ]

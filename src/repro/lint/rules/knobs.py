@@ -11,8 +11,10 @@ included.  Passing ``os.environ`` on to a child process is not a read.
 
 import ast
 
-from ..core import ENV_READS, Rule, dotted_name, resolve_dotted
+from ..core import Rule, dotted_name, resolve_dotted
 
+#: Calls that read the process environment.
+ENV_READS = frozenset({"os.getenv", "os.environ.get"})
 _ADVICE = "take the setting as a command-line flag or an argument instead"
 
 

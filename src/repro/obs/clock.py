@@ -4,11 +4,11 @@ The engine's clock is *virtual* — every elapsed second a figure reports
 is computed from the cost model, which is what makes parallel runs
 byte-identical to serial ones.  Wall-clock reads exist only to describe
 the run itself (stage timings, span durations, console progress), and
-they all go through these two helpers so the lint rule ``CLK001`` can
-confine direct ``time.*`` access to ``repro.obs``.  Nothing read from
-this module may influence a result: if a value derived from it ever
-feeds a cost, a cache key, or an ordering decision, determinism is
-gone.
+they all go through these two helpers.  Nothing read from this module
+may influence a result: if a value derived from it ever feeds a cost,
+a cache key, a seed or an ordering decision, determinism is gone
+(``tests/mutants/rows.py`` names the check that catches each of the
+first three).
 """
 
 import time

@@ -35,9 +35,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
 from ..bench.context import BenchSettings
-from ..engine.systems import by_name as system_by_name
 from .jobs import BadJobSpec, JobQueue, JobQueueFull, UnknownJobError, \
-    parse_spec
+    parse_spec, profile_letter
 from .sessions import SessionLimitError, SessionStore, UnknownSessionError
 
 MAX_BODY_BYTES = 1 << 20
@@ -107,13 +106,10 @@ def _session_settings(body, default_jobs):
         seed=_integer(body, "seed", 405, 0),
         jobs=_integer(body, "jobs", default_jobs, 0),
     )
-    system = body.get("system", "A")
-    if not isinstance(system, str):
-        raise ApiError(400, "'system' must be a string")
     try:
-        system_by_name(system)
-    except ValueError as err:
-        raise ApiError(400, f"'system': {err}") from err
+        system = profile_letter(body.get("system", "A"))
+    except BadJobSpec as err:
+        raise ApiError(400, str(err)) from err
     return settings, system
 
 

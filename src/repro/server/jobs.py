@@ -35,6 +35,7 @@ from .. import obs
 from ..bench.cli import ABLATIONS
 from ..bench.context import FAMILY_GENERATORS
 from ..bench.experiments import ALL_EXPERIMENTS
+from ..engine.systems import by_name as system_by_name
 from .sessions import UnknownSessionError
 
 DEFAULT_CAPACITY = 8
@@ -79,8 +80,8 @@ def parse_spec(body, default_system="A"):
         ``("workload", {"system", "family", "configurations"})``.
 
     Raises:
-        BadJobSpec: unknown experiment/family/configuration or a body
-            that names neither.
+        BadJobSpec: unknown experiment/family/system/configuration or a
+            body that names neither.
     """
     if not isinstance(body, dict):
         raise BadJobSpec("request body must be a JSON object")
@@ -99,7 +100,7 @@ def parse_spec(body, default_system="A"):
     if family is not None:
         if family not in FAMILY_GENERATORS:
             raise BadJobSpec(f"unknown family {family!r}")
-        system = body.get("system", default_system)
+        system = profile_letter(body.get("system", default_system))
         configurations = body.get("configurations", list(CONFIG_NAMES))
         if not isinstance(configurations, list) or not configurations:
             raise BadJobSpec("'configurations' must be a non-empty list")
@@ -112,6 +113,22 @@ def parse_spec(body, default_system="A"):
             "configurations": configurations,
         }
     raise BadJobSpec("body must name an 'experiment' or a 'family'")
+
+
+def profile_letter(system):
+    """The letter of the system profile ``system`` names (``"a"`` is
+    ``"A"``), so that a spec, and every artifact key built from it,
+    names a profile one way.
+
+    Raises:
+        BadJobSpec: ``system`` is not a string naming a profile.
+    """
+    if not isinstance(system, str):
+        raise BadJobSpec("'system' must be a string")
+    try:
+        return system_by_name(system).name
+    except ValueError as err:
+        raise BadJobSpec(f"'system': {err}") from err
 
 
 class Job:

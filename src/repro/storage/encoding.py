@@ -746,9 +746,8 @@ class DictionaryCache:
     was reloaded, rows were appended behind the cache's back, a
     view was rebuilt under the same name) can never be served.  Owned by
     :class:`~repro.engine.database.Database`;
-    :meth:`invalidate` is wired into ``Database.invalidate_caches`` so
-    the INV001 lint contract (every mutator reaches the invalidator)
-    covers this cache like every other derived result.
+    :meth:`invalidate` is wired into ``Database.invalidate_caches``,
+    which every mutator calls, like every other derived result.
     """
 
     def __init__(self):

@@ -1,0 +1,281 @@
+"""The mutation table: defects, each paired with the check that catches it.
+
+A row is one defect, written as an exact text replacement: ``file``
+(relative to the repository root), ``search`` (text that occurs there
+exactly once) and ``replace``.  ``catcher`` names the one check that
+must catch it — a tier-1 test node id, or ``ci: <step name>`` for a
+step of ``.github/workflows/ci.yml``.  ``guards`` says what the row
+stands for: the part of the program the defect is in.
+
+``python scripts/mutants.py`` applies every row to a copy of the
+repository and requires its catcher to pass before the replacement and
+fail after it; ``tests/test_mutants.py`` checks on every tier-1 run
+that each row still applies.  The table and what each row showed are
+in ``docs/static-analysis.md``.
+"""
+
+ROWS = [
+    # -- invalidation: every Database mutator drops the derived caches
+    dict(
+        id="load-table-keeps-caches",
+        guards="invalidation",
+        file="src/repro/engine/database.py",
+        search=(
+            "        self._view_size_cache.clear()\n"
+            "        self.invalidate_caches()\n"
+            "\n"
+            "    def table(self, name):\n"
+        ),
+        replace=(
+            "        self._view_size_cache.clear()\n"
+            "\n"
+            "    def table(self, name):\n"
+        ),
+        catcher="tests/test_runtime_cache.py::"
+                "test_reloaded_table_plans_and_estimates_as_if_cold",
+    ),
+    dict(
+        id="statistics-keep-caches",
+        guards="invalidation",
+        file="src/repro/engine/database.py",
+        search=(
+            "                    TableStats.collect(view_table, encodings)\n"
+            "                )\n"
+            "        self.invalidate_caches()\n"
+        ),
+        replace=(
+            "                    TableStats.collect(view_table, encodings)\n"
+            "                )\n"
+        ),
+        catcher="tests/test_runtime_cache.py::"
+                "test_collect_statistics_invalidates_estimates",
+    ),
+    dict(
+        id="configuration-keeps-caches",
+        guards="invalidation",
+        file="src/repro/engine/database.py",
+        search=(
+            "            self._view_stats.put("
+            "TableStats.collect(view_table, encodings))\n"
+            "        self.invalidate_caches()\n"
+        ),
+        replace=(
+            "            self._view_stats.put("
+            "TableStats.collect(view_table, encodings))\n"
+        ),
+        catcher="tests/test_runtime_cache.py::"
+                "test_database_tracks_current_fingerprint",
+    ),
+    dict(
+        id="insert-keeps-caches",
+        guards="invalidation",
+        file="src/repro/engine/database.py",
+        search=(
+            "        self._view_size_cache.clear()\n"
+            "        self.invalidate_caches()\n"
+            "        heights = []\n"
+        ),
+        replace=(
+            "        self._view_size_cache.clear()\n"
+            "        heights = []\n"
+        ),
+        catcher="tests/test_engine_integration.py::"
+                "test_insert_keeps_queries_correct",
+    ),
+    # -- seeds: every generator is derived from a seed
+    dict(
+        id="sample-unseeded",
+        guards="seeded randomness",
+        file="src/repro/workload/sampling.py",
+        search="    rng = make_rng(seed)\n",
+        replace="    rng = np.random.default_rng()\n",
+        catcher="tests/test_workloads.py::"
+                "test_stratified_sample_deterministic",
+    ),
+    dict(
+        id="insert-batch-unseeded",
+        guards="seeded randomness",
+        file="src/repro/workload/updates.py",
+        search="    rng = make_rng(seed)\n",
+        replace="    rng = np.random.default_rng()\n",
+        catcher="tests/test_updates.py::test_nref_batch_follows_its_seed",
+    ),
+    # -- the clock: wall time reaches no key, cost or seed
+    dict(
+        id="clock-in-artifact-key",
+        guards="wall clock",
+        file="src/repro/bench/context.py",
+        search=(
+            "        return artifact_key("
+            "*self.settings.content_key(), *parts)\n"
+        ),
+        replace=(
+            "        stamp = obs.perf_seconds()\n"
+            "        return artifact_key("
+            "stamp, *self.settings.content_key(), *parts)\n"
+        ),
+        catcher="tests/test_artifact_cache.py::"
+                "test_bench_context_warm_start_from_disk",
+    ),
+    dict(
+        id="clock-in-view-build-cost",
+        guards="wall clock",
+        file="src/repro/engine/database.py",
+        search=(
+            "        for view_def in config.views:\n"
+            "            view_table, _input_rows = build_view(\n"
+            "                view_def, self.tables, self.catalog, encodings\n"
+            "            )\n"
+            "            state.view_tables[view_def.name] = view_table\n"
+            "            input_cost = self._view_input_cost(view_def)\n"
+        ),
+        replace=(
+            "        for view_def in config.views:\n"
+            "            started = obs.perf_seconds()\n"
+            "            view_table, _input_rows = build_view(\n"
+            "                view_def, self.tables, self.catalog, encodings\n"
+            "            )\n"
+            "            state.view_tables[view_def.name] = view_table\n"
+            "            input_cost = self._view_input_cost(view_def) + (\n"
+            "                obs.perf_seconds() - started\n"
+            "            )\n"
+        ),
+        catcher="tests/test_golden_figures.py::"
+                "test_figure_matches_golden_fingerprints[tab1]",
+    ),
+    dict(
+        id="clock-as-insert-seed",
+        guards="wall clock",
+        file="src/repro/workload/updates.py",
+        search=(
+            "from ..common.rng import make_rng\n"
+            "\n"
+            "\n"
+            "def nref_neighboring_batch(database, size, seed=77):\n"
+            '    """A batch of new ``neighboring_seq`` rows referencing '
+            'real proteins."""\n'
+            "    rng = make_rng(seed)\n"
+        ),
+        replace=(
+            "from ..common.rng import make_rng\n"
+            "import time\n"
+            "\n"
+            "\n"
+            "def nref_neighboring_batch(database, size, seed=77):\n"
+            '    """A batch of new ``neighboring_seq`` rows referencing '
+            'real proteins."""\n'
+            "    rng = make_rng(time.time_ns())\n"
+        ),
+        catcher="tests/test_updates.py::test_nref_batch_follows_its_seed",
+    ),
+    # -- the executor
+    dict(
+        id="groupjoin-distinct-as-rows",
+        guards="executor",
+        file="src/repro/executor/groupjoin.py",
+        search=(
+            "            elif _alias(str(agg.arg)) in on_a:\n"
+            '                rules.append("a")\n'
+        ),
+        replace=(
+            "            elif _alias(str(agg.arg)) in on_a:\n"
+            '                rules.append("rows")\n'
+        ),
+        catcher="tests/test_join_aggregates.py::test_counted_equals_expanded",
+    ),
+    dict(
+        id="missing-slot-read-as-zero",
+        guards="executor",
+        file="src/repro/executor/groupjoin.py",
+        search="    return np.where(found, slots, -1).astype(np.int32)\n",
+        replace="    return np.where(found, slots, 0).astype(np.int32)\n",
+        catcher="tests/test_join_aggregates.py::test_counted_equals_expanded",
+    ),
+    dict(
+        id="semijoin-flags-missing-value",
+        guards="executor",
+        file="src/repro/executor/engine.py",
+        search="    flags[slots[slots >= 0]] = True\n",
+        replace="    flags[slots] = True\n",
+        catcher="tests/test_executor.py::"
+                "test_semijoin_on_value_missing_from_the_dictionary",
+    ),
+    dict(
+        id="domain-kept-for-outside-tail",
+        guards="executor",
+        file="src/repro/storage/encoding.py",
+        search=(
+            "            if inside.all():\n"
+            "                domain = self.domain\n"
+        ),
+        replace=(
+            "            if inside.any():\n"
+            "                domain = self.domain\n"
+        ),
+        catcher="tests/test_encoding.py::"
+                "test_property_extension_keeps_the_domain_while_values_are_in_it",
+    ),
+    # -- the cost model
+    dict(
+        id="scattered-fetch-as-sequential",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    scattered_cost = scattered * hw.random_page_read_s\n",
+        replace="    scattered_cost = scattered * hw.seq_page_read_s\n",
+        catcher="tests/test_golden_figures.py::"
+                "test_figure_matches_golden_fingerprints[fig3]",
+    ),
+    # -- the estimator
+    dict(
+        id="frequency-bucket-off-by-one",
+        guards="estimator",
+        file="src/repro/stats/column_stats.py",
+        search=(
+            "        idx = np.searchsorted(self.freq_values, threshold, "
+            'side="right") - 1\n'
+        ),
+        replace=(
+            "        idx = np.searchsorted(self.freq_values, threshold, "
+            'side="left") - 1\n'
+        ),
+        catcher="tests/test_stats.py::test_frequency_selectivity_exact",
+    ),
+    # -- the recommender
+    dict(
+        id="later-tie-wins",
+        guards="recommender",
+        file="src/repro/recommender/whatif.py",
+        search="                lost = not (score > leader[0] or (\n",
+        replace="                lost = not (score >= leader[0] or (\n",
+        catcher="tests/test_recommender.py::"
+                "test_rival_tied_from_a_later_position_loses",
+    ),
+    dict(
+        id="budget-short-by-one-byte",
+        guards="recommender",
+        file="src/repro/recommender/whatif.py",
+        search="            if used + extra > budget_bytes:\n",
+        replace="            if used + extra >= budget_bytes:\n",
+        catcher="tests/test_recommender.py::"
+                "test_candidate_that_fills_the_budget_to_the_byte_is_eligible",
+    ),
+    # -- determinism: set order on a path only fig9 takes
+    dict(
+        id="unth3j-in-set-order",
+        guards="determinism",
+        file="src/repro/workload/tpch_families.py",
+        search=(
+            '    workload = _generate_3j(database, "UnTH3J", '
+            "include_subquery=True)\n"
+            "    return workload\n"
+        ),
+        replace=(
+            '    workload = _generate_3j(database, "UnTH3J", '
+            "include_subquery=True)\n"
+            "    order = list({query.sql for query in workload.queries})\n"
+            "    workload.queries.sort(key=lambda q: order.index(q.sql))\n"
+            "    return workload\n"
+        ),
+        catcher="ci: A run does not depend on the hash seed",
+    ),
+]

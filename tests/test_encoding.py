@@ -1072,6 +1072,8 @@ def test_locating_pooled_dictionaries_compares_no_values(monkeypatch):
     tails=st.lists(st.lists(st.integers(0, 10**6), max_size=6), max_size=3),
     outside=st.integers(-1, 2),
 )
+# A tail with a pool value beside the one outside the pool.
+@example(kind="sorted", picks=[0, 2], tails=[[1]], outside=0)
 def test_property_extension_keeps_the_domain_while_values_are_in_it(
         kind, picks, tails, outside):
     """Tails drawn from the pool — bringing new values or none — keep

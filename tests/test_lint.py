@@ -1,6 +1,6 @@
 """The invariant checker: rules, CLI, and the acceptance
-demonstrations (a dropped ``invalidate_caches`` call or a raw
-``random.random()`` under ``engine/`` must fail the lint run)."""
+demonstrations (a removed lock acquire or an environment read under
+``engine/`` must fail the lint run)."""
 
 import os
 import shutil
@@ -28,46 +28,6 @@ def lint(path, *rules):
 
 # ----------------------------------------------------------------------
 # Per-rule fixtures: every positive file fires, every negative is clean.
-
-
-def test_rng_rule_positive():
-    result = lint(FIXTURES / "rng_bad.py", "RNG001")
-    assert len(result.findings) == 4
-    assert all(f.rule == "RNG001" for f in result.findings)
-    assert all("repro.common.rng" in f.message for f in result.findings)
-
-
-def test_rng_rule_negative():
-    assert lint(FIXTURES / "rng_good.py", "RNG001").ok
-
-
-def test_clock_rule_positive():
-    result = lint(FIXTURES / "clock_bad.py", "CLK001")
-    assert len(result.findings) == 4
-    assert all(f.rule == "CLK001" for f in result.findings)
-    flagged = " ".join(f.message for f in result.findings)
-    assert "time.perf_counter" in flagged
-    assert "datetime.datetime.now" in flagged
-
-
-def test_clock_rule_negative():
-    assert lint(FIXTURES / "clock_good.py", "CLK001").ok
-
-
-def test_invalidation_rule_positive():
-    result = lint(FIXTURES / "invalidation_bad.py", "INV001")
-    messages = [f.message for f in result.findings]
-    assert len(messages) == 6
-    assert any("MiniDatabase.load_table" in m for m in messages)
-    assert any("MiniDatabase.insert" in m for m in messages)
-    assert any("DictEncodedDatabase.append" in m for m in messages)
-    assert any("ShardedDatabase.load_partition" in m for m in messages)
-    assert any("TemplatedDatabase.append" in m for m in messages)
-    assert any("KernelDatabase.append" in m for m in messages)
-
-
-def test_invalidation_rule_negative():
-    assert lint(FIXTURES / "invalidation_good.py", "INV001").ok
 
 
 def test_lock_rule_positive():
@@ -168,13 +128,6 @@ def test_knob_rule_negative():
     assert lint(FIXTURES / "knobs_good.py", "KNB001").ok
 
 
-def test_path_exemptions_in_tree():
-    result = lint(FIXTURES / "tree", "RNG001", "CLK001")
-    assert len(result.findings) == 2
-    assert all(f.path.endswith("leak.py") for f in result.findings)
-    assert {f.rule for f in result.findings} == {"RNG001", "CLK001"}
-
-
 # ----------------------------------------------------------------------
 # Comments, parse errors, result shape.
 
@@ -182,10 +135,11 @@ def test_path_exemptions_in_tree():
 def test_a_disable_comment_silences_nothing(tmp_path):
     commented = tmp_path / "commented.py"
     commented.write_text(
-        "import random  # repro-lint: disable=RNG001\n"
+        "import os\n"
+        "TURBO = os.environ['REPRO_TURBO']  # repro-lint: disable=KNB001\n"
     )
-    result = lint(commented, "RNG001")
-    assert [f.line for f in result.findings] == [1]
+    result = lint(commented, "KNB001")
+    assert [f.line for f in result.findings] == [2]
 
 
 def test_parse_error_is_a_finding_and_not_suppressible(tmp_path):
@@ -198,9 +152,7 @@ def test_parse_error_is_a_finding_and_not_suppressible(tmp_path):
 
 
 def test_findings_are_sorted():
-    result = lint(
-        FIXTURES, "RNG001", "CLK001", "INV001", "EXC001"
-    )
+    result = lint(FIXTURES, "KNB001", "EXC001", "LCK002")
     assert result.findings == sorted(result.findings)
     assert not result.ok
 
@@ -210,15 +162,15 @@ def test_findings_are_sorted():
 
 
 def test_cli_exit_one_and_text_summary(capsys):
-    code = lint_main([str(FIXTURES / "rng_bad.py")])
+    code = lint_main([str(FIXTURES / "knobs_bad.py")])
     assert code == 1
     out = capsys.readouterr().out
-    assert "RNG001" in out
-    assert "4 finding(s) in 1 file(s)" in out
+    assert "KNB001" in out
+    assert "5 finding(s) in 1 file(s)" in out
 
 
 def test_cli_exit_zero_on_clean_file(capsys):
-    assert lint_main([str(FIXTURES / "rng_good.py")]) == 0
+    assert lint_main([str(FIXTURES / "knobs_good.py")]) == 0
     assert "0 finding(s) in 1 file(s)" in capsys.readouterr().out
 
 
@@ -255,7 +207,7 @@ if given is not None:
 
 
 # ----------------------------------------------------------------------
-# Acceptance: src is clean, and the two seeded regressions are caught.
+# Acceptance: src is clean, and the seeded regressions are caught.
 
 
 def test_module_run_on_src_is_clean():
@@ -266,33 +218,6 @@ def test_module_run_on_src_is_clean():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("0 finding(s) in "), proc.stdout
-
-
-def test_dropping_an_invalidation_call_fails_lint(tmp_path):
-    tree = tmp_path / "repro"
-    shutil.copytree(REPO_ROOT / "src" / "repro", tree)
-    database = tree / "engine" / "database.py"
-    source = database.read_text()
-    assert "self.invalidate_caches()" in source
-    database.write_text(
-        source.replace("self.invalidate_caches()", "pass", 1)
-    )
-    result = run_lint([str(tree)], root=str(tmp_path))
-    assert not result.ok
-    assert {f.rule for f in result.findings} == {"INV001"}
-    assert any("invalidate_caches" in f.message for f in result.findings)
-
-
-def test_raw_random_under_engine_fails_lint(tmp_path):
-    tree = tmp_path / "repro"
-    shutil.copytree(REPO_ROOT / "src" / "repro", tree)
-    sneaky = tree / "engine" / "sneaky.py"
-    sneaky.write_text("import random\n\nvalue = random.random()\n")
-    result = run_lint([str(tree)], root=str(tmp_path))
-    assert not result.ok
-    assert {f.rule for f in result.findings} == {"RNG001"}
-    assert all(f.path.endswith("engine/sneaky.py")
-               for f in result.findings)
 
 
 def test_removing_a_lock_acquire_fails_lint(tmp_path):

@@ -375,6 +375,25 @@ def test_rival_tied_from_an_earlier_position_still_loses():
     assert _fully_priced(*case) == (("ix", "t0"), 6.0, {0: 4.0})
 
 
+def test_rival_tied_from_a_later_position_loses():
+    # t0 and t1 promise alike, so t0 is priced first and is the best so
+    # far, with score 6.  t1 ties it from a later position: the first
+    # candidate with the highest score wins, so t0 keeps the round.
+    costs = [[4.0, None], [None, 4.0]]
+    case = (costs, [1, 1], [10.0, 10.0], [1.0, 1.0], 0, 10**9, 0.0)
+    assert _round(*case) == ((("ix", "t0"), 6.0, {0: 4.0}), 2)
+    assert _fully_priced(*case) == (("ix", "t0"), 6.0, {0: 4.0})
+
+
+def test_candidate_that_fills_the_budget_to_the_byte_is_eligible():
+    # 5 bytes used of 10: a 5-byte candidate fits exactly.
+    case = ([[4.0]], [5], [10.0], [1.0], 5, 10, 0.0)
+    assert _round(*case) == ((("ix", "t0"), 6.0, {0: 4.0}), 1)
+    assert _fully_priced(*case) == (("ix", "t0"), 6.0, {0: 4.0})
+    # One byte more does not.
+    assert _round(*case[:5], 9, 0.0) == (None, 0)
+
+
 def test_rival_outscores_later_candidates_and_need_not_win():
     # t0 promises most (100 a byte) and survives: the best so far,
     # score 10.  t2 promises 50, saves 40 and takes its place.  t3 and

@@ -17,8 +17,10 @@ from repro.engine.configuration import (
 )
 from repro.index.definition import IndexDefinition
 from repro.common.cache import BoundedCache
+from repro.optimizer.plans import explain
+from repro.views.matview import MatViewDefinition, ViewColumn
 
-from conftest import load_city_database
+from conftest import city_columns, load_city_database
 
 GROUPED = (
     "SELECT o.city, COUNT(*) FROM orders o WHERE o.uid = 3 GROUP BY o.city"
@@ -326,6 +328,41 @@ def test_collect_statistics_invalidates_estimates(city_db_p):
     fresh = city_db_p.estimate(SCAN)
     assert stale == baseline
     assert fresh > stale
+
+
+def test_reloaded_table_plans_and_estimates_as_if_cold():
+    """A table reloaded under a warm database: its plans, estimates,
+    what-if costs and sizes are those of a database that went through
+    the same loads without a query in between.  A single-table view's
+    what-if size is read off the table's rows, so a cache that outlived
+    the reload would answer for the old ``orders``."""
+    by_uid = MatViewDefinition(
+        tables=("orders",), group_columns=(ViewColumn("orders", "uid"),),
+    )
+    config = Configuration("V", views=(by_uid,), indexes=(
+        IndexDefinition(by_uid.name, ("orders__uid",)),
+    ))
+
+    def observe(db):
+        return (
+            [explain(db.plan(sql)) for sql in SQLS],
+            [db.estimate(sql) for sql in SQLS],
+            [db.estimate_hypothetical(sql, config, force_hypothetical=True)
+             for sql in SQLS],
+            db.estimated_configuration_bytes(config),
+            [db.execute(sql).rows() for sql in SQLS],
+        )
+
+    def reloaded(warm):
+        db = load_city_database()
+        if warm:
+            observe(db)
+        db.load_table("orders", city_columns(n_orders=300, seed=1)["orders"])
+        return db
+
+    assert observe(reloaded(warm=True)) == observe(reloaded(warm=False))
+    # The reload changed what the observation reads.
+    assert observe(reloaded(warm=False)) != observe(load_city_database())
 
 
 # ----------------------------------------------------------------------

@@ -316,10 +316,21 @@ def test_parse_spec_experiment_and_family():
     {"family": "NOPE"},
     {"family": "NREF2J", "configurations": []},
     {"family": "NREF2J", "configurations": ["P", "XX"]},
+    {"family": "NREF2J", "system": "Z"},
+    {"family": "NREF2J", "system": 1},
 ])
 def test_parse_spec_rejects_bad_bodies(body):
     with pytest.raises(BadJobSpec):
         parse_spec(body)
+
+
+def test_parse_spec_names_a_system_by_its_profile_letter():
+    _, spec = parse_spec({"family": "NREF2J", "system": "b"})
+    assert spec["system"] == "B"
+    _, spec = parse_spec({"family": "NREF2J"}, default_system="c")
+    assert spec["system"] == "C"
+    with pytest.raises(BadJobSpec, match="'system'"):
+        parse_spec({"family": "NREF2J", "system": "Z"})
 
 
 # ----------------------------------------------------------------------
@@ -394,6 +405,42 @@ def test_http_bad_session_settings_are_400_naming_the_field(
     assert err.value.status == 400
     assert f"'{field}'" in err.value.payload["error"]
     assert client.sessions() == []
+
+
+def test_http_family_job_with_an_unknown_system_is_400(server):
+    client = TuningClient(server.base_url)
+    session = client.create_session("acme", **TINY)
+    with pytest.raises(ServerError) as err:
+        client._request(
+            "POST", f"/v1/sessions/{session['id']}/workloads",
+            body={"family": "NREF2J", "system": "Z"},
+        )
+    assert err.value.status == 400
+    assert "'system'" in err.value.payload["error"]
+    assert client.metrics()["jobs"]["completed"] == 0
+
+
+def test_http_system_letters_in_either_case_share_one_database(server):
+    client = TuningClient(server.base_url)
+    session = client.create_session("acme", system="b", **TINY)
+    assert session["system"] == "B"
+    builds = []
+
+    def run(system):
+        job = client.submit_workload(session["id"], "NREF2J",
+                                     system=system, configurations=["P"])
+        seen = []
+        final = client.wait(job, timeout=180.0, on_event=seen.append)
+        assert final["status"] == "succeeded", final["error"]
+        builds.append(sum(
+            event["name"] == "span.bench.build_database" for event in seen
+        ))
+        return final["result"]
+
+    lower, upper = run("a"), run("A")
+    assert lower["system"] == upper["system"] == "A"
+    assert builds == [1, 0]
+    assert upper["measured"] == lower["measured"]
 
 
 def test_http_workload_job_runs_and_reports(server):

@@ -22,6 +22,17 @@ def test_nref_batch_is_fk_consistent(tiny_nref):
     assert (batch["end_1"] > batch["start_1"]).all()
 
 
+def test_nref_batch_follows_its_seed(tiny_nref):
+    """The same seed draws the same batch, another seed another one:
+    Section 4.4's inserts are as seed-addressed as the workloads."""
+    first = nref_neighboring_batch(tiny_nref, 100, seed=5)
+    again = nref_neighboring_batch(tiny_nref, 100, seed=5)
+    other = nref_neighboring_batch(tiny_nref, 100, seed=6)
+    assert first.keys() == again.keys() == other.keys()
+    assert all(np.array_equal(first[c], again[c]) for c in first)
+    assert not all(np.array_equal(first[c], other[c]) for c in first)
+
+
 def test_nref_batch_inserts_cleanly(tiny_nref):
     before = tiny_nref.table("neighboring_seq").row_count
     batch = nref_neighboring_batch(tiny_nref, 200)
