@@ -222,8 +222,8 @@ ROWS = [
         file="src/repro/optimizer/cost_model.py",
         search="    scattered_cost = scattered * hw.random_page_read_s\n",
         replace="    scattered_cost = scattered * hw.seq_page_read_s\n",
-        catcher="tests/test_golden_figures.py::"
-                "test_figure_matches_golden_fingerprints[fig3]",
+        catcher="tests/test_cost_model.py::"
+                "test_heap_fetch_charges_the_cheaper_of_scattered_and_bitmap_reads",
     ),
     # -- the estimator
     dict(

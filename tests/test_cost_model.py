@@ -44,6 +44,25 @@ def test_heap_fetch_bitmap_bound():
     assert cost <= bitmap_ceiling + 1e-9
 
 
+def test_heap_fetch_charges_the_cheaper_of_scattered_and_bitmap_reads():
+    """Hand-computed seconds on ``HW``: a random page read is 0.3 s, a
+    sequential one 0.1 s, a row's CPU 20 us."""
+    # 10 of 100 000 rows at cluster factor 0.1: one scattered page,
+    # 0.3 s; the bitmap pass would read about 10 pages at 0.15 s each.
+    assert cm.heap_fetch(HW, 10, 0.1, 1000, 100_000) == pytest.approx(
+        0.3 + 10 * 2e-5
+    )
+    # Half the rows: every one of the 1 000 pages, read in page order
+    # at 0.15 s (150 s), not at random (300 s).
+    assert cm.heap_fetch(HW, 50_000, 1.0, 1000, 100_000) == pytest.approx(
+        150.0 + 50_000 * 2e-5
+    )
+    # Without the table's row count, the bitmap pass reads every page.
+    assert cm.heap_fetch(HW, 2000, 1.0, 1000) == pytest.approx(
+        150.0 + 2000 * 2e-5
+    )
+
+
 def test_heap_fetch_cluster_factor_discount():
     clustered = cm.heap_fetch(HW, 100, 0.05, 1000, 100_000)
     scattered = cm.heap_fetch(HW, 100, 1.0, 1000, 100_000)

@@ -1,24 +1,26 @@
-"""Differential testing: random queries vs a naive reference evaluator.
+"""Differential testing: random queries vs SQLite.
 
 Hypothesis generates queries from the benchmark SQL subset over the small
-city schema; each is evaluated by a dictionary-based reference
-implementation and by the engine under the P and 1C configurations and
-under 1C plus two materialized views (so view scans, batch weights and
-selection vectors over view tables are checked too).  All four answers
-must agree exactly.  A second database takes a seeded insert batch under
-1C first — its dictionaries and index entries are carried across the
-append, not rebuilt — and must then agree with the reference evaluated
-over the grown tables.  A third property is metamorphic: the rows and
-the virtual seconds of a query do not depend on which caches are warm.
+city schema; each runs in the SQLite oracle (``tests/oracle.py``), loaded
+from the same plain columns as the engine, and in the engine under the
+P and 1C configurations and under 1C plus two materialized views (so
+view scans, batch weights and selection vectors over view tables are
+checked too).  All four answers must agree exactly.  A second database
+takes a seeded insert batch under 1C first — its dictionaries and index
+entries are carried across the append, not rebuilt — and must then agree
+with SQLite loaded from the same columns plus the same batch.  A third
+property is metamorphic: the rows and the virtual seconds of a query do
+not depend on which caches are warm.
 
 A query groups by one or two columns (often with the join key among
 them) and takes ``COUNT(*)`` or ``COUNT(DISTINCT)`` of a column on
 either join side, so an aggregate that counts its join's matches
-(:mod:`repro.executor.groupjoin`) meets the reference under every rule,
-and so does one that expands its join.
+(:mod:`repro.executor.groupjoin`) meets SQLite under every rule, and so
+does one that expands its join.  A string filter takes any of the six
+comparisons, with literals the dictionary lacks sorting before, between
+and after its entries.
 """
 
-import collections
 import itertools
 import pickle
 
@@ -26,6 +28,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.engine.configuration import (
     one_column_configuration,
     primary_configuration,
@@ -33,9 +36,10 @@ from repro.engine.configuration import (
 from repro.optimizer.plans import ViewScan, walk
 from repro.views.matview import MatViewDefinition, ViewColumn
 
-from conftest import assert_keys_are_scanned, load_city_database
+from conftest import assert_keys_are_scanned, city_columns, load_city_database
 
 DB = load_city_database(n_users=120, n_orders=700, seed=21)
+ORACLE = oracle.load(city_columns(120, 700, 21))
 P_CONFIG = primary_configuration(DB.catalog)
 ONE_C = one_column_configuration(DB.catalog)
 ONE_C_VIEWS = ONE_C.with_views(
@@ -68,81 +72,6 @@ JOINABLE = {
     ("users", "uid"): [("orders", "uid")],
     ("users", "city"): [("orders", "city")],
 }
-
-
-def _rows(table, db=None):
-    data = (db or DB).table(table)
-    names = data.column_names()
-    return [
-        dict(zip(names, values))
-        for values in zip(*(data.decode(n).tolist() for n in names))
-    ]
-
-
-REFERENCE_ROWS = {name: _rows(name) for name in TABLES}
-
-
-def reference_eval(spec, rows=REFERENCE_ROWS):
-    """Naive nested-loop evaluation of a generated query spec."""
-    tables = spec["tables"]              # [(alias, table)]
-    row_sets = [rows[t] for _, t in tables]
-    aliases = [a for a, _ in tables]
-
-    allowed = {}
-    for alias, column, op, threshold in spec["semis"]:
-        table = dict(tables)[alias]
-        freq = collections.Counter(row[column] for row in rows[table])
-        allowed[(alias, column)] = {
-            v for v, f in freq.items() if _cmp(f, op, threshold)
-        }
-
-    groups = collections.defaultdict(list)
-    for combo in itertools.product(*row_sets):
-        env = dict(zip(aliases, combo))
-        ok = True
-        for (a1, c1), (a2, c2) in spec["joins"]:
-            if env[a1][c1] != env[a2][c2]:
-                ok = False
-                break
-        if ok:
-            for alias, column, op, value in spec["filters"]:
-                if not _cmp(env[alias][column], op, value):
-                    ok = False
-                    break
-        if ok:
-            for alias, column, __, ___ in spec["semis"]:
-                if env[alias][column] not in allowed[(alias, column)]:
-                    ok = False
-                    break
-        if ok:
-            key = tuple(
-                env[alias][column] for alias, column in spec["group_by"]
-            )
-            groups[key].append(env)
-    return sorted(
-        (*key, *(_aggregate(agg, envs) for agg in spec["aggregates"]))
-        for key, envs in groups.items()
-    )
-
-
-def _aggregate(agg, envs):
-    """``COUNT(*)`` (``agg`` is ``None``) or ``COUNT(DISTINCT alias.column)``
-    over one group's joined rows."""
-    if agg is None:
-        return len(envs)
-    alias, column = agg
-    return len({env[alias][column] for env in envs})
-
-
-def _cmp(lhs, op, rhs):
-    return {
-        "=": lhs == rhs,
-        "<>": lhs != rhs,
-        "<": lhs < rhs,
-        "<=": lhs <= rhs,
-        ">": lhs > rhs,
-        ">=": lhs >= rhs,
-    }[op]
 
 
 def to_sql(spec):
@@ -191,11 +120,9 @@ def query_specs(draw):
         column = draw(st.sampled_from(TABLES[alias_tables[alias]]))
         op = draw(st.sampled_from(["=", "<", ">", "<>", "<=", ">="]))
         if column == "city":
-            value = draw(
-                st.sampled_from(["tor", "mtl", "van", "cal", "ott", "zzz"])
-            )
-            if op not in ("=", "<>"):
-                op = "="
+            value = draw(st.sampled_from(
+                ["tor", "mtl", "van", "cal", "ott", "aaa", "n", "zzz"]
+            ))
         else:
             value = draw(st.integers(0, 150))
         filters.append((alias, column, op, value))
@@ -246,30 +173,42 @@ def query_specs(draw):
 @given(spec=query_specs())
 def test_property_engine_matches_reference(spec):
     sql = to_sql(spec)
-    expected = reference_eval(spec)
-
-    DB.apply_configuration(P_CONFIG)
-    p_result = DB.execute(sql)
-    assert sorted(p_result.rows()) == expected, sql
-
-    DB.apply_configuration(ONE_C)
-    c_result = DB.execute(sql)
-    assert sorted(c_result.rows()) == expected, sql
-
-    DB.apply_configuration(ONE_C_VIEWS)
-    v_result = DB.execute(sql)
-    assert sorted(v_result.rows()) == expected, sql
-
-    # The shape the executor's one route to codes rests on.
-    for result in (p_result, c_result, v_result):
+    expected = oracle.rows(ORACLE.execute(sql))
+    for config in (P_CONFIG, ONE_C, ONE_C_VIEWS):
+        DB.apply_configuration(config)
+        result = DB.execute(sql)
+        assert oracle.rows(result.rows()) == expected, (config.name, sql)
+        # The shape the executor's one route to codes rests on.
         assert_keys_are_scanned(result.plan)
+
+
+def _insert_batch():
+    """New and known values, some sorting before and after every
+    existing one, and uids that change which HAVING thresholds pass."""
+    rng = np.random.default_rng(44)
+    size = 40
+    cities = np.array(["aaa", "tor", "mtl", "zzz"], dtype=object)
+    orders = {
+        "oid": np.arange(10_000, 10_000 + size),
+        "uid": rng.integers(0, 130, size),
+        "city": rng.choice(cities, size),
+        "amount": rng.integers(-5, 160, size),
+    }
+    users = {
+        "uid": np.arange(120, 126),
+        "city": rng.choice(cities, 6),
+        "age": rng.integers(1, 99, 6),
+    }
+    return {"orders": orders, "users": users}
+
+
+INSERTS = _insert_batch()
 
 
 def _grown_database():
     """A copy of ``DB`` under 1C that ran queries — so dictionaries,
-    their codes and every cache are warm — and then took an insert
-    batch: new and known values, some sorting before and after every
-    existing one, and uids that change which HAVING thresholds pass."""
+    their codes and every cache are warm — and then took the insert
+    batch."""
     db = load_city_database(n_users=120, n_orders=700, seed=21)
     db.apply_configuration(ONE_C)
     for sql in (
@@ -281,25 +220,17 @@ def _grown_database():
         "GROUP BY t0.amount",
     ):
         db.execute(sql)
-    rng = np.random.default_rng(44)
-    size = 40
-    cities = np.array(["aaa", "tor", "mtl", "zzz"], dtype=object)
-    db.insert_rows("orders", {
-        "oid": np.arange(10_000, 10_000 + size),
-        "uid": rng.integers(0, 130, size),
-        "city": rng.choice(cities, size),
-        "amount": rng.integers(-5, 160, size),
-    })
-    db.insert_rows("users", {
-        "uid": np.arange(120, 126),
-        "city": rng.choice(cities, 6),
-        "age": rng.integers(1, 99, 6),
-    })
+    for name, columns in INSERTS.items():
+        db.insert_rows(name, columns)
     return db
 
 
 GROWN = _grown_database()
-GROWN_ROWS = {name: _rows(name, GROWN) for name in TABLES}
+GROWN_ORACLE = oracle.load({
+    name: {column: np.concatenate([values, INSERTS[name][column]])
+           for column, values in columns.items()}
+    for name, columns in city_columns(120, 700, 21).items()
+})
 
 
 @settings(
@@ -310,8 +241,9 @@ GROWN_ROWS = {name: _rows(name, GROWN) for name in TABLES}
 @given(spec=query_specs())
 def test_property_engine_matches_reference_after_insert(spec):
     sql = to_sql(spec)
-    result = GROWN.execute(sql)
-    assert sorted(result.rows()) == reference_eval(spec, GROWN_ROWS), sql
+    assert oracle.rows(GROWN.execute(sql).rows()) == oracle.rows(
+        GROWN_ORACLE.execute(sql)
+    ), sql
 
 
 def _cold_copies():
@@ -375,17 +307,24 @@ def test_view_configuration_reaches_both_views():
     assert scanned == {v.name for v in ONE_C_VIEWS.views}
 
 
-def test_reference_sanity():
-    spec = {
-        "tables": [("t0", "users")],
-        "joins": [],
-        "filters": [("t0", "age", ">", 40)],
-        "semis": [],
-        "group_by": [("t0", "city")],
-        "aggregates": [None],
-    }
-    expected = reference_eval(spec)
-    assert expected
-    assert sum(r[-1] for r in expected) == sum(
-        1 for row in REFERENCE_ROWS["users"] if row["age"] > 40
-    )
+def test_string_ranges_around_literals_the_dictionary_lacks():
+    """A range on a string column whose literal no row holds, sorting
+    before, between and after the dictionary's entries."""
+    for sql in (
+        "SELECT t0.city, COUNT(*) FROM users t0 WHERE t0.city > 'aaa' "
+        "GROUP BY t0.city",
+        "SELECT t0.age, COUNT(*) FROM users t0 WHERE t0.city < 'n' "
+        "GROUP BY t0.age",
+        "SELECT t0.city, COUNT(*) FROM orders t0 WHERE t0.city >= 'n' "
+        "AND t0.city <= 'zzz' GROUP BY t0.city",
+        "SELECT t1.city, COUNT(*) FROM users t0, orders t1 "
+        "WHERE t0.uid = t1.uid AND t0.city <= 'n' GROUP BY t1.city",
+        "SELECT t0.city, COUNT(*) FROM orders t0 WHERE t0.city > 'zzz' "
+        "GROUP BY t0.city",
+    ):
+        expected = oracle.rows(ORACLE.execute(sql))
+        for config in (P_CONFIG, ONE_C):
+            DB.apply_configuration(config)
+            assert oracle.rows(DB.execute(sql).rows()) == expected, (
+                config.name, sql
+            )

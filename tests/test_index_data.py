@@ -1,6 +1,5 @@
 """Built index data: probes, sizes, cluster factors, B+-tree agreement."""
 
-import collections
 import pickle
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import interleave
+import oracle
 from btree import BPlusTree
 from repro import ColumnDef, TableSchema, float_, integer, obs, varchar
 from repro.common.hardware import PAGE_SIZE
@@ -795,31 +795,6 @@ def edge_database(seed):
     return database, reference
 
 
-def edge_answer(reference, query, key=None):
-    """What ``EDGE_SQLS[query]`` returns, sorted, from the int64
-    reference."""
-    parents, children = reference["parents"], reference["children"]
-    if query == "join":
-        matches = collections.Counter(
-            parents["pid"][parents["grp"] == 1].tolist()
-        )
-    elif query == "semijoin":
-        matches = {
-            pid: 1 for pid, count in
-            collections.Counter(parents["pid"].tolist()).items()
-            if count > 1
-        }
-    elif query == "child":
-        matches = {key: 1}
-    else:
-        return sorted(parents["grp"][parents["pid"] == key].tolist())
-    return sorted(
-        val for pid, val in zip(children["pid"].tolist(),
-                                children["val"].tolist())
-        for _ in range(matches.get(pid, 0))
-    )
-
-
 def assert_edges_equal_the_reference(database, reference):
     """Stored columns, indexes, probes and views against int64."""
     from repro.views.matview import (
@@ -852,16 +827,17 @@ def assert_edges_equal_the_reference(database, reference):
                 assert sorted(index.lookup_eq((literal,)).tolist()) == (
                     np.flatnonzero(key == literal).tolist()
                 ), (ix.name, literal)
-    for query in ("join", "semijoin"):
-        got = database.execute(EDGE_SQLS[query]).rows()
-        assert sorted(v for (v,) in got) == edge_answer(reference, query)
-    for key in INSERTED_KEYS:
-        for query in ("child", "parent"):
-            got = database.execute(EDGE_SQLS[query].format(key=key)).rows()
-            assert sorted(v for (v,) in got) == edge_answer(
-                reference, query, key
-            ), (query, key)
-    children = reference["children"]
+    lite = oracle.load(
+        reference, [("parents", ("pid",)), ("children", ("pid",))]
+    )
+    sqls = [EDGE_SQLS["join"], EDGE_SQLS["semijoin"]] + [
+        EDGE_SQLS[query].format(key=key)
+        for key in INSERTED_KEYS for query in ("child", "parent")
+    ]
+    for sql in sqls:
+        assert oracle.rows(database.execute(sql).rows()) == oracle.rows(
+            lite.execute(sql)
+        ), sql
     single = MatViewDefinition(
         tables=("children",), group_columns=(ViewColumn("children", "pid"),)
     )
@@ -870,21 +846,18 @@ def assert_edges_equal_the_reference(database, reference):
         join_pred=(("parents", "pid"), ("children", "pid")),
         group_columns=(ViewColumn("children", "pid"),),
     )
-    parents = collections.Counter(reference["parents"]["pid"].tolist())
-    joined_keys = np.array(
-        [pid for pid in children["pid"].tolist()
-         for _ in range(parents[pid])],
-        dtype=np.int64,
-    )
-    for view_def, keys in ((single, children["pid"]),
-                           (joined, joined_keys)):
+    for view_def, sql in (
+        (single, "SELECT pid, COUNT(*) FROM children GROUP BY pid"),
+        (joined, "SELECT c.pid, COUNT(*) FROM parents p, children c "
+                 "WHERE p.pid = c.pid GROUP BY c.pid"),
+    ):
         view, _ = build_view(view_def, database.tables, database.catalog,
                              database._cache("dict_cache"))
-        values, counts = np.unique(keys, return_counts=True)
+        values, counts = zip(*oracle.rows(lite.execute(sql)))
         have = view.column("children__pid")
         assert have.dtype == narrowest_dtype(values)
-        assert have.tolist() == values.tolist()
-        assert view.column(COUNT_COLUMN).tolist() == counts.tolist()
+        assert have.tolist() == list(values)
+        assert view.column(COUNT_COLUMN).tolist() == list(counts)
 
 
 def test_probes_cross_an_int16_and_an_int32_key():

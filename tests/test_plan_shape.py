@@ -1,17 +1,27 @@
-"""Every plan the SQL surface can produce has the shape the executor's
-one route to codes rests on (``conftest.assert_keys_are_scanned``):
-aggregate and projection outputs exist only at the root, and every key
-an operator below takes codes of is a scanned ``alias.column``.
+"""Every family query plans into the shape the executor's one route to
+codes rests on, and returns SQLite's rows, under P, 1C and R.
 
-Checked here on every query of the five families, per system, under P,
-1C and the recommended configuration (System C's carries views);
-``test_differential.py`` checks it on its generated queries.  If the SQL
-surface ever grows derived tables, this names the operator that would
-need a second route, instead of a ``KeyError`` at run time.
+Shape (``conftest.assert_keys_are_scanned``): aggregate and projection
+outputs exist only at the root, and every key an operator below takes
+codes of is a scanned ``alias.column``.  It is checked on every query
+of the five families, per system, under P, 1C and the recommended
+configuration (System C's carries views); ``test_differential.py``
+checks it on its generated queries.  If the SQL surface ever grows
+derived tables, this names the operator that would need a second
+route, instead of a ``KeyError`` at run time.
+
+Rows: each sampled query runs under every configuration and is compared
+with the SQLite oracle (``tests/oracle.py``).  Result rows do not depend
+on the configuration, so SQLite holds the 1C indexes throughout.  It
+answers only the queries that some configuration answered within the
+virtual timeout: a query that times out under all of them is counted,
+not compared.  ``scripts/sqlite_oracle.py`` runs the same check over
+every query of the full families.
 """
 
 import pytest
 
+import oracle
 from repro.bench.context import (
     FAMILY_DATASET,
     BenchContext,
@@ -29,23 +39,30 @@ FAMILIES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def context():
-    return BenchContext(BenchSettings(scale=0.02, workload_size=10, jobs=1))
+def check_family(context, system, family, executed):
+    """Plan every query of ``family``'s full family under P, 1C and R
+    and check each plan's shape; run each query of ``executed`` under
+    each and compare its rows with SQLite's.
 
-
-@pytest.mark.parametrize("system, family", FAMILIES)
-def test_every_family_plan_reads_codes_of_scanned_keys(
-    context, system, family
-):
+    Returns ``(compared, timed_out)``: the comparisons made per
+    configuration name, and how many executed queries timed out under
+    every configuration.
+    """
     db = context.database(system, FAMILY_DATASET[family])
     queries = list(context.full_family(system, family))
     recommended, _ = context.recommendation(system, family)
-    configurations = [
-        context.p_configuration(db), context.one_c_configuration(db),
-    ]
+    one_c = context.one_c_configuration(db)
+    configurations = [context.p_configuration(db), one_c]
     if recommended is not None:
-        configurations.append(recommended)
+        configurations.append(recommended.renamed("R"))
+    lite = oracle.load(
+        {name: {column: table.decode(column)
+                for column in table.column_names()}
+         for name, table in db.tables.items()},
+        [(ix.table, ix.columns) for ix in one_c.indexes],
+    )
+    expected = {}
+    compared = {configuration.name: 0 for configuration in configurations}
     seen = set()
     for configuration in configurations:
         db.apply_configuration(configuration)
@@ -54,11 +71,40 @@ def test_every_family_plan_reads_codes_of_scanned_keys(
             plan = db.plan(query.sql)
             assert_keys_are_scanned(plan)
             seen.update(type(node) for node in walk(plan))
+        for query in executed:
+            result = db.execute(query.sql, timeout=context.settings.timeout)
+            if result.timed_out:
+                continue
+            if query.sql not in expected:
+                expected[query.sql] = oracle.rows(lite.execute(query.sql))
+            assert oracle.rows(result.rows()) == expected[query.sql], (
+                system, family, configuration.name, query.sql
+            )
+            compared[configuration.name] += 1
     # The walk met the operators whose keys it is about.
     assert seen & {HashJoin, IndexNLJoin}
     if system == "C":
         assert recommended is not None and recommended.views
         assert ViewScan in seen
+    timed_out = len({q.sql for q in executed} - set(expected))
+    return compared, timed_out
+
+
+@pytest.fixture(scope="module")
+def context():
+    return BenchContext(BenchSettings(scale=0.05, workload_size=30, jobs=1))
+
+
+@pytest.mark.parametrize("system, family", FAMILIES)
+def test_every_family_plan_reads_codes_of_scanned_keys(
+    context, system, family
+):
+    """Shape under P, 1C and R for the full family; rows, for the
+    sampled workload."""
+    compared, _ = check_family(
+        context, system, family, list(context.workload(system, family))
+    )
+    assert all(compared.values()), compared
 
 
 def test_the_check_names_an_operator_over_an_unscanned_key(city_db):
