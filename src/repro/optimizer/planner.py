@@ -16,6 +16,13 @@ All costs come from :mod:`repro.optimizer.cost_model` applied to the
 estimator's cardinalities, so the executor can later charge identical
 formulas with actual cardinalities.
 
+Whether a view may stand in for part of a query is decided by module
+functions of the bound query and the view definition alone
+(:func:`count_only`, :func:`single_view_columns`,
+:func:`match_join_view`): step 3 calls them, and so does the what-if
+cost service (:mod:`repro.recommender.costservice`), which prices a
+candidate only on the queries whose plans could use it.
+
 What a plan derives is split by what it depends on.  :class:`QueryFacts`
 holds everything the bound query and the estimator decide alone; steps
 1 to 4 read it and are each memoized in the query's
@@ -94,10 +101,7 @@ class QueryFacts:
     def __init__(self, bound, env):
         est, hw, catalog = env.estimator, env.hardware, env.catalog
         self.bound = bound
-        # Only COUNT aggregates are decomposable over a pre-aggregated
-        # view (COUNT(*) via batch weights, COUNT(DISTINCT c) because the
-        # view preserves the distinct values of its group columns).
-        self.count_only = all(a.func == "count" for a in bound.aggregates)
+        self.count_only = count_only(bound)
 
         self.semis = []
         for semi in bound.semijoins:
@@ -659,38 +663,26 @@ class Planner:
         )
 
     def _single_table_view_seeds(self, facts, view):
-        """Replace one alias by a pre-aggregated single-table view.
-
-        Valid when every column the query touches on the alias is a group
-        column of the view and the alias carries no IN-subquery (count
-        semantics then decompose through the view's ``cnt`` weights).
-        """
+        """Replace one alias by a pre-aggregated single-table view
+        (each alias :func:`single_view_columns` accepts)."""
         hw = self._hw
         vdef = view.definition
         table = vdef.tables[0]
         seeds = []
-        for alias in facts.aliases.values():
-            if alias.table != table or alias.semis:
-                continue
-            columns = [
-                vdef.column_for(table, col)
-                for col in facts.bound.columns_of(alias.alias)
-            ]
-            if not columns or None in columns:
-                continue
+        for name, columns in single_view_columns(facts.bound, vdef):
+            alias = facts.aliases[name]
             cost = cm.seq_scan(hw, view.page_count, view.rows)
             if alias.filters:
                 cost += cm.filter_rows(hw, view.rows, len(alias.filters))
             node = ViewScan(
                 view=view,
-                aliases=(alias.alias,),
+                aliases=(name,),
                 column_map={
-                    f"{alias.alias}.{vcol.column}": vcol.name
-                    for vcol in columns
+                    f"{name}.{vcol.column}": vcol.name for vcol in columns
                 },
                 filters=[
                     ScanFilter(
-                        key=f"{alias.alias}.{f.target.column}",
+                        key=f"{name}.{f.target.column}",
                         column=vdef.column_for(table, f.target.column).name,
                         op=f.op,
                         value=f.value,
@@ -709,7 +701,7 @@ class Planner:
     def _join_view_seeds(self, facts, view):
         """Replace a joined pair of aliases by a join view."""
         bound = facts.bound
-        pair = self._match_join_view(bound, view)
+        pair = match_join_view(bound, view.definition)
         if pair is None:
             return []
         aliases, column_map = pair
@@ -738,54 +730,6 @@ class Planner:
             rows=max(1.0, view.rows * sel), width=view.row_width, cost=cost
         )
         return [(frozenset(aliases), node)]
-
-    def _match_join_view(self, bound, view):
-        """Match a join view against a pair of the query's aliases."""
-        vdef = view.definition
-        (vt1, vc1), (vt2, vc2) = vdef.join_pred
-        for pred in bound.join_preds:
-            la, lc = pred.left.alias, pred.left.column
-            ra, rc = pred.right.alias, pred.right.column
-            lt, rt = bound.relations[la], bound.relations[ra]
-            if la == ra:
-                continue
-            direct = (lt, lc, rt, rc) == (vt1, vc1, vt2, vc2)
-            flipped = (rt, rc, lt, lc) == (vt1, vc1, vt2, vc2)
-            if not (direct or flipped):
-                continue
-            aliases = (la, ra)
-            # Any alias may be referenced elsewhere only through columns
-            # the view preserves.  The pair's own join columns are only
-            # needed if something *outside* this predicate uses them.
-            internal_cols = _pred_column_uses(bound, pred)
-            column_map = {}
-            ok = True
-            for alias in aliases:
-                table = bound.relations[alias]
-                for col in bound.columns_of(alias):
-                    if (alias, col) in internal_cols:
-                        continue
-                    vcol = vdef.column_for(table, col)
-                    if vcol is None:
-                        ok = False
-                        break
-                    column_map[f"{alias}.{col}"] = vcol.name
-                if not ok:
-                    break
-            if not ok:
-                continue
-            # No semijoins on the replaced aliases; other join preds
-            # between the two aliases would change the view's join.
-            if any(s.target.alias in aliases for s in bound.semijoins):
-                continue
-            internal = [
-                p for p in bound.join_preds
-                if {p.left.alias, p.right.alias} == set(aliases)
-            ]
-            if len(internal) != 1:
-                continue
-            return aliases, column_map
-        return None
 
     # ------------------------------------------------------------------
     # Final aggregation / projection
@@ -819,6 +763,95 @@ class Planner:
         node = HashAggregate(child, group_keys, list(bound.aggregates))
         node.est = PlanEstimate(rows=groups, width=width, cost=cost)
         return node
+
+
+def count_only(bound):
+    """Whether the planner may rewrite ``bound`` onto views at all.
+
+    Only COUNT aggregates are decomposable over a pre-aggregated view
+    (COUNT(*) via batch weights, COUNT(DISTINCT c) because the view
+    preserves the distinct values of its group columns).
+    """
+    return all(a.func == "count" for a in bound.aggregates)
+
+
+def single_view_columns(bound, vdef):
+    """``[(alias, view columns)]``: each alias of ``bound`` that the
+    single-table view ``vdef`` can stand in for, with the view column
+    of every column the query reads of it, in alias order.
+
+    An alias qualifies when it is on the view's table, carries no
+    IN-subquery, and reads at least one column, each a group column of
+    the view (count semantics then decompose through the view's ``cnt``
+    weights).  Only a :func:`count_only` query is rewritten at all.
+    """
+    table = vdef.tables[0]
+    semi_aliases = {semi.target.alias for semi in bound.semijoins}
+    found = []
+    for alias, alias_table in bound.relations.items():
+        if alias_table != table or alias in semi_aliases:
+            continue
+        columns = [
+            vdef.column_for(table, col) for col in bound.columns_of(alias)
+        ]
+        if columns and None not in columns:
+            found.append((alias, columns))
+    return found
+
+
+def match_join_view(bound, vdef):
+    """``(aliases, column map)`` of the first joined pair of ``bound``'s
+    aliases that the join view ``vdef`` can stand in for, else ``None``.
+
+    The pair must be joined by the view's own predicate and by no
+    other, carry no IN-subquery, and reference no column the view does
+    not keep, except join columns only that predicate uses.  Only a
+    :func:`count_only` query is rewritten at all.
+    """
+    (vt1, vc1), (vt2, vc2) = vdef.join_pred
+    for pred in bound.join_preds:
+        la, lc = pred.left.alias, pred.left.column
+        ra, rc = pred.right.alias, pred.right.column
+        lt, rt = bound.relations[la], bound.relations[ra]
+        if la == ra:
+            continue
+        direct = (lt, lc, rt, rc) == (vt1, vc1, vt2, vc2)
+        flipped = (rt, rc, lt, lc) == (vt1, vc1, vt2, vc2)
+        if not (direct or flipped):
+            continue
+        aliases = (la, ra)
+        # Any alias may be referenced elsewhere only through columns
+        # the view preserves.  The pair's own join columns are only
+        # needed if something *outside* this predicate uses them.
+        internal_cols = _pred_column_uses(bound, pred)
+        column_map = {}
+        ok = True
+        for alias in aliases:
+            table = bound.relations[alias]
+            for col in bound.columns_of(alias):
+                if (alias, col) in internal_cols:
+                    continue
+                vcol = vdef.column_for(table, col)
+                if vcol is None:
+                    ok = False
+                    break
+                column_map[f"{alias}.{col}"] = vcol.name
+            if not ok:
+                break
+        if not ok:
+            continue
+        # No semijoins on the replaced aliases; other join preds
+        # between the two aliases would change the view's join.
+        if any(s.target.alias in aliases for s in bound.semijoins):
+            continue
+        internal = [
+            p for p in bound.join_preds
+            if {p.left.alias, p.right.alias} == set(aliases)
+        ]
+        if len(internal) != 1:
+            continue
+        return aliases, column_map
+    return None
 
 
 def _pred_column_uses(bound, pred):

@@ -13,17 +13,27 @@ This service sits between the recommenders and the what-if optimizer
 every call and memoizes nothing) and adds **atomic-configuration
 memoization**: the cost of a query is keyed by the *relevant subset* of
 the trial configuration's structures — exactly the indexes and views
-the planner could put into a plan for that query.  The usability rules
-are read off the planner (:class:`QueryProfile`): an index participates
-only via an
-equality-prefix scan, a semijoin source/probe, an index-nested-loop
-inner, or a covering index-only scan, and views only rewrite
-COUNT-shaped aggregates (plus semijoin-source pre-aggregations) — so
+the planner could put into a plan for that query.  The rule is the
+planner's own (:class:`QueryProfile`):
+
+* an index enters a plan as an equality-prefix scan, a semijoin
+  source or probe, a covering index-only scan, or the inner of an
+  index-nested-loop join — and the planner builds no such join into an
+  alias that carries a semijoin;
+* a single-column view on a semijoin's subquery column can be that
+  semijoin's source;
+* any other view only rewrites a COUNT-only query, where the planner's
+  own tests (:func:`~repro.optimizer.planner.single_view_columns`,
+  :func:`~repro.optimizer.planner.match_join_view`) decide which
+  aliases it can stand in for.
+
+A structure outside these leaves every plan of the query as it is, so
 two trial configurations that agree on a query's relevant subset yield
-the same cost, however much they differ elsewhere.  Concretely: once candidate
-``X`` has been priced against query ``q`` in round 1, selecting an
-unrelated structure ``Y`` does not force ``q`` to be re-planned against
-``current + Y + X`` in round 2 — the round-1 cost is reused.
+the same cost, however much they differ elsewhere.  Concretely: once
+candidate ``X`` has been priced against query ``q`` in round 1,
+selecting an unrelated structure ``Y`` does not force ``q`` to be
+re-planned against ``current + Y + X`` in round 2 — the round-1 cost is
+reused.
 
 The same rule says which queries a candidate can affect at all
 (:meth:`WhatIfCostService.affects`): a structure the planner could not
@@ -44,12 +54,20 @@ The service never changes a cost:
 ``tests/test_whatif_service.py::test_service_costs_match_direct_estimates``
 checks every cost it returns against
 :meth:`~repro.engine.database.Database.estimate_hypothetical` under the
-full trial configuration.
+full trial configuration, and
+``test_a_candidate_the_rule_rejects_changes_no_plan`` plans every
+query the rule rejects, for every candidate of every family's pool,
+with and without the candidate.
 """
 
 from operator import is_
 
 from .. import obs
+from ..optimizer.planner import (
+    count_only,
+    match_join_view,
+    single_view_columns,
+)
 
 
 def query_tables(bound):
@@ -61,36 +79,49 @@ def query_tables(bound):
 
 
 class QueryProfile:
-    """Pre-extracted facts the planner's structure-usage rules consult.
+    """The facts of one bound query that decide which structures the
+    planner (:mod:`repro.optimizer.planner`) can put into its plan.
 
-    Mirrors :mod:`repro.optimizer.planner` exactly: an index can enter a
-    plan only as an equality-prefix scan, a semijoin source or probe, an
-    index-nested-loop inner, or a covering index-only scan; views rewrite
-    only COUNT-shaped aggregates, except single-column pre-aggregations
-    serving a semijoin source.  Everything those rules look at — equality
-    filter columns, join columns, semijoin columns, and each alias's
-    touched-column set — is captured here once per query so
-    :func:`relevant_key` can test candidate structures cheaply.
+    An index can enter a plan only with its *leading* column one of:
+
+    * an equality-filter column of an alias (a prefix scan);
+    * a semijoin target column (a probe driven by the subquery's values);
+    * a semijoin subquery column (an index-only semijoin source);
+    * a join column of an alias that carries no semijoin (the inner of
+      an index-nested-loop join, which the planner never builds into
+      an alias with one);
+
+    or else it must cover every column a scan of some alias touches (a
+    covering index-only scan).  A single-column view on a semijoin's
+    subquery column can be that semijoin's source.  Every other view
+    use is a rewrite of a COUNT-only query
+    (:func:`~repro.optimizer.planner.count_only`), and the planner's own
+    tests decide it: :func:`~repro.optimizer.planner.single_view_columns` for
+    a single-table view, :func:`~repro.optimizer.planner.match_join_view`
+    for a join view.  What the index rules look at is captured here
+    once per query, so :func:`relevant_key` can test candidate
+    structures cheaply.
     """
 
-    __slots__ = ("tables", "first_cols", "touched", "count_only",
-                 "semi_views")
+    __slots__ = ("first_cols", "touched", "rewrites", "semi_views")
 
     def __init__(self, bound, catalog):
-        self.tables = query_tables(bound)
+        tables = query_tables(bound)
         # Columns that make an index on the table usable when they LEAD
-        # the index key: equality filters (prefix scans), semijoin target
-        # columns (semi-driven probes), join columns (INL inners), and
-        # semijoin subquery columns (index-only semi sources).
-        self.first_cols = {t: set() for t in self.tables}
-        # Per alias: every column the scan touches; an index covering one
-        # of these sets is usable as an index-only scan.
+        # the index key.
+        self.first_cols = {t: set() for t in tables}
+        # Per table, one set per alias: every column the scan touches;
+        # an index covering one of these sets is usable index-only.
         self.touched = {}
+        semi_aliases = {s.target.alias for s in bound.semijoins}
         for semi in bound.semijoins:
             self.first_cols[semi.sub_table].add(semi.sub_column)
         for pred in bound.join_preds:
             for ref in (pred.left, pred.right):
-                self.first_cols[bound.relations[ref.alias]].add(ref.column)
+                if ref.alias not in semi_aliases:
+                    self.first_cols[bound.relations[ref.alias]].add(
+                        ref.column
+                    )
         for alias, table in bound.relations.items():
             first = self.first_cols[table]
             filters = [f for f in bound.filters if f.target.alias == alias]
@@ -110,7 +141,8 @@ class QueryProfile:
             touched.update(f.target.column for f in filters)
             touched.update(s.target.column for s in semis)
             self.touched.setdefault(table, []).append(frozenset(touched))
-        self.count_only = all(a.func == "count" for a in bound.aggregates)
+        # The query the planner may rewrite onto views, if any.
+        self.rewrites = bound if count_only(bound) else None
         self.semi_views = {
             (s.sub_table, s.sub_column) for s in bound.semijoins
         }
@@ -130,13 +162,15 @@ class QueryProfile:
         )
 
     def view_relevant(self, view):
-        """Whether the planner could rewrite part of the query with it."""
-        if self.count_only:
-            # View rewrites are on the table: conservative table-overlap.
-            return any(t in self.tables for t in view.tables)
-        # Non-COUNT aggregates rule out every rewrite except the
-        # semijoin-source scan of a single-column pre-aggregation.
-        if view.is_join_view or len(view.group_columns) != 1:
+        """Whether the planner could put this view into any plan."""
+        bound = self.rewrites
+        if view.is_join_view:
+            return bound is not None \
+                and match_join_view(bound, view) is not None
+        if bound is not None and single_view_columns(bound, view):
+            return True
+        # The semijoin-source scan of a single-column pre-aggregation.
+        if len(view.group_columns) != 1:
             return False
         gcol = view.group_columns[0]
         return (view.tables[0], gcol.column) in self.semi_views
@@ -152,9 +186,12 @@ def relevant_key(bound, config, catalog=None, profile=None):
     """Canonical text of the structures of ``config`` that can affect
     ``bound``.
 
-    Keys the atomic memo by exactly the structures the planner could use
-    for this query (see :class:`QueryProfile`); indexes *on views* are
-    excluded entirely because the planner never consults them.  The
+    Keys the atomic memo by exactly the structures the planner could put
+    into a plan of this query (the rule of :class:`QueryProfile`, whose
+    view tests are the planner's own); indexes *on views* are excluded
+    entirely because the planner never consults them.  A structure left
+    out changes neither the plan nor its cost, so configurations with
+    one key share one cost.  The
     sorted ``repr`` of the definitions, which spells out their whole
     content: order-insensitive and independent of display names, like
     :attr:`~repro.engine.configuration.Configuration.fingerprint`, but

@@ -201,6 +201,21 @@ ROWS = [
                 "test_semijoin_on_value_missing_from_the_dictionary",
     ),
     dict(
+        id="view-semijoin-threshold-off-by-one",
+        guards="executor",
+        file="src/repro/executor/engine.py",
+        search=(
+            "                table.column(COUNT_COLUMN), semi.having_op,\n"
+            "                semi.having_value,\n"
+        ),
+        replace=(
+            "                table.column(COUNT_COLUMN), semi.having_op,\n"
+            "                semi.having_value + 1,\n"
+        ),
+        catcher="tests/test_differential.py::"
+                "test_property_engine_matches_reference",
+    ),
+    dict(
         id="domain-kept-for-outside-tail",
         guards="executor",
         file="src/repro/storage/encoding.py",
@@ -224,6 +239,56 @@ ROWS = [
         replace="    scattered_cost = scattered * hw.seq_page_read_s\n",
         catcher="tests/test_cost_model.py::"
                 "test_heap_fetch_charges_the_cheaper_of_scattered_and_bitmap_reads",
+    ),
+    dict(
+        id="spill-at-the-limit",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    if n_bytes <= limit:\n",
+        replace="    if n_bytes < limit:\n",
+        catcher="tests/test_cost_model.py::"
+                "test_spill_writes_and_reads_back_every_page_beyond_work_mem",
+    ),
+    dict(
+        id="hash-build-without-row-cpu",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    return rows * (hw.hash_row_s + hw.cpu_row_s) + spill(",
+        replace="    return rows * hw.hash_row_s + spill(",
+        catcher="tests/test_cost_model.py::"
+                "test_hash_build_charges_a_hash_and_a_row_per_input_row",
+    ),
+    dict(
+        id="hash-probe-charges-row-cpu",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    return rows * hw.hash_row_s\n",
+        replace="    return rows * (hw.hash_row_s + hw.cpu_row_s)\n",
+        catcher="tests/test_cost_model.py::"
+                "test_hash_probe_charges_one_hash_per_probe_and_never_spills",
+    ),
+    dict(
+        id="join-output-spills-by-rows",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    return rows * hw.cpu_row_s + spill(hw, rows * row_width)\n",
+        replace="    return rows * hw.cpu_row_s + spill(hw, rows)\n",
+        catcher="tests/test_cost_model.py::"
+                "test_join_output_charges_a_row_per_output_row_and_spills_by_bytes",
+    ),
+    dict(
+        id="probed-leaves-read-at-random",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search=(
+            "    leaf_cost = min(\n"
+            "        leaves * hw.random_page_read_s,\n"
+            "        leaves * hw.seq_page_read_s * 1.5,\n"
+            "    )\n"
+        ),
+        replace="    leaf_cost = leaves * hw.random_page_read_s\n",
+        catcher="tests/test_cost_model.py::"
+                "test_index_probes_read_the_touched_leaves_in_leaf_order",
     ),
     # -- the estimator
     dict(
@@ -258,6 +323,34 @@ ROWS = [
         replace="            if used + extra >= budget_bytes:\n",
         catcher="tests/test_recommender.py::"
                 "test_candidate_that_fills_the_budget_to_the_byte_is_eligible",
+    ),
+    # -- the relevance rule: a structure it rejects changes no plan
+    dict(
+        id="view-rule-reads-only-group-by",
+        guards="relevance rule",
+        file="src/repro/recommender/costservice.py",
+        search=(
+            "        if bound is not None and "
+            "single_view_columns(bound, view):\n"
+        ),
+        replace=(
+            "        if bound is not None and bound.group_by and all(\n"
+            "            view.column_for(bound.relations[ref.alias], "
+            "ref.column)\n"
+            "            for ref in bound.group_by\n"
+            "        ):\n"
+        ),
+        catcher="tests/test_whatif_service.py::"
+                "test_a_candidate_the_rule_rejects_changes_no_plan[C-SkTH3J]",
+    ),
+    dict(
+        id="join-columns-dropped-without-semijoin",
+        guards="relevance rule",
+        file="src/repro/recommender/costservice.py",
+        search="                if ref.alias not in semi_aliases:\n",
+        replace="                if ref.alias in semi_aliases:\n",
+        catcher="tests/test_whatif_service.py::"
+                "test_a_candidate_the_rule_rejects_changes_no_plan[A-NREF3J]",
     ),
     # -- determinism: set order on a path only fig9 takes
     dict(

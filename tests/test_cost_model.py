@@ -63,6 +63,56 @@ def test_heap_fetch_charges_the_cheaper_of_scattered_and_bitmap_reads():
     )
 
 
+def test_spill_writes_and_reads_back_every_page_beyond_work_mem():
+    """Hand-computed seconds on ``HW``: 16 MiB of working memory, and a
+    spilled 8 KiB page written at 0.12 s and read back at 0.1 s."""
+    limit = 16 * 1024 * 1024
+    assert cm.spill(HW, limit) == 0.0
+    # One byte over the limit spills all 2 049 pages it takes.
+    assert cm.spill(HW, limit + 1) == pytest.approx(2049 * 0.22)
+    assert cm.spill(HW, 8193, work_mem_bytes=8192) == pytest.approx(
+        2 * 0.22
+    )
+
+
+def test_hash_build_charges_a_hash_and_a_row_per_input_row():
+    """A built row costs a hash (20 us) and a row's CPU (20 us); the
+    table spills by its bytes."""
+    assert cm.hash_build(HW, 1000, 100) == pytest.approx(0.04)
+    # 200 000 rows of 100 bytes: 20 000 000 bytes, 2 442 pages spilled.
+    assert cm.hash_build(HW, 200_000, 100) == pytest.approx(
+        200_000 * 4e-5 + 2442 * 0.22
+    )
+
+
+def test_hash_probe_charges_one_hash_per_probe_and_never_spills():
+    assert cm.hash_probe(HW, 1000) == pytest.approx(0.02)
+    assert cm.hash_probe(HW, 10_000_000) == pytest.approx(200.0)
+
+
+def test_join_output_charges_a_row_per_output_row_and_spills_by_bytes():
+    assert cm.join_output(HW, 1000, 64) == pytest.approx(0.02)
+    # 1 000 000 rows of 32 bytes: 32 000 000 bytes, 3 907 pages spilled.
+    assert cm.join_output(HW, 1_000_000, 32) == pytest.approx(
+        20.0 + 3907 * 0.22
+    )
+
+
+def test_index_probes_read_the_touched_leaves_in_leaf_order():
+    """A probe batch pays one descent (0.3 s), each touched leaf at the
+    bitmap rate (0.15 s, cheaper than a random read) and a row's CPU per
+    probe."""
+    # One probe touches one leaf.
+    assert cm.index_probes(HW, 1, 1000, 10) == pytest.approx(
+        0.3 + 0.15 + 2e-5
+    )
+    # As many probes as entries touch every leaf.
+    assert cm.index_probes(HW, 1000, 1000, 10) == pytest.approx(
+        0.3 + 10 * 0.15 + 1000 * 2e-5
+    )
+    assert cm.index_probes(HW, 0, 1000, 10) == 0.0
+
+
 def test_heap_fetch_cluster_factor_discount():
     clustered = cm.heap_fetch(HW, 100, 0.05, 1000, 100_000)
     scattered = cm.heap_fetch(HW, 100, 1.0, 1000, 100_000)

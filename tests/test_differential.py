@@ -3,12 +3,13 @@
 Hypothesis generates queries from the benchmark SQL subset over the small
 city schema; each runs in the SQLite oracle (``tests/oracle.py``), loaded
 from the same plain columns as the engine, and in the engine under the
-P and 1C configurations and under 1C plus two materialized views (so
-view scans, batch weights and selection vectors over view tables are
-checked too).  All four answers must agree exactly.  A second database
-takes a seeded insert batch under 1C first — its dictionaries and index
-entries are carried across the append, not rebuilt — and must then agree
-with SQLite loaded from the same columns plus the same batch.  A third
+P and 1C configurations and under 1C plus three materialized views (so
+view scans, batch weights, selection vectors over view tables and a
+semijoin answered from a view are checked too).  All four answers
+must agree exactly.  A second database takes a seeded insert batch
+under 1C first — its dictionaries and index entries are carried across
+the append, not rebuilt — and must then agree with SQLite loaded from
+the same columns plus the same batch.  A third
 property is metamorphic: the rows and the virtual seconds of a query do
 not depend on which caches are warm.
 
@@ -44,6 +45,12 @@ P_CONFIG = primary_configuration(DB.catalog)
 ONE_C = one_column_configuration(DB.catalog)
 ONE_C_VIEWS = ONE_C.with_views(
     (
+        # The source of a generated semijoin on orders.uid, whose
+        # counts (about 6 per uid) straddle the generated thresholds.
+        MatViewDefinition(
+            tables=("orders",),
+            group_columns=(ViewColumn("orders", "uid"),),
+        ),
         MatViewDefinition(
             tables=("orders",),
             group_columns=(
@@ -289,21 +296,27 @@ def test_property_rows_and_cost_ignore_cache_state(spec, config):
     assert observe() == cold, sql
 
 
-def test_view_configuration_reaches_both_views():
+def test_view_configuration_reaches_every_view():
     """The third configuration is only worth its time if the planner
-    actually rewrites generated shapes onto each of its views."""
+    actually puts each of its views into plans of generated shapes: two
+    as rewrites, one as the source of a semijoin."""
     DB.apply_configuration(ONE_C_VIEWS)
     scanned = set()
     for sql in (
         "SELECT t0.city, COUNT(*) FROM orders t0 WHERE t0.amount > 40 "
         "GROUP BY t0.city",
-        "SELECT t0.city, COUNT(*) FROM users t0, orders t1 "
-        "WHERE t0.uid = t1.uid AND t0.age > 40 GROUP BY t0.city",
+        "SELECT t0.city, t1.city, COUNT(*) FROM users t0, orders t1 "
+        "WHERE t0.uid = t1.uid AND t0.age > 40 GROUP BY t0.city, t1.city",
+        "SELECT t0.city, COUNT(*) FROM orders t0 WHERE t0.uid IN "
+        "(SELECT uid FROM orders GROUP BY uid HAVING COUNT(*) < 6) "
+        "GROUP BY t0.city",
     ):
-        scanned.update(
-            node.view.definition.name
-            for node in walk(DB.plan(sql)) if isinstance(node, ViewScan)
-        )
+        for node in walk(DB.plan(sql)):
+            if isinstance(node, ViewScan):
+                scanned.add(node.view.definition.name)
+            for semi in getattr(node, "semi_filters", ()):
+                if semi.source.via == "view":
+                    scanned.add(semi.source.view.definition.name)
     assert scanned == {v.name for v in ONE_C_VIEWS.views}
 
 

@@ -345,6 +345,50 @@ def test_delta_pricing_equals_a_fresh_plan(context, system, family):
                     == explain(reference), (order, bound.sql)
 
 
+@pytest.mark.parametrize("system, family", FAMILIES)
+def test_a_candidate_the_rule_rejects_changes_no_plan(
+        context, system, family):
+    """The relevance rule is exact where it says no: every candidate of
+    the pool, added to P and to each round's base of the recommendation
+    (views selected in earlier rounds included), leaves the cost and
+    the plan of every query :meth:`WhatIfCostService.affects` rejects
+    as they are."""
+    config, report = context.recommendation(system, family)
+    db = context.database(system, FAMILY_DATASET[family])
+    queries = [db.bind(q.sql) for q in context.workload(system, family)]
+    recommender = WhatIfRecommender(db)
+    service = recommender._service
+    pool = recommender._collect_candidates(queries, db.configuration)
+    rejected = {
+        key: [q for q in queries if not service.affects(candidate, q)]
+        for key, candidate in pool.items()
+    }
+    selected = report.selected if config is not None else []
+    bases = [db.configuration]
+    for chosen in selected:
+        bases.append(recommender._extend(bases[-1], chosen))
+    checked = 0
+    for base in bases:
+        base_env = db.hypothetical_env(base, True)
+        before = {}
+        for key, candidate in pool.items():
+            if candidate in selected or not rejected[key]:
+                continue
+            trial = recommender._extend(base, candidate)
+            # One environment per candidate, shared by its queries.
+            trial_env = db._extend_hypothetical_env(base, trial, True, False)
+            assert trial_env is not None
+            for bound in rejected[key]:
+                if bound.sql not in before:
+                    plan = Planner(base_env).plan(bound)
+                    before[bound.sql] = (plan.est.cost, explain(plan))
+                plan = Planner(trial_env).plan(bound)
+                assert (plan.est.cost, explain(plan)) \
+                    == before[bound.sql], (candidate, bound.sql)
+                checked += 1
+    assert checked > 0
+
+
 def test_a_trial_leaves_nothing_of_its_own_in_the_memo(db):
     base = db.configuration
     bound = db.bind(JOIN_SQL)
