@@ -23,6 +23,7 @@ must exit non-zero.  Every row is reported with its seconds, then the
 total wall time; the exit status is 0 when every row holds, else 1.
 """
 
+import argparse
 import importlib.util
 import os
 import re
@@ -170,6 +171,12 @@ def tail(output, lines=15):
 
 
 def main():
+    # No options: ``--help`` prints this docstring, anything else is
+    # refused before a tree is copied.
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    ).parse_args()
     started = time.monotonic()
     rows = load_rows()
     stale = [(row.get("id"), problems(row)) for row in rows]

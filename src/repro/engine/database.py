@@ -84,6 +84,44 @@ from .configuration import (
 
 DEFAULT_TIMEOUT = 1800.0
 
+# A packed key span up to this many times the row count is counted by
+# a presence scan (one byte per possible key); a wider one is sorted.
+_PRESENCE_SPAN_PER_ROW = 4
+
+
+def _distinct_key_tuples(dictionaries):
+    """The number of distinct rows of the columns whose dictionaries
+    are ``dictionaries`` (two or more, of one table), in no order.
+
+    Each row's codes are packed into one int64 key, ``key * n_distinct
+    + codes`` column by column, and the distinct keys are counted: by a
+    presence scan while the packed span is small next to the row count,
+    else by a plain sort and one adjacent compare.  When the next
+    column's span would carry the key past int64, the key so far is
+    first folded into its dense ranks, which keeps its span under the
+    row count.
+    """
+    first = dictionaries[0]
+    rows = len(first.codes)
+    key = first.codes.astype(np.int64)
+    span = first.n_distinct
+    for dictionary in dictionaries[1:]:
+        n_distinct = dictionary.n_distinct
+        if span * n_distinct > 1 << 63:
+            keys = np.sort(key)
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            key = np.searchsorted(keys, key).astype(np.int64, copy=False)
+            span = len(keys)
+        key *= n_distinct
+        key += dictionary.codes
+        span *= n_distinct
+    if span <= _PRESENCE_SPAN_PER_ROW * rows:
+        present = np.zeros(span, dtype=bool)
+        present[key] = True
+        return int(np.count_nonzero(present))
+    key.sort()
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+
 
 @dataclass
 class BuildReport:
@@ -940,6 +978,14 @@ class Database:
         fall back to the estimator's damped distinct-product, which is
         why join-view candidates only survive when the statistics make
         the compression visible.
+
+        A multi-column key is counted by :func:`_distinct_key_tuples`
+        on the columns' dictionary codes, with no sort order built or
+        kept.  The count is exact: a column's codes are a bijection
+        with its values, and packing ``key * n_distinct + code`` with
+        every code below its column's ``n_distinct`` is injective on
+        code tuples (a fold replaces the key by its dense ranks, which
+        is injective too).
         """
         width = sum(
             self.catalog.table(vc.table).column(vc.column).width
@@ -958,17 +1004,10 @@ class Database:
                         table, columns[0]
                     ).n_distinct
                 else:
-                    # Key changes along the index order, compared on
-                    # dictionary codes: same count, no string compares.
-                    order = encodings.lexsort(table, columns)
-                    change = np.zeros(table.row_count, dtype=bool)
-                    change[0] = True
-                    for column in columns:
-                        codes = encodings.dictionary(
-                            table, column
-                        ).codes[order]
-                        change[1:] |= codes[1:] != codes[:-1]
-                    distinct = int(change.sum())
+                    distinct = _distinct_key_tuples([
+                        encodings.dictionary(table, column)
+                        for column in columns
+                    ])
                 cached = max(1, distinct)
                 self._view_size_cache[view_def.name] = cached
             return cached, width

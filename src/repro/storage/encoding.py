@@ -869,10 +869,15 @@ class DictionaryCache:
         ``np.lexsort`` on the raw arrays, as int32.  The returned
         array is read-only and shared with later callers.
 
-        Every suffix's order is memoized per ``(table, column tuple)``:
-        indexes sharing key suffixes (and identical rebuilt indexes)
-        share the sorts, and a single-column index build is a pure
-        cache read of the column's argsort.
+        Every suffix's order is memoized per ``(table, column tuple)``
+        for as long as the table's columns stand: indexes sharing key
+        suffixes (and identical rebuilt indexes) share the sorts, and a
+        single-column index build is a pure cache read of the column's
+        argsort.  So only what is built calls it — an index
+        (:class:`~repro.index.data.IndexData`) and a single-table view
+        (:func:`~repro.views.matview.build_view`); sizing a candidate
+        view counts its key tuples without an order
+        (``Database._hypothetical_view_size``).
         """
         order = None
         start = len(columns)

@@ -290,6 +290,82 @@ ROWS = [
         catcher="tests/test_cost_model.py::"
                 "test_index_probes_read_the_touched_leaves_in_leaf_order",
     ),
+    dict(
+        id="seq-scan-reads-pages-at-random",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    return pages * hw.seq_page_read_s + rows * hw.cpu_row_s\n",
+        replace="    return pages * hw.random_page_read_s + rows * hw.cpu_row_s\n",
+        catcher="tests/test_cost_model.py::"
+                "test_seq_scan_reads_every_page_in_order_and_a_row_per_row",
+    ),
+    dict(
+        id="filter-charges-one-predicate",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    return rows * max(1, n_predicates) * hw.cpu_row_s\n",
+        replace="    return rows * hw.cpu_row_s\n",
+        catcher="tests/test_cost_model.py::"
+                "test_filter_rows_charges_a_row_per_row_and_predicate",
+    ),
+    dict(
+        id="aggregate-groups-without-cpu",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search=(
+            "        in_rows * hw.hash_row_s\n"
+            "        + groups * hw.cpu_row_s\n"
+        ),
+        replace="        in_rows * hw.hash_row_s\n",
+        catcher="tests/test_cost_model.py::"
+                "test_hash_aggregate_charges_a_hash_per_row_and_a_row_per_group",
+    ),
+    dict(
+        id="sort-linear-not-loglinear",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    cpu = rows * math.log2(rows) * hw.sort_row_s\n",
+        replace="    cpu = rows * hw.sort_row_s\n",
+        catcher="tests/test_cost_model.py::"
+                "test_sort_charges_n_log_n_comparisons_and_spills_by_bytes",
+    ),
+    dict(
+        id="view-build-writes-no-pages",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search=(
+            "    return input_cost + out_rows * hw.cpu_row_s"
+            " + pages * hw.page_write_s\n"
+        ),
+        replace="    return input_cost + out_rows * hw.cpu_row_s\n",
+        catcher="tests/test_cost_model.py::"
+                "test_build_view_adds_a_row_per_output_row_and_writes_its_pages",
+    ),
+    # -- view sizing: an exact count, and no sort order kept for it
+    dict(
+        id="view-size-span-one-short",
+        guards="view sizing",
+        file="src/repro/engine/database.py",
+        search="        key *= n_distinct\n",
+        replace="        key *= n_distinct - 1\n",
+        catcher="tests/test_environment.py::"
+                "test_property_hypothetical_view_size_counts_packed_key_tuples",
+    ),
+    dict(
+        id="view-sizing-memoizes-a-sort",
+        guards="view sizing",
+        file="src/repro/engine/database.py",
+        search=(
+            "                else:\n"
+            "                    distinct = _distinct_key_tuples([\n"
+        ),
+        replace=(
+            "                else:\n"
+            "                    encodings.lexsort(table, columns)\n"
+            "                    distinct = _distinct_key_tuples([\n"
+        ),
+        catcher="ci: Resident bytes per row",
+    ),
     # -- the estimator
     dict(
         id="frequency-bucket-off-by-one",

@@ -113,6 +113,56 @@ def test_index_probes_read_the_touched_leaves_in_leaf_order():
     assert cm.index_probes(HW, 0, 1000, 10) == 0.0
 
 
+def test_seq_scan_reads_every_page_in_order_and_a_row_per_row():
+    """A heap or view scan (a ``ViewScan`` is charged this too) pays a
+    sequential read (0.1 s) per page and a row's CPU (20 us) per row."""
+    assert cm.seq_scan(HW, 100, 10_000) == pytest.approx(10.0 + 0.2)
+    assert cm.seq_scan(HW, 1, 0) == pytest.approx(0.1)
+
+
+def test_filter_rows_charges_a_row_per_row_and_predicate():
+    """Each predicate costs a row's CPU (20 us) per input row; no
+    predicate is charged as one."""
+    assert cm.filter_rows(HW, 1000, 3) == pytest.approx(0.06)
+    assert cm.filter_rows(HW, 1000) == pytest.approx(0.02)
+    assert cm.filter_rows(HW, 1000, 0) == pytest.approx(0.02)
+
+
+def test_hash_aggregate_charges_a_hash_per_row_and_a_row_per_group():
+    """An input row costs a hash (20 us), a group a row's CPU (20 us);
+    the groups spill by their bytes, 16 bytes of state each beside the
+    key."""
+    assert cm.hash_aggregate(HW, 10_000, 100, 16) == pytest.approx(0.202)
+    # 524 288 groups of 16 + 16 bytes fill working memory exactly.
+    assert cm.hash_aggregate(HW, 0, 524_288, 16) == pytest.approx(
+        524_288 * 2e-5
+    )
+    # One more group spills every one of the 2 049 pages.
+    assert cm.hash_aggregate(HW, 0, 524_289, 16) == pytest.approx(
+        524_289 * 2e-5 + 2049 * 0.22
+    )
+
+
+def test_sort_charges_n_log_n_comparisons_and_spills_by_bytes():
+    """``rows * log2(rows)`` at 4 us each; one row needs no sort."""
+    assert cm.sort(HW, 1024, 100) == pytest.approx(1024 * 10 * 4e-6)
+    assert cm.sort(HW, 1, 100) == 0.0
+    # 2**20 rows of 32 bytes: 32 MiB, 4 096 pages spilled.
+    assert cm.sort(HW, 2 ** 20, 32) == pytest.approx(
+        2 ** 20 * 20 * 4e-6 + 4096 * 0.22
+    )
+
+
+def test_build_view_adds_a_row_per_output_row_and_writes_its_pages():
+    """On top of its input's cost a view pays a row's CPU (20 us) per
+    row and writes its pages (0.12 s each), at least one."""
+    # 1 000 rows of 100 bytes take 13 pages.
+    assert cm.build_view(HW, 5.0, 1000, 100) == pytest.approx(
+        5.0 + 0.02 + 13 * 0.12
+    )
+    assert cm.build_view(HW, 0.0, 0, 100) == pytest.approx(0.12)
+
+
 def test_heap_fetch_cluster_factor_discount():
     clustered = cm.heap_fetch(HW, 100, 0.05, 1000, 100_000)
     scattered = cm.heap_fetch(HW, 100, 1.0, 1000, 100_000)

@@ -1,9 +1,14 @@
 """Planner environment metadata: IndexInfo, ViewInfo, PlannerEnv."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import Catalog, ColumnDef, Database, TableSchema, integer, varchar
+from repro.engine.database import _PRESENCE_SPAN_PER_ROW
+from repro.engine.systems import system_a
 from repro.index.definition import IndexDefinition
 from repro.optimizer.environment import IndexInfo, PlannerEnv, ViewInfo
 from repro.views.matview import MatViewDefinition, ViewColumn
@@ -91,25 +96,78 @@ def test_hypothetical_view_size_counts_distinct_key_tuples():
     assert 1 < rows < orders.row_count
 
 
-@settings(max_examples=3, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_property_hypothetical_view_size_reads_int32_codes_and_orders(seed):
-    """70 000 rows: a uid code beside a row position passes 31 bits in
-    the lexsort, and the key changes are compared on int32 codes
-    gathered through the int32 order."""
-    db = load_city_database(n_users=70_000, n_orders=70_000, seed=seed)
+@st.composite
+def key_mixes(draw):
+    """``(path, kinds)``: the counting path a key should take, and the
+    kind (``"str"`` or ``"int"``) of each of its two to four columns."""
+    path = draw(st.sampled_from(("presence", "sort", "fold")))
+    # Only four columns of some 60 000 distinct values each multiply
+    # past 2**63 at a row count a test can afford.
+    width = 4 if path == "fold" else draw(st.integers(2, 4))
+    kinds = draw(st.lists(
+        st.sampled_from(("str", "int")), min_size=width, max_size=width
+    ))
+    return path, kinds
+
+
+def key_ids(path, width, rng):
+    """A ``(rows, width)`` array of value ids whose columns' distinct
+    counts put the packed key on ``path``, with exact and near
+    duplicate rows appended (copies of earlier rows, half of them with
+    the last column taken from another earlier row), so no column
+    gains a value and the tuples repeat."""
+    if path == "fold":
+        ids = np.stack(
+            [rng.permutation(60_000) for _ in range(width)], axis=1
+        )
+    else:
+        rows = 3000
+        # At most four possible keys a row, or well over four.
+        top = int((4 * rows) ** (1 / width)) if path == "presence" else 300
+        ids = rng.integers(0, top, (rows, width))
+    copies = ids[rng.integers(0, len(ids), len(ids) // 4)]
+    half = len(copies) // 2
+    copies[:half, -1] = ids[rng.integers(0, len(ids), half), -1]
+    return np.concatenate([ids, copies])
+
+
+@settings(max_examples=6, deadline=None)
+@given(mix=key_mixes(), seed=st.integers(0, 10_000))
+@example(mix=("presence", ["str", "int"]), seed=0)
+@example(mix=("sort", ["int", "str", "int"]), seed=1)
+@example(mix=("fold", ["str", "int", "str", "int"]), seed=2)
+def test_property_hypothetical_view_size_counts_packed_key_tuples(mix, seed):
+    """A multi-column single-table view is sized by its distinct key
+    tuples, on each counting path of the packed key: a presence scan,
+    a sort, and a fold once the columns' distinct counts multiply past
+    2**63."""
+    path, kinds = mix
+    ids = key_ids(path, len(kinds), np.random.default_rng(seed))
+    names = [f"c{i}" for i in range(len(kinds))]
+    table = TableSchema("t", [
+        ColumnDef(name, varchar(8) if kind == "str" else integer(), name)
+        for name, kind in zip(names, kinds)
+    ])
+    db = Database(Catalog([table]), system_a())
+    db.load_table("t", {
+        name: (np.array([f"v{i}" for i in column], dtype=object)
+               if kind == "str" else column * 7 - 3)
+        for name, kind, column in zip(names, kinds, ids.T)
+    })
+    db.collect_statistics()
     vdef = MatViewDefinition(
-        tables=("orders",),
-        group_columns=(
-            ViewColumn("orders", "uid"), ViewColumn("orders", "amount"),
-        ),
+        tables=("t",),
+        group_columns=tuple(ViewColumn("t", name) for name in names),
     )
-    orders = db.table("orders")
+    stored = db.table("t")
+    span = math.prod(len(np.unique(stored.decode(n))) for n in names)
+    assert {
+        "presence": span <= _PRESENCE_SPAN_PER_ROW * len(ids),
+        "sort": _PRESENCE_SPAN_PER_ROW * len(ids) < span <= 2 ** 63,
+        "fold": span > 2 ** 63,
+    }[path]
     rows, _width = db._hypothetical_view_size(vdef)
-    encodings = db._cache("dict_cache")
-    assert encodings.lexsort(orders, ("uid", "amount")).dtype == np.int32
-    assert encodings.dictionary(orders, "uid").codes.dtype == np.int32
     assert rows == len(np.unique(
-        np.stack([orders.column("uid"), orders.column("amount")], axis=1),
+        np.stack([stored.decode(n).astype(str) for n in names], axis=1),
         axis=0,
     ))

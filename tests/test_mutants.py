@@ -6,6 +6,8 @@ only keeps a refactor from leaving the table silently stale.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,19 @@ def test_a_catcher_step_is_read_from_the_workflow():
     assert script.startswith("for hashseed in 0 1; do\n")
     assert "run all" in script
     assert mutants.ci_step_script("No such step") is None
+
+
+def test_help_prints_usage_and_runs_nothing():
+    """``--help`` exits 0 at once; any other argument exits 2 (the full
+    run takes minutes, so either would time out if it started)."""
+    shown = subprocess.run(
+        [sys.executable, str(SCRIPT), "--help"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage:")
+    refused = subprocess.run(
+        [sys.executable, str(SCRIPT), "--jobs", "2"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert refused.returncode == 2
