@@ -29,6 +29,11 @@ class StepGoal:
             raise ValueError("goal thresholds must be sorted")
         if fractions != sorted(fractions):
             raise ValueError("a goal must be a monotone function")
+        # Just above each threshold, and what the goal requires there:
+        # every margin is taken at these points.
+        points = np.array(thresholds, dtype=np.float64) * (1 + 1e-9)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_required", self(points))
 
     def __call__(self, x):
         """Required completed fraction at time ``x``."""
@@ -44,19 +49,14 @@ class StepGoal:
         Checking just above each threshold suffices for step goals; a
         finer grid may be supplied for composite checks.
         """
-        points = np.array(
-            [t for t, _ in self.steps], dtype=np.float64
-        ) * (1 + 1e-9)
+        points = self._points
         if grid is not None:
             points = np.concatenate([points, np.asarray(grid)])
         return bool(np.all(curve(points) > self(points) - 1e-12))
 
     def margin(self, curve):
         """Worst-case slack ``min(CFC - G)`` over the goal thresholds."""
-        points = np.array(
-            [t for t, _ in self.steps], dtype=np.float64
-        ) * (1 + 1e-9)
-        return float(np.min(curve(points) - self(points)))
+        return float((curve(self._points) - self._required).min())
 
 
 def example2_goal(timeout=1800.0):

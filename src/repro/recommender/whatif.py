@@ -12,16 +12,11 @@ The candidate search runs on top of the **what-if cost service**
 (:mod:`repro.recommender.costservice`): per-query ``H`` costs are
 memoized by the relevant subset of the trial configuration, and
 candidate trials extend the current configuration's what-if environment
-incrementally.  A round is one serial loop over its candidates, most
-promising first (best-possible gain per byte), and never prices more of
-a candidate than it takes to rule it out: its best-possible gain is
-bounded before any optimizer call and again after every priced query
-(:func:`price_bounded`), and the candidate is dropped the moment the
-bound falls below the round's improvement threshold — or, per byte,
-below the score of the round's best candidate so far.  Both drops are
-exact: a dropped candidate could not have won the round.  Each
-candidate's size is taken once per run: it adds the same bytes to
-whatever the earlier rounds selected.
+incrementally.  A round prices a candidate only until it is ruled out
+(:func:`price_bounded`), exactly: a dropped candidate could not have won
+the round.  Each candidate is sized once per run.  The goal-driven
+advisor runs the same loops; an objective (:class:`TotalCost` here)
+holds what differs.
 
 Reproduced failure modes:
 
@@ -79,31 +74,36 @@ def gain_of(current, trial):
     return gain
 
 
-def price_bounded(current, threshold, price, beats=None):
+def price_bounded(current, threshold, price, beats=None, gain=gain_of,
+                  slack=0.0):
     """Price one candidate until it is known to miss ``threshold``.
 
     Queries are priced dearest first, and before each one the candidate's
     *optimistic* gain is taken: priced queries at their trial cost,
-    every unpriced query at trial cost 0.  Costs are non-negative and
-    floating-point subtraction and addition are monotone, so the
-    optimistic gain — the same sum, in the same order, with some trial
-    costs lowered to 0 — is never below the final one: once it is under
+    every unpriced query at trial cost 0, plus ``slack``.  Costs are
+    non-negative and ``gain`` never rises when a trial cost rises, so
+    the optimistic gain is never below the final one: once it is under
     ``threshold`` the final gain is too, and the candidate can be
-    dropped without pricing the rest.  The last check is the final
-    gain itself, so a fully priced candidate that misses the threshold
-    is dropped by the same test.
+    dropped without pricing the rest.  :func:`gain_of` needs no slack:
+    the optimistic sum is the same sum, in the same order, with some
+    trial costs lowered to 0, and floating-point arithmetic is monotone.
+    The last check is the final gain itself, without slack, so a fully
+    priced candidate that misses the threshold is dropped by the same
+    test.
 
     Args:
-        current: current weighted cost of each relevant query, in query
-            order.
+        current: current cost of each relevant query, in query order.
         threshold: the gain a candidate must reach this round.
-        price: ``price(position)`` → weighted trial cost (``>= 0``) of
-            the query at ``position`` of ``current``.
+        price: ``price(position)`` → trial cost (``>= 0``) of the query
+            at ``position`` of ``current``.
         beats: optional ``beats(gain)`` → whether a candidate whose
             final gain were this optimistic gain could still win the
             round; asked after the threshold, at every check, and the
             candidate is dropped on the first no.  It must be monotone
             in the gain for the drop to be sound.
+        gain: ``gain(current, trial)`` → the trial's gain.
+        slack: the most rounding can lift a computed gain above that of
+            the same trial with some costs lowered.
 
     Returns:
         ``(trial, priced)``: the trial costs aligned with ``current``
@@ -114,14 +114,45 @@ def price_bounded(current, threshold, price, beats=None):
     dearest_first = sorted(range(len(current)), key=lambda i: -current[i])
     priced = 0
     while True:
-        gain = gain_of(current, trial)
-        if gain < threshold or not (beats is None or beats(gain)):
+        bound = gain(current, trial)
+        if priced < len(current):
+            bound += slack
+        if bound < threshold or not (beats is None or beats(bound)):
             return None, priced
         if priced == len(current):
             return trial, priced
         position = dearest_first[priced]
         trial[position] = price(position)
         priced += 1
+
+
+class TotalCost:
+    """The classic advisor's objective: summed weighted estimated cost.
+
+    An objective is all that differs between two runs of the one run and
+    round loop: how a priced cost enters the run's costs (``enter``),
+    the round's ``gains(costs)(relevant)(before, after)`` (never rising
+    with a cost in ``after``), the gain a candidate must reach
+    (``threshold``), when the run stops (``met``), and the ``slack`` of
+    :func:`price_bounded`.
+    """
+
+    slack = 0.0
+
+    def __init__(self, weights, min_improvement):
+        self.weights, self.min_improvement = weights, min_improvement
+
+    def enter(self, position, cost):
+        return self.weights[position] * cost
+
+    def gains(self, costs):
+        return lambda relevant: gain_of
+
+    def threshold(self, costs):
+        return self.min_improvement * max(sum(costs), 1e-9)
+
+    def met(self, costs):
+        return False
 
 
 class WhatIfRecommender:
@@ -148,44 +179,38 @@ class WhatIfRecommender:
             profile=self.profile.name,
             budget_bytes=int(budget_bytes),
         ) as span:
-            report = self._recommend(workload, budget_bytes, name, span)
+            report, _costs = self._recommend(
+                workload, budget_bytes,
+                name or f"{self._db.name}_{self.profile.name}_R", span,
+                TotalCost([q.weight for q in workload],
+                          self.profile.min_improvement),
+                self.profile.max_candidates,
+            )
         obs.counter_add("recommender.runs")
-        obs.event(
-            "recommendation",
-            workload=workload.name,
-            configuration=report.configuration.name,
-            fingerprint=report.configuration.fingerprint,
-            candidates=report.candidate_count,
-            iterations=report.iterations,
-            selected=len(report.selected),
-            used_bytes=report.used_bytes,
-        )
         return report
 
-    def _recommend(self, workload, budget_bytes, name, span):
-        profile = self.profile
+    def _recommend(self, workload, budget_bytes, name, span, objective,
+                   max_candidates):
+        """``(report, final costs)`` of the greedy run under
+        ``objective``; gives up past ``max_candidates`` (if not None)."""
         queries = [self._db.bind(q.sql) for q in workload]
-        weights = [q.weight for q in workload]
         base_config = self._db.configuration
 
         candidates = self._collect_candidates(queries, base_config)
         obs.counter_add("recommender.candidates_generated", len(candidates))
-        if profile.max_candidates is not None and \
-                len(candidates) > profile.max_candidates:
+        if max_candidates is not None and len(candidates) > max_candidates:
             span.set(gave_up=True, candidates=len(candidates))
             obs.counter_add("recommender.give_ups")
             raise RecommenderGaveUp(
                 f"{len(candidates)} candidate structures exceed the "
-                f"search limit of {profile.max_candidates} "
+                f"search limit of {max_candidates} "
                 f"(workload of {len(queries)} queries)"
             )
 
         sizes = self._sizes(candidates, base_config)
-        raw_base = self._service.costs(
-            queries, base_config, oracle=self.oracle
-        )
-        base_costs = [c * w for c, w in zip(raw_base, weights)]
-        total = sum(base_costs)
+        base_costs = [objective.enter(idx, cost) for idx, cost in enumerate(
+            self._service.costs(queries, base_config, oracle=self.oracle)
+        )]
 
         current = base_config
         current_costs = list(base_costs)
@@ -193,16 +218,14 @@ class WhatIfRecommender:
         selected = []
         iterations = 0
         affected = {}
-        while len(selected) < profile.max_selected:
+        while len(selected) < self.profile.max_selected \
+                and not objective.met(current_costs):
             iterations += 1
-            threshold = profile.min_improvement * max(
-                sum(current_costs), 1e-9
-            )
             selected_keys = {key for key, _ in selected}
             best = self._best_candidate(
-                candidates, sizes, selected_keys, queries, weights,
-                current, current_costs, used, budget_bytes, threshold,
-                affected,
+                candidates, sizes, selected_keys, queries, objective,
+                current, current_costs, used, budget_bytes,
+                objective.threshold(current_costs), affected,
             )
             if best is None:
                 break
@@ -213,20 +236,20 @@ class WhatIfRecommender:
             for idx, cost in trial_costs.items():
                 current_costs[idx] = cost
 
-        final = current.renamed(
-            name or f"{self._db.name}_{self.profile.name}_R"
-        )
-        span.set(
-            candidates=len(candidates),
-            iterations=iterations,
-            selected=len(selected),
-            used_bytes=used,
-        )
+        span.set(candidates=len(candidates), iterations=iterations,
+                 selected=len(selected), used_bytes=used)
         obs.counter_add("recommender.iterations", iterations)
         obs.counter_add("recommender.structures_selected", len(selected))
-        return RecommendationReport(
+        final = current.renamed(name)
+        obs.event(
+            "recommendation", workload=workload.name,
+            configuration=final.name, fingerprint=final.fingerprint,
+            candidates=len(candidates), iterations=iterations,
+            selected=len(selected), used_bytes=used,
+        )
+        report = RecommendationReport(
             configuration=final,
-            base_cost=total,
+            base_cost=sum(base_costs),
             estimated_cost=sum(current_costs),
             budget_bytes=budget_bytes,
             used_bytes=used,
@@ -234,19 +257,20 @@ class WhatIfRecommender:
             candidate_count=len(candidates),
             selected=[c for _, c in selected],
         )
+        return report, current_costs
 
     # ------------------------------------------------------------------
     # One greedy round
 
     def _best_candidate(self, candidates, sizes, selected_keys, queries,
-                        weights, current, current_costs, used,
+                        objective, current, current_costs, used,
                         budget_bytes, threshold, affected):
         """The round's best ``(score, key, candidate, extra, gain, costs)``.
 
         Phase 1 (cheap) filters candidates: already selected, over
-        budget, or pruned because even a best-possible gain (the entire
-        current cost of the queries the candidate can affect) cannot
-        reach the round's improvement threshold.
+        budget, or pruned because even a best-possible gain (every query
+        the candidate can affect priced at 0) cannot reach the round's
+        improvement threshold.
 
         Phase 2 prices the survivors in one loop, most promising first —
         by that best-possible gain per byte, ties by position — each one
@@ -262,9 +286,11 @@ class WhatIfRecommender:
         place: the winner is the first candidate, by position, with the
         highest score, as if every candidate had been priced in full.
         No drop loses it: a final score is never above the optimistic
-        one (the same sum over the same order, divided by the same
-        positive size), and the best so far never scores above it.
+        one (the objective's gain never rises with a cost, divided by
+        the same positive size), and the best so far never scores above
+        it.
         """
+        gain_over = objective.gains(current_costs)
         eligible = []
         pruned = 0
         for key, candidate in candidates.items():
@@ -275,39 +301,42 @@ class WhatIfRecommender:
                 continue
             relevant = self._affected(affected, key, candidate, queries)
             before = [current_costs[idx] for idx in relevant]
-            if sum(before) < threshold:
+            gain = gain_over(relevant)
+            hope = gain(before, [0.0] * len(before))
+            if hope + objective.slack < threshold:
                 pruned += 1
                 continue
-            eligible.append((key, candidate, extra, relevant, before))
+            eligible.append((key, candidate, extra, relevant, before, gain,
+                             hope / max(1, extra)))
         if pruned:
             obs.counter_add("recommender.candidates_pruned", pruned)
 
         best = leader = None
         abandoned = skipped = outscored = unpriced = 0
-        promise = [sum(before) / max(1, extra)
-                   for _key, _candidate, extra, _relevant, before in eligible]
         for position in sorted(range(len(eligible)),
-                               key=lambda p: -promise[p]):
-            key, candidate, extra, relevant, before = eligible[position]
+                               key=lambda p: -eligible[p][6]):
+            key, candidate, extra, relevant, before, gain, _ = \
+                eligible[position]
             trial = self._extend(current, candidate)
             per_byte = max(1, extra)
             lost = False
 
             def price(at):
                 idx = relevant[at]
-                return weights[idx] * self._service.cost(
+                return objective.enter(idx, self._service.cost(
                     queries[idx], trial, base=current, oracle=self.oracle
-                )
+                ))
 
-            def beats(gain):
+            def beats(bound):
                 nonlocal lost
-                score = gain / per_byte
+                score = bound / per_byte
                 lost = not (score > leader[0] or (
                     score == leader[0] and position < leader[1]))
                 return not lost
 
             after, count = price_bounded(
-                before, threshold, price, None if leader is None else beats
+                before, threshold, price, None if leader is None else beats,
+                gain, objective.slack,
             )
             if after is None:
                 # Not worth its maintenance/storage footprint, or cannot
@@ -319,9 +348,9 @@ class WhatIfRecommender:
                     abandoned += 1
                     skipped += len(relevant) - count
                 continue
-            gain = gain_of(before, after)
-            leader = (gain / per_byte, position)
-            best = (leader[0], key, candidate, extra, gain,
+            won = gain(before, after)
+            leader = (won / per_byte, position)
+            best = (leader[0], key, candidate, extra, won,
                     dict(zip(relevant, after)))
         if abandoned:
             obs.counter_add("recommender.candidates_abandoned", abandoned)

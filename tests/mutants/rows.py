@@ -341,6 +341,42 @@ ROWS = [
         catcher="tests/test_cost_model.py::"
                 "test_build_view_adds_a_row_per_output_row_and_writes_its_pages",
     ),
+    dict(
+        id="descent-reads-every-level",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    del height\n    return hw.random_page_read_s\n",
+        replace="    return height * hw.random_page_read_s\n",
+        catcher="tests/test_cost_model.py::"
+                "test_index_descend_charges_one_random_read_at_any_height",
+    ),
+    dict(
+        id="leaf-range-drops-a-partial-page",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    pages = max(1.0, math.ceil(frac * leaf_pages))",
+        replace="    pages = max(1.0, math.floor(frac * leaf_pages))",
+        catcher="tests/test_cost_model.py::"
+                "test_index_leaf_range_reads_its_share_of_leaves_in_order",
+    ),
+    dict(
+        id="index-build-sorts-keys-without-row-ids",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="        + sort(hw, rows, key_width + 12)\n",
+        replace="        + sort(hw, rows, key_width)\n",
+        catcher="tests/test_cost_model.py::"
+                "test_build_index_scans_sorts_entries_with_row_ids_and_writes_leaves",
+    ),
+    dict(
+        id="insert-charges-indexes-by-height",
+        guards="cost model",
+        file="src/repro/optimizer/cost_model.py",
+        search="    cost += len(index_heights) * rows * (\n",
+        replace="    cost += sum(index_heights) * rows * (\n",
+        catcher="tests/test_cost_model.py::"
+                "test_insert_rows_writes_heap_pages_and_charges_each_index_alike",
+    ),
     # -- view sizing: an exact count, and no sort order kept for it
     dict(
         id="view-size-span-one-short",
@@ -399,6 +435,19 @@ ROWS = [
         replace="            if used + extra >= budget_bytes:\n",
         catcher="tests/test_recommender.py::"
                 "test_candidate_that_fills_the_budget_to_the_byte_is_eligible",
+    ),
+    dict(
+        id="goal-bound-keeps-unpriced-costs",
+        guards="recommender",
+        file="src/repro/recommender/goal_driven.py",
+        search="                trial[relevant] = after\n",
+        replace=(
+            "                trial[relevant] = "
+            "[a or b for a, b in zip(after, before)]\n"
+        ),
+        catcher="tests/test_reference_recommender.py::"
+                "test_goal_product_selects_what_the_textbook_greedy_selects"
+                "[B-NREF3J-True]",
     ),
     # -- the relevance rule: a structure it rejects changes no plan
     dict(

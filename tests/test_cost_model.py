@@ -163,6 +163,59 @@ def test_build_view_adds_a_row_per_output_row_and_writes_its_pages():
     assert cm.build_view(HW, 0.0, 0, 100) == pytest.approx(0.12)
 
 
+def test_index_descend_charges_one_random_read_at_any_height():
+    """Upper levels are cached: a descent is one random read (0.3 s)."""
+    assert cm.index_descend(HW, 1) == pytest.approx(0.3)
+    assert cm.index_descend(HW, 4) == pytest.approx(0.3)
+
+
+def test_index_leaf_range_reads_its_share_of_leaves_in_order():
+    """The matched share of the leaves, rounded up to whole pages and
+    read in order (0.1 s each), plus a row's CPU (20 us) per entry."""
+    # A quarter of 1 000 entries on 40 leaves: 10 pages.
+    assert cm.index_leaf_range(HW, 250, 1000, 40) == pytest.approx(
+        10 * 0.1 + 250 * 2e-5
+    )
+    # 260 entries span 10.4 leaves: the partial one is read too.
+    assert cm.index_leaf_range(HW, 260, 1000, 40) == pytest.approx(
+        11 * 0.1 + 260 * 2e-5
+    )
+    assert cm.index_leaf_range(HW, 1, 1000, 40) == pytest.approx(0.1 + 2e-5)
+    assert cm.index_leaf_range(HW, 0, 1000, 40) == 0.0
+    assert cm.index_leaf_range(HW, 5, 0, 40) == 0.0
+
+
+def test_build_index_scans_sorts_entries_with_row_ids_and_writes_leaves():
+    """A build scans the heap, sorts one entry per row — the key and a
+    12-byte row id — and writes the index's pages (0.12 s each)."""
+    # 1 024 entries of 20 + 12 bytes sort in memory.
+    assert cm.build_index(HW, 100, 1024, 20, 5) == pytest.approx(
+        (100 * 0.1 + 1024 * 2e-5) + 1024 * 10 * 4e-6 + 5 * 0.12
+    )
+    # 2**20 entries of 8 + 12 bytes: 20 MiB, 2 560 pages spilled.
+    assert cm.build_index(HW, 1000, 2 ** 20, 8, 3000) == pytest.approx(
+        (1000 * 0.1 + 2 ** 20 * 2e-5)
+        + (2 ** 20 * 20 * 4e-6 + 2560 * 0.22)
+        + 3000 * 0.12
+    )
+
+
+def test_insert_rows_writes_heap_pages_and_charges_each_index_alike():
+    """Appended rows write their heap pages (0.12 s each) and a row's
+    CPU (20 us); each index adds a quarter random read (0.075 s) and a
+    row's CPU per row, whatever its height."""
+    # 1 000 rows of 100 bytes take 13 pages.
+    assert cm.insert_rows(HW, 1000, 100, []) == pytest.approx(
+        13 * 0.12 + 1000 * 2e-5
+    )
+    assert cm.insert_rows(HW, 1000, 100, [2, 3]) == pytest.approx(
+        13 * 0.12 + 1000 * 2e-5 + 2 * 1000 * (0.075 + 2e-5)
+    )
+    assert cm.insert_rows(HW, 1000, 100, [5, 5]) == cm.insert_rows(
+        HW, 1000, 100, [1, 1]
+    )
+
+
 def test_heap_fetch_cluster_factor_discount():
     clustered = cm.heap_fetch(HW, 100, 0.05, 1000, 100_000)
     scattered = cm.heap_fetch(HW, 100, 1.0, 1000, 100_000)

@@ -1,12 +1,17 @@
 """The goal-driven recommender (the paper's Section 6 proposal)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.cfc import CumulativeFrequencyCurve
 from repro.analysis.goals import StepGoal
 from repro.analysis.measurements import measure_workload
 from repro.engine.configuration import primary_configuration
-from repro.recommender.goal_driven import GoalDrivenRecommender
+from repro.recommender.goal_driven import GoalDrivenRecommender, GoalMargin
 from repro.recommender.profiles import RecommenderProfile
 from repro.workload.workload import Workload, make_instance
 
@@ -117,6 +122,7 @@ def test_weighted_workload_shifts_the_curve(db):
         9 * measurement.elapsed[0] + measurement.elapsed[1]
     )
 
+
 def test_once_per_run_sizes_are_the_whole_trial_arithmetic(db):
     """Candidates are sized once per run; every budget check still sees
     what re-sizing the whole trial configuration each round gave:
@@ -167,3 +173,62 @@ def test_once_per_run_sizes_are_the_whole_trial_arithmetic(db):
     assert len(outcome.selected) == 2 and outcome.iterations == 3
     assert outcome.used_bytes == run["used"]
     assert run["checked"] > 2 * len(outcome.selected)
+
+
+@st.composite
+def optimistic_trials(draw):
+    """A goal, weights, current and trial costs, and which of the trial
+    costs are priced: the rest are taken at 0, as while bounding."""
+    n = draw(st.integers(1, 12))
+    floats = st.one_of(
+        st.sampled_from([0.0, 5e-324, 0.1, 0.3, 1.0, 10.0]),
+        st.floats(min_value=0.0, max_value=100.0),
+    )
+    weights = draw(st.lists(
+        st.one_of(st.sampled_from([1.0, 0.1, 1e-9, 3.7]),
+                  st.floats(min_value=0.0, max_value=1e3)),
+        min_size=n, max_size=n,
+    ))
+    current = draw(st.lists(floats, min_size=n, max_size=n))
+    relevant = sorted(draw(st.sets(st.integers(0, n - 1))))
+    after = draw(st.lists(
+        floats, min_size=len(relevant), max_size=len(relevant)
+    ))
+    priced = draw(st.lists(
+        st.booleans(), min_size=len(relevant), max_size=len(relevant)
+    ))
+    thresholds = sorted(draw(st.lists(floats, min_size=1, max_size=3)))
+    fractions = sorted(draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0),
+        min_size=len(thresholds), max_size=len(thresholds),
+    )))
+    goal = StepGoal(steps=tuple(zip(thresholds, fractions)))
+    return goal, weights, current, relevant, after, priced
+
+
+@settings(max_examples=150, deadline=None)
+@given(optimistic_trials())
+def test_property_optimistic_margin_bounds_the_final_one(case):
+    """Unpriced queries at cost 0 never lower the margin's gain by more
+    than the objective's slack, however the weights round."""
+    goal, weights, current, relevant, after, priced = case
+    objective = GoalMargin(goal, weights)
+    gain = objective.gains(current)(relevant)
+    before = [current[idx] for idx in relevant]
+    optimistic = [cost if known else 0.0
+                  for cost, known in zip(after, priced)]
+    assert gain(before, optimistic) + objective.slack >= gain(before, after)
+
+
+def test_goal_driven_tuning_example_prints_its_four_verdicts(capsys):
+    path = Path(__file__).resolve().parents[1] / "examples" / \
+        "goal_driven_tuning.py"
+    spec = importlib.util.spec_from_file_location("goal_example", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    example.main(0.05)
+    lines = capsys.readouterr().out.splitlines()
+    for label in ("P", "R (total cost)", "R (goal driven)", "1C"):
+        assert any(
+            line.startswith(f"  {label:<22} goal ") for line in lines
+        ), label

@@ -17,6 +17,7 @@ from repro.recommender.candidates import (
 )
 from repro.recommender.profiles import RecommenderProfile
 from repro.recommender.whatif import (
+    TotalCost,
     WhatIfRecommender,
     gain_of,
     price_bounded,
@@ -296,8 +297,8 @@ def _round(costs, sizes, current, weights, used, budget, threshold):
     }
     best = recommender._best_candidate(
         candidates, dict(zip(candidates, sizes)), set(),
-        list(range(len(current))), weights, Configuration("P"),
-        current, used, budget, threshold, {},
+        list(range(len(current))), TotalCost(weights, 0.0),
+        Configuration("P"), current, used, budget, threshold, {},
     )
     winner = None if best is None else (best[1], best[4], best[5])
     return winner, service.calls
