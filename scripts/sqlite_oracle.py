@@ -9,9 +9,11 @@ with the SQLite oracle at scale 0.05; this runs the same check, its
 ``check_family``, over every query of the full families at scale 0.02,
 for the seven (system, family) pairs the paper measures.  Each pair
 prints its comparisons per configuration, the queries that timed out
-under every configuration, and its seconds.  The exit status is 1 when
-a pair returns other rows than SQLite, or compares nothing under a
-configuration it built; else 0.
+under every configuration, how many runs repeated a plan fingerprint
+(each with the seconds and rows of its first run, which ``check_family``
+asserts), and its seconds.  The exit status is 1 when a pair returns
+other rows than SQLite, runs one fingerprint to two outcomes, repeats
+none, or compares nothing under a configuration it built; else 0.
 """
 
 import sys
@@ -38,7 +40,7 @@ def main():
         pair_started = time.monotonic()
         queries = list(context.full_family(system, family))
         try:
-            compared, timed_out = test_plan_shape.check_family(
+            compared, timed_out, repeated = test_plan_shape.check_family(
                 context, system, family, queries
             )
         except AssertionError:
@@ -51,6 +53,8 @@ def main():
         counts = ", ".join(f"{name} {n}" for name, n in compared.items())
         print(f"{system} {family}: {len(queries)} queries; compared "
               f"{counts}; {timed_out} timed out under every configuration; "
+              f"{repeated} runs repeated a plan fingerprint with equal "
+              f"seconds and rows; "
               f"{time.monotonic() - pair_started:.1f} s", flush=True)
     print(f"{len(test_plan_shape.FAMILIES) - failed}/"
           f"{len(test_plan_shape.FAMILIES)} pair(s) agree with SQLite; "

@@ -4,6 +4,13 @@ The paper's Example 2: "10% of the queries complete in less than 10
 seconds, 50% in less than one minute, 90% before a 30 minute timeout" is
 the step function ``G`` with ``CFC_C > G`` as the satisfaction criterion;
 any monotone function works as a goal.
+
+:meth:`StepGoal.satisfied_by` is the one rule for "goal met", for a
+measured curve and for the goal advisor's estimated one alike: at every
+goal point the curve has completed at least the fraction the goal
+requires, less rounding — "10% of the queries complete in less than 10
+seconds" holds when exactly 10% do, and a step demanding 1.0 is met by
+a curve that completes every query.
 """
 
 from dataclasses import dataclass
@@ -44,7 +51,8 @@ class StepGoal:
         return result
 
     def satisfied_by(self, curve, grid=None):
-        """Whether ``CFC > G`` at every goal threshold (and grid point).
+        """Whether ``CFC > G - 1e-12`` just above every goal threshold
+        (and at every grid point).
 
         Checking just above each threshold suffices for step goals; a
         finer grid may be supplied for composite checks.

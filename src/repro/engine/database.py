@@ -6,6 +6,7 @@ indexes and materialized views).  It exposes the three cost measures of
 the paper's framework:
 
 * ``execute(sql)``                    → actual cost  ``A(q, C)``
+  (and the rows); ``measure(sql)`` → ``A(q, C)`` alone, memoized
 * ``estimate(sql)``                   → estimated cost ``E(q, C)``
 * ``estimate_hypothetical(sql, Ch)``  → hypothetical cost ``H(q, Ch, C)``
 
@@ -34,7 +35,13 @@ can change a plan or a cost: :meth:`Database.apply_configuration`,
 :meth:`Database.insert_rows`, :meth:`Database.collect_statistics`, and
 :meth:`Database.load_table`.  Parse+bind results are registered in a
 second group (they depend only on the catalog) so front-end work
-survives those invalidations.
+survives those invalidations.  Measured actual costs sit in a third,
+the **measurement memo**, keyed by ``(bound sql, plan fingerprint,
+timeout)``: the executor charges by nothing but the plan's
+:func:`~repro.optimizer.plans.plan_fingerprint`, the query and the
+rows, so the memo survives configuration and statistics changes and
+only :meth:`Database.insert_rows` and :meth:`Database.load_table` drop
+it.
 
 What-if environments additionally support an *incremental* build: when
 a trial configuration extends a configuration whose environment is
@@ -69,6 +76,7 @@ from ..optimizer.environment import (
 )
 from ..optimizer.estimator import Estimator
 from ..optimizer.planner import Planner
+from ..optimizer.plans import plan_fingerprint
 from ..sql.binder import Binder, BoundQuery
 from ..sql.parser import parse
 from ..stats.table_stats import StatisticsCatalog, TableStats
@@ -171,6 +179,7 @@ class Database:
     ENV_CACHE_SIZE = 128
     WHATIF_CACHE_SIZE = 65536
     BIND_CACHE_SIZE = 8192
+    MEASURE_CACHE_SIZE = 8192
 
     def __init__(self, catalog, system, name="db"):
         self.catalog = catalog
@@ -189,7 +198,11 @@ class Database:
         ``derived`` entries depend on data, statistics or the built
         configuration and are dropped by :meth:`invalidate_caches`;
         ``catalog`` entries (bound queries) depend on the catalog only,
-        survive that, and are dropped by :meth:`load_table` alone.
+        survive that, and are dropped by :meth:`load_table` alone;
+        ``data`` entries (measured actual costs, keyed by plan
+        fingerprint) depend on the rows only, survive configuration
+        and statistics changes, and are dropped by :meth:`insert_rows`
+        and :meth:`load_table`.
         """
         dictionaries = DictionaryCache()
         self._caches = {
@@ -211,6 +224,11 @@ class Database:
             "catalog": {
                 "bind_cache": BoundedCache(
                     "bind_cache", self.BIND_CACHE_SIZE
+                ),
+            },
+            "data": {
+                "measure_cache": BoundedCache(
+                    "measure_cache", self.MEASURE_CACHE_SIZE
                 ),
             },
         }
@@ -255,7 +273,8 @@ class Database:
         Called by every state transition after which a cached plan or
         cost could be stale: configuration changes, row inserts, table
         (re)loads, and statistics collection.  Bound queries survive —
-        binding depends only on the catalog.
+        binding depends only on the catalog — and so do measured costs,
+        which depend on the plan and the rows (see :meth:`measure`).
         """
         for cache in self._caches["derived"].values():
             cache.invalidate()
@@ -315,8 +334,9 @@ class Database:
         """
         schema = self.catalog.table(name)
         self.tables[name] = Table(schema, columns)
-        for cache in self._caches["catalog"].values():
-            cache.invalidate()
+        for group in ("catalog", "data"):
+            for cache in self._caches[group].values():
+                cache.invalidate()
         self._view_size_cache.clear()
         self.invalidate_caches()
 
@@ -836,6 +856,31 @@ class Database:
         )
         return Planner(env).plan(bound).est.cost
 
+    def measure(self, sql, timeout=DEFAULT_TIMEOUT):
+        """Actual cost ``A(q, C)`` of a query: ``(elapsed, timed_out)``.
+
+        The executor charges by the bound query, the plan's
+        :func:`~repro.optimizer.plans.plan_fingerprint` and the rows,
+        and by nothing else.  So the outcome is memoized by ``(bound
+        sql, fingerprint, timeout)`` for as long as the rows stand: a
+        query whose plan under another configuration (or a repeat
+        under this one) was already run is not run again.  A miss is
+        :meth:`execute`.  The fingerprint is taken once per cached
+        plan, when it is first measured.
+        """
+        bound = self.bind(sql)
+        plan = self.plan(bound)
+        if plan.fingerprint is None:
+            plan.fingerprint = plan_fingerprint(plan)
+
+        def run():
+            result = self.execute(bound, timeout)
+            return result.elapsed, result.timed_out
+
+        return self._caches["data"]["measure_cache"].get_or_build(
+            (bound.sql, plan.fingerprint, timeout), run
+        )
+
     def execute(self, sql, timeout=DEFAULT_TIMEOUT):
         """Plan and run a query; returns a :class:`QueryResult`.
 
@@ -904,6 +949,7 @@ class Database:
         encodings = self._cache("dict_cache")
         appended = encodings.append_rows(table, columns)
         obs.counter_add("engine.rows_inserted", appended)
+        self._caches["data"]["measure_cache"].invalidate()
         self._view_size_cache.clear()
         self.invalidate_caches()
         heights = []

@@ -190,6 +190,10 @@ def render_text(report):
         kernels = caches.get("kernel_cache")
         if kernels and kernels["hits"] + kernels["misses"]:
             line += f", kernel cache rate {kernels['hit_rate']:.2f}"
+        measured = caches.get("measure_cache")
+        if measured and measured["hits"] + measured["misses"]:
+            line += (f", measure cache {measured['hits']}/"
+                     f"{measured['hits'] + measured['misses']} hits")
         lines.append(line)
         resident = caches["resident_bytes"]
         lines.append(

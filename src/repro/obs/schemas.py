@@ -233,9 +233,12 @@ RUN_REPORT_SCHEMA = {
                     "type": "object",
                     "additionalProperties": {
                         "type": "object",
-                        "required": ["resident_bytes"],
+                        "required": ["resident_bytes", "measure_cache"],
                         "properties": {
                             "resident_bytes": _RESIDENT_BYTES_SCHEMA,
+                            # The measurement memo: a hit is an
+                            # execution a repeated plan did not need.
+                            "measure_cache": _CACHE_COUNTERS_SCHEMA,
                         },
                         "additionalProperties": _CACHE_COUNTERS_SCHEMA,
                     },

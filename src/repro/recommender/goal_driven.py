@@ -46,7 +46,8 @@ class GoalRecommendation:
 class GoalMargin:
     """A goal run's objective (see :class:`~.whatif.TotalCost`): the
     margin of the estimated curve.  Costs enter raw, as the curve applies
-    the weights; a gain must exceed ``1e-12``; a positive margin stops.
+    the weights; a gain must exceed ``1e-12``; a curve that meets the
+    goal (:meth:`~repro.analysis.goals.StepGoal.satisfied_by`) stops.
 
     The curve at ``x`` weighs the queries that cost less than ``x``, so
     the margin never rises with a query's cost.  Only rounding can break
@@ -65,12 +66,14 @@ class GoalMargin:
     def enter(self, position, cost):
         return cost
 
-    def margin(self, costs):
-        estimated = WorkloadMeasurement(
+    def _curve(self, costs):
+        return CumulativeFrequencyCurve(WorkloadMeasurement(
             "goal", "estimated", costs, np.zeros(len(costs), dtype=bool),
             weights=self._weights,
-        )
-        return self.goal.margin(CumulativeFrequencyCurve(estimated))
+        ))
+
+    def margin(self, costs):
+        return self.goal.margin(self._curve(costs))
 
     def gains(self, costs):
         current, margin = np.array(costs, dtype=np.float64), self.margin(costs)
@@ -87,7 +90,7 @@ class GoalMargin:
         return math.nextafter(1e-12, math.inf)
 
     def met(self, costs):
-        return self.margin(costs) > 0
+        return self.goal.satisfied_by(self._curve(costs))
 
 
 class GoalDrivenRecommender(WhatIfRecommender):
@@ -112,7 +115,7 @@ class GoalDrivenRecommender(WhatIfRecommender):
             margin = objective.margin(costs)
             recommendation = GoalRecommendation(
                 configuration=report.configuration,
-                goal_met=margin > 0,
+                goal_met=objective.met(costs),
                 estimated_margin=margin,
                 used_bytes=report.used_bytes,
                 iterations=report.iterations,

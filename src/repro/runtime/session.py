@@ -5,19 +5,27 @@ against one database under configurations P/1C/R and compare actual (A),
 estimated (E) and hypothetical (H) costs".  A :class:`MeasurementSession`
 owns that loop:
 
-* executed queries fan out over the session's own ``concurrent.futures``
+* each query's actual cost comes from ``Database.measure``, which runs
+  a query only when no plan with its fingerprint was run for it since
+  the rows last changed (the database's measurement memo): a warm pass,
+  or a configuration that plans a query as another one did, re-runs
+  nothing;
+* the queries fan out over the session's own ``concurrent.futures``
   **thread pool** whose width is the caller's ``jobs`` (the ``--jobs``
   flag; default 1 = serial).  The engine's clock is *virtual* — elapsed
   times are computed from the cost model, not measured — so parallel
   execution is bit-identical to serial execution; results are collected
-  in submission order regardless of completion order;
+  in submission order regardless of completion order, and a query text
+  repeated in a batch is measured once, so the memo's counts do not
+  depend on the width;
 * estimates (``E`` and ``H``) are priced on the calling thread;
 * per-query timeouts propagate exactly as in the serial path: a timed-out
   query is clamped to the timeout and flagged, never aborts the batch.
 
 ``analysis.measurements.measure_workload`` / ``estimate_workload`` are
-thin wrappers over this class.  A pool thread runs ``Database.execute``
-and no other engine work, so what-if planning is single-threaded.
+thin wrappers over this class.  A pool thread runs ``Database.measure``
+(bind, plan, execute) and no other engine work, so what-if planning is
+single-threaded.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -93,24 +101,32 @@ class MeasurementSession:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def _execute_all(self, queries, timeout):
-        """``Database.execute`` of every query, in order.
+    def _measure_all(self, queries, timeout):
+        """``Database.measure`` of every query: ``(elapsed, timed_out)``
+        pairs, in order.
 
         Serial when ``jobs == 1``; otherwise the session's thread pool.
-        Exceptions propagate either way (a worker failure fails the
-        batch — only :class:`QueryTimeout` is handled below this level).
+        Each distinct SQL text is measured once, so two threads never
+        race to run one query.  Exceptions propagate either way (a
+        worker failure fails the batch — only :class:`QueryTimeout` is
+        handled below this level).
         """
-        def run(query):
-            return self.database.execute(query.sql, timeout=timeout)
+        sqls = list(dict.fromkeys(query.sql for query in queries))
 
-        if self.jobs == 1 or len(queries) <= 1:
-            return [run(query) for query in queries]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.jobs,
-                thread_name_prefix="repro-session",
-            )
-        return list(self._pool.map(run, queries))
+        def run(sql):
+            return self.database.measure(sql, timeout)
+
+        if self.jobs == 1 or len(sqls) <= 1:
+            measured = [run(sql) for sql in sqls]
+        else:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.jobs,
+                    thread_name_prefix="repro-session",
+                )
+            measured = list(self._pool.map(run, sqls))
+        by_sql = dict(zip(sqls, measured))
+        return [by_sql[query.sql] for query in queries]
 
     # ------------------------------------------------------------------
     # Measurement (actual costs, A)
@@ -143,9 +159,9 @@ class MeasurementSession:
             configuration=config_name,
             queries=len(queries),
         ) as span:
-            results = self._execute_all(queries, timeout)
-            elapsed = np.array([r.elapsed for r in results])
-            timed_out = np.array([r.timed_out for r in results])
+            results = self._measure_all(queries, timeout)
+            elapsed = np.array([r[0] for r in results])
+            timed_out = np.array([r[1] for r in results])
             span.set(
                 virtual_s=float(elapsed.sum()),
                 timeouts=int(timed_out.sum()),

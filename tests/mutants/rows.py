@@ -477,6 +477,41 @@ ROWS = [
         catcher="tests/test_whatif_service.py::"
                 "test_a_candidate_the_rule_rejects_changes_no_plan[A-NREF3J]",
     ),
+    # -- measurement memo: A(q, C) by plan fingerprint while the rows stand
+    dict(
+        id="fingerprint-omits-driving-source",
+        guards="measurement memo",
+        file="src/repro/optimizer/plans.py",
+        search=(
+            '            _index_fact("index", self.index),\n'
+            '            *_semi_facts("drive", [self.driving]),\n'
+        ),
+        replace='            _index_fact("index", self.index),\n',
+        catcher="tests/test_plan_shape.py::"
+                "test_every_family_plan_reads_codes_of_scanned_keys"
+                "[A-NREF2J]",
+    ),
+    dict(
+        id="insert-keeps-measurements",
+        guards="measurement memo",
+        file="src/repro/engine/database.py",
+        search=(
+            '        self._caches["data"]["measure_cache"].invalidate()\n'
+            "        self._view_size_cache.clear()\n"
+        ),
+        replace="        self._view_size_cache.clear()\n",
+        catcher="tests/test_runtime_cache.py::"
+                "test_measure_is_execute_until_the_rows_change",
+    ),
+    dict(
+        id="memo-key-drops-timeout",
+        guards="measurement memo",
+        file="src/repro/engine/database.py",
+        search="            (bound.sql, plan.fingerprint, timeout), run\n",
+        replace="            (bound.sql, plan.fingerprint), run\n",
+        catcher="tests/test_runtime_cache.py::"
+                "test_a_measurement_is_kept_per_timeout",
+    ),
     # -- determinism: set order on a path only fig9 takes
     dict(
         id="unth3j-in-set-order",

@@ -3,13 +3,14 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cfc import CumulativeFrequencyCurve
 from repro.analysis.goals import StepGoal
-from repro.analysis.measurements import measure_workload
+from repro.analysis.measurements import WorkloadMeasurement, measure_workload
 from repro.engine.configuration import primary_configuration
 from repro.recommender.goal_driven import GoalDrivenRecommender, GoalMargin
 from repro.recommender.profiles import RecommenderProfile
@@ -75,6 +76,28 @@ def test_goal_drives_index_selection_and_stops(db):
     measurement = measure_workload(db, workload)
     curve = CumulativeFrequencyCurve(measurement)
     assert goal.satisfied_by(curve)
+
+
+def test_a_goal_demanding_every_query_is_met_once_all_finish(db):
+    """One rule says "met" (``StepGoal.satisfied_by``): a curve that
+    completes every query meets a step demanding 1.0, though its margin
+    is 0, so G stops there, pricing no further round, and reports the
+    goal met."""
+    curve = CumulativeFrequencyCurve(WorkloadMeasurement(
+        "W", "c", np.array([1.0, 2.0, 3.0]), np.zeros(3, dtype=bool),
+    ))
+    goal = StepGoal(((10.0, 1.0),))
+    assert goal.margin(curve) == 0.0
+    assert goal.satisfied_by(curve)
+    rec = GoalDrivenRecommender(
+        db, goal, RecommenderProfile("g", min_improvement=0.001)
+    )
+    outcome = rec.recommend_for_goal(
+        point_workload([1, 7, 19, 42]), budget_bytes=10**9
+    )
+    assert outcome.selected
+    assert outcome.goal_met and outcome.estimated_margin == 0.0
+    assert outcome.iterations == len(outcome.selected)
 
 
 def test_infeasible_goal_reports_not_met(db):
@@ -170,7 +193,7 @@ def test_once_per_run_sizes_are_the_whole_trial_arithmetic(db):
 
     rec._sizes, rec._select = sizing, selecting
     outcome = rec.recommend_for_goal(workload, budget_bytes=10**9)
-    assert len(outcome.selected) == 2 and outcome.iterations == 3
+    assert len(outcome.selected) == 2 and outcome.iterations == 2
     assert outcome.used_bytes == run["used"]
     assert run["checked"] > 2 * len(outcome.selected)
 

@@ -131,6 +131,10 @@ def test_traced_run_report_contents(traced_fig3):
     assert {m["configuration"] for m in actuals} >= {"P", "1C"}
     for measurement in actuals:
         assert len(measurement["per_query"]) == measurement["queries"] == 4
+    # Every measured query looked its plan up in the measurement memo.
+    memo = db_caches["measure_cache"]
+    assert memo["hits"] + memo["misses"] \
+        == sum(m["queries"] for m in actuals)
 
     assert report["metrics"]["counters"]["engine.queries_executed"] > 0
 

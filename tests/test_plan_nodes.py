@@ -38,7 +38,7 @@ def test_describe_strings():
         outer=scan, alias="y", table="t", index=info_for(),
         outer_key="x.a", inner_column="a", columns=["a"],
     )
-    assert "IndexNLJoin(x.a -> y.a)" == inl.describe()
+    assert "IndexNLJoin(x.a -> y.a via [a])" == inl.describe()
     inl.index_only = True
     assert inl.describe().startswith("IndexOnlyNLJoin")
 
@@ -117,4 +117,5 @@ def test_semi_index_scan_describe():
         driving=SemiFilter(key="x.a", source=source),
         columns=["a"],
     )
-    assert "SemiIndexScan(x=t via [a])" == node.describe()
+    assert "SemiIndexScan(x=t via [a] driven by semi[scan] t.a < 4)" \
+        == node.describe()

@@ -17,7 +17,15 @@ answers only the queries that some configuration answered within the
 virtual timeout: a query that times out under all of them is counted,
 not compared.  ``scripts/sqlite_oracle.py`` runs the same check over
 every query of the full families.
+
+Fingerprints: every executed query's ``(sql, plan_fingerprint)`` is
+recorded with its ``(elapsed, timed_out, rows)`` across P, 1C and R.
+Two executions with one fingerprint must agree in all three — the
+property the database's measurement memo rests on — and ``explain``,
+estimates aside, must tell exactly the fingerprints apart.
 """
+
+import re
 
 import pytest
 
@@ -27,7 +35,14 @@ from repro.bench.context import (
     BenchContext,
     BenchSettings,
 )
-from repro.optimizer.plans import HashJoin, IndexNLJoin, ViewScan, walk
+from repro.optimizer.plans import (
+    HashJoin,
+    IndexNLJoin,
+    ViewScan,
+    explain,
+    plan_fingerprint,
+    walk,
+)
 
 from conftest import assert_keys_are_scanned
 
@@ -44,9 +59,10 @@ def check_family(context, system, family, executed):
     and check each plan's shape; run each query of ``executed`` under
     each and compare its rows with SQLite's.
 
-    Returns ``(compared, timed_out)``: the comparisons made per
-    configuration name, and how many executed queries timed out under
-    every configuration.
+    Returns ``(compared, timed_out, repeated)``: the comparisons made
+    per configuration name, how many executed queries timed out under
+    every configuration, and how many executions repeated a
+    fingerprint already run.
     """
     db = context.database(system, FAMILY_DATASET[family])
     queries = list(context.full_family(system, family))
@@ -64,6 +80,7 @@ def check_family(context, system, family, executed):
     expected = {}
     compared = {configuration.name: 0 for configuration in configurations}
     seen = set()
+    runs, shown, repeated = {}, {}, 0
     for configuration in configurations:
         db.apply_configuration(configuration)
         db.collect_statistics()
@@ -73,6 +90,14 @@ def check_family(context, system, family, executed):
             seen.update(type(node) for node in walk(plan))
         for query in executed:
             result = db.execute(query.sql, timeout=context.settings.timeout)
+            key = (query.sql, plan_fingerprint(result.plan))
+            run = (result.elapsed, result.timed_out, result.rows())
+            if key in runs:
+                repeated += 1
+                assert runs[key] == run, (system, family, *key)
+            runs[key] = run
+            text = re.sub(r"  \(rows=.*\)", "", explain(result.plan))
+            assert shown.setdefault((query.sql, text), key) == key, text
             if result.timed_out:
                 continue
             if query.sql not in expected:
@@ -87,7 +112,9 @@ def check_family(context, system, family, executed):
         assert recommended is not None and recommended.views
         assert ViewScan in seen
     timed_out = len({q.sql for q in executed} - set(expected))
-    return compared, timed_out
+    # The memo's case occurs: some configuration ran a plan another did.
+    assert repeated, (system, family)
+    return compared, timed_out, repeated
 
 
 @pytest.fixture(scope="module")
@@ -101,10 +128,48 @@ def test_every_family_plan_reads_codes_of_scanned_keys(
 ):
     """Shape under P, 1C and R for the full family; rows, for the
     sampled workload."""
-    compared, _ = check_family(
+    compared, _, _ = check_family(
         context, system, family, list(context.workload(system, family))
     )
     assert all(compared.values()), compared
+
+
+# Under P and 1C, this A NREF2J query plans the same tree of node
+# kinds, keys and indexes: a semijoin-driven scan of neighboring_seq's
+# primary key.  Its driving IN-subquery streams off an index either
+# way, but off the primary key under P and off the one-column index
+# under 1C, whose geometry differs; at scale 1.0 it takes 662.85 s
+# under P and 501.15 s under 1C.
+SEMI_DRIVEN = (
+    "SELECT r.taxon_id_2, r.nref_id_1, COUNT(*) "
+    "FROM neighboring_seq r, identical_seq s "
+    "WHERE r.nref_id_1 = s.nref_id_2 AND r.nref_id_1 IN "
+    "(SELECT nref_id_1 FROM neighboring_seq GROUP BY nref_id_1 "
+    "HAVING COUNT(*) < 4) AND s.nref_id_2 IN "
+    "(SELECT nref_id_2 FROM identical_seq GROUP BY nref_id_2 "
+    "HAVING COUNT(*) < 4) GROUP BY r.taxon_id_2, r.nref_id_1"
+)
+
+
+def test_explain_prints_the_driving_source_that_tells_two_plans_apart(
+    context
+):
+    db = context.database("A", "nref")
+    runs = []
+    for configuration in (context.p_configuration(db),
+                          context.one_c_configuration(db)):
+        db.apply_configuration(configuration)
+        db.collect_statistics()
+        runs.append(db.execute(SEMI_DRIVEN, context.settings.timeout))
+    under_p, under_1c = runs
+    assert [node.describe() for node in walk(under_p.plan)] \
+        == [node.describe() for node in walk(under_1c.plan)]
+    assert under_p.elapsed > under_1c.elapsed
+    assert plan_fingerprint(under_p.plan) != plan_fingerprint(under_1c.plan)
+    texts = [explain(result.plan) for result in runs]
+    assert texts[0] != texts[1]
+    assert "[drive index] pk neighboring_seq[nref_id_1,ordinal]" in texts[0]
+    assert "[drive index] neighboring_seq[nref_id_1]" in texts[1]
 
 
 def test_the_check_names_an_operator_over_an_unscanned_key(city_db):

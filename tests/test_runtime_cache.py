@@ -211,7 +211,7 @@ def test_every_registered_cache_is_reported_invalidated_and_unpickled(
         city_db_p):
     expected = {
         "plan_cache", "env_cache", "whatif_cache", "dict_cache",
-        "bind_cache", "subplan_cache", "kernel_cache",
+        "bind_cache", "subplan_cache", "kernel_cache", "measure_cache",
     }
     before = city_db_p.cache_stats()
     assert set(before) == expected
@@ -222,11 +222,13 @@ def test_every_registered_cache_is_reported_invalidated_and_unpickled(
         }
     city_db_p.invalidate_caches()
     after = city_db_p.cache_stats()
-    for name in expected - {"bind_cache"}:
+    kept = {"bind_cache", "measure_cache"}
+    for name in expected - kept:
         assert after[name]["invalidations"] \
             == before[name]["invalidations"] + 1, name
-    assert after["bind_cache"]["invalidations"] \
-        == before["bind_cache"]["invalidations"]
+    for name in kept:
+        assert after[name]["invalidations"] \
+            == before[name]["invalidations"], name
     clone = pickle.loads(pickle.dumps(city_db_p))
     assert all(
         stats["invalidations"] == 0 for stats in clone.cache_stats().values()
@@ -363,6 +365,119 @@ def test_reloaded_table_plans_and_estimates_as_if_cold():
     assert observe(reloaded(warm=True)) == observe(reloaded(warm=False))
     # The reload changed what the observation reads.
     assert observe(reloaded(warm=False)) != observe(load_city_database())
+
+
+# ----------------------------------------------------------------------
+# Measurement memo: A(q, C) by plan fingerprint, for as long as the rows
+
+def counting_executions(db, monkeypatch):
+    """``db.execute`` counted: the list of SQL texts it ran."""
+    ran, execute = [], db.execute
+
+    def counted(sql, timeout):
+        ran.append(sql)
+        return execute(sql, timeout)
+
+    monkeypatch.setattr(db, "execute", counted)
+    return ran
+
+
+def test_measure_is_execute_until_the_rows_change(city_db_p, monkeypatch):
+    """A warm measurement runs nothing; after an insert the query runs
+    again and is charged for the grown heap, although its plan has the
+    same fingerprint (a sequential scan carries no geometry)."""
+    ran = counting_executions(city_db_p, monkeypatch)
+    before = city_db_p.measure(SCAN)
+    assert city_db_p.measure(SCAN) == before
+    assert len(ran) == 1
+    assert before == (city_db_p.execute(SCAN, 1800.0).elapsed, False)
+    n = 20_000
+    city_db_p.insert_rows("users", {
+        "uid": np.arange(10_000, 10_000 + n),
+        "city": np.array(["tor"] * n, dtype=object),
+        "age": np.full(n, 30),
+    })
+    after = city_db_p.measure(SCAN)
+    assert len(ran) == 3
+    assert after[0] > before[0]
+    assert after == (city_db_p.execute(SCAN, 1800.0).elapsed, False)
+
+
+def test_reloading_a_table_drops_the_measurements(city_db_p, monkeypatch):
+    ran = counting_executions(city_db_p, monkeypatch)
+    before = city_db_p.measure(JOIN)
+    users = city_db_p.table("users")
+    city_db_p.load_table(
+        "users", {name: users.decode(name) for name in users.column_names()}
+    )
+    city_db_p.collect_statistics()
+    assert city_db_p.measure(JOIN) == before
+    assert len(ran) == 2
+
+
+def test_a_configuration_round_trip_runs_nothing_again(
+        city_db_p, monkeypatch):
+    """Configurations and statistics leave the memo alone: back under
+    P, every query's plan is one already run."""
+    ran = counting_executions(city_db_p, monkeypatch)
+    under_p = [city_db_p.measure(sql) for sql in SQLS]
+    city_db_p.apply_configuration(
+        one_column_configuration(city_db_p.catalog)
+    )
+    under_1c = [city_db_p.measure(sql) for sql in SQLS]
+    assert under_1c == [(city_db_p.execute(sql, 1800.0).elapsed, False)
+                        for sql in SQLS]
+    ran.clear()
+    city_db_p.apply_configuration(primary_configuration(city_db_p.catalog))
+    city_db_p.collect_statistics()
+    assert [city_db_p.measure(sql) for sql in SQLS] == under_p
+    assert ran == []
+
+
+def test_concurrent_measurements_agree_and_are_all_counted(city_db_p):
+    """Pool threads share the memo: racing threads see the serial
+    outcome of every query, and no lookup goes uncounted."""
+    threads, rounds = 8, 100
+    sqls = [*SQLS, *(
+        f"SELECT o.city, COUNT(*) FROM orders o WHERE o.uid = {u} "
+        "GROUP BY o.city" for u in range(5)
+    )]
+    serial = {sql: city_db_p.execute(sql, 1800.0).elapsed for sql in sqls}
+    start = threading.Barrier(threads)
+    seen = [[] for _ in range(threads)]
+
+    def work(mine):
+        start.wait(timeout=30)
+        for i in range(rounds):
+            sql = sqls[i % len(sqls)]
+            mine.append((sql, city_db_p.measure(sql)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(mine,))
+                   for mine in seen]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert all(outcome == (serial[sql], False)
+               for mine in seen for sql, outcome in mine)
+    stats = city_db_p.cache_stats()["measure_cache"]
+    assert stats["hits"] + stats["misses"] == threads * rounds
+
+
+def test_a_measurement_is_kept_per_timeout(city_db_p):
+    """The memo holds a measurement at the timeout it was taken at: a
+    query measured at the default and then at a timeout it exceeds
+    reports the timeout."""
+    elapsed, timed_out = city_db_p.measure(JOIN, 1800.0)
+    assert not timed_out
+    assert city_db_p.measure(JOIN, elapsed / 2) == (elapsed / 2, True)
+    assert city_db_p.measure(JOIN, 1800.0) == (elapsed, False)
 
 
 # ----------------------------------------------------------------------
