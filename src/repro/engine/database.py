@@ -864,9 +864,10 @@ class Database:
         and by nothing else.  So the outcome is memoized by ``(bound
         sql, fingerprint, timeout)`` for as long as the rows stand: a
         query whose plan under another configuration (or a repeat
-        under this one) was already run is not run again.  A miss is
-        :meth:`execute`.  The fingerprint is taken once per cached
-        plan, when it is first measured.
+        under this one) was already run is not run again.  A miss runs
+        the plan it holds, as :meth:`execute` does, without looking it
+        up again.  The fingerprint is taken once per cached plan, when
+        it is first measured.
         """
         bound = self.bind(sql)
         plan = self.plan(bound)
@@ -874,7 +875,7 @@ class Database:
             plan.fingerprint = plan_fingerprint(plan)
 
         def run():
-            result = self.execute(bound, timeout)
+            result = self._run(bound, plan, timeout)
             return result.elapsed, result.timed_out
 
         return self._caches["data"]["measure_cache"].get_or_build(
@@ -889,8 +890,12 @@ class Database:
         as the paper reports its ``t_out`` bin.
         """
         bound = self.bind(sql)
+        return self._run(bound, self.plan(bound), timeout)
+
+    def _run(self, bound, plan, timeout):
+        """Run ``plan``, the current plan of ``bound``; returns a
+        :class:`QueryResult`."""
         with obs.span("db.execute", database=self.name) as span:
-            plan = self.plan(bound)
             executor = Executor(
                 self._exec_tables(), self.system.hardware, timeout,
                 encodings=self._cache("dict_cache"),

@@ -27,24 +27,29 @@ the cached join domain of the dictionary pair.  Only scanned keys have
 codes; aggregate outputs and derived labels exist at the plan's root
 alone, where nothing factorizes them.
 
-Widths.  Storage keeps what is table-sized at four bytes a row: a
-dictionary's ``codes``, sort orders and index row ids are int32.  What
-NumPy uses as an *index* is int64, because it casts a narrower index
-array on every call, and each widening happens once, at the gather
-that takes the rows out of storage: selection vectors (``sels``) are
-int64 — ``_scan_batch`` and :meth:`Batch.take` coerce the row ids and
-positions they are handed, which is where an index's row ids and a
-join's build order widen — and so are a key's codes behind a selection
-vector (:meth:`Batch.key_codes`) and every densified code, which comes
-out of a gather from an int64 rank table.  Only a *whole* column's codes reach an operator as
-stored, int32 and uncopied, and one rule covers all arithmetic on
-them: **a product or shift of codes is computed in int64**.
-:func:`combine_codes` widens its accumulator, ``_count_distinct``
-multiplies with ``dtype=np.int64``, and
-:func:`~repro.storage.encoding.stable_order` shifts with
+Widths.  Storage keeps sort orders and index row ids at four bytes a
+row (int32), and a dictionary's ``codes`` at two or four: int16 while
+it has at most 32 768 values, else int32
+(:func:`~repro.storage.encoding.code_dtype`).  What NumPy uses as an
+*index* is int64, because it casts a narrower index array on every
+call, and each widening happens once, at the gather that takes the
+rows out of storage: selection vectors (``sels``) are int64 —
+``_scan_batch`` and :meth:`Batch.take` coerce the row ids and positions
+they are handed, which is where an index's row ids and a join's build
+order widen — and so are a key's codes behind a selection vector
+(:meth:`Batch.key_codes`) and every densified code, which comes out of
+a gather from an int64 rank table.  Only a *whole* column's codes
+reach an operator as stored, int16 or int32 and uncopied, and one rule
+covers all arithmetic on them: **a sum, product or shift of codes is
+computed in int64** — NumPy adds ``int16 + 1`` in int16 and wraps
+32 767 silently.  :func:`combine_codes` widens its accumulator,
+``_count_distinct`` multiplies with ``dtype=np.int64``,
+``Executor._index_ranges`` and ``IndexData.append`` add one to slots in
+int64, and :func:`~repro.storage.encoding.stable_order` shifts with
 ``dtype=np.int64``; everything else that meets raw codes (the join
-domain maps, ``_member_flags``, the presence scans) only indexes with
-them.
+domain maps, slot tables, ``_member_flags``, the presence scans, filter
+kernels) only indexes with them or compares them — comparisons with a
+Python int outside their dtype are exact.
 """
 
 from dataclasses import dataclass, field
@@ -190,7 +195,7 @@ class Batch:
         """``(dictionary, codes)`` of a scanned key: its column's
         dictionary (resolved here, when an operator asks, not when the
         scan attaches) and that dictionary's codes of this batch's
-        rows — the stored int32 array itself for a whole column,
+        rows — the stored int16 or int32 array itself for a whole column,
         widened to int64 where they are gathered through a selection
         vector: operators index with them."""
         dictionary = self.encodings[key].dictionary()
@@ -271,8 +276,8 @@ def combine_codes(code_arrays):
     """Combine multiple per-column code arrays into one code per row.
 
     The accumulator is int64 from the start: a whole column's raw
-    int32 codes may come first, and ``combined * span`` must not wrap
-    at 2**31.
+    int16 or int32 codes may come first, and ``combined * span`` must
+    not wrap at 2**15 or 2**31.
     """
     if len(code_arrays) == 1:
         return code_arrays[0]

@@ -462,7 +462,8 @@ class Executor:
         lows = data.offsets[slots]
         # Slot -1 read offsets[-1] (all entries) and offsets[0] (none).
         lows[slots < 0] = 0
-        return lows, data.offsets[slots + 1]
+        # In int64: the slots may be a whole column's int16 codes.
+        return lows, data.offsets[np.add(slots, 1, dtype=np.int64)]
 
     def _slots(self, own, codes, other):
         """The slots in the dictionary ``other`` of the dictionary
@@ -856,7 +857,7 @@ class Executor:
         if len(codes) == 0:
             return np.empty(0, dtype=np.int64)
         span = int(vcodes.max()) + 1
-        # Either side may be a whole column's raw int32 codes.
+        # Either side may be a whole column's raw int16 or int32 codes.
         keys = np.multiply(codes, span, dtype=np.int64)
         keys += vcodes
         obs.counter_add("executor.distinct_sorted")

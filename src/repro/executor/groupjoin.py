@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..optimizer.plans import HashJoin, IndexNLJoin, ViewScan, walk
-from ..storage.encoding import locate
+from ..storage.encoding import code_dtype, locate
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,11 @@ def take_or_zero(table, slots):
 
 def slot_map(own, dictionary):
     """Per entry of the dictionary ``own``, its slot in ``dictionary``,
-    or -1 where the value is not there (int32): a slot table, which
+    or -1 where the value is not there, in ``dictionary``'s code dtype
+    (its entries are that dictionary's codes): a slot table, which
     :meth:`Executor._slots <repro.executor.engine.Executor._slots>`
     caches per pair of ``values`` arrays."""
     slots, found = locate(own, dictionary)
-    return np.where(found, slots, -1).astype(np.int32)
+    return np.where(found, slots, -1).astype(
+        code_dtype(dictionary.n_distinct)
+    )

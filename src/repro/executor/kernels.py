@@ -6,7 +6,10 @@ resolves each comparison operator once, lets the first comparison
 allocate the keep mask, and ANDs the remaining predicates into it in
 place.  Literal values are passed at call time, so the kernel is reused
 across a workload's templated queries (same structure, different
-constants).
+constants).  A string column's codes (int16 or int32) are compared with
+its literal's code, a Python int: NumPy compares an int outside the
+array's dtype exactly, so a bound of 32 768 against int16 codes needs
+no cast.
 """
 
 import operator

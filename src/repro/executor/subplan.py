@@ -116,12 +116,12 @@ class SubplanCache:
 
         Joins between differently-encoded columns map both sides into
         the ``union1d`` of their dictionaries, and probes map one
-        side's codes to the other's slots (an int32 slot table); the
-        merge, its two code-translation tables and the slot table
-        depend only on the dictionaries' ``values``, which every join
-        over the same column pair shares — and which an extended
-        dictionary keeps when its rows bring no new value.  ``key``
-        names the entry and carries the two ``values`` arrays'
+        side's codes to the other's slots (a slot table, in the other
+        side's code dtype); the merge, its two code-translation tables
+        and the slot table depend only on the dictionaries' ``values``,
+        which every join over the same column pair shares — and which
+        an extended dictionary keeps when its rows bring no new value.
+        ``key`` names the entry and carries the two ``values`` arrays'
         ``id``s; the identity check over ``backing`` (those arrays)
         makes an ``id`` reuse a harmless miss.
         """

@@ -46,7 +46,7 @@ import numpy as np
 
 from .. import obs
 from ..common.hardware import PAGE_SIZE
-from ..storage.encoding import code_bound
+from ..storage.encoding import code_bound, code_dtype
 from .definition import estimate_index_size
 
 
@@ -310,6 +310,14 @@ class IndexData:
                     "index pickled with string inner columns"
                 )
             state["inner_values"] = [None] * len(state["inner_columns"])
+        # One written before codes were narrowed holds int32 inner codes.
+        state["inner_columns"] = [
+            column if values is None
+            else column.astype(code_dtype(len(values)), copy=False)
+            for column, values in zip(
+                state["inner_columns"], state["inner_values"]
+            )
+        ]
         self.__dict__.update(state)
         # A pickle restores arrays writeable; they are read-only
         # (architecture invariant 7).
@@ -362,7 +370,7 @@ class IndexData:
         # is recoded first: its old codes' slots in the new values.
         inner_columns = [
             column if old is new
-            else new.searchsorted(old).astype(np.int32)[column]
+            else new.searchsorted(old).astype(code_dtype(len(new)))[column]
             for column, old, new in zip(
                 self.inner_columns, self.inner_values, inner_values
             )
@@ -370,7 +378,8 @@ class IndexData:
         order = np.lexsort(tuple(reversed(tails)))
         tails = [tail[order] for tail in tails]
         runs = _run_offsets(leading)
-        lead = tails[0]
+        # In int64: ``lead + 1`` of int16 codes wraps at 32 767.
+        lead = tails[0].astype(np.int64)
         lows = runs[lead] - np.searchsorted(lead, lead, side="left")
         slots = runs[lead + 1] - np.searchsorted(lead, lead, side="right")
         for column, values in zip(inner_columns, tails[1:]):

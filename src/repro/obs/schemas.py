@@ -150,8 +150,8 @@ _RESIDENT_BYTES_SCHEMA = {
     "required": ["tables", "dictionaries"],
     "properties": {
         # Column bytes by dtype name: int16, int32, int64, float64 (a
-        # string column is its int32 codes; its dictionary's values
-        # are under "dictionaries").
+        # string column is its int16 or int32 codes; its dictionary's
+        # values are under "dictionaries").
         "tables": {"type": "object", "additionalProperties": _BYTES},
         "dictionaries": {
             "type": "object",

@@ -26,7 +26,7 @@ that depends on nothing but the column:
   one hash pass sorts the *distinct* values, every row looks its slot
   up, the counts are a ``bincount`` — no ``n log n`` sort of Python
   strings, and its argsort is an integer sort of the codes when first
-  asked for.  The result is **coded**: the table stores the int32
+  asked for.  The result is **coded**: the table stores the
   codes as the column and keeps no object array per row
   (:class:`~repro.storage.table.Table`), so the dictionary's ``base``
   *is* its ``codes``.  A generated column drawn from a pool is encoded
@@ -47,17 +47,23 @@ the values, so two dictionaries with one domain (``is``) are located in
 each other by bisecting integers (:func:`locate`), never Python
 strings.
 
-Four bytes a row: every table-sized array the layer *keeps* — a
-dictionary's ``codes`` and ``argsort()``, every :func:`stable_order`,
-the memoized ``lexsort`` orders and through them an index's
-``row_ids`` — is int32, always; a table holds at most ``2**31 - 1``
-rows (:class:`~repro.storage.table.Table` refuses more), so there is
-no wider path to choose.  The packed sorts themselves stay int64 and
-narrow only the positions they hand out, and whoever multiplies or
-shifts codes widens them first (the rule is stated once, in
-:mod:`repro.executor.batch`).  What NumPy uses as an *index* stays
-``intp`` on the consumer's side: the ``d + 1`` run offsets, selection
-vectors, densified codes.
+Four bytes a row: every table-sized *position* the layer keeps — a
+dictionary's ``argsort()``, every :func:`stable_order`, the memoized
+``lexsort`` orders and through them an index's ``row_ids`` — is int32,
+always; a table holds at most ``2**31 - 1`` rows
+(:class:`~repro.storage.table.Table` refuses more), so there is no
+wider path to choose.  Two bytes a code: a dictionary's ``codes`` are
+in the narrowest of int16 and int32 that holds its largest code
+(:func:`code_dtype`) — int16 for at most 32 768 values — however they
+were made (scattered, hashed, :meth:`~ColumnDictionary.from_codes`,
+:meth:`~ColumnDictionary.from_pool`), and an extension that takes a
+dictionary past 32 768 values moves its codes into a fresh int32
+buffer, never wraps them.  The packed sorts themselves stay int64 and
+narrow only the positions they hand out, and whoever adds to,
+multiplies or shifts codes widens them first (the rule and its sites
+are stated once, in :mod:`repro.executor.batch`).  What NumPy uses as
+an *index* stays ``intp`` on the consumer's side: the ``d + 1`` run
+offsets, selection vectors, densified codes.
 
 A :class:`DictionaryCache`, owned by a
 :class:`~repro.engine.database.Database` and invalidated through its
@@ -119,6 +125,7 @@ import numpy as np
 
 from .. import obs
 from ..common.cache import CacheStats
+from .types import narrowest_int
 
 
 # Width of the position grid in :func:`_sort_with_positions` (rows per line).
@@ -147,6 +154,13 @@ def appended(column, tail, spare=None):
         spare[:rows] = column
     spare[rows:total] = tail
     return spare[:total], spare
+
+
+def code_dtype(n_distinct):
+    """The dtype of codes into ``n_distinct`` values: int16 up to
+    32 768 values, else int32 (never int64: a table holds fewer than
+    ``2**31`` rows, so a dictionary fewer values)."""
+    return narrowest_int(0, n_distinct - 1)
 
 
 def spare_buffer(rows, dtype):
@@ -194,7 +208,8 @@ def stable_order(codes, span):
     > 62``) take the ``argsort`` itself.
 
     The packing is int64 whatever the codes' dtype (the shift widens
-    int32 codes first); only the positions handed out are narrowed.
+    int16 and int32 codes first); only the positions handed out are
+    narrowed.
 
     This is the ordering primitive for codes that already exist
     (``lexsort`` levels, ``by_frequency``, the join build side); a
@@ -308,12 +323,13 @@ def _hashed_dictionary(base):
     """
     if (base[1:] > base[:-1]).all():
         n = len(base)
-        return base, np.ones(n, np.int64), np.arange(n, dtype=np.int32)
+        return base, np.ones(n, np.int64), np.arange(n, dtype=code_dtype(n))
     rows = base.tolist()
     distinct = sorted(set(rows))
     slot_of = dict(zip(distinct, range(len(distinct))))
     codes = np.fromiter(
-        map(slot_of.__getitem__, rows), dtype=np.int32, count=len(rows)
+        map(slot_of.__getitem__, rows), dtype=code_dtype(len(distinct)),
+        count=len(rows),
     )
     values = np.fromiter(distinct, dtype=object, count=len(distinct))
     return values, np.bincount(codes, minlength=len(distinct)), codes
@@ -345,7 +361,8 @@ class ColumnDictionary:
     :meth:`from_pool`); any other column (floats, integers too
     wide to pack, an empty column) takes ``np.unique`` and scatters its
     codes through one ``argsort`` of the column on first use.
-    ``codes`` and ``argsort()`` are int32.
+    ``codes`` are in :func:`code_dtype` of ``n_distinct`` (int16 for at
+    most 32 768 values, else int32), ``argsort()`` is int32.
     Whatever construction did not produce — and the frequency-ordered
     views — is derived lazily from immutable inputs, so a racing
     double-compute in a session worker pool is deterministic and
@@ -376,12 +393,13 @@ class ColumnDictionary:
     def from_codes(cls, codes, values, domain=None, ranks=None):
         """The coded dictionary of a column whose row ``i`` holds
         ``values[codes[i]]``: ``values`` sorted and distinct, ``codes``
-        int32 into them.
+        integers into them.
 
         Entries no row holds drop out and the codes are renumbered, so
-        ``values``, ``counts`` and ``codes`` are those of encoding the
-        column's values; ``values`` carries over — the same array —
-        when every entry is held.  The domain is ``domain`` (with
+        ``values``, ``counts`` and ``codes`` — in :func:`code_dtype` of
+        the values held — are those of encoding the column's values;
+        ``values`` carries over — the same array — when every entry is
+        held.  The domain is ``domain`` (with
         ``ranks``, each of ``values``' position in it) when given, else
         ``values`` itself; dropped entries keep their ranks in it.
         """
@@ -389,12 +407,16 @@ class ColumnDictionary:
         drawn = counts > 0
         if not drawn.all():
             kept = np.flatnonzero(drawn)
-            codes = (np.cumsum(drawn, dtype=np.int32) - 1)[codes]
+            # The renumbering table is in the new codes' dtype, so the
+            # gather writes them narrow.
+            codes = (np.cumsum(drawn) - 1).astype(code_dtype(len(kept)))[
+                codes
+            ]
             if domain is None:
                 domain = values
             ranks = kept.astype(np.int32) if ranks is None else ranks[kept]
             values, counts = values[kept], counts[kept]
-        codes = codes.astype(np.int32, copy=False)
+        codes = codes.astype(code_dtype(len(values)), copy=False)
         dictionary = cls.__new__(cls)
         dictionary._set(
             codes, values, counts, codes, domain=domain, ranks=ranks
@@ -405,7 +427,8 @@ class ColumnDictionary:
     def from_pool(cls, pool, rows, hashed=None):
         """The coded dictionary of the column ``pool[rows]`` (``rows``
         int32 pool indices), read off the indices: the column's values
-        are never gathered.
+        are never gathered, and the rows' codes are gathered from the
+        pool's in the pool's code dtype, never in int32 first.
 
         Only the pool is hashed — and once per pool when the caller
         keeps ``hashed``, a dict that memoizes each pool's
@@ -463,6 +486,8 @@ class ColumnDictionary:
 
     def __setstate__(self, state):
         codes, values, counts, domain, ranks = state
+        # A pickle written before codes were narrowed holds int32.
+        codes = codes.astype(code_dtype(len(values)), copy=False)
         self._set(codes, values, counts, codes, domain=domain, ranks=ranks)
 
     @property
@@ -504,7 +529,10 @@ class ColumnDictionary:
         not) in their spare capacity, which passes to the result
         (:func:`appended`).  Otherwise its unseen values are spliced
         into ``values`` and the codes remapped through a monotone
-        shift table into a new buffer: the one copy of the codes.
+        shift table into a new buffer: the one copy of the codes, in
+        the :func:`code_dtype` of the grown values — int32 once they
+        pass 32 768, so an extension widens its codes, never wraps
+        them.
 
         The domain carries over while every tail value is in it: a
         pooled dictionary ranks the tail's *distinct* values by one
@@ -531,7 +559,7 @@ class ColumnDictionary:
             codes = spare = None
             if self._codes is not None:
                 codes, spare = appended(
-                    self._codes, slots.astype(np.int32)[tail.codes],
+                    self._codes, slots.astype(self._codes.dtype)[tail.codes],
                     self._spare,
                 )
                 # The buffer has one owner: extending this dictionary
@@ -567,9 +595,9 @@ class ColumnDictionary:
         counts[tail_slots] += tail_counts
         codes = spare = None
         if self._codes is not None:
-            spare = spare_buffer(rows, np.int32)
+            spare = spare_buffer(rows, code_dtype(len(values)))
             np.take(
-                moved.astype(np.int32), self._codes,
+                moved.astype(spare.dtype), self._codes,
                 out=spare[:self.row_count],
             )
             spare[self.row_count:rows] = tail_slots[tail.codes]
@@ -607,9 +635,9 @@ class ColumnDictionary:
 
     @property
     def codes(self):
-        """Dense int32 code of every row: ``values[codes]`` is the
-        column (the base of a numeric one; a coded one's base is these
-        codes).
+        """Dense code of every row, in :func:`code_dtype` of
+        ``n_distinct``: ``values[codes]`` is the column (the base of a
+        numeric one; a coded one's base is these codes).
 
         Identical to ``np.unique(column, return_inverse=True)``'s
         inverse: codes are ranks into the sorted dictionary, and every
@@ -625,9 +653,10 @@ class ColumnDictionary:
             order = self._argsort
             if order is None:
                 order = np.argsort(self.base)
-            codes = np.empty(self.row_count, dtype=np.int32)
+            dtype = code_dtype(self.n_distinct)
+            codes = np.empty(self.row_count, dtype=dtype)
             codes[order] = np.repeat(
-                np.arange(self.n_distinct, dtype=np.int32), self.counts
+                np.arange(self.n_distinct, dtype=dtype), self.counts
             )
             self._codes = codes
         return self._codes
@@ -639,7 +668,7 @@ class ColumnDictionary:
         if self._codes is not None:
             return self._codes[start:]
         return np.searchsorted(self.values, self.base[start:]).astype(
-            np.int32
+            code_dtype(self.n_distinct)
         )
 
     def argsort(self):

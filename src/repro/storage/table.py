@@ -7,14 +7,16 @@ accounts for what the same plan would cost on the paper's hardware.
 
 Strings are stored as their codes: a ``varchar`` column is its
 dictionary (:class:`~repro.storage.encoding.ColumnDictionary`, coded),
-and its storage array is the dictionary's int32 ``codes`` into the
-sorted distinct ``values``.  No table keeps an array of Python
-objects per row.  Whatever needs a string column's values decodes the
-rows it reads (:meth:`Table.decode`); everything else — filters,
-joins, grouping, indexes — works on the codes.  Loading encodes an
-object array (one hash pass), or takes a dictionary encoded already
-(a generated column, off its pool indices); an append encodes its
-tail through the column's dictionary (:meth:`ColumnDictionary.appended
+and its storage array is the dictionary's ``codes`` into the sorted
+distinct ``values`` — int16 while it has at most 32 768 values, else
+int32 (:func:`~repro.storage.encoding.code_dtype`).  No table keeps an
+array of Python objects per row.  Whatever needs a string column's
+values decodes the rows it reads (:meth:`Table.decode`); everything
+else — filters, joins, grouping, indexes — works on the codes.
+Loading encodes an object array (one hash pass), or takes a dictionary
+encoded already (a generated column, off its pool indices); an append
+encodes its tail through the column's dictionary
+(:meth:`ColumnDictionary.appended
 <repro.storage.encoding.ColumnDictionary.appended>`).
 
 An append writes the new rows into spare capacity behind each column
@@ -29,16 +31,20 @@ narrowest of int16, int32 and int64 that holds its values
 loaded or unpickled.  An append whose values do not fit *widens* the
 column — one copy into a buffer of the wider dtype, the copy a full
 buffer makes anyway — and never wraps them; a column never narrows
-back.  The declared width (``SQLType.width``) is what every size and
-cost reads, so the width a column is stored in changes no figure.
+back.  Two bytes a code: a string column follows the same rule by its
+dictionary's size — an append that takes it past 32 768 values moves
+its codes into a fresh int32 buffer.  The declared width
+(``SQLType.width``) is what every size and cost reads, so the width a
+column is stored in changes no figure.
 
 Arithmetic on stored values goes through int64: NumPy computes
 ``int16 + int`` in int16, so a sum, difference, product or shift of a
-stored integer column — or of a dictionary's ``values``, which keep the
-column's dtype — widens first (``np.subtract(base, low,
-dtype=np.int64)``).  A literal is compared with a column, never cast
-into its dtype: comparisons and ``searchsorted`` against a Python int
-outside the column's range are exact, an assignment wraps.
+stored integer column — of a string column's codes, or of a
+dictionary's ``values``, which keep the column's dtype — widens first
+(``np.subtract(base, low, dtype=np.int64)``).  A literal is compared
+with a column, never cast into its dtype: comparisons and
+``searchsorted`` against a Python int outside the column's range are
+exact, an assignment wraps.
 """
 
 import threading

@@ -19,9 +19,9 @@ class SQLType:
 
     ``kind`` is one of ``'int'``, ``'float'``, ``'str'``, ``'date'``.
     For strings ``width`` is the declared average width used in size
-    accounting (the engine stores a string column as int32 codes into
-    its dictionary; the cost model only needs a representative byte
-    width).
+    accounting (the engine stores a string column as int16 or int32
+    codes into its dictionary; the cost model only needs a
+    representative byte width).
     """
 
     kind: str
@@ -31,7 +31,7 @@ class SQLType:
         """The widest dtype this type's values take: an integer column
         is stored in the narrowest integer dtype that holds it
         (:meth:`coerce`), at most this one; a string column's values
-        are Python objects, which its table stores as int32 codes."""
+        are Python objects, which its table stores as codes."""
         if self.kind == "int" or self.kind == "date":
             return np.dtype(np.int64)
         if self.kind == "float":
@@ -50,19 +50,19 @@ class SQLType:
         array = np.asarray(values)
         if array.dtype.kind != "i":
             array = array.astype(self.numpy_dtype())
-        return array.astype(narrowest_int(array), copy=False)
+        low, high = (
+            (int(array.min()), int(array.max())) if len(array) else (0, 0)
+        )
+        return array.astype(narrowest_int(low, high), copy=False)
 
 
 #: The integer storage dtypes, narrowest first.
 INT_DTYPES = tuple(np.dtype(t) for t in (np.int16, np.int32, np.int64))
 
 
-def narrowest_int(array):
-    """The narrowest of :data:`INT_DTYPES` that holds every value of the
-    integer ``array`` (int16 for an empty one)."""
-    if not len(array):
-        return INT_DTYPES[0]
-    low, high = int(array.min()), int(array.max())
+def narrowest_int(low, high):
+    """The narrowest of :data:`INT_DTYPES` that holds every integer
+    from ``low`` to ``high`` (int16 when ``high < low``)."""
     for dtype in INT_DTYPES[:-1]:
         info = np.iinfo(dtype)
         if info.min <= low and high <= info.max:

@@ -37,6 +37,13 @@ def narrowest_dtype(values):
     raise ValueError("values outside int64")
 
 
+def code_dtype_of(n_distinct):
+    """The dtype of the codes into a dictionary of ``n_distinct``
+    values: int16 up to 32 768 values, int32 beyond — a reference
+    written apart from the storage layer's own rule."""
+    return np.dtype(np.int16 if n_distinct <= 1 << 15 else np.int32)
+
+
 def make_city_catalog():
     users = TableSchema(
         "users",

@@ -187,8 +187,8 @@ ROWS = [
         id="missing-slot-read-as-zero",
         guards="executor",
         file="src/repro/executor/groupjoin.py",
-        search="    return np.where(found, slots, -1).astype(np.int32)\n",
-        replace="    return np.where(found, slots, 0).astype(np.int32)\n",
+        search="    return np.where(found, slots, -1).astype(\n",
+        replace="    return np.where(found, slots, 0).astype(\n",
         catcher="tests/test_join_aggregates.py::test_counted_equals_expanded",
     ),
     dict(
@@ -511,6 +511,50 @@ ROWS = [
         replace="            (bound.sql, plan.fingerprint), run\n",
         catcher="tests/test_runtime_cache.py::"
                 "test_a_measurement_is_kept_per_timeout",
+    ),
+    # -- code widths: int16 codes up to 32 768 values, int64 arithmetic
+    dict(
+        id="codes-combine-in-own-dtype",
+        guards="code widths",
+        file="src/repro/executor/batch.py",
+        search="    combined = code_arrays[0].astype(np.int64)\n",
+        replace="    combined = code_arrays[0]\n",
+        catcher="tests/test_batch.py::"
+                "test_property_combine_codes_widens_int16_codes",
+    ),
+    dict(
+        id="extension-keeps-int16-codes",
+        guards="code widths",
+        file="src/repro/storage/encoding.py",
+        search=(
+            "            spare = spare_buffer(rows, "
+            "code_dtype(len(values)))\n"
+        ),
+        replace="            spare = spare_buffer(rows, self._codes.dtype)\n",
+        catcher="tests/test_encoding.py::"
+                "test_property_codes_take_two_bytes_up_to_32768_values",
+    ),
+    dict(
+        id="index-range-end-in-code-dtype",
+        guards="code widths",
+        file="src/repro/executor/engine.py",
+        search=(
+            "        return lows, "
+            "data.offsets[np.add(slots, 1, dtype=np.int64)]\n"
+        ),
+        replace="        return lows, data.offsets[slots + 1]\n",
+        catcher="tests/test_executor.py::"
+                "test_codes_on_both_sides_of_32768_values_answer_as_sqlite",
+    ),
+    dict(
+        id="index-merge-run-end-in-code-dtype",
+        guards="code widths",
+        file="src/repro/index/data.py",
+        search="        lead = tails[0].astype(np.int64)\n",
+        replace="        lead = tails[0]\n",
+        catcher="tests/test_index_data.py::"
+                "test_appends_at_code_32767_and_past_it_equal_a_rebuild"
+                "[key0]",
     ),
     # -- determinism: set order on a path only fig9 takes
     dict(

@@ -42,6 +42,8 @@ from repro.views.matview import (
     build_view,
 )
 
+from conftest import code_dtype_of
+
 
 ORDERS_BY_UID = MatViewDefinition(
     tables=("orders",), group_columns=(ViewColumn("orders", "uid"),),
@@ -83,7 +85,7 @@ def joined(left, right):
         [left.key_codes(lkey)], [right.key_codes(rkey)],
         SubplanCache(DictionaryCache()),
     )
-    # Raw codes are int32; what the join indexes with is int64.
+    # Raw codes are int16 or int32; what the join indexes with is int64.
     assert lcodes.dtype == rcodes.dtype == np.int64
     return lcodes.tolist(), rcodes.tolist()
 
@@ -262,9 +264,11 @@ def test_factorize_with_encoding_matches_legacy(city_db, tiny_nref):
     picked = np.arange(0, orders.row_count, 3)[::-1]
     for key in columns:
         full = scan(orders, columns)
-        # The whole column's codes are the stored array, int32.
-        assert full.key_codes(key)[1] is full.key_codes(key)[0].codes
-        assert full.key_codes(key)[1].dtype == np.int32
+        # The whole column's codes are the stored array, in the
+        # narrowest dtype that holds the dictionary's codes.
+        dictionary, codes = full.key_codes(key)
+        assert codes is dictionary.codes
+        assert codes.dtype == code_dtype_of(dictionary.n_distinct)
         assert_codes_are_the_inverse(full, key)
         # Behind a selection vector: an index probe's row ids; the
         # codes widen where they are gathered.
@@ -487,20 +491,23 @@ def test_weighted_count_through_hash_join(city_db_p):
 
 
 # ----------------------------------------------------------------------
-# Four bytes a row: a key's raw codes are int32, and a product or shift
-# of codes is computed in int64.  Each site that meets raw codes, on
-# tiny int32 inputs whose product passes 2**31: equal to the same call
-# on int64 copies and to a NumPy reference written here.
+# Two and four bytes a row: a key's raw codes are int16 or int32, and a
+# sum, product or shift of codes is computed in int64.  Each site that
+# meets raw codes, on tiny int32 inputs whose product passes 2**31 and
+# int16 inputs whose product passes 2**15: equal to the same call on
+# int64 copies and to a NumPy reference written here.
 
 WIDE = 70_000  # WIDE * WIDE > 2**31
 WIDE_CODES = st.sampled_from([0, 1, 2, WIDE - 2, WIDE - 1])
+WIDE16 = 200  # WIDE16 * WIDE16 > 2**15
+WIDE16_CODES = st.sampled_from([0, 1, 2, WIDE16 - 2, WIDE16 - 1])
 
 
-def int32_columns(rows):
-    """The columns of ``rows`` (tuples of codes) as int32 arrays that
-    each reach ``WIDE - 1``."""
-    rows = rows + [(WIDE - 1,) * len(rows[0])]
-    return [np.array(column, dtype=np.int32) for column in zip(*rows)]
+def code_columns(rows, wide=WIDE, dtype=np.int32):
+    """The columns of ``rows`` (tuples of codes) as ``dtype`` arrays
+    that each reach ``wide - 1``."""
+    rows = rows + [(wide - 1,) * len(rows[0])]
+    return [np.array(column, dtype=dtype) for column in zip(*rows)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -508,11 +515,31 @@ def int32_columns(rows):
     st.tuples(WIDE_CODES, WIDE_CODES, WIDE_CODES), min_size=1, max_size=30,
 ))
 def test_property_combine_codes_widens_int32_codes(rows):
-    narrow = int32_columns(rows)
+    narrow = code_columns(rows)
     combined = combine_codes(narrow)
     assert combined.dtype == np.int64
     assert all(codes.dtype == np.int32 for codes in narrow)  # untouched
     wide = combine_codes([codes.astype(np.int64) for codes in narrow])
+    assert combined.tolist() == wide.tolist()
+    _, reference = np.unique(
+        np.stack(narrow, axis=1), axis=0, return_inverse=True
+    )
+    assert combined.tolist() == reference.reshape(-1).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(
+    st.tuples(WIDE16_CODES, WIDE16_CODES, WIDE16_CODES),
+    min_size=1, max_size=30,
+))
+def test_property_combine_codes_widens_int16_codes(rows):
+    """Three int16 code columns of 200 values: ``combined * span``
+    passes 2**15 at the second column."""
+    narrow = code_columns(rows, WIDE16, np.int16)
+    combined = combine_codes(narrow)
+    assert all(codes.dtype == np.int16 for codes in narrow)  # untouched
+    wide = combine_codes([codes.astype(np.int64) for codes in narrow])
+    assert combined.dtype == np.int64
     assert combined.tolist() == wide.tolist()
     _, reference = np.unique(
         np.stack(narrow, axis=1), axis=0, return_inverse=True
@@ -527,7 +554,7 @@ def test_property_combine_codes_widens_int32_codes(rows):
 def test_property_count_distinct_widens_int32_codes(rows):
     """70 000 groups x a span of 70 000: ``group * span + value`` keys
     pass 2**31 whichever side is a whole column's raw codes."""
-    codes, vcodes = int32_columns(rows)
+    codes, vcodes = code_columns(rows)
     executor = Executor({}, None)
     got = executor._count_distinct(codes, vcodes, WIDE)
     wide = executor._count_distinct(
@@ -548,8 +575,9 @@ def test_property_count_distinct_widens_int32_codes(rows):
 )
 def test_property_join_pair_codes_take_int32_codes(left, right, picks):
     """Both arms — one shared dictionary, two dictionaries through the
-    domain maps — hand back int64 ranks for int32 codes, whole columns
-    and subsets alike."""
+    domain maps — hand back int64 ranks for int16 codes (what these
+    dictionaries hold) and int32 ones, whole columns and subsets
+    alike."""
     left, right = np.array(left) * 7, np.array(right) * 7 + 21
     left_dict, right_dict = ColumnDictionary(left), ColumnDictionary(right)
     sel = np.array([p for p in picks if p < len(left)], dtype=np.int64)
@@ -559,18 +587,15 @@ def test_property_join_pair_codes_take_int32_codes(left, right, picks):
         ((left_dict, left_dict.codes[sel], left[sel]),
          (right_dict, right_dict.codes, right)),
     ):
-        assert lcodes.dtype == rcodes.dtype == np.int32
-        got = _join_pair_codes(
-            (ldict, lcodes), (rdict, rcodes), SubplanCache(DictionaryCache())
-        )
-        wide = _join_pair_codes(
-            (ldict, lcodes.astype(np.int64)),
-            (rdict, rcodes.astype(np.int64)), SubplanCache(DictionaryCache()),
-        )
+        assert lcodes.dtype == rcodes.dtype == np.int16
         reference = inverse(np.concatenate([lvalues, rvalues]))
-        assert got[0].dtype == got[1].dtype == np.int64
-        assert [*got[0].tolist(), *got[1].tolist()] == reference
-        assert [*wide[0].tolist(), *wide[1].tolist()] == reference
+        for dtype in (np.int16, np.int32, np.int64):
+            got = _join_pair_codes(
+                (ldict, lcodes.astype(dtype)), (rdict, rcodes.astype(dtype)),
+                SubplanCache(DictionaryCache()),
+            )
+            assert got[0].dtype == got[1].dtype == np.int64
+            assert [*got[0].tolist(), *got[1].tolist()] == reference
 
 
 @settings(max_examples=60, deadline=None)
@@ -585,7 +610,7 @@ def test_property_member_flags_index_with_int32_codes(column, allowed):
     flags = _member_flags(
         dictionary, slot_map(ColumnDictionary(values), dictionary)
     )
-    assert dictionary.codes.dtype == np.int32
+    assert dictionary.codes.dtype == code_dtype_of(dictionary.n_distinct)
     assert flags[dictionary.codes].tolist() == np.isin(
         column, values
     ).tolist()

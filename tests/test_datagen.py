@@ -34,6 +34,8 @@ from repro.datagen.tpch import (
 from repro.engine.systems import system_a, system_c
 from repro.storage.encoding import ColumnDictionary
 
+from conftest import code_dtype_of
+
 
 def decoded(column):
     """A generated column's values: a pooled string column's codes
@@ -336,7 +338,7 @@ def test_loaded_columns_are_born_encoded(dataset, pooled, monkeypatch):
         )
         for name, want in (
             ("values", unique), ("counts", counts),
-            ("codes", inverse.astype(np.int32)),
+            ("codes", inverse.astype(code_dtype_of(len(unique)))),
         ):
             got = getattr(cached, name)
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), (

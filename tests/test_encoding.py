@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import interleave
+from conftest import code_dtype_of
 from repro import obs
 from repro.index.data import IndexData
 from repro.index.definition import IndexDefinition
@@ -38,7 +39,7 @@ def test_dictionary_matches_np_unique():
     assert d.row_count == len(base)
     _, inverse = np.unique(base, return_inverse=True)
     assert d.codes.tolist() == inverse.tolist()
-    assert d.codes.dtype == np.int32
+    assert d.codes.dtype == code_dtype_of(d.n_distinct) == np.int16
     assert d.argsort().tolist() == np.lexsort((base,)).tolist()
     assert d.argsort().dtype == np.int32
 
@@ -97,7 +98,7 @@ def assert_dictionary_is_numpys(base, d=None):
             d.values, values, equal_nan=base.dtype.kind == "f"
         )
     assert d.counts.tolist() == counts.tolist()
-    assert d.codes.dtype == np.int32
+    assert d.codes.dtype == code_dtype_of(len(values))
     assert d.codes.tolist() == inverse.tolist()
     order = d.argsort()
     assert order.dtype == np.int32 and not order.flags.writeable
@@ -194,7 +195,8 @@ def test_packed_dictionary_scatters_codes_on_first_read():
     with obs.recording() as recorder:
         codes = d.codes
     assert "encoding.sorts" not in recorder.metrics.snapshot()["counters"]
-    assert codes.dtype == np.int32 and codes.tolist() == inverse.tolist()
+    assert codes.dtype == code_dtype_of(d.n_distinct)
+    assert codes.tolist() == inverse.tolist()
     assert d.codes is codes
 
     # A racing first read computes the same array twice; whichever
@@ -641,8 +643,10 @@ def test_property_lexsort_levels_shift_int32_codes_in_int64(seed):
     table = wide_orders_table(70_000, seed)
     cache = DictionaryCache()
     order = cache.lexsort(table, ("uid", "amount"))
-    codes = cache.dictionary(table, "uid").codes
-    assert order.dtype == codes.dtype == np.int32
+    uid = cache.dictionary(table, "uid")
+    codes = uid.codes
+    assert order.dtype == np.int32
+    assert codes.dtype == code_dtype_of(uid.n_distinct) == np.int32
     assert int(codes.max()).bit_length() + (
         table.row_count - 1).bit_length() > 31
     assert np.array_equal(
@@ -661,12 +665,13 @@ def test_resident_bytes_counts_each_array_once(city_db):
         "codes": 0, "orders": 4 * rows, "lexsorts": 0, "values": small,
     }
     # ... the one-column memo is that order, a two-column one is not;
-    # its upper level read uid's codes.
+    # its upper level read uid's codes, two bytes a row (int16).
     cache.lexsort(orders, ("uid",))
     cache.lexsort(orders, ("uid", "amount"))
     amount = cache.dictionary(orders, "amount")
+    assert uid.codes.dtype == code_dtype_of(uid.n_distinct) == np.int16
     assert cache.resident_bytes() == {
-        "codes": 4 * rows, "orders": 8 * rows, "lexsorts": 4 * rows,
+        "codes": 2 * rows, "orders": 8 * rows, "lexsorts": 4 * rows,
         "values": small + amount.values.nbytes + amount.counts.nbytes,
     }
 
@@ -971,7 +976,7 @@ def test_property_float_codes_are_the_unique_inverse(picks, packed):
     )
     assert dictionary.values.tolist() == values.tolist()
     assert dictionary.counts.tolist() == counts.tolist()
-    assert dictionary.codes.dtype == np.int32
+    assert dictionary.codes.dtype == code_dtype_of(len(values))
     assert dictionary.codes.tolist() == inverse.reshape(-1).tolist()
     assert dictionary.argsort().tolist() == np.argsort(
         base, kind="stable"
@@ -1171,6 +1176,7 @@ def assert_dictionary_of_int64(dictionary, want, column):
     assert dictionary.values.dtype == column.dtype
     assert dictionary.values.tolist() == values.tolist()
     assert dictionary.counts.tolist() == counts.tolist()
+    assert dictionary.codes.dtype == code_dtype_of(len(values))
     assert dictionary.codes.tolist() == codes.tolist()
     assert dictionary.argsort().tolist() == np.argsort(
         want, kind="stable"
@@ -1323,3 +1329,105 @@ def test_property_inl_extra_predicates_map_codes_across_dictionaries(
     got = executor._equal(batch, "o.k", "i.k")
     want = [left[p] == right[q] for p, q in zip(outer_rows, inner_rows)]
     assert got.tolist() == want
+
+
+# ----------------------------------------------------------------------
+# Two bytes a code: int16 codes up to 32 768 values, int32 beyond
+
+CODE_LIMIT = 1 << 15  # the most values int16 codes can number
+
+
+def boundary_column(kind, n_distinct, seed):
+    """``(table, values)``: a one-column table ``b(c)`` of ``kind``
+    holding ``n_distinct`` values, each at least once, in a shuffled
+    order, and the plain values it was loaded with.  A ``"str"``
+    column is loaded as its dictionary read off pool indices, from a
+    pool with entries no row draws."""
+    from repro.catalog.schema import ColumnDef, TableSchema
+    from repro.storage.table import Table
+    from repro.storage.types import float_, integer, varchar
+
+    rng = np.random.default_rng(seed)
+    picks = np.concatenate([
+        rng.permutation(n_distinct), rng.integers(0, n_distinct, 64),
+    ])
+    sql_type = {"int": integer(), "float": float_(), "str": varchar(8)}
+    schema = TableSchema("b", [ColumnDef("c", sql_type[kind], "")])
+    if kind == "str":
+        pool = np.array(
+            [boundary_value(kind, i) for i in range(n_distinct + 3)],
+            dtype=object,
+        )
+        rows = picks.astype(np.int32)
+        column = ColumnDictionary.from_pool(pool, rows)
+        return Table(schema, {"c": column}), pool[rows]
+    values = np.array([boundary_value(kind, i) for i in picks])
+    return Table(schema, {"c": values}), values
+
+
+def boundary_value(kind, i):
+    """Value ``i`` of a ``kind`` column: ints spanning int16's range
+    (so the column is int32), floats, strings."""
+    if kind == "int":
+        return 3 * i - 40_000
+    if kind == "float":
+        return i / 4 - 100.0
+    return f"v{i:06d}"
+
+
+def assert_codes_take_the_narrowest_dtype(table, cache, values):
+    """The column's codes are ``np.unique``'s inverse of ``values`` in
+    the narrowest dtype that numbers its values, and its resident
+    bytes are that dtype's width for every row the buffer holds."""
+    _, inverse = np.unique(values, return_inverse=True)
+    coded = table.dictionary("c")
+    dictionary = cache.dictionary(table, "c")
+    assert dictionary is coded or coded is None
+    codes = dictionary.codes
+    width = code_dtype_of(dictionary.n_distinct)
+    assert codes.dtype == width
+    assert codes.tolist() == inverse.reshape(-1).tolist()
+    held = codes if dictionary._spare is None else dictionary._spare
+    if coded is None:
+        assert cache.resident_bytes()["codes"] == width.itemsize * len(held)
+    else:
+        assert table.resident_bytes() == {width.name: width.itemsize
+                                          * len(held)}
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    kind=st.sampled_from(["int", "float", "str"]),
+    offset=st.integers(-3, 2),
+    tails=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 40)), max_size=2
+    ),
+    seed=st.integers(0, 1000),
+)
+@example(kind="str", offset=0, tails=[(1, 5)], seed=0)
+@example(kind="int", offset=-1, tails=[(0, 9), (2, 3)], seed=1)
+@example(kind="float", offset=-2, tails=[(3, 0)], seed=2)
+def test_property_codes_take_two_bytes_up_to_32768_values(
+        kind, offset, tails, seed):
+    """Int, float and pooled-string columns whose distinct count
+    straddles 32 768, loaded and then grown by tails of ``new`` unseen
+    and ``old`` seen values that may carry them across it: after every
+    step the codes equal ``np.unique``'s inverse, they are int16 up to
+    32 768 values and int32 beyond, and they hold 2 or 4 bytes a
+    row."""
+    n_distinct = CODE_LIMIT + offset
+    table, values = boundary_column(kind, n_distinct, seed)
+    cache = DictionaryCache()
+    assert_codes_take_the_narrowest_dtype(table, cache, values)
+    rng = np.random.default_rng(seed)
+    for new, old in tails:
+        tail = np.array(
+            [boundary_value(kind, n_distinct + i) for i in range(new)]
+            + [boundary_value(kind, i)
+               for i in rng.integers(0, n_distinct, old)],
+            dtype=object if kind == "str" else None,
+        )
+        n_distinct += new
+        cache.append_rows(table, {"c": tail})
+        values = np.concatenate([values, tail])
+        assert_codes_take_the_narrowest_dtype(table, cache, values)

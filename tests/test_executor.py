@@ -249,3 +249,97 @@ def test_query_timeout_exception_fields():
     err = QueryTimeout(10.0, 12.5)
     assert err.limit_seconds == 10.0
     assert err.charged_seconds == 12.5
+
+
+# ----------------------------------------------------------------------
+# Codes on both sides of 32 768 values: int16 and int32 codes answer
+# as SQLite does
+
+WIDE_KEYS = 40_000  # "k": int32 codes
+EDGE_KEYS = 1 << 15  # "m": int16 codes, the last one 32 767
+
+
+def code_width_database():
+    """``big`` (keys ``k`` above 32 768 values, ``m`` at exactly
+    32 768, the last and most frequent of which has code 32 767, and
+    300 groups ``g``) and ``small`` (rows keyed into both, with keys
+    outside them too), under 1C and a view on ``big.m``; and the plain
+    columns they were loaded with."""
+    from repro import Catalog, ColumnDef, Database, TableSchema
+    from repro import integer, varchar
+    from repro.engine.systems import system_a
+    from repro.views.matview import MatViewDefinition, ViewColumn
+
+    rng = np.random.default_rng(55)
+    big_m = np.concatenate([
+        np.arange(EDGE_KEYS), np.full(60, EDGE_KEYS - 1),
+        rng.integers(0, EDGE_KEYS, 2_000),
+    ])
+    rows = len(big_m)
+    big_k = rng.permutation(np.arange(rows) % WIDE_KEYS)
+    columns = {
+        "big": {
+            "k": np.array([f"k{i:06d}" for i in big_k], dtype=object),
+            "m": np.array([f"m{i:06d}" for i in big_m], dtype=object),
+            "g": rng.integers(0, 300, rows),
+        },
+        "small": {
+            "k": np.array([f"k{i:06d}" for i in
+                           rng.integers(0, WIDE_KEYS + 500, 3_000)],
+                          dtype=object),
+            "m": np.array([f"m{i:06d}" for i in np.concatenate([
+                [EDGE_KEYS - 1] * 5,
+                rng.integers(EDGE_KEYS - 200, EDGE_KEYS + 50, 2_995),
+            ])], dtype=object),
+            "w": np.concatenate([[3] * 5, rng.integers(0, 40, 2_995)]),
+        },
+    }
+    catalog = Catalog([
+        TableSchema("big", [ColumnDef("k", varchar(7), ""),
+                            ColumnDef("m", varchar(7), ""),
+                            ColumnDef("g", integer(), "")]),
+        TableSchema("small", [ColumnDef("k", varchar(7), ""),
+                              ColumnDef("m", varchar(7), ""),
+                              ColumnDef("w", integer(), "")]),
+    ])
+    database = Database(catalog, system_a(), name="widths")
+    for name, table in columns.items():
+        database.load_table(name, dict(table))
+    database.collect_statistics()
+    view = MatViewDefinition(
+        tables=("big",), group_columns=(ViewColumn("big", "m"),)
+    )
+    database.apply_configuration(
+        one_column_configuration(catalog).with_views([view], name="1C+V")
+    )
+    database.collect_statistics()
+    return database, columns
+
+
+def test_codes_on_both_sides_of_32768_values_answer_as_sqlite():
+    """GROUP BY, COUNT(DISTINCT), joins and a semijoin on a key of
+    40 000 values (int32 codes) and on one of exactly 32 768 (int16
+    codes, up to 32 767), against SQLite."""
+    database, columns = code_width_database()
+    for table, column, width in (("big", "k", np.int32),
+                                 ("big", "m", np.int16),
+                                 ("small", "m", np.int16)):
+        assert database.table(table).column(column).dtype == width
+    lite = oracle.load(columns)
+    for sql in (
+        "SELECT b.k, COUNT(*) FROM big b GROUP BY b.k",
+        "SELECT b.m, COUNT(*) FROM big b GROUP BY b.m",
+        "SELECT b.g, COUNT(DISTINCT b.k), COUNT(DISTINCT b.m) FROM big b "
+        "GROUP BY b.g",
+        "SELECT s.w, COUNT(*) FROM big b, small s WHERE b.k = s.k "
+        "GROUP BY s.w",
+        "SELECT s.w, COUNT(DISTINCT b.g) FROM big b, small s "
+        "WHERE b.m = s.m GROUP BY s.w",
+        "SELECT b.m, COUNT(*) FROM big b, small s WHERE b.m = s.m "
+        "AND s.w = 3 GROUP BY b.m",
+        "SELECT b.g, COUNT(*) FROM big b WHERE b.m IN (SELECT m FROM big "
+        "GROUP BY m HAVING COUNT(*) > 8) GROUP BY b.g",
+    ):
+        assert oracle.rows(database.execute(sql).rows()) == oracle.rows(
+            lite.execute(sql)
+        ), sql

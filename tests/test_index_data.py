@@ -343,6 +343,33 @@ def test_property_append_equals_rebuild(initial, batches, key):
         )
 
 
+@pytest.mark.parametrize("key", [("s", "i"), ("i", "s")])
+def test_appends_at_code_32767_and_past_it_equal_a_rebuild(key):
+    """A string key of exactly 32 768 values (int16 codes up to 32 767)
+    takes rows at its last code, then a batch that brings new values
+    and widens its codes to int32: leading or inner, the merged index
+    equals a rebuild, dtypes included."""
+    words = np.array([f"w{v:05d}" for v in range(1 << 15)], dtype=object)
+    rng = np.random.default_rng(7)
+    table = Table(KEYED, {
+        "i": rng.integers(0, 5, len(words)), "f": np.zeros(len(words)),
+        "s": rng.permutation(words),
+    })
+    definition = IndexDefinition(table="keyed", columns=key)
+    cache = DictionaryCache()
+    index = IndexData(definition, table, cache)
+    index.inner_columns  # gathered now, so the merge recodes them
+    for batch in ([words[-1]] * 3 + [words[0]], ["w99999", "a", words[-1]]):
+        cache.append_rows(table, {
+            "i": np.arange(len(batch)), "f": np.zeros(len(batch)),
+            "s": np.array(batch, dtype=object),
+        })
+        index = index.append(table, cache)
+        assert_same_index(index, IndexData(definition, table,
+                                           DictionaryCache()))
+    assert table.column("s").dtype == np.int32
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
 def test_cluster_factor_by_blocks_equals_the_whole_array_formula(
         city_db, monkeypatch, block):
@@ -704,6 +731,21 @@ def test_index_pickled_with_int64_row_ids_is_a_store_miss(
         pickle.loads(pickle.dumps(forged))
     ArtifactCache(tmp_path).put("index", "k", forged)
     assert ArtifactCache(tmp_path).get("index", "k", "missed") == "missed"
+
+
+def test_index_pickled_with_int32_inner_codes_loads_them_narrow(city_db):
+    """An index pickled while codes were int32 loads its coded inner
+    columns in the narrowest dtype their dictionary needs, read-only."""
+    index = make_index(city_db, "orders", ["uid", "city"])
+    (inner,) = index.inner_columns
+    assert inner.dtype == np.int16
+    forged = IndexData.__new__(IndexData)
+    forged.__dict__.update(
+        index.__dict__, inner_columns=[inner.astype(np.int32)]
+    )
+    (loaded,) = pickle.loads(pickle.dumps(forged)).inner_columns
+    assert loaded.dtype == np.int16 and not loaded.flags.writeable
+    assert loaded.tolist() == inner.tolist()
 
 
 def test_index_pickled_without_page_transitions_is_a_store_miss(

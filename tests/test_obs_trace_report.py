@@ -119,9 +119,11 @@ def test_traced_run_report_contents(traced_fig3):
     (db_caches,) = caches["databases"].values()
     assert db_caches["plan_cache"]["misses"] > 0
     assert db_caches["bind_cache"]["hits"] > 0
-    # Tiny NREF: every integer column fits int16, none is stored wider.
+    # Tiny NREF: every integer column fits int16 and every string
+    # column's dictionary holds at most 32 768 values, so its codes are
+    # int16 too: none is stored wider.
     resident = db_caches["resident_bytes"]
-    assert set(resident["tables"]) == {"float64", "int16", "int32"}
+    assert set(resident["tables"]) == {"float64", "int16"}
     assert all(resident["tables"].values())
     assert set(resident["dictionaries"]) == {
         "codes", "orders", "lexsorts", "values",

@@ -371,15 +371,28 @@ def test_reloaded_table_plans_and_estimates_as_if_cold():
 # Measurement memo: A(q, C) by plan fingerprint, for as long as the rows
 
 def counting_executions(db, monkeypatch):
-    """``db.execute`` counted: the list of SQL texts it ran."""
-    ran, execute = [], db.execute
+    """Every plan ``db`` runs, counted — through ``execute`` or a
+    measurement miss, which share ``Database._run``: the list of SQL
+    texts it ran."""
+    ran, run = [], db._run
 
-    def counted(sql, timeout):
-        ran.append(sql)
-        return execute(sql, timeout)
+    def counted(bound, plan, timeout):
+        ran.append(bound.sql)
+        return run(bound, plan, timeout)
 
-    monkeypatch.setattr(db, "execute", counted)
+    monkeypatch.setattr(db, "_run", counted)
     return ran
+
+
+def test_measuring_fresh_queries_plans_each_once(city_db_p):
+    """A measurement miss runs the plan it looked up, without looking
+    it up again: n fresh queries are n plan-cache misses and no hit."""
+    before = city_db_p.cache_stats()["plan_cache"]
+    for sql in SQLS:
+        city_db_p.measure(sql)
+    after = city_db_p.cache_stats()["plan_cache"]
+    assert after["misses"] - before["misses"] == len(SQLS)
+    assert after["hits"] == before["hits"]
 
 
 def test_measure_is_execute_until_the_rows_change(city_db_p, monkeypatch):

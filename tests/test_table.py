@@ -11,7 +11,7 @@ from repro import ColumnDef, TableSchema, float_, integer, varchar
 from repro.common.errors import CatalogError
 from repro.storage.table import Table
 
-from conftest import narrowest_dtype
+from conftest import code_dtype_of, narrowest_dtype
 
 SCHEMA = TableSchema(
     "t",
@@ -47,8 +47,9 @@ def test_property_appended_columns_equal_concatenation(initial, batches):
     """After every append each column decodes to ``np.concatenate`` of
     the loaded and appended parts, built in the schema's widest dtype,
     and is stored in the narrowest dtype that holds it — a string
-    column as int32 codes; every column array handed out before — a
-    snapshot — keeps its contents."""
+    column as codes in the narrowest dtype that holds its
+    dictionary's; every column array handed out before — a snapshot —
+    keeps its contents."""
     table = Table(SCHEMA, columns_of(initial))
 
     def part(rows, col):
@@ -71,7 +72,9 @@ def test_property_appended_columns_equal_concatenation(initial, batches):
             if col.sql_type.kind == "int":
                 assert have.dtype == narrowest_dtype(want)
             elif col.sql_type.kind == "str":
-                assert table.column(col.name).dtype == np.int32
+                assert table.column(col.name).dtype == code_dtype_of(
+                    len(set(want.tolist()))
+                )
             assert have.dtype == want.dtype or col.sql_type.kind == "int"
             assert have.tolist() == want.tolist()
         for snapshot in snapshots:
@@ -171,19 +174,34 @@ def test_an_int64_pickle_loads_narrow():
     assert clone.column("i").tolist() == [3, -7, 40000]
 
 
+def test_an_int32_code_pickle_loads_narrow():
+    """A string column pickled while its codes were int32 loads them in
+    the narrowest dtype its dictionary needs."""
+    table = Table(STRINGS, {"s": np.array(["b", "a", "b"], dtype=object)})
+    coded = table.dictionary("s")
+    coded.base = coded._codes = coded.codes.astype(np.int32)
+    table._columns["s"] = coded.base
+    clone = pickle.loads(pickle.dumps(table))
+    assert table.column("s").dtype == np.int32
+    assert clone.column("s").dtype == np.int16
+    assert clone.column("s") is clone.dictionary("s").codes
+    assert clone.decode("s").tolist() == ["b", "a", "b"]
+
+
 def test_resident_bytes_count_each_buffer_in_its_dtype():
     """A table's resident bytes are its column buffers by dtype, the
     spare capacity behind appended rows included — a string column's
-    int32 codes, never an object array; a column an append widened
-    counts in its new dtype only."""
+    codes, two bytes a row while its dictionary holds at most 32 768
+    values, never an object array; a column an append widened counts
+    in its new dtype only."""
     table = Table(SCHEMA, columns_of([(i, i / 2, "a") for i in range(800)]))
     assert table.resident_bytes() == {
-        "int16": 2 * 800, "float64": 8 * 800, "int32": 4 * 800,
+        "int16": 2 * 800 + 2 * 800, "float64": 8 * 800,
     }
     table.append_rows(columns_of([(40_000, 1.0, "b")] * 10))
     spare = 810 + 810 // 8
     assert table.resident_bytes() == {
-        "int32": 4 * spare + 4 * spare, "float64": 8 * spare,
+        "int32": 4 * spare, "int16": 2 * spare, "float64": 8 * spare,
     }
 
 
@@ -220,12 +238,13 @@ def loaded(words, how):
 @example(words=["b", "b", "a"], how="pooled")
 def test_property_a_coded_column_decodes_to_what_was_loaded(words, how):
     """Loaded either way — empty, with duplicates, quotes or non-ASCII
-    text — a string column is int32 codes into sorted distinct values
-    and decodes to its input, rows in any order too."""
+    text — a string column is int16 codes (it has fewer than 32 768
+    values) into sorted distinct values and decodes to its input, rows
+    in any order too."""
     table = loaded(words, how)
     dictionary = table.dictionary("s")
     assert table.column("s") is dictionary.codes
-    assert table.column("s").dtype == np.int32
+    assert table.column("s").dtype == np.int16
     assert dictionary.values.tolist() == sorted(set(words))
     assert table.decode("s").tolist() == words
     rows = np.arange(len(words))[::-1]
@@ -287,6 +306,6 @@ def test_a_coded_table_pickles_and_an_object_pickle_loads_coded(how):
         "_columns": {"s": np.array(words, dtype=object)},
     })
     restored = pickle.loads(pickle.dumps(old))
-    assert restored.column("s").dtype == np.int32
+    assert restored.column("s").dtype == code_dtype_of(4) == np.int16
     assert restored.dictionary("s").coded
     assert restored.decode("s").tolist() == words
