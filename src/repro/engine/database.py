@@ -804,6 +804,22 @@ class Database:
         """Estimated cost ``E(q, C)`` in the current configuration."""
         return self.plan(sql).est.cost
 
+    def estimate_many(self, sqls):
+        """``E(q, C)`` of each SQL text, in order, cached nowhere.
+
+        Binds and plans every text against one :meth:`planner_env`,
+        and neither reads nor writes the bind or the plan cache: a
+        family estimated to be sampled is mostly never planned again,
+        and what is, is bound and planned once more when it is first
+        measured.  Each cost equals :meth:`estimate`'s.
+        """
+        binder, planner = Binder(self.catalog), Planner(self.planner_env())
+        costs = []
+        for sql in sqls:
+            obs.counter_add("optimizer.plan_builds")
+            costs.append(planner.plan(binder.bind(parse(sql))).est.cost)
+        return costs
+
     def estimate_hypothetical(self, sql, config, force_hypothetical=False,
                               oracle=False):
         """Hypothetical cost ``H(q, config, current)`` (memoized).

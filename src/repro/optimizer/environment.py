@@ -156,6 +156,12 @@ class PlannerEnv:
     nothing a trial adds outlives the trial.  The environment of the
     built configuration has none — every executed plan is a private
     tree.
+
+    ``join_graphs`` holds the planner's join-graph facts, keyed by the
+    relations and join predicates of a query (in order): they depend
+    on those and on the estimator only.  An environment derived from
+    this one by :meth:`adopt` runs on the same estimator, so it shares
+    the dict too.
     """
 
     catalog: object                # Catalog
@@ -180,16 +186,18 @@ class PlannerEnv:
             view for view in self.views if view.definition.is_join_view
         )
         self.volatile = frozenset()
+        self.join_graphs = {}
 
     def adopt(self, base):
-        """Share ``base``'s memo and its per-table structures.
+        """Share ``base``'s memo, join graphs and per-table structures.
 
-        Called on an environment derived from ``base`` before anyone
-        plans with it.  A table whose indexes and views are — by
-        identity — the base's gets the base's :class:`TableStructures`
-        object, so what the memo holds for it is found again; what is
-        left over (and every view the base does not have) is this
-        environment's own and marks a result as not to be kept.
+        Called on an environment derived from ``base``, on ``base``'s
+        estimator, before anyone plans with it.  A table whose indexes
+        and views are — by identity — the base's gets the base's
+        :class:`TableStructures` object, so what the memo holds for it
+        is found again; what is left over (and every view the base does
+        not have) is this environment's own and marks a result as not to
+        be kept.
         """
         own = set()
         for table, mine in self._structures.items():
@@ -204,6 +212,7 @@ class PlannerEnv:
         )
         self.volatile = frozenset(own)
         self.memo = base.memo
+        self.join_graphs = base.join_graphs
 
     def structures_on(self, table):
         """The :class:`TableStructures` of a base table."""

@@ -91,7 +91,9 @@ class QueryFacts:
 
     Depends on the query, the catalog, the estimator and the hardware
     profile — all of which an environment shares with the environments
-    derived from it — so it is computed once per query and memo.
+    derived from it — so it is computed once per query and memo.  Its
+    join-graph half (``subsets``) depends on less than the query, and
+    is shared by every query of the same join graph (:func:`_join_graph`).
     """
 
     __slots__ = (
@@ -182,48 +184,69 @@ class QueryFacts:
             )
 
         self.tables = list(dict.fromkeys(bound.relations.values()))
-        names = list(bound.relations)
-        self.full = frozenset(names)
-        # Per subset of two or more aliases, in enumeration order: the
-        # aliases that a predicate connects to the rest of it.
-        self.subsets = []
-        for size in range(2, len(names) + 1):
-            for subset in combinations(names, size):
-                key = frozenset(subset)
-                extensions = []
-                for alias in subset:
-                    rest = key - {alias}
-                    preds = _connecting_preds(bound, rest, alias)
-                    if preds:
-                        extensions.append(
-                            (alias, rest, self._step(est, preds, alias))
-                        )
-                if extensions:
-                    self.subsets.append((key, extensions))
+        self.full = frozenset(bound.relations)
+        self.subsets = _join_graph(bound, env)
 
-    def _step(self, est, preds, alias):
-        relations = self.bound.relations
-        oriented = [_orient(pred, alias) for pred in preds]
-        step = _StepFacts()
-        step.sel = 1.0
-        for (o_alias, o_col), (i_col,) in oriented:
-            step.sel *= est.join_selectivity(
-                relations[o_alias], o_col, relations[alias], i_col
-            )
-        step.left_keys = [f"{oa}.{oc}" for (oa, oc), _ in oriented]
-        step.right_keys = [f"{alias}.{ic}" for _, (ic,) in oriented]
-        # Per predicate an index could be probed through: the outer key,
-        # the inner column, and the other predicates as checks on the
-        # matches.
-        pairs = [
-            (outer_key, i_col)
-            for outer_key, (_, (i_col,)) in zip(step.left_keys, oriented)
-        ]
-        step.probes = [
-            (outer_key, i_col, pairs[:position] + pairs[position + 1:])
-            for position, (outer_key, i_col) in enumerate(pairs)
-        ]
-        return step
+
+def _join_graph(bound, env):
+    """Per subset of two or more aliases, in enumeration order: the
+    aliases that a predicate connects to the rest of it, each with the
+    :class:`_StepFacts` of joining it on.
+
+    That is a function of the relations in order, the join predicates
+    in order and the estimator, so it is derived once per such key in
+    the environment's ``join_graphs``, which the environments derived
+    from it share along with its estimator.
+    """
+    key = (tuple(bound.relations.items()), tuple(bound.join_preds))
+    subsets = env.join_graphs.get(key)
+    if subsets is not None:
+        obs.counter_add("optimizer.join_graphs_reused")
+        return subsets
+    obs.counter_add("optimizer.join_graphs_derived")
+    est = env.estimator
+    names = list(bound.relations)
+    subsets = []
+    for size in range(2, len(names) + 1):
+        for subset in combinations(names, size):
+            key_set = frozenset(subset)
+            extensions = []
+            for alias in subset:
+                rest = key_set - {alias}
+                preds = _connecting_preds(bound, rest, alias)
+                if preds:
+                    extensions.append(
+                        (alias, rest, _step(bound, est, preds, alias))
+                    )
+            if extensions:
+                subsets.append((key_set, extensions))
+    env.join_graphs[key] = subsets
+    return subsets
+
+
+def _step(bound, est, preds, alias):
+    relations = bound.relations
+    oriented = [_orient(pred, alias) for pred in preds]
+    step = _StepFacts()
+    step.sel = 1.0
+    for (o_alias, o_col), (i_col,) in oriented:
+        step.sel *= est.join_selectivity(
+            relations[o_alias], o_col, relations[alias], i_col
+        )
+    step.left_keys = [f"{oa}.{oc}" for (oa, oc), _ in oriented]
+    step.right_keys = [f"{alias}.{ic}" for _, (ic,) in oriented]
+    # Per predicate an index could be probed through: the outer key,
+    # the inner column, and the other predicates as checks on the
+    # matches.
+    pairs = [
+        (outer_key, i_col)
+        for outer_key, (_, (i_col,)) in zip(step.left_keys, oriented)
+    ]
+    step.probes = [
+        (outer_key, i_col, pairs[:position] + pairs[position + 1:])
+        for position, (outer_key, i_col) in enumerate(pairs)
+    ]
+    return step
 
 
 def _product(factors):

@@ -22,16 +22,19 @@ from .ast import (
     query,
 )
 
+# One pass of ``findall`` splits the whole text: whitespace matches no
+# group, every token exactly one, and any other character the last.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><>|<=|>=|=|<|>)
-  | (?P<punct>[(),.*-])
+    \s+
+  | (\d+\.\d+|\d+)                  # number
+  | ('(?:[^']|'')*')                # string
+  | ([A-Za-z_][A-Za-z_0-9]*)        # identifier or keyword
+  | (<>|<=|>=|=|<|>)                # operator
+  | ([(),.*-])                      # punctuation
+  | (.)                             # anything else: an error
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {
@@ -40,67 +43,82 @@ _KEYWORDS = {
 }
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r})"
-
-
 def _tokenize(sql):
-    tokens = []
-    pos = 0
-    while pos < len(sql):
-        match = _TOKEN_RE.match(sql, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {sql[pos]!r}", pos)
-        kind = match.lastgroup
-        text = match.group()
-        if kind != "ws":
-            if kind == "ident" and text.lower() in _KEYWORDS:
-                kind = "keyword"
-                text = text.lower()
-            tokens.append(_Token(kind, text, pos))
-        pos = match.end()
-    tokens.append(_Token("eof", "", pos))
-    return tokens
+    """The tokens of ``sql`` as two parallel lists, kinds and texts,
+    ending with an ``eof`` token."""
+    kinds, texts = [], []
+    for number, string, ident, op, punct, other in _TOKEN_RE.findall(sql):
+        if ident:
+            lowered = ident.lower()
+            if lowered in _KEYWORDS:
+                kinds.append("keyword")
+                texts.append(lowered)
+            else:
+                kinds.append("ident")
+                texts.append(ident)
+        elif punct:
+            kinds.append("punct")
+            texts.append(punct)
+        elif op:
+            kinds.append("op")
+            texts.append(op)
+        elif number:
+            kinds.append("number")
+            texts.append(number)
+        elif string:
+            kinds.append("string")
+            texts.append(string)
+        elif other:
+            raise ParseError(
+                f"unexpected character {other!r}", _offset(sql, len(kinds))
+            )
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts
+
+
+def _offset(sql, index):
+    """Where the ``index``-th token of ``sql`` starts (the end of the
+    text for the ``eof`` token); only an error needs it."""
+    for match in _TOKEN_RE.finditer(sql):
+        if match.lastindex is not None:
+            if index == 0:
+                return match.start()
+            index -= 1
+    return len(sql)
 
 
 class _Parser:
     def __init__(self, sql):
         self._sql = sql
-        self._tokens = _tokenize(sql)
+        self._kinds, self._texts = _tokenize(sql)
         self._index = 0
 
     # -- token helpers --------------------------------------------------
 
-    @property
-    def _current(self):
-        return self._tokens[self._index]
+    def _error(self, message):
+        """A :class:`ParseError` at the current token."""
+        return ParseError(message, _offset(self._sql, self._index))
 
     def _advance(self):
-        token = self._current
+        text = self._texts[self._index]
         self._index += 1
-        return token
+        return text
 
     def _expect(self, kind, text=None):
-        token = self._current
-        if token.kind != kind or (text is not None and token.text != text):
-            want = text or kind
-            raise ParseError(
-                f"expected {want!r}, found {token.text!r}", token.pos
-            )
-        return self._advance()
+        index = self._index
+        found = self._texts[index]
+        if self._kinds[index] != kind or (text is not None and found != text):
+            raise self._error(f"expected {text or kind!r}, found {found!r}")
+        self._index += 1
+        return found
 
     def _accept(self, kind, text=None):
-        token = self._current
-        if token.kind == kind and (text is None or token.text == text):
-            self._advance()
+        index = self._index
+        if self._kinds[index] == kind and (
+            text is None or self._texts[index] == text
+        ):
+            self._index += 1
             return True
         return False
 
@@ -145,24 +163,26 @@ class _Parser:
         expr = self._select_expr()
         alias = None
         if self._accept("keyword", "as"):
-            alias = self._expect("ident").text
-        elif self._current.kind == "ident" and self._peek_is_alias():
-            alias = self._advance().text
+            alias = self._expect("ident")
+        elif self._kinds[self._index] == "ident" and self._peek_is_alias():
+            alias = self._advance()
         return SelectItem(expr, alias)
 
     def _peek_is_alias(self):
-        nxt = self._tokens[self._index + 1]
-        return nxt.kind in ("punct", "keyword", "eof") and nxt.text != "."
+        following = self._index + 1
+        return self._kinds[following] in ("punct", "keyword", "eof") \
+            and self._texts[following] != "."
 
     def _select_expr(self):
-        token = self._current
-        if token.kind == "ident" and token.text.lower() in AGG_FUNCS \
-                and self._tokens[self._index + 1].text == "(":
+        index = self._index
+        if self._kinds[index] == "ident" \
+                and self._texts[index].lower() in AGG_FUNCS \
+                and self._texts[index + 1] == "(":
             return self._func_call()
         return self._column_ref()
 
     def _func_call(self):
-        func = self._expect("ident").text.lower()
+        func = self._expect("ident").lower()
         self._expect("punct", "(")
         distinct = self._accept("keyword", "distinct")
         if self._accept("punct", "*"):
@@ -173,17 +193,17 @@ class _Parser:
         return FuncCall(func, arg, distinct)
 
     def _column_ref(self):
-        first = self._expect("ident").text
+        first = self._expect("ident")
         if self._accept("punct", "."):
-            second = self._expect("ident").text
+            second = self._expect("ident")
             return ColumnRef(first, second)
         return ColumnRef(None, first)
 
     def _table_ref(self):
-        table = self._expect("ident").text
+        table = self._expect("ident")
         alias = None
-        if self._current.kind == "ident":
-            alias = self._advance().text
+        if self._kinds[self._index] == "ident":
+            alias = self._advance()
         return TableRef(table, alias)
 
     def _predicate(self):
@@ -193,35 +213,31 @@ class _Parser:
             sub = self._query_block()
             self._expect("punct", ")")
             return InSubquery(column, sub)
-        op = self._expect("op").text
+        op = self._expect("op")
         right = self._operand()
         return Comparison(column, op, right)
 
     def _having_predicate(self):
         left = self._func_call()
-        op = self._expect("op").text
+        op = self._expect("op")
         right = self._operand()
         return Comparison(left, op, right)
 
     def _operand(self):
-        token = self._current
-        if token.kind == "punct" and token.text == "-":
+        kind, text = self._kinds[self._index], self._texts[self._index]
+        if kind == "punct" and text == "-":
             self._advance()
-            number = self._expect("number")
-            text = number.text
+            text = self._expect("number")
             return Literal(-float(text) if "." in text else -int(text))
-        if token.kind == "number":
+        if kind == "number":
             self._advance()
-            text = token.text
             return Literal(float(text) if "." in text else int(text))
-        if token.kind == "string":
+        if kind == "string":
             self._advance()
-            return Literal(token.text[1:-1].replace("''", "'"))
-        if token.kind == "ident":
+            return Literal(text[1:-1].replace("''", "'"))
+        if kind == "ident":
             return self._column_ref()
-        raise ParseError(
-            f"expected literal or column, found {token.text!r}", token.pos
-        )
+        raise self._error(f"expected literal or column, found {text!r}")
 
 
 def parse(sql):

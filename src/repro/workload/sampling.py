@@ -6,6 +6,12 @@ distribution of elapsed times of the larger family was preserved"
 per-query cost key — by default the optimizer's estimated cost in the
 initial configuration, which is available without executing the family —
 and sample proportionally from each stratum.
+
+The sample is what a run keeps; the family is only estimated.  Its
+costs come from :meth:`~repro.engine.database.Database.estimate_many`,
+one pass that binds and plans every query and caches neither, so the
+bound queries and plans of the (mostly unsampled) family do not stay
+in the database's caches.
 """
 
 import math
@@ -22,7 +28,10 @@ def stratified_sample(workload, costs, size=100, seed=405, name=None):
     ``costs`` is one non-negative number per query (same order as
     ``workload.queries``).  Queries are bucketed by ``floor(log10(cost))``
     and each bucket contributes proportionally to its share of the family
-    (largest-remainder rounding keeps the total exact).
+    (largest-remainder rounding keeps the total exact).  A bucket of
+    ``m`` members has the exact share ``size * m / n < m``, so its
+    quota never exceeds its size and the sample holds exactly ``size``
+    queries.
     """
     queries = list(workload.queries)
     if len(costs) != len(queries):
@@ -51,16 +60,8 @@ def stratified_sample(workload, costs, size=100, seed=405, name=None):
 
     chosen = []
     for bucket, members in sorted(strata.items()):
-        quota = min(quotas[bucket], len(members))
-        picks = rng.choice(len(members), size=quota, replace=False)
+        picks = rng.choice(len(members), size=quotas[bucket], replace=False)
         chosen.extend(members[i] for i in sorted(picks))
-    # Top up if rounding against small strata left us short.
-    if len(chosen) < size:
-        remaining = [i for i in range(total) if i not in set(chosen)]
-        extra = rng.choice(
-            len(remaining), size=size - len(chosen), replace=False
-        )
-        chosen.extend(remaining[i] for i in sorted(extra))
 
     chosen = sorted(chosen)
     return Workload(
@@ -70,9 +71,10 @@ def stratified_sample(workload, costs, size=100, seed=405, name=None):
 
 
 def estimated_costs(database, workload):
-    """Per-query estimated cost in the database's current configuration."""
+    """Per-query estimated cost in the database's current configuration,
+    taken in one pass that leaves the database's caches as they were."""
     return np.array(
-        [database.estimate(q.sql) for q in workload.queries],
+        database.estimate_many(q.sql for q in workload.queries),
         dtype=np.float64,
     )
 

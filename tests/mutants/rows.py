@@ -556,6 +556,33 @@ ROWS = [
                 "test_appends_at_code_32767_and_past_it_equal_a_rebuild"
                 "[key0]",
     ),
+    # -- planner caches: sampling's bulk estimate and the join graphs
+    dict(
+        id="bulk-estimate-keeps-plans",
+        guards="planner caches",
+        file="src/repro/engine/database.py",
+        search=(
+            "            costs.append("
+            "planner.plan(binder.bind(parse(sql))).est.cost)\n"
+        ),
+        replace="            costs.append(self.estimate(sql))\n",
+        catcher="tests/test_bulk_estimate.py::"
+                "test_bulk_estimate_is_exact_caches_nothing_and_shares_"
+                "join_graphs[C-SkTH3J]",
+    ),
+    dict(
+        id="join-graph-key-drops-predicates",
+        guards="planner caches",
+        file="src/repro/optimizer/planner.py",
+        search=(
+            "    key = (tuple(bound.relations.items()), "
+            "tuple(bound.join_preds))\n"
+        ),
+        replace="    key = tuple(bound.relations.items())\n",
+        catcher="tests/test_bulk_estimate.py::"
+                "test_bulk_estimate_is_exact_caches_nothing_and_shares_"
+                "join_graphs[C-SkTH3J]",
+    ),
     # -- determinism: set order on a path only fig9 takes
     dict(
         id="unth3j-in-set-order",

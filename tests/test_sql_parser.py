@@ -64,23 +64,42 @@ def test_comparison_operators():
         assert q.where[0].op == op
 
 
+BAD_SQL = [
+    ("", "expected 'select', found ''", 0),
+    ("SELECT", "expected 'ident', found ''", 6),
+    ("SELECT FROM t", "expected 'ident', found 'from'", 7),
+    ("SELECT a", "expected 'from', found ''", 8),
+    ("SELECT a FROM t WHERE", "expected 'ident', found ''", 21),
+    ("SELECT a FROM t GROUP", "expected 'by', found ''", 21),
+    ("SELECT a FROM t WHERE a = ",
+     "expected literal or column, found ''", 26),
+    ("SELECT a FROM t; DROP TABLE t", "unexpected character ';'", 15),
+    ("SELECT a FROM t WHERE a LIKE 'x'",
+     "expected 'op', found 'LIKE'", 24),
+    # An unterminated string, and a lone quote.
+    ("SELECT a FROM t WHERE b = 'abc", "unexpected character \"'\"", 26),
+    ("SELECT a FROM t WHERE b = 'x''", "unexpected character \"'\"", 29),
+    ("'", "unexpected character \"'\"", 0),
+    # An identifier may not start with a non-ASCII letter.
+    ("SELECT \u00e9 FROM t", "unexpected character '\u00e9'", 7),
+    ("SELECT a FROM t;", "unexpected character ';'", 15),
+    ("SELECT @a FROM t", "unexpected character '@'", 7),
+    ("SELECT a\nFROM t\tWHERE b = 1.", "expected 'eof', found '.'", 27),
+    ("SELECT a FROM t WHERE b = .5",
+     "expected literal or column, found '.'", 26),
+]
+
+
 @pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "SELECT",
-        "SELECT FROM t",
-        "SELECT a",
-        "SELECT a FROM t WHERE",
-        "SELECT a FROM t GROUP",
-        "SELECT a FROM t WHERE a = ",
-        "SELECT a FROM t; DROP TABLE t",
-        "SELECT a FROM t WHERE a LIKE 'x'",
-    ],
+    "bad, message, offset", BAD_SQL, ids=[bad for bad, _, _ in BAD_SQL]
 )
-def test_rejects_bad_sql(bad):
-    with pytest.raises(ParseError):
+def test_rejects_bad_sql(bad, message, offset):
+    """Each error names what was found and where, as the parser has
+    always reported it."""
+    with pytest.raises(ParseError) as raised:
         parse(bad)
+    assert raised.value.position == offset
+    assert str(raised.value) == f"{message} (at offset {offset})"
 
 
 def test_to_sql_roundtrip_examples():

@@ -1,5 +1,7 @@
 """Query families, constant selection, and sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,43 @@ def test_property_sample_size_and_membership(n, size, seed):
     sqls = sample.sqls()
     assert len(set(sqls)) == len(sqls), "no duplicates"
     assert set(sqls) <= {q.sql for q in queries}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    costs=st.lists(
+        st.sampled_from([0.0, 1e-12, 0.5, 1.0, 3.0, 10.0, 99.9, 100.0, 5e4])
+        | st.floats(0.0, 1e6),
+        min_size=2, max_size=300,
+    ),
+    data=st.data(),
+)
+def test_property_every_stratum_gets_exactly_its_quota(costs, data):
+    """A stratum of ``m`` of ``n`` queries has the exact share
+    ``size * m / n < m``, so its largest-remainder quota fits in it and
+    the sample is exactly ``size`` distinct queries."""
+    n = len(costs)
+    size = data.draw(st.integers(1, n - 1), label="size")
+    queries = [make_instance(f"q{i}", "F") for i in range(n)]
+    sample = stratified_sample(Workload("F", queries), costs, size=size)
+
+    positions = [int(sql[1:]) for sql in sample.sqls()]
+    assert len(set(positions)) == len(positions) == size
+    strata = {}
+    for position, cost in enumerate(costs):
+        bucket = math.floor(math.log10(max(cost, 1e-9)))
+        strata.setdefault(bucket, []).append(position)
+    exact = {bucket: size * len(m) / n for bucket, m in strata.items()}
+    quota = {bucket: int(share) for bucket, share in exact.items()}
+    by_remainder = sorted(
+        ((share - quota[bucket], bucket) for bucket, share in exact.items()),
+        reverse=True,
+    )
+    for _, bucket in by_remainder[: size - sum(quota.values())]:
+        quota[bucket] += 1
+    for bucket, members in strata.items():
+        taken = set(positions) & set(members)
+        assert len(taken) == quota[bucket], bucket
 
 
 def test_sample_rejects_mismatched_costs():
