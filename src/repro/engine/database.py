@@ -311,6 +311,17 @@ class Database:
             "dictionaries": self._cache("dict_cache").resident_bytes(),
         }
 
+    def indexes_sorted(self):
+        """``{"sorted": k, "indexes": n}``: of the ``n`` indexes of the
+        current configuration, the ``k`` whose arrays were ever built —
+        an index owes its sort until first read
+        (:attr:`IndexData.built`)."""
+        held = self._built.index_data.values() if self._built is not None else ()
+        return {
+            "sorted": sum(data.built for data in held),
+            "indexes": len(held),
+        }
+
     def column_dictionary(self, table_name, column):
         """The shared :class:`ColumnDictionary` of a loaded table's column.
 

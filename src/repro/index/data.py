@@ -31,11 +31,14 @@ changes along ``row_ids``, plus one for the first page) over its
 entries; a build counts them in one scan, and an append carries the
 count, updating it where the batch's entries were spliced in.
 
-An insert does not merge at once (:meth:`IndexData.deferred`): the
-index it leaves knows its entry count and size, and runs the merge —
-one :meth:`IndexData.append` over every row appended since the last
-read — when something first reads one of its arrays or its cluster
-factor.
+Nothing is sorted before it is read.  A new index knows its entry
+count and size — all a build's charge, a cost estimate or an insert's
+charge reads — and owes the rest: the first read of one of its arrays
+or its cluster factor runs the build.  An insert does not merge at once
+either (:meth:`IndexData.deferred`): the index it leaves runs the merge
+— one :meth:`IndexData.append` over every row appended since the last
+read — on its first read, or, if it was never read before the insert,
+the build over the grown table.
 """
 
 import copy
@@ -54,11 +57,16 @@ from .definition import estimate_index_size
 _PAGE_BLOCK = 1 << 16
 
 # What an index computes on its first read: all of these for an index
-# an insert deferred, the inner columns for a build.
+# that owes its build or a merge, the inner columns for a built one.
 _DEFERRED = frozenset({
     "row_ids", "values", "offsets", "inner_columns", "inner_values",
     "page_transitions", "cluster_factor",
 })
+
+# The inner columns, which even a built index gathers on their own
+# first read only: most multi-column indexes are only ever probed on
+# their leading key.
+_INNER = frozenset({"inner_columns", "inner_values"})
 
 # Held while an index computes what it owes: measurement-pool threads
 # may read one index at once, and exactly one of them does the work.
@@ -183,9 +191,10 @@ class IndexData:
 
     Instances are immutable once built: :meth:`append` returns a new
     index, so a reader holding the old one keeps a consistent snapshot.
-    One that :meth:`deferred` returned holds ``definition``,
-    ``entry_count`` and ``size`` only, and gains the attributes below
-    on the first read of any of them.
+    A new one, and one that :meth:`deferred` returned, holds
+    ``definition``, ``entry_count`` and ``size`` only, and gains the
+    attributes below on the first read of any of them (the inner
+    columns on their own first read).
 
     Attributes:
         row_ids: heap row ids in key order (read-only, int32: a
@@ -216,18 +225,26 @@ class IndexData:
     def __init__(self, definition, table, encodings, overhead_factor=1.0):
         self.definition = definition
         self._overhead_factor = overhead_factor
+        # Owed until first read (:meth:`_materialize`): an entry per
+        # row is all the size needs.
+        self._owed = (None, table, encodings)
+        self._set_size(table, table.row_count)
+        obs.counter_add("index.builds_deferred")
+
+    def _build(self, table, encodings):
+        columns = self.definition.columns
         # The cache's memoized lexsort *is* the index's row ids — the
         # same read-only array for every index on these columns, not a
         # copy per index.
-        order = encodings.lexsort(table, tuple(definition.columns))
+        order = encodings.lexsort(table, tuple(columns))
         self._set_entries(
             table, encodings, order,
             _page_transitions(order, _rows_per_page(table)),
         )
-        if len(definition.columns) > 1:
+        if len(columns) > 1:
             self._gather = [
                 (table.column(c), _coded_values(table, c))
-                for c in definition.columns[1:]
+                for c in columns[1:]
             ]
         else:
             self._set_inner_columns([], [])
@@ -271,15 +288,16 @@ class IndexData:
         # all, so its probes never come here.
         if name not in _DEFERRED:
             raise AttributeError(name)
-        self._materialize()
+        self._materialize(gather=name in _INNER)
         try:
             return self.__dict__[name]
         except KeyError:
             raise AttributeError(name) from None
 
     def __getstate__(self):
-        # Pickled owing nothing: what a deferred index owes holds the
-        # dictionary cache, which does not pickle.
+        # Pickled owing nothing, so pickling sorts an index never read:
+        # what an index owes holds the dictionary cache, which does not
+        # pickle.
         self._materialize()
         return self.__dict__
 
@@ -426,9 +444,11 @@ class IndexData:
         appended since, so they equal an eager merge's, which equals
         a build's.  Deferring a deferred index again extends the same
         merged index: a run of inserts that nothing reads in between
-        merges once.
+        merges once.  An index that still owes its build stays owing
+        it, over the grown table: it is built once and merges nothing.
         """
-        base = self.__dict__.get("_owed", (self,))[0]
+        owed = self.__dict__.get("_owed")
+        base = self if owed is None else owed[0]
         index = IndexData.__new__(IndexData)
         index.definition = self.definition
         index._overhead_factor = self._overhead_factor
@@ -437,20 +457,45 @@ class IndexData:
         obs.counter_add("index.merges_deferred")
         return index
 
-    def _materialize(self):
-        """Compute what the index owes, once: a deferred index's merge,
-        a built one's inner columns; a no-op on an index that owes
-        nothing.
+    @property
+    def built(self):
+        """Whether the index was ever built (sorted): false while it
+        owes its build, also over the rows of inserts since."""
+        owed = self.__dict__.get("_owed")
+        return owed is None or owed[0] is not None
+
+    def _materialize(self, gather=True):
+        """Compute what the index owes, once: its build or a deferred
+        merge, and, with ``gather``, a built index's inner columns; a
+        no-op on an index that owes nothing.
 
         An index a later insert superseded (its table has grown past
-        its entries) raises instead of merging: the dictionaries
-        describe the table's current rows only, so its own rows cannot
-        be merged apart from the newer ones.
+        its entries) raises instead: the dictionaries describe the
+        table's current rows only, so its own rows cannot be sorted or
+        merged apart from the newer ones.
         """
-        if "_owed" not in self.__dict__ and "_gather" not in self.__dict__:
+        if "_owed" not in self.__dict__ and (
+                not gather or "_gather" not in self.__dict__):
             return
         with _MERGE_LOCK:
-            if "_gather" in self.__dict__:
+            owed = self.__dict__.get("_owed")
+            if owed is not None:
+                base, table, encodings = owed
+                if table.row_count != self.entry_count:
+                    raise RuntimeError(
+                        f"index {self.definition.name} covers "
+                        f"{self.entry_count} rows, but a later insert "
+                        f"grew {table.name} to {table.row_count}: read "
+                        f"the index the insert left instead"
+                    )
+                if base is None:
+                    self._build(table, encodings)
+                else:
+                    merged = base.append(table, encodings)
+                    self.__dict__.update(merged.__dict__)
+                del self._owed
+                obs.counter_add("index.materializations")
+            if gather and "_gather" in self.__dict__:
                 # The columns are the ones the build read: their first
                 # ``entry_count`` rows are the index's whatever was
                 # appended since.
@@ -459,21 +504,6 @@ class IndexData:
                     [values for _, values in self._gather],
                 )
                 del self._gather
-            owed = self.__dict__.get("_owed")
-            if owed is None:
-                return
-            base, table, encodings = owed
-            if table.row_count != self.entry_count:
-                raise RuntimeError(
-                    f"index {self.definition.name} covers "
-                    f"{self.entry_count} rows, but a later insert grew "
-                    f"{table.name} to {table.row_count}: read the "
-                    f"index the insert left instead"
-                )
-            merged = base.append(table, encodings)
-            self.__dict__.update(merged.__dict__)
-            del self._owed
-        obs.counter_add("index.materializations")
 
     # ------------------------------------------------------------------
     # Probes (vectorized over the sorted arrays)

@@ -62,6 +62,7 @@ def build_run_report(context, recorder=None, experiments=None):
         label = f"{system_name}/{dataset}"
         databases[label] = {
             **db.cache_stats(), "resident_bytes": db.resident_bytes(),
+            "indexes": db.indexes_sorted(),
         }
         config = db.configuration
         fingerprints.setdefault(
@@ -203,6 +204,11 @@ def render_text(report):
             + "; dictionaries "
             + ", ".join(f"{kind} {size / 1e6:.1f} MB"
                         for kind, size in resident["dictionaries"].items())
+        )
+        indexes = caches["indexes"]
+        lines.append(
+            f"db {label}: indexes sorted {indexes['sorted']} of "
+            f"{indexes['indexes']}"
         )
     return "\n".join(lines)
 

@@ -168,6 +168,18 @@ _RESIDENT_BYTES_SCHEMA = {
     "additionalProperties": False,
 }
 
+# Of the current configuration's indexes, those ever built: an index
+# owes its sort until first read.
+_INDEXES_SORTED_SCHEMA = {
+    "type": "object",
+    "required": ["sorted", "indexes"],
+    "properties": {
+        "sorted": {"type": "integer", "minimum": 0},
+        "indexes": {"type": "integer", "minimum": 0},
+    },
+    "additionalProperties": False,
+}
+
 _STAGE_SCHEMA = {
     "type": "object",
     "required": ["seconds", "count"],
@@ -233,9 +245,11 @@ RUN_REPORT_SCHEMA = {
                     "type": "object",
                     "additionalProperties": {
                         "type": "object",
-                        "required": ["resident_bytes", "measure_cache"],
+                        "required": ["resident_bytes", "indexes",
+                                     "measure_cache"],
                         "properties": {
                             "resident_bytes": _RESIDENT_BYTES_SCHEMA,
+                            "indexes": _INDEXES_SORTED_SCHEMA,
                             # The measurement memo: a hit is an
                             # execution a repeated plan did not need.
                             "measure_cache": _CACHE_COUNTERS_SCHEMA,

@@ -556,6 +556,31 @@ ROWS = [
                 "test_appends_at_code_32767_and_past_it_equal_a_rebuild"
                 "[key0]",
     ),
+    # -- index builds: an index is sorted when it is first read
+    dict(
+        id="index-built-at-construction",
+        guards="index builds",
+        file="src/repro/index/data.py",
+        search=(
+            "        self._owed = (None, table, encodings)\n"
+            "        self._set_size(table, table.row_count)\n"
+        ),
+        replace="        self._build(table, encodings)\n",
+        catcher="tests/test_index_data.py::"
+                "test_an_unread_index_is_never_sorted",
+    ),
+    dict(
+        id="re-deferred-build-merges",
+        guards="index builds",
+        file="src/repro/index/data.py",
+        search="        base = self if owed is None else owed[0]\n",
+        replace=(
+            "        base = self if owed is None or owed[0] is None "
+            "else owed[0]\n"
+        ),
+        catcher="tests/test_index_data.py::"
+                "test_a_deferred_index_merges_once_for_inserts_before_its_read",
+    ),
     # -- planner caches: sampling's bulk estimate and the join graphs
     dict(
         id="bulk-estimate-keeps-plans",

@@ -96,13 +96,15 @@ def test_fig8_recommendation_what_if_work_is_pinned():
 
 
 def test_fig4_configuration_sorts_are_pinned():
-    """Building P → 1C → P → 1C for System A on NREF calls
-    ``stable_order`` once per distinct (table, key suffix) of the two
-    configurations that no dictionary has ordered already — every
-    suffix of two or more columns, and a single column unless it is an
-    integer one (of any stored width), whose order comes out of the
-    dictionary's own packed sort.  Every order is memoized in the dictionary cache and shared
-    by the indexes that end in it, and the second 1C build sorts
+    """Building P → 1C → P → 1C for System A on NREF sorts nothing: an
+    index owes its order until it is first read.  Reading every index
+    of P and of 1C then calls ``stable_order`` once per distinct
+    (table, key suffix) of the two configurations that no dictionary
+    has ordered already — every suffix of two or more columns, and a
+    single column unless it is an integer one (of any stored width),
+    whose order comes out of the dictionary's own packed sort.  Every
+    order is memoized in the dictionary cache and shared by the
+    indexes that end in it, so reading 1C's indexes once more sorts
     nothing.  (Generating NREF orders the key column of each
     ``ordinal`` one, and as that key's dictionary is the stored
     column, its one-column index reuses the order.)"""
@@ -114,15 +116,25 @@ def test_fig4_configuration_sorts_are_pinned():
         counters = recorder.metrics.snapshot()["counters"]
         return counters.get("encoding.sorts", 0)
 
+    def read_every_index(config):
+        database.apply_configuration(config)
+        for data in database._built.index_data.values():
+            data.row_ids
+
     with obs.recording() as recorder:
         database = context.database("A", "nref")  # builds P
+        generated = sorts()
         p = context.p_configuration(database)
         one_c = context.one_c_configuration(database)
         database.apply_configuration(one_c)
         database.apply_configuration(p)
-        before_second = sorts()
         database.apply_configuration(one_c)
+        built = sorts()
+        read_every_index(p)
+        read_every_index(one_c)
         total = sorts()
+        read_every_index(one_c)
+        again = sorts()
     suffixes = {
         (ix.table, ix.columns[depth:])
         for config in (p, one_c)
@@ -146,5 +158,6 @@ def test_fig4_configuration_sorts_are_pinned():
     ]
     assert len(sorted_later) == 23 and len(ordinals) == 3
     assert set(ordinals) <= set(sorted_later)
+    assert built == generated == len(ordinals)
     assert total == len(sorted_later)
-    assert total == before_second
+    assert again == total

@@ -26,7 +26,7 @@ from repro.index.definition import (
 from repro.storage.encoding import DictionaryCache
 from repro.storage.table import Table
 
-from conftest import narrowest_dtype
+from conftest import load_city_database, narrowest_dtype
 
 
 # Rows this wide fit four to a heap page, so an index over a few dozen
@@ -475,8 +475,9 @@ def test_a_build_gathers_its_inner_columns_on_first_read(city_db):
     them gathered."""
     orders = city_db.table("orders")
     index = make_index(city_db, "orders", ["city", "uid", "amount"])
-    assert "inner_columns" not in index.__dict__
     want = [orders.column(c)[index.row_ids] for c in ("uid", "amount")]
+    # Reading the row ids ran the build, which gathers nothing.
+    assert index.built and "inner_columns" not in index.__dict__
     orders.append_rows({
         "oid": [90_000], "uid": [3], "city": ["tor"], "amount": [1],
     })
@@ -490,8 +491,10 @@ def test_a_build_gathers_its_inner_columns_on_first_read(city_db):
 
 def test_a_deferred_index_merges_once_for_inserts_before_its_read(
         city_db_1c, monkeypatch):
-    """Three inserts, no read: each installs a deferred index, and the
-    first read runs one merge over all three batches."""
+    """Three inserts, no read in between: each installs a deferred
+    index, and the first read runs one merge over all three batches for
+    an index read before them, and for one never read before them one
+    build over the grown table, which merges nothing."""
     merges = []
     append = IndexData.append
     monkeypatch.setattr(
@@ -499,9 +502,17 @@ def test_a_deferred_index_merges_once_for_inserts_before_its_read(
         lambda self, *args: merges.append(self) or append(self, *args),
     )
     on_orders = interleave.indexes_on(city_db_1c, "orders")
+    read = on_orders[::2]
     built = {
-        ix.name: city_db_1c._built.index_data[ix.name] for ix in on_orders
+        ix.name: city_db_1c._built.index_data[ix.name] for ix in read
     }
+    for data in built.values():
+        data.row_ids
+    unread = [
+        ix for ix in on_orders
+        if not city_db_1c._built.index_data[ix.name].built
+    ]
+    assert len(unread) == len(on_orders) - len(read) > 0
     with obs.recording(obs.TraceRecorder()) as recorder:
         for oid in (90_000, 90_001, 90_002):
             city_db_1c.insert_rows("orders", {
@@ -512,14 +523,112 @@ def test_a_deferred_index_merges_once_for_inserts_before_its_read(
         assert merges == []
         assert counters["index.merges_deferred"] == 3 * len(on_orders)
         assert "index.materializations" not in counters
+        for ix in unread:
+            assert not city_db_1c._built.index_data[ix.name].built
         for ix in on_orders:
-            assert_same_index(
-                city_db_1c._built.index_data[ix.name],
-                rebuilt_index(city_db_1c, ix),
-            )
+            city_db_1c._built.index_data[ix.name].row_ids
         counters = recorder.metrics.snapshot()["counters"]
     assert counters["index.materializations"] == len(on_orders)
     assert sorted(map(id, merges)) == sorted(map(id, built.values()))
+    for ix in on_orders:
+        assert_same_index(
+            city_db_1c._built.index_data[ix.name],
+            rebuilt_index(city_db_1c, ix),
+        )
+
+
+def test_an_unread_index_is_never_sorted(monkeypatch):
+    """NREF under P, then 1C, and one NREF2J query: the builds sort
+    nothing and charge what the eager builds charged (their virtual
+    seconds and bytes, recorded before builds were deferred); the
+    query builds the indexes it reads and no other, and an index it
+    does not read holds no row ids, though reading it sorts."""
+    from repro.datagen.nref import load_nref_database
+    from repro.engine.systems import system_a
+    from repro.workload.nref_families import generate_nref2j
+
+    database = load_nref_database(system_a(), scale=0.05)
+    sql = next(iter(generate_nref2j(database))).sql
+    ordered = []
+    lexsort = DictionaryCache.lexsort
+    monkeypatch.setattr(
+        DictionaryCache, "lexsort",
+        lambda self, table, columns: ordered.append(
+            (table.name, tuple(columns))
+        ) or lexsort(self, table, columns),
+    )
+
+    def sorts():
+        return recorder.metrics.snapshot()["counters"].get(
+            "encoding.sorts", 0
+        )
+
+    configs = (
+        primary_configuration(database.catalog, name="P"),
+        one_column_configuration(database.catalog, name="1C"),
+    )
+    with obs.recording(obs.TraceRecorder()) as recorder:
+        reports = [database.apply_configuration(c) for c in configs]
+        assert sorts() == 0 and ordered == []
+        assert recorder.metrics.snapshot()["counters"][
+            "index.builds_deferred"
+        ] == sum(len(c.indexes) for c in configs)
+        database.execute(sql)
+        read = sorts()
+    assert [(r.build_seconds, r.index_bytes) for r in reports] == [
+        (201.4570565078969, 3325952), (1205.9148947346057, 26345472),
+    ]
+    indexes = database._built.index_data.values()
+    built = [data for data in indexes if data.built]
+    unread = [data for data in indexes if not data.built]
+    assert 0 < len(built) < len(unread)
+    assert sorted(ordered) == sorted(
+        (data.definition.table, data.definition.columns) for data in built
+    )
+    assert all("row_ids" not in data.__dict__ for data in unread)
+    with obs.recording(obs.TraceRecorder()) as recorder:
+        for data in unread:
+            data.row_ids
+        assert sorts() > read == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    config=st.sampled_from(["P", "1C"]),
+    reads=st.sampled_from([0, 1, 3]).flatmap(
+        lambda inserts: st.lists(
+            st.sets(st.integers(0, 15)), min_size=inserts + 1,
+            max_size=inserts + 1,
+        )
+    ),
+)
+@example(config="1C", reads=[set(), set(), set(), set()])
+@example(config="P", reads=[{0, 1}, set(), {0}, {1, 2, 3}])
+def test_property_an_index_read_late_equals_an_eager_build(config, reads):
+    """Every index of P or 1C, read after 0, 1 or 3 inserts into
+    ``orders`` — some indexes read before each insert, the others not
+    — equals an eager build over the final table."""
+    database = load_city_database()
+    database.apply_configuration(
+        primary_configuration(database.catalog) if config == "P"
+        else one_column_configuration(database.catalog)
+    )
+    indexes = list(database.configuration.indexes)
+    for step, picks in enumerate(reads):
+        if step:
+            oid = 90_000 + step
+            database.insert_rows("orders", {
+                "oid": [oid], "uid": [oid % 7], "city": ["tor"],
+                "amount": [oid % 5],
+            })
+        for pick in sorted(picks):
+            database._built.index_data[
+                indexes[pick % len(indexes)].name
+            ].row_ids
+    for ix in indexes:
+        assert_same_index(
+            database._built.index_data[ix.name], rebuilt_index(database, ix)
+        )
 
 
 def test_a_superseded_deferred_index_raises_with_its_name(city_db_1c):
@@ -559,8 +668,9 @@ def test_a_superseded_deferred_index_raises_with_its_name(city_db_1c):
 
 def test_two_threads_measure_an_insert_as_one_does(monkeypatch):
     """An NREF2J burst measured on two threads right after an insert
-    returns the elapsed times and rows of a serial run, and merges each
-    deferred index at most once however the threads race for it."""
+    returns the elapsed times and rows of a serial run, and merges or
+    builds each deferred index at most once however the threads race
+    for it."""
     from repro.runtime.session import MeasurementSession
     from repro.workload.updates import nref_neighboring_batch
     from repro.workload.workload import Workload, make_instance
@@ -570,12 +680,17 @@ def test_two_threads_measure_an_insert_as_one_does(monkeypatch):
         make_instance(sql, "NREF2J", i=i)
         for i, sql in enumerate(nref.sqls * 4)
     ])
-    merged = []
-    append = IndexData.append
+    merged, built = [], []
+    append, build = IndexData.append, IndexData._build
     monkeypatch.setattr(
         IndexData, "append",
         lambda self, *args: merged.append(self.definition.name)
         or append(self, *args),
+    )
+    monkeypatch.setattr(
+        IndexData, "_build",
+        lambda self, *args: built.append(self.definition.name)
+        or build(self, *args),
     )
     runs = {}
     for jobs in (1, 2):
@@ -583,13 +698,14 @@ def test_two_threads_measure_an_insert_as_one_does(monkeypatch):
         database.insert_rows(
             nref.table, nref_neighboring_batch(database, 50, seed=jobs)
         )
-        del merged[:]
+        del merged[:], built[:]
         with obs.recording(obs.TraceRecorder()) as recorder:
             with MeasurementSession(database, jobs=jobs) as session:
                 measured = session.measure(burst)
         counters = recorder.metrics.snapshot()["counters"]
-        assert len(merged) == len(set(merged))
-        assert counters.get("index.materializations", 0) == len(merged)
+        assert len(merged + built) == len(set(merged + built))
+        assert counters.get("index.materializations", 0) == \
+            len(merged) + len(built)
         runs[jobs] = (
             measured.elapsed.tolist(),
             [database.execute(q.sql).batch.rows for q in burst],
@@ -702,7 +818,7 @@ def test_index_pickled_in_the_sorted_copy_layout_is_a_store_miss(
     from repro.runtime.artifacts import ArtifactCache
 
     index = next(iter(city_db_p._built.index_data.values()))
-    stale = dict(index.__dict__)
+    stale = dict(index.__getstate__())
     del stale["values"], stale["offsets"], stale["inner_columns"]
     stale["key_columns"] = [np.arange(index.entry_count)]
     forged = IndexData.__new__(IndexData)
@@ -756,7 +872,7 @@ def test_index_pickled_without_page_transitions_is_a_store_miss(
     from repro.runtime.artifacts import ArtifactCache
 
     index = next(iter(city_db_p._built.index_data.values()))
-    stale = dict(index.__dict__)
+    stale = dict(index.__getstate__())
     del stale["page_transitions"]
     forged = IndexData.__new__(IndexData)
     forged.__dict__.update(stale)
