@@ -240,8 +240,8 @@ class Database:
     # ------------------------------------------------------------------
     # Pickling (the artifact store persists built databases to disk):
     # caches hold locks and are cheap to rebuild, so they are dropped.
-    # An index an insert deferred merges as it pickles
-    # (``IndexData.__getstate__``).
+    # An index an insert deferred merges as it pickles, and one that
+    # owes its build pickles owing it (``IndexData.__getstate__``).
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -253,15 +253,15 @@ class Database:
         self._init_caches()
         # An index's values are its leading column's dictionary's
         # (executor probes map codes through that dictionary): re-link
-        # each restored index to it — a number column's is rebuilt, a
-        # string column's came back with its table, holding the very
-        # values array the index does.
+        # each restored built index to it — a number column's is
+        # rebuilt, a string column's came back with its table, holding
+        # the very values array the index does — and give each index
+        # that owes its build the cache to build through.
         if self._built is not None:
             encodings = self._cache("dict_cache")
             for data in self._built.index_data.values():
-                ix = data.definition
-                data.relink(encodings.dictionary(
-                    self._index_target(ix, self._built), ix.columns[0]
+                data.attach(encodings, self._index_target(
+                    data.definition, self._built
                 ))
 
     # ------------------------------------------------------------------

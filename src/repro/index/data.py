@@ -49,7 +49,7 @@ import numpy as np
 
 from .. import obs
 from ..common.hardware import PAGE_SIZE
-from ..storage.encoding import code_bound, code_dtype
+from ..storage.encoding import DictionaryCache, code_bound, code_dtype
 from .definition import estimate_index_size
 
 
@@ -295,13 +295,28 @@ class IndexData:
             raise AttributeError(name) from None
 
     def __getstate__(self):
-        # Pickled owing nothing, so pickling sorts an index never read:
-        # what an index owes holds the dictionary cache, which does not
-        # pickle.
-        self._materialize()
-        return self.__dict__
+        # An index that owes its build pickles owing it, with its table
+        # and without the dictionary cache, which does not pickle (the
+        # owner re-attaches one, :meth:`attach`); any other pickles
+        # owing nothing: a deferred merge runs, and the inner columns
+        # are gathered.
+        owed = self.__dict__.get("_owed")
+        if owed is None or owed[0] is not None:
+            self._materialize()
+            return self.__dict__
+        self._check_current(owed[1])
+        return dict(self.__dict__, _owed=(None, owed[1], None))
 
     def __setstate__(self, state):
+        owed = state.get("_owed")
+        if owed is not None:
+            # Built through a cache of its own until :meth:`attach`
+            # gives it its owner's: an index unpickled alone still
+            # reads as built.
+            self.__dict__.update(
+                state, _owed=(None, owed[1], DictionaryCache())
+            )
+            return
         # An artifact store written before the run-offset layout holds
         # sorted key copies instead, one written before row ids were
         # narrowed holds int64 ones, and one written before appends
@@ -341,6 +356,21 @@ class IndexData:
         # (architecture invariant 7).
         for array in (self.row_ids, self.offsets, *self.inner_columns):
             array.setflags(write=False)
+
+    def attach(self, encodings, table):
+        """Re-attach this unpickled index to ``encodings``, the
+        dictionary cache of the database it was pickled with, and
+        ``table``, the one it indexes: an index that owes its build
+        builds through the cache on its first read, and a built one is
+        re-linked to its leading column's dictionary (:meth:`relink`),
+        which the cache builds for a number column."""
+        owed = self.__dict__.get("_owed")
+        if owed is not None:
+            self._owed = (None, owed[1], encodings)
+        else:
+            self.relink(encodings.dictionary(
+                table, self.definition.columns[0]
+            ))
 
     def relink(self, leading):
         """Share ``values`` with ``leading``, the leading column's
@@ -481,13 +511,7 @@ class IndexData:
             owed = self.__dict__.get("_owed")
             if owed is not None:
                 base, table, encodings = owed
-                if table.row_count != self.entry_count:
-                    raise RuntimeError(
-                        f"index {self.definition.name} covers "
-                        f"{self.entry_count} rows, but a later insert "
-                        f"grew {table.name} to {table.row_count}: read "
-                        f"the index the insert left instead"
-                    )
+                self._check_current(table)
                 if base is None:
                     self._build(table, encodings)
                 else:
@@ -504,6 +528,16 @@ class IndexData:
                     [values for _, values in self._gather],
                 )
                 del self._gather
+
+    def _check_current(self, table):
+        """Raise unless the index covers every row of ``table``."""
+        if table.row_count != self.entry_count:
+            raise RuntimeError(
+                f"index {self.definition.name} covers "
+                f"{self.entry_count} rows, but a later insert "
+                f"grew {table.name} to {table.row_count}: read "
+                f"the index the insert left instead"
+            )
 
     # ------------------------------------------------------------------
     # Probes (vectorized over the sorted arrays)

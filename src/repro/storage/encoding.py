@@ -10,18 +10,20 @@ of the column every time, which profiling shows dominating the fig4
 pipeline.
 
 A :class:`ColumnDictionary` computes a column's dictionary **once**,
-and its construction is the one place a column is ordered — one pass
-that depends on nothing but the column:
+and its construction fixes the column's codes — one pass that depends
+on nothing but the column — and keeps no order:
 
 * an **integer** column (int16, int32 or int64: the narrowest its
-  table stores it in) whose value span packs beside a row position
+  table stores it in) whose values span no more than its rows
+  (``max - min <= n``) is *counted*: ``bincount(value - min)`` gives
+  the values and counts, and a rank table gathers the codes, with no
+  sort; one whose span packs beside a row position
   (``bit_length(max - min) + bit_length(n - 1) <= 62``) sorts
-  ``(value - min) << bits | position``, computed in int64, once and
-  reads the sorted unique values, their counts and the column's stable argsort off that single
-  sorted array; its dense per-row codes are that order scattered back
-  (each dictionary entry repeated by its count), which happens when an
-  operator first reads them — most integer columns are indexed and
-  never factorized, and hold no codes at all;
+  ``(value - min) << bits | position``, computed in int64, once,
+  reads the sorted unique values and their counts off that array and
+  scatters each entry's code through its low bits, then drops them.
+  Its order is an integer sort of the codes, taken when an index
+  build first asks (:meth:`ColumnDictionary.argsort`);
 * an **object** column is *encoded*, once, when its table is loaded:
   one hash pass sorts the *distinct* values, every row looks its slot
   up, the counts are a ``bincount`` — no ``n log n`` sort of Python
@@ -33,10 +35,10 @@ that depends on nothing but the column:
   off its int32 pool indices without gathering its strings: only the
   pool is hashed — once per pool, whichever columns draw from it — and
   the rows take integer passes (:meth:`ColumnDictionary.from_pool`);
-* **anything else** (floats, integers too wide to pack, an empty
-  column) takes ``np.unique``; on first use its codes are scattered
-  back through one plain ``argsort`` of the column, like a packed
-  column's through its order, and sorted for its stable argsort.
+* **anything else** (floats, integers too wide to pack) takes
+  ``np.unique``; on first use its codes are scattered back through
+  one plain ``argsort`` of the column, and sorted for its stable
+  argsort.
 
 A dictionary also has a **domain**: a sorted array of distinct values
 its own ``values`` are drawn from, with ``ranks`` — each value's int32
@@ -47,10 +49,12 @@ the values, so two dictionaries with one domain (``is``) are located in
 each other by bisecting integers (:func:`locate`), never Python
 strings.
 
-Four bytes a row: every table-sized *position* the layer keeps — a
-dictionary's ``argsort()``, every :func:`stable_order`, the memoized
-``lexsort`` orders and through them an index's ``row_ids`` — is int32,
-always; a table holds at most ``2**31 - 1`` rows
+Four bytes a row, and only where an index reads it: every table-sized
+*position* the layer keeps — a dictionary's ``argsort()``, every
+:func:`stable_order`, the memoized ``lexsort`` orders and through them
+an index's ``row_ids`` — is int32, always, and exists only once an
+index build (or another reader of an order) asked for it; a table
+holds at most ``2**31 - 1`` rows
 (:class:`~repro.storage.table.Table` refuses more), so there is no
 wider path to choose.  Two bytes a code: a dictionary's ``codes`` are
 in the narrowest of int16 and int32 that holds its largest code
@@ -84,10 +88,13 @@ column)`` across all four consumers:
   and its leading key from the dictionary's ``values`` and ``counts``
   instead of a sorted copy of the column.
 
-Codes that already exist are ordered by :func:`stable_order` — every
-``lexsort`` level above the last column, a frequency order, a join's
-build side: codes and row positions packed into one int64 per row, the
-same packing (and the same helpers) the integer construction uses.
+Codes are ordered by :func:`stable_order` — a dictionary's argsort,
+every ``lexsort`` level of a key tuple too wide to pack, a frequency
+order, a join's build side: codes and row positions packed into one
+int64 per row, the same packing (and the same helpers) the integer
+construction uses.  A key tuple whose codes pack beside a position is
+one combined code per row, sorted once
+(:meth:`DictionaryCache.lexsort`).
 
 The layer never changes an output: each dictionary product is checked
 against the NumPy call it replaces (``np.unique``, ``np.lexsort``) in
@@ -119,6 +126,7 @@ generation, every query, and every index build across configuration
 changes.
 """
 
+import math
 import threading
 
 import numpy as np
@@ -211,16 +219,30 @@ def stable_order(codes, span):
     int16 and int32 codes first); only the positions handed out are
     narrowed.
 
-    This is the ordering primitive for codes that already exist
-    (``lexsort`` levels, ``by_frequency``, the join build side); a
-    column that has no codes yet is ordered by its
-    :class:`ColumnDictionary`, once.
+    This is the ordering primitive for codes: a dictionary's
+    ``argsort()``, ``lexsort`` levels, ``by_frequency``, the join build
+    side.
     """
     obs.counter_add("encoding.sorts")
     bits = _packs(max(span - 1, 0), len(codes))
     if bits is None:
         return np.argsort(codes, kind="stable").astype(np.int32)
     packed = np.left_shift(codes, bits, dtype=np.int64)
+    _sort_with_positions(packed)
+    return _positions(packed, bits)
+
+
+def _combined_order(dictionaries, bits):
+    """Stable int32 order of the rows by the dictionaries' codes, the
+    first most significant: each row's codes combined into one integer
+    (``c0 * d1 + c1``, and so on), which — packed beside its position
+    in ``bits`` low bits — one integer sort orders."""
+    obs.counter_add("encoding.sorts")
+    packed = dictionaries[0].codes.astype(np.int64)
+    for dictionary in dictionaries[1:]:
+        packed *= dictionary.n_distinct
+        packed += dictionary.codes
+    packed <<= bits
     _sort_with_positions(packed)
     return _positions(packed, bits)
 
@@ -232,25 +254,37 @@ def _positions(packed, bits):
     return positions
 
 
-def _packed_dictionary(base):
-    """``(values, counts, order)`` of an integer column from one
-    integer sort, or ``None`` when it is empty or its value span does
-    not pack beside a row position.
+def _integer_dictionary(base):
+    """``(values, counts, codes)`` of an integer column, or ``None``
+    when its value span packs beside no row position.
 
-    Row ``i`` sorts as ``(base[i] - min) << bits | i``, in int64
-    whatever the column's dtype (an int16 ``base - min`` would wrap);
-    ``values`` keep the column's dtype.  In the sorted
-    array the high bits are the column in order — every change starts
-    a new dictionary entry, the run lengths are the counts — and the
-    low bits are the stable argsort.  The dense codes are each row's
-    run rank scattered back through that order, which
-    :attr:`ColumnDictionary.codes` does when they are first read.
+    A column whose values span no more than its rows (``max - min <=
+    rows``, an empty one too) is *counted*: ``bincount(base - min)``
+    holds every value's count at its offset, the offsets that occur
+    are the values, and a rank table over the offsets gathers the
+    codes — no sort.  Any other sorts once: row ``i`` as ``(base[i] -
+    min) << bits | i``, in int64 whatever the column's dtype (an int16
+    ``base - min`` would wrap).  In the sorted array the high bits are the column in order —
+    every change starts a new dictionary entry, the run lengths are
+    the counts — and the low bits its stable argsort, through which
+    each row's run rank is scattered back as its code; the order
+    itself is dropped.  ``values`` keep the column's dtype, ``codes``
+    are in :func:`code_dtype`.
     """
     rows = len(base)
-    if not rows:
-        return None
-    low = int(base.min())
-    bits = _packs(int(base.max()) - low, rows)
+    low, high = (int(base.min()), int(base.max())) if rows else (0, 0)
+    span = high - low
+    if span <= rows:
+        offsets = np.subtract(base, low, dtype=np.intp)
+        counts = np.bincount(offsets)
+        present = np.flatnonzero(counts)
+        rank = np.zeros(len(counts), dtype=code_dtype(len(present)))
+        rank[present] = np.arange(len(present))
+        return (
+            (present + low).astype(base.dtype), counts[present],
+            rank[offsets],
+        )
+    bits = _packs(span, rows)
     if bits is None:
         return None
     packed = np.subtract(base, low, dtype=np.int64)
@@ -262,10 +296,12 @@ def _packed_dictionary(base):
         ([0], np.flatnonzero(packed[1:] != packed[:-1]) + 1)
     )
     values = (packed[starts] + low).astype(base.dtype)
+    del packed
     counts = np.diff(starts, append=rows)
-    # Indexes hold the order as their row ids.
-    order.setflags(write=False)
-    return values, counts, order
+    dtype = code_dtype(len(values))
+    codes = np.empty(rows, dtype=dtype)
+    codes[order] = np.repeat(np.arange(len(values), dtype=dtype), counts)
+    return values, counts, codes
 
 
 def _find_sorted(sorted_values, values):
@@ -349,22 +385,23 @@ class ColumnDictionary:
             its pool's, for a column drawn from a pool, else ``values``
             itself; ``ranks`` places each value in it.
 
-    Construction is the one place a column is ordered, and what it
-    does depends on the column alone: an integer column (of any
-    width) whose value span packs beside a row position takes one
-    integer sort that yields ``values``, ``counts`` and the stable ``argsort`` together, and
-    scatters its dense ``codes`` from that order when they are first
-    read; an object column is *encoded* — one hash pass for
-    ``values``, ``counts`` and ``codes`` — and the result is coded:
-    its ``base`` is its codes, and the object array is not kept (a
-    column drawn from a pool is encoded off its pool indices,
-    :meth:`from_pool`); any other column (floats, integers too
-    wide to pack, an empty column) takes ``np.unique`` and scatters its
-    codes through one ``argsort`` of the column on first use.
-    ``codes`` are in :func:`code_dtype` of ``n_distinct`` (int16 for at
-    most 32 768 values, else int32), ``argsort()`` is int32.
-    Whatever construction did not produce — and the frequency-ordered
-    views — is derived lazily from immutable inputs, so a racing
+    Construction fixes ``values``, ``counts`` and ``codes``, and what
+    it does depends on the column alone: an integer column (of any
+    width) whose values span no more than its rows is counted, one
+    whose span packs beside a row position takes one integer sort,
+    and either holds its codes from then on — but no order; an object
+    column is *encoded* — one hash pass for ``values``, ``counts`` and
+    ``codes`` — and the result is coded: its ``base`` is its codes,
+    and the object array is not kept (a column drawn from a pool is
+    encoded off its pool indices, :meth:`from_pool`); any other column
+    (floats, integers too wide to pack) takes ``np.unique`` and
+    scatters its codes through one ``argsort`` of
+    the column on first use.  ``codes`` are in :func:`code_dtype` of
+    ``n_distinct`` (int16 for at most 32 768 values, else int32),
+    ``argsort()`` is int32 and exists only once asked for (an index
+    build asks).  Whatever construction did not produce — and the
+    frequency-ordered views — is derived lazily from immutable inputs,
+    so a racing
     double-compute in a session worker pool is deterministic and
     harmless (the same last-writer-wins convention as
     :meth:`~repro.common.cache.BoundedCache.get_or_build`).
@@ -378,16 +415,16 @@ class ColumnDictionary:
 
     def __init__(self, values):
         base = np.asarray(values)
-        codes = order = None
-        packed = _packed_dictionary(base) if base.dtype.kind == "i" else None
+        codes = None
+        built = _integer_dictionary(base) if base.dtype.kind == "i" else None
         if base.dtype == object:
             values, counts, codes = _hashed_dictionary(base)
             base = codes
-        elif packed is not None:
-            values, counts, order = packed
+        elif built is not None:
+            values, counts, codes = built
         else:
             values, counts = np.unique(base, return_counts=True)
-        self._set(base, values, counts, codes, order)
+        self._set(base, values, counts, codes)
 
     @classmethod
     def from_codes(cls, codes, values, domain=None, ranks=None):
@@ -458,8 +495,8 @@ class ColumnDictionary:
             codes, self.values, self.domain, self._ranks
         )
 
-    def _set(self, base, values, counts, codes=None, order=None,
-             spare=None, domain=None, ranks=None):
+    def _set(self, base, values, counts, codes=None, spare=None,
+             domain=None, ranks=None):
         self.base = base
         self.values = values
         self.counts = counts
@@ -470,7 +507,7 @@ class ColumnDictionary:
         # The buffer ``codes`` is a prefix of, when it has room behind
         # them (an extension writes its tail's codes there).
         self._spare = spare
-        self._argsort = order
+        self._argsort = None
         self._freq_order = None
         self._freq_counts_f64 = None
         self._freq_histogram = None
@@ -521,12 +558,13 @@ class ColumnDictionary:
         """This dictionary with the dictionary ``tail`` of appended
         rows merged in; ``base`` is the whole numeric column, or
         ``None`` for a coded one (the result's codes are its base).
+        An integer or coded dictionary always has codes, so its result
+        does too; a float one carries them once they were read.
 
         When the tail brings no value this dictionary lacks, ``values``
         carries over — the same array — its counts are added, and the
-        tail's codes are written behind the dense codes (when this
-        dictionary has them; a packed column nobody factorized does
-        not) in their spare capacity, which passes to the result
+        tail's codes are written behind the dense codes in their spare
+        capacity, which passes to the result
         (:func:`appended`).  Otherwise its unseen values are spliced
         into ``values`` and the codes remapped through a monotone
         shift table into a new buffer: the one copy of the codes, in
@@ -642,17 +680,14 @@ class ColumnDictionary:
         Identical to ``np.unique(column, return_inverse=True)``'s
         inverse: codes are ranks into the sorted dictionary, and every
         dictionary value occurs in the column, so the codes are dense.
-        A coded column has them from construction.  Any other scatters
-        them on first read through an order that sorts the column —
-        the sorted column's codes are each ``arange(d)`` entry repeated
-        by its count, whatever order equal rows take among themselves:
-        a packed column's stable order, else one plain ``argsort`` of
-        the column.  A column no operator factorizes never holds any.
+        A coded or an integer column has them from construction.  Any
+        other (a float column) scatters them on first read through one
+        plain ``argsort`` of the column — the sorted column's codes are
+        each ``arange(d)`` entry repeated by its count, whatever order
+        equal rows take among themselves.
         """
         if self._codes is None:
-            order = self._argsort
-            if order is None:
-                order = np.argsort(self.base)
+            order = np.argsort(self.base)
             dtype = code_dtype(self.n_distinct)
             codes = np.empty(self.row_count, dtype=dtype)
             codes[order] = np.repeat(
@@ -664,7 +699,8 @@ class ColumnDictionary:
     def codes_from(self, start):
         """``codes[start:]``, without scattering the codes of a column
         that holds none: its rows from ``start`` on bisect ``values``
-        (numbers — a coded column always holds its codes)."""
+        (a float column — a coded or integer one always holds its
+        codes)."""
         if self._codes is not None:
             return self._codes[start:]
         return np.searchsorted(self.values, self.base[start:]).astype(
@@ -674,8 +710,8 @@ class ColumnDictionary:
     def argsort(self):
         """Stable int32 argsort of the base column (cached).
 
-        Identical to ``np.lexsort((base,))``.  A packed column has it
-        from construction; otherwise the codes are sorted — they are
+        Identical to ``np.lexsort((base,))``.  Taken on first call —
+        construction keeps no order — by sorting the codes: they are
         order-isomorphic to the values, and stable sorts are unique,
         so that is the permutation sorting the raw (possibly string)
         array would give.  The array is read-only: indexes hold it as
@@ -890,46 +926,71 @@ class DictionaryCache:
 
         ``columns[0]`` is the most significant (leading) key, matching
         ``np.lexsort(tuple(reversed(arrays)))`` in the index build.
-        Implemented as the textbook sequence of stable sorts from the
-        least to the most significant key — each a
-        :func:`stable_order` over cached *codes* instead of raw
-        arrays — seeded with the least significant column's cached
-        argsort.  Stable sorts are unique, so the result is
-        ``np.lexsort`` on the raw arrays, as int32.  The returned
-        array is read-only and shared with later callers.
+        One column's is its dictionary's ``argsort()``.  A tuple whose
+        codes pack beside a row position — the product of their
+        ``n_distinct`` and a position within 62 bits — is one combined
+        code per row (``c0 * d1 + c1``, and so on), sorted by one
+        integer sort as :func:`stable_order` sorts codes.  A wider tuple
+        takes the textbook sequence of stable sorts from the least to
+        the most significant key — each a :func:`stable_order` over
+        cached *codes* — seeded with the least significant column's
+        argsort, or the longest suffix order memoized before.  Stable
+        sorts are unique, so the result is ``np.lexsort`` on the raw
+        arrays, as int32.  The returned array is read-only and shared
+        with later callers.
 
-        Every suffix's order is memoized per ``(table, column tuple)``
-        for as long as the table's columns stand: indexes sharing key
-        suffixes (and identical rebuilt indexes) share the sorts, and a
-        single-column index build is a pure cache read of the column's
-        argsort.  So only what is built calls it — an index
-        (:class:`~repro.index.data.IndexData`) and a single-table view
-        (:func:`~repro.views.matview.build_view`); sizing a candidate
-        view counts its key tuples without an order
+        The order is memoized per ``(table, column tuple)`` for as long
+        as the table's columns stand — a wider tuple's every suffix
+        too, and a packed one's no other: indexes on the same columns
+        (and identical rebuilt indexes) share it.  So only what is
+        built calls it — an index (:class:`~repro.index.data.IndexData`)
+        and a single-table view (:func:`~repro.views.matview.build_view`);
+        sizing a candidate view counts its key tuples without an order
         (``Database._hypothetical_view_size``).
         """
+        columns = tuple(columns)
+        order = self._peek_order(table, columns)
+        if order is not None:
+            return order
+        dictionaries = [self.dictionary(table, c) for c in columns]
+        bits = _packs(
+            max(math.prod(d.n_distinct for d in dictionaries) - 1, 0),
+            table.row_count,
+        )
+        if len(columns) == 1:
+            order = dictionaries[0].argsort()
+        elif bits is not None:
+            order = _combined_order(dictionaries, bits)
+        else:
+            order = self._level_order(table, columns)
+        self._store_order(table, columns, order)
+        return order
+
+    def _level_order(self, table, columns):
+        """``lexsort`` of ``columns`` one stable sort per key, from the
+        longest memoized suffix on, memoizing every suffix it sorts."""
         order = None
-        start = len(columns)
-        # Longest cached suffix first: a repeat call for the same key
-        # tuple is a pure memo read.
-        for depth in range(len(columns)):
-            suffix = tuple(columns[depth:])
-            cached = self._peek_order(table, suffix)
-            if cached is not None:
-                order, start = cached, depth
+        # Longest cached suffix first.
+        for depth in range(1, len(columns)):
+            order = self._peek_order(table, columns[depth:])
+            if order is not None:
                 break
         if order is None:
             # Innermost seed: the last column's cached stable argsort.
+            depth = len(columns) - 1
             order = self.dictionary(table, columns[-1]).argsort()
-            start = len(columns) - 1
-            self._store_order(table, (columns[-1],), order)
-        for depth in range(start - 1, -1, -1):
-            dictionary = self.dictionary(table, columns[depth])
-            order = order[
-                stable_order(dictionary.codes[order], dictionary.n_distinct)
-            ]
-            self._store_order(table, tuple(columns[depth:]), order)
-        return order
+            self._store_order(table, columns[depth:], order)
+        for depth in range(depth - 1, 0, -1):
+            order = self._level(table, columns[depth], order)
+            self._store_order(table, columns[depth:], order)
+        return self._level(table, columns[0], order)
+
+    def _level(self, table, column, order):
+        """``order`` stably re-sorted by ``column``'s codes."""
+        dictionary = self.dictionary(table, column)
+        return order[
+            stable_order(dictionary.codes[order], dictionary.n_distinct)
+        ]
 
     def _peek_order(self, table, key_columns):
         """A memoized sort order, validated against the live key arrays.
@@ -959,9 +1020,10 @@ class DictionaryCache:
 
     def resident_bytes(self):
         """Bytes the cache holds, by kind: every numeric dictionary's
-        ``codes`` (those that were read, with the spare capacity
-        behind them; a coded column's are its table's storage, counted
-        there), every dictionary's ``orders`` (argsorts that exist),
+        ``codes`` (an integer one's from construction, a float one's
+        once read, with the spare capacity behind them; a coded
+        column's are its table's storage, counted there), every
+        dictionary's ``orders`` (argsorts some reader asked for),
         the memoized ``lexsorts`` that are no dictionary's argsort, and
         ``values`` (the ``d``-sized values and counts; an object
         array counts its pointers, not its strings)."""

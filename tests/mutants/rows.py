@@ -581,6 +581,29 @@ ROWS = [
         catcher="tests/test_index_data.py::"
                 "test_a_deferred_index_merges_once_for_inserts_before_its_read",
     ),
+    # -- dictionaries: codes counted or sorted, orders only when asked
+    dict(
+        id="counting-drops-the-top-value",
+        guards="dictionaries",
+        file="src/repro/storage/encoding.py",
+        search="        present = np.flatnonzero(counts)\n",
+        replace="        present = np.flatnonzero(counts[:rows])\n",
+        catcher="tests/test_encoding.py::"
+                "test_property_integer_dictionary_is_np_unique_without_"
+                "an_order",
+    ),
+    dict(
+        id="lexsort-packs-an-overflowing-tuple",
+        guards="dictionaries",
+        file="src/repro/storage/encoding.py",
+        search=(
+            "            max(math.prod(d.n_distinct for d in dictionaries) "
+            "- 1, 0),\n"
+        ),
+        replace="            0,\n",
+        catcher="tests/test_encoding.py::"
+                "test_lexsort_packs_a_narrow_tuple_and_levels_a_wide_one",
+    ),
     # -- planner caches: sampling's bulk estimate and the join graphs
     dict(
         id="bulk-estimate-keeps-plans",

@@ -165,49 +165,60 @@ def test_int64_dictionary_packs_up_to_62_bits_and_falls_back_beyond(
         assert d.values.tolist() == [-12, -5, top - 12]
         assert d.counts.tolist() == [2, 1, 2]
         assert d.codes.tolist() == [2, 0, 2, 1, 0]
-        assert d.argsort().tolist() == [1, 4, 3, 0, 2]
-    # ... in one sort that is neither np.unique nor a stable_order.
-    assert unique_calls == []
+    # ... in one sort that is neither np.unique nor a stable_order, and
+    # that leaves codes but no order ...
+    assert unique_calls == [] and d._argsort is None
     assert "encoding.sorts" not in recorder.metrics.snapshot()["counters"]
+    # ... which one stable_order of the codes takes when asked for.
+    with obs.recording() as recorder:
+        assert d.argsort().tolist() == [1, 4, 3, 0, 2]
+    assert recorder.metrics.snapshot()["counters"]["encoding.sorts"] == 1
     # One bit more takes np.unique, lazy codes and a stable_order of
     # them, with the same answers.
     base = np.array([2 * top + 1, 0, 2 * top + 1, 7, 0], dtype=np.int64)
     with obs.recording() as recorder:
         d = ColumnDictionary(base)
-        assert len(unique_calls) == 1
+        assert len(unique_calls) == 1 and d._codes is None
         assert d.codes.tolist() == [2, 0, 2, 1, 0]
         assert d.argsort().tolist() == [1, 4, 3, 0, 2]
     assert recorder.metrics.snapshot()["counters"]["encoding.sorts"] == 1
-    # An empty column has no span to pack.
-    assert_dictionary_is_numpys(np.array([], dtype=np.int64))
-    assert len(unique_calls) > 1
+    # An empty column is counted, and holds its (no) codes.
+    for dtype in (np.int16, np.int64):
+        empty = assert_dictionary_is_numpys(np.array([], dtype=dtype))
+        assert empty.codes.dtype == np.int16
+    assert len(unique_calls) == 3 and empty._codes is not None
 
 
 def test_packed_dictionary_scatters_codes_on_first_read():
-    base = np.array([3, 1, 3, 2, 1, 3, 7], dtype=np.int64)
+    """The packed sort scatters the codes at construction and keeps no
+    order; the first ``argsort()`` read sorts the codes, once, and a
+    racing first read is harmless."""
+    base = np.array([3, 1, 3, 2, 1, 3, 7], dtype=np.int64) * 10
     _, inverse = np.unique(base, return_inverse=True)
     d = ColumnDictionary(base)
-    # The sort left the order; nobody has asked for codes yet ...
-    assert d._codes is None and d._argsort is not None
-    grown = d.extended(np.concatenate([base, [0, 7]]))
-    assert d._codes is None and grown._codes is None
-    # ... and the first read scatters them through it, sorting nothing.
+    assert d._codes is not None and d._argsort is None
+    assert d.codes.dtype == code_dtype_of(d.n_distinct)
+    assert d.codes.tolist() == inverse.tolist()
+    # An extension carries the codes and takes no order either ...
+    grown = d.extended(np.concatenate([base, [0, 70]]))
+    assert grown._codes is not None and grown._argsort is None
+    assert d._argsort is None
+    # ... and the first order read is one stable_order of the codes.
     with obs.recording() as recorder:
-        codes = d.codes
-    assert "encoding.sorts" not in recorder.metrics.snapshot()["counters"]
-    assert codes.dtype == code_dtype_of(d.n_distinct)
-    assert codes.tolist() == inverse.tolist()
-    assert d.codes is codes
+        order = d.argsort()
+    assert recorder.metrics.snapshot()["counters"]["encoding.sorts"] == 1
+    assert order.tolist() == np.argsort(base, kind="stable").tolist()
+    assert d.argsort() is order
 
     # A racing first read computes the same array twice; whichever
-    # write lands last, every reader holds the right codes.
+    # write lands last, every reader holds the right order.
     fresh = ColumnDictionary(np.tile(base, 5_000))
     barrier = threading.Barrier(8)
     seen = []
 
     def read():
         barrier.wait(timeout=30)
-        seen.append(fresh.codes)
+        seen.append(fresh.argsort())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -221,9 +232,9 @@ def test_packed_dictionary_scatters_codes_on_first_read():
     finally:
         sys.setswitchinterval(interval)
     assert len(seen) == 8
-    expected = np.tile(inverse, 5_000)
-    assert all(np.array_equal(codes, expected) for codes in seen)
-    assert any(fresh.codes is codes for codes in seen)
+    expected = np.argsort(np.tile(base, 5_000), kind="stable")
+    assert all(np.array_equal(order, expected) for order in seen)
+    assert any(fresh.argsort() is order for order in seen)
 
 
 @settings(max_examples=60, deadline=None)
@@ -531,7 +542,9 @@ def test_lexsort_matches_np_lexsort(city_db):
     assert order.tolist() == expected.tolist()
     # Memoized: the identical permutation object on a repeat call.
     assert cache.lexsort(users, ("city", "age")) is order
-    # A shared suffix reuses the cached inner sort.
+    # A packed tuple sorts once and memoizes no suffix: the suffix's
+    # order is its dictionary's, sorted when asked for.
+    assert len(cache._orders) == 1
     suffix = cache.lexsort(users, ("age",))
     assert suffix.tolist() == np.lexsort(
         (users.column("age"),)
@@ -660,18 +673,21 @@ def test_resident_bytes_counts_each_array_once(city_db):
     rows = orders.row_count
     uid = cache.dictionary(orders, "uid")
     small = uid.values.nbytes + uid.counts.nbytes
-    # A packed column holds its order and no codes ...
+    # An integer column holds its codes, two bytes a row (int16), and
+    # no order ...
+    assert uid.codes.dtype == code_dtype_of(uid.n_distinct) == np.int16
     assert cache.resident_bytes() == {
-        "codes": 0, "orders": 4 * rows, "lexsorts": 0, "values": small,
+        "codes": 2 * rows, "orders": 0, "lexsorts": 0, "values": small,
     }
-    # ... the one-column memo is that order, a two-column one is not;
-    # its upper level read uid's codes, two bytes a row (int16).
+    # ... the one-column memo is its order, a two-column one is not,
+    # and the packed sort of (uid, amount) ordered amount by nothing
+    # but its codes.
     cache.lexsort(orders, ("uid",))
     cache.lexsort(orders, ("uid", "amount"))
     amount = cache.dictionary(orders, "amount")
-    assert uid.codes.dtype == code_dtype_of(uid.n_distinct) == np.int16
+    assert amount.codes.dtype == np.int16 and amount._argsort is None
     assert cache.resident_bytes() == {
-        "codes": 2 * rows, "orders": 8 * rows, "lexsorts": 4 * rows,
+        "codes": 4 * rows, "orders": 4 * rows, "lexsorts": 4 * rows,
         "values": small + amount.values.nbytes + amount.counts.nbytes,
     }
 
@@ -738,10 +754,10 @@ def test_property_extended_dictionary_equals_rebuild(
     dictionary = ColumnDictionary(base)
     if touch_codes:
         dictionary.codes
-    # Only a hashed column has codes nobody read: a packed one
-    # scatters them on first read, the np.unique side after an argsort.
+    # A hashed and an integer column have codes from construction;
+    # the np.unique side scatters them after an argsort on first read.
     has_codes = dictionary._codes is not None
-    assert has_codes == (touch_codes or kind == "str")
+    assert has_codes == (touch_codes or kind != "float")
     for tail in picks[1:]:
         base = np.concatenate([base, domain[np.array(tail, dtype=np.int64)]])
         grown = dictionary.extended(base)
@@ -1431,3 +1447,68 @@ def test_property_codes_take_two_bytes_up_to_32768_values(
         cache.append_rows(table, {"c": tail})
         values = np.concatenate([values, tail])
         assert_codes_take_the_narrowest_dtype(table, cache, values)
+
+
+# ----------------------------------------------------------------------
+# Integer construction: counted or sorted, codes always, no order
+
+@settings(max_examples=120, deadline=None)
+@example(rows=64, extra=0, low=-3, dtype="int16", tail=0)
+@example(rows=64, extra=1, low=-3, dtype="int16", tail=0)
+@given(
+    rows=ROW_COUNTS,
+    extra=st.sampled_from([-5, 0, 1, 2, 1000]),
+    low=st.sampled_from([-40_000, -3, 0, 7]),
+    dtype=st.sampled_from(["int16", "int32", "int64"]),
+    tail=st.sampled_from([0, 3]),
+)
+def test_property_integer_dictionary_is_np_unique_without_an_order(
+        rows, extra, low, dtype, tail):
+    """Spans of ``rows + extra`` — counted up to ``rows``, exactly
+    ``rows`` included, sorted from ``rows + 1`` on — from negative and
+    positive minima, in each stored width, and a column an append
+    widened: the dictionary is ``np.unique``'s, its ``argsort()`` the
+    stable ``np.argsort``, and a fresh one holds codes and no order."""
+    span = max(rows + extra, 0)
+    if dtype == "int16" and low + span > 32_767:
+        low = -32_768
+    base = np.full(rows, low, dtype=np.int64)
+    if rows:
+        base[rows // 2:] = low + span
+        base[1:rows // 2] = low + (np.arange(1, rows // 2) * 7) % (span + 1)
+    base = base.astype(dtype)
+    fresh = ColumnDictionary(base)
+    assert fresh._argsort is None and fresh._codes is not None
+    assert_dictionary_is_numpys(base, fresh)
+    if tail:
+        # A tail beyond int16 widens the column it extends.
+        grown = np.concatenate([base, np.full(tail, 1 << 20, np.int32)])
+        extended = ColumnDictionary(base).extended(grown)
+        assert extended._codes is not None and extended._argsort is None
+        assert_dictionary_is_numpys(grown, extended)
+
+
+def test_lexsort_packs_a_narrow_tuple_and_levels_a_wide_one():
+    """Five integer keys of about 1 000 values over 5 000 rows do not
+    pack beside a position (50 + 13 bits); their first two do.  Both
+    orders are ``np.lexsort``'s; the packed one is one sort that
+    memoizes no suffix, the wide one sorts level by level."""
+    from repro import ColumnDef, TableSchema, integer
+    from repro.storage.table import Table
+
+    rng = np.random.default_rng(7)
+    names = ("a", "b", "c", "d", "e")
+    table = Table(
+        TableSchema("wide", [ColumnDef(n, integer(), n) for n in names]),
+        {n: rng.integers(0, 1_000, 5_000) for n in names},
+    )
+    for columns, sorts in ((names[:2], 1), (names, 5)):
+        cache = DictionaryCache()
+        with obs.recording() as recorder:
+            order = cache.lexsort(table, columns)
+        counters = recorder.metrics.snapshot()["counters"]
+        assert counters["encoding.sorts"] == sorts
+        arrays = [table.column(c) for c in columns]
+        assert np.array_equal(order, np.lexsort(tuple(reversed(arrays))))
+        memoized = {key[1] for key in cache._orders}
+        assert (columns[1:] in memoized) == (sorts > 1)

@@ -97,16 +97,17 @@ def test_fig8_recommendation_what_if_work_is_pinned():
 
 def test_fig4_configuration_sorts_are_pinned():
     """Building P → 1C → P → 1C for System A on NREF sorts nothing: an
-    index owes its order until it is first read.  Reading every index
-    of P and of 1C then calls ``stable_order`` once per distinct
-    (table, key suffix) of the two configurations that no dictionary
-    has ordered already — every suffix of two or more columns, and a
-    single column unless it is an integer one (of any stored width),
-    whose order comes out of the dictionary's own packed sort.  Every
-    order is memoized in the dictionary cache and shared by the
-    indexes that end in it, so reading 1C's indexes once more sorts
-    nothing.  (Generating NREF orders the key column of each
-    ``ordinal`` one, and as that key's dictionary is the stored
+    index owes its order until it is first read, and no dictionary
+    holds an order before one asks.  Reading every index of P and of
+    1C then calls ``stable_order`` once per distinct (table, key
+    columns) of the two configurations that no dictionary has ordered
+    already: a one-column key sorts its dictionary's codes, and a
+    key of several columns, whose codes pack beside a row position at
+    this scale, is one combined sort — its suffixes are never sorted
+    or memoized.  Every order is memoized in the dictionary cache and
+    shared by the indexes on its key, so reading 1C's indexes once
+    more sorts nothing.  (Generating NREF orders the key column of
+    each ``ordinal`` one, and as that key's dictionary is the stored
     column, its one-column index reuses the order.)"""
     context = BenchContext(
         BenchSettings(scale=0.05, workload_size=10, seed=405)
@@ -135,19 +136,12 @@ def test_fig4_configuration_sorts_are_pinned():
         total = sorts()
         read_every_index(one_c)
         again = sorts()
-    suffixes = {
-        (ix.table, ix.columns[depth:])
+    keys = {
+        (ix.table, tuple(ix.columns))
         for config in (p, one_c)
         for ix in config.indexes
-        for depth in range(len(ix.columns))
     }
-    assert len(suffixes) == 39
-    sorted_later = [
-        (table, columns) for table, columns in suffixes
-        if len(columns) > 1
-        or database.table(table).schema.column(columns[0]).sql_type.kind
-        not in ("int", "date")
-    ]
+    assert len(keys) == 39
     # The generator numbers the rows of each composite key by the
     # same primitive, inside the recording, on the dictionary its key
     # column is stored as — which a one-column index on the key reads.
@@ -156,8 +150,10 @@ def test_fig4_configuration_sorts_are_pinned():
         for name in database.catalog.table_names
         if "ordinal" in database.catalog.table(name).primary_key
     ]
-    assert len(sorted_later) == 23 and len(ordinals) == 3
-    assert set(ordinals) <= set(sorted_later)
+    assert len(ordinals) == 3 and set(ordinals) <= keys
     assert built == generated == len(ordinals)
-    assert total == len(sorted_later)
+    assert total - built == len(keys) - len(ordinals)
     assert again == total
+    # The cache memoized the orders of these keys, and no suffix.
+    memoized = database._cache("dict_cache")._orders
+    assert set(memoized) == keys
